@@ -8,10 +8,10 @@
    The run matrix executes on a pool of worker domains: -j N (or
    MTJ_JOBS) selects the worker count, defaulting to what the hardware
    recommends, capped at the matrix size.  Table/figure output is
-   byte-identical at any -j and either --threaded-interp mode (the
-   threaded tier changes host wall time only); --timings FILE
-   additionally writes a machine-readable JSON report of per-run and
-   per-experiment wall-clock. *)
+   byte-identical at any -j; --tier-policy rebinds the pypy/pycket rows
+   (and so moves their simulated numbers); --timings FILE additionally
+   writes a machine-readable JSON report of per-run and per-experiment
+   wall-clock. *)
 
 module E = Mtj_harness.Experiments
 module R = Mtj_harness.Runner
@@ -139,8 +139,7 @@ let serve_bench ?(zipf_s = 1.1) ?(corpus_size = 0) () =
 
 let usage () =
   print_endline
-    "usage: main.exe [-j N] [--threaded-interp on|off] [--frame-pool on|off] \
-     [--tier-policy optimizing|baseline|adaptive] \
+    "usage: main.exe [-j N] [--tier-policy optimizing|baseline|adaptive] \
      [--zipf-alpha S] [--corpus-size N] \
      [--timings FILE] [--metrics-out FILE] \
      [all | bechamel | serve | <experiment> ...]";
@@ -154,8 +153,6 @@ type parsed = {
   names : string list;  (* in command-line order *)
   run_all : bool;
   jobs : int option;
-  threaded : bool option;
-  frame_pool : bool option;
   tier_policy : Mtj_core.Config.tier_policy option;
   zipf_s : float option;       (* "serve" workload knobs *)
   corpus_size : int option;
@@ -172,18 +169,6 @@ let parse_args argv =
         | Some n when n >= 1 -> go { acc with jobs = Some n } rest
         | _ -> Error (Printf.sprintf "bad job count %S" v))
     | [ ("-j" | "--jobs") ] -> Error "-j requires an argument"
-    | "--threaded-interp" :: v :: rest -> (
-        match v with
-        | "on" -> go { acc with threaded = Some true } rest
-        | "off" -> go { acc with threaded = Some false } rest
-        | _ -> Error (Printf.sprintf "bad --threaded-interp value %S" v))
-    | [ "--threaded-interp" ] -> Error "--threaded-interp requires on|off"
-    | "--frame-pool" :: v :: rest -> (
-        match v with
-        | "on" -> go { acc with frame_pool = Some true } rest
-        | "off" -> go { acc with frame_pool = Some false } rest
-        | _ -> Error (Printf.sprintf "bad --frame-pool value %S" v))
-    | [ "--frame-pool" ] -> Error "--frame-pool requires on|off"
     | "--tier-policy" :: v :: rest -> (
         match Mtj_core.Config.tier_policy_of_string v with
         | Some p -> go { acc with tier_policy = Some p } rest
@@ -192,8 +177,11 @@ let parse_args argv =
         Error "--tier-policy requires optimizing|baseline|adaptive"
     | ("--zipf-alpha" | "--zipf-s") :: v :: rest -> (
         match float_of_string_opt v with
-        | Some s when s > 0.0 -> go { acc with zipf_s = Some s } rest
-        | _ -> Error (Printf.sprintf "bad --zipf-alpha value %S (want > 0)" v))
+        | Some s when Float.is_finite s && s > 0.0 ->
+            go { acc with zipf_s = Some s } rest
+        | _ ->
+            Error
+              (Printf.sprintf "bad --zipf-alpha value %S (want finite > 0)" v))
     | [ ("--zipf-alpha" | "--zipf-s") ] ->
         Error "--zipf-alpha requires a positive exponent"
     | "--corpus-size" :: v :: rest -> (
@@ -217,10 +205,9 @@ let parse_args argv =
     | name :: rest -> go { acc with names = acc.names @ [ name ] } rest
   in
   go
-    { names = []; run_all = false; jobs = None; threaded = None;
-      frame_pool = None; tier_policy = None; zipf_s = None;
-      corpus_size = None; timings_file = None; metrics_file = None;
-      help = false }
+    { names = []; run_all = false; jobs = None; tier_policy = None;
+      zipf_s = None; corpus_size = None; timings_file = None;
+      metrics_file = None; help = false }
     argv
 
 let () =
@@ -233,8 +220,6 @@ let () =
   | Ok { help = true; _ } -> usage ()
   | Ok p ->
       Option.iter R.set_jobs p.jobs;
-      Option.iter R.set_threaded_interp p.threaded;
-      Option.iter R.set_frame_pool p.frame_pool;
       Option.iter R.set_tier_policy p.tier_policy;
       (* validate every requested name before running anything *)
       let unknown =

@@ -71,28 +71,6 @@ let budget_arg =
   Arg.(value & opt int R.default_budget
        & info [ "budget" ] ~docv:"INSNS" ~doc:"instruction budget")
 
-let threaded_arg =
-  let mode = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt (some mode) None
-       & info [ "threaded-interp" ] ~docv:"on|off"
-           ~doc:"threaded interpreter dispatch: translate each code object \
-                 once into an array of pre-bound handler closures (default \
-                 on, or \\$(b,MTJ_THREADED_INTERP)); simulated counters are \
-                 identical either way, only host wall time changes")
-
-let apply_threaded = function Some b -> R.set_threaded_interp b | None -> ()
-
-let frame_pool_arg =
-  let mode = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt (some mode) None
-       & info [ "frame-pool" ] ~docv:"on|off"
-           ~doc:"frame pooling: recycle dead frames' locals/stack arrays \
-                 through per-context free lists (default on, or \
-                 \\$(b,MTJ_FRAME_POOL)); simulated counters are identical \
-                 either way, only host allocation and wall time change")
-
-let apply_frame_pool = function Some b -> R.set_frame_pool b | None -> ()
-
 let tier_policy_arg =
   let policy =
     Arg.enum
@@ -107,22 +85,9 @@ let tier_policy_arg =
                  $(b,baseline) compiles cheap unoptimized traces early and \
                  never promotes, $(b,adaptive) starts at the baseline tier \
                  and promotes hot guard-stable traces (demoting them again \
-                 if bridges proliferate); unset, \\$(b,MTJ_TIER_POLICY) \
-                 applies")
+                 if bridges proliferate)")
 
 let apply_tier_policy = function Some p -> R.set_tier_policy p | None -> ()
-
-let with_threaded config =
-  let config =
-    match R.tier_policy_override () with
-    | Some p -> { config with Mtj_core.Config.tier_policy = p }
-    | None -> config
-  in
-  {
-    config with
-    Mtj_core.Config.threaded_interp = R.threaded_interp ();
-    frame_pool = R.frame_pool ();
-  }
 
 let show_output_arg =
   Arg.(value & flag & info [ "output" ] ~doc:"print the program's output")
@@ -178,9 +143,7 @@ let run_cmd =
     "Run benchmarks under a VM configuration (several benchmarks run in \
      parallel on worker domains; results print in argument order)"
   in
-  let run names vm budget jobs show_output threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run names vm budget jobs show_output tier_policy =
     apply_tier_policy tier_policy;
     if jobs > 0 then R.set_jobs jobs;
     (* fill the cache in parallel; a benchmark that fails to run is
@@ -202,7 +165,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ benches_arg $ config_arg $ budget_arg $ jobs_arg
-      $ show_output_arg $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      $ show_output_arg $ tier_policy_arg)
 
 (* --- trace --- *)
 
@@ -225,14 +188,10 @@ let trace_cmd =
      $(b,--trace-out)/$(b,--metrics-out)) export the run's timeline and \
      counters as JSON"
   in
-  let run name budget trace_out metrics_out threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run name budget trace_out metrics_out tier_policy =
     apply_tier_policy tier_policy;
     let observing = trace_out <> None || metrics_out <> None in
-    let config =
-      with_threaded (Mtj_core.Config.with_budget budget Mtj_core.Config.default)
-    in
+    let config = R.config_of ~budget R.Pypy_jit in
     let attach eng =
       if observing then Some (Mtj_obs.Sink.attach eng) else None
     in
@@ -304,7 +263,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       const run $ bench_arg $ budget_arg $ trace_out_arg $ metrics_out_arg
-      $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      $ tier_policy_arg)
 
 (* --- serve --- *)
 
@@ -375,8 +334,7 @@ let serve_cmd =
                    (0 = the whole corpus)")
   in
   let run requests jobs zipf_s seed shared profile_seed cache_capacity
-      tenant_quota corpus_size budget metrics_out threaded frame_pool
-      tier_policy =
+      tenant_quota corpus_size budget metrics_out tier_policy =
     if requests < 1 then begin
       Printf.eprintf "mtj: --requests must be >= 1 (got %d)\n" requests;
       exit 2
@@ -385,8 +343,8 @@ let serve_cmd =
       Printf.eprintf "mtj: --budget must be >= 1 (got %d)\n" budget;
       exit 2
     end;
-    if zipf_s <= 0.0 then begin
-      Printf.eprintf "mtj: --zipf-s must be > 0 (got %g)\n" zipf_s;
+    if not (Float.is_finite zipf_s && zipf_s > 0.0) then begin
+      Printf.eprintf "mtj: --zipf-s must be finite and > 0 (got %g)\n" zipf_s;
       exit 2
     end;
     if cache_capacity < 0 then begin
@@ -404,8 +362,6 @@ let serve_cmd =
         corpus_len corpus_size;
       exit 2
     end;
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
     apply_tier_policy tier_policy;
     if jobs > 0 then R.set_jobs jobs;
     let s =
@@ -424,8 +380,8 @@ let serve_cmd =
     Term.(
       const run $ requests_arg $ jobs_arg $ zipf_arg $ seed_arg $ shared_arg
       $ profile_seed_arg $ cache_capacity_arg $ tenant_quota_arg
-      $ corpus_size_arg $ serve_budget_arg $ metrics_out_arg $ threaded_arg
-      $ frame_pool_arg $ tier_policy_arg)
+      $ corpus_size_arg $ serve_budget_arg $ metrics_out_arg
+      $ tier_policy_arg)
 
 (* --- exec --- *)
 
@@ -437,24 +393,11 @@ let exec_cmd =
   let nojit_arg =
     Arg.(value & flag & info [ "no-jit" ] ~doc:"disable the meta-tracing JIT")
   in
-  let tiered_arg =
-    Arg.(
-      value & flag
-      & info [ "tiered" ]
-          ~doc:
-            "two-tier compilation: compile traces quickly first,              recompile hot ones through the full optimizer")
-  in
-  let run file nojit tiered budget threaded frame_pool tier_policy =
-    apply_threaded threaded;
-    apply_frame_pool frame_pool;
+  let run file nojit budget tier_policy =
     apply_tier_policy tier_policy;
     let src = In_channel.with_open_text file In_channel.input_all in
     let config =
-      with_threaded
-        (Mtj_core.Config.with_budget budget
-           (if nojit then Mtj_core.Config.no_jit
-            else if tiered then Mtj_core.Config.two_tier
-            else Mtj_core.Config.default))
+      R.config_of ~budget (if nojit then R.Pypy_nojit else R.Pypy_jit)
     in
     let is_scheme =
       Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
@@ -484,8 +427,7 @@ let exec_cmd =
   in
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(
-      const run $ file_arg $ nojit_arg $ tiered_arg $ budget_arg
-      $ threaded_arg $ frame_pool_arg $ tier_policy_arg)
+      const run $ file_arg $ nojit_arg $ budget_arg $ tier_policy_arg)
 
 let () =
   let doc = "meta-tracing JIT workload characterization tools" in

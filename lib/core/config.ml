@@ -63,13 +63,10 @@ let tier_policy_name = function
   | Baseline -> "baseline"
   | Adaptive -> "adaptive"
 
-let tier_policy_of_string = function
-  | "optimizing" | "opt" | "1tier-opt" -> Some Optimizing
-  | "baseline" | "base" | "1tier-base" -> Some Baseline
-  | "adaptive" | "2tier" | "multi" -> Some Adaptive
-  | _ -> None
-
 let all_tier_policies = [ Optimizing; Baseline; Adaptive ]
+
+let tier_policy_of_string s =
+  List.find_opt (fun p -> tier_policy_name p = s) all_tier_policies
 
 let paper_scale =
   "Paper: loop threshold 1039, benchmarks run for 10e9 instructions. \

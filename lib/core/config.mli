@@ -47,13 +47,16 @@ type t = {
   threaded_interp : bool;
       (** dispatch interpreter bytecodes through translate-once arrays of
           pre-bound step closures (the threaded tier) instead of the
-          reference decode-and-match loop; simulated counters are
+          reference decode-and-match loop.  Always on in production;
+          [false] selects the reference loop as the oracle the
+          differential suites compare against — simulated counters are
           byte-identical either way *)
   frame_pool : bool;
       (** recycle dead interpreter frames' locals/stack arrays through
-          per-context free lists instead of reallocating; a host-side
-          optimization only — simulated counters are byte-identical
-          either way *)
+          per-context free lists instead of reallocating.  Always on in
+          production; [false] selects plain allocation as the oracle
+          the differential suites compare against — simulated counters
+          are byte-identical either way *)
   (* --- multi-tier compilation (extends the paper's Q4/Q5 warmup
      questions to a per-tier dimension) --- *)
   tier_policy : tier_policy;
@@ -101,8 +104,7 @@ val tier_policy_name : tier_policy -> string
 (** ["optimizing"] / ["baseline"] / ["adaptive"]. *)
 
 val tier_policy_of_string : string -> tier_policy option
-(** Inverse of {!tier_policy_name} (also accepts a few aliases);
-    [None] for unknown names. *)
+(** Inverse of {!tier_policy_name}; [None] for any other string. *)
 
 val all_tier_policies : tier_policy list
 

@@ -1,7 +1,8 @@
 (** Benchmark runner: executes one benchmark under one VM configuration
     with the full cross-layer instrumentation attached, and collects
     everything the paper's tables and figures need.  Results are memoized
-    per (benchmark, configuration) since several experiments share runs. *)
+    per (benchmark, configuration, budget) since several experiments
+    share runs. *)
 
 open Mtj_core
 open Mtj_rt
@@ -122,66 +123,21 @@ let jit_enabled = function
   | Pypy_jit | Pypy_tiered | Pypy_baseline | Pycket_jit -> true
   | _ -> false
 
-(* the --threaded-interp setting; 0 = auto (MTJ_THREADED_INTERP, else on) *)
-let threaded_setting = Atomic.make 0
-let set_threaded_interp b = Atomic.set threaded_setting (if b then 1 else 2)
-
-let threaded_interp () =
-  match Atomic.get threaded_setting with
-  | 1 -> true
-  | 2 -> false
-  | _ -> (
-      match Sys.getenv_opt "MTJ_THREADED_INTERP" with
-      | Some ("0" | "off" | "false" | "no") -> false
-      | _ -> true)
-
-(* the --frame-pool setting; 0 = auto (MTJ_FRAME_POOL, else on) *)
-let frame_pool_setting = Atomic.make 0
-let set_frame_pool b = Atomic.set frame_pool_setting (if b then 1 else 2)
-
-let frame_pool () =
-  match Atomic.get frame_pool_setting with
-  | 1 -> true
-  | 2 -> false
-  | _ -> (
-      match Sys.getenv_opt "MTJ_FRAME_POOL" with
-      | Some ("0" | "off" | "false" | "no") -> false
-      | _ -> true)
-
-(* the --tier-policy setting; None = auto (MTJ_TIER_POLICY, else the
-   per-vm_config default: Pypy_tiered adaptive, Pypy_baseline baseline,
-   everything else optimizing) *)
+(* the --tier-policy setting; None = each config's default
+   (Pypy_tiered adaptive, Pypy_baseline baseline, everything else
+   optimizing) *)
 let tier_policy_setting = Atomic.make None
 let set_tier_policy p = Atomic.set tier_policy_setting (Some p)
 
-let tier_policy_override () =
-  match Atomic.get tier_policy_setting with
-  | Some p -> Some p
-  | None ->
-      Option.bind
-        (Sys.getenv_opt "MTJ_TIER_POLICY")
-        Config.tier_policy_of_string
-
 let config_of ?(budget = default_budget) vc =
   let base =
-    match vc with
-    | Pypy_tiered -> Config.two_tier
-    | Pypy_baseline -> Config.baseline_tier
+    match (vc, Atomic.get tier_policy_setting) with
+    | Pypy_tiered, _ -> Config.two_tier
+    | Pypy_baseline, _ -> Config.baseline_tier
+    (* the override applies to JIT configs that don't pin a policy *)
+    | (Pypy_jit | Pycket_jit), Some p ->
+        { Config.default with Config.tier_policy = p }
     | _ -> if jit_enabled vc then Config.default else Config.no_jit
-  in
-  let base =
-    (* the explicit policy override applies to JIT-enabled configs that
-       don't already pin a tier policy by name *)
-    match (vc, tier_policy_override ()) with
-    | (Pypy_jit | Pycket_jit), Some p -> { base with Config.tier_policy = p }
-    | _ -> base
-  in
-  let base =
-    {
-      base with
-      Config.threaded_interp = threaded_interp ();
-      frame_pool = frame_pool ();
-    }
   in
   Config.with_budget budget base
 
@@ -344,8 +300,14 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
    computed twice, and a racing duplicate would in any case store an
    identical (deterministic) result. *)
 
-let cache : (string * vm_config, result) Hashtbl.t = Hashtbl.create 128
-let run_walls : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
+(* keyed by (benchmark, config, budget); an omitted budget is
+   [default_budget], so callers that never pass one keep one key per
+   pair *)
+type key = string * vm_config * int
+
+let key_of ?(budget = default_budget) bench vc : key = (bench, vc, budget)
+let cache : (key, result) Hashtbl.t = Hashtbl.create 128
+let run_walls : (key, float) Hashtbl.t = Hashtbl.create 128
 
 (* host minor-heap words allocated while simulating each run.
    [Gc.minor_words] is domain-local in OCaml 5 and each run executes
@@ -354,7 +316,7 @@ let run_walls : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
    reset it), so the value is deterministic for a deterministic
    simulation.  Kept out of stdout — only the timings JSON reports it —
    so table output stays byte-identical at any [-j]. *)
-let run_allocs : (string * vm_config, float) Hashtbl.t = Hashtbl.create 128
+let run_allocs : (key, float) Hashtbl.t = Hashtbl.create 128
 let cache_lock = Mutex.create ()
 
 let with_cache_lock f =
@@ -362,7 +324,7 @@ let with_cache_lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
 let run ?budget (bench_name : string) (vc : vm_config) : result =
-  let key = (bench_name, vc) in
+  let key = key_of ?budget bench_name vc in
   match with_cache_lock (fun () -> Hashtbl.find_opt cache key) with
   | Some r -> r
   | None ->
@@ -408,7 +370,8 @@ let prefetch ?jobs:j ?budget (pairs : (string * vm_config) list) =
   let seen = Hashtbl.create 64 in
   let pending =
     List.filter
-      (fun key ->
+      (fun (b, vc) ->
+        let key = key_of ?budget b vc in
         (not (Hashtbl.mem seen key))
         && begin
              Hashtbl.replace seen key ();
@@ -444,7 +407,7 @@ type run_timing = {
 let run_timings () : run_timing list =
   with_cache_lock (fun () ->
       Hashtbl.fold
-        (fun ((b, vc) as key) (r : result) acc ->
+        (fun ((b, vc, _) as key) (r : result) acc ->
           let wall =
             Option.value ~default:0.0 (Hashtbl.find_opt run_walls key)
           in

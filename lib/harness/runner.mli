@@ -1,10 +1,10 @@
 (** Benchmark runner: executes one benchmark under one VM configuration
     with the full cross-layer instrumentation attached, and collects
     everything the paper's tables and figures need.  Results are
-    memoized per (benchmark, configuration) since several experiments
-    share runs; {!prefetch} fills the cache from a pool of worker
-    domains, and the simulation is deterministic, so rendered output is
-    byte-identical at any [-j]. *)
+    memoized per (benchmark, configuration, budget) since several
+    experiments share runs; {!prefetch} fills the cache from a pool of
+    worker domains, and the simulation is deterministic, so rendered
+    output is byte-identical at any [-j]. *)
 
 (** The VM configurations of the paper's run matrix (Table II). *)
 type vm_config =
@@ -122,17 +122,20 @@ val default_budget : int
 
 val config_of : ?budget:int -> vm_config -> Mtj_core.Config.t
 (** The {!Mtj_core.Config.t} a given [vm_config] runs under, with the
-    session's [--threaded-interp] / [--frame-pool] / [--tier-policy]
-    settings applied.  This is exactly the config {!run} builds; the
-    serving harness ({!Serve}) uses it so shared-cache keys reflect
-    every knob that affects compiled code. *)
+    session's [--tier-policy] setting and the budget applied.  This is
+    exactly the config {!run} builds; the serving harness ({!Serve})
+    uses it so shared-cache keys reflect every knob that affects
+    compiled code.  The threaded dispatch tier and the frame pools are
+    always on: their off paths are test oracles, selected only by
+    building a {!Mtj_core.Config.t} directly. *)
 
 (* --- running --- *)
 
 val run : ?budget:int -> string -> vm_config -> result
-(** Memoized: the first call per (benchmark, config) simulates, later
-    calls return the cached result.  Raises [Invalid_argument] for an
-    unknown benchmark name. *)
+(** Memoized: the first call per (benchmark, config, budget) simulates,
+    later calls return the cached result; an omitted [budget] is
+    {!default_budget}.  Raises [Invalid_argument] for an unknown
+    benchmark name. *)
 
 val run_many :
   ?jobs:int -> ?budget:int -> (string * vm_config) list -> result list
@@ -157,44 +160,14 @@ val set_jobs : int -> unit
 
 val jobs : unit -> int
 
-(* --- the --threaded-interp setting --- *)
-
-val set_threaded_interp : bool -> unit
-(** Force the threaded-dispatch interpreter tier on or off for every
-    configuration built after the call.  Unset, the tier is "auto":
-    [MTJ_THREADED_INTERP] ("off"/"0"/"false"/"no" disables), else on.
-    Simulated counters are byte-identical either way; only host wall
-    time moves (see [Config.threaded_interp]). *)
-
-val threaded_interp : unit -> bool
-(** The effective setting a [config_of] call would apply right now. *)
-
-(* --- the --frame-pool setting --- *)
-
-val set_frame_pool : bool -> unit
-(** Force the frame pools on or off for every configuration built after
-    the call.  Unset, the pools are "auto": [MTJ_FRAME_POOL]
-    ("off"/"0"/"false"/"no" disables), else on.  Simulated counters are
-    byte-identical either way; only host allocation and wall time move
-    (see [Config.frame_pool]). *)
-
-val frame_pool : unit -> bool
-(** The effective setting a [config_of] call would apply right now. *)
-
 (* --- the --tier-policy setting --- *)
 
 val set_tier_policy : Mtj_core.Config.tier_policy -> unit
 (** Force the tier policy of every JIT configuration built after the
     call ([Pypy_jit]/[Pycket_jit]; [Pypy_tiered] and [Pypy_baseline]
-    pin their policy by name and ignore the override).  Unset, the
-    policy is "auto": [MTJ_TIER_POLICY]
-    ("optimizing"/"baseline"/"adaptive"), else each config's default.
-    Unlike the dispatch/pool toggles this {e changes simulated
-    behavior}: compile costs, warmup and trace tiers all move with the
-    policy. *)
-
-val tier_policy_override : unit -> Mtj_core.Config.tier_policy option
-(** The override a [config_of] call would apply right now, if any. *)
+    pin their policy by name and ignore the override).  Unset, each
+    config keeps its default policy.  The policy {e changes simulated
+    behavior}: compile costs, warmup and trace tiers all move with it. *)
 
 (* --- timing report --- *)
 

@@ -132,7 +132,8 @@ let zipf_index cum u =
 let gen_requests ~corpus ~requests ~zipf_s ~seed =
   if requests <= 0 then invalid_arg "Serve.gen_requests: requests <= 0";
   if corpus = [] then invalid_arg "Serve.gen_requests: empty corpus";
-  if zipf_s <= 0.0 then invalid_arg "Serve.gen_requests: zipf_s <= 0";
+  if not (Float.is_finite zipf_s && zipf_s > 0.0) then
+    invalid_arg "Serve.gen_requests: zipf_s must be finite and > 0";
   let corpus = Array.of_list corpus in
   let cum = zipf_cumulative ~n:(Array.length corpus) ~s:zipf_s in
   let state = ref (Int64.of_int seed) in
@@ -355,7 +356,7 @@ let serve ?jobs ?(budget = default_budget) ?(zipf_s = 1.1) ?(seed = 42)
     Sharedcache.create ~capacity:cache_capacity ~tenant_quota ()
   in
   (* the serving config: the plain meta-tracing JIT under the session's
-     threaded/frame-pool/tier-policy settings, per-request budget *)
+     tier policy, per-request budget *)
   let config = Runner.config_of ~budget Runner.Pypy_jit in
   let cfg_digest = Digest.to_hex (Digest.string (Marshal.to_string config [])) in
   let reqs =

@@ -108,7 +108,7 @@ val gen_requests :
     (weight of rank r is 1/r^s) using a splitmix64 stream seeded with
     [seed].  Pure and deterministic: same arguments, same stream, on
     any platform.  Raises [Invalid_argument] on [requests <= 0], an
-    empty corpus, or [zipf_s <= 0]. *)
+    empty corpus, or a [zipf_s] that is not finite and positive. *)
 
 val serve :
   ?jobs:int ->

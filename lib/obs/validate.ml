@@ -358,6 +358,8 @@ let check_serve j =
       let requests = int_field s "requests" in
       if requests < 1 then fail "serve: requests < 1";
       if int_field s "jobs" < 1 then fail "serve: jobs < 1";
+      let zipf_s = num_field s "zipf_s" in
+      if not (zipf_s > 0.0) then fail "serve: zipf_s %g not > 0" zipf_s;
       if num_field s "wall_s" < 0.0 then fail "serve: negative wall_s";
       if num_field s "throughput_rps" < 0.0 then
         fail "serve: negative throughput_rps";

@@ -210,8 +210,11 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
   let last_resume = ref None in
   Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
   Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
-  Engine.emit eng entry_cost;
+  (* count the entry before charging it: the charge can exhaust the
+     budget, and the annotated entry and the latch must still show in
+     [exec_count] *)
   trace.Ir.exec_count <- trace.Ir.exec_count + 1;
+  Engine.emit eng entry_cost;
   let exit_state = ref None in
   let ip = ref 0 in
   let switch_trace (target : Ir.trace) (values : Value.t array) =
@@ -1242,8 +1245,9 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   @@ fun () ->
   Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
   Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
-  Engine.emit eng entry_cost;
+  (* counted before the charge, as in [run_ref] *)
   trace.Ir.exec_count <- trace.Ir.exec_count + 1;
+  Engine.emit eng entry_cost;
   while st.st_exit == None do
     (Array.unsafe_get st.st_code st.st_ip) st
   done;

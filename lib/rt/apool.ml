@@ -16,8 +16,10 @@
 
     A disabled pool ([enabled = false]) degrades to plain allocation:
     {!acquire} is [Array.make] and {!release} a no-op, so call sites
-    stay unconditional and the [--frame-pool off] mode exercises the
-    exact same code path minus the free lists. *)
+    stay unconditional and the disabled mode exercises the exact same
+    code path minus the free lists.  Production always enables the
+    pool; [Config.frame_pool = false] selects the disabled mode as the
+    oracle the differential suites compare against. *)
 
 type 'a t = {
   default : 'a;

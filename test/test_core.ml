@@ -77,8 +77,13 @@ let test_config_two_tier () =
       Alcotest.(check bool) "policy name round-trips" true
         (Config.tier_policy_of_string (Config.tier_policy_name p) = Some p))
     Config.all_tier_policies;
-  Alcotest.(check bool) "unknown policy rejected" true
-    (Config.tier_policy_of_string "warp-speed" = None)
+  (* only the three canonical names parse: no aliases *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("policy name rejected: " ^ name) true
+        (Config.tier_policy_of_string name = None))
+    [ "warp-speed"; "opt"; "1tier-opt"; "base"; "1tier-base"; "2tier";
+      "multi" ]
 
 let test_annot_to_string () =
   Alcotest.(check string) "tick" "dispatch_tick"

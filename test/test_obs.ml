@@ -573,7 +573,7 @@ let test_validator_rejects_corruption () =
       ?(shared_hits = 6) ?(misses = 4) ?(pubs = 2) ?(profile_seed = true)
       ?(capacity = 0) ?(quota = 0) ?(entries = 2) ?(n_seeded = 1)
       ?(evictions = 0) ?(requeues = 0) ?(quota_rej = 0) ?(profile_pubs = 2)
-      ?(seeded_imports = 1) () =
+      ?(seeded_imports = 1) ?(zipf_s = 1.1) () =
     Json.Obj
       [
         ("schema", Json.Str "mtj-metrics/9");
@@ -583,7 +583,7 @@ let test_validator_rejects_corruption () =
             [
               ("requests", Json.Int 10);
               ("jobs", Json.Int 2);
-              ("zipf_s", Json.Float 1.1);
+              ("zipf_s", Json.Float zipf_s);
               ("seed", Json.Int 42);
               ("shared_cache", Json.Bool shared);
               ("profile_seed", Json.Bool profile_seed);
@@ -637,6 +637,7 @@ let test_validator_rejects_corruption () =
   | Error e -> Alcotest.failf "well-formed serve block rejected: %s" e);
   expect_err "unordered serve percentiles"
     (Validate.metrics (sdoc ~p95:9.0 ()));
+  expect_err "non-positive zipf_s" (Validate.metrics (sdoc ~zipf_s:0.0 ()));
   expect_err "warm + cold <> requests" (Validate.metrics (sdoc ~warm:7 ()));
   expect_err "lookups <> requests"
     (Validate.metrics (sdoc ~warm:5 ~cold:5 ~shared_hits:5 ~misses:4 ()));

@@ -135,8 +135,7 @@ let test_parallel_determinism () =
   let parallel =
     List.map (fun (b, c) -> digest (R.run ~budget b c)) sample_runs
   in
-  (* the cache is keyed by (bench, config): drop the small-budget
-     entries so later suites see a clean slate *)
+  (* drop the small-budget entries so later suites see a clean slate *)
   R.clear_cache ();
   List.iter2
     (Alcotest.(check string) "parallel result = serial result")
@@ -155,6 +154,18 @@ let test_run_many_order () =
     (List.map fst pairs)
     (List.map (fun (r : R.result) -> r.R.bench_name) rs)
 
+(* the memo cache is keyed by budget too: one pair run at two budgets in
+   one process simulates twice, and each run stops at its own budget *)
+let test_cache_keyed_by_budget () =
+  R.clear_cache ();
+  let small = R.run ~budget:300_000 "nbody" R.Pypy_jit in
+  let large = R.run ~budget:600_000 "nbody" R.Pypy_jit in
+  R.clear_cache ();
+  Alcotest.(check bool) "small run stops at its budget" true
+    (small.R.status = R.Hit_budget);
+  Alcotest.(check bool) "larger budget runs further" true
+    (small.R.insns < large.R.insns)
+
 let suite =
   [
     Alcotest.test_case "50 jobs on 3 workers" `Quick test_completion;
@@ -168,4 +179,6 @@ let suite =
     Alcotest.test_case "parallel prefetch is deterministic" `Slow
       test_parallel_determinism;
     Alcotest.test_case "run_many preserves order" `Slow test_run_many_order;
+    Alcotest.test_case "memo cache is keyed by budget" `Quick
+      test_cache_keyed_by_budget;
   ]

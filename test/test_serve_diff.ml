@@ -78,7 +78,16 @@ let test_zipf_stream_golden () =
   List.iter
     (fun (_, name) ->
       Alcotest.(check bool) (name ^ " appears") true (count name > 0))
-    S.default_corpus
+    S.default_corpus;
+  (* an exponent that is not finite and positive is rejected *)
+  List.iter
+    (fun zipf_s ->
+      match
+        S.gen_requests ~corpus:S.default_corpus ~requests:1 ~zipf_s ~seed:42
+      with
+      | _ -> Alcotest.failf "zipf_s %g should raise" zipf_s
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 (* --- serving differential: simulated state is mode- and jobs-invariant --- *)
 
