@@ -153,21 +153,63 @@ module Make (L : Threaded.LANG) = struct
     in
     go [] bottom
 
-  let build_resume (innermost : tframe) : Ir.resume =
-    let frames =
-      List.map
-        (fun (f : tframe) ->
-          {
-            Ir.snap_code = f.Frame.code_ref;
-            snap_pc = f.Frame.pc;
-            snap_locals = Array.map source_of_tval f.Frame.locals;
-            snap_stack =
-              Array.init f.Frame.sp (fun i -> source_of_tval f.Frame.stack.(i));
-            snap_discard = f.Frame.discard_return;
-          })
-        (chain_outermost_first innermost)
+  (* the sources of the first [n] slots of [a]: [prev] itself when it
+     already holds exactly those sources, else a fresh array *)
+  let share_sources (prev : Ir.source array) (a : Recorder.tval array) n =
+    let rec same i =
+      i = n
+      || (match (prev.(i), a.(i).Recorder.src) with
+         | Ir.S_reg r, Ir.Reg r' -> r = r'
+         | Ir.S_const v, Ir.Const v' -> v == v'
+         | _ -> false)
+         && same (i + 1)
     in
-    { Ir.frames; r_virtuals = [||] }
+    if Array.length prev = n && same 0 then prev
+    else Array.init n (fun i -> source_of_tval a.(i))
+
+  (* [f]'s snapshot, reusing [prev] (the same frame's snapshot at the
+     previous bytecode) or its arrays where nothing changed *)
+  let snap_frame (prev : Ir.frame_snap option) (f : tframe) : Ir.frame_snap =
+    let p_locals, p_stack =
+      match prev with
+      | Some p -> (p.Ir.snap_locals, p.Ir.snap_stack)
+      | None -> ([||], [||])
+    in
+    let snap_locals =
+      share_sources p_locals f.Frame.locals (Array.length f.Frame.locals)
+    in
+    let snap_stack = share_sources p_stack f.Frame.stack f.Frame.sp in
+    match prev with
+    | Some p
+      when p.Ir.snap_locals == snap_locals
+           && p.Ir.snap_stack == snap_stack
+           && p.Ir.snap_code = f.Frame.code_ref
+           && p.Ir.snap_pc = f.Frame.pc
+           && p.Ir.snap_discard = f.Frame.discard_return ->
+        p
+    | _ ->
+        {
+          Ir.snap_code = f.Frame.code_ref;
+          snap_pc = f.Frame.pc;
+          snap_locals;
+          snap_stack;
+          snap_discard = f.Frame.discard_return;
+        }
+
+  (* the resume snapshot at the start of the bytecode [innermost] is
+     about to run, built against [prev], the previous bytecode's frames:
+     a frame that did not change since (every caller frame, while an
+     inlined callee runs) is shared, not copied *)
+  let build_resume ~(prev : Ir.frame_snap list) (innermost : tframe) :
+      Ir.resume =
+    let rec go prev = function
+      | [] -> []
+      | f :: rest -> (
+          match prev with
+          | p :: ps -> snap_frame (Some p) f :: go ps rest
+          | [] -> snap_frame None f :: go [] rest)
+    in
+    { Ir.frames = go prev (chain_outermost_first innermost); r_virtuals = [||] }
 
   type saved_frame = {
     s_code : L.code;
@@ -240,6 +282,7 @@ module Make (L : Threaded.LANG) = struct
     let tcur = ref start in
     t.tracking <- Some start;
     let last_saved = ref (save_chain start) in
+    let last_frames = ref [] in
     let finish_session result =
       t.tracking <- None;
       result
@@ -256,8 +299,10 @@ module Make (L : Threaded.LANG) = struct
            through (unrolled); overly long unrolls hit the trace-length
            abort, as in RPython *)
         last_saved := save_chain f;
-        Recorder.begin_bytecode rec_ ~resume:(build_resume f)
-          ~code:f.Frame.code_ref ~pc:f.Frame.pc;
+        let resume = build_resume ~prev:!last_frames f in
+        last_frames := resume.Ir.frames;
+        Recorder.begin_bytecode rec_ ~resume ~code:f.Frame.code_ref
+          ~pc:f.Frame.pc;
         match T.step_ref rec_ t.globals f with
         | Frame.Continue -> loop (steps + 1)
         | Frame.Call nf ->

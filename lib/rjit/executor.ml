@@ -57,7 +57,20 @@ let as_float = Eval_op.as_float
 
 (* --- materialization of resume data --- *)
 
-let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
+let resume_slots (resume : Ir.resume) =
+  List.fold_left
+    (fun acc (f : Ir.frame_snap) ->
+      acc + Array.length f.Ir.snap_locals + Array.length f.Ir.snap_stack)
+    0 resume.Ir.frames
+
+(* Write the values [resume] describes into [dst] from index 0,
+   flattened the way a bridge's entry registers are laid out: frames
+   outermost first, each frame's locals then its stack.  Each frame's
+   stack is materialized before its locals, the order deoptimization has
+   always used: materializing a virtual allocates in the simulated heap,
+   so the order shows in simulated counters. *)
+let materialize_flat rtc (resume : Ir.resume) (regs : Value.t array)
+    (dst : Value.t array) =
   let gc = Ctx.gc rtc in
   let memo = Array.make (Array.length resume.Ir.r_virtuals) None in
   let rec value_of (s : Ir.source) : Value.t =
@@ -100,15 +113,34 @@ let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
         | _ -> assert false);
         v
   in
+  List.fold_left
+    (fun pos (f : Ir.frame_snap) ->
+      let nl = Array.length f.Ir.snap_locals in
+      Array.iteri (fun i s -> dst.(pos + nl + i) <- value_of s) f.Ir.snap_stack;
+      Array.iteri (fun i s -> dst.(pos + i) <- value_of s) f.Ir.snap_locals;
+      pos + nl + Array.length f.Ir.snap_stack)
+    0 resume.Ir.frames
+  |> ignore
+
+let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
+  let flat = Array.make (resume_slots resume) Value.nil in
+  materialize_flat rtc resume regs flat;
+  let pos = ref 0 in
   List.map
     (fun (f : Ir.frame_snap) ->
-      {
-        df_code = f.Ir.snap_code;
-        df_pc = f.Ir.snap_pc;
-        df_locals = Array.map value_of f.Ir.snap_locals;
-        df_stack = Array.map value_of f.Ir.snap_stack;
-        df_discard = f.Ir.snap_discard;
-      })
+      let nl = Array.length f.Ir.snap_locals in
+      let ns = Array.length f.Ir.snap_stack in
+      let d =
+        {
+          df_code = f.Ir.snap_code;
+          df_pc = f.Ir.snap_pc;
+          df_locals = Array.sub flat !pos nl;
+          df_stack = Array.sub flat (!pos + nl) ns;
+          df_discard = f.Ir.snap_discard;
+        }
+      in
+      pos := !pos + nl + ns;
+      d)
     resume.Ir.frames
 
 (* --- guard evaluation --- *)
@@ -145,12 +177,7 @@ let blackhole_entry_cost = Cost.make ~alu:160 ~load:130 ~store:95 ~other:120 ()
 let blackhole rtc (resume : Ir.resume) regs ~guard_id =
   let eng = Ctx.engine rtc in
   Engine.in_phase eng Phase.Blackhole @@ fun () ->
-  let slots =
-    List.fold_left
-      (fun acc (f : Ir.frame_snap) ->
-        acc + Array.length f.Ir.snap_locals + Array.length f.Ir.snap_stack)
-      0 resume.Ir.frames
-  in
+  let slots = resume_slots resume in
   Engine.emit eng blackhole_entry_cost;
   Engine.emit eng
     (Cost.make ~alu:(5 * slots) ~load:(4 * slots) ~store:(4 * slots) ());
@@ -547,34 +574,35 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     | Some r -> deopt st r None
     | None -> raise e
   in
-  let switch st (target : Ir.trace) (values : Value.t array) =
+  (* continue in [target] with [regs] as its register file *)
+  let enter st (target : Ir.trace) (regs : Value.t array) =
     Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
     Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
-    let regs = Array.make target.Ir.nregs Value.nil in
-    Array.blit values 0 regs 0 (Array.length values);
     st.st_regs <- regs;
     st.st_cur <- target;
     st.st_code <- code_for rtc jitlog target;
     target.Ir.exec_count <- target.Ir.exec_count + 1;
     st.st_ip <- 0
   in
+  let switch st (target : Ir.trace) (values : Value.t array) =
+    let regs = Array.make target.Ir.nregs Value.nil in
+    Array.blit values 0 regs 0 (Array.length values);
+    enter st target regs
+  in
   (* a guard's fail path, resolved at translation time: an attached
-     bridge becomes a direct jump-with-flattened-frames, otherwise the
-     deopt.  Sound to pre-bind because bridges only attach between runs
-     (in the driver), and attaching one bumps [code_version] which
-     invalidates this translation. *)
+     bridge becomes a direct jump that materializes the guard's frames
+     straight into the bridge's entry registers, otherwise the deopt.
+     Sound to pre-bind because bridges only attach between runs (in the
+     driver), and attaching one bumps [code_version] which invalidates
+     this translation. *)
   let fail_path (g : Ir.guard) : state -> unit =
     match g.Ir.bridge with
     | Some bridge ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
-          let frames = materialize_frames rtc g.Ir.resume st.st_regs in
-          let flat =
-            List.concat_map
-              (fun f -> Array.to_list f.df_locals @ Array.to_list f.df_stack)
-              frames
-          in
-          switch st bridge (Array.of_list flat)
+          let regs = Array.make bridge.Ir.nregs Value.nil in
+          materialize_flat rtc g.Ir.resume st.st_regs regs;
+          enter st bridge regs
     | None ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;

@@ -42,7 +42,11 @@ val materialize_frames :
   Mtj_rt.Ctx.t -> Ir.resume -> Mtj_rt.Value.t array -> deopt_frame list
 (** Rebuild interpreter frames from resume data and the current register
     file, allocating any virtual objects described by the resume's
-    descriptors (shared descriptors materialize once, cycles are fine). *)
+    descriptors (shared descriptors materialize once, cycles are fine).
+    Frames are materialized outermost first, each frame's stack before
+    its locals; the order shows in the simulated heap. A guard's jump
+    into an attached bridge writes the same values, in the same order,
+    straight into the bridge's register file. *)
 
 val guard_holds : Ir.guard -> Mtj_rt.Value.t array -> bool
 (** Evaluate a guard's condition against its argument values. *)

@@ -94,6 +94,13 @@ type source =
   | S_const of Mtj_rt.Value.t
   | S_virtual of int  (* index into the trace's virtual descriptors *)
 
+(* One interpreter frame of a resume snapshot.  Immutable once built:
+   no code writes into [snap_locals] or [snap_stack] after construction.
+   Snapshots rely on that to share a frame, or an unchanged array of it,
+   for as long as the frame does not change: the recorder reuses the
+   previous bytecode's frame, the optimizer returns frames it need not
+   rewrite as they are, loop peeling remaps each distinct frame once,
+   and [copy_ops] shares them outright (DESIGN.md §3n). *)
 type frame_snap = {
   snap_code : int;          (* code_ref of the interpreter frame *)
   snap_pc : int;            (* pc of the bytecode being (re)executed *)
@@ -420,40 +427,18 @@ let pp_op fmt (op : op) =
     op.args;
   Format.fprintf fmt ")"
 
-(* deep-copy recorded ops so a recompile (tier-2, or a test harness)
-   starts from pristine guards: fresh guard records with no attached
-   bridge and a zero fail count, and private resume/arg arrays. The old
-   trace keeps its own guards, so bridges already attached to it keep
-   working while it remains reachable. *)
+(* copy recorded ops so a recompile (tier-2, or a test harness) starts
+   from pristine guards: fresh guard records with no attached bridge and
+   a zero fail count, and private arg arrays. The old trace keeps its
+   own guards, so bridges already attached to it keep working while it
+   remains reachable. Resume data is immutable (see [frame_snap]), so
+   the copy shares it, and with it the sharing between snapshots. *)
 let copy_ops (ops : op array) : op array =
-  let copy_resume (r : resume) =
-    {
-      frames =
-        List.map
-          (fun (f : frame_snap) ->
-            {
-              f with
-              snap_locals = Array.copy f.snap_locals;
-              snap_stack = Array.copy f.snap_stack;
-            })
-          r.frames;
-      r_virtuals = Array.copy r.r_virtuals;
-    }
-  in
   Array.map
     (fun (op : op) ->
       let opcode =
         match op.opcode with
-        | Guard g ->
-            Guard
-              {
-                g with
-                resume = copy_resume g.resume;
-                fail_count = 0;
-                bridge = None;
-              }
-        | Debug_merge_point d ->
-            Debug_merge_point { d with dmp_resume = copy_resume d.dmp_resume }
+        | Guard g -> Guard { g with fail_count = 0; bridge = None }
         | other -> other
       in
       { op with opcode; args = Array.copy op.args })

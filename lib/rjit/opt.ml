@@ -496,6 +496,36 @@ let new_candidates (ops : Ir.op array) =
          | _ -> None)
   |> IntSet.of_seq
 
+(* Debugging hooks (DESIGN.md §3c), read once at start-up. *)
+
+(* MTJ_DEBUG_ESCAPE=<register>: trace the escape decision on that
+   register; a value that is not a register number disables the hook *)
+let debug_escape =
+  match Sys.getenv_opt "MTJ_DEBUG_ESCAPE" with
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some r -> Some r
+      | None ->
+          Printf.eprintf
+            "mtj: MTJ_DEBUG_ESCAPE=%S is not a register number; escape \
+             tracing is off\n%!"
+            s;
+          None)
+
+(* MTJ_DEBUG_VIRTUALS: print every allocation escape analysis removes *)
+let debug_virtuals = Sys.getenv_opt "MTJ_DEBUG_VIRTUALS" <> None
+
+(* MTJ_MAX_VIRTUALS=<n>: bisection cap on how many allocations may be
+   virtualized, cumulative across the run *)
+let max_virtuals =
+  match Sys.getenv_opt "MTJ_MAX_VIRTUALS" with
+  | Some s -> (try int_of_string s with _ -> max_int)
+  | None -> max_int
+
+(* MTJ_VERIFY_TRACES: define-before-use check of every optimizer result *)
+let verify_traces = Sys.getenv_opt "MTJ_VERIFY_TRACES" <> None
+
 let compute_escapes (ops : Ir.op array) candidates =
   (* stores into (possibly virtual) targets: target reg -> stored operands *)
   let stores : (int, Ir.operand list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -568,9 +598,8 @@ let compute_escapes (ops : Ir.op array) candidates =
             !values)
       stores
   done;
-  (match Sys.getenv_opt "MTJ_DEBUG_ESCAPE" with
-  | Some tgt ->
-      let r = int_of_string tgt in
+  (match debug_escape with
+  | Some r ->
       if IntSet.mem r candidates then begin
         Printf.eprintf "ESCAPE[%d ops]: r%d candidate=%b escaped=%b\n"
           (Array.length ops) r true (IntSet.mem r !escaped);
@@ -585,12 +614,6 @@ let compute_escapes (ops : Ir.op array) candidates =
       end
   | None -> ());
   !escaped
-
-(* debug bisection hook: cap how many allocations may be virtualized *)
-let max_virtuals =
-  match Sys.getenv_opt "MTJ_MAX_VIRTUALS" with
-  | Some s -> (try int_of_string s with _ -> max_int)
-  | None -> max_int
 
 (* shared across domains; only consulted when MTJ_MAX_VIRTUALS is set,
    so an atomic is plenty *)
@@ -620,38 +643,56 @@ let pass_virtuals_once cfg (ops : Ir.op array)
     if max_virtuals = max_int then virtuals
     else
       IntSet.filter
-        (fun r ->
-          let keep = 1 + Atomic.fetch_and_add virtuals_seen 1 <= max_virtuals in
-          if keep && Sys.getenv_opt "MTJ_DEBUG_VIRTUALS" <> None then begin
-            Printf.eprintf "VIRTUALIZING reg %d in trace of %d ops\n"
-              r (Array.length ops);
-            Array.iteri
-              (fun i (op : Ir.op) ->
-                let uses =
-                  op.Ir.result = r
-                  || Array.exists
-                       (function Ir.Reg x -> x = r | _ -> false)
-                       op.Ir.args
-                in
-                if uses then
-                  Printf.eprintf "   op %d: %s\n" i
-                    (Format.asprintf "%a" Ir.pp_op op))
-              ops
-          end;
-          keep)
+        (fun _ -> 1 + Atomic.fetch_and_add virtuals_seen 1 <= max_virtuals)
         virtuals
   in
+  if debug_virtuals then
+    IntSet.iter
+      (fun r ->
+        Printf.eprintf "VIRTUALIZING reg %d in trace of %d ops\n" r
+          (Array.length ops);
+        Array.iteri
+          (fun i (op : Ir.op) ->
+            let uses =
+              op.Ir.result = r
+              || Array.exists
+                   (function Ir.Reg x -> x = r | _ -> false)
+                   op.Ir.args
+            in
+            if uses then
+              Printf.eprintf "   op %d: %s\n" i
+                (Format.asprintf "%a" Ir.pp_op op))
+          ops)
+      virtuals;
   let vstates : (int, vstate) Hashtbl.t = Hashtbl.create 16 in
   let is_virtual = function
     | Ir.Reg r -> IntSet.mem r virtuals
     | Ir.Const _ -> false
   in
-  (* capture a resume record, rewriting substituted regs and virtuals *)
-  let resume_memo : (Ir.resume * Ir.resume) list ref = ref [] in
+  (* A frame needs rewriting only when it names a substituted or virtual
+     register.  That verdict never changes within this pass: registers
+     are SSA and a snapshot names only registers defined before it, so
+     every substitution of its registers is already in [subst].  Frames
+     found clean in the previous capture are not scanned again. *)
+  let dirty_src = function
+    | Ir.S_reg r -> Hashtbl.mem subst r || IntSet.mem r virtuals
+    | Ir.S_const _ | Ir.S_virtual _ -> false
+  in
+  let clean_before = ref [] in
+  let is_clean (f : Ir.frame_snap) =
+    List.memq f !clean_before
+    || not
+         (Array.exists dirty_src f.Ir.snap_locals
+         || Array.exists dirty_src f.Ir.snap_stack)
+  in
+  (* capture a resume record, rewriting substituted regs and virtuals.
+     A guard carries its debug_merge_point's resume, so remembering the
+     latest capture serves every guard. *)
+  let last_capture = ref None in
   let capture_resume (resume : Ir.resume) : Ir.resume =
-    match List.assq_opt resume !resume_memo with
-    | Some r -> r
-    | None ->
+    match !last_capture with
+    | Some (r_in, r_out) when r_in == resume -> r_out
+    | _ ->
         let vdescs = ref [] in
         let nv = ref 0 in
         let vindex : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -701,22 +742,37 @@ let pass_virtuals_once cfg (ops : Ir.op array)
           | Ir.S_reg r -> source_of (Ir.Reg r)
           | Ir.S_const _ | Ir.S_virtual _ -> s
         in
+        let clean = ref [] in
         let snap_frame (f : Ir.frame_snap) =
-          {
-            f with
-            Ir.snap_locals = Array.map rewrite_source f.Ir.snap_locals;
-            Ir.snap_stack = Array.map rewrite_source f.Ir.snap_stack;
-          }
+          if is_clean f then begin
+            clean := f :: !clean;
+            f
+          end
+          else
+            (* the stack before the locals: virtuals are numbered in the
+               order they are met *)
+            let snap_stack = Array.map rewrite_source f.Ir.snap_stack in
+            let snap_locals = Array.map rewrite_source f.Ir.snap_locals in
+            { f with Ir.snap_locals; snap_stack }
         in
         let frames = List.map snap_frame resume.Ir.frames in
-        let arr =
-          Array.init !nv (fun i ->
-              match List.assoc_opt i !vdescs with
-              | Some { contents = Some d } -> d
-              | _ -> Ir.V_tuple [||])
+        clean_before := !clean;
+        let r =
+          if
+            !nv = 0
+            && Array.length resume.Ir.r_virtuals = 0
+            && List.for_all2 ( == ) frames resume.Ir.frames
+          then resume
+          else
+            let arr =
+              Array.init !nv (fun i ->
+                  match List.assoc_opt i !vdescs with
+                  | Some { contents = Some d } -> d
+                  | _ -> Ir.V_tuple [||])
+            in
+            { Ir.frames; r_virtuals = arr }
         in
-        let r = { Ir.frames; r_virtuals = arr } in
-        resume_memo := (resume, r) :: !resume_memo;
+        last_capture := Some (resume, r);
         r
   in
   let out = ref [] in
@@ -824,6 +880,8 @@ let pass_virtuals_once cfg (ops : Ir.op array)
    be missed on the first attempt; such allocations are forced to escape
    and the pass retried *)
 let dangling_uses (ops : Ir.op array) (removed : IntSet.t) =
+  if IntSet.is_empty removed then IntSet.empty
+  else
   let found = ref IntSet.empty in
   let check_operand = function
     | Ir.Reg r when IntSet.mem r removed -> found := IntSet.add r !found
@@ -868,19 +926,36 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
 (* --- pass 3: dead code elimination (reverse walk) --- *)
 
 let pass_dce (ops : Ir.op array) =
-  let used = Hashtbl.create 128 in
+  (* used registers, as a dense byte map grown on demand *)
+  let used = ref (Bytes.make 256 '\000') in
+  let use_reg r =
+    let b = !used in
+    if r >= Bytes.length b then begin
+      let b' = Bytes.make (max (r + 1) (2 * Bytes.length b)) '\000' in
+      Bytes.blit b 0 b' 0 (Bytes.length b);
+      used := b'
+    end;
+    Bytes.unsafe_set !used r '\001'
+  in
+  let is_used r = r < Bytes.length !used && Bytes.get !used r <> '\000' in
   let use (o : Ir.operand) =
-    match o with Ir.Reg r -> Hashtbl.replace used r () | Ir.Const _ -> ()
+    match o with Ir.Reg r -> use_reg r | Ir.Const _ -> ()
   in
   let use_source (s : Ir.source) =
-    match s with Ir.S_reg r -> Hashtbl.replace used r () | _ -> ()
+    match s with Ir.S_reg r -> use_reg r | _ -> ()
   in
+  (* frames of the last resume marked: consecutive snapshots share
+     most of their frames, and a frame marked once is marked for good *)
+  let marked = ref [] in
   let use_resume (r : Ir.resume) =
     List.iter
       (fun (f : Ir.frame_snap) ->
-        Array.iter use_source f.Ir.snap_locals;
-        Array.iter use_source f.Ir.snap_stack)
+        if not (List.memq f !marked) then begin
+          Array.iter use_source f.Ir.snap_locals;
+          Array.iter use_source f.Ir.snap_stack
+        end)
       r.Ir.frames;
+    marked := r.Ir.frames;
     Array.iter
       (function
         | Ir.V_instance { v_fields; _ } -> Array.iter use_source v_fields
@@ -893,7 +968,7 @@ let pass_dce (ops : Ir.op array) =
     let op = ops.(i) in
     let needed =
       (not (Eval_op.removable op))
-      || (op.Ir.result >= 0 && Hashtbl.mem used op.Ir.result)
+      || (op.Ir.result >= 0 && is_used op.Ir.result)
     in
     if needed then begin
       Array.iter use op.Ir.args;
@@ -930,21 +1005,34 @@ let remap_vdesc k = function
   | Ir.V_list a -> Ir.V_list (Array.map (remap_source k) a)
   | Ir.V_cell s -> Ir.V_cell (remap_source k s)
 
-let remap_resume k (r : Ir.resume) =
-  {
-    Ir.frames =
-      List.map
-        (fun (f : Ir.frame_snap) ->
-          {
-            f with
-            Ir.snap_locals = Array.map (remap_source k) f.Ir.snap_locals;
-            snap_stack = Array.map (remap_source k) f.Ir.snap_stack;
-          })
-        r.Ir.frames;
-    r_virtuals = Array.map (remap_vdesc k) r.Ir.r_virtuals;
-  }
+(* remaps every resume of a trace: each distinct frame (and resume) is
+   mapped once, so the copy keeps the sharing between consecutive
+   snapshots *)
+let resume_remapper k =
+  let last = ref [] and last_resume = ref None in
+  let frame (f : Ir.frame_snap) =
+    match List.assq_opt f !last with
+    | Some f' -> f'
+    | None ->
+        {
+          f with
+          Ir.snap_locals = Array.map (remap_source k) f.Ir.snap_locals;
+          snap_stack = Array.map (remap_source k) f.Ir.snap_stack;
+        }
+  in
+  fun (r : Ir.resume) ->
+    match !last_resume with
+    | Some (r_in, r_out) when r_in == r -> r_out
+    | _ ->
+        let frames = List.map frame r.Ir.frames in
+        last := List.combine r.Ir.frames frames;
+        let r' =
+          { Ir.frames; r_virtuals = Array.map (remap_vdesc k) r.Ir.r_virtuals }
+        in
+        last_resume := Some (r, r');
+        r'
 
-let remap_op k (op : Ir.op) : Ir.op =
+let remap_op k remap_resume (op : Ir.op) : Ir.op =
   let opcode =
     match op.Ir.opcode with
     | Ir.Guard g ->
@@ -952,13 +1040,13 @@ let remap_op k (op : Ir.op) : Ir.op =
           {
             Ir.guard_id = Recorder.fresh_guard_id ();
             gkind = g.Ir.gkind;
-            resume = remap_resume k g.Ir.resume;
+            resume = remap_resume g.Ir.resume;
             fail_count = 0;
             bridge = None;
             bridgeable = g.Ir.bridgeable;
           }
     | Ir.Debug_merge_point d ->
-        Ir.Debug_merge_point { d with dmp_resume = remap_resume k d.dmp_resume }
+        Ir.Debug_merge_point { d with dmp_resume = remap_resume d.dmp_resume }
     | other -> other
   in
   {
@@ -994,67 +1082,73 @@ let straight cfg ?seed_shapes ?seed_bounds ops =
   let ops' = pass_virtuals cfg ops env.subst in
   (pass_dce ops', ops, env)
 
-(* debug: detect uses of registers whose defining op was removed *)
-let verify_defs name (ops : Ir.op array) ~entry_slots ~loop_base =
-  if Sys.getenv_opt "MTJ_VERIFY_TRACES" <> None then begin
-    let defined = Hashtbl.create 64 in
-    for i = 0 to entry_slots - 1 do
-      Hashtbl.replace defined i ();
-      Hashtbl.replace defined (loop_base + i) ()
-    done;
-    Array.iteri
-      (fun i (op : Ir.op) ->
+type dangling = { d_op : int; d_reg : int; d_in_resume : bool }
+
+let verify_defs (ops : Ir.op array) ~entry_slots ~loop_base =
+  let defined = Hashtbl.create 64 in
+  for i = 0 to entry_slots - 1 do
+    Hashtbl.replace defined i ();
+    Hashtbl.replace defined (loop_base + i) ()
+  done;
+  let found = ref [] in
+  Array.iteri
+    (fun i (op : Ir.op) ->
+      let check ~in_resume r =
+        if not (Hashtbl.mem defined r) then
+          found := { d_op = i; d_reg = r; d_in_resume = in_resume } :: !found
+      in
+      Array.iter
+        (function Ir.Reg r -> check ~in_resume:false r | Ir.Const _ -> ())
+        op.Ir.args;
+      let check_src = function
+        | Ir.S_reg r -> check ~in_resume:true r
+        | Ir.S_const _ | Ir.S_virtual _ -> ()
+      in
+      let check_resume (r : Ir.resume) =
+        List.iter
+          (fun (f : Ir.frame_snap) ->
+            Array.iter check_src f.Ir.snap_locals;
+            Array.iter check_src f.Ir.snap_stack)
+          r.Ir.frames;
         Array.iter
           (function
-            | Ir.Reg r when not (Hashtbl.mem defined r) ->
-                Printf.eprintf "DANGLING %s: op %d uses undefined r%d: %s\n"
-                  name i r
-                  (Format.asprintf "%a" Ir.pp_op op)
-            | _ -> ())
-          op.Ir.args;
-        let check_src s =
-          match s with
-          | Ir.S_reg r when not (Hashtbl.mem defined r) ->
-              Printf.eprintf "DANGLING %s: op %d resume uses undefined r%d\n"
-                name i r
-          | _ -> ()
-        in
-        (match op.Ir.opcode with
-        | Ir.Guard g ->
-            List.iter
-              (fun (f : Ir.frame_snap) ->
-                Array.iter check_src f.Ir.snap_locals;
-                Array.iter check_src f.Ir.snap_stack)
-              g.Ir.resume.Ir.frames;
-            Array.iter
-              (function
-                | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-                | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-                | Ir.V_cell sc -> check_src sc)
-              g.Ir.resume.Ir.r_virtuals
-        | Ir.Debug_merge_point d ->
-            List.iter
-              (fun (f : Ir.frame_snap) ->
-                Array.iter check_src f.Ir.snap_locals;
-                Array.iter check_src f.Ir.snap_stack)
-              d.dmp_resume.Ir.frames
-        | _ -> ());
-        if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
-      ops
-  end
+            | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
+            | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
+            | Ir.V_cell sc -> check_src sc)
+          r.Ir.r_virtuals
+      in
+      (match op.Ir.opcode with
+      | Ir.Guard g -> check_resume g.Ir.resume
+      | Ir.Debug_merge_point d -> check_resume d.dmp_resume
+      | _ -> ());
+      if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
+    ops;
+  List.rev !found
+
+(* the MTJ_VERIFY_TRACES hook: report dangling uses on stderr *)
+let report_dangling stage (ops : Ir.op array) ~entry_slots ~loop_base =
+  if verify_traces then
+    List.iter
+      (fun d ->
+        Printf.eprintf "DANGLING %s: op %d %s undefined r%d: %s\n" stage
+          d.d_op
+          (if d.d_in_resume then "resume uses" else "uses")
+          d.d_reg
+          (Format.asprintf "%a" Ir.pp_op ops.(d.d_op)))
+      (verify_defs ops ~entry_slots ~loop_base)
 
 let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
     ~entry_slots : Ir.op array * int * int =
   let plain () =
     let final, _, _ = straight cfg ops in
-    verify_defs "plain" final ~entry_slots ~loop_base:0;
+    report_dangling "plain" final ~entry_slots ~loop_base:0;
     (final, 0, 0)
   in
   if not (cfg.Config.opt_peel && kind = `Loop && ends_with_jump ops) then
     plain ()
   else begin
     let k = max_reg ops + 1 in
-    let body_raw = Array.map (remap_op k) ops in
+    let body_raw = Array.map (remap_op k (resume_remapper k)) ops in
     (* optimize the preamble and take the facts its jump carries *)
     let pre_final, pre_ops, pre_env = straight cfg ops in
     let pre_jump_args = pre_ops.(Array.length pre_ops - 1).Ir.args in
@@ -1123,7 +1217,7 @@ let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
       | None -> plain ()
       | Some body_final ->
           let all = Array.append pre_final body_final in
-          verify_defs "peeled" all ~entry_slots ~loop_base:k;
+          report_dangling "peeled" all ~entry_slots ~loop_base:k;
           (all, k, Array.length pre_final)
     end
   end

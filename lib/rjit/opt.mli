@@ -34,5 +34,18 @@ val optimize :
     and the operation index it targets (both [0] otherwise).
     [entry_slots] is the number of registers filled from interpreter
     frame locals on trace entry. Setting [MTJ_VERIFY_TRACES] in the
-    environment makes every (intermediate) result run a define-before-use
-    check and report dangling registers on stderr. *)
+    environment runs {!verify_defs} on the result and reports the
+    dangling uses on stderr. *)
+
+type dangling = {
+  d_op : int;  (** index of the op holding the use *)
+  d_reg : int;  (** the register no earlier op defines *)
+  d_in_resume : bool;  (** in a resume snapshot, not an op argument *)
+}
+
+val verify_defs :
+  Ir.op array -> entry_slots:int -> loop_base:int -> dangling list
+(** The uses of registers that neither an entry slot ([0 ..
+    entry_slots-1] and [loop_base ..  loop_base+entry_slots-1]) nor an
+    earlier op defines, in op order: op arguments, resume frame sources
+    and virtual descriptors. Empty for a well-formed trace. *)

@@ -1,10 +1,10 @@
 (** CI wall-clock gate for the simulation hot paths.
 
     Compares two ["mtj-bench-timings/1"] documents (a committed baseline
-    and the current build's run) and fails when either gated group
+    and the current build's run) and fails when any gated ratio
     regressed by more than the allowed fraction.
 
-    Absolute wall-clock is meaningless across machines, so both gates
+    Absolute wall-clock is meaningless across machines, so all four gates
     compare machine-independent RATIOS between config groups:
 
     - {b trace-executor gate}: JIT-config wall time (pypy / pypy-2tier /
@@ -26,8 +26,13 @@
       fast paths (the immediate-tagged value representation, the unboxed
       cycle-transfer charge path, frame pooling, hoisted key hashes)
       that the wall-clock gates could absorb in noise.
+    - {b JIT allocation gate}: the same quotient over the JIT configs
+      (pypy / pypy-2tier / pycket), whose host allocation is mostly the
+      JIT's own: resume snapshots built while recording, optimizer
+      rewrites and bridge entry.  It catches a lost sharing of resume
+      snapshot frames (DESIGN.md §3n).
 
-    A fourth, self-contained mode gates the serving harness:
+    A separate, self-contained mode gates the serving harness:
 
     - {b serving latency gate} ([--serve-gate FILE [UNSEEDED]]): FILE
       is an ["mtj-metrics/9"] document with a [serve] block from a
@@ -46,8 +51,8 @@
       bench_gate.exe --update-baseline BASELINE.json CURRENT.json
       bench_gate.exe --serve-gate METRICS.json [UNSEEDED.json]
 
-    [MAX_REGRESS] defaults to 0.15 (fail above +15%) and applies to both
-    gates.  [--update-baseline] validates CURRENT and copies it over
+    [MAX_REGRESS] defaults to 0.15 (fail above +15%) and applies to all
+    four gates.  [--update-baseline] validates CURRENT and copies it over
     BASELINE instead of gating.
 
     Baseline refresh workflow (after an intentional perf change):
@@ -89,13 +94,14 @@ type groups = {
   interp_insns : float;
   jit_insns : float;
   interp_minor_words : float;
+  jit_minor_words : float;
 }
 
 let split file j =
   let jit_wall = ref 0.0 and ref_wall = ref 0.0 in
   let interp_wall = ref 0.0 and interp_insns = ref 0.0 in
   let jit_insns = ref 0.0 in
-  let interp_minor_words = ref 0.0 in
+  let interp_minor_words = ref 0.0 and jit_minor_words = ref 0.0 in
   let runs =
     match Option.bind (Json.member "runs" j) Json.get_arr with
     | Some r -> r
@@ -109,7 +115,8 @@ let split file j =
       | Some c, Some w, Some insns, Some mw ->
           if List.mem c jit_configs then begin
             jit_wall := !jit_wall +. w;
-            jit_insns := !jit_insns +. insns
+            jit_insns := !jit_insns +. insns;
+            jit_minor_words := !jit_minor_words +. mw
           end
           else if List.mem c ref_configs then ref_wall := !ref_wall +. w;
           if List.mem c interp_configs then begin
@@ -125,6 +132,7 @@ let split file j =
   if !jit_insns <= 0.0 then die "%s: no JIT-config insns" file;
   if !interp_minor_words <= 0.0 then
     die "%s: no interpreter-config minor_words" file;
+  if !jit_minor_words <= 0.0 then die "%s: no JIT-config minor_words" file;
   {
     jit_wall = !jit_wall;
     ref_wall = !ref_wall;
@@ -132,6 +140,7 @@ let split file j =
     interp_insns = !interp_insns;
     jit_insns = !jit_insns;
     interp_minor_words = !interp_minor_words;
+    jit_minor_words = !jit_minor_words;
   }
 
 (* ns per simulated instruction of the interpreter rows, normalized by
@@ -143,6 +152,9 @@ let interp_ratio g =
    interpreter rows; machine-independent, so gated without
    normalization *)
 let alloc_ratio g = g.interp_minor_words /. g.interp_insns
+
+(* the same over the JIT rows *)
+let jit_alloc_ratio g = g.jit_minor_words /. g.jit_insns
 
 let update_baseline ~baseline_file ~current_file =
   ignore (load current_file);
@@ -289,6 +301,7 @@ let () =
       (c.jit_wall /. c.ref_wall);
     gate "interpreter ns/insn ratio" (interp_ratio b) (interp_ratio c);
     gate "interpreter minor-words/insn" (alloc_ratio b) (alloc_ratio c);
+    gate "JIT minor-words/insn" (jit_alloc_ratio b) (jit_alloc_ratio c);
     if !failed then exit 1;
     print_endline "OK"
   end

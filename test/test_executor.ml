@@ -88,6 +88,33 @@ let test_materialize_shared_virtual () =
   Alcotest.(check bool) "same object" true
     (f.Executor.df_locals.(0) == f.Executor.df_locals.(1))
 
+(* Materializing a virtual allocates in the simulated heap, so the
+   order is observable: frames outermost first, each frame's stack
+   before its locals.  Object uids are handed out in allocation order. *)
+let test_materialize_order () =
+  let tuple k = Ir.V_tuple [| Ir.S_const (V.of_int k) |] in
+  let resume =
+    {
+      Ir.frames =
+        [ snap [ Ir.S_virtual 0 ] [ Ir.S_virtual 1 ];
+          snap [ Ir.S_virtual 2 ] [ Ir.S_virtual 3 ] ];
+      r_virtuals = [| tuple 0; tuple 1; tuple 2; tuple 3 |];
+    }
+  in
+  let uid v =
+    match V.view v with V.Obj o -> o.V.uid | _ -> Alcotest.fail "not an object"
+  in
+  match Executor.materialize_frames (rtc ()) resume [||] with
+  | [ f0; f1 ] ->
+      let order =
+        List.map uid
+          [ f0.Executor.df_stack.(0); f0.Executor.df_locals.(0);
+            f1.Executor.df_stack.(0); f1.Executor.df_locals.(0) ]
+      in
+      Alcotest.(check (list int)) "allocation order"
+        (List.sort compare order) order
+  | _ -> Alcotest.fail "expected two frames"
+
 let test_materialize_cyclic_virtual () =
   (* a virtual instance whose field points back at itself must not loop *)
   let c = rtc () in
@@ -262,6 +289,7 @@ let suite =
       test_materialize_nested_virtual;
     Alcotest.test_case "shared virtual materializes once" `Quick
       test_materialize_shared_virtual;
+    Alcotest.test_case "materialization order" `Quick test_materialize_order;
     Alcotest.test_case "cyclic virtual terminates" `Quick
       test_materialize_cyclic_virtual;
     Alcotest.test_case "materialize list virtual" `Quick

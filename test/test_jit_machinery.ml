@@ -199,65 +199,123 @@ let test_budget_mid_jit () =
 (* regression for the virtual-substitution chain bug: every compiled
    trace must only reference registers that are defined (entry slots,
    loop-carried slots, or results of retained ops) *)
-let check_no_dangling_regs (jl : Jitlog.t) =
+let check_no_dangling_regs what (jl : Jitlog.t) =
   List.iter
     (fun (tr : Ir.trace) ->
-      let defined = Hashtbl.create 64 in
-      for i = 0 to tr.Ir.entry_slots - 1 do
-        Hashtbl.replace defined i ();
-        Hashtbl.replace defined (tr.Ir.loop_base + i) ()
-      done;
-      let check_reg what r =
-        if not (Hashtbl.mem defined r) then
-          Alcotest.failf "trace %d: %s references undefined r%d" tr.Ir.trace_id
-            what r
-      in
-      let check_src = function
-        | Ir.S_reg r -> check_reg "resume" r
-        | Ir.S_const _ | Ir.S_virtual _ -> ()
-      in
-      let check_resume (r : Ir.resume) =
-        List.iter
-          (fun (f : Ir.frame_snap) ->
-            Array.iter check_src f.Ir.snap_locals;
-            Array.iter check_src f.Ir.snap_stack)
-          r.Ir.frames;
-        Array.iter
-          (function
-            | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-            | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-            | Ir.V_cell sc -> check_src sc)
-          r.Ir.r_virtuals
-      in
-      Array.iter
-        (fun (op : Ir.op) ->
-          Array.iter
-            (function Ir.Reg r -> check_reg "op arg" r | Ir.Const _ -> ())
-            op.Ir.args;
-          (match op.Ir.opcode with
-          | Ir.Guard g -> check_resume g.Ir.resume
-          | Ir.Debug_merge_point d -> check_resume d.dmp_resume
-          | _ -> ());
-          if op.Ir.result >= 0 then Hashtbl.replace defined op.Ir.result ())
-        tr.Ir.ops)
+      match
+        Mtj_rjit.Opt.verify_defs tr.Ir.ops ~entry_slots:tr.Ir.entry_slots
+          ~loop_base:tr.Ir.loop_base
+      with
+      | [] -> ()
+      | d :: _ ->
+          Alcotest.failf "%s trace %d: op %d %s undefined r%d" what
+            tr.Ir.trace_id d.Mtj_rjit.Opt.d_op
+            (if d.Mtj_rjit.Opt.d_in_resume then "resume references"
+             else "references")
+            d.Mtj_rjit.Opt.d_reg)
     (Jitlog.traces jl)
 
 let test_traces_well_formed () =
   (* rklite binarytrees historically triggered dangling registers via
-     chained virtual reads; check it and a dict/string workload *)
-  let rk = Mtj_benchmarks.Registry.find_exn ~lang:Mtj_benchmarks.Registry.Rk "binarytrees" in
+     chained virtual reads; check it and a dict/string workload, then
+     the two programs with the most deeply inlined traces (hence the
+     largest resume snapshots) under every tier policy *)
+  let module R = Mtj_benchmarks.Registry in
+  let run_py ?(budget_ok = false) config name =
+    let py = R.find_exn ~lang:R.Py name in
+    let vm = V.create ~config () in
+    (match V.run_source vm py.R.source with
+    | Mtj_rjit.Driver.Completed _ -> ()
+    | Mtj_rjit.Driver.Budget_exceeded when budget_ok -> ()
+    | _ -> Alcotest.failf "%s failed" name);
+    check_no_dangling_regs name (V.jitlog vm)
+  in
+  let rk = R.find_exn ~lang:R.Rk "binarytrees" in
   let config = C.with_budget 250_000_000 C.default in
   let vm = Mtj_rklite.Kvm.create ~config () in
-  (match Mtj_rklite.Kvm.run_source vm rk.Mtj_benchmarks.Registry.source with
+  (match Mtj_rklite.Kvm.run_source vm rk.R.source with
   | Mtj_rjit.Driver.Completed _ -> ()
   | _ -> Alcotest.fail "rk binarytrees failed");
-  check_no_dangling_regs (Mtj_rklite.Kvm.jitlog vm);
-  let py = Mtj_benchmarks.Registry.find_exn ~lang:Mtj_benchmarks.Registry.Py "django" in
-  let vm2 = V.create ~config () in
-  (match V.run_source vm2 py.Mtj_benchmarks.Registry.source with
+  check_no_dangling_regs "rk binarytrees" (Mtj_rklite.Kvm.jitlog vm);
+  run_py config "django";
+  List.iter
+    (fun policy ->
+      let config =
+        C.with_budget 15_000_000 { C.default with C.tier_policy = policy }
+      in
+      run_py ~budget_ok:true config "ai";
+      run_py ~budget_ok:true config "hexiom2")
+    C.all_tier_policies
+
+(* The recorder builds each bytecode's resume snapshot against the
+   previous one's: while an inlined callee runs, its caller's frame does
+   not change, so consecutive snapshots carry the physically same caller
+   frame.  The baseline tier compiles the recorded ops verbatim. *)
+let inlined_call_trace () =
+  let src =
+    "def add(a, b):\n    c = a + b\n    return c\n\
+     def f(n):\n    s = 0\n    for i in range(n):\n        s = add(s, i)\n    return s\n\
+     print(f(300))\n"
+  in
+  let config = { (eager ()) with C.tier_policy = C.Baseline } in
+  let vm = V.create ~config () in
+  (match V.run_source vm src with
   | Mtj_rjit.Driver.Completed _ -> ()
-  | _ -> Alcotest.fail "django failed");
-  check_no_dangling_regs (V.jitlog vm2)
+  | _ -> Alcotest.fail "did not complete");
+  match Jitlog.traces (V.jitlog vm) with
+  | tr :: _ -> tr
+  | [] -> Alcotest.fail "no trace"
+
+(* (caller frame, callee frame) of every two-frame debug_merge_point *)
+let inlined_snapshots (ops : Ir.op array) =
+  Array.to_list ops
+  |> List.filter_map (fun (op : Ir.op) ->
+         match op.Ir.opcode with
+         | Ir.Debug_merge_point { dmp_resume = { Ir.frames = [ caller; callee ]; _ }; _ }
+           ->
+             Some (caller, callee)
+         | _ -> None)
+
+let test_recorder_shares_caller_frames () =
+  let tr = inlined_call_trace () in
+  match inlined_snapshots tr.Ir.ops with
+  | (caller, callee) :: (_ :: _ as rest) ->
+      List.iter
+        (fun (caller', callee') ->
+          Alcotest.(check bool) "caller frame is shared" true (caller' == caller);
+          Alcotest.(check bool) "callee frame moved on" true
+            (callee'.Ir.snap_pc <> callee.Ir.snap_pc))
+        rest
+  | _ -> Alcotest.fail "expected several snapshots inside the callee"
+
+let test_copy_ops_keeps_sharing () =
+  let tr = inlined_call_trace () in
+  let guards ops =
+    Array.to_list ops
+    |> List.filter_map (fun (op : Ir.op) ->
+           match op.Ir.opcode with Ir.Guard g -> Some g | _ -> None)
+  in
+  List.iter
+    (fun (g : Ir.guard) ->
+      g.Ir.fail_count <- 3;
+      g.Ir.bridge <- Some tr)
+    (guards tr.Ir.ops);
+  let copy = Ir.copy_ops tr.Ir.ops in
+  List.iter2
+    (fun (g : Ir.guard) (g' : Ir.guard) ->
+      Alcotest.(check bool) "fresh guard record" true (g != g');
+      Alcotest.(check int) "fail count reset" 0 g'.Ir.fail_count;
+      Alcotest.(check bool) "no bridge" true (g'.Ir.bridge = None);
+      Alcotest.(check int) "original keeps its count" 3 g.Ir.fail_count)
+    (guards tr.Ir.ops) (guards copy);
+  match inlined_snapshots copy with
+  | (caller, _) :: (_ :: _ as rest) ->
+      List.iter
+        (fun (caller', _) ->
+          Alcotest.(check bool) "copy keeps the shared caller frame" true
+            (caller' == caller))
+        rest
+  | _ -> Alcotest.fail "expected several snapshots inside the callee"
 
 (* toplevel loops store their counters as module globals every iteration;
    PyPy's module-dict cells keep that from invalidating traces. Before
@@ -573,6 +631,10 @@ let suite =
     Alcotest.test_case "budget exhaustion mid-JIT" `Quick test_budget_mid_jit;
     Alcotest.test_case "compiled traces are well-formed" `Slow
       test_traces_well_formed;
+    Alcotest.test_case "recorder shares unchanged caller frames" `Quick
+      test_recorder_shares_caller_frames;
+    Alcotest.test_case "copy_ops keeps frame sharing" `Quick
+      test_copy_ops_keeps_sharing;
     Alcotest.test_case "global stores don't storm bridges" `Quick
       test_global_store_does_not_storm;
     Alcotest.test_case "two-tier: retier fires and shrinks" `Quick

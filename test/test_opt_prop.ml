@@ -21,6 +21,8 @@ type gen_state = {
   mutable regs : (int * rkind) list; (* newest first *)
   mutable bound : (int * int) list; (* int reg -> magnitude bound *)
   mutable next : int;
+  mutable last_frame : (int * Ir.frame_snap) option;
+      (* the previous guard's frame, with [next] when it was taken *)
 }
 
 let fresh st kind =
@@ -42,6 +44,18 @@ let bound_of st r = try List.assoc r st.bound with Not_found -> 1 lsl 20
 let set_bound st r b = st.bound <- (r, b) :: st.bound
 
 let emit st ?(result = -1) opcode args = push st { Ir.opcode; args; result }
+
+(* a guard's snapshot frame: when no register was defined since the
+   previous guard, its live set cannot have changed, and the guard shares
+   the previous guard's frame as the recorder would *)
+let guard_frame st (fresh : Ir.frame_snap) =
+  let f =
+    match st.last_frame with
+    | Some (next, f) when next = st.next -> f
+    | _ -> fresh
+  in
+  st.last_frame <- Some (st.next, f);
+  f
 
 let emit_guard st =
   match pick_kind st RInt with
@@ -66,13 +80,14 @@ let emit_guard st =
                   {
                     Ir.frames =
                       [
-                        {
-                          Ir.snap_code = 1;
-                          snap_pc = 0;
-                          snap_locals = live;
-                          snap_stack = [||];
-                          snap_discard = false;
-                        };
+                        guard_frame st
+                          {
+                            Ir.snap_code = 1;
+                            snap_pc = 0;
+                            snap_locals = live;
+                            snap_stack = [||];
+                            snap_discard = false;
+                          };
                       ];
                     r_virtuals = [||];
                   };
@@ -209,13 +224,14 @@ let gen_step st =
                       {
                         Ir.frames =
                           [
-                            {
-                              Ir.snap_code = 1;
-                              snap_pc = !guard_ctr;
-                              snap_locals = live;
-                              snap_stack = [||];
-                              snap_discard = false;
-                            };
+                            guard_frame st
+                              {
+                                Ir.snap_code = 1;
+                                snap_pc = !guard_ctr;
+                                snap_locals = live;
+                                snap_stack = [||];
+                                snap_discard = false;
+                              };
                           ];
                         r_virtuals = [||];
                       };
@@ -260,7 +276,10 @@ let entry_slots = 3
 
 let gen_program seed =
   let rng = Random.State.make [| seed; 0x5eed |] in
-  let st = { rng; ops = []; regs = []; bound = []; next = entry_slots } in
+  let st =
+    { rng; ops = []; regs = []; bound = []; next = entry_slots;
+      last_frame = None }
+  in
   for r = 0 to entry_slots - 1 do
     st.regs <- (r, RInt) :: st.regs;
     set_bound st r 101
@@ -275,32 +294,113 @@ let gen_program seed =
   in
   (Array.of_list (List.rev st.ops), entry)
 
-(* deep-copy ops so each optimizer run sees pristine guards (optimize
-   mutates nothing, but Backend/Executor update fail counts in place) *)
+(* deep-copy ops, sharing nothing with the original: fresh guard
+   records (Backend/Executor update fail counts in place) and fresh
+   resume records, frames and source arrays *)
 let copy_ops ops =
+  let copy_vdesc = function
+    | Ir.V_instance { v_cls; v_fields } ->
+        Ir.V_instance { v_cls; v_fields = Array.copy v_fields }
+    | Ir.V_tuple a -> Ir.V_tuple (Array.copy a)
+    | Ir.V_list a -> Ir.V_list (Array.copy a)
+    | Ir.V_cell s -> Ir.V_cell s
+  in
+  let copy_resume (r : Ir.resume) =
+    {
+      Ir.frames =
+        List.map
+          (fun (f : Ir.frame_snap) ->
+            {
+              f with
+              Ir.snap_locals = Array.copy f.Ir.snap_locals;
+              snap_stack = Array.copy f.Ir.snap_stack;
+            })
+          r.Ir.frames;
+      r_virtuals = Array.map copy_vdesc r.Ir.r_virtuals;
+    }
+  in
   Array.map
     (fun (op : Ir.op) ->
-      match op.Ir.opcode with
-      | Ir.Guard g ->
-          {
-            op with
-            Ir.opcode =
-              Ir.Guard
-                {
-                  g with
-                  Ir.resume =
-                    {
-                      Ir.frames =
-                        List.map
-                          (fun (f : Ir.frame_snap) ->
-                            { f with Ir.snap_locals = Array.copy f.Ir.snap_locals })
-                          g.Ir.resume.Ir.frames;
-                      r_virtuals = Array.copy g.Ir.resume.Ir.r_virtuals;
-                    };
-                };
-          }
-      | _ -> { op with Ir.args = Array.copy op.Ir.args })
+      let opcode =
+        match op.Ir.opcode with
+        | Ir.Guard g -> Ir.Guard { g with Ir.resume = copy_resume g.Ir.resume }
+        | Ir.Debug_merge_point d ->
+            Ir.Debug_merge_point
+              { d with dmp_resume = copy_resume d.dmp_resume }
+        | other -> other
+      in
+      { op with Ir.opcode; args = Array.copy op.Ir.args })
     ops
+
+(* a printed form of ops and their resume data.  Ops hold closures and
+   heap values, so traces are compared through this, never with
+   polymorphic equality.  Guard ids are left out: loop peeling mints
+   fresh ones on every call. *)
+let show_ops (ops : Ir.op array) =
+  let b = Buffer.create 1024 in
+  let src = function
+    | Ir.S_reg r -> Printf.bprintf b " r%d" r
+    | Ir.S_const v -> Printf.bprintf b " %s" (V.repr v)
+    | Ir.S_virtual k -> Printf.bprintf b " v%d" k
+  in
+  let resume (r : Ir.resume) =
+    List.iter
+      (fun (f : Ir.frame_snap) ->
+        Printf.bprintf b " [%d@%d%s L" f.Ir.snap_code f.Ir.snap_pc
+          (if f.Ir.snap_discard then " discard" else "");
+        Array.iter src f.Ir.snap_locals;
+        Buffer.add_string b " S";
+        Array.iter src f.Ir.snap_stack;
+        Buffer.add_string b "]")
+      r.Ir.frames;
+    Array.iteri
+      (fun i d ->
+        Printf.bprintf b " v%d=" i;
+        match d with
+        | Ir.V_instance { v_cls; v_fields } ->
+            Printf.bprintf b "instance(%d:" v_cls.V.uid;
+            Array.iter src v_fields;
+            Buffer.add_string b ")"
+        | Ir.V_tuple a -> Buffer.add_string b "tuple("; Array.iter src a;
+            Buffer.add_string b ")"
+        | Ir.V_list a -> Buffer.add_string b "list("; Array.iter src a;
+            Buffer.add_string b ")"
+        | Ir.V_cell s -> Buffer.add_string b "cell("; src s;
+            Buffer.add_string b ")")
+      r.Ir.r_virtuals
+  in
+  Array.iter
+    (fun (op : Ir.op) ->
+      Buffer.add_string b (Format.asprintf "%a" Ir.pp_op op);
+      (match op.Ir.opcode with
+      | Ir.Guard g ->
+          Printf.bprintf b " fails=%d bridge=%b bridgeable=%b" g.Ir.fail_count
+            (g.Ir.bridge <> None) g.Ir.bridgeable;
+          resume g.Ir.resume
+      | Ir.Debug_merge_point d ->
+          Printf.bprintf b " @%d:%d" d.dmp_code d.dmp_pc;
+          resume d.dmp_resume
+      | _ -> ());
+      Buffer.add_char b '\n')
+    ops;
+  Buffer.contents b
+
+(* [Opt.optimize] leaves its input as it was, and returns the same trace
+   for an input whose snapshots share frames as for a copy of it that
+   shares nothing *)
+let sharing_is_invisible cfg ~kind ops ~entry_slots =
+  let before = show_ops ops in
+  let unshared = copy_ops ops in
+  let out, base, start = Opt.optimize cfg ~kind ops ~entry_slots in
+  let after = show_ops ops in
+  let out', base', start' = Opt.optimize cfg ~kind unshared ~entry_slots in
+  if not (String.equal before after) then Error "optimize changed its input"
+  else if base <> base' || start <> start' then Error "loop layout differs"
+  else if not (String.equal (show_ops out) (show_ops out')) then
+    Error
+      (Printf.sprintf "shared input optimized to\n%s\nunshared to\n%s"
+         (show_ops out) (show_ops out'))
+  else Ok ()
 
 let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
   let rtc = Mtj_rt.Ctx.create ~config:cfg () in
@@ -364,6 +464,51 @@ let prop_opt_sound =
               reference)
         configs)
 
+let prop_sharing_invisible =
+  QCheck.Test.make ~name:"optimizer output ignores frame sharing" ~count:200
+    (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let ops, _ = gen_program seed in
+      List.for_all
+        (fun (name, cfg) ->
+          match sharing_is_invisible cfg ~kind:`Bridge ops ~entry_slots with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_reportf "seed %d config %s: %s" seed name e)
+        configs)
+
+(* the same over the raw recordings of two programs' loops: the baseline
+   tier compiles recorded ops verbatim, and the recorder shares every
+   frame that did not change between bytecodes *)
+let test_recorded_sharing_invisible () =
+  let module R = Mtj_benchmarks.Registry in
+  let shared = ref 0 in
+  List.iter
+    (fun name ->
+      let b = R.find_exn ~lang:R.Py name in
+      let config = Mtj_core.Config.with_budget 3_000_000 Mtj_core.Config.baseline_tier in
+      let _, vm = Mtj_pylite.Vm.run ~config b.R.source in
+      List.iter
+        (fun (tr : Ir.trace) ->
+          let prev = ref [] in
+          Array.iter
+            (fun (op : Ir.op) ->
+              match op.Ir.opcode with
+              | Ir.Debug_merge_point d ->
+                  List.iter
+                    (fun f -> if List.memq f !prev then incr shared)
+                    d.dmp_resume.Ir.frames;
+                  prev := d.dmp_resume.Ir.frames
+              | _ -> ())
+            tr.Ir.ops;
+          let kind = match tr.Ir.kind with Ir.Loop _ -> `Loop | _ -> `Bridge in
+          let ops = Ir.copy_ops tr.Ir.ops in
+          match sharing_is_invisible base ~kind ops ~entry_slots:tr.Ir.entry_slots with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s trace %d: %s" name tr.Ir.trace_id e)
+        (Jitlog.traces (Mtj_pylite.Vm.jitlog vm)))
+    [ "raytrace_simple"; "richards" ];
+  Alcotest.(check bool) "recorded snapshots share frames" true (!shared > 100)
+
 (* meta-check: the generator really produces both outcomes, so the
    property above is exercising the deopt path, not just Finish *)
 let test_generator_covers_deopt () =
@@ -375,11 +520,30 @@ let test_generator_covers_deopt () =
     else incr finishes
   done;
   Alcotest.(check bool) "some runs finish" true (!finishes > 20);
-  Alcotest.(check bool) "some runs deopt" true (!deopts > 20)
+  Alcotest.(check bool) "some runs deopt" true (!deopts > 20);
+  (* and consecutive guards do share frames *)
+  let shared = ref 0 in
+  for seed = 1 to 200 do
+    let ops, _ = gen_program seed in
+    ignore
+      (Array.fold_left
+         (fun prev (op : Ir.op) ->
+           match op.Ir.opcode with
+           | Ir.Guard g ->
+               let f = List.hd g.Ir.resume.Ir.frames in
+               (match prev with Some p when p == f -> incr shared | _ -> ());
+               Some f
+           | _ -> prev)
+         None ops)
+  done;
+  Alcotest.(check bool) "some guards share a frame" true (!shared > 20)
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_opt_sound;
     Alcotest.test_case "generator covers finish and deopt" `Quick
       test_generator_covers_deopt;
+    QCheck_alcotest.to_alcotest prop_sharing_invisible;
+    Alcotest.test_case "recorded traces: sharing is invisible" `Quick
+      test_recorded_sharing_invisible;
   ]
