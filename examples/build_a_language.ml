@@ -97,7 +97,8 @@ module Acc_lang = struct
 
   (* the threaded-dispatch tier, generic flavour: a language that wants
      it for free wraps its reference step in one pre-bound closure per
-     pc (pylite/rklite go further and pre-decode operands per pc) *)
+     pc (pylite/rklite go further: their Step stages each bytecode, so
+     operands are decoded once per pc) *)
   module D_ref = Step (Direct_ops)
 
   let headers ((instrs, _) as c) =
@@ -110,10 +111,11 @@ module Acc_lang = struct
   let store_threaded c s = Hashtbl.replace threaded_tbl (code_ref c) s
 
   let threaded_code dcx globals d ((instrs, _) as c) =
+    let charge = Threaded.charger d in
     Array.init (Array.length instrs) (fun pc ->
         let target = opcode_at c pc in
         fun f ->
-          Threaded.charge d ~target;
+          charge ~target;
           D_ref.step_ref dcx globals f)
 end
 

@@ -1,8 +1,13 @@
 (** The pylite bytecode interpreter, written once against the OPS seam.
 
-    Instantiated with {!Mtj_rjit.Direct_ops} this is "the interpreter";
-    instantiated with {!Mtj_rjit.Trace_ops} it is the meta-interpreter
-    recording traces.  Handler discipline: within one bytecode all
+    [Step (O)] defines every bytecode once, staged ([stage]: decode
+    now, run when applied), and every way of running pylite runs that
+    one definition.  Instantiated with {!Mtj_rjit.Direct_ops} it is "the
+    interpreter": [threaded_code] stages each code object into its
+    threaded step array, and [step_ref], the reference loop's handler,
+    stages and runs one bytecode at a time.  Instantiated with
+    {!Mtj_rjit.Trace_ops} it is the meta-interpreter recording traces
+    through [step_ref].  Handler discipline: within one bytecode all
     guard-recording / error-raising operations run before the first heap
     side effect, and [pc] is committed last. *)
 
@@ -12,6 +17,7 @@ open Bytecode
 
 module Step (O : Ops_intf.OPS) = struct
   type frame = (O.t, Bytecode.code) Frame.t
+  type step = frame -> (O.t, Bytecode.code) Frame.outcome
 
   let err = Semantics.err
 
@@ -98,316 +104,383 @@ module Step (O : Ops_intf.OPS) = struct
         | None -> err "broken bound method")
     | _ -> err "%s object is not callable" (Value.type_name cv)
 
-  let binary cx op a b =
-    match (op : Ast.binop) with
-    | Ast.Add -> O.add cx a b
-    | Ast.Sub -> O.sub cx a b
-    | Ast.Mult -> O.mul cx a b
-    | Ast.Div -> O.truediv cx a b
-    | Ast.Floordiv -> O.floordiv cx a b
-    | Ast.Mod -> O.modulo cx a b
-    | Ast.Pow -> O.pow cx a b
-    | Ast.Lshift -> O.lshift cx a b
-    | Ast.Rshift -> O.rshift cx a b
-    | Ast.Bitand -> O.bitand cx a b
-    | Ast.Bitor -> O.bitor cx a b
-    | Ast.Bitxor -> O.bitxor cx a b
+  (* the binop table: a BINARY resolves its function when it is staged,
+     and the superinstruction table uses the same table *)
+  let binary_fn : Ast.binop -> O.cx -> O.t -> O.t -> O.t = function
+    | Ast.Add -> O.add
+    | Ast.Sub -> O.sub
+    | Ast.Mult -> O.mul
+    | Ast.Div -> O.truediv
+    | Ast.Floordiv -> O.floordiv
+    | Ast.Mod -> O.modulo
+    | Ast.Pow -> O.pow
+    | Ast.Lshift -> O.lshift
+    | Ast.Rshift -> O.rshift
+    | Ast.Bitand -> O.bitand
+    | Ast.Bitor -> O.bitor
+    | Ast.Bitxor -> O.bitxor
 
-  let step cx (globals : Globals.t) (f : frame) :
-      (O.t, Bytecode.code) Frame.outcome =
-    let pc = f.Frame.pc in
-    let instr = f.Frame.code.Bytecode.instrs.(pc) in
-    let continue_at next =
-      f.Frame.pc <- next;
-      Frame.Continue
-    in
-    let next () = continue_at (pc + 1) in
+  let[@inline] continue_at (f : frame) pc =
+    f.Frame.pc <- pc;
+    Frame.Continue
+
+  (* The one definition of every bytecode, staged.  [stage cx globals
+     ~charge pc instr] decodes [instr] (operands, jump targets,
+     constant-pool values, the binop function) and returns the step
+     that runs it: [charge ~target] first, then the handler's
+     operations.  Staging only decodes: it charges nothing, allocates
+     nothing simulated and records no IR, so where a bytecode is staged
+     cannot show in simulated counters. *)
+  let stage cx (globals : Globals.t) ~(charge : target:int -> unit) pc
+      (instr : Bytecode.instr) : step =
+    let target = Bytecode.tag instr in
+    let next = pc + 1 in
     match instr with
-    | NOP -> next ()
+    | NOP ->
+        fun f ->
+          charge ~target;
+          continue_at f next
     | LOAD_CONST v ->
-        Frame.push f (O.const cx v);
-        next ()
+        let c = O.const cx v in
+        fun f ->
+          charge ~target;
+          Frame.push f c;
+          continue_at f next
     | LOAD_FAST slot ->
-        Frame.push f f.Frame.locals.(slot);
-        next ()
+        fun f ->
+          charge ~target;
+          Frame.push f f.Frame.locals.(slot);
+          continue_at f next
     | STORE_FAST slot ->
-        f.Frame.locals.(slot) <- Frame.pop f;
-        next ()
+        fun f ->
+          charge ~target;
+          f.Frame.locals.(slot) <- Frame.pop f;
+          continue_at f next
     | LOAD_GLOBAL name ->
-        Frame.push f (O.load_global cx globals name);
-        next ()
+        fun f ->
+          charge ~target;
+          Frame.push f (O.load_global cx globals name);
+          continue_at f next
     | STORE_GLOBAL name ->
-        O.store_global cx globals name (Frame.pop f);
-        next ()
+        fun f ->
+          charge ~target;
+          O.store_global cx globals name (Frame.pop f);
+          continue_at f next
     | LOAD_ATTR name ->
-        let obj = Frame.pop f in
-        Frame.push f (O.getattr cx obj name);
-        next ()
+        fun f ->
+          charge ~target;
+          let obj = Frame.pop f in
+          Frame.push f (O.getattr cx obj name);
+          continue_at f next
     | STORE_ATTR name ->
-        let v = Frame.pop f in
-        let obj = Frame.pop f in
-        O.setattr cx obj name v;
-        next ()
+        fun f ->
+          charge ~target;
+          let v = Frame.pop f in
+          let obj = Frame.pop f in
+          O.setattr cx obj name v;
+          continue_at f next
     | LOAD_METHOD name ->
-        let obj = Frame.pop f in
-        let callable, self = O.load_method cx obj name in
-        Frame.push f callable;
-        Frame.push f self;
-        next ()
+        fun f ->
+          charge ~target;
+          let obj = Frame.pop f in
+          let callable, self = O.load_method cx obj name in
+          Frame.push f callable;
+          Frame.push f self;
+          continue_at f next
     | CALL_METHOD nargs ->
-        let args = pop_args cx f nargs in
-        let self = Frame.pop f in
-        let callable = Frame.pop f in
-        if Value.is_nil (O.concrete self) then call_value cx f callable args
-        else call_value cx f callable (prepend self args)
+        fun f ->
+          charge ~target;
+          let args = pop_args cx f nargs in
+          let self = Frame.pop f in
+          let callable = Frame.pop f in
+          if Value.is_nil (O.concrete self) then call_value cx f callable args
+          else call_value cx f callable (prepend self args)
     | CALL_FUNCTION nargs ->
-        let args = pop_args cx f nargs in
-        let callee = Frame.pop f in
-        call_value cx f callee args
+        fun f ->
+          charge ~target;
+          let args = pop_args cx f nargs in
+          let callee = Frame.pop f in
+          call_value cx f callee args
     | BINARY op ->
-        let b = Frame.pop f in
-        let a = Frame.pop f in
-        Frame.push f (binary cx op a b);
-        next ()
+        let fn = binary_fn op in
+        fun f ->
+          charge ~target;
+          let b = Frame.pop f in
+          let a = Frame.pop f in
+          Frame.push f (fn cx a b);
+          continue_at f next
     | UNARY_NEG ->
-        let a = Frame.pop f in
-        Frame.push f (O.neg cx a);
-        next ()
+        fun f ->
+          charge ~target;
+          let a = Frame.pop f in
+          Frame.push f (O.neg cx a);
+          continue_at f next
     | UNARY_NOT ->
-        let a = Frame.pop f in
-        Frame.push f (O.not_ cx a);
-        next ()
+        fun f ->
+          charge ~target;
+          let a = Frame.pop f in
+          Frame.push f (O.not_ cx a);
+          continue_at f next
     | COMPARE op ->
-        let b = Frame.pop f in
-        let a = Frame.pop f in
-        Frame.push f (O.compare cx op a b);
-        next ()
-    | JUMP t -> continue_at t
+        fun f ->
+          charge ~target;
+          let b = Frame.pop f in
+          let a = Frame.pop f in
+          Frame.push f (O.compare cx op a b);
+          continue_at f next
+    | JUMP t ->
+        fun f ->
+          charge ~target;
+          continue_at f t
     | POP_JUMP_IF_FALSE t ->
-        let v = Frame.pop f in
-        if O.is_true cx v then next () else continue_at t
+        fun f ->
+          charge ~target;
+          let v = Frame.pop f in
+          continue_at f (if O.is_true cx v then next else t)
     | POP_JUMP_IF_TRUE t ->
-        let v = Frame.pop f in
-        if O.is_true cx v then continue_at t else next ()
+        fun f ->
+          charge ~target;
+          let v = Frame.pop f in
+          continue_at f (if O.is_true cx v then t else next)
     | JUMP_IF_FALSE_OR_POP t ->
-        let v = Frame.peek f 0 in
-        if O.is_true cx v then begin
-          ignore (Frame.pop f);
-          next ()
-        end
-        else continue_at t
+        fun f ->
+          charge ~target;
+          let v = Frame.peek f 0 in
+          if O.is_true cx v then begin
+            ignore (Frame.pop f);
+            continue_at f next
+          end
+          else continue_at f t
     | JUMP_IF_TRUE_OR_POP t ->
-        let v = Frame.peek f 0 in
-        if O.is_true cx v then continue_at t
-        else begin
-          ignore (Frame.pop f);
-          next ()
-        end
+        fun f ->
+          charge ~target;
+          let v = Frame.peek f 0 in
+          if O.is_true cx v then continue_at f t
+          else begin
+            ignore (Frame.pop f);
+            continue_at f next
+          end
     | BUILD_LIST n ->
-        let items = Array.make n (O.const cx Value.nil) in
-        for i = n - 1 downto 0 do
-          items.(i) <- Frame.pop f
-        done;
-        Frame.push f (O.make_list cx items);
-        next ()
+        fun f ->
+          charge ~target;
+          Frame.push f (O.make_list cx (pop_args cx f n));
+          continue_at f next
     | BUILD_TUPLE n ->
-        let items = Array.make n (O.const cx Value.nil) in
-        for i = n - 1 downto 0 do
-          items.(i) <- Frame.pop f
-        done;
-        Frame.push f (O.make_tuple cx items);
-        next ()
+        fun f ->
+          charge ~target;
+          Frame.push f (O.make_tuple cx (pop_args cx f n));
+          continue_at f next
     | BUILD_DICT n ->
-        let pairs = Array.make n (O.const cx Value.nil, O.const cx Value.nil) in
-        for i = n - 1 downto 0 do
+        fun f ->
+          charge ~target;
+          let pairs =
+            Array.make n (O.const cx Value.nil, O.const cx Value.nil)
+          in
+          for i = n - 1 downto 0 do
+            let v = Frame.pop f in
+            let k = Frame.pop f in
+            pairs.(i) <- (k, v)
+          done;
+          Frame.push f (O.make_dict cx pairs);
+          continue_at f next
+    | BUILD_SET n ->
+        fun f ->
+          charge ~target;
+          Frame.push f (O.make_set cx (pop_args cx f n));
+          continue_at f next
+    | BINARY_SUBSCR ->
+        fun f ->
+          charge ~target;
+          let k = Frame.pop f in
+          let obj = Frame.pop f in
+          Frame.push f (O.getitem cx obj k);
+          continue_at f next
+    | STORE_SUBSCR ->
+        fun f ->
+          charge ~target;
           let v = Frame.pop f in
           let k = Frame.pop f in
-          pairs.(i) <- (k, v)
-        done;
-        Frame.push f (O.make_dict cx pairs);
-        next ()
-    | BUILD_SET n ->
-        let items = Array.make n (O.const cx Value.nil) in
-        for i = n - 1 downto 0 do
-          items.(i) <- Frame.pop f
-        done;
-        Frame.push f (O.make_set cx items);
-        next ()
-    | BINARY_SUBSCR ->
-        let k = Frame.pop f in
-        let obj = Frame.pop f in
-        Frame.push f (O.getitem cx obj k);
-        next ()
-    | STORE_SUBSCR ->
-        let v = Frame.pop f in
-        let k = Frame.pop f in
-        let obj = Frame.pop f in
-        O.setitem cx obj k v;
-        next ()
+          let obj = Frame.pop f in
+          O.setitem cx obj k v;
+          continue_at f next
     | DELETE_SUBSCR ->
-        let k = Frame.pop f in
-        let obj = Frame.pop f in
-        ignore (O.call_builtin cx Builtin.Del_item [| obj; k |]);
-        next ()
+        fun f ->
+          charge ~target;
+          let k = Frame.pop f in
+          let obj = Frame.pop f in
+          ignore (O.call_builtin cx Builtin.Del_item [| obj; k |]);
+          continue_at f next
     | GET_SLICE ->
-        let hi = Frame.pop f in
-        let lo = Frame.pop f in
-        let obj = Frame.pop f in
-        Frame.push f (O.call_builtin cx Builtin.Slice_get [| obj; lo; hi |]);
-        next ()
+        fun f ->
+          charge ~target;
+          let hi = Frame.pop f in
+          let lo = Frame.pop f in
+          let obj = Frame.pop f in
+          Frame.push f (O.call_builtin cx Builtin.Slice_get [| obj; lo; hi |]);
+          continue_at f next
     | SET_SLICE ->
-        let v = Frame.pop f in
-        let hi = Frame.pop f in
-        let lo = Frame.pop f in
-        let obj = Frame.pop f in
-        ignore (O.call_builtin cx Builtin.Slice_set [| obj; lo; hi; v |]);
-        next ()
-    | RETURN_VALUE -> Frame.Return (Frame.pop f)
-    | RETURN_NONE -> Frame.Return (O.const cx Value.nil)
+        fun f ->
+          charge ~target;
+          let v = Frame.pop f in
+          let hi = Frame.pop f in
+          let lo = Frame.pop f in
+          let obj = Frame.pop f in
+          ignore (O.call_builtin cx Builtin.Slice_set [| obj; lo; hi; v |]);
+          continue_at f next
+    | RETURN_VALUE ->
+        fun f ->
+          charge ~target;
+          Frame.Return (Frame.pop f)
+    | RETURN_NONE ->
+        let nil = O.const cx Value.nil in
+        fun _ ->
+          charge ~target;
+          Frame.Return nil
     | POP_TOP ->
-        ignore (Frame.pop f);
-        next ()
+        fun f ->
+          charge ~target;
+          ignore (Frame.pop f);
+          continue_at f next
     | DUP_TOP ->
-        Frame.push f (Frame.peek f 0);
-        next ()
+        fun f ->
+          charge ~target;
+          Frame.push f (Frame.peek f 0);
+          continue_at f next
     | UNPACK_SEQUENCE n ->
-        let seq = Frame.pop f in
-        let items = O.unpack cx seq n in
-        for i = n - 1 downto 0 do
-          Frame.push f items.(i)
-        done;
-        next ()
+        fun f ->
+          charge ~target;
+          let seq = Frame.pop f in
+          let items = O.unpack cx seq n in
+          for i = n - 1 downto 0 do
+            Frame.push f items.(i)
+          done;
+          continue_at f next
     | GET_INDEXABLE ->
-        let v = Frame.pop f in
-        Frame.push f (O.call_builtin cx Builtin.Indexable [| v |]);
-        next ()
+        fun f ->
+          charge ~target;
+          let v = Frame.pop f in
+          Frame.push f (O.call_builtin cx Builtin.Indexable [| v |]);
+          continue_at f next
     | FOR_RANGE { var; cur; stop; step; exit } ->
-        let c = f.Frame.locals.(cur) in
-        let s = f.Frame.locals.(stop) in
-        let st = f.Frame.locals.(step) in
-        let stepi = O.guard_int cx st in
-        let cond =
-          if stepi > 0 then O.compare cx Ops_intf.Lt c s
-          else O.compare cx Ops_intf.Gt c s
-        in
-        if O.is_true cx cond then begin
-          f.Frame.locals.(var) <- c;
-          f.Frame.locals.(cur) <- O.add cx c st;
-          next ()
-        end
-        else continue_at exit
+        fun f ->
+          charge ~target;
+          let c = f.Frame.locals.(cur) in
+          let s = f.Frame.locals.(stop) in
+          let st = f.Frame.locals.(step) in
+          let stepi = O.guard_int cx st in
+          let cond =
+            O.compare cx (if stepi > 0 then Ops_intf.Lt else Ops_intf.Gt) c s
+          in
+          if O.is_true cx cond then begin
+            f.Frame.locals.(var) <- c;
+            f.Frame.locals.(cur) <- O.add cx c st;
+            continue_at f next
+          end
+          else continue_at f exit
     | FOR_ITER { var; seq; idx; exit } ->
-        let s = f.Frame.locals.(seq) in
-        let i = f.Frame.locals.(idx) in
-        let n = O.len_ cx s in
-        let cond = O.compare cx Ops_intf.Lt i n in
-        if O.is_true cx cond then begin
-          let v = O.getitem cx s i in
-          f.Frame.locals.(var) <- v;
-          f.Frame.locals.(idx) <- O.add cx i (O.const cx (Value.of_int 1));
-          next ()
-        end
-        else continue_at exit
+        let one = O.const cx (Value.of_int 1) in
+        fun f ->
+          charge ~target;
+          let s = f.Frame.locals.(seq) in
+          let i = f.Frame.locals.(idx) in
+          let n = O.len_ cx s in
+          let cond = O.compare cx Ops_intf.Lt i n in
+          if O.is_true cx cond then begin
+            let v = O.getitem cx s i in
+            f.Frame.locals.(var) <- v;
+            f.Frame.locals.(idx) <- O.add cx i one;
+            continue_at f next
+          end
+          else continue_at f exit
     | MAKE_FUNCTION { code_ref; fname; arity } ->
         (* function objects are created during (cold) module setup *)
-        let fv =
-          Gc_sim.obj
-            (Ctx.gc (O.rt cx))
-            (Value.Func
-               {
-                 func_id = code_ref;
-                 func_name = fname;
-                 arity;
-                 code_ref;
-                 captured = [||];
-               })
-        in
-        Frame.push f (O.const cx fv);
-        next ()
+        fun f ->
+          charge ~target;
+          let fv =
+            Gc_sim.obj
+              (Ctx.gc (O.rt cx))
+              (Value.Func
+                 {
+                   func_id = code_ref;
+                   func_name = fname;
+                   arity;
+                   code_ref;
+                   captured = [||];
+                 })
+          in
+          Frame.push f (O.const cx fv);
+          continue_at f next
     | MAKE_CLASS { cls_name; parent; methods } ->
-        let parent_obj =
-          match parent with
-          | None -> None
-          | Some pname -> (
-              let pv = O.concrete (O.load_global cx globals pname) in
-              if Value.is_obj pv then
-                let p = Value.to_obj_unchecked pv in
-                match p.Value.payload with
-                | Value.Class _ -> Some p
-                | _ -> err "class parent %s is %s" pname (Value.type_name pv)
-              else err "class parent %s is %s" pname (Value.type_name pv))
-        in
-        let n = List.length methods in
-        let method_values = pop_args cx f n in
-        let attrs =
-          List.mapi
-            (fun i name -> (name, O.concrete method_values.(i)))
-            methods
-        in
-        (* instances of a subclass share the parent's layout prefix *)
-        let layout =
-          match parent_obj with
-          | Some { Value.payload = Value.Class pc; _ } ->
-              Array.copy pc.Value.layout
-          | _ -> [||]
-        in
-        let next_cls_id = Code_table.fresh_id () in
-        let cls =
-          Gc_sim.obj
-            (Ctx.gc (O.rt cx))
-            (Value.Class
-               {
-                 Value.cls_id = next_cls_id;
-                 cls_name;
-                 layout;
-                 attrs;
-                 parent = parent_obj;
-               })
-        in
-        Frame.push f (O.const cx cls);
-        next ()
+        fun f ->
+          charge ~target;
+          let parent_obj =
+            match parent with
+            | None -> None
+            | Some pname -> (
+                let pv = O.concrete (O.load_global cx globals pname) in
+                if Value.is_obj pv then
+                  let p = Value.to_obj_unchecked pv in
+                  match p.Value.payload with
+                  | Value.Class _ -> Some p
+                  | _ -> err "class parent %s is %s" pname (Value.type_name pv)
+                else err "class parent %s is %s" pname (Value.type_name pv))
+          in
+          let n = List.length methods in
+          let method_values = pop_args cx f n in
+          let attrs =
+            List.mapi
+              (fun i name -> (name, O.concrete method_values.(i)))
+              methods
+          in
+          (* instances of a subclass share the parent's layout prefix *)
+          let layout =
+            match parent_obj with
+            | Some { Value.payload = Value.Class pc; _ } ->
+                Array.copy pc.Value.layout
+            | _ -> [||]
+          in
+          let next_cls_id = Code_table.fresh_id () in
+          let cls =
+            Gc_sim.obj
+              (Ctx.gc (O.rt cx))
+              (Value.Class
+                 {
+                   Value.cls_id = next_cls_id;
+                   cls_name;
+                   layout;
+                   attrs;
+                   parent = parent_obj;
+                 })
+          in
+          Frame.push f (O.const cx cls);
+          continue_at f next
 
-  (* the reference decode-and-match loop, under the name the driver and
-     the threaded tier know it by *)
-  let step_ref = step
+  let no_charge ~target:_ = ()
+
+  (* the reference handler: stage the bytecode at the current pc and
+     run it at once, charging nothing (the driver's reference loop
+     charges the dispatch prologue itself; the tracer records through
+     this) *)
+  let step_ref cx globals (f : frame) =
+    let pc = f.Frame.pc in
+    stage cx globals ~charge:no_charge pc f.Frame.code.Bytecode.instrs.(pc) f
 end
 
 (* ------------------------------------------------------------------ *)
 (* The threaded-dispatch tier (the pylite half of {!Mtj_rjit.Threaded}).
 
-   Each code object is translated once into an array of pre-bound step
-   closures over [Direct_ops]: operands are decoded at translate time
-   (local slots, constant-pool values via [O.const], jump targets, the
-   pre-selected binop function), and the hottest shapes are fused into
-   superinstructions.  Every step emits exactly the charge sequence of
-   one reference dispatch iteration — [Threaded.charge] first, then the
-   handler's operations in reference order — so simulated counters are
-   byte-identical to [Step(Direct_ops).step_ref] (held by
-   test/test_dispatch_diff.ml).  Cold bytecodes delegate to the
-   reference handler so the tricky semantics (calls, classes, builders)
-   exist exactly once. *)
+   Each code object is staged once into an array of step closures:
+   [Step(Direct_ops).stage] for every pc, with the dispatch prologue as
+   the charge, so a standalone step is the reference handler itself and
+   emits the charge sequence of one reference dispatch iteration by
+   construction.  The hottest shapes are then fused into
+   superinstructions, the only steps written here; their charge
+   sequences match the steps they replace (held by
+   test/test_dispatch_diff.ml). *)
 
 module D_ref = Step (Direct_ops)
 
 type dstep = (Direct_ops.t, Bytecode.code) Threaded.step
-
-(* the [binary] dispatch of the reference handler, resolved at translate
-   time instead of per execution *)
-let binary_fn :
-    Ast.binop -> Direct_ops.cx -> Direct_ops.t -> Direct_ops.t -> Direct_ops.t
-    = function
-  | Ast.Add -> Direct_ops.add
-  | Ast.Sub -> Direct_ops.sub
-  | Ast.Mult -> Direct_ops.mul
-  | Ast.Div -> Direct_ops.truediv
-  | Ast.Floordiv -> Direct_ops.floordiv
-  | Ast.Mod -> Direct_ops.modulo
-  | Ast.Pow -> Direct_ops.pow
-  | Ast.Lshift -> Direct_ops.lshift
-  | Ast.Rshift -> Direct_ops.rshift
-  | Ast.Bitand -> Direct_ops.bitand
-  | Ast.Bitor -> Direct_ops.bitor
-  | Ast.Bitxor -> Direct_ops.bitxor
 
 let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
     (d : Threaded.dispatch) (code : Bytecode.code) : dstep array =
@@ -422,240 +495,9 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
       | MAKE_FUNCTION { code_ref; _ } -> ignore (Code_table.lookup code_ref)
       | _ -> ())
     instrs;
-  (* the pre-bound standalone step of one bytecode *)
-  let step_of pc instr : dstep =
-    let target = Bytecode.tag instr in
-    let next = pc + 1 in
-    match instr with
-    | NOP ->
-        fun f ->
-          charge ~target;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | LOAD_CONST v ->
-        let c = Direct_ops.const cx v in
-        fun f ->
-          charge ~target;
-          Frame.push f c;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | LOAD_FAST slot ->
-        fun f ->
-          charge ~target;
-          Frame.push f f.Frame.locals.(slot);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | STORE_FAST slot ->
-        fun f ->
-          charge ~target;
-          f.Frame.locals.(slot) <- Frame.pop f;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | LOAD_GLOBAL name ->
-        fun f ->
-          charge ~target;
-          Frame.push f (Direct_ops.load_global cx globals name);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | STORE_GLOBAL name ->
-        fun f ->
-          charge ~target;
-          Direct_ops.store_global cx globals name (Frame.pop f);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | LOAD_ATTR name ->
-        fun f ->
-          charge ~target;
-          let obj = Frame.pop f in
-          Frame.push f (Direct_ops.getattr cx obj name);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | STORE_ATTR name ->
-        fun f ->
-          charge ~target;
-          let v = Frame.pop f in
-          let obj = Frame.pop f in
-          Direct_ops.setattr cx obj name v;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | LOAD_METHOD name ->
-        fun f ->
-          charge ~target;
-          let obj = Frame.pop f in
-          let callable, self = Direct_ops.load_method cx obj name in
-          Frame.push f callable;
-          Frame.push f self;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | CALL_METHOD nargs ->
-        fun f ->
-          charge ~target;
-          let args = D_ref.pop_args cx f nargs in
-          let self = Frame.pop f in
-          let callable = Frame.pop f in
-          if Value.is_nil (Direct_ops.concrete self) then
-            D_ref.call_value cx f callable args
-          else D_ref.call_value cx f callable (D_ref.prepend self args)
-    | CALL_FUNCTION nargs ->
-        fun f ->
-          charge ~target;
-          let args = D_ref.pop_args cx f nargs in
-          let callee = Frame.pop f in
-          D_ref.call_value cx f callee args
-    | BINARY op ->
-        let fn = binary_fn op in
-        fun f ->
-          charge ~target;
-          let b = Frame.pop f in
-          let a = Frame.pop f in
-          Frame.push f (fn cx a b);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | UNARY_NEG ->
-        fun f ->
-          charge ~target;
-          let a = Frame.pop f in
-          Frame.push f (Direct_ops.neg cx a);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | UNARY_NOT ->
-        fun f ->
-          charge ~target;
-          let a = Frame.pop f in
-          Frame.push f (Direct_ops.not_ cx a);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | COMPARE op ->
-        fun f ->
-          charge ~target;
-          let b = Frame.pop f in
-          let a = Frame.pop f in
-          Frame.push f (Direct_ops.compare cx op a b);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | JUMP t ->
-        fun f ->
-          charge ~target;
-          f.Frame.pc <- t;
-          Frame.Continue
-    | POP_JUMP_IF_FALSE t ->
-        fun f ->
-          charge ~target;
-          let v = Frame.pop f in
-          f.Frame.pc <- (if Direct_ops.is_true cx v then next else t);
-          Frame.Continue
-    | POP_JUMP_IF_TRUE t ->
-        fun f ->
-          charge ~target;
-          let v = Frame.pop f in
-          f.Frame.pc <- (if Direct_ops.is_true cx v then t else next);
-          Frame.Continue
-    | JUMP_IF_FALSE_OR_POP t ->
-        fun f ->
-          charge ~target;
-          let v = Frame.peek f 0 in
-          if Direct_ops.is_true cx v then begin
-            ignore (Frame.pop f);
-            f.Frame.pc <- next
-          end
-          else f.Frame.pc <- t;
-          Frame.Continue
-    | JUMP_IF_TRUE_OR_POP t ->
-        fun f ->
-          charge ~target;
-          let v = Frame.peek f 0 in
-          if Direct_ops.is_true cx v then f.Frame.pc <- t
-          else begin
-            ignore (Frame.pop f);
-            f.Frame.pc <- next
-          end;
-          Frame.Continue
-    | BINARY_SUBSCR ->
-        fun f ->
-          charge ~target;
-          let k = Frame.pop f in
-          let obj = Frame.pop f in
-          Frame.push f (Direct_ops.getitem cx obj k);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | STORE_SUBSCR ->
-        fun f ->
-          charge ~target;
-          let v = Frame.pop f in
-          let k = Frame.pop f in
-          let obj = Frame.pop f in
-          Direct_ops.setitem cx obj k v;
-          f.Frame.pc <- next;
-          Frame.Continue
-    | RETURN_VALUE ->
-        fun f ->
-          charge ~target;
-          Frame.Return (Frame.pop f)
-    | RETURN_NONE ->
-        let nil = Direct_ops.const cx Value.nil in
-        fun _f ->
-          charge ~target;
-          Frame.Return nil
-    | POP_TOP ->
-        fun f ->
-          charge ~target;
-          ignore (Frame.pop f);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | DUP_TOP ->
-        fun f ->
-          charge ~target;
-          Frame.push f (Frame.peek f 0);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | FOR_RANGE { var; cur; stop; step; exit } ->
-        (* step variants: the two loop bodies (counting up / counting
-           down) are pre-bound; the runtime sign guard picks one, as the
-           reference handler's inline conditional does *)
-        let iter cmp_op (f : (Direct_ops.t, Bytecode.code) Frame.t) c s st =
-          let cond = Direct_ops.compare cx cmp_op c s in
-          if Direct_ops.is_true cx cond then begin
-            f.Frame.locals.(var) <- c;
-            f.Frame.locals.(cur) <- Direct_ops.add cx c st;
-            f.Frame.pc <- next
-          end
-          else f.Frame.pc <- exit
-        in
-        let up = iter Ops_intf.Lt and down = iter Ops_intf.Gt in
-        fun f ->
-          charge ~target;
-          let c = f.Frame.locals.(cur) in
-          let s = f.Frame.locals.(stop) in
-          let st = f.Frame.locals.(step) in
-          let stepi = Direct_ops.guard_int cx st in
-          (if stepi > 0 then up else down) f c s st;
-          Frame.Continue
-    | FOR_ITER { var; seq; idx; exit } ->
-        let one = Direct_ops.const cx (Value.of_int 1) in
-        fun f ->
-          charge ~target;
-          let s = f.Frame.locals.(seq) in
-          let i = f.Frame.locals.(idx) in
-          let len = Direct_ops.len_ cx s in
-          let cond = Direct_ops.compare cx Ops_intf.Lt i len in
-          if Direct_ops.is_true cx cond then begin
-            let v = Direct_ops.getitem cx s i in
-            f.Frame.locals.(var) <- v;
-            f.Frame.locals.(idx) <- Direct_ops.add cx i one;
-            f.Frame.pc <- next
-          end
-          else f.Frame.pc <- exit;
-          Frame.Continue
-    | BUILD_LIST _ | BUILD_TUPLE _ | BUILD_DICT _ | BUILD_SET _
-    | DELETE_SUBSCR | GET_SLICE | SET_SLICE | UNPACK_SEQUENCE _
-    | GET_INDEXABLE | MAKE_FUNCTION _ | MAKE_CLASS _ ->
-        (* cold bytecodes: pre-bind only the dispatch charge and run the
-           reference handler *)
-        fun f ->
-          charge ~target;
-          D_ref.step_ref cx globals f
+  let steps =
+    Array.init n (fun pc -> D_ref.stage cx globals ~charge pc instrs.(pc))
   in
-  let steps = Array.init n (fun pc -> step_of pc instrs.(pc)) in
   (* Superinstructions: fuse the hottest shapes.  The fused closure sits
      at the head pc only — every pc keeps its standalone step above, so
      a jump landing inside a fused pair behaves exactly as before — and
@@ -697,7 +539,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
         let t2 = tag (pc + 2) in
         match instrs.(pc + 2) with
         | BINARY op -> (
-            let fn = binary_fn op in
+            let fn = D_ref.binary_fn op in
             let nx = pc + 3 in
             match if interior nx then Some instrs.(nx) else None with
             | Some (STORE_FAST s) ->
@@ -821,7 +663,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
                     Frame.Continue)
             | BINARY op -> (
                 (* <stack> op a : right operand from the local *)
-                let fn = binary_fn op in
+                let fn = D_ref.binary_fn op in
                 match if interior nx then Some instrs.(nx) else None with
                 | Some (STORE_FAST s) ->
                     let t2 = tag nx in
@@ -903,7 +745,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
                     Frame.Continue)
             | BINARY op -> (
                 (* <stack> op <const> : the tail of every x*2+1 chain *)
-                let fn = binary_fn op in
+                let fn = D_ref.binary_fn op in
                 match if interior nx then Some instrs.(nx) else None with
                 | Some (STORE_FAST s) ->
                     let t2 = tag nx in
@@ -1006,7 +848,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
                     Frame.Continue)
             | _ -> None)
         | BINARY op when interior (pc + 1) -> (
-            let fn = binary_fn op in
+            let fn = D_ref.binary_fn op in
             match instrs.(pc + 1) with
             | STORE_FAST s -> (
                 (* tail of mixed-operand expressions: result straight to
@@ -1044,7 +886,7 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
                 match instrs.(pc + 2) with
                 | BINARY op2 ->
                     let c = Direct_ops.const cx v in
-                    let fn2 = binary_fn op2 in
+                    let fn2 = D_ref.binary_fn op2 in
                     let t0 = tag pc and t1 = tag (pc + 1) in
                     let t2 = tag (pc + 2) in
                     let nx = pc + 3 in

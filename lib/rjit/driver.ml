@@ -6,9 +6,10 @@
 
     - {b interpreter}: the dispatch loop runs [Step(Direct_ops)], emitting
       one [Dispatch_tick] annotation and one indirect dispatch branch per
-      bytecode — either through the reference decode-and-match loop or,
-      by default, through the {!Threaded} tier's translate-once step
-      arrays (same simulated charges, cheaper host dispatch);
+      bytecode — by default through the {!Threaded} tier's step arrays,
+      which stage each code object's handlers once, or through the
+      reference loop, which stages and runs one bytecode at a time (same
+      handlers, same simulated charges, dearer host dispatch);
     - {b tracing}: when a loop header's counter crosses the threshold the
       same handlers run as [Step(Trace_ops)], recording IR until the loop
       closes (or the trace aborts);
@@ -682,6 +683,23 @@ module Make (L : Threaded.LANG) = struct
 
   (* --- the dispatch loop --- *)
 
+  (* translate [code] to its threaded step array, bound to this VM's
+     dispatch prologue, and cache it in the language's code table *)
+  let translate t (code : L.code) =
+    let d =
+      {
+        Threaded.d_eng = Ctx.engine t.rtc;
+        d_tab = t.charge_tab;
+        d_site = 200_000 + (L.code_ref code land 1023);
+        d_indirect = t.profile.Profile.dispatch_indirect;
+      }
+    in
+    let s = L.threaded_code t.dcx t.globals d code in
+    L.store_threaded code s;
+    Jitlog.record_interp_translation t.jitlog;
+    t.translated_refs <- L.code_ref code :: t.translated_refs;
+    s
+
   (* Straight-line threaded execution: run pre-bound step closures
      back-to-back until a call or return.  All the per-iteration
      bookkeeping of the outer loop (result/current-frame refs, code
@@ -724,20 +742,7 @@ module Make (L : Threaded.LANG) = struct
       | Some s ->
           Jitlog.record_threaded_code_hit t.jitlog;
           steps := s
-      | None ->
-          let d =
-            {
-              Threaded.d_eng = eng;
-              d_tab = t.charge_tab;
-              d_site = 200_000 + (f.Frame.code_ref land 1023);
-              d_indirect = t.profile.Profile.dispatch_indirect;
-            }
-          in
-          let s = L.threaded_code t.dcx t.globals d f.Frame.code in
-          L.store_threaded f.Frame.code s;
-          Jitlog.record_interp_translation t.jitlog;
-          t.translated_refs <- f.Frame.code_ref :: t.translated_refs;
-          steps := s);
+      | None -> steps := translate t f.Frame.code);
       headers := L.headers f.Frame.code;
       steps_for := f.Frame.code_ref
     in
@@ -870,8 +875,7 @@ module Make (L : Threaded.LANG) = struct
             Jitlog.record_seeded_site t.jitlog
         | _ -> ())
       p.Traceprofile.hot_sites;
-    if t.cfg.Config.threaded_interp then begin
-      let eng = Ctx.engine t.rtc in
+    if t.cfg.Config.threaded_interp then
       List.iter
         (fun code_ref ->
           match L.lookup_code code_ref with
@@ -879,22 +883,8 @@ module Make (L : Threaded.LANG) = struct
               (* a profile only lists refs from its own bundle, but a
                  stale ref must fail soft: the lazy path re-translates *)
               ()
-          | code -> (
-              match L.lookup_threaded code with
-              | Some _ -> ()
-              | None ->
-                  let d =
-                    {
-                      Threaded.d_eng = eng;
-                      d_tab = t.charge_tab;
-                      d_site = 200_000 + (code_ref land 1023);
-                      d_indirect = t.profile.Profile.dispatch_indirect;
-                    }
-                  in
-                  let s = L.threaded_code t.dcx t.globals d code in
-                  L.store_threaded code s;
-                  Jitlog.record_interp_translation t.jitlog;
-                  t.translated_refs <- code_ref :: t.translated_refs))
+          | code ->
+              if Option.is_none (L.lookup_threaded code) then
+                ignore (translate t code))
         p.Traceprofile.translated
-    end
 end

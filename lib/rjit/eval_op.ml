@@ -1,9 +1,14 @@
 (** Pure evaluation of side-effect-free IR opcodes over concrete values.
 
-    Shared by the optimizer (constant folding) and the trace executor.
-    Raises [Not_pure] for opcodes that touch the heap, call out, or
-    control the trace; raises language errors ({!Ops_intf.Lang_error},
-    [Division_by_zero]) exactly where the interpreter would. *)
+    {!stage} is the one definition of every pure opcode: the trace
+    executor builds its op closures (and, through {!stage_test}, its
+    fused compare-and-guard tests) from it, {!eval} applies it to
+    argument values for the optimizer's constant folder and the
+    reference executor, and {!foldable} is whether it is defined.
+    Staging raises [Not_pure] for opcodes that touch the heap, call out,
+    or control the trace; the staged closures raise language errors
+    ({!Ops_intf.Lang_error}, [Division_by_zero]) exactly where the
+    interpreter would. *)
 
 open Mtj_rt
 
@@ -46,92 +51,185 @@ let checked_mul x y =
   in
   if overflows then raise Overflow else x * y
 
-let bool v = Value.of_bool v
+(* --- the pure opcodes, staged ---
 
-let eval (opcode : Ir.opcode) (args : Value.t array) : Value.t =
-  let i n = as_int args.(n) and f n = as_float args.(n) in
+   [stage_test] and [stage] are the one definition of every pure
+   opcode.  Staging decodes the opcode and binds its operand readers;
+   the returned closure reads the operands out of an environment ['e]
+   (the executor's register file, or [eval]'s argument array) and
+   computes.  Two-operand ops convert the second operand first (the
+   string index ops convert the string first), so a type error on
+   either operand surfaces the same everywhere. *)
+
+(* the compare ops the executor fuses with the truth guard after them *)
+let stage_test (opcode : Ir.opcode) (gs : ('e -> Value.t) array) :
+    ('e -> bool) option =
   match opcode with
-  | Ir.Int_add -> Value.of_int (i 0 + i 1)
-  | Ir.Int_sub -> Value.of_int (i 0 - i 1)
-  | Ir.Int_mul -> Value.of_int (i 0 * i 1)
-  | Ir.Int_and -> Value.of_int (i 0 land i 1)
-  | Ir.Int_or -> Value.of_int (i 0 lor i 1)
-  | Ir.Int_xor -> Value.of_int (i 0 lxor i 1)
-  | Ir.Int_lshift -> Value.of_int (i 0 lsl i 1)
-  | Ir.Int_rshift ->
-      (* clamp: [asr] past the word size is unspecified (hardware wraps
-         the count); traces only emit this for non-negative operands *)
-      let n = i 1 in
-      Value.of_int (i 0 asr (if n > 62 then 62 else n))
-  | Ir.Int_lt -> bool (i 0 < i 1)
-  | Ir.Int_le -> bool (i 0 <= i 1)
-  | Ir.Int_eq -> bool (i 0 = i 1)
-  | Ir.Int_ne -> bool (i 0 <> i 1)
-  | Ir.Int_gt -> bool (i 0 > i 1)
-  | Ir.Int_ge -> bool (i 0 >= i 1)
-  | Ir.Int_neg ->
-      let x = i 0 in
-      if x = min_int then Semantics.err "integer negation overflow"
-      else Value.of_int (-x)
-  | Ir.Int_is_true -> bool (i 0 <> 0)
-  | Ir.Int_is_zero -> bool (not (Value.truthy args.(0)))
-  | Ir.Int_floordiv -> Value.of_int (Rarith.floordiv_int (i 0) (i 1))
-  | Ir.Int_mod -> Value.of_int (Rarith.mod_int (i 0) (i 1))
-  | Ir.Float_add -> Value.of_float (f 0 +. f 1)
-  | Ir.Float_sub -> Value.of_float (f 0 -. f 1)
-  | Ir.Float_mul -> Value.of_float (f 0 *. f 1)
-  | Ir.Float_truediv ->
-      if f 1 = 0.0 then raise Division_by_zero
-      else Value.of_float (f 0 /. f 1)
-  | Ir.Float_neg -> Value.of_float (-.(f 0))
-  | Ir.Float_abs -> Value.of_float (Float.abs (f 0))
-  | Ir.Float_lt -> bool (f 0 < f 1)
-  | Ir.Float_le -> bool (f 0 <= f 1)
-  | Ir.Float_eq -> bool (f 0 = f 1)
-  | Ir.Float_ne -> bool (f 0 <> f 1)
-  | Ir.Float_gt -> bool (f 0 > f 1)
-  | Ir.Float_ge -> bool (f 0 >= f 1)
-  | Ir.Cast_int_to_float -> Value.of_float (float_of_int (i 0))
-  | Ir.Cast_float_to_int -> Value.of_int (int_of_float (Float.trunc (f 0)))
-  | Ir.Str_concat -> Value.of_str (as_str args.(0) ^ as_str args.(1))
-  | Ir.Str_eq -> bool (String.equal (as_str args.(0)) (as_str args.(1)))
-  | Ir.Strlen -> Value.of_int (String.length (as_str args.(0)))
-  | Ir.Strgetitem ->
-      let s = as_str args.(0) and idx = i 1 in
-      if idx < 0 || idx >= String.length s then
-        Semantics.err "string index out of range"
-      else Value.of_str (String.make 1 s.[idx])
-  | Ir.Ptr_eq -> bool (Semantics.identical args.(0) args.(1))
-  | Ir.Ptr_ne -> bool (not (Semantics.identical args.(0) args.(1)))
-  | Ir.Same_as -> args.(0)
-  | Ir.Unicode_len -> Value.of_int (String.length (as_str args.(0)))
-  | Ir.Unicode_getitem ->
-      let s = as_str args.(0) and idx = i 1 in
-      if idx < 0 || idx >= String.length s then
-        Semantics.err "string index out of range"
-      else Value.of_str (String.make 1 s.[idx])
-  | Ir.Getfield_gc _ | Ir.Setfield_gc _ | Ir.Getarrayitem_gc | Ir.Getlistitem
-  | Ir.Setlistitem | Ir.Arraylen | Ir.Getcell | Ir.Setcell | Ir.Guard _
-  | Ir.Call_r _ | Ir.Call_n _ | Ir.Call_assembler _ | Ir.Label | Ir.Jump | Ir.Finish
-  | Ir.New_with_vtable _ | Ir.New_array _ | Ir.New_list _ | Ir.New_cell
-  | Ir.Debug_merge_point _ ->
-      raise Not_pure
+  | Ir.Int_lt ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) < y)
+  | Ir.Int_le ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) <= y)
+  | Ir.Int_eq ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) = y)
+  | Ir.Int_ne ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) <> y)
+  | Ir.Int_gt ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) > y)
+  | Ir.Int_ge ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_int (b e) in as_int (a e) >= y)
+  | Ir.Int_is_true ->
+      let a = gs.(0) in
+      Some (fun e -> as_int (a e) <> 0)
+  | Ir.Int_is_zero ->
+      let a = gs.(0) in
+      Some (fun e -> not (Value.truthy (a e)))
+  | Ir.Float_lt ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) < y)
+  | Ir.Float_le ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) <= y)
+  | Ir.Float_eq ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) = y)
+  | Ir.Float_ne ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) <> y)
+  | Ir.Float_gt ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) > y)
+  | Ir.Float_ge ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> let y = as_float (b e) in as_float (a e) >= y)
+  | Ir.Ptr_eq ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> Semantics.identical (a e) (b e))
+  | Ir.Ptr_ne ->
+      let a = gs.(0) and b = gs.(1) in
+      Some (fun e -> not (Semantics.identical (a e) (b e)))
+  | _ -> None
 
-(* is this opcode foldable when all arguments are constants? *)
+let int1 gs f =
+  let a = gs.(0) in
+  fun e -> f (as_int (a e))
+
+let int2 gs f =
+  let a = gs.(0) and b = gs.(1) in
+  fun e ->
+    let y = as_int (b e) in
+    f (as_int (a e)) y
+
+let float1 gs f =
+  let a = gs.(0) in
+  fun e -> f (as_float (a e))
+
+let float2 gs f =
+  let a = gs.(0) and b = gs.(1) in
+  fun e ->
+    let y = as_float (b e) in
+    f (as_float (a e)) y
+
+let str_getitem gs =
+  let a = gs.(0) and b = gs.(1) in
+  fun e ->
+    let s = as_str (a e) in
+    let idx = as_int (b e) in
+    if idx < 0 || idx >= String.length s then
+      Semantics.err "string index out of range"
+    else Value.of_str (String.make 1 s.[idx])
+
+let stage (opcode : Ir.opcode) (gs : ('e -> Value.t) array) : 'e -> Value.t =
+  match stage_test opcode gs with
+  | Some test -> fun e -> Value.of_bool (test e)
+  | None -> (
+      match opcode with
+      | Ir.Int_add -> int2 gs (fun x y -> Value.of_int (x + y))
+      | Ir.Int_sub -> int2 gs (fun x y -> Value.of_int (x - y))
+      | Ir.Int_mul -> int2 gs (fun x y -> Value.of_int (x * y))
+      | Ir.Int_and -> int2 gs (fun x y -> Value.of_int (x land y))
+      | Ir.Int_or -> int2 gs (fun x y -> Value.of_int (x lor y))
+      | Ir.Int_xor -> int2 gs (fun x y -> Value.of_int (x lxor y))
+      | Ir.Int_lshift -> int2 gs (fun x n -> Value.of_int (x lsl n))
+      | Ir.Int_rshift ->
+          (* clamp: [asr] past the word size is unspecified (hardware
+             wraps the count); traces only emit this for non-negative
+             operands *)
+          int2 gs (fun x n -> Value.of_int (x asr if n > 62 then 62 else n))
+      | Ir.Int_floordiv ->
+          int2 gs (fun x y -> Value.of_int (Rarith.floordiv_int x y))
+      | Ir.Int_mod -> int2 gs (fun x y -> Value.of_int (Rarith.mod_int x y))
+      | Ir.Int_neg ->
+          int1 gs (fun x ->
+              if x = min_int then Semantics.err "integer negation overflow"
+              else Value.of_int (-x))
+      | Ir.Float_add -> float2 gs (fun x y -> Value.of_float (x +. y))
+      | Ir.Float_sub -> float2 gs (fun x y -> Value.of_float (x -. y))
+      | Ir.Float_mul -> float2 gs (fun x y -> Value.of_float (x *. y))
+      | Ir.Float_truediv ->
+          (* the divisor is converted and checked before the dividend *)
+          let a = gs.(0) and b = gs.(1) in
+          fun e ->
+            let y = as_float (b e) in
+            if y = 0.0 then raise Division_by_zero
+            else Value.of_float (as_float (a e) /. y)
+      | Ir.Float_neg -> float1 gs (fun x -> Value.of_float (-.x))
+      | Ir.Float_abs -> float1 gs (fun x -> Value.of_float (Float.abs x))
+      | Ir.Cast_int_to_float -> int1 gs (fun x -> Value.of_float (float_of_int x))
+      | Ir.Cast_float_to_int ->
+          float1 gs (fun x -> Value.of_int (int_of_float (Float.trunc x)))
+      | Ir.Str_concat ->
+          let a = gs.(0) and b = gs.(1) in
+          fun e ->
+            let y = as_str (b e) in
+            Value.of_str (as_str (a e) ^ y)
+      | Ir.Str_eq ->
+          let a = gs.(0) and b = gs.(1) in
+          fun e ->
+            let y = as_str (b e) in
+            Value.of_bool (String.equal (as_str (a e)) y)
+      | Ir.Strlen | Ir.Unicode_len ->
+          let a = gs.(0) in
+          fun e -> Value.of_int (String.length (as_str (a e)))
+      | Ir.Strgetitem | Ir.Unicode_getitem -> str_getitem gs
+      | Ir.Same_as -> gs.(0)
+      | _ -> raise Not_pure)
+
+(* the int ops an overflow guard checks, staged with the check: the
+   exact result, or [Overflow] where the wrapping op in [stage] would
+   wrap *)
+let stage_checked (opcode : Ir.opcode) (gs : ('e -> Value.t) array) :
+    'e -> Value.t =
+  let a = gs.(0) and b = gs.(1) in
+  match opcode with
+  | Ir.Int_add ->
+      fun e ->
+        let y = as_int (b e) in
+        Value.of_int (checked_add (as_int (a e)) y)
+  | Ir.Int_sub ->
+      fun e ->
+        let y = as_int (b e) in
+        Value.of_int (checked_sub (as_int (a e)) y)
+  | Ir.Int_mul ->
+      fun e ->
+        let y = as_int (b e) in
+        Value.of_int (checked_mul (as_int (a e)) y)
+  | _ -> invalid_arg "Eval_op.stage_checked"
+
+(* [eval]'s operand readers: the environment is the argument array *)
+let nth = [| (fun (args : Value.t array) -> args.(0)); (fun args -> args.(1)) |]
+
+let eval opcode args = stage opcode nth args
+
 let foldable opcode =
-  match opcode with
-  | Ir.Int_add | Ir.Int_sub | Ir.Int_mul | Ir.Int_and | Ir.Int_or
-  | Ir.Int_xor | Ir.Int_lshift | Ir.Int_rshift | Ir.Int_lt | Ir.Int_le
-  | Ir.Int_eq | Ir.Int_ne | Ir.Int_gt | Ir.Int_ge | Ir.Int_neg
-  | Ir.Int_is_true | Ir.Int_is_zero | Ir.Int_floordiv | Ir.Int_mod
-  | Ir.Float_add | Ir.Float_sub | Ir.Float_mul | Ir.Float_truediv
-  | Ir.Float_neg | Ir.Float_abs | Ir.Float_lt | Ir.Float_le | Ir.Float_eq
-  | Ir.Float_ne | Ir.Float_gt | Ir.Float_ge | Ir.Cast_int_to_float
-  | Ir.Cast_float_to_int | Ir.Str_concat | Ir.Str_eq | Ir.Strlen
-  | Ir.Strgetitem | Ir.Ptr_eq | Ir.Ptr_ne | Ir.Same_as | Ir.Unicode_len
-  | Ir.Unicode_getitem ->
-      true
-  | _ -> false
+  match (stage opcode nth : Value.t array -> Value.t) with
+  | _ -> true
+  | exception Not_pure -> false
 
 (* result-producing ops with no observable effect: removable when the
    result is unused (allocations included — that is trivial escape

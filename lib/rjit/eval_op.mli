@@ -1,8 +1,10 @@
-(** Pure evaluation of IR opcodes on concrete values, shared by the
-    optimizer's constant folder and the trace executor. *)
+(** Pure evaluation of IR opcodes on concrete values: one staged
+    definition per opcode, shared by the optimizer's constant folder and
+    both trace-executor loops. *)
 
 exception Not_pure
-(** Raised by {!eval} for opcodes that touch the heap or have effects. *)
+(** Raised by {!stage} and {!eval} for opcodes that touch the heap, have
+    effects or control the trace. *)
 
 exception Overflow
 (** Raised by the checked arithmetic helpers on native-int overflow —
@@ -16,15 +18,40 @@ val checked_add : int -> int -> int
 val checked_sub : int -> int -> int
 val checked_mul : int -> int -> int
 
+val stage_test :
+  Ir.opcode -> ('e -> Mtj_rt.Value.t) array -> ('e -> bool) option
+(** The compare ops ([Int_lt] ... [Int_ge], [Int_is_true],
+    [Int_is_zero], [Float_lt] ... [Float_ge], [Ptr_eq], [Ptr_ne]),
+    staged to the bool they compute: [stage_test opcode readers] binds
+    the operand readers and returns the test over an environment ['e],
+    or [None] for any other opcode.  {!stage} derives their [Value.t]
+    results from this; the executor branches on it directly when it
+    fuses a compare with the truth guard after it. *)
+
+val stage : Ir.opcode -> ('e -> Mtj_rt.Value.t) array -> 'e -> Mtj_rt.Value.t
+(** [stage opcode readers] is the one definition of a pure opcode:
+    staging decodes it and binds the operand readers once, the returned
+    closure reads its operands out of an environment ['e] and computes.
+    Two-operand ops convert the second operand first (the string index
+    ops convert the string first).  Raises {!Not_pure} at staging for heap/effect/control
+    opcodes; the closure raises [Division_by_zero] and
+    {!Mtj_rjit.Ops_intf.Lang_error} with the messages the interpreter
+    produces (so folding never changes observable errors). *)
+
+val stage_checked :
+  Ir.opcode -> ('e -> Mtj_rt.Value.t) array -> 'e -> Mtj_rt.Value.t
+(** [Int_add], [Int_sub] or [Int_mul] staged with the check the matching
+    [guard_no_ovf_*] makes: the closure converts the operands as
+    {!stage} does and returns the exact result, or raises {!Overflow}
+    where {!stage}'s wrapping op would wrap.  [Invalid_argument] at
+    staging for any other opcode. *)
+
 val eval : Ir.opcode -> Mtj_rt.Value.t array -> Mtj_rt.Value.t
-(** Evaluate a pure opcode. Raises {!Not_pure} for heap/effect opcodes,
-    [Division_by_zero] and {!Mtj_rjit.Ops_intf.Lang_error} with the same
-    messages the interpreter produces (so folding never changes
-    observable errors). *)
+(** {!stage} applied to argument values. *)
 
 val foldable : Ir.opcode -> bool
-(** Whether the constant folder may evaluate this opcode at compile time
-    when all arguments are constants. *)
+(** Whether {!stage} defines this opcode: the constant folder may
+    evaluate it at compile time when all arguments are constants. *)
 
 val removable : Ir.op -> bool
 (** Whether dead-code elimination may drop this operation when its

@@ -10,18 +10,22 @@
     raised by one deoptimizes to the current bytecode boundary, where the
     interpreter re-executes and reports it.
 
-    Two execution strategies share these semantics:
+    Each op's semantics is defined once, staged (decode now, run when
+    applied): {!Eval_op.stage} for the pure ops, [stage_op] for heap
+    reads and writes, allocation and residual calls, [guard_test] for
+    guards.  Two execution strategies run those definitions:
 
-    - {!run_ref}, the reference loop, re-matches [op.opcode] and
-      re-decodes operands on every iteration;
+    - {!run_ref}, the reference loop, re-matches [op.opcode] and stages
+      the op on every iteration;
     - {!run}, the closure-threaded loop (after Izawa et al. 2021):
       {!precompile}/[code_for] translate the op array {e once} into an
-      array of pre-bound step closures — operands resolved to direct
-      register indices or hoisted constants, guards pre-bound to their
-      resume data and fail path, compare+guard and int-op+overflow-guard
-      pairs fused into superinstructions — cached per context and keyed
-      by trace id, invalidated when a bridge attachment bumps the
-      trace's [code_version].
+      array of step closures built from the staged definitions —
+      operands resolved to direct register indices or hoisted
+      constants, guards pre-bound to their resume data and fail path,
+      compare+guard and int-op+overflow-guard pairs fused into
+      superinstructions — cached per context and keyed by trace id,
+      invalidated when a bridge attachment bumps the trace's
+      [code_version].
 
     Both charge the simulated machine identically: every counter the
     engine sees is byte-for-byte the same under either strategy. *)
@@ -53,7 +57,6 @@ type exit_state = {
 
 let as_obj = Semantics.as_obj
 let as_int = Eval_op.as_int
-let as_float = Eval_op.as_float
 
 (* --- materialization of resume data --- *)
 
@@ -145,29 +148,41 @@ let materialize_frames rtc (resume : Ir.resume) (regs : Value.t array) =
 
 (* --- guard evaluation --- *)
 
-let guard_holds (g : Ir.guard) (vals : Value.t array) =
+(* an overflow guard holds when the checked op it guards does not raise *)
+let no_ovf checked e =
+  match checked e with
+  | (_ : Value.t) -> true
+  | exception Eval_op.Overflow -> false
+
+(* A guard's condition, staged like {!Eval_op.stage}: [guard_test g gs]
+   binds the operand readers [gs] once and returns the test over the
+   environment they read.  Both executor loops run this one definition. *)
+let guard_test (g : Ir.guard) (gs : ('e -> Value.t) array) : 'e -> bool =
   match g.Ir.gkind with
-  | Ir.G_true -> Value.truthy vals.(0)
-  | Ir.G_false -> not (Value.truthy vals.(0))
-  | Ir.G_value v -> Value.py_eq vals.(0) v
-  | Ir.G_class sh -> Trace_ops.tyshape_of vals.(0) = sh
-  | Ir.G_nonnull -> not (Value.is_nil vals.(0))
-  | Ir.G_no_ovf_add -> (
-      match Eval_op.checked_add (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
-  | Ir.G_no_ovf_sub -> (
-      match Eval_op.checked_sub (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
-  | Ir.G_no_ovf_mul -> (
-      match Eval_op.checked_mul (as_int vals.(0)) (as_int vals.(1)) with
-      | (_ : int) -> true
-      | exception Eval_op.Overflow -> false)
+  | Ir.G_true ->
+      let a = gs.(0) in
+      fun e -> Value.truthy (a e)
+  | Ir.G_false ->
+      let a = gs.(0) in
+      fun e -> not (Value.truthy (a e))
+  | Ir.G_value v ->
+      let a = gs.(0) in
+      fun e -> Value.py_eq (a e) v
+  | Ir.G_class sh ->
+      let a = gs.(0) in
+      fun e -> Trace_ops.tyshape_of (a e) = sh
+  | Ir.G_nonnull ->
+      let a = gs.(0) in
+      fun e -> not (Value.is_nil (a e))
+  | Ir.G_no_ovf_add -> no_ovf (Eval_op.stage_checked Ir.Int_add gs)
+  | Ir.G_no_ovf_sub -> no_ovf (Eval_op.stage_checked Ir.Int_sub gs)
+  | Ir.G_no_ovf_mul -> no_ovf (Eval_op.stage_checked Ir.Int_mul gs)
   | Ir.G_index_lt ->
-      let i = as_int vals.(0) and n = as_int vals.(1) in
-      i >= 0 && i < n
-  | Ir.G_global_version (cell, ver) -> !cell = ver
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let i = as_int (a e) and n = as_int (b e) in
+        i >= 0 && i < n
+  | Ir.G_global_version (cell, ver) -> fun _ -> !cell = ver
 
 (* --- blackhole: charge deoptimization and rebuild frames --- *)
 
@@ -211,14 +226,139 @@ let setfield rtc o idx v =
   | Value.Instance i -> Semantics.field_set rtc obj i idx v
   | _ -> Semantics.err "setfield on %s" (Value.type_name o)
 
+(* --- ordinary operations ---
+
+   Heap reads and writes, allocation, residual calls and, through
+   {!Eval_op.stage}, the pure ops: the one staged definition both loops
+   run.  [stage_op rtc opcode gs] decodes the op once and returns its
+   work over the environment the operand readers [gs] read (the
+   register file).  Ops without a result return [Value.nil].  Language
+   errors propagate; each loop deoptimizes them to the bytecode
+   boundary. *)
+
+let fetch gs e = Array.map (fun g -> g e) gs
+
+let stage_op rtc (opcode : Ir.opcode) (gs : ('e -> Value.t) array) :
+    'e -> Value.t =
+  let eng = Ctx.engine rtc and gc = Ctx.gc rtc in
+  match opcode with
+  | Ir.Getfield_gc idx ->
+      let a = gs.(0) in
+      fun e -> getfield rtc (a e) idx
+  | Ir.Setfield_gc idx ->
+      let a = gs.(0) and v = gs.(1) in
+      fun e ->
+        setfield rtc (a e) idx (v e);
+        Value.nil
+  | Ir.Getcell ->
+      let a = gs.(0) in
+      fun e ->
+        let v = a e in
+        if Value.is_obj v then (
+          match (Value.to_obj_unchecked v).Value.payload with
+          | Value.Cell c -> c.cell
+          | _ -> Semantics.err "getcell on %s" (Value.type_name v))
+        else Semantics.err "getcell on %s" (Value.type_name v)
+  | Ir.Setcell ->
+      let a = gs.(0) and x = gs.(1) in
+      fun e ->
+        let v = a e in
+        if Value.is_obj v then (
+          let o = Value.to_obj_unchecked v in
+          match o.Value.payload with
+          | Value.Cell c ->
+              let x = x e in
+              c.cell <- x;
+              Gc_sim.write_barrier gc ~parent:o ~child:x;
+              Value.nil
+          | _ -> Semantics.err "setcell on %s" (Value.type_name v))
+        else Semantics.err "setcell on %s" (Value.type_name v)
+  | Ir.Getlistitem ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let o = Semantics.as_list (a e) in
+        let i = as_int (b e) in
+        let l = Rlist.of_obj o in
+        if i < 0 || i >= Rlist.length l then
+          Semantics.err "list index out of range";
+        Engine.mem_access eng ~addr:(Gc_sim.addr o ~field:(i land 15))
+          ~write:false;
+        Value.list_get_unsafe l i
+  | Ir.Setlistitem ->
+      let a = gs.(0) and b = gs.(1) and x = gs.(2) in
+      fun e ->
+        let o = Semantics.as_list (a e) in
+        let i = as_int (b e) in
+        let l = Rlist.of_obj o in
+        if i < 0 || i >= Rlist.length l then
+          Semantics.err "list assignment index out of range";
+        Rlist.set rtc o i (x e);
+        Value.nil
+  | Ir.Getarrayitem_gc ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let v = a e in
+        if Value.is_obj v then (
+          let o = Value.to_obj_unchecked v in
+          match o.Value.payload with
+          | Value.Tuple arr ->
+              let i = as_int (b e) in
+              if i < 0 || i >= Array.length arr then
+                Semantics.err "tuple index out of range";
+              Engine.mem_access eng ~addr:(Gc_sim.addr o ~field:(i land 15))
+                ~write:false;
+              arr.(i)
+          | _ -> Semantics.err "getarrayitem on %s" (Value.type_name v))
+        else Semantics.err "getarrayitem on %s" (Value.type_name v)
+  | Ir.Arraylen ->
+      let a = gs.(0) in
+      fun e -> Value.of_int (Semantics.len_of rtc (a e))
+  | Ir.New_with_vtable cls_obj -> (
+      match cls_obj.Value.payload with
+      | Value.Class c ->
+          let nfields = Array.length c.Value.layout in
+          fun _ ->
+            Gc_sim.obj gc
+              (Value.Instance
+                 { cls = cls_obj; fields = Array.make nfields Value.nil })
+      | _ -> fun _ -> Semantics.err "new_with_vtable: not a class")
+  | Ir.New_array _ -> fun e -> Gc_sim.obj gc (Value.Tuple (fetch gs e))
+  | Ir.New_list _ ->
+      fun e -> Value.of_obj (Rlist.create rtc (Array.to_list (fetch gs e)))
+  | Ir.New_cell ->
+      let a = gs.(0) in
+      fun e -> Gc_sim.obj gc (Value.Cell { cell = a e })
+  | Ir.Call_r rc ->
+      fun e ->
+        let vals = fetch gs e in
+        Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals)
+  | Ir.Call_n rc ->
+      fun e ->
+        let vals = fetch gs e in
+        ignore (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals));
+        Value.nil
+  | opc -> Eval_op.stage opc gs
+
+(* an operand's reader over a register file of [nregs] registers,
+   checked once here so the reader indexes unchecked *)
+let reader ~nregs (o : Ir.operand) : Value.t array -> Value.t =
+  match o with
+  | Ir.Const v -> fun _ -> v
+  | Ir.Reg r ->
+      if r < 0 || r >= nregs then
+        invalid_arg "Executor: register out of range";
+      fun regs -> Array.unsafe_get regs r
+
 let entry_cost = Cost.make ~alu:6 ~load:8 ~store:8 ~other:9 ()
 
 (* --- the reference loop ---
 
-   Interprets the IR directly: the executable semantics the threaded
-   translation below must reproduce exactly (the differential test in
-   test/test_threaded_diff.ml holds the two to identical exits, register
-   files and machine counters). *)
+   Interprets the IR directly, staging each op as it runs it: the
+   oracle for what the threaded translation below adds on top of the
+   shared op definitions, namely fusion, pre-bound fail paths, the code
+   cache and its control flow (the differential test in
+   test/test_threaded_diff.ml holds the two to identical exits,
+   register files and machine counters). *)
 
 let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     ~(entry : Value.t array) : exit_state =
@@ -285,15 +425,8 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     (* per-opcode costs are interned in the trace's code table at
        compile time; charge through the block API *)
     Engine.emit_static eng t.Ir.op_costs ~lo:!ip ~hi:(!ip + 1);
-    let arg i =
-      match op.Ir.args.(i) with
-      | Ir.Const v -> v
-      | Ir.Reg r -> regs.(r)
-    in
-    let argvals () = Array.map (function
-        | Ir.Const v -> v
-        | Ir.Reg r -> regs.(r)) op.Ir.args
-    in
+    let readers () = Array.map (reader ~nregs:(Array.length regs)) op.Ir.args in
+    let argvals () = fetch (readers ()) regs in
     let set_result v = if op.Ir.result >= 0 then regs.(op.Ir.result) <- v in
     match op.Ir.opcode with
     | Ir.Debug_merge_point d ->
@@ -302,8 +435,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
         incr ip
     | Ir.Label -> incr ip
     | Ir.Guard g -> (
-        let vals = argvals () in
-        match guard_holds g vals with
+        match guard_test g (readers ()) regs with
         | true ->
             Engine.branch eng ~site:(400_000 + (g.Ir.guard_id land 4095)) ~taken:true;
             incr ip
@@ -334,7 +466,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
               failed_guard = None;
               failed_in = None;
               request_bridge = false;
-              finished = Some (arg 0);
+              finished = Some (argvals ()).(0);
             }
     | Ir.Jump -> (
         let vals = argvals () in
@@ -379,94 +511,10 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
             match !last_resume with
             | Some r -> deopt r ~guard:None
             | None -> Semantics.err "call_assembler to unknown trace"))
-    | _ -> (
+    | opc -> (
         (* ordinary operations; language errors deoptimize to the current
            bytecode boundary *)
-        match
-          (match op.Ir.opcode with
-          | Ir.Getfield_gc idx -> set_result (getfield rtc (arg 0) idx)
-          | Ir.Setfield_gc idx -> setfield rtc (arg 0) idx (arg 1)
-          | Ir.Getcell ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                match (Value.to_obj_unchecked v).Value.payload with
-                | Value.Cell c -> set_result c.cell
-                | _ -> Semantics.err "getcell on %s" (Value.type_name v))
-              else Semantics.err "getcell on %s" (Value.type_name v)
-          | Ir.Setcell ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                let o = Value.to_obj_unchecked v in
-                match o.Value.payload with
-                | Value.Cell c ->
-                    c.cell <- arg 1;
-                    Gc_sim.write_barrier gc ~parent:o ~child:(arg 1)
-                | _ -> Semantics.err "setcell on %s" (Value.type_name v))
-              else Semantics.err "setcell on %s" (Value.type_name v)
-          | Ir.Getlistitem ->
-              let o = Semantics.as_list (arg 0) in
-              let i = as_int (arg 1) in
-              let l = Rlist.of_obj o in
-              if i < 0 || i >= Rlist.length l then
-                Semantics.err "list index out of range";
-              Engine.mem_access eng ~addr:(Gc_sim.addr o ~field:(i land 15))
-                ~write:false;
-              set_result (Value.list_get_unsafe l i)
-          | Ir.Setlistitem ->
-              let o = Semantics.as_list (arg 0) in
-              let i = as_int (arg 1) in
-              let l = Rlist.of_obj o in
-              if i < 0 || i >= Rlist.length l then
-                Semantics.err "list assignment index out of range";
-              Rlist.set rtc o i (arg 2)
-          | Ir.Getarrayitem_gc ->
-              let v = arg 0 in
-              if Value.is_obj v then (
-                let o = Value.to_obj_unchecked v in
-                match o.Value.payload with
-                | Value.Tuple a ->
-                    let i = as_int (arg 1) in
-                    if i < 0 || i >= Array.length a then
-                      Semantics.err "tuple index out of range";
-                    Engine.mem_access eng
-                      ~addr:(Gc_sim.addr o ~field:(i land 15))
-                      ~write:false;
-                    set_result a.(i)
-                | _ -> Semantics.err "getarrayitem on %s" (Value.type_name v))
-              else Semantics.err "getarrayitem on %s" (Value.type_name v)
-          | Ir.Arraylen ->
-              set_result (Value.of_int (Semantics.len_of rtc (arg 0)))
-          | Ir.New_with_vtable cls_obj -> (
-              match cls_obj.Value.payload with
-              | Value.Class c ->
-                  set_result
-                    (Gc_sim.obj gc
-                       (Value.Instance
-                          {
-                            cls = cls_obj;
-                            fields =
-                              Array.make
-                                (Array.length c.Value.layout)
-                                Value.nil;
-                          }))
-              | _ -> Semantics.err "new_with_vtable: not a class")
-          | Ir.New_array _ ->
-              set_result (Gc_sim.obj gc (Value.Tuple (argvals ())))
-          | Ir.New_list _ ->
-              set_result
-                (Value.of_obj (Rlist.create rtc (Array.to_list (argvals ()))))
-          | Ir.New_cell ->
-              set_result (Gc_sim.obj gc (Value.Cell { cell = arg 0 }))
-          | Ir.Call_r rc ->
-              let vals = argvals () in
-              set_result (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals))
-          | Ir.Call_n rc ->
-              let vals = argvals () in
-              ignore (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals))
-          | opc ->
-              (* pure ops *)
-              set_result (Eval_op.eval opc (argvals ())))
-        with
+        match set_result (stage_op rtc opc (readers ()) regs) with
         | () -> incr ip
         | exception
             ((Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero)
@@ -482,13 +530,14 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
 
    [translate] lowers a trace's op array, once, into an array of [step]
    closures over a small mutable machine state.  Each step is pre-bound
-   at translation time: operand lookups are direct register indices or
-   hoisted constants, the per-op cost bundle and op_exec counter cell
-   are captured, guards carry their resolved fail path (bridge target or
-   deopt), and the two pairs the recorder always emits adjacently —
-   compare+guard and int-op+overflow-guard — collapse into fused
-   superinstruction steps.  The interpretive costs of the reference loop
-   (opcode re-match, operand re-decode, per-iteration closure and array
+   at translation time: the op's work is its staged definition, operand
+   lookups are direct register indices or hoisted constants, the per-op
+   cost bundle and op_exec counter cell are captured, guards carry their
+   resolved fail path (bridge target or deopt), and the two pairs the
+   recorder always emits adjacently — compare+guard and
+   int-op+overflow-guard — collapse into fused superinstruction steps.
+   The interpretive costs of the reference loop (opcode re-match,
+   operand re-decode and staging, per-iteration closure and array
    allocation) are paid once per translation instead of once per
    executed op. *)
 
@@ -516,22 +565,16 @@ let lang_errors = function
 let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   let eng = Ctx.engine rtc in
   let cfg = Ctx.config rtc in
-  let gc = Ctx.gc rtc in
   let ops = t.Ir.ops in
   let costs = t.Ir.op_costs in
   let exec = t.Ir.op_exec in
   let n = Array.length ops in
   if t.Ir.loop_start < 0 || t.Ir.loop_start > n then
     invalid_arg "Executor.translate: loop_start out of range";
-  (* operand fetchers: constants hoisted, registers resolved to direct
+  (* operand readers: constants hoisted, registers resolved to direct
      (validated, hence unsafe-indexable) slots *)
-  let getter (o : Ir.operand) : Value.t array -> Value.t =
-    match o with
-    | Ir.Const v -> fun _ -> v
-    | Ir.Reg r ->
-        if r < 0 || r >= t.Ir.nregs then
-          invalid_arg "Executor.translate: register out of range";
-        fun regs -> Array.unsafe_get regs r
+  let readers (args : Ir.operand array) =
+    Array.map (reader ~nregs:t.Ir.nregs) args
   in
   let store (d : int) : Value.t array -> Value.t -> unit =
     if d >= 0 then begin
@@ -540,10 +583,6 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
       fun regs v -> Array.unsafe_set regs d v
     end
     else fun _ _ -> ()
-  in
-  let fetch_all (args : Ir.operand array) : Value.t array -> Value.t array =
-    let gs = Array.map getter args in
-    fun regs -> Array.map (fun g -> g regs) gs
   in
   (* shared exit paths, mirroring the reference loop exactly *)
   let deopt st (resume : Ir.resume) (guard : Ir.guard option) =
@@ -608,54 +647,10 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           g.Ir.fail_count <- g.Ir.fail_count + 1;
           deopt st g.Ir.resume (Some g)
   in
-  (* guard condition, specialized on the (immutable) kind *)
-  let guard_test (g : Ir.guard) (args : Ir.operand array) :
-      Value.t array -> bool =
-    match g.Ir.gkind with
-    | Ir.G_true ->
-        let a = getter args.(0) in
-        fun regs -> Value.truthy (a regs)
-    | Ir.G_false ->
-        let a = getter args.(0) in
-        fun regs -> not (Value.truthy (a regs))
-    | Ir.G_value v ->
-        let a = getter args.(0) in
-        fun regs -> Value.py_eq (a regs) v
-    | Ir.G_class sh ->
-        let a = getter args.(0) in
-        fun regs -> Trace_ops.tyshape_of (a regs) = sh
-    | Ir.G_nonnull ->
-        let a = getter args.(0) in
-        fun regs -> not (Value.is_nil (a regs))
-    | Ir.G_no_ovf_add ->
-        let a = getter args.(0) and b = getter args.(1) in
-        fun regs -> (
-          match Eval_op.checked_add (as_int (a regs)) (as_int (b regs)) with
-          | (_ : int) -> true
-          | exception Eval_op.Overflow -> false)
-    | Ir.G_no_ovf_sub ->
-        let a = getter args.(0) and b = getter args.(1) in
-        fun regs -> (
-          match Eval_op.checked_sub (as_int (a regs)) (as_int (b regs)) with
-          | (_ : int) -> true
-          | exception Eval_op.Overflow -> false)
-    | Ir.G_no_ovf_mul ->
-        let a = getter args.(0) and b = getter args.(1) in
-        fun regs -> (
-          match Eval_op.checked_mul (as_int (a regs)) (as_int (b regs)) with
-          | (_ : int) -> true
-          | exception Eval_op.Overflow -> false)
-    | Ir.G_index_lt ->
-        let a = getter args.(0) and b = getter args.(1) in
-        fun regs ->
-          let i = as_int (a regs) and n = as_int (b regs) in
-          i >= 0 && i < n
-    | Ir.G_global_version (cell, ver) -> fun _ -> !cell = ver
-  in
   let guard_step i (g : Ir.guard) (args : Ir.operand array) : step =
     let cost = costs.(i) in
     let site = 400_000 + (g.Ir.guard_id land 4095) in
-    let test = guard_test g args in
+    let test = guard_test g (readers args) in
     let fail = fail_path g in
     fun st ->
       exec.(i) <- exec.(i) + 1;
@@ -671,41 +666,17 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   in
   (* ordinary (non-control) op: bump, charge, do the work, fall through;
      language errors deoptimize to the last bytecode boundary *)
-  let ordinary i (work : state -> unit) : step =
+  let ordinary i (op : Ir.op) : step =
     let cost = costs.(i) in
+    let work = stage_op rtc op.Ir.opcode (readers op.Ir.args) in
+    let set = store op.Ir.result in
     fun st ->
       exec.(i) <- exec.(i) + 1;
       Engine.emit eng cost;
-      match work st with
+      let regs = st.st_regs in
+      match set regs (work regs) with
       | () -> st.st_ip <- i + 1
       | exception e when lang_errors e -> deopt_boundary st e
-  in
-  let generic i (op : Ir.op) : step =
-    let fetch = fetch_all op.Ir.args in
-    let set = store op.Ir.result in
-    let opc = op.Ir.opcode in
-    ordinary i (fun st -> set st.st_regs (Eval_op.eval opc (fetch st.st_regs)))
-  in
-  (* binary specializations.  [y] is converted before [x], matching the
-     reference loop's right-to-left operand evaluation, so a type error
-     on either operand surfaces identically. *)
-  let int_binop i (op : Ir.op) (f : int -> int -> Value.t) : step =
-    let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
-    let set = store op.Ir.result in
-    ordinary i (fun st ->
-        let regs = st.st_regs in
-        let y = as_int (b regs) in
-        let x = as_int (a regs) in
-        set regs (f x y))
-  in
-  let float_binop i (op : Ir.op) (f : float -> float -> Value.t) : step =
-    let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
-    let set = store op.Ir.result in
-    ordinary i (fun st ->
-        let regs = st.st_regs in
-        let y = as_float (b regs) in
-        let x = as_float (a regs) in
-        set regs (f x y))
   in
   let plain_step i (op : Ir.op) : step =
     match op.Ir.opcode with
@@ -727,7 +698,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     | Ir.Guard g -> guard_step i g op.Ir.args
     | Ir.Finish ->
         let cost = costs.(i) in
-        let a0 = getter op.Ir.args.(0) in
+        let a0 = (readers op.Ir.args).(0) in
         let site = 430_000 + (t.Ir.trace_id land 1023) in
         fun st ->
           exec.(i) <- exec.(i) + 1;
@@ -744,7 +715,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
               }
     | Ir.Jump -> (
         let cost = costs.(i) in
-        let gs = Array.map getter op.Ir.args in
+        let gs = readers op.Ir.args in
         let len = Array.length gs in
         let site = 410_000 + (t.Ir.trace_id land 1023) in
         let back_edge st vals =
@@ -800,7 +771,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
               back_edge st tmp)
     | Ir.Call_assembler target_id -> (
         let cost = costs.(i) in
-        let gs = Array.map getter op.Ir.args in
+        let gs = readers op.Ir.args in
         let len = Array.length gs in
         let site = 420_000 + (t.Ir.trace_id land 1023) in
         match Jitlog.find jitlog target_id with
@@ -830,294 +801,12 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
                   match st.st_resume with
                   | Some r -> deopt st r None
                   | None -> Semantics.err "call_assembler to unknown trace")))
-    (* memops *)
-    | Ir.Getfield_gc idx ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st -> set st.st_regs (getfield rtc (a0 st.st_regs) idx))
-    | Ir.Setfield_gc idx ->
-        let a0 = getter op.Ir.args.(0) and a1 = getter op.Ir.args.(1) in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            setfield rtc (a0 regs) idx (a1 regs))
-    | Ir.Getcell ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let v = a0 st.st_regs in
-            if Value.is_obj v then (
-              match (Value.to_obj_unchecked v).Value.payload with
-              | Value.Cell c -> set st.st_regs c.cell
-              | _ -> Semantics.err "getcell on %s" (Value.type_name v))
-            else Semantics.err "getcell on %s" (Value.type_name v))
-    | Ir.Setcell ->
-        let a0 = getter op.Ir.args.(0) and a1 = getter op.Ir.args.(1) in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            let cell = a0 regs in
-            if Value.is_obj cell then (
-              let o = Value.to_obj_unchecked cell in
-              match o.Value.payload with
-              | Value.Cell c ->
-                  let v = a1 regs in
-                  c.cell <- v;
-                  Gc_sim.write_barrier gc ~parent:o ~child:v
-              | _ -> Semantics.err "setcell on %s" (Value.type_name cell))
-            else Semantics.err "setcell on %s" (Value.type_name cell))
-    | Ir.Getlistitem ->
-        let a0 = getter op.Ir.args.(0) and a1 = getter op.Ir.args.(1) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            let o = Semantics.as_list (a0 regs) in
-            let i_ = as_int (a1 regs) in
-            let l = Rlist.of_obj o in
-            if i_ < 0 || i_ >= Rlist.length l then
-              Semantics.err "list index out of range";
-            Engine.mem_access eng ~addr:(Gc_sim.addr o ~field:(i_ land 15))
-              ~write:false;
-            set regs (Value.list_get_unsafe l i_))
-    | Ir.Setlistitem ->
-        let a0 = getter op.Ir.args.(0)
-        and a1 = getter op.Ir.args.(1)
-        and a2 = getter op.Ir.args.(2) in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            let o = Semantics.as_list (a0 regs) in
-            let i_ = as_int (a1 regs) in
-            let l = Rlist.of_obj o in
-            if i_ < 0 || i_ >= Rlist.length l then
-              Semantics.err "list assignment index out of range";
-            Rlist.set rtc o i_ (a2 regs))
-    | Ir.Getarrayitem_gc ->
-        let a0 = getter op.Ir.args.(0) and a1 = getter op.Ir.args.(1) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            let v = a0 regs in
-            if Value.is_obj v then (
-              let o = Value.to_obj_unchecked v in
-              match o.Value.payload with
-              | Value.Tuple a ->
-                  let i_ = as_int (a1 regs) in
-                  if i_ < 0 || i_ >= Array.length a then
-                    Semantics.err "tuple index out of range";
-                  Engine.mem_access eng
-                    ~addr:(Gc_sim.addr o ~field:(i_ land 15))
-                    ~write:false;
-                  set regs a.(i_)
-              | _ -> Semantics.err "getarrayitem on %s" (Value.type_name v))
-            else Semantics.err "getarrayitem on %s" (Value.type_name v))
-    | Ir.Arraylen ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_int (Semantics.len_of rtc (a0 regs))))
-    (* allocation *)
-    | Ir.New_with_vtable cls_obj ->
-        let set = store op.Ir.result in
-        let nfields =
-          match cls_obj.Value.payload with
-          | Value.Class c -> Array.length c.Value.layout
-          | _ -> -1
-        in
-        ordinary i (fun st ->
-            if nfields < 0 then Semantics.err "new_with_vtable: not a class";
-            set st.st_regs
-              (Gc_sim.obj gc
-                 (Value.Instance
-                    { cls = cls_obj; fields = Array.make nfields Value.nil })))
-    | Ir.New_array _ ->
-        let fetch = fetch_all op.Ir.args in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            set st.st_regs (Gc_sim.obj gc (Value.Tuple (fetch st.st_regs))))
-    | Ir.New_list _ ->
-        let fetch = fetch_all op.Ir.args in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            set st.st_regs
-              (Value.of_obj (Rlist.create rtc (Array.to_list (fetch st.st_regs)))))
-    | Ir.New_cell ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Gc_sim.obj gc (Value.Cell { cell = a0 regs })))
-    (* residual calls *)
-    | Ir.Call_r rc ->
-        let fetch = fetch_all op.Ir.args in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let vals = fetch st.st_regs in
-            set st.st_regs
-              (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals)))
-    | Ir.Call_n rc ->
-        let fetch = fetch_all op.Ir.args in
-        ordinary i (fun st ->
-            let vals = fetch st.st_regs in
-            ignore (Aot.call rtc rc.Ir.aot (fun () -> rc.Ir.run rtc vals)))
-    (* pure int ops *)
-    | Ir.Int_add -> int_binop i op (fun x y -> Value.of_int (x + y))
-    | Ir.Int_sub -> int_binop i op (fun x y -> Value.of_int (x - y))
-    | Ir.Int_mul -> int_binop i op (fun x y -> Value.of_int (x * y))
-    | Ir.Int_and -> int_binop i op (fun x y -> Value.of_int (x land y))
-    | Ir.Int_or -> int_binop i op (fun x y -> Value.of_int (x lor y))
-    | Ir.Int_xor -> int_binop i op (fun x y -> Value.of_int (x lxor y))
-    | Ir.Int_lshift -> int_binop i op (fun x y -> Value.of_int (x lsl y))
-    | Ir.Int_rshift -> int_binop i op (fun x y -> Value.of_int (x asr y))
-    | Ir.Int_lt -> int_binop i op (fun x y -> Value.of_bool (x < y))
-    | Ir.Int_le -> int_binop i op (fun x y -> Value.of_bool (x <= y))
-    | Ir.Int_eq -> int_binop i op (fun x y -> Value.of_bool (x = y))
-    | Ir.Int_ne -> int_binop i op (fun x y -> Value.of_bool (x <> y))
-    | Ir.Int_gt -> int_binop i op (fun x y -> Value.of_bool (x > y))
-    | Ir.Int_ge -> int_binop i op (fun x y -> Value.of_bool (x >= y))
-    | Ir.Int_floordiv ->
-        int_binop i op (fun x y -> Value.of_int (Rarith.floordiv_int x y))
-    | Ir.Int_mod -> int_binop i op (fun x y -> Value.of_int (Rarith.mod_int x y))
-    | Ir.Int_neg ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            let x = as_int (a0 regs) in
-            if x = min_int then Semantics.err "integer negation overflow"
-            else set regs (Value.of_int (-x)))
-    | Ir.Int_is_true ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_bool (as_int (a0 regs) <> 0)))
-    | Ir.Int_is_zero ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_bool (not (Value.truthy (a0 regs)))))
-    (* pure float ops *)
-    | Ir.Float_add -> float_binop i op (fun x y -> Value.of_float (x +. y))
-    | Ir.Float_sub -> float_binop i op (fun x y -> Value.of_float (x -. y))
-    | Ir.Float_mul -> float_binop i op (fun x y -> Value.of_float (x *. y))
-    | Ir.Float_truediv ->
-        let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            (* divisor converted (and checked) first, like Eval_op *)
-            let y = as_float (b regs) in
-            if y = 0.0 then raise Division_by_zero
-            else set regs (Value.of_float (as_float (a regs) /. y)))
-    | Ir.Float_lt -> float_binop i op (fun x y -> Value.of_bool (x < y))
-    | Ir.Float_le -> float_binop i op (fun x y -> Value.of_bool (x <= y))
-    | Ir.Float_eq -> float_binop i op (fun x y -> Value.of_bool (x = y))
-    | Ir.Float_ne -> float_binop i op (fun x y -> Value.of_bool (x <> y))
-    | Ir.Float_gt -> float_binop i op (fun x y -> Value.of_bool (x > y))
-    | Ir.Float_ge -> float_binop i op (fun x y -> Value.of_bool (x >= y))
-    | Ir.Float_neg ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_float (-.as_float (a0 regs))))
-    | Ir.Float_abs ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_float (Float.abs (as_float (a0 regs)))))
-    | Ir.Cast_int_to_float ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_float (float_of_int (as_int (a0 regs)))))
-    | Ir.Cast_float_to_int ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_int (int_of_float (Float.trunc (as_float (a0 regs))))))
-    (* ptr ops *)
-    | Ir.Ptr_eq ->
-        let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_bool (Semantics.identical (a regs) (b regs))))
-    | Ir.Ptr_ne ->
-        let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
-        let set = store op.Ir.result in
-        ordinary i (fun st ->
-            let regs = st.st_regs in
-            set regs (Value.of_bool (not (Semantics.identical (a regs) (b regs)))))
-    | Ir.Same_as ->
-        let a0 = getter op.Ir.args.(0) in
-        let set = store op.Ir.result in
-        ordinary i (fun st -> set st.st_regs (a0 st.st_regs))
-    (* str/unicode ops are cold in the bench suite: generic evaluation *)
-    | Ir.Str_concat | Ir.Str_eq | Ir.Strlen | Ir.Strgetitem | Ir.Unicode_len
-    | Ir.Unicode_getitem ->
-        generic i op
+    | _ -> ordinary i op
   in
   (* superinstruction fusion: compare feeding a truth guard, and the
      int-op + overflow-guard pair the recorder always emits adjacently.
      The guard slot keeps its standalone step so a back-edge landing on
      it (loop_start) still works. *)
-  let cmp_test (op : Ir.op) : (Value.t array -> bool) option =
-    let a () = getter op.Ir.args.(0) and b () = getter op.Ir.args.(1) in
-    match op.Ir.opcode with
-    | Ir.Int_lt ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) < y)
-    | Ir.Int_le ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) <= y)
-    | Ir.Int_eq ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) = y)
-    | Ir.Int_ne ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) <> y)
-    | Ir.Int_gt ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) > y)
-    | Ir.Int_ge ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_int (b regs) in as_int (a regs) >= y)
-    | Ir.Int_is_true ->
-        let a = a () in
-        Some (fun regs -> as_int (a regs) <> 0)
-    | Ir.Int_is_zero ->
-        let a = a () in
-        Some (fun regs -> not (Value.truthy (a regs)))
-    | Ir.Float_lt ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) < y)
-    | Ir.Float_le ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) <= y)
-    | Ir.Float_eq ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) = y)
-    | Ir.Float_ne ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) <> y)
-    | Ir.Float_gt ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) > y)
-    | Ir.Float_ge ->
-        let a = a () and b = b () in
-        Some (fun regs -> let y = as_float (b regs) in as_float (a regs) >= y)
-    | Ir.Ptr_eq ->
-        let a = a () and b = b () in
-        Some (fun regs -> Semantics.identical (a regs) (b regs))
-    | Ir.Ptr_ne ->
-        let a = a () and b = b () in
-        Some (fun regs -> not (Semantics.identical (a regs) (b regs)))
-    | _ -> None
-  in
   let fused_cmp_guard i (op : Ir.op) (g : Ir.guard) (test : Value.t array -> bool)
       : step =
     let cost_op = costs.(i) and cost_g = costs.(i + 1) in
@@ -1143,38 +832,33 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           end
       | exception e when lang_errors e -> deopt_boundary st e
   in
+  (* the checked op computes the result; only an overflow (the guard
+     failing) stages the wrapped result the op stores *)
   let fused_int_ovf i (op : Ir.op) (g : Ir.guard) : step =
-    let a = getter op.Ir.args.(0) and b = getter op.Ir.args.(1) in
+    let gs = readers op.Ir.args in
+    let checked = Eval_op.stage_checked op.Ir.opcode gs in
+    let wrapped = Eval_op.stage op.Ir.opcode gs in
     let set = store op.Ir.result in
     let cost_op = costs.(i) and cost_g = costs.(i + 1) in
     let site = 400_000 + (g.Ir.guard_id land 4095) in
     let fail = fail_path g in
-    let wrap, checked =
-      match op.Ir.opcode with
-      | Ir.Int_add -> (( + ), Eval_op.checked_add)
-      | Ir.Int_sub -> (( - ), Eval_op.checked_sub)
-      | _ -> (( * ), Eval_op.checked_mul)
-    in
     fun st ->
       exec.(i) <- exec.(i) + 1;
       Engine.emit eng cost_op;
       let regs = st.st_regs in
-      match
-        let y = as_int (b regs) in
-        let x = as_int (a regs) in
-        set regs (Value.of_int (wrap x y));
-        (x, y)
-      with
-      | x, y -> (
+      match checked regs with
+      | v ->
+          set regs v;
           exec.(i + 1) <- exec.(i + 1) + 1;
           Engine.emit eng cost_g;
-          match checked x y with
-          | (_ : int) ->
-              Engine.branch eng ~site ~taken:true;
-              st.st_ip <- i + 2
-          | exception Eval_op.Overflow ->
-              Engine.branch eng ~site ~taken:false;
-              fail st)
+          Engine.branch eng ~site ~taken:true;
+          st.st_ip <- i + 2
+      | exception Eval_op.Overflow ->
+          set regs (wrapped regs);
+          exec.(i + 1) <- exec.(i + 1) + 1;
+          Engine.emit eng cost_g;
+          Engine.branch eng ~site ~taken:false;
+          fail st
       | exception e when lang_errors e -> deopt_boundary st e
   in
   let reads_reg (args : Ir.operand array) r =
@@ -1202,7 +886,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           | (Ir.G_true | Ir.G_false), _
             when op.Ir.result >= 0
                  && same_args gargs [| Ir.Reg op.Ir.result |] -> (
-              match cmp_test op with
+              match Eval_op.stage_test op.Ir.opcode (readers op.Ir.args) with
               | Some test -> Some (fused_cmp_guard i op g test)
               | None -> None)
           | Ir.G_no_ovf_add, Ir.Int_add

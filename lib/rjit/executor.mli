@@ -48,8 +48,10 @@ val materialize_frames :
     into an attached bridge writes the same values, in the same order,
     straight into the bridge's register file. *)
 
-val guard_holds : Ir.guard -> Mtj_rt.Value.t array -> bool
-(** Evaluate a guard's condition against its argument values. *)
+val guard_test : Ir.guard -> ('e -> Mtj_rt.Value.t) array -> 'e -> bool
+(** A guard's condition, staged: [guard_test g readers] binds the
+    operand readers once and returns the test over the environment they
+    read.  Both executor loops evaluate guards through it. *)
 
 val blackhole :
   Mtj_rt.Ctx.t ->
@@ -86,7 +88,9 @@ val run_ref :
   trace:Ir.trace ->
   entry:Mtj_rt.Value.t array ->
   exit_state
-(** Reference executor: interprets the trace IR directly (re-matching
-    opcodes and re-decoding operands each iteration).  Semantically
-    identical to {!run}, including every charge to the simulated
-    machine; kept as the oracle for the differential tests. *)
+(** Reference executor: interprets the trace IR directly, re-matching
+    each op and staging its definition on every iteration.  It runs the
+    same op and guard definitions as {!run} and charges the simulated
+    machine identically; kept as the differential tests' oracle for
+    what {!run} adds on top: fusion, pre-bound fail paths, the code
+    cache and control flow. *)

@@ -141,12 +141,13 @@ module type LANG = sig
   module Step (O : OPS) : sig
     val step_ref :
       O.cx -> Globals.t -> (O.t, code) Frame.t -> (O.t, code) Frame.outcome
-    (** Execute exactly one bytecode — the reference decode-and-match
-        handler.  A [Call] outcome must return a frame whose [parent] is
-        already set to the current frame.  The [Trace_ops] meta-
-        interpreter always records through this; the [Direct_ops]
-        instantiation runs it when the threaded-dispatch tier
-        ({!Threaded}) is off, and threaded translators reuse it as the
-        pre-bound body of cold bytecodes. *)
+    (** Execute exactly one bytecode: stage the language's one staged
+        definition of the bytecode at the current pc and run it at once,
+        charging no dispatch prologue.  A [Call] outcome must return a
+        frame whose [parent] is already set to the current frame.  The
+        [Trace_ops] meta-interpreter always records through this; the
+        [Direct_ops] instantiation is the reference loop's handler, run
+        when the threaded-dispatch tier ({!Threaded}), which stages the
+        same definition once per code object, is off. *)
   end
 end

@@ -1,26 +1,31 @@
 (** The threaded-dispatch interpreter tier.
 
-    PR 3 proved the translate-once closure pattern on traces
-    ({!Executor}): compile each code object {e once} into an array of
-    pre-bound step closures and dispatch by indexed call instead of
-    decode-and-match (Izawa & Masuhara, "Threaded Code Generation with a
-    Meta-Tracing JIT Compiler", 2021).  This module is the seam that
-    extends the same pattern down to the interpreters themselves: the
-    hosted language translates [Bytecode]/[Kbytecode] code objects into
-    [step] arrays over {!Direct_ops}, and {!Driver.Make} runs them in
-    place of the reference [Step(Direct_ops)] match loop.
+    The trace executor ({!Executor}) translates each trace {e once} into
+    an array of pre-bound step closures and dispatches by indexed call
+    instead of decode-and-match (Izawa & Masuhara, "Threaded Code
+    Generation with a Meta-Tracing JIT Compiler", 2021).  This module is
+    the seam that extends the same pattern down to the interpreters
+    themselves: the hosted language stages each [Bytecode]/[Kbytecode]
+    code object into a [step] array over {!Direct_ops}, and
+    {!Driver.Make} runs it in place of the reference
+    [Step(Direct_ops).step_ref] loop.  As in Izawa et al., the threaded
+    code is derived from the interpreter definition the meta-tracer
+    runs: each language's [Step] functor stages every bytecode once, and
+    a standalone step is that staged handler with {!charger}'s dispatch
+    prologue as its charge.
 
     The contract is strict: a threaded step must emit {e exactly} the
     charge sequence of one reference dispatch-loop iteration — the
     [Dispatch_tick] annotation, the dispatch cost bundle, the indirect
     dispatch branch, then the handler's own operations, in that order —
-    so simulated counters stay byte-identical between the two loops
-    (held by test/test_dispatch_diff.ml).  Only host-side work may
-    differ: operand decode, constant-pool loads, [Builtin.of_tag] and
-    jump-target resolution all happen at translate time, and the hottest
-    bytecode pairs are fused into superinstructions whose interior
-    stack traffic is elided (safe because pushes and pops charge
-    nothing, and fused operands stay GC-reachable through the locals). *)
+    so simulated counters stay byte-identical between the two loops.
+    Standalone steps meet it by construction.  The hand-written
+    superinstructions, which fuse the hottest bytecode pairs and elide
+    their interior stack traffic (safe because pushes and pops charge
+    nothing, and fused operands stay GC-reachable through the locals),
+    are what test/test_dispatch_diff.ml still guards.  Only host-side
+    work differs: operand decode, constant-pool loads and jump-target
+    resolution happen once per translation. *)
 
 open Mtj_core
 module Engine = Mtj_machine.Engine
@@ -41,18 +46,13 @@ type dispatch = {
 (** per-code dispatch-charging context, bound into every step closure at
     translate time so the hot path re-checks nothing per bytecode *)
 
-(* Must mirror the reference loop's per-iteration prologue in
-   Driver.Make.run_frame byte for byte: annotation, dispatch bundle via
-   the emit_static fast path, then the predictor's indirect branch. *)
-let[@inline] charge d ~target =
-  Engine.annot d.d_eng Annot.Dispatch_tick;
-  Engine.emit_static d.d_eng d.d_tab ~lo:0 ~hi:1;
-  if d.d_indirect then Engine.branch_indirect d.d_eng ~site:d.d_site ~target
-
-(* The same prologue, specialized at translate time: the dispatch record
-   is torn apart once per code translation, so each emitted step pays a
-   single closure call with no field loads and no [d_indirect] test.
-   Translators bind this as their [charge]. *)
+(* The reference loop's per-iteration prologue in Driver.Make.run_frame,
+   byte for byte (annotation, dispatch bundle via the emit_static fast
+   path, then the predictor's indirect branch), specialized at translate
+   time: the dispatch record is torn apart once per code translation, so
+   each emitted step pays a single closure call with no field loads and
+   no [d_indirect] test.  Translators pass this to their staged handlers
+   as the [charge]. *)
 let charger d =
   let eng = d.d_eng and tab = d.d_tab in
   if d.d_indirect then

@@ -1,13 +1,27 @@
 (** The rklite bytecode interpreter, functorized over the OPS seam
     (the Pycket analogue: same meta-tracing framework, different hosted
-    language). *)
+    language).  As in {!Interp}, [Step (O)] defines every bytecode once,
+    staged ([stage]), and the threaded tier ([threaded_code]), the
+    reference loop and the meta-tracer ([step_ref]) all run that one
+    definition. *)
 
 open Mtj_rt
 open Mtj_rjit
 open Kbytecode
 
+(* 2-argument comparison chains: [cmp_chain] on two operands is one
+   compare and one truth test, then a (free) Bool constant *)
+let cmp2_op : prim -> Ops_intf.cmp option = function
+  | P_lt -> Some Ops_intf.Lt
+  | P_le -> Some Ops_intf.Le
+  | P_gt -> Some Ops_intf.Gt
+  | P_ge -> Some Ops_intf.Ge
+  | P_numeq -> Some Ops_intf.Eq
+  | _ -> None
+
 module Step (O : Ops_intf.OPS) = struct
   type frame = (O.t, Kbytecode.code) Frame.t
+  type step = frame -> (O.t, Kbytecode.code) Frame.outcome
 
   let err = Semantics.err
 
@@ -124,264 +138,91 @@ module Step (O : Ops_intf.OPS) = struct
         err "%s: wrong number of arguments (%d)" (prim_name p)
           (List.length args)
 
-  let step cx (globals : Globals.t) (f : frame) :
-      (O.t, Kbytecode.code) Frame.outcome =
-    let pc = f.Frame.pc in
-    let instr = f.Frame.code.Kbytecode.instrs.(pc) in
-    let continue_at next =
-      f.Frame.pc <- next;
-      Frame.Continue
-    in
-    let next () = continue_at (pc + 1) in
-    match instr with
-    | K_CONST v ->
-        Frame.push f (O.const cx v);
-        next ()
-    | K_LOCAL slot ->
-        Frame.push f f.Frame.locals.(slot);
-        next ()
-    | K_SET_LOCAL slot ->
-        f.Frame.locals.(slot) <- Frame.pop f;
-        next ()
-    | K_GLOBAL name ->
-        Frame.push f (O.load_global cx globals name);
-        next ()
-    | K_SET_GLOBAL name ->
-        O.store_global cx globals name (Frame.pop f);
-        next ()
-    | K_CELL_GET slot ->
-        Frame.push f (O.cell_get cx f.Frame.locals.(slot));
-        next ()
-    | K_CELL_SET slot ->
-        let v = Frame.pop f in
-        O.cell_set cx f.Frame.locals.(slot) v;
-        next ()
-    | K_MAKE_CELL slot ->
-        f.Frame.locals.(slot) <- O.make_cell cx f.Frame.locals.(slot);
-        next ()
-    | K_CLOSURE { code_ref; arity; cname; capture_slots } ->
-        let cells = Array.map (fun s -> f.Frame.locals.(s)) capture_slots in
-        Frame.push f (O.make_closure cx ~code_ref ~arity ~fname:cname cells);
-        next ()
-    | K_CALL nargs ->
-        let args = pop_args cx f nargs in
-        let callee = Frame.pop f in
-        let fn = O.guard_func cx callee in
-        if fn.Value.code_ref < 0 then begin
-          let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
-          let r = O.call_builtin cx b args in
-          Frame.push f r;
-          next ()
-        end
-        else begin
-          if fn.Value.arity <> nargs then
-            err "%s: expects %d arguments, got %d" fn.Value.func_name
-              fn.Value.arity nargs;
-          let code = Kcode_table.lookup fn.Value.code_ref in
-          f.Frame.pc <- pc + 1;
-          let nf = make_frame cx code (Some f) in
-          Array.blit args 0 nf.Frame.locals 0 nargs;
-          (* copy the captured cells into the capture slots *)
-          for i = 0 to code.Kbytecode.ncaptured - 1 do
-            nf.Frame.locals.(code.Kbytecode.nargs + i) <-
-              O.func_captured cx callee i
-          done;
-          Frame.Call nf
-        end
-    | K_TAILCALL nargs ->
-        let args = pop_args cx f nargs in
-        let callee = Frame.pop f in
-        let fn = O.guard_func cx callee in
-        if fn.Value.code_ref < 0 then begin
-          let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
-          let r = O.call_builtin cx b args in
-          Frame.Return r
-        end
-        else begin
-          if fn.Value.arity <> nargs then
-            err "%s: expects %d arguments, got %d" fn.Value.func_name
-              fn.Value.arity nargs;
-          let code = Kcode_table.lookup fn.Value.code_ref in
-          (* proper tail call: the new frame replaces this one *)
-          let nf = make_frame cx code f.Frame.parent in
-          nf.Frame.discard_return <- f.Frame.discard_return;
-          Array.blit args 0 nf.Frame.locals 0 nargs;
-          for i = 0 to code.Kbytecode.ncaptured - 1 do
-            nf.Frame.locals.(code.Kbytecode.nargs + i) <-
-              O.func_captured cx callee i
-          done;
-          (* the replaced frame is dead the instant we hand back [nf]:
-             nothing simulated can run between here and the driver
-             swapping its chain head, so its arrays can be recycled *)
-          Frame.release ~pool:(O.frame_pool cx) f;
-          Frame.Call nf
-        end
-    | K_TAILJUMP nargs ->
-        (* refresh the parameters and restart the function body *)
-        for i = nargs - 1 downto 0 do
-          f.Frame.locals.(i) <- Frame.pop f
-        done;
-        (* re-box celled parameters for the next iteration *)
-        continue_at 0
-    | K_JUMP t -> continue_at t
-    | K_JUMP_IF_FALSE t ->
-        let v = Frame.pop f in
-        if O.is_true cx v then next () else continue_at t
-    | K_JFALSE_OR_POP t ->
-        let v = Frame.peek f 0 in
-        if O.is_true cx v then begin
-          ignore (Frame.pop f);
-          next ()
-        end
-        else continue_at t
-    | K_JTRUE_OR_POP t ->
-        let v = Frame.peek f 0 in
-        if O.is_true cx v then continue_at t
-        else begin
-          ignore (Frame.pop f);
-          next ()
-        end
-    | K_RETURN -> Frame.Return (Frame.pop f)
-    | K_POP ->
-        ignore (Frame.pop f);
-        next ()
-    | K_PRIM (p, nargs) ->
-        let rec pops n acc =
-          if n = 0 then acc else pops (n - 1) (Frame.pop f :: acc)
-        in
-        let args = pops nargs [] in
-        let r = prim cx globals f p args in
-        Frame.push f r;
-        next ()
+  (* 2-argument prims whose [prim] case reduces to exactly one
+     arithmetic operation: resolved when a K_PRIM is staged (and by the
+     superinstruction table) *)
+  let arith2_fn : prim -> (O.cx -> O.t -> O.t -> O.t) option = function
+    | P_add -> Some O.add
+    | P_sub -> Some O.sub
+    | P_mul -> Some O.mul
+    | P_div -> Some O.truediv
+    | P_quotient -> Some O.floordiv
+    | P_remainder | P_modulo -> Some O.modulo
+    | _ -> None
 
-  (* the reference decode-and-match loop, under the name the driver and
-     the threaded tier know it by *)
-  let step_ref = step
-end
+  let[@inline] continue_at (f : frame) pc =
+    f.Frame.pc <- pc;
+    Frame.Continue
 
-(* ------------------------------------------------------------------ *)
-(* The threaded-dispatch tier (the rklite half of {!Mtj_rjit.Threaded}).
-
-   Mirrors [Interp.threaded_code]: one pre-bound closure per bytecode
-   over [Direct_ops], operands and prim dispatch resolved at translate
-   time, hottest shapes fused.  Charge sequences are byte-identical to
-   [Step(Direct_ops).step_ref] (held by test/test_dispatch_diff.ml). *)
-
-module D_ref = Step (Direct_ops)
-
-type dstep = (Direct_ops.t, Kbytecode.code) Threaded.step
-
-(* 2-argument prims whose reference handler reduces to exactly one
-   Direct_ops call (a single arithmetic charge): pre-resolved for the
-   standalone K_PRIM step and the K_LOCAL+K_LOCAL+K_PRIM fusion *)
-let arith2_fn :
-    prim -> (Direct_ops.cx -> Direct_ops.t -> Direct_ops.t -> Direct_ops.t) option
-    = function
-  | P_add -> Some Direct_ops.add
-  | P_sub -> Some Direct_ops.sub
-  | P_mul -> Some Direct_ops.mul
-  | P_div -> Some Direct_ops.truediv
-  | P_quotient -> Some Direct_ops.floordiv
-  | P_remainder | P_modulo -> Some Direct_ops.modulo
-  | _ -> None
-
-(* 2-argument comparison chains: [cmp_chain] on [a; b] charges one
-   compare and one is_true, then pushes the (free) Bool const *)
-let cmp2_op : prim -> Ops_intf.cmp option = function
-  | P_lt -> Some Ops_intf.Lt
-  | P_le -> Some Ops_intf.Le
-  | P_gt -> Some Ops_intf.Gt
-  | P_ge -> Some Ops_intf.Ge
-  | P_numeq -> Some Ops_intf.Eq
-  | _ -> None
-
-let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
-    (d : Threaded.dispatch) (code : Kbytecode.code) : dstep array =
-  let instrs = code.Kbytecode.instrs in
-  let hdrs = code.Kbytecode.headers in
-  let n = Array.length instrs in
-  let charge = Threaded.charger d in
-  let err = Semantics.err in
-  (* a stale code table must fail at translation, not mid-run *)
-  Array.iter
-    (function
-      | K_CLOSURE { code_ref; _ } -> ignore (Kcode_table.lookup code_ref)
-      | _ -> ())
-    instrs;
-  let step_of pc instr : dstep =
+  (* The one definition of every bytecode, staged, under the rules of
+     [Interp.Step.stage]: [stage cx globals ~charge pc instr] decodes
+     [instr] and returns the step that runs it, [charge ~target] first;
+     staging charges nothing, allocates nothing simulated and records
+     no IR. *)
+  let stage cx (globals : Globals.t) ~(charge : target:int -> unit) pc
+      (instr : Kbytecode.instr) : step =
     let target = Kbytecode.tag instr in
     let next = pc + 1 in
     match instr with
     | K_CONST v ->
-        let c = Direct_ops.const cx v in
+        let c = O.const cx v in
         fun f ->
           charge ~target;
           Frame.push f c;
-          f.Frame.pc <- next;
-          Frame.Continue
+          continue_at f next
     | K_LOCAL slot ->
         fun f ->
           charge ~target;
           Frame.push f f.Frame.locals.(slot);
-          f.Frame.pc <- next;
-          Frame.Continue
+          continue_at f next
     | K_SET_LOCAL slot ->
         fun f ->
           charge ~target;
           f.Frame.locals.(slot) <- Frame.pop f;
-          f.Frame.pc <- next;
-          Frame.Continue
+          continue_at f next
     | K_GLOBAL name ->
         fun f ->
           charge ~target;
-          Frame.push f (Direct_ops.load_global cx globals name);
-          f.Frame.pc <- next;
-          Frame.Continue
+          Frame.push f (O.load_global cx globals name);
+          continue_at f next
     | K_SET_GLOBAL name ->
         fun f ->
           charge ~target;
-          Direct_ops.store_global cx globals name (Frame.pop f);
-          f.Frame.pc <- next;
-          Frame.Continue
+          O.store_global cx globals name (Frame.pop f);
+          continue_at f next
     | K_CELL_GET slot ->
         fun f ->
           charge ~target;
-          Frame.push f (Direct_ops.cell_get cx f.Frame.locals.(slot));
-          f.Frame.pc <- next;
-          Frame.Continue
+          Frame.push f (O.cell_get cx f.Frame.locals.(slot));
+          continue_at f next
     | K_CELL_SET slot ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          Direct_ops.cell_set cx f.Frame.locals.(slot) v;
-          f.Frame.pc <- next;
-          Frame.Continue
+          O.cell_set cx f.Frame.locals.(slot) v;
+          continue_at f next
     | K_MAKE_CELL slot ->
         fun f ->
           charge ~target;
-          f.Frame.locals.(slot) <- Direct_ops.make_cell cx f.Frame.locals.(slot);
-          f.Frame.pc <- next;
-          Frame.Continue
+          f.Frame.locals.(slot) <- O.make_cell cx f.Frame.locals.(slot);
+          continue_at f next
     | K_CLOSURE { code_ref; arity; cname; capture_slots } ->
         fun f ->
           charge ~target;
           let cells = Array.map (fun s -> f.Frame.locals.(s)) capture_slots in
-          Frame.push f
-            (Direct_ops.make_closure cx ~code_ref ~arity ~fname:cname cells);
-          f.Frame.pc <- next;
-          Frame.Continue
+          Frame.push f (O.make_closure cx ~code_ref ~arity ~fname:cname cells);
+          continue_at f next
     | K_CALL nargs ->
         fun f ->
           charge ~target;
-          let args = D_ref.pop_args cx f nargs in
+          let args = pop_args cx f nargs in
           let callee = Frame.pop f in
-          let fn = Direct_ops.guard_func cx callee in
+          let fn = O.guard_func cx callee in
           if fn.Value.code_ref < 0 then begin
             let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
-            let r = Direct_ops.call_builtin cx b args in
+            let r = O.call_builtin cx b args in
             Frame.push f r;
-            f.Frame.pc <- next;
-            Frame.Continue
+            continue_at f next
           end
           else begin
             if fn.Value.arity <> nargs then
@@ -389,23 +230,24 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
                 fn.Value.arity nargs;
             let code = Kcode_table.lookup fn.Value.code_ref in
             f.Frame.pc <- next;
-            let nf = D_ref.make_frame cx code (Some f) in
+            let nf = make_frame cx code (Some f) in
             Array.blit args 0 nf.Frame.locals 0 nargs;
+            (* copy the captured cells into the capture slots *)
             for i = 0 to code.Kbytecode.ncaptured - 1 do
               nf.Frame.locals.(code.Kbytecode.nargs + i) <-
-                Direct_ops.func_captured cx callee i
+                O.func_captured cx callee i
             done;
             Frame.Call nf
           end
     | K_TAILCALL nargs ->
         fun f ->
           charge ~target;
-          let args = D_ref.pop_args cx f nargs in
+          let args = pop_args cx f nargs in
           let callee = Frame.pop f in
-          let fn = Direct_ops.guard_func cx callee in
+          let fn = O.guard_func cx callee in
           if fn.Value.code_ref < 0 then begin
             let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
-            let r = Direct_ops.call_builtin cx b args in
+            let r = O.call_builtin cx b args in
             Frame.Return r
           end
           else begin
@@ -413,55 +255,55 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
               err "%s: expects %d arguments, got %d" fn.Value.func_name
                 fn.Value.arity nargs;
             let code = Kcode_table.lookup fn.Value.code_ref in
-            let nf = D_ref.make_frame cx code f.Frame.parent in
+            (* proper tail call: the new frame replaces this one *)
+            let nf = make_frame cx code f.Frame.parent in
             nf.Frame.discard_return <- f.Frame.discard_return;
             Array.blit args 0 nf.Frame.locals 0 nargs;
             for i = 0 to code.Kbytecode.ncaptured - 1 do
               nf.Frame.locals.(code.Kbytecode.nargs + i) <-
-                Direct_ops.func_captured cx callee i
+                O.func_captured cx callee i
             done;
-            Frame.release ~pool:(Direct_ops.frame_pool cx) f;
+            (* the replaced frame is dead the instant we hand back [nf]:
+               nothing simulated can run between here and the driver
+               swapping its chain head, so its arrays can be recycled *)
+            Frame.release ~pool:(O.frame_pool cx) f;
             Frame.Call nf
           end
     | K_TAILJUMP nargs ->
+        (* refresh the parameters and restart the function body *)
         fun f ->
           charge ~target;
           for i = nargs - 1 downto 0 do
             f.Frame.locals.(i) <- Frame.pop f
           done;
-          f.Frame.pc <- 0;
-          Frame.Continue
+          continue_at f 0
     | K_JUMP t ->
         fun f ->
           charge ~target;
-          f.Frame.pc <- t;
-          Frame.Continue
+          continue_at f t
     | K_JUMP_IF_FALSE t ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          f.Frame.pc <- (if Direct_ops.is_true cx v then next else t);
-          Frame.Continue
+          continue_at f (if O.is_true cx v then next else t)
     | K_JFALSE_OR_POP t ->
         fun f ->
           charge ~target;
           let v = Frame.peek f 0 in
-          if Direct_ops.is_true cx v then begin
+          if O.is_true cx v then begin
             ignore (Frame.pop f);
-            f.Frame.pc <- next
+            continue_at f next
           end
-          else f.Frame.pc <- t;
-          Frame.Continue
+          else continue_at f t
     | K_JTRUE_OR_POP t ->
         fun f ->
           charge ~target;
           let v = Frame.peek f 0 in
-          if Direct_ops.is_true cx v then f.Frame.pc <- t
+          if O.is_true cx v then continue_at f t
           else begin
             ignore (Frame.pop f);
-            f.Frame.pc <- next
-          end;
-          Frame.Continue
+            continue_at f next
+          end
     | K_RETURN ->
         fun f ->
           charge ~target;
@@ -470,42 +312,72 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
         fun f ->
           charge ~target;
           ignore (Frame.pop f);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | K_PRIM (p, 2) when arith2_fn p <> None ->
-        let fn = Option.get (arith2_fn p) in
-        fun f ->
-          charge ~target;
-          let y = Frame.pop f in
-          let x = Frame.pop f in
-          Frame.push f (fn cx x y);
-          f.Frame.pc <- next;
-          Frame.Continue
-    | K_PRIM (p, 2) when cmp2_op p <> None ->
-        let op = Option.get (cmp2_op p) in
-        fun f ->
-          charge ~target;
-          let y = Frame.pop f in
-          let x = Frame.pop f in
-          let r = Direct_ops.compare cx op x y in
-          Frame.push f (Value.of_bool (Direct_ops.is_true cx r));
-          f.Frame.pc <- next;
-          Frame.Continue
-    | K_PRIM (p, nargs) ->
-        (* cold prims: pre-bind the dispatch charge and the prim symbol,
-           reuse the reference dispatcher *)
-        fun f ->
-          charge ~target;
-          let rec pops n acc =
-            if n = 0 then acc else pops (n - 1) (Frame.pop f :: acc)
-          in
-          let args = pops nargs [] in
-          let r = D_ref.prim cx globals f p args in
-          Frame.push f r;
-          f.Frame.pc <- next;
-          Frame.Continue
+          continue_at f next
+    | K_PRIM (p, nargs) -> (
+        match (nargs, arith2_fn p, cmp2_op p) with
+        | 2, Some fn, _ ->
+            fun f ->
+              charge ~target;
+              let y = Frame.pop f in
+              let x = Frame.pop f in
+              Frame.push f (fn cx x y);
+              continue_at f next
+        | 2, None, Some op ->
+            fun f ->
+              charge ~target;
+              let y = Frame.pop f in
+              let x = Frame.pop f in
+              let r = O.compare cx op x y in
+              Frame.push f (O.const cx (Value.of_bool (O.is_true cx r)));
+              continue_at f next
+        | _ ->
+            fun f ->
+              charge ~target;
+              let rec pops n acc =
+                if n = 0 then acc else pops (n - 1) (Frame.pop f :: acc)
+              in
+              let args = pops nargs [] in
+              let r = prim cx globals f p args in
+              Frame.push f r;
+              continue_at f next)
+
+  let no_charge ~target:_ = ()
+
+  (* the reference handler: stage the bytecode at the current pc and
+     run it at once, charging nothing (see [Interp.Step.step_ref]) *)
+  let step_ref cx globals (f : frame) =
+    let pc = f.Frame.pc in
+    stage cx globals ~charge:no_charge pc f.Frame.code.Kbytecode.instrs.(pc) f
+end
+
+(* ------------------------------------------------------------------ *)
+(* The threaded-dispatch tier (the rklite half of {!Mtj_rjit.Threaded}).
+
+   As in [Interp.threaded_code]: every pc is staged once through
+   [Step(Direct_ops).stage] with the dispatch prologue as the charge,
+   then the hottest shapes are fused into superinstructions whose
+   charge sequences match the steps they replace (held by
+   test/test_dispatch_diff.ml). *)
+
+module D_ref = Step (Direct_ops)
+
+type dstep = (Direct_ops.t, Kbytecode.code) Threaded.step
+
+let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
+    (d : Threaded.dispatch) (code : Kbytecode.code) : dstep array =
+  let instrs = code.Kbytecode.instrs in
+  let hdrs = code.Kbytecode.headers in
+  let n = Array.length instrs in
+  let charge = Threaded.charger d in
+  (* a stale code table must fail at translation, not mid-run *)
+  Array.iter
+    (function
+      | K_CLOSURE { code_ref; _ } -> ignore (Kcode_table.lookup code_ref)
+      | _ -> ())
+    instrs;
+  let steps =
+    Array.init n (fun pc -> D_ref.stage cx globals ~charge pc instrs.(pc))
   in
-  let steps = Array.init n (fun pc -> step_of pc instrs.(pc)) in
   (* superinstructions, same rules as the pylite translator: fused form
      at the head pc only, interior pcs keep their standalone steps and
      must not be loop headers, interior dispatch charges are emitted
@@ -519,8 +391,8 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
         let t2 = Kbytecode.tag instrs.(pc + 2) in
         let nx = pc + 3 in
         match (instrs.(pc + 1), instrs.(pc + 2)) with
-        | K_LOCAL b, K_PRIM (p, 2) when arith2_fn p <> None ->
-            let fn = Option.get (arith2_fn p) in
+        | K_LOCAL b, K_PRIM (p, 2) when D_ref.arith2_fn p <> None ->
+            let fn = Option.get (D_ref.arith2_fn p) in
             Some
               (fun f ->
                 charge ~target:t0;

@@ -180,7 +180,8 @@ let mk_guard gkind =
     bridgeable = true;
   }
 
-let holds g vals = Executor.guard_holds (mk_guard g) (Array.of_list vals)
+let holds g vals =
+  Executor.guard_test (mk_guard g) (Array.of_list (List.map (fun v () -> v) vals)) ()
 
 let test_guard_kinds () =
   Alcotest.(check bool) "true holds" true (holds Ir.G_true [ V.of_bool true ]);

@@ -266,7 +266,18 @@ let test_peeling_duplicates () =
 let test_eval_int_ops () =
   Alcotest.(check bool) "add" true (Eval_op.eval Ir.Int_add [| V.of_int 2; V.of_int 3 |] = V.of_int 5);
   Alcotest.(check bool) "mod" true (Eval_op.eval Ir.Int_mod [| V.of_int (-7); V.of_int 3 |] = V.of_int 2);
-  Alcotest.(check bool) "lt" true (Eval_op.eval Ir.Int_lt [| V.of_int 1; V.of_int 2 |] = V.of_bool true)
+  Alcotest.(check bool) "lt" true (Eval_op.eval Ir.Int_lt [| V.of_int 1; V.of_int 2 |] = V.of_bool true);
+  (* a shift count at or past the word size clamps: every bit shifts
+     out of a non-negative operand, whatever the hardware does with the
+     count *)
+  List.iter
+    (fun (x, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d >> %d" x n)
+        true
+        (Eval_op.eval Ir.Int_rshift [| V.of_int x; V.of_int n |] = V.of_int 0))
+    [ (12345, 62); (12345, 63); (12345, 64); (12345, 100);
+      (max_int, 62); (max_int, 63); (max_int, 64); (max_int, 100) ]
 
 let test_eval_errors () =
   Alcotest.(check bool) "div by zero raises" true

@@ -179,16 +179,17 @@ let gen_step st =
   let rnd n = Random.State.int st.rng n in
   let int_reg () = Option.get (pick_kind st RInt) in
   let float_reg () = Option.get (pick_kind st RFloat) in
-  match rnd 16 with
+  match rnd 20 with
   | 0 | 1 ->
-      (* int arithmetic *)
+      (* int arithmetic; the multiply is unguarded, so it wraps *)
       let a = int_reg () and b = int_reg () in
       let opc =
-        match rnd 5 with
+        match rnd 6 with
         | 0 -> Ir.Int_add
         | 1 -> Ir.Int_sub
         | 2 -> Ir.Int_xor
         | 3 -> Ir.Int_and
+        | 4 -> Ir.Int_mul
         | _ -> Ir.Int_or
       in
       let r = fresh st RInt in
@@ -248,10 +249,12 @@ let gen_step st =
       (* float compare + fused guard *)
       let a = float_reg () and b = float_reg () in
       let opc =
-        match rnd 4 with
+        match rnd 6 with
         | 0 -> Ir.Float_lt
         | 1 -> Ir.Float_le
         | 2 -> Ir.Float_eq
+        | 3 -> Ir.Float_ne
+        | 4 -> Ir.Float_ge
         | _ -> Ir.Float_gt
       in
       let r = fresh st RBool in
@@ -274,7 +277,14 @@ let gen_step st =
       match pick_kind st RStr with
       | None -> ()
       | Some s -> (
-          match rnd 4 with
+          match rnd 6 with
+          | 4 ->
+              let r = fresh st RInt in
+              emit st ~result:r Ir.Unicode_len [| Ir.Reg s |]
+          | 5 ->
+              let r = fresh st RStr in
+              emit st ~result:r Ir.Unicode_getitem
+                [| Ir.Reg s; Ir.Const (V.of_int (rnd 6)) |]
           | 0 ->
               let r = fresh st RStr in
               emit st ~result:r Ir.Str_concat
@@ -344,6 +354,54 @@ let gen_step st =
         | _ -> [| Ir.Reg a |]
       in
       emit_guard st gk args
+  | 15 ->
+      (* shifts, operands drawn from the recorder's domains: a right
+         shift of a non-negative int by 0-100 (at or past the word size
+         the count clamps), a left shift of an int within +-2^20 by a
+         constant below 40 *)
+      let masked = fresh st RInt in
+      emit st ~result:masked Ir.Int_and
+        [| Ir.Reg (int_reg ()); Ir.Const (V.of_int 0xFFFFF) |];
+      let r = fresh st RInt in
+      if rnd 2 = 0 then
+        emit st ~result:r Ir.Int_rshift
+          [| Ir.Reg masked; Ir.Const (V.of_int (rnd 101)) |]
+      else begin
+        let x = fresh st RInt in
+        emit st ~result:x Ir.Int_sub
+          [| Ir.Reg masked; Ir.Const (V.of_int 0x80000) |];
+        emit st ~result:r Ir.Int_lshift
+          [| Ir.Reg x; Ir.Const (V.of_int (rnd 40)) |]
+      end
+  | 16 -> (
+      (* unary float ops and the truncating cast back to int *)
+      let a = float_reg () in
+      match rnd 3 with
+      | 0 -> emit st ~result:(fresh st RFloat) Ir.Float_neg [| Ir.Reg a |]
+      | 1 -> emit st ~result:(fresh st RFloat) Ir.Float_abs [| Ir.Reg a |]
+      | _ -> emit st ~result:(fresh st RInt) Ir.Cast_float_to_int [| Ir.Reg a |])
+  | 17 ->
+      (* identity compares on ints or heap objects, sometimes fused with
+         a guard on the result *)
+      let kind =
+        match (pick_kind st RArr, pick_kind st RList) with
+        | Some _, _ when rnd 2 = 0 -> RArr
+        | _, Some _ when rnd 2 = 0 -> RList
+        | _ -> RInt
+      in
+      let a = Option.get (pick_kind st kind)
+      and b = Option.get (pick_kind st kind) in
+      let r = fresh st RBool in
+      emit st ~result:r
+        (if rnd 2 = 0 then Ir.Ptr_eq else Ir.Ptr_ne)
+        [| Ir.Reg a; Ir.Reg b |];
+      if rnd 2 = 0 then
+        emit_guard st
+          (if rnd 2 = 0 then Ir.G_true else Ir.G_false)
+          [| Ir.Reg r |]
+  | 18 ->
+      let a = int_reg () in
+      emit st ~result:(fresh st RInt) Ir.Same_as [| Ir.Reg a |]
   | _ -> emit_dmp st
 
 (* xor-fold the int registers so corrupted dataflow changes the answer *)
@@ -420,11 +478,31 @@ let prop_threaded_identical =
         QCheck.Test.fail_reportf "seed %d diverged:\n--- reference:\n%s--- threaded:\n%s"
           seed reference threaded)
 
-(* the property only bites if the generator reaches all three outcomes *)
+(* every opcode [Eval_op.stage] defines: the property compares the two
+   executors' closures for an opcode only if the generator emits it *)
+let pure_opcodes =
+  Ir.
+    [
+      Int_add; Int_sub; Int_mul; Int_and; Int_or; Int_xor; Int_lshift;
+      Int_rshift; Int_lt; Int_le; Int_eq; Int_ne; Int_gt; Int_ge; Int_neg;
+      Int_is_true; Int_is_zero; Int_floordiv; Int_mod; Float_add; Float_sub;
+      Float_mul; Float_truediv; Float_neg; Float_abs; Float_lt; Float_le;
+      Float_eq; Float_ne; Float_gt; Float_ge; Cast_int_to_float;
+      Cast_float_to_int; Str_concat; Str_eq; Strlen; Strgetitem; Ptr_eq;
+      Ptr_ne; Same_as; Unicode_len; Unicode_getitem;
+    ]
+
+(* the property only bites if the generator reaches all three outcomes
+   and every pure opcode *)
 let test_generator_coverage () =
   let finish = ref 0 and guard = ref 0 and boundary = ref 0 in
+  let seen = Hashtbl.create 64 in
   for seed = 1 to 150 do
     let ops, entry = gen_program seed in
+    Array.iter
+      (fun (op : Ir.op) ->
+        if Eval_op.foldable op.Ir.opcode then Hashtbl.replace seen op.Ir.opcode ())
+      ops;
     let r = run_random Executor.run_ref ops entry in
     let contains sub =
       let n = String.length sub in
@@ -439,24 +517,32 @@ let test_generator_coverage () =
   done;
   Alcotest.(check bool) "some finish" true (!finish > 10);
   Alcotest.(check bool) "some guard deopts" true (!guard > 10);
-  Alcotest.(check bool) "some boundary deopts" true (!boundary > 3)
+  Alcotest.(check bool) "some boundary deopts" true (!boundary > 3);
+  List.iter
+    (fun opc ->
+      let name = Ir.opcode_name opc in
+      Alcotest.(check bool) (name ^ " is pure") true (Eval_op.foldable opc);
+      Alcotest.(check bool) (name ^ " generated") true (Hashtbl.mem seen opc))
+    pure_opcodes
 
 (* ---------- deterministic multi-trace scenarios ---------- *)
 
-let snap_reg r =
+let snap_regs rs =
   {
     Ir.frames =
       [
         {
           Ir.snap_code = 1;
           snap_pc = 0;
-          snap_locals = [| Ir.S_reg r |];
+          snap_locals = Array.of_list (List.map (fun r -> Ir.S_reg r) rs);
           snap_stack = [||];
           snap_discard = false;
         };
       ];
     r_virtuals = [||];
   }
+
+let snap_reg r = snap_regs [ r ]
 
 let mk_guard ~id gkind resume =
   { Ir.guard_id = id; gkind; resume; fail_count = 0; bridge = None;
@@ -566,7 +652,9 @@ let scenario_tiered (exec : executor) =
   let e = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
   observe rtc [ trace ] [ e ]
 
-(* integer overflow inside a fused op+guard pair *)
+(* integer overflow inside a fused op+guard pair; the guard's resume
+   also reads the op's result, so the deopt shows the wrapped value the
+   op stored before its guard failed *)
 let scenario_ovf_fused (exec : executor) =
   let rtc = Mtj_rt.Ctx.create () in
   let jitlog = Jitlog.create () in
@@ -579,7 +667,8 @@ let scenario_ovf_fused (exec : executor) =
       { Ir.opcode = Ir.Int_add;
         args = [| Ir.Reg 0; Ir.Const (V.of_int 1) |]; result = 1 };
       { Ir.opcode =
-          Ir.Guard (mk_guard ~id:(9100 + entry_ovf) Ir.G_no_ovf_add (snap_reg 0));
+          Ir.Guard
+            (mk_guard ~id:(9100 + entry_ovf) Ir.G_no_ovf_add (snap_regs [ 0; 1 ]));
         args = [| Ir.Reg 0; Ir.Const (V.of_int 1) |]; result = -1 };
       { Ir.opcode = Ir.Finish; args = [| Ir.Reg 1 |]; result = -1 };
     |]
