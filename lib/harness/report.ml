@@ -55,7 +55,7 @@ let write_timings ~file ~jobs ~total_wall ~experiments =
     (timings_json ~jobs ~total_wall ~experiments ~runs:(R.run_timings ()));
   Printf.eprintf "[timings written to %s]\n%!" file
 
-(* --- metrics ("mtj-metrics/8") --- *)
+(* --- metrics ("mtj-metrics/10") --- *)
 
 let status_name = function
   | R.Ok_run -> "ok"
@@ -136,7 +136,6 @@ let metrics_json (r : R.result) =
       ("boxed_slow_path_hits", J.Int r.R.boxed_slow_path_hits);
       ("typed_ops_total", J.Int r.R.typed_ops_total);
       ("frame_pool_reuses", J.Int r.R.frame_pool_reuses);
-      ("dict_hash_skips", J.Int r.R.dict_hash_skips);
       ( "phases",
         J.Obj (phase_rows @ [ ("total", Metrics.snapshot_json r.R.total) ]) );
       ("gc", Metrics.gc_json r.R.gc);

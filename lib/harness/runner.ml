@@ -106,7 +106,6 @@ type result = {
   boxed_slow_path_hits : int;
   typed_ops_total : int;
   frame_pool_reuses : int;
-  dict_hash_skips : int;
 }
 
 let default_budget = 200_000_000
@@ -239,7 +238,6 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
       boxed_slow_path_hits = (Ctx.hstats rtc).Hstats.boxed_slow_path_hits;
       typed_ops_total = (Ctx.hstats rtc).Hstats.typed_ops_total;
       frame_pool_reuses = (Ctx.hstats rtc).Hstats.frame_pool_reuses;
-      dict_hash_skips = (Ctx.hstats rtc).Hstats.dict_hash_skips;
     }
   in
   match vc with

@@ -114,8 +114,6 @@ type result = {
           [imm_fast_path_hits + boxed_slow_path_hits] *)
   frame_pool_reuses : int;
       (** locals/stack arrays recycled from a frame pool free list *)
-  dict_hash_skips : int;
-      (** dict/set operations entered with a precomputed key hash *)
 }
 
 val default_budget : int

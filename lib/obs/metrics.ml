@@ -41,8 +41,10 @@ module Engine = Mtj_machine.Engine
    comparison ([seeded] count + first-entry-insns means) and
    [cache_entries]; [shared_cache_stats] gained
    [evictions]/[requeues]/[quota_rejections]/[profile_publications]/
-   [seeded_imports]. *)
-let schema = "mtj-metrics/9"
+   [seeded_imports].
+   v10: run records dropped [dict_hash_skips] with the precomputed
+   key-hash probes it counted. *)
+let schema = "mtj-metrics/10"
 
 let snapshot_json (s : Counters.snapshot) =
   let cache_miss_rate =
@@ -172,7 +174,6 @@ let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks ?hstats () =
         hstat (fun h -> h.Mtj_rt.Hstats.boxed_slow_path_hits) );
       ("typed_ops_total", hstat (fun h -> h.Mtj_rt.Hstats.typed_ops_total));
       ("frame_pool_reuses", hstat (fun h -> h.Mtj_rt.Hstats.frame_pool_reuses));
-      ("dict_hash_skips", hstat (fun h -> h.Mtj_rt.Hstats.dict_hash_skips));
       ("phases", phases_json (Engine.counters engine));
       ("gc", opt gc_json gc);
       ("jit", opt jitlog_json jitlog);

@@ -7,7 +7,7 @@
     diffed without scraping terminal tables. *)
 
 val schema : string
-(** ["mtj-metrics/8"]; written to the document's ["schema"] field. *)
+(** ["mtj-metrics/10"]; written to the document's ["schema"] field. *)
 
 val snapshot_json : Mtj_machine.Counters.snapshot -> Json.t
 (** Raw counters plus the derived rates ([ipc], [branch_mpki],

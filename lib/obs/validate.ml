@@ -320,7 +320,6 @@ let check_hstats run j insns =
       "boxed_slow_path_hits";
       "typed_ops_total";
       "frame_pool_reuses";
-      "dict_hash_skips";
     ];
   (* the immediate-representation split partitions the typed-op total:
      every counted typed-arithmetic entry is exactly one of the two *)
@@ -459,7 +458,7 @@ let check_serve j =
         fail "serve: shared cache off but cache counters nonzero"
 
 let metrics_exn j =
-  check_schema j "mtj-metrics/9";
+  check_schema j "mtj-metrics/10";
   check_serve j;
   let runs = arr_field j "runs" in
   List.iter

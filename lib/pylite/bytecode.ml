@@ -206,13 +206,3 @@ let pp_instr fmt i =
   | FOR_ITER { var; exit; _ } ->
       Format.fprintf fmt "FOR_ITER var=%d exit=%d" var exit
   | other -> Format.pp_print_string fmt (name_of_instr other)
-
-(* String constants of a code object paired with their [Value.py_hash],
-   as the threaded translator precomputes them for subscript fusion;
-   test_value_diff checks these against a fresh [str_hash]. *)
-let str_const_khashes (c : code) : (string * int) list =
-  Array.to_list c.instrs
-  |> List.filter_map (function
-       | LOAD_CONST v when Mtj_rt.Value.is_str v ->
-           Some (Mtj_rt.Value.to_str_unchecked v, Mtj_rt.Value.py_hash v)
-       | _ -> None)

@@ -1,15 +1,18 @@
 (** The pylite bytecode interpreter, written once against the OPS seam.
 
     [Step (O)] defines every bytecode once, staged ([stage]: decode
-    now, run when applied), and every way of running pylite runs that
-    one definition.  Instantiated with {!Mtj_rjit.Direct_ops} it is "the
-    interpreter": [threaded_code] stages each code object into its
-    threaded step array, and [step_ref], the reference loop's handler,
-    stages and runs one bytecode at a time.  Instantiated with
-    {!Mtj_rjit.Trace_ops} it is the meta-interpreter recording traces
-    through [step_ref].  Handler discipline: within one bytecode all
-    guard-recording / error-raising operations run before the first heap
-    side effect, and [pc] is committed last. *)
+    now, run when applied, then fall through to the continuation [k]),
+    and every way of running pylite runs that one definition.
+    Instantiated with {!Mtj_rjit.Direct_ops} it is "the interpreter":
+    [threaded_code] stages each code object into its threaded step
+    array, each step continuing straight into the step at pc + 1, and
+    [step_ref], the reference loop's handler, stages and runs one
+    bytecode at a time.  Instantiated with {!Mtj_rjit.Trace_ops} it is
+    the meta-interpreter recording traces through [step_ref].  Handler
+    discipline: within one bytecode all guard-recording / error-raising
+    operations run before the first heap side effect, and control
+    leaves last (through [k], a committed jump target, or a call or
+    return outcome). *)
 
 open Mtj_rt
 open Mtj_rjit
@@ -49,9 +52,11 @@ module Step (O : Ops_intf.OPS) = struct
     out
 
   (* dispatch a call to any callable value; [args] is in positional
-     order (collected off the stack by [pop_args], no list building) *)
-  let rec call_value cx (f : frame) callee (args : O.t array) :
-      (O.t, Bytecode.code) Frame.outcome =
+     order (collected off the stack by [pop_args], no list building).
+     A call into a frame commits [next] before returning [Call]; a call
+     that completes here (builtin, class without [__init__]) runs [k] *)
+  let rec call_value cx (f : frame) ~next ~(k : step) callee
+      (args : O.t array) : (O.t, Bytecode.code) Frame.outcome =
     let nargs = Array.length args in
     let cv = O.concrete callee in
     if not (Value.is_obj cv) then
@@ -64,8 +69,7 @@ module Step (O : Ops_intf.OPS) = struct
           let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
           let r = O.call_builtin cx b args in
           Frame.push f r;
-          f.Frame.pc <- f.Frame.pc + 1;
-          Frame.Continue
+          k f
         end
         else begin
           let fn = O.guard_func cx callee in
@@ -73,7 +77,7 @@ module Step (O : Ops_intf.OPS) = struct
             err "%s() takes %d arguments (%d given)" fn.Value.func_name
               fn.Value.arity nargs;
           let code = Code_table.lookup fn.Value.code_ref in
-          f.Frame.pc <- f.Frame.pc + 1;
+          f.Frame.pc <- next;
           let nf = make_frame cx code (Some f) in
           Array.blit args 0 nf.Frame.locals 0 nargs;
           Frame.Call nf
@@ -87,7 +91,7 @@ module Step (O : Ops_intf.OPS) = struct
                 (nargs + 1);
             let code = Code_table.lookup initf.Value.code_ref in
             Frame.push f inst;
-            f.Frame.pc <- f.Frame.pc + 1;
+            f.Frame.pc <- next;
             let nf = make_frame cx code (Some f) in
             nf.Frame.discard_return <- true;
             nf.Frame.locals.(0) <- inst;
@@ -96,16 +100,15 @@ module Step (O : Ops_intf.OPS) = struct
         | None ->
             if nargs <> 0 then err "this class takes no constructor arguments";
             Frame.push f inst;
-            f.Frame.pc <- f.Frame.pc + 1;
-            Frame.Continue)
+            k f)
     | Value.Method _ -> (
         match O.method_parts cx callee with
-        | Some (func, recv) -> call_value cx f func (prepend recv args)
+        | Some (func, recv) ->
+            call_value cx f ~next ~k func (prepend recv args)
         | None -> err "broken bound method")
     | _ -> err "%s object is not callable" (Value.type_name cv)
 
-  (* the binop table: a BINARY resolves its function when it is staged,
-     and the superinstruction table uses the same table *)
+  (* the binop table: a BINARY resolves its function when it is staged *)
   let binary_fn : Ast.binop -> O.cx -> O.t -> O.t -> O.t = function
     | Ast.Add -> O.add
     | Ast.Sub -> O.sub
@@ -125,60 +128,64 @@ module Step (O : Ops_intf.OPS) = struct
     Frame.Continue
 
   (* The one definition of every bytecode, staged.  [stage cx globals
-     ~charge pc instr] decodes [instr] (operands, jump targets,
+     ~charge ~k pc instr] decodes [instr] (operands, jump targets,
      constant-pool values, the binop function) and returns the step
      that runs it: [charge ~target] first, then the handler's
-     operations.  Staging only decodes: it charges nothing, allocates
-     nothing simulated and records no IR, so where a bytecode is staged
-     cannot show in simulated counters. *)
-  let stage cx (globals : Globals.t) ~(charge : target:int -> unit) pc
-      (instr : Bytecode.instr) : step =
+     operations, then [k] when the bytecode falls through to [pc + 1].
+     A taken branch or jump commits its target instead, and a call into
+     a frame commits [pc + 1] before returning [Call].  Inside a chain
+     of [k]s, [f.Frame.pc] still holds the chain head's pc, so no
+     handler computes its successor from it.  Staging only decodes: it
+     charges nothing, allocates nothing simulated and records no IR, so
+     where a bytecode is staged cannot show in simulated counters. *)
+  let stage cx (globals : Globals.t) ~(charge : target:int -> unit)
+      ~(k : step) pc (instr : Bytecode.instr) : step =
     let target = Bytecode.tag instr in
     let next = pc + 1 in
     match instr with
     | NOP ->
         fun f ->
           charge ~target;
-          continue_at f next
+          k f
     | LOAD_CONST v ->
         let c = O.const cx v in
         fun f ->
           charge ~target;
           Frame.push f c;
-          continue_at f next
+          k f
     | LOAD_FAST slot ->
         fun f ->
           charge ~target;
           Frame.push f f.Frame.locals.(slot);
-          continue_at f next
+          k f
     | STORE_FAST slot ->
         fun f ->
           charge ~target;
           f.Frame.locals.(slot) <- Frame.pop f;
-          continue_at f next
+          k f
     | LOAD_GLOBAL name ->
         fun f ->
           charge ~target;
           Frame.push f (O.load_global cx globals name);
-          continue_at f next
+          k f
     | STORE_GLOBAL name ->
         fun f ->
           charge ~target;
           O.store_global cx globals name (Frame.pop f);
-          continue_at f next
+          k f
     | LOAD_ATTR name ->
         fun f ->
           charge ~target;
           let obj = Frame.pop f in
           Frame.push f (O.getattr cx obj name);
-          continue_at f next
+          k f
     | STORE_ATTR name ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
           let obj = Frame.pop f in
           O.setattr cx obj name v;
-          continue_at f next
+          k f
     | LOAD_METHOD name ->
         fun f ->
           charge ~target;
@@ -186,21 +193,22 @@ module Step (O : Ops_intf.OPS) = struct
           let callable, self = O.load_method cx obj name in
           Frame.push f callable;
           Frame.push f self;
-          continue_at f next
+          k f
     | CALL_METHOD nargs ->
         fun f ->
           charge ~target;
           let args = pop_args cx f nargs in
           let self = Frame.pop f in
           let callable = Frame.pop f in
-          if Value.is_nil (O.concrete self) then call_value cx f callable args
-          else call_value cx f callable (prepend self args)
+          if Value.is_nil (O.concrete self) then
+            call_value cx f ~next ~k callable args
+          else call_value cx f ~next ~k callable (prepend self args)
     | CALL_FUNCTION nargs ->
         fun f ->
           charge ~target;
           let args = pop_args cx f nargs in
           let callee = Frame.pop f in
-          call_value cx f callee args
+          call_value cx f ~next ~k callee args
     | BINARY op ->
         let fn = binary_fn op in
         fun f ->
@@ -208,26 +216,26 @@ module Step (O : Ops_intf.OPS) = struct
           let b = Frame.pop f in
           let a = Frame.pop f in
           Frame.push f (fn cx a b);
-          continue_at f next
+          k f
     | UNARY_NEG ->
         fun f ->
           charge ~target;
           let a = Frame.pop f in
           Frame.push f (O.neg cx a);
-          continue_at f next
+          k f
     | UNARY_NOT ->
         fun f ->
           charge ~target;
           let a = Frame.pop f in
           Frame.push f (O.not_ cx a);
-          continue_at f next
+          k f
     | COMPARE op ->
         fun f ->
           charge ~target;
           let b = Frame.pop f in
           let a = Frame.pop f in
           Frame.push f (O.compare cx op a b);
-          continue_at f next
+          k f
     | JUMP t ->
         fun f ->
           charge ~target;
@@ -236,19 +244,19 @@ module Step (O : Ops_intf.OPS) = struct
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          continue_at f (if O.is_true cx v then next else t)
+          if O.is_true cx v then k f else continue_at f t
     | POP_JUMP_IF_TRUE t ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          continue_at f (if O.is_true cx v then t else next)
+          if O.is_true cx v then continue_at f t else k f
     | JUMP_IF_FALSE_OR_POP t ->
         fun f ->
           charge ~target;
           let v = Frame.peek f 0 in
           if O.is_true cx v then begin
             ignore (Frame.pop f);
-            continue_at f next
+            k f
           end
           else continue_at f t
     | JUMP_IF_TRUE_OR_POP t ->
@@ -258,18 +266,18 @@ module Step (O : Ops_intf.OPS) = struct
           if O.is_true cx v then continue_at f t
           else begin
             ignore (Frame.pop f);
-            continue_at f next
+            k f
           end
     | BUILD_LIST n ->
         fun f ->
           charge ~target;
           Frame.push f (O.make_list cx (pop_args cx f n));
-          continue_at f next
+          k f
     | BUILD_TUPLE n ->
         fun f ->
           charge ~target;
           Frame.push f (O.make_tuple cx (pop_args cx f n));
-          continue_at f next
+          k f
     | BUILD_DICT n ->
         fun f ->
           charge ~target;
@@ -278,38 +286,38 @@ module Step (O : Ops_intf.OPS) = struct
           in
           for i = n - 1 downto 0 do
             let v = Frame.pop f in
-            let k = Frame.pop f in
-            pairs.(i) <- (k, v)
+            let key = Frame.pop f in
+            pairs.(i) <- (key, v)
           done;
           Frame.push f (O.make_dict cx pairs);
-          continue_at f next
+          k f
     | BUILD_SET n ->
         fun f ->
           charge ~target;
           Frame.push f (O.make_set cx (pop_args cx f n));
-          continue_at f next
+          k f
     | BINARY_SUBSCR ->
         fun f ->
           charge ~target;
-          let k = Frame.pop f in
+          let key = Frame.pop f in
           let obj = Frame.pop f in
-          Frame.push f (O.getitem cx obj k);
-          continue_at f next
+          Frame.push f (O.getitem cx obj key);
+          k f
     | STORE_SUBSCR ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          let k = Frame.pop f in
+          let key = Frame.pop f in
           let obj = Frame.pop f in
-          O.setitem cx obj k v;
-          continue_at f next
+          O.setitem cx obj key v;
+          k f
     | DELETE_SUBSCR ->
         fun f ->
           charge ~target;
-          let k = Frame.pop f in
+          let key = Frame.pop f in
           let obj = Frame.pop f in
-          ignore (O.call_builtin cx Builtin.Del_item [| obj; k |]);
-          continue_at f next
+          ignore (O.call_builtin cx Builtin.Del_item [| obj; key |]);
+          k f
     | GET_SLICE ->
         fun f ->
           charge ~target;
@@ -317,7 +325,7 @@ module Step (O : Ops_intf.OPS) = struct
           let lo = Frame.pop f in
           let obj = Frame.pop f in
           Frame.push f (O.call_builtin cx Builtin.Slice_get [| obj; lo; hi |]);
-          continue_at f next
+          k f
     | SET_SLICE ->
         fun f ->
           charge ~target;
@@ -326,7 +334,7 @@ module Step (O : Ops_intf.OPS) = struct
           let lo = Frame.pop f in
           let obj = Frame.pop f in
           ignore (O.call_builtin cx Builtin.Slice_set [| obj; lo; hi; v |]);
-          continue_at f next
+          k f
     | RETURN_VALUE ->
         fun f ->
           charge ~target;
@@ -340,12 +348,12 @@ module Step (O : Ops_intf.OPS) = struct
         fun f ->
           charge ~target;
           ignore (Frame.pop f);
-          continue_at f next
+          k f
     | DUP_TOP ->
         fun f ->
           charge ~target;
           Frame.push f (Frame.peek f 0);
-          continue_at f next
+          k f
     | UNPACK_SEQUENCE n ->
         fun f ->
           charge ~target;
@@ -354,13 +362,13 @@ module Step (O : Ops_intf.OPS) = struct
           for i = n - 1 downto 0 do
             Frame.push f items.(i)
           done;
-          continue_at f next
+          k f
     | GET_INDEXABLE ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
           Frame.push f (O.call_builtin cx Builtin.Indexable [| v |]);
-          continue_at f next
+          k f
     | FOR_RANGE { var; cur; stop; step; exit } ->
         fun f ->
           charge ~target;
@@ -374,7 +382,7 @@ module Step (O : Ops_intf.OPS) = struct
           if O.is_true cx cond then begin
             f.Frame.locals.(var) <- c;
             f.Frame.locals.(cur) <- O.add cx c st;
-            continue_at f next
+            k f
           end
           else continue_at f exit
     | FOR_ITER { var; seq; idx; exit } ->
@@ -389,7 +397,7 @@ module Step (O : Ops_intf.OPS) = struct
             let v = O.getitem cx s i in
             f.Frame.locals.(var) <- v;
             f.Frame.locals.(idx) <- O.add cx i one;
-            continue_at f next
+            k f
           end
           else continue_at f exit
     | MAKE_FUNCTION { code_ref; fname; arity } ->
@@ -409,7 +417,7 @@ module Step (O : Ops_intf.OPS) = struct
                  })
           in
           Frame.push f (O.const cx fv);
-          continue_at f next
+          k f
     | MAKE_CLASS { cls_name; parent; methods } ->
         fun f ->
           charge ~target;
@@ -453,40 +461,33 @@ module Step (O : Ops_intf.OPS) = struct
                  })
           in
           Frame.push f (O.const cx cls);
-          continue_at f next
+          k f
 
   let no_charge ~target:_ = ()
 
   (* the reference handler: stage the bytecode at the current pc and
-     run it at once, charging nothing (the driver's reference loop
-     charges the dispatch prologue itself; the tracer records through
-     this) *)
+     run it at once, charging nothing and falling through with
+     {!Mtj_rjit.Threaded.advance} (the driver's reference loop charges
+     the dispatch prologue itself; the tracer records through this) *)
   let step_ref cx globals (f : frame) =
     let pc = f.Frame.pc in
-    stage cx globals ~charge:no_charge pc f.Frame.code.Bytecode.instrs.(pc) f
+    stage cx globals ~charge:no_charge ~k:Threaded.advance pc
+      f.Frame.code.Bytecode.instrs.(pc) f
 end
 
 (* ------------------------------------------------------------------ *)
-(* The threaded-dispatch tier (the pylite half of {!Mtj_rjit.Threaded}).
-
-   Each code object is staged once into an array of step closures:
-   [Step(Direct_ops).stage] for every pc, with the dispatch prologue as
-   the charge, so a standalone step is the reference handler itself and
-   emits the charge sequence of one reference dispatch iteration by
-   construction.  The hottest shapes are then fused into
-   superinstructions, the only steps written here; their charge
-   sequences match the steps they replace (held by
-   test/test_dispatch_diff.ml). *)
+(* The threaded-dispatch tier (the pylite half of {!Mtj_rjit.Threaded}):
+   [Threaded.thread] stages every pc through [Step(Direct_ops).stage],
+   with the dispatch prologue as the charge and the step staged at
+   pc + 1 as the continuation, so each step is the reference handler
+   itself and a straight-line run is one chain of tail calls. *)
 
 module D_ref = Step (Direct_ops)
 
-type dstep = (Direct_ops.t, Bytecode.code) Threaded.step
-
 let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
-    (d : Threaded.dispatch) (code : Bytecode.code) : dstep array =
+    (d : Threaded.dispatch) (code : Bytecode.code) :
+    (Direct_ops.t, Bytecode.code) Threaded.step array =
   let instrs = code.Bytecode.instrs in
-  let hdrs = code.Bytecode.headers in
-  let n = Array.length instrs in
   let charge = Threaded.charger d in
   (* a stale code table must fail at translation, not mid-run: resolve
      every code_ref a step could bind right now *)
@@ -495,443 +496,5 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
       | MAKE_FUNCTION { code_ref; _ } -> ignore (Code_table.lookup code_ref)
       | _ -> ())
     instrs;
-  let steps =
-    Array.init n (fun pc -> D_ref.stage cx globals ~charge pc instrs.(pc))
-  in
-  (* Superinstructions: fuse the hottest shapes.  The fused closure sits
-     at the head pc only — every pc keeps its standalone step above, so
-     a jump landing inside a fused pair behaves exactly as before — and
-     interior pcs must not be loop headers (the driver consults the JIT
-     portal between bytecodes; fusing across a merge point would skip
-     it).  Interior dispatch charges are emitted inside the fused
-     closure in reference order, so counters cannot tell the loops
-     apart; only interior stack traffic (free in the cost model) is
-     elided, which is GC-safe because the operands stay reachable
-     through the locals. *)
-  let interior pc = pc < n && not hdrs.(pc) in
-  let tag i = Bytecode.tag instrs.(i) in
-  let fused pc =
-    (* two-operand loads: x and y resolved at translate time to either a
-       local slot read or a hoisted constant *)
-    let operand2 =
-      match instrs.(pc) with
-      | LOAD_FAST a when interior (pc + 1) -> (
-          match instrs.(pc + 1) with
-          | LOAD_FAST b ->
-              Some (tag pc, tag (pc + 1),
-                    (fun (f : (Direct_ops.t, Bytecode.code) Frame.t) ->
-                       f.Frame.locals.(a)),
-                    (fun (f : (Direct_ops.t, Bytecode.code) Frame.t) ->
-                       f.Frame.locals.(b)),
-                    None)
-          | LOAD_CONST v ->
-              let c = Direct_ops.const cx v in
-              Some (tag pc, tag (pc + 1),
-                    (fun (f : (Direct_ops.t, Bytecode.code) Frame.t) ->
-                       f.Frame.locals.(a)),
-                    (fun _ -> c),
-                    Some c)
-          | _ -> None)
-      | _ -> None
-    in
-    match operand2 with
-    | Some (t0, t1, getx, gety, yconst) when interior (pc + 2) -> (
-        let t2 = tag (pc + 2) in
-        match instrs.(pc + 2) with
-        | BINARY op -> (
-            let fn = D_ref.binary_fn op in
-            let nx = pc + 3 in
-            match if interior nx then Some instrs.(nx) else None with
-            | Some (STORE_FAST s) ->
-                (* c = a op b : no operand stack traffic at all *)
-                let t3 = tag nx in
-                let nx4 = nx + 1 in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = getx f in
-                    charge ~target:t1;
-                    let y = gety f in
-                    charge ~target:t2;
-                    let r = fn cx x y in
-                    charge ~target:t3;
-                    f.Frame.locals.(s) <- r;
-                    f.Frame.pc <- nx4;
-                    Frame.Continue)
-            | _ ->
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = getx f in
-                    charge ~target:t1;
-                    let y = gety f in
-                    charge ~target:t2;
-                    Frame.push f (fn cx x y);
-                    f.Frame.pc <- nx;
-                    Frame.Continue))
-        | COMPARE op -> (
-            let nx = pc + 3 in
-            match if interior nx then Some instrs.(nx) else None with
-            | Some (POP_JUMP_IF_FALSE t) ->
-                (* if a op b : full guard shape, branch straight off the
-                   comparison result *)
-                let t3 = tag nx in
-                let nx4 = nx + 1 in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = getx f in
-                    charge ~target:t1;
-                    let y = gety f in
-                    charge ~target:t2;
-                    let r = Direct_ops.compare cx op x y in
-                    charge ~target:t3;
-                    f.Frame.pc <-
-                      (if Direct_ops.is_true cx r then nx4 else t);
-                    Frame.Continue)
-            | Some (POP_JUMP_IF_TRUE t) ->
-                let t3 = tag nx in
-                let nx4 = nx + 1 in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = getx f in
-                    charge ~target:t1;
-                    let y = gety f in
-                    charge ~target:t2;
-                    let r = Direct_ops.compare cx op x y in
-                    charge ~target:t3;
-                    f.Frame.pc <-
-                      (if Direct_ops.is_true cx r then t else nx4);
-                    Frame.Continue)
-            | _ ->
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = getx f in
-                    charge ~target:t1;
-                    let y = gety f in
-                    charge ~target:t2;
-                    Frame.push f (Direct_ops.compare cx op x y);
-                    f.Frame.pc <- nx;
-                    Frame.Continue))
-        | BINARY_SUBSCR -> (
-            (* a[i] with both operands pre-resolved *)
-            let nx = pc + 3 in
-            match yconst with
-            | Some k when Value.is_str k ->
-                (* string-constant key: the dict probe's hash is hoisted
-                   to translate time ([py_hash] charges nothing, so the
-                   counters cannot tell; test_value_diff.ml holds this) *)
-                let khash = Value.py_hash k in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let obj = getx f in
-                    charge ~target:t1;
-                    charge ~target:t2;
-                    Frame.push f (Direct_ops.getitem_h cx obj k khash);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | _ ->
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let obj = getx f in
-                    charge ~target:t1;
-                    let k = gety f in
-                    charge ~target:t2;
-                    Frame.push f (Direct_ops.getitem cx obj k);
-                    f.Frame.pc <- nx;
-                    Frame.Continue))
-        | _ -> None)
-    | _ -> (
-        match instrs.(pc) with
-        | LOAD_FAST a when interior (pc + 1) -> (
-            let t0 = tag pc and t1 = tag (pc + 1) in
-            let nx = pc + 2 in
-            match instrs.(pc + 1) with
-            | STORE_FAST s ->
-                (* b = a : local-to-local copy *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let x = f.Frame.locals.(a) in
-                    charge ~target:t1;
-                    f.Frame.locals.(s) <- x;
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | BINARY op -> (
-                (* <stack> op a : right operand from the local *)
-                let fn = D_ref.binary_fn op in
-                match if interior nx then Some instrs.(nx) else None with
-                | Some (STORE_FAST s) ->
-                    let t2 = tag nx in
-                    let nx3 = nx + 1 in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        let y = f.Frame.locals.(a) in
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        let r = fn cx x y in
-                        charge ~target:t2;
-                        f.Frame.locals.(s) <- r;
-                        f.Frame.pc <- nx3;
-                        Frame.Continue)
-                | _ ->
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        let y = f.Frame.locals.(a) in
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        Frame.push f (fn cx x y);
-                        f.Frame.pc <- nx;
-                        Frame.Continue))
-            | BINARY_SUBSCR ->
-                (* <stack>[a] : subscript from the local *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let k = f.Frame.locals.(a) in
-                    charge ~target:t1;
-                    let obj = Frame.pop f in
-                    Frame.push f (Direct_ops.getitem cx obj k);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | LOAD_ATTR name ->
-                (* a.name : attribute read off the local *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let obj = f.Frame.locals.(a) in
-                    charge ~target:t1;
-                    Frame.push f (Direct_ops.getattr cx obj name);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | _ -> None)
-        | LOAD_CONST v when interior (pc + 1) -> (
-            let c = Direct_ops.const cx v in
-            let t0 = tag pc and t1 = tag (pc + 1) in
-            let nx = pc + 2 in
-            match instrs.(pc + 1) with
-            | BINARY_SUBSCR ->
-                (* <stack>[<const>] : dict reads with literal keys; for
-                   string keys the probe hash is hoisted to translate
-                   time *)
-                let get =
-                  if Value.is_str c then
-                    let khash = Value.py_hash c in
-                    fun obj -> Direct_ops.getitem_h cx obj c khash
-                  else fun obj -> Direct_ops.getitem cx obj c
-                in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    charge ~target:t1;
-                    let obj = Frame.pop f in
-                    Frame.push f (get obj);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | STORE_FAST s ->
-                (* b = <const> : constant hoisted at translate time *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    charge ~target:t1;
-                    f.Frame.locals.(s) <- c;
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | BINARY op -> (
-                (* <stack> op <const> : the tail of every x*2+1 chain *)
-                let fn = D_ref.binary_fn op in
-                match if interior nx then Some instrs.(nx) else None with
-                | Some (STORE_FAST s) ->
-                    let t2 = tag nx in
-                    let nx3 = nx + 1 in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        let r = fn cx x c in
-                        charge ~target:t2;
-                        f.Frame.locals.(s) <- r;
-                        f.Frame.pc <- nx3;
-                        Frame.Continue)
-                | _ ->
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        Frame.push f (fn cx x c);
-                        f.Frame.pc <- nx;
-                        Frame.Continue))
-            | COMPARE op -> (
-                (* <stack> op <const>, usually feeding a conditional *)
-                match if interior nx then Some instrs.(nx) else None with
-                | Some (POP_JUMP_IF_FALSE t) ->
-                    let t2 = tag nx in
-                    let nx3 = nx + 1 in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        let r = Direct_ops.compare cx op x c in
-                        charge ~target:t2;
-                        f.Frame.pc <-
-                          (if Direct_ops.is_true cx r then nx3 else t);
-                        Frame.Continue)
-                | Some (POP_JUMP_IF_TRUE t) ->
-                    let t2 = tag nx in
-                    let nx3 = nx + 1 in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        let r = Direct_ops.compare cx op x c in
-                        charge ~target:t2;
-                        f.Frame.pc <-
-                          (if Direct_ops.is_true cx r then t else nx3);
-                        Frame.Continue)
-                | _ ->
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        charge ~target:t1;
-                        let x = Frame.pop f in
-                        Frame.push f (Direct_ops.compare cx op x c);
-                        f.Frame.pc <- nx;
-                        Frame.Continue))
-            | _ -> None)
-        | STORE_FAST s when interior (pc + 1) -> (
-            let t0 = tag pc and t1 = tag (pc + 1) in
-            let nx = pc + 2 in
-            match instrs.(pc + 1) with
-            | LOAD_FAST a ->
-                (* store one local, immediately read another *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    f.Frame.locals.(s) <- Frame.pop f;
-                    charge ~target:t1;
-                    Frame.push f f.Frame.locals.(a);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | JUMP t ->
-                (* loop latch: store the induction value and branch *)
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    f.Frame.locals.(s) <- Frame.pop f;
-                    charge ~target:t1;
-                    f.Frame.pc <- t;
-                    Frame.Continue)
-            | _ -> None)
-        | JUMP t when interior t -> (
-            (* forward jump into a plain local load (if/else join): run
-               the landing instruction in the same step *)
-            match instrs.(t) with
-            | LOAD_FAST a ->
-                let t0 = tag pc and t1 = tag t in
-                let nx = t + 1 in
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    charge ~target:t1;
-                    Frame.push f f.Frame.locals.(a);
-                    f.Frame.pc <- nx;
-                    Frame.Continue)
-            | _ -> None)
-        | BINARY op when interior (pc + 1) -> (
-            let fn = D_ref.binary_fn op in
-            match instrs.(pc + 1) with
-            | STORE_FAST s -> (
-                (* tail of mixed-operand expressions: result straight to
-                   the local, folding a trailing loop-latch jump in *)
-                let t0 = tag pc and t1 = tag (pc + 1) in
-                let nx = pc + 2 in
-                match if interior nx then Some instrs.(nx) else None with
-                | Some (JUMP t) ->
-                    let t2 = tag nx in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        let y = Frame.pop f in
-                        let x = Frame.pop f in
-                        let r = fn cx x y in
-                        charge ~target:t1;
-                        f.Frame.locals.(s) <- r;
-                        charge ~target:t2;
-                        f.Frame.pc <- t;
-                        Frame.Continue)
-                | _ ->
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        let y = Frame.pop f in
-                        let x = Frame.pop f in
-                        let r = fn cx x y in
-                        charge ~target:t1;
-                        f.Frame.locals.(s) <- r;
-                        f.Frame.pc <- nx;
-                        Frame.Continue))
-            | LOAD_CONST v when interior (pc + 2) -> (
-                (* op-const-op chains like x*2+1: fold the middle
-                   constant load into one superinstruction *)
-                match instrs.(pc + 2) with
-                | BINARY op2 ->
-                    let c = Direct_ops.const cx v in
-                    let fn2 = D_ref.binary_fn op2 in
-                    let t0 = tag pc and t1 = tag (pc + 1) in
-                    let t2 = tag (pc + 2) in
-                    let nx = pc + 3 in
-                    Some
-                      (fun f ->
-                        charge ~target:t0;
-                        let y = Frame.pop f in
-                        let x = Frame.pop f in
-                        let r = fn cx x y in
-                        charge ~target:t1;
-                        charge ~target:t2;
-                        Frame.push f (fn2 cx r c);
-                        f.Frame.pc <- nx;
-                        Frame.Continue)
-                | _ -> None)
-            | _ -> None)
-        | COMPARE op when interior (pc + 1) -> (
-            let t0 = tag pc in
-            let t1 = tag (pc + 1) in
-            let nx = pc + 2 in
-            match instrs.(pc + 1) with
-            | POP_JUMP_IF_FALSE t ->
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let y = Frame.pop f in
-                    let x = Frame.pop f in
-                    let r = Direct_ops.compare cx op x y in
-                    charge ~target:t1;
-                    f.Frame.pc <- (if Direct_ops.is_true cx r then nx else t);
-                    Frame.Continue)
-            | POP_JUMP_IF_TRUE t ->
-                Some
-                  (fun f ->
-                    charge ~target:t0;
-                    let y = Frame.pop f in
-                    let x = Frame.pop f in
-                    let r = Direct_ops.compare cx op x y in
-                    charge ~target:t1;
-                    f.Frame.pc <- (if Direct_ops.is_true cx r then t else nx);
-                    Frame.Continue)
-            | _ -> None)
-        | _ -> None)
-  in
-  for pc = 0 to n - 1 do
-    match fused pc with Some s -> steps.(pc) <- s | None -> ()
-  done;
-  steps
+  Threaded.thread ~headers:code.Bytecode.headers (Array.length instrs)
+    (fun ~k pc -> D_ref.stage cx globals ~charge ~k pc instrs.(pc))

@@ -254,16 +254,6 @@ let setitem cx c k v =
   charge cx cx.k_item;
   Semantics.setitem cx.rtc c k v
 
-(* subscript with the key's hash hoisted at translate time (string
-   constants); charges exactly as [getitem]/[setitem] *)
-let getitem_h cx c k khash =
-  charge cx cx.k_item;
-  Semantics.getitem_h cx.rtc c k khash
-
-let setitem_h cx c k v khash =
-  charge cx cx.k_item;
-  Semantics.setitem_h cx.rtc c k v khash
-
 let len_ cx v =
   charge cx cx.k_truth;
   Ctx.of_int cx.rtc (Semantics.len_of cx.rtc v)

@@ -704,7 +704,8 @@ module Make (L : Threaded.LANG) = struct
      back-to-back until a call or return.  All the per-iteration
      bookkeeping of the outer loop (result/current-frame refs, code
      switch compare, portal test) is hoisted out of this inner loop —
-     per bytecode it costs one array load and one closure call. *)
+     per chain of straight-line bytecodes ({!Threaded.thread}) it costs
+     one array load and one closure call. *)
   let rec exec_steps (steps : (Value.t, L.code) Threaded.step array)
       (f : dframe) =
     match steps.(f.Frame.pc) f with
@@ -773,9 +774,10 @@ module Make (L : Threaded.LANG) = struct
          | None -> ()
          | Some f ->
          (* one dispatch-loop iteration.  The threaded path runs the
-            pre-bound step closure for this pc, which emits the exact
-            charge sequence of the reference prologue + handler below
-            (held by test/test_dispatch_diff.ml). *)
+            pre-bound step closure for this pc, the head of a chain of
+            straight-line bytecodes, which emits for each of them the
+            exact charge sequence of the reference prologue + handler
+            below (held by test/test_dispatch_diff.ml). *)
          let oc =
            if threaded then begin
              (* the portal may have deoptimized into a different code *)

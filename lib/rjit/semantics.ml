@@ -185,21 +185,6 @@ let getitem ctx container key =
   end
   else err "%s object is not subscriptable" (Value.type_name container)
 
-(* [getitem] with the key's [Value.py_hash] hoisted by the caller (the
-   threaded translators precompute it for string-constant keys); only
-   the dict branch consumes the hash, and [py_hash] is pure host code,
-   so this is simulation-identical to [getitem] (see rdict.mli) *)
-let getitem_h ctx container key khash =
-  if Value.is_obj container then begin
-    match (Value.to_obj_unchecked container).Value.payload with
-    | Value.Dict d -> (
-        match Rdict.get_h ctx d key khash with
-        | Some v -> v
-        | None -> err "KeyError: %s" (Value.repr key))
-    | _ -> getitem ctx container key
-  end
-  else getitem ctx container key
-
 let setitem ctx container key v =
   if Value.is_obj container then begin
     let o = Value.to_obj_unchecked container in
@@ -217,16 +202,6 @@ let setitem ctx container key v =
   else
     err "%s object does not support item assignment"
       (Value.type_name container)
-
-(* [setitem] with a hoisted key hash; dict branch only, as above *)
-let setitem_h ctx container key v khash =
-  if Value.is_obj container then begin
-    let o = Value.to_obj_unchecked container in
-    match o.Value.payload with
-    | Value.Dict d -> Rdict.set_h ctx o d key v khash
-    | _ -> setitem ctx container key v
-  end
-  else setitem ctx container key v
 
 let len_of ctx v =
   ignore ctx;

@@ -11,28 +11,63 @@
     [Step(Direct_ops).step_ref] loop.  As in Izawa et al., the threaded
     code is derived from the interpreter definition the meta-tracer
     runs: each language's [Step] functor stages every bytecode once, and
-    a standalone step is that staged handler with {!charger}'s dispatch
-    prologue as its charge.
+    a step is that staged handler with {!charger}'s dispatch prologue as
+    its charge.
 
     The contract is strict: a threaded step must emit {e exactly} the
     charge sequence of one reference dispatch-loop iteration — the
     [Dispatch_tick] annotation, the dispatch cost bundle, the indirect
     dispatch branch, then the handler's own operations, in that order —
     so simulated counters stay byte-identical between the two loops.
-    Standalone steps meet it by construction.  The hand-written
-    superinstructions, which fuse the hottest bytecode pairs and elide
-    their interior stack traffic (safe because pushes and pops charge
-    nothing, and fused operands stay GC-reachable through the locals),
-    are what test/test_dispatch_diff.ml still guards.  Only host-side
-    work differs: operand decode, constant-pool loads and jump-target
-    resolution happen once per translation. *)
+    Steps meet it by construction, and so do their chains: {!thread}
+    stages every pc with the step at pc + 1 as its continuation, so a
+    straight-line run is one chain of tail calls emitting the reference
+    sequence bytecode after bytecode with no dispatch between them.  A
+    chain ends before a loop header, where the driver consults the JIT
+    portal, and at a jump, call or return.  Only host-side work differs:
+    operand decode, constant-pool loads and jump-target resolution
+    happen once per translation, and a chain writes the pc only where it
+    ends. *)
 
 open Mtj_core
 module Engine = Mtj_machine.Engine
 
 type ('v, 'code) step = ('v, 'code) Frame.t -> ('v, 'code) Frame.outcome
 (** one pre-bound bytecode: runs the full dispatch-iteration charge
-    sequence and the handler, then advances [Frame.pc] itself *)
+    sequence and the handler, then continues into its successor's step
+    or commits [Frame.pc] and returns *)
+
+(* The continuation the reference loop and the tracer stage every
+   bytecode with: they run one bytecode per step, so the successor is
+   the frame's own pc + 1. *)
+let advance (f : ('v, 'code) Frame.t) : ('v, 'code) Frame.outcome =
+  f.Frame.pc <- f.Frame.pc + 1;
+  Frame.Continue
+
+(* the end of a chain: commit [pc] and return to the driver loop *)
+let commit pc : ('v, 'code) step =
+ fun f ->
+  f.Frame.pc <- pc;
+  Frame.Continue
+
+(* [thread ~headers n stage] stages pcs [n - 1] down to [0], passing
+   each the step already staged at pc + 1 as its continuation [~k], or
+   [commit (pc + 1)] where pc + 1 is past the end or a loop header: a
+   chain never runs into a merge point, so the driver still consults the
+   JIT portal at every header.  Chains are tail calls, so a long one
+   costs no stack. *)
+let thread ~(headers : bool array) n
+    (stage : k:('v, 'code) step -> int -> ('v, 'code) step) :
+    ('v, 'code) step array =
+  let steps = Array.make n (commit n) in
+  for pc = n - 1 downto 0 do
+    let next = pc + 1 in
+    let k =
+      if next < n && not headers.(next) then steps.(next) else commit next
+    in
+    steps.(pc) <- stage ~k pc
+  done;
+  steps
 
 type dispatch = {
   d_eng : Engine.t;

@@ -5,7 +5,12 @@
     globals) become constants pinned by [guard_value]; operations with
     data-dependent loops (dict probes, bignum arithmetic, string
     building, set algebra) are recorded as residual calls to the same AOT
-    functions the paper's Table III attributes time to. *)
+    functions the paper's Table III attributes time to.  A recorded
+    arithmetic or cast op takes its record-time value from
+    {!Eval_op.eval}, the definition the compiled trace runs, so the
+    value the tracer continues with is by construction the one the trace
+    computes; an int op under an overflow guard takes its overflow test
+    from [Eval_op.checked_*]. *)
 
 open Mtj_rt
 open Ops_intf
@@ -194,6 +199,14 @@ let make_closure cx ~code_ref ~arity ~fname (captured : t array) =
 
 (* --- arithmetic --- *)
 
+(* record a pure op with the value {!Eval_op.eval} computes for it *)
+let pure1 cx opcode (a : t) : t =
+  R.emit cx opcode [| a.R.src |] (Eval_op.eval opcode [| a.R.v |])
+
+let pure2 cx opcode (a : t) (b : t) : t =
+  R.emit cx opcode [| a.R.src; b.R.src |]
+    (Eval_op.eval opcode [| a.R.v; b.R.v |])
+
 let[@inline] int_like (v : Value.t) = Value.is_int v || Value.is_bool v
 
 let as_int = Semantics.as_int
@@ -242,47 +255,31 @@ let to_float_t cx (tv : t) : t =
   end
   else if int_like v then begin
     guard_shape cx tv;
-    R.emit cx Ir.Cast_int_to_float [| tv.R.src |]
-      (Value.of_float (float_of_int (as_int v)))
+    pure1 cx Ir.Cast_int_to_float tv
   end
   else err "expected number, got %s" (Value.type_name v)
 
-let float_binop cx opcode f (a : t) (b : t) : t =
+let float_binop cx opcode (a : t) (b : t) : t =
   let fa = to_float_t cx a and fb = to_float_t cx b in
-  let x = Rarith.to_float fa.R.v and y = Rarith.to_float fb.R.v in
-  R.emit cx opcode [| fa.R.src; fb.R.src |] (Value.of_float (f x y))
+  pure2 cx opcode fa fb
 
-let int_ovf_binop cx opcode gkind f big_rc (a : t) (b : t) : t =
+let int_ovf_binop cx opcode gkind checked big_rc (a : t) (b : t) : t =
   guard_shape cx a;
   guard_shape cx b;
-  let x = as_int a.R.v and y = as_int b.R.v in
-  let exact = f x y in
-  match exact with
-  | Some r ->
-      let res = R.emit cx opcode [| a.R.src; b.R.src |] (Value.of_int r) in
+  match checked (as_int a.R.v) (as_int b.R.v) with
+  | (_ : int) ->
+      let res = pure2 cx opcode a b in
       R.guard cx gkind [| a.R.src; b.R.src |];
       res
-  | None ->
+  | exception Eval_op.Overflow ->
       (* overflowed during tracing: record the bignum path *)
       residual_r cx big_rc [| a; b |]
 
-let checked_add x y =
-  let r = x + y in
-  if (x >= 0) = (y >= 0) && (r >= 0) <> (x >= 0) then None else Some r
-
-let checked_sub x y =
-  let r = x - y in
-  if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then None else Some r
-
-let checked_mul x y =
-  if x <> 0 && (abs x > 1 lsl 31 || abs y > 1 lsl 31) && (x * y) / x <> y then
-    None
-  else Some (x * y)
-
 let add cx (a : t) (b : t) =
-  if both_int a b then int_ovf_binop cx Ir.Int_add Ir.G_no_ovf_add checked_add rc_add a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_add Ir.G_no_ovf_add Eval_op.checked_add rc_add a b
   else if is_float a.R.v || is_float b.R.v then
-    float_binop cx Ir.Float_add ( +. ) a b
+    float_binop cx Ir.Float_add a b
   else if is_str a.R.v && is_str b.R.v then begin
     guard_shape cx a;
     guard_shape cx b;
@@ -298,15 +295,15 @@ let add cx (a : t) (b : t) =
   end
 
 let sub cx a b =
-  if both_int a b then int_ovf_binop cx Ir.Int_sub Ir.G_no_ovf_sub checked_sub rc_sub a b
-  else if is_float a.R.v || is_float b.R.v then
-    float_binop cx Ir.Float_sub ( -. ) a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_sub Ir.G_no_ovf_sub Eval_op.checked_sub rc_sub a b
+  else if is_float a.R.v || is_float b.R.v then float_binop cx Ir.Float_sub a b
   else residual_r cx rc_sub [| a; b |]
 
 let mul cx a b =
-  if both_int a b then int_ovf_binop cx Ir.Int_mul Ir.G_no_ovf_mul checked_mul rc_mul a b
-  else if is_float a.R.v || is_float b.R.v then
-    float_binop cx Ir.Float_mul ( *. ) a b
+  if both_int a b then
+    int_ovf_binop cx Ir.Int_mul Ir.G_no_ovf_mul Eval_op.checked_mul rc_mul a b
+  else if is_float a.R.v || is_float b.R.v then float_binop cx Ir.Float_mul a b
   else if has_bigint a b then residual_r cx rc_mul [| a; b |]
   else begin
     guard_shape cx a;
@@ -323,39 +320,23 @@ let guard_nonzero cx (b : t) y =
       let z = R.emit cx Ir.Int_is_zero [| b.R.src |] Value.false_ in
       R.guard cx Ir.G_false [| z.R.src |]
 
+(* int [//] and [%]: a nonzero-guarded divisor, then the op; every
+   other operand type (float [//] and [%] included) is a residual call *)
+let int_div cx opcode (a : t) (b : t) =
+  guard_shape cx a;
+  guard_shape cx b;
+  guard_nonzero cx b (as_int b.R.v);
+  pure2 cx opcode a b
+
 let floordiv cx (a : t) (b : t) =
-  if both_int a b then begin
-    guard_shape cx a;
-    guard_shape cx b;
-    let x = as_int a.R.v and y = as_int b.R.v in
-    guard_nonzero cx b y;
-    R.emit cx Ir.Int_floordiv
-      [| a.R.src; b.R.src |]
-      (Value.of_int (Rarith.floordiv_int x y))
-  end
-  else if is_float a.R.v || is_float b.R.v then
-    float_binop cx Ir.Float_truediv
-      (fun x y ->
-        if y = 0.0 then raise Division_by_zero else floor (x /. y))
-      a b
+  if both_int a b then int_div cx Ir.Int_floordiv a b
   else residual_r cx rc_floordiv [| a; b |]
 
 let modulo cx (a : t) (b : t) =
-  if both_int a b then begin
-    guard_shape cx a;
-    guard_shape cx b;
-    let x = as_int a.R.v and y = as_int b.R.v in
-    guard_nonzero cx b y;
-    R.emit cx Ir.Int_mod
-      [| a.R.src; b.R.src |]
-      (Value.of_int (Rarith.mod_int x y))
-  end
+  if both_int a b then int_div cx Ir.Int_mod a b
   else residual_r cx rc_mod [| a; b |]
 
-let truediv cx (a : t) (b : t) =
-  float_binop cx Ir.Float_truediv
-    (fun x y -> if y = 0.0 then raise Division_by_zero else x /. y)
-    a b
+let truediv cx (a : t) (b : t) = float_binop cx Ir.Float_truediv a b
 
 let pow cx (a : t) (b : t) = residual_r cx rc_pow [| a; b |]
 
@@ -363,13 +344,11 @@ let neg cx (a : t) =
   let v = a.R.v in
   if Value.is_int v && Value.to_int_unchecked v <> min_int then begin
     guard_shape cx a;
-    R.emit cx Ir.Int_neg [| a.R.src |]
-      (Value.of_int (-Value.to_int_unchecked v))
+    pure1 cx Ir.Int_neg a
   end
   else if Value.is_float v then begin
     guard_shape cx a;
-    R.emit cx Ir.Float_neg [| a.R.src |]
-      (Value.of_float (-.Value.to_float_unchecked v))
+    pure1 cx Ir.Float_neg a
   end
   else
     residual_r cx
@@ -388,14 +367,10 @@ let lshift cx (a : t) (b : t) =
          (x + 2^20 must stay within [0, 2^21)); explicit range rather
          than [abs], which would wrongly admit min_int *)
       guard_shape cx a;
-      let shifted =
-        R.emit cx Ir.Int_add
-          [| a.R.src; Ir.Const (Value.of_int (1 lsl 20)) |]
-          (Value.of_int (x + (1 lsl 20)))
-      in
+      let shifted = pure2 cx Ir.Int_add a (lift (Value.of_int (1 lsl 20))) in
       R.guard cx Ir.G_index_lt
         [| shifted.R.src; Ir.Const (Value.of_int (1 lsl 21)) |];
-      R.emit cx Ir.Int_lshift [| a.R.src; b.R.src |] (Value.of_int (x lsl n))
+      pure2 cx Ir.Int_lshift a b
     end
     else
       (* data-dependent shifts go through the bignum runtime *)
@@ -408,27 +383,20 @@ let rshift cx (a : t) (b : t) =
     Value.is_int a.R.v && Value.is_int b.R.v
     && Value.to_int_unchecked a.R.v >= 0
   then begin
-    let x = Value.to_int_unchecked a.R.v
-    and n = Value.to_int_unchecked b.R.v in
     guard_shape cx a;
     guard_shape cx b;
-    (* record-time value must match [Eval_op]'s clamped semantics *)
-    R.emit cx Ir.Int_rshift
-      [| a.R.src; b.R.src |]
-      (Value.of_int (x asr (if n > 62 then 62 else n)))
+    pure2 cx Ir.Int_rshift a b
   end
   else residual_r cx rc_rshift [| a; b |]
 
-let int2 cx opcode f (a : t) (b : t) =
+let int2 cx opcode (a : t) (b : t) =
   guard_shape cx a;
   guard_shape cx b;
-  R.emit cx opcode
-    [| a.R.src; b.R.src |]
-    (Value.of_int (f (as_int a.R.v) (as_int b.R.v)))
+  pure2 cx opcode a b
 
-let bitand cx a b = int2 cx Ir.Int_and ( land ) a b
-let bitor cx a b = int2 cx Ir.Int_or ( lor ) a b
-let bitxor cx a b = int2 cx Ir.Int_xor ( lxor ) a b
+let bitand cx a b = int2 cx Ir.Int_and a b
+let bitor cx a b = int2 cx Ir.Int_or a b
+let bitxor cx a b = int2 cx Ir.Int_xor a b
 
 (* --- comparison --- *)
 
@@ -607,10 +575,7 @@ let guarded_index cx (cont : t) (key : t) len len_opcode =
     (key, i)
   end
   else begin
-    let wrapped =
-      R.emit cx Ir.Int_add [| key.R.src; len_t.R.src |]
-        (Value.of_int (i + len))
-    in
+    let wrapped = pure2 cx Ir.Int_add key len_t in
     R.guard cx Ir.G_index_lt [| wrapped.R.src; len_t.R.src |];
     (wrapped, i + len)
   end

@@ -120,12 +120,3 @@ let jump_targets = function
 let falls_through = function
   | K_JUMP _ | K_TAILJUMP _ | K_TAILCALL _ | K_RETURN -> false
   | _ -> true
-
-(* String constants paired with their [Value.py_hash]; counterpart of
-   [Bytecode.str_const_khashes] for the differential hash test. *)
-let str_const_khashes (c : code) : (string * int) list =
-  Array.to_list c.instrs
-  |> List.filter_map (function
-       | K_CONST v when Mtj_rt.Value.is_str v ->
-           Some (Mtj_rt.Value.to_str_unchecked v, Mtj_rt.Value.py_hash v)
-       | _ -> None)

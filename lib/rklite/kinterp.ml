@@ -1,16 +1,17 @@
 (** The rklite bytecode interpreter, functorized over the OPS seam
     (the Pycket analogue: same meta-tracing framework, different hosted
     language).  As in {!Interp}, [Step (O)] defines every bytecode once,
-    staged ([stage]), and the threaded tier ([threaded_code]), the
-    reference loop and the meta-tracer ([step_ref]) all run that one
-    definition. *)
+    staged ([stage], falling through to its continuation [k]), and the
+    threaded tier ([threaded_code]), the reference loop and the
+    meta-tracer ([step_ref]) all run that one definition. *)
 
 open Mtj_rt
 open Mtj_rjit
 open Kbytecode
 
 (* 2-argument comparison chains: [cmp_chain] on two operands is one
-   compare and one truth test, then a (free) Bool constant *)
+   compare and one truth test, then a (free) Bool constant; a K_PRIM
+   resolves its compare when it is staged *)
 let cmp2_op : prim -> Ops_intf.cmp option = function
   | P_lt -> Some Ops_intf.Lt
   | P_le -> Some Ops_intf.Le
@@ -139,8 +140,7 @@ module Step (O : Ops_intf.OPS) = struct
           (List.length args)
 
   (* 2-argument prims whose [prim] case reduces to exactly one
-     arithmetic operation: resolved when a K_PRIM is staged (and by the
-     superinstruction table) *)
+     arithmetic operation: resolved when a K_PRIM is staged *)
   let arith2_fn : prim -> (O.cx -> O.t -> O.t -> O.t) option = function
     | P_add -> Some O.add
     | P_sub -> Some O.sub
@@ -155,12 +155,13 @@ module Step (O : Ops_intf.OPS) = struct
     Frame.Continue
 
   (* The one definition of every bytecode, staged, under the rules of
-     [Interp.Step.stage]: [stage cx globals ~charge pc instr] decodes
-     [instr] and returns the step that runs it, [charge ~target] first;
-     staging charges nothing, allocates nothing simulated and records
-     no IR. *)
-  let stage cx (globals : Globals.t) ~(charge : target:int -> unit) pc
-      (instr : Kbytecode.instr) : step =
+     [Interp.Step.stage]: [stage cx globals ~charge ~k pc instr] decodes
+     [instr] and returns the step that runs it, [charge ~target] first
+     and [k] when it falls through to [pc + 1]; no handler computes its
+     successor from [f.Frame.pc]; staging charges nothing, allocates
+     nothing simulated and records no IR. *)
+  let stage cx (globals : Globals.t) ~(charge : target:int -> unit)
+      ~(k : step) pc (instr : Kbytecode.instr) : step =
     let target = Kbytecode.tag instr in
     let next = pc + 1 in
     match instr with
@@ -169,49 +170,49 @@ module Step (O : Ops_intf.OPS) = struct
         fun f ->
           charge ~target;
           Frame.push f c;
-          continue_at f next
+          k f
     | K_LOCAL slot ->
         fun f ->
           charge ~target;
           Frame.push f f.Frame.locals.(slot);
-          continue_at f next
+          k f
     | K_SET_LOCAL slot ->
         fun f ->
           charge ~target;
           f.Frame.locals.(slot) <- Frame.pop f;
-          continue_at f next
+          k f
     | K_GLOBAL name ->
         fun f ->
           charge ~target;
           Frame.push f (O.load_global cx globals name);
-          continue_at f next
+          k f
     | K_SET_GLOBAL name ->
         fun f ->
           charge ~target;
           O.store_global cx globals name (Frame.pop f);
-          continue_at f next
+          k f
     | K_CELL_GET slot ->
         fun f ->
           charge ~target;
           Frame.push f (O.cell_get cx f.Frame.locals.(slot));
-          continue_at f next
+          k f
     | K_CELL_SET slot ->
         fun f ->
           charge ~target;
           let v = Frame.pop f in
           O.cell_set cx f.Frame.locals.(slot) v;
-          continue_at f next
+          k f
     | K_MAKE_CELL slot ->
         fun f ->
           charge ~target;
           f.Frame.locals.(slot) <- O.make_cell cx f.Frame.locals.(slot);
-          continue_at f next
+          k f
     | K_CLOSURE { code_ref; arity; cname; capture_slots } ->
         fun f ->
           charge ~target;
           let cells = Array.map (fun s -> f.Frame.locals.(s)) capture_slots in
           Frame.push f (O.make_closure cx ~code_ref ~arity ~fname:cname cells);
-          continue_at f next
+          k f
     | K_CALL nargs ->
         fun f ->
           charge ~target;
@@ -222,7 +223,7 @@ module Step (O : Ops_intf.OPS) = struct
             let b = Builtin.of_tag (-fn.Value.code_ref - 1) in
             let r = O.call_builtin cx b args in
             Frame.push f r;
-            continue_at f next
+            k f
           end
           else begin
             if fn.Value.arity <> nargs then
@@ -285,14 +286,14 @@ module Step (O : Ops_intf.OPS) = struct
         fun f ->
           charge ~target;
           let v = Frame.pop f in
-          continue_at f (if O.is_true cx v then next else t)
+          if O.is_true cx v then k f else continue_at f t
     | K_JFALSE_OR_POP t ->
         fun f ->
           charge ~target;
           let v = Frame.peek f 0 in
           if O.is_true cx v then begin
             ignore (Frame.pop f);
-            continue_at f next
+            k f
           end
           else continue_at f t
     | K_JTRUE_OR_POP t ->
@@ -302,7 +303,7 @@ module Step (O : Ops_intf.OPS) = struct
           if O.is_true cx v then continue_at f t
           else begin
             ignore (Frame.pop f);
-            continue_at f next
+            k f
           end
     | K_RETURN ->
         fun f ->
@@ -312,7 +313,7 @@ module Step (O : Ops_intf.OPS) = struct
         fun f ->
           charge ~target;
           ignore (Frame.pop f);
-          continue_at f next
+          k f
     | K_PRIM (p, nargs) -> (
         match (nargs, arith2_fn p, cmp2_op p) with
         | 2, Some fn, _ ->
@@ -321,7 +322,7 @@ module Step (O : Ops_intf.OPS) = struct
               let y = Frame.pop f in
               let x = Frame.pop f in
               Frame.push f (fn cx x y);
-              continue_at f next
+              k f
         | 2, None, Some op ->
             fun f ->
               charge ~target;
@@ -329,7 +330,7 @@ module Step (O : Ops_intf.OPS) = struct
               let x = Frame.pop f in
               let r = O.compare cx op x y in
               Frame.push f (O.const cx (Value.of_bool (O.is_true cx r)));
-              continue_at f next
+              k f
         | _ ->
             fun f ->
               charge ~target;
@@ -339,7 +340,7 @@ module Step (O : Ops_intf.OPS) = struct
               let args = pops nargs [] in
               let r = prim cx globals f p args in
               Frame.push f r;
-              continue_at f next)
+              k f)
 
   let no_charge ~target:_ = ()
 
@@ -347,27 +348,20 @@ module Step (O : Ops_intf.OPS) = struct
      run it at once, charging nothing (see [Interp.Step.step_ref]) *)
   let step_ref cx globals (f : frame) =
     let pc = f.Frame.pc in
-    stage cx globals ~charge:no_charge pc f.Frame.code.Kbytecode.instrs.(pc) f
+    stage cx globals ~charge:no_charge ~k:Threaded.advance pc
+      f.Frame.code.Kbytecode.instrs.(pc) f
 end
 
 (* ------------------------------------------------------------------ *)
-(* The threaded-dispatch tier (the rklite half of {!Mtj_rjit.Threaded}).
-
-   As in [Interp.threaded_code]: every pc is staged once through
-   [Step(Direct_ops).stage] with the dispatch prologue as the charge,
-   then the hottest shapes are fused into superinstructions whose
-   charge sequences match the steps they replace (held by
-   test/test_dispatch_diff.ml). *)
+(* The threaded-dispatch tier (the rklite half of {!Mtj_rjit.Threaded}),
+   threaded as in [Interp.threaded_code]. *)
 
 module D_ref = Step (Direct_ops)
 
-type dstep = (Direct_ops.t, Kbytecode.code) Threaded.step
-
 let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
-    (d : Threaded.dispatch) (code : Kbytecode.code) : dstep array =
+    (d : Threaded.dispatch) (code : Kbytecode.code) :
+    (Direct_ops.t, Kbytecode.code) Threaded.step array =
   let instrs = code.Kbytecode.instrs in
-  let hdrs = code.Kbytecode.headers in
-  let n = Array.length instrs in
   let charge = Threaded.charger d in
   (* a stale code table must fail at translation, not mid-run *)
   Array.iter
@@ -375,57 +369,5 @@ let threaded_code (cx : Direct_ops.cx) (globals : Globals.t)
       | K_CLOSURE { code_ref; _ } -> ignore (Kcode_table.lookup code_ref)
       | _ -> ())
     instrs;
-  let steps =
-    Array.init n (fun pc -> D_ref.stage cx globals ~charge pc instrs.(pc))
-  in
-  (* superinstructions, same rules as the pylite translator: fused form
-     at the head pc only, interior pcs keep their standalone steps and
-     must not be loop headers, interior dispatch charges are emitted
-     in-line in reference order *)
-  let interior pc = pc < n && not hdrs.(pc) in
-  let fused pc =
-    match instrs.(pc) with
-    | K_LOCAL a when interior (pc + 1) && interior (pc + 2) -> (
-        let t0 = Kbytecode.tag instrs.(pc) in
-        let t1 = Kbytecode.tag instrs.(pc + 1) in
-        let t2 = Kbytecode.tag instrs.(pc + 2) in
-        let nx = pc + 3 in
-        match (instrs.(pc + 1), instrs.(pc + 2)) with
-        | K_LOCAL b, K_PRIM (p, 2) when D_ref.arith2_fn p <> None ->
-            let fn = Option.get (D_ref.arith2_fn p) in
-            Some
-              (fun f ->
-                charge ~target:t0;
-                let x = f.Frame.locals.(a) in
-                charge ~target:t1;
-                let y = f.Frame.locals.(b) in
-                charge ~target:t2;
-                Frame.push f (fn cx x y);
-                f.Frame.pc <- nx;
-                Frame.Continue)
-        | _ -> None)
-    | K_PRIM (p, 2) when cmp2_op p <> None && interior (pc + 1) -> (
-        let op = Option.get (cmp2_op p) in
-        let t0 = Kbytecode.tag instrs.(pc) in
-        let t1 = Kbytecode.tag instrs.(pc + 1) in
-        let nx = pc + 2 in
-        match instrs.(pc + 1) with
-        | K_JUMP_IF_FALSE t ->
-            Some
-              (fun f ->
-                charge ~target:t0;
-                let y = Frame.pop f in
-                let x = Frame.pop f in
-                let r = Direct_ops.compare cx op x y in
-                let res = Direct_ops.is_true cx r in
-                charge ~target:t1;
-                f.Frame.pc <-
-                  (if Direct_ops.is_true cx (Value.of_bool res) then nx else t);
-                Frame.Continue)
-        | _ -> None)
-    | _ -> None
-  in
-  for pc = 0 to n - 1 do
-    match fused pc with Some s -> steps.(pc) <- s | None -> ()
-  done;
-  steps
+  Threaded.thread ~headers:code.Kbytecode.headers (Array.length instrs)
+    (fun ~k pc -> D_ref.stage cx globals ~charge ~k pc instrs.(pc))

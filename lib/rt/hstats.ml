@@ -23,9 +23,6 @@ type t = {
   mutable frame_pool_reuses : int;
       (* locals/stack arrays served from a frame pool free list instead
          of [Array.make] *)
-  mutable dict_hash_skips : int;
-      (* dict/set operations entered with a precomputed key hash, so no
-         [py_hash]/[str_hash] recomputation ran *)
 }
 
 let create () =
@@ -34,5 +31,4 @@ let create () =
     boxed_slow_path_hits = 0;
     typed_ops_total = 0;
     frame_pool_reuses = 0;
-    dict_hash_skips = 0;
   }

@@ -58,30 +58,12 @@ let probe ctx (d : Value.dict) key khash =
 let lookup ctx d key khash =
   Aot.call ctx lookup_fn (fun () -> probe ctx d key khash)
 
-(* [*_with] variants take the key hash from the caller.  [Value.py_hash]
-   is pure host code — it charges nothing — so whether the hash is
-   recomputed here or hoisted by the caller is invisible to the
-   simulation; the [_h] entry points only save host work (and tick the
-   [dict_hash_skips] counter). *)
-
-let get_with ctx (d : Value.dict) key khash =
-  match lookup ctx d key khash with
+let get ctx (d : Value.dict) key =
+  match lookup ctx d key (Value.py_hash key) with
   | `Found slot -> Some d.Value.entries.(slot).Value.dval
   | `Free _ -> None
 
-let get ctx (d : Value.dict) key = get_with ctx d key (Value.py_hash key)
-
-let[@inline] skip_hash ctx =
-  let h = Ctx.hstats ctx in
-  h.Hstats.dict_hash_skips <- h.Hstats.dict_hash_skips + 1
-
-let get_h ctx d key khash =
-  skip_hash ctx;
-  get_with ctx d key khash
-
 let contains ctx d key = Option.is_some (get ctx d key)
-
-let contains_h ctx d key khash = Option.is_some (get_h ctx d key khash)
 
 let grow_index ctx (owner : Value.obj) (d : Value.dict) =
   Aot.call ctx resize_fn @@ fun () ->
@@ -122,7 +104,8 @@ let grow_index ctx (owner : Value.obj) (d : Value.dict) =
   Engine.emit eng (Cost.make ~alu:(4 * nlive) ~load:(2 * nlive) ~store:(2 * nlive) ());
   Gc_sim.grow (Ctx.gc ctx) owner
 
-let rec set_with ctx (owner : Value.obj) (d : Value.dict) key v khash =
+let rec set ctx (owner : Value.obj) (d : Value.dict) key v =
+  let khash = Value.py_hash key in
   (match lookup ctx d key khash with
   | `Found slot ->
       let e = d.Value.entries.(slot) in
@@ -168,13 +151,8 @@ and set_fresh ctx _owner d key v khash =
       d.Value.num_live <- d.Value.num_live + 1;
       d.Value.index.(pos) <- slot
 
-let set ctx owner d key v = set_with ctx owner d key v (Value.py_hash key)
-
-let set_h ctx owner d key v khash =
-  skip_hash ctx;
-  set_with ctx owner d key v khash
-
-let delete_with ctx (d : Value.dict) key khash =
+let delete ctx (d : Value.dict) key =
+  let khash = Value.py_hash key in
   match lookup ctx d key khash with
   | `Found slot ->
       let e = d.Value.entries.(slot) in
@@ -192,12 +170,6 @@ let delete_with ctx (d : Value.dict) key khash =
       go (khash land mask) khash;
       true
   | `Free _ -> false
-
-let delete ctx d key = delete_with ctx d key (Value.py_hash key)
-
-let delete_h ctx d key khash =
-  skip_hash ctx;
-  delete_with ctx d key khash
 
 let iter (d : Value.dict) f =
   for i = 0 to d.Value.num_entries - 1 do

@@ -29,20 +29,6 @@ val delete : Ctx.t -> Value.dict -> Value.t -> bool
 
 val contains : Ctx.t -> Value.dict -> Value.t -> bool
 
-(** {2 Precomputed-hash entry points}
-
-    The [_h] variants take the key's [Value.py_hash] from the caller,
-    for hot paths where the hash was hoisted (e.g. computed once per
-    interned string constant at translate time).  [py_hash] is pure host
-    code and charges nothing, so these are simulation-identical to their
-    hashing counterparts; each call ticks [Hstats.dict_hash_skips].
-    Passing a hash that is not [Value.py_hash key] is undefined. *)
-
-val get_h : Ctx.t -> Value.dict -> Value.t -> int -> Value.t option
-val set_h : Ctx.t -> Value.obj -> Value.dict -> Value.t -> Value.t -> int -> unit
-val delete_h : Ctx.t -> Value.dict -> Value.t -> int -> bool
-val contains_h : Ctx.t -> Value.dict -> Value.t -> int -> bool
-
 val iter : Value.dict -> (Value.t -> Value.t -> unit) -> unit
 (** In insertion order, live entries only. *)
 

@@ -21,11 +21,6 @@ let create ctx values =
 let add ctx (o : Value.obj) v = Rdict.set ctx o (of_obj o) v Value.nil
 let contains ctx d v = Rdict.contains ctx d v
 
-(* precomputed-hash variants; see the note in rdict.mli *)
-let add_h ctx (o : Value.obj) v khash =
-  Rdict.set_h ctx o (of_obj o) v Value.nil khash
-
-let contains_h ctx d v khash = Rdict.contains_h ctx d v khash
 let remove ctx (o : Value.obj) v = Rdict.delete ctx (of_obj o) v
 let elements (d : Value.dict) = Rdict.keys d
 

@@ -8,13 +8,6 @@ val create : Ctx.t -> Value.t list -> Value.obj
 val length : Value.dict -> int
 val add : Ctx.t -> Value.obj -> Value.t -> unit
 val contains : Ctx.t -> Value.dict -> Value.t -> bool
-
-val add_h : Ctx.t -> Value.obj -> Value.t -> int -> unit
-(** [add] with the element's [Value.py_hash] precomputed by the caller;
-    simulation-identical (see rdict.mli). *)
-
-(** [contains] with a precomputed hash. *)
-val contains_h : Ctx.t -> Value.dict -> Value.t -> int -> bool
 val remove : Ctx.t -> Value.obj -> Value.t -> bool
 val difference : Ctx.t -> Value.obj -> Value.obj -> Value.obj
 val union : Ctx.t -> Value.obj -> Value.obj -> Value.obj

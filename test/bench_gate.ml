@@ -24,7 +24,7 @@
       the simulation is deterministic), so this quotient needs no
       normalization; it catches regressions in the allocation-free value
       fast paths (the immediate-tagged value representation, the unboxed
-      cycle-transfer charge path, frame pooling, hoisted key hashes)
+      cycle-transfer charge path, frame pooling)
       that the wall-clock gates could absorb in noise.
     - {b JIT allocation gate}: the same quotient over the JIT configs
       (pypy / pypy-2tier / pycket), whose host allocation is mostly the
@@ -35,7 +35,7 @@
     A separate, self-contained mode gates the serving harness:
 
     - {b serving latency gate} ([--serve-gate FILE [UNSEEDED]]): FILE
-      is an ["mtj-metrics/9"] document with a [serve] block from a
+      is an ["mtj-metrics/10"] document with a [serve] block from a
       session with the shared cache on.  The gate asserts the cache
       actually paid: warm (imported) requests must have a median
       latency no worse than cold (compiling) ones — machine-

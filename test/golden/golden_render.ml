@@ -118,7 +118,7 @@ let tiers () =
                ])
          benches)
 
-(* experiment 4: the mtj-metrics/8 document itself — built from a tiered
+(* experiment 4: the mtj-metrics/10 document itself — built from a tiered
    run, validated (schema + tier invariants), round-tripped through the
    parser, and printed; any drift in the export format fails the diff *)
 let metrics () =

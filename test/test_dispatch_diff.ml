@@ -1,6 +1,11 @@
 (** Differential test of the threaded-dispatch interpreter tier
-    ([Config.threaded_interp], translate-once handler-closure arrays)
-    against the reference decode-and-match loop ([Step.step_ref]).
+    ([Config.threaded_interp]: translate-once step arrays whose steps
+    continue straight into their successors) against the reference
+    loop ([Step.step_ref], one staged bytecode per iteration).  Both run
+    the one staged definition of each bytecode, so what this guards is
+    the wiring around it: the continuation binding (the pc committed
+    only at chain ends, jumps and calls; chains stopping before loop
+    headers), the translation cache and the driver's split loop.
 
     Whole programs run twice — once per dispatch mode — through real VMs
     with a {!Mtj_obs.Sink} attached, for both languages.  Everything

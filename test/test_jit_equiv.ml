@@ -26,8 +26,14 @@ let pick r l = List.nth l (rand r (List.length l))
 
 let vars = [ "a"; "b"; "c"; "d" ]
 
-(* arithmetic expression over int variables; division-free to avoid
-   divide-by-zero control flow differences *)
+(* nonzero constant divisors, so no program divides by zero *)
+let divisor r = if rand r 3 = 0 then -(1 + rand r 7) else 1 + rand r 9
+
+let fdivisor r =
+  Printf.sprintf "%s%d.5" (if rand r 3 = 0 then "-" else "") (rand r 9)
+
+(* arithmetic expression over int variables: [//] and [%] only by
+   constants, shifts by constants below 8 *)
 let rec gen_expr r depth =
   if depth = 0 || rand r 3 = 0 then
     match rand r 3 with
@@ -35,9 +41,36 @@ let rec gen_expr r depth =
     | 1 -> pick r vars
     | _ -> Printf.sprintf "(%s %% %d + %d)" (pick r vars) (2 + rand r 7) (rand r 5)
   else
-    let op = pick r [ "+"; "-"; "*"; "&"; "|"; "^" ] in
-    Printf.sprintf "(%s %s %s)" (gen_expr r (depth - 1)) op
-      (gen_expr r (depth - 1))
+    match rand r 10 with
+    | 0 -> Printf.sprintf "(%s // %d)" (gen_expr r (depth - 1)) (divisor r)
+    | 1 -> Printf.sprintf "(%s %% %d)" (gen_expr r (depth - 1)) (divisor r)
+    | 2 ->
+        Printf.sprintf "(%s %s %d)" (gen_expr r (depth - 1))
+          (pick r [ ">>"; "<<" ]) (rand r 8)
+    | 3 -> Printf.sprintf "(-%s)" (gen_expr r (depth - 1))
+    | _ ->
+        let op = pick r [ "+"; "-"; "*"; "&"; "|"; "^" ] in
+        Printf.sprintf "(%s %s %s)" (gen_expr r (depth - 1)) op
+          (gen_expr r (depth - 1))
+
+(* float expression over the float variable [x], the bounded ints [a],
+   [b] and [i], and float constants; it stays finite because every
+   assignment to [x] reduces it modulo a constant *)
+let rec gen_fexpr r depth =
+  if depth = 0 || rand r 3 = 0 then
+    match rand r 3 with
+    | 0 -> "x"
+    | 1 -> pick r [ "a"; "b"; "i" ]
+    | _ -> fdivisor r
+  else
+    match rand r 6 with
+    | 0 -> Printf.sprintf "(%s // %s)" (gen_fexpr r (depth - 1)) (fdivisor r)
+    | 1 -> Printf.sprintf "(%s %% %s)" (gen_fexpr r (depth - 1)) (fdivisor r)
+    | 2 -> Printf.sprintf "(-%s)" (gen_fexpr r (depth - 1))
+    | _ ->
+        Printf.sprintf "(%s %s %s)" (gen_fexpr r (depth - 1))
+          (pick r [ "+"; "-"; "*" ])
+          (gen_fexpr r (depth - 1))
 
 let gen_cond r =
   Printf.sprintf "%s %s %s" (pick r vars)
@@ -46,17 +79,23 @@ let gen_cond r =
 
 let rec gen_stmt r indent depth =
   let pad = String.make indent ' ' in
-  match rand r (if depth > 0 then 6 else 3) with
+  match rand r (if depth > 0 then 8 else 5) with
   | 0 -> Printf.sprintf "%s%s = %s\n" pad (pick r vars) (gen_expr r 2)
   | 1 -> Printf.sprintf "%s%s = %s + %s\n" pad (pick r vars) (pick r vars) (pick r vars)
   | 2 ->
       Printf.sprintf "%sacc = (acc + %s) %% 1000003\n" pad (gen_expr r 2)
-  | 3 ->
+  | 3 -> Printf.sprintf "%sx = %s %% 61.5\n" pad (gen_fexpr r 2)
+  | 4 ->
+      (* [m] holds -(2 ** 62): the product overflows into a bignum for
+         every multiplier but 0 and 1 *)
+      Printf.sprintf "%sacc = (acc + (m * %s) %% 1009) %% 1000003\n" pad
+        (pick r ("-1" :: "-3" :: vars))
+  | 5 ->
       Printf.sprintf "%sif %s:\n%s%selse:\n%s" pad (gen_cond r)
         (gen_block r (indent + 4) (depth - 1))
         pad
         (gen_block r (indent + 4) (depth - 1))
-  | 4 ->
+  | 6 ->
       (* an inner counted loop *)
       Printf.sprintf "%sfor k in range(%d):\n%s" pad
         (1 + rand r 5)
@@ -71,6 +110,9 @@ and gen_block r indent depth =
 
 let gen_program seed =
   let r = { st = (seed * 2654435761) lor 1 } in
+  let fsum = gen_fexpr r 1 in
+  let fdiv = gen_fexpr r 1 in
+  let by = fdivisor r in
   let body = gen_block r 8 2 in
   Printf.sprintf
     {|
@@ -80,17 +122,20 @@ def work(n):
     b = 2
     c = 3
     d = 4
+    x = 0.5
+    m = -(2 ** 62)
     l = [0, 1, 2, 3, 4, 5, 6, 7]
     for i in range(n):
         a = (a + i) %% 97
         b = (b + a) %% 89
+        x = (%s + %s // %s) %% 61.5
 %s        acc = (acc + a + b + c + d) %% 1000003
-    return acc
+    return acc + x
 
 print(work(120))
 print(work(35))
 |}
-    body
+    fsum fdiv by body
 
 (* --- run one source under many configurations --- *)
 

@@ -217,9 +217,6 @@ let test_metrics_roundtrip () =
     "frame_pool_reuses round-trips"
     o.o_hstats.Mtj_rt.Hstats.frame_pool_reuses
     (rint "frame_pool_reuses");
-  Alcotest.(check int)
-    "dict_hash_skips round-trips" o.o_hstats.Mtj_rt.Hstats.dict_hash_skips
-    (rint "dict_hash_skips");
   (* integer arithmetic dominates every bench, so the immediate fast
      path always fires, and the two buckets partition the total *)
   Alcotest.(check bool)
@@ -274,9 +271,6 @@ let test_runner_metrics_roundtrip () =
   Alcotest.(check int)
     "frame_pool_reuses round-trips" r.Mtj_harness.Runner.frame_pool_reuses
     (rint "frame_pool_reuses");
-  Alcotest.(check int)
-    "dict_hash_skips round-trips" r.Mtj_harness.Runner.dict_hash_skips
-    (rint "dict_hash_skips");
   Alcotest.(check bool)
     "immediate fast path is live" true
     (rint "imm_fast_path_hits" > 0);
@@ -392,11 +386,11 @@ let test_validator_rejects_corruption () =
       ]
   in
   let mdoc ?(flushes = 3) ?(bundles = 5) ?(imm = Json.Int 2)
-      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) ?(pooled = Json.Null)
-      ?(hash_skips = Json.Int 0) total =
+      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) ?(pooled = Json.Null) total
+      =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/9");
+        ("schema", Json.Str "mtj-metrics/10");
         ( "runs",
           Json.Arr
             [
@@ -413,7 +407,6 @@ let test_validator_rejects_corruption () =
                   ("boxed_slow_path_hits", boxed);
                   ("typed_ops_total", typed);
                   ("frame_pool_reuses", pooled);
-                  ("dict_hash_skips", hash_skips);
                   ( "phases",
                     Json.Obj
                       [ ("interpreter", snap 7); ("total", snap total) ] );
@@ -439,8 +432,7 @@ let test_validator_rejects_corruption () =
      immediate/boxed split must partition the typed-op total *)
   (match
      Validate.metrics
-       (mdoc ~imm:Json.Null ~boxed:Json.Null ~typed:Json.Null
-          ~hash_skips:Json.Null 7)
+       (mdoc ~imm:Json.Null ~boxed:Json.Null ~typed:Json.Null 7)
    with
   | Ok 1 -> ()
   | Ok n -> Alcotest.failf "expected 1 run, got %d" n
@@ -451,8 +443,8 @@ let test_validator_rejects_corruption () =
     (Validate.metrics (mdoc ~imm:(Json.Int 2) ~boxed:(Json.Int 2) 7));
   expect_err "frame_pool_reuses exceeding insns"
     (Validate.metrics (mdoc ~pooled:(Json.Int 8) 7));
-  expect_err "non-int dict_hash_skips"
-    (Validate.metrics (mdoc ~hash_skips:(Json.Str "many") 7));
+  expect_err "non-int frame_pool_reuses"
+    (Validate.metrics (mdoc ~pooled:(Json.Str "many") 7));
   (* jit block violating the v2 cache invariants *)
   let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
       ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
@@ -460,7 +452,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_sites = 0) translations trace_translations =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/9");
+        ("schema", Json.Str "mtj-metrics/10");
         ( "runs",
           Json.Arr
             [
@@ -477,7 +469,6 @@ let test_validator_rejects_corruption () =
                   ("boxed_slow_path_hits", Json.Int 0);
                   ("typed_ops_total", Json.Int 2);
                   ("frame_pool_reuses", Json.Int 0);
-                  ("dict_hash_skips", Json.Null);
                   ( "phases",
                     Json.Obj [ ("interpreter", snap 7); ("total", snap 7) ] );
                   ( "jit",
@@ -576,7 +567,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_imports = 1) ?(zipf_s = 1.1) () =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/9");
+        ("schema", Json.Str "mtj-metrics/10");
         ("runs", Json.Arr []);
         ( "serve",
           Json.Obj

@@ -1,6 +1,6 @@
 (** Differential and property tests for the allocation-free value fast
-    paths: the immediate-tagged int/bool/nil representation,
-    per-context frame pooling, and precomputed string-key hashes.
+    paths: the immediate-tagged int/bool/nil representation and
+    per-context frame pooling.
 
     The load-bearing test is the frame-pool differential: running the
     same benchmark with [frame_pool] on and off must produce
@@ -11,7 +11,7 @@
     leaked state into the simulation.  The immediate-identity properties
     pin the physical-equality contract documented in [value.mli], and
     the integral-float hash tests pin the [py_eq]/[py_hash] contract
-    that dict lookups (and the precomputed-hash fast path) rely on. *)
+    that dict lookups rely on. *)
 
 module V = Mtj_rt.Value
 module Ctx = Mtj_rt.Ctx
@@ -145,53 +145,6 @@ let test_apool_reuse () =
   let d' = Apool.acquire off 8 in
   Alcotest.(check bool) "disabled pool never reuses" false (d == d')
 
-(* ---------- precomputed key hashes ---------- *)
-
-let test_khash_pylite () =
-  let code =
-    Mtj_pylite.Vm.compile
-      "a = \"alpha\"\nb = \"beta\"\nprint(a + b)\nprint(\"alpha\")\n"
-  in
-  let hs = Mtj_pylite.Bytecode.str_const_khashes code in
-  Alcotest.(check bool) "string constants found" true (List.length hs >= 3);
-  List.iter
-    (fun (s, h) ->
-      (* the hash hoisted at translate time is exactly what a dict probe
-         would recompute from the key *)
-      Alcotest.(check int) ("py_hash " ^ s) (V.py_hash (V.of_str s)) h;
-      Alcotest.(check int) ("str_hash " ^ s) (V.str_hash s) h)
-    hs
-
-(* the hoisted hashes must actually be USED: a run whose hot loop
-   probes a dict through a constant string key ticks [dict_hash_skips]
-   on the live interpreter path (threaded translator passes the
-   translate-time hash into the [_h] probe entry points) *)
-let test_khash_live () =
-  let vm = Mtj_pylite.Vm.create ~config:Config.default () in
-  let src =
-    "d = {}\nd[\"alpha\"] = 0\ni = 0\nwhile i < 200:\n"
-    ^ "    d[\"alpha\"] = d[\"alpha\"] + 1\n    i = i + 1\nprint(d[\"alpha\"])\n"
-  in
-  (match Mtj_pylite.Vm.run_source vm src with
-  | Mtj_rjit.Driver.Completed _ -> ()
-  | _ -> Alcotest.fail "dict-probe program did not complete");
-  Alcotest.(check string) "program output" "200\n" (Mtj_pylite.Vm.output vm);
-  let h = Ctx.hstats (Mtj_pylite.Vm.rtc vm) in
-  Alcotest.(check bool)
-    "constant-key probes skipped rehashing" true
-    (h.Mtj_rt.Hstats.dict_hash_skips > 0)
-
-let test_khash_rklite () =
-  let code =
-    Mtj_rklite.Kvm.compile "(display \"alpha\") (display \"beta\")"
-  in
-  let hs = Mtj_rklite.Kbytecode.str_const_khashes code in
-  Alcotest.(check bool) "string constants found" true (List.length hs >= 2);
-  List.iter
-    (fun (s, h) ->
-      Alcotest.(check int) ("py_hash " ^ s) (V.py_hash (V.of_str s)) h)
-    hs
-
 (* ---------- frame-pool on/off differential ---------- *)
 
 let snap_str (s : Counters.snapshot) =
@@ -311,12 +264,6 @@ let suite =
       test_float_hash_window;
     QCheck_alcotest.to_alcotest prop_int_float_hash;
     Alcotest.test_case "array pool reuse contract" `Quick test_apool_reuse;
-    Alcotest.test_case "pylite precomputed key hashes" `Quick
-      test_khash_pylite;
-    Alcotest.test_case "constant-key probes skip rehash live" `Quick
-      test_khash_live;
-    Alcotest.test_case "rklite precomputed key hashes" `Quick
-      test_khash_rklite;
     Alcotest.test_case "pool diff: py jit" `Quick test_pool_diff_py_jit;
     Alcotest.test_case "pool diff: py nojit" `Quick test_pool_diff_py_nojit;
     Alcotest.test_case "pool diff: py two-tier" `Quick
