@@ -32,13 +32,6 @@ type t = {
   mutable s_stores : int;
   mutable s_cache_misses : int;
   s_cycles : float array;
-  x_cycles : float array;
-      (* one-cell cycle-transfer register: hot callers (Engine) store the
-         freshly computed cycle delta here and call the [_x] entry
-         points, instead of passing a [float] argument that ocamlopt
-         (classic mode, no flambda) would box on every call — the
-         dominant host allocation of the whole interpreter row before
-         it was staged through this cell *)
   mutable dirty : bool;
   mutable flushes : int;
   mutable fast_bundles : int;
@@ -62,7 +55,6 @@ let create () =
     s_stores = 0;
     s_cache_misses = 0;
     s_cycles = Array.make 1 0.0;
-    x_cycles = Array.make 1 0.0;
     dirty = false;
     flushes = 0;
     fast_bundles = 0;
@@ -114,7 +106,6 @@ let reset t =
   t.s_stores <- 0;
   t.s_cache_misses <- 0;
   Array.unsafe_set t.s_cycles 0 0.0;
-  Array.unsafe_set t.x_cycles 0 0.0;
   t.dirty <- false;
   t.flushes <- 0;
   t.fast_bundles <- 0
@@ -123,61 +114,32 @@ let reset t =
 
    The staged cycle scalar is loaded from the committed array value and
    receives exactly the [+.] sequence the array slot used to receive, so
-   the flushed value is bit-for-bit what unstaged charging produced. *)
+   the flushed value is bit-for-bit what unstaged charging produced.
+   [~cycles] stays unboxed only because these inline into Engine, which
+   needs a build without [-opaque]. *)
 
-let cycles_xfer t = t.x_cycles
-
-let[@inline] add_bundle_idx_x t i ~n ~loads ~stores =
+let[@inline] add_bundle_idx t i ~n ~loads ~stores ~cycles =
   select t i;
   t.s_insns <- t.s_insns + n;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
+  Array.unsafe_set t.s_cycles 0 (Array.unsafe_get t.s_cycles 0 +. cycles);
   t.s_loads <- t.s_loads + loads;
   t.s_stores <- t.s_stores + stores;
   t.dirty <- true;
   t.fast_bundles <- t.fast_bundles + 1
 
-let[@inline] add_branch_idx_x t i ~mispredicted =
+let[@inline] add_branch_idx t i ~mispredicted ~cycles =
   select t i;
   t.s_insns <- t.s_insns + 1;
   t.s_branches <- t.s_branches + 1;
   if mispredicted then t.s_branch_misses <- t.s_branch_misses + 1;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
+  Array.unsafe_set t.s_cycles 0 (Array.unsafe_get t.s_cycles 0 +. cycles);
   t.dirty <- true
-
-let[@inline] add_cache_miss_idx_x t i =
-  select t i;
-  t.s_cache_misses <- t.s_cache_misses + 1;
-  Array.unsafe_set t.s_cycles 0
-    (Array.unsafe_get t.s_cycles 0 +. Array.unsafe_get t.x_cycles 0);
-  t.dirty <- true
-
-(* boxing-argument variants, kept for callers off the hot path *)
-
-let[@inline] add_bundle_idx t i ~n ~loads ~stores ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_bundle_idx_x t i ~n ~loads ~stores
-
-let[@inline] add_branch_idx t i ~mispredicted ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_branch_idx_x t i ~mispredicted
 
 let[@inline] add_cache_miss_idx t i ~cycles =
-  Array.unsafe_set t.x_cycles 0 cycles;
-  add_cache_miss_idx_x t i
-
-(* --- legacy Phase.t entry points (kept for callers off the hot path) --- *)
-
-let add_bundle t phase (c : Cost.t) ~cycles =
-  add_bundle_idx t (Phase.index phase) ~n:(Cost.total c) ~loads:c.Cost.load
-    ~stores:c.Cost.store ~cycles
-
-let add_branch t phase ~mispredicted ~cycles =
-  add_branch_idx t (Phase.index phase) ~mispredicted ~cycles
-
-let add_cache_miss t phase ~cycles =
-  add_cache_miss_idx t (Phase.index phase) ~cycles
+  select t i;
+  t.s_cache_misses <- t.s_cache_misses + 1;
+  Array.unsafe_set t.s_cycles 0 (Array.unsafe_get t.s_cycles 0 +. cycles);
+  t.dirty <- true
 
 (* --- fast-path observability --- *)
 

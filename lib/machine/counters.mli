@@ -30,38 +30,20 @@ val reset : t -> unit
     sequence the array slot would have, so flushed counters are
     bit-for-bit equal to unstaged per-event charging.  Every query below
     flushes first, so a captured [t] handle always reads exact values —
-    there is no "pending" state observable from outside. *)
+    there is no "pending" state observable from outside.
 
-val add_bundle : t -> Mtj_core.Phase.t -> Mtj_core.Cost.t -> cycles:float -> unit
-val add_branch : t -> Mtj_core.Phase.t -> mispredicted:bool -> cycles:float -> unit
-val add_cache_miss : t -> Mtj_core.Phase.t -> cycles:float -> unit
-
-(* Index-taking fast paths: [i] must be a valid [Phase.index] (the
-   Engine passes its cached current-phase index).  [add_bundle_idx]
-   takes the bundle pre-decomposed so callers with preinterned costs
-   skip the record walk. *)
+    [i] must be a valid [Phase.index] (the Engine passes its cached
+    current-phase index).  [add_bundle_idx] takes the bundle
+    pre-decomposed so callers with preinterned costs skip the record
+    walk.  The three are [[@inline]]: in a build without [-opaque] they
+    inline into Engine's charge paths and [~cycles] never boxes; under
+    [-opaque] each call boxes it (2 host words per charge). *)
 
 val add_bundle_idx :
   t -> int -> n:int -> loads:int -> stores:int -> cycles:float -> unit
 
 val add_branch_idx : t -> int -> mispredicted:bool -> cycles:float -> unit
 val add_cache_miss_idx : t -> int -> cycles:float -> unit
-
-(* Unboxed cycle transfer: without flambda, every [cycles:float]
-   argument above boxes a fresh float per charge — one 2-word minor
-   allocation per simulated charge event, which dominated the
-   interpreter row's host allocation.  Hot callers instead store the
-   delta into the one-cell [cycles_xfer] array (float-array stores stay
-   unboxed) and call the [_x] variants, which read it back out.  The
-   accumulated values are bit-for-bit identical to the boxed path. *)
-
-val cycles_xfer : t -> float array
-(** the one-cell transfer register; cache it once, store the cycle
-    delta at index 0 immediately before each [_x] call *)
-
-val add_bundle_idx_x : t -> int -> n:int -> loads:int -> stores:int -> unit
-val add_branch_idx_x : t -> int -> mispredicted:bool -> unit
-val add_cache_miss_idx_x : t -> int -> unit
 
 val flush : t -> unit
 (** Write any staged updates back to the per-phase arrays.  Queries call
@@ -74,7 +56,7 @@ val charge_flushes : t -> int
 
 val fast_path_bundles : t -> int
 (** Number of instruction bundles charged through the staged fast path
-    (i.e. every [add_bundle]/[add_bundle_idx] call). *)
+    (i.e. every [add_bundle_idx] call). *)
 
 (* --- queries --- *)
 

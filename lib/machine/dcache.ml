@@ -22,37 +22,36 @@ let create ?(sets_bits = 9) ?(ways = 4) ?(line_bits = 6) () =
     misses = 0;
   }
 
-(* allocation-free lookup: way index or -1, no option box on the hot
-   hit path *)
-let[@inline] find_way t ~base ~line =
-  let rec go i =
-    if i >= t.ways then -1
-    else if t.tags.(base + i) = line then i
-    else go (i + 1)
-  in
-  go 0
+(* The lookup allocates nothing: both scans are top-level recursive
+   functions over explicit arguments.  A local [let rec] over [t],
+   [base] and [line] would be a closure built on every access. *)
+
+(* the way holding [line], or -1: no option box on the hit path *)
+let rec find_way t ~base ~line i =
+  if i >= t.ways then -1
+  else if t.tags.(base + i) = line then i
+  else find_way t ~base ~line (i + 1)
 
 (* least-recently-used way, as a plain accumulator loop (no ref cell) *)
-let victim_way t ~base =
-  let rec go i best =
-    if i >= t.ways then best
-    else go (i + 1) (if t.lru.(base + i) < t.lru.(base + best) then i else best)
-  in
-  go 1 0
+let rec victim_way t ~base i best =
+  if i >= t.ways then best
+  else
+    victim_way t ~base (i + 1)
+      (if t.lru.(base + i) < t.lru.(base + best) then i else best)
 
 let[@inline] access t ~addr =
   let line = addr lsr t.line_bits in
   let set = line land t.sets_mask in
   let base = set * t.ways in
   t.clock <- t.clock + 1;
-  let i = find_way t ~base ~line in
+  let i = find_way t ~base ~line 0 in
   if i >= 0 then begin
     t.lru.(base + i) <- t.clock;
     t.hits <- t.hits + 1;
     true
   end
   else begin
-    let v = victim_way t ~base in
+    let v = victim_way t ~base 1 0 in
     t.tags.(base + v) <- line;
     t.lru.(base + v) <- t.clock;
     t.misses <- t.misses + 1;

@@ -1,10 +1,9 @@
 (** Pure evaluation of side-effect-free IR opcodes over concrete values.
 
     {!stage} is the one definition of every pure opcode: the trace
-    executor builds its op closures (and, through {!stage_test}, its
-    fused compare-and-guard tests) from it, {!eval} applies it to
-    argument values for the optimizer's constant folder and the
-    reference executor, and {!foldable} is whether it is defined.
+    executor builds its op steps from it, {!eval} applies it to argument
+    values for the optimizer's constant folder and the reference
+    executor, and {!foldable} is whether it is defined.
     Staging raises [Not_pure] for opcodes that touch the heap, call out,
     or control the trace; the staged closures raise language errors
     ({!Ops_intf.Lang_error}, [Division_by_zero]) exactly where the
@@ -53,67 +52,13 @@ let checked_mul x y =
 
 (* --- the pure opcodes, staged ---
 
-   [stage_test] and [stage] are the one definition of every pure
-   opcode.  Staging decodes the opcode and binds its operand readers;
-   the returned closure reads the operands out of an environment ['e]
-   (the executor's register file, or [eval]'s argument array) and
-   computes.  Two-operand ops convert the second operand first (the
-   string index ops convert the string first), so a type error on
-   either operand surfaces the same everywhere. *)
-
-(* the compare ops the executor fuses with the truth guard after them *)
-let stage_test (opcode : Ir.opcode) (gs : ('e -> Value.t) array) :
-    ('e -> bool) option =
-  match opcode with
-  | Ir.Int_lt ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) < y)
-  | Ir.Int_le ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) <= y)
-  | Ir.Int_eq ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) = y)
-  | Ir.Int_ne ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) <> y)
-  | Ir.Int_gt ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) > y)
-  | Ir.Int_ge ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_int (b e) in as_int (a e) >= y)
-  | Ir.Int_is_true ->
-      let a = gs.(0) in
-      Some (fun e -> as_int (a e) <> 0)
-  | Ir.Int_is_zero ->
-      let a = gs.(0) in
-      Some (fun e -> not (Value.truthy (a e)))
-  | Ir.Float_lt ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) < y)
-  | Ir.Float_le ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) <= y)
-  | Ir.Float_eq ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) = y)
-  | Ir.Float_ne ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) <> y)
-  | Ir.Float_gt ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) > y)
-  | Ir.Float_ge ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> let y = as_float (b e) in as_float (a e) >= y)
-  | Ir.Ptr_eq ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> Semantics.identical (a e) (b e))
-  | Ir.Ptr_ne ->
-      let a = gs.(0) and b = gs.(1) in
-      Some (fun e -> not (Semantics.identical (a e) (b e)))
-  | _ -> None
+   [stage] is the one definition of every pure opcode.  Staging decodes
+   the opcode and binds its operand readers; the returned closure reads
+   the operands out of an environment ['e] (the executor's register
+   file, or [eval]'s argument array) and computes.  Two-operand ops
+   convert the second operand first (the string index ops convert the
+   string first), so a type error on either operand surfaces the same
+   everywhere. *)
 
 let int1 gs f =
   let a = gs.(0) in
@@ -145,60 +90,79 @@ let str_getitem gs =
     else Value.of_str (String.make 1 s.[idx])
 
 let stage (opcode : Ir.opcode) (gs : ('e -> Value.t) array) : 'e -> Value.t =
-  match stage_test opcode gs with
-  | Some test -> fun e -> Value.of_bool (test e)
-  | None -> (
-      match opcode with
-      | Ir.Int_add -> int2 gs (fun x y -> Value.of_int (x + y))
-      | Ir.Int_sub -> int2 gs (fun x y -> Value.of_int (x - y))
-      | Ir.Int_mul -> int2 gs (fun x y -> Value.of_int (x * y))
-      | Ir.Int_and -> int2 gs (fun x y -> Value.of_int (x land y))
-      | Ir.Int_or -> int2 gs (fun x y -> Value.of_int (x lor y))
-      | Ir.Int_xor -> int2 gs (fun x y -> Value.of_int (x lxor y))
-      | Ir.Int_lshift -> int2 gs (fun x n -> Value.of_int (x lsl n))
-      | Ir.Int_rshift ->
-          (* clamp: [asr] past the word size is unspecified (hardware
-             wraps the count); traces only emit this for non-negative
-             operands *)
-          int2 gs (fun x n -> Value.of_int (x asr if n > 62 then 62 else n))
-      | Ir.Int_floordiv ->
-          int2 gs (fun x y -> Value.of_int (Rarith.floordiv_int x y))
-      | Ir.Int_mod -> int2 gs (fun x y -> Value.of_int (Rarith.mod_int x y))
-      | Ir.Int_neg ->
-          int1 gs (fun x ->
-              if x = min_int then Semantics.err "integer negation overflow"
-              else Value.of_int (-x))
-      | Ir.Float_add -> float2 gs (fun x y -> Value.of_float (x +. y))
-      | Ir.Float_sub -> float2 gs (fun x y -> Value.of_float (x -. y))
-      | Ir.Float_mul -> float2 gs (fun x y -> Value.of_float (x *. y))
-      | Ir.Float_truediv ->
-          (* the divisor is converted and checked before the dividend *)
-          let a = gs.(0) and b = gs.(1) in
-          fun e ->
-            let y = as_float (b e) in
-            if y = 0.0 then raise Division_by_zero
-            else Value.of_float (as_float (a e) /. y)
-      | Ir.Float_neg -> float1 gs (fun x -> Value.of_float (-.x))
-      | Ir.Float_abs -> float1 gs (fun x -> Value.of_float (Float.abs x))
-      | Ir.Cast_int_to_float -> int1 gs (fun x -> Value.of_float (float_of_int x))
-      | Ir.Cast_float_to_int ->
-          float1 gs (fun x -> Value.of_int (int_of_float (Float.trunc x)))
-      | Ir.Str_concat ->
-          let a = gs.(0) and b = gs.(1) in
-          fun e ->
-            let y = as_str (b e) in
-            Value.of_str (as_str (a e) ^ y)
-      | Ir.Str_eq ->
-          let a = gs.(0) and b = gs.(1) in
-          fun e ->
-            let y = as_str (b e) in
-            Value.of_bool (String.equal (as_str (a e)) y)
-      | Ir.Strlen | Ir.Unicode_len ->
-          let a = gs.(0) in
-          fun e -> Value.of_int (String.length (as_str (a e)))
-      | Ir.Strgetitem | Ir.Unicode_getitem -> str_getitem gs
-      | Ir.Same_as -> gs.(0)
-      | _ -> raise Not_pure)
+  match opcode with
+  | Ir.Int_lt -> int2 gs (fun x y -> Value.of_bool (x < y))
+  | Ir.Int_le -> int2 gs (fun x y -> Value.of_bool (x <= y))
+  | Ir.Int_eq -> int2 gs (fun x y -> Value.of_bool (x = y))
+  | Ir.Int_ne -> int2 gs (fun x y -> Value.of_bool (x <> y))
+  | Ir.Int_gt -> int2 gs (fun x y -> Value.of_bool (x > y))
+  | Ir.Int_ge -> int2 gs (fun x y -> Value.of_bool (x >= y))
+  | Ir.Int_is_true -> int1 gs (fun x -> Value.of_bool (x <> 0))
+  | Ir.Int_is_zero ->
+      let a = gs.(0) in
+      fun e -> Value.of_bool (not (Value.truthy (a e)))
+  | Ir.Float_lt -> float2 gs (fun x y -> Value.of_bool (x < y))
+  | Ir.Float_le -> float2 gs (fun x y -> Value.of_bool (x <= y))
+  | Ir.Float_eq -> float2 gs (fun x y -> Value.of_bool (x = y))
+  | Ir.Float_ne -> float2 gs (fun x y -> Value.of_bool (x <> y))
+  | Ir.Float_gt -> float2 gs (fun x y -> Value.of_bool (x > y))
+  | Ir.Float_ge -> float2 gs (fun x y -> Value.of_bool (x >= y))
+  | Ir.Ptr_eq ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e -> Value.of_bool (Semantics.identical (a e) (b e))
+  | Ir.Ptr_ne ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e -> Value.of_bool (not (Semantics.identical (a e) (b e)))
+  | Ir.Int_add -> int2 gs (fun x y -> Value.of_int (x + y))
+  | Ir.Int_sub -> int2 gs (fun x y -> Value.of_int (x - y))
+  | Ir.Int_mul -> int2 gs (fun x y -> Value.of_int (x * y))
+  | Ir.Int_and -> int2 gs (fun x y -> Value.of_int (x land y))
+  | Ir.Int_or -> int2 gs (fun x y -> Value.of_int (x lor y))
+  | Ir.Int_xor -> int2 gs (fun x y -> Value.of_int (x lxor y))
+  | Ir.Int_lshift -> int2 gs (fun x n -> Value.of_int (x lsl n))
+  | Ir.Int_rshift ->
+      (* clamp: [asr] past the word size is unspecified (hardware
+         wraps the count); traces only emit this for non-negative
+         operands *)
+      int2 gs (fun x n -> Value.of_int (x asr if n > 62 then 62 else n))
+  | Ir.Int_floordiv ->
+      int2 gs (fun x y -> Value.of_int (Rarith.floordiv_int x y))
+  | Ir.Int_mod -> int2 gs (fun x y -> Value.of_int (Rarith.mod_int x y))
+  | Ir.Int_neg ->
+      int1 gs (fun x ->
+          if x = min_int then Semantics.err "integer negation overflow"
+          else Value.of_int (-x))
+  | Ir.Float_add -> float2 gs (fun x y -> Value.of_float (x +. y))
+  | Ir.Float_sub -> float2 gs (fun x y -> Value.of_float (x -. y))
+  | Ir.Float_mul -> float2 gs (fun x y -> Value.of_float (x *. y))
+  | Ir.Float_truediv ->
+      (* the divisor is converted and checked before the dividend *)
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let y = as_float (b e) in
+        if y = 0.0 then raise Division_by_zero
+        else Value.of_float (as_float (a e) /. y)
+  | Ir.Float_neg -> float1 gs (fun x -> Value.of_float (-.x))
+  | Ir.Float_abs -> float1 gs (fun x -> Value.of_float (Float.abs x))
+  | Ir.Cast_int_to_float -> int1 gs (fun x -> Value.of_float (float_of_int x))
+  | Ir.Cast_float_to_int ->
+      float1 gs (fun x -> Value.of_int (int_of_float (Float.trunc x)))
+  | Ir.Str_concat ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let y = as_str (b e) in
+        Value.of_str (as_str (a e) ^ y)
+  | Ir.Str_eq ->
+      let a = gs.(0) and b = gs.(1) in
+      fun e ->
+        let y = as_str (b e) in
+        Value.of_bool (String.equal (as_str (a e)) y)
+  | Ir.Strlen | Ir.Unicode_len ->
+      let a = gs.(0) in
+      fun e -> Value.of_int (String.length (as_str (a e)))
+  | Ir.Strgetitem | Ir.Unicode_getitem -> str_getitem gs
+  | Ir.Same_as -> gs.(0)
+  | _ -> raise Not_pure
 
 (* the int ops an overflow guard checks, staged with the check: the
    exact result, or [Overflow] where the wrapping op in [stage] would

@@ -18,16 +18,6 @@ val checked_add : int -> int -> int
 val checked_sub : int -> int -> int
 val checked_mul : int -> int -> int
 
-val stage_test :
-  Ir.opcode -> ('e -> Mtj_rt.Value.t) array -> ('e -> bool) option
-(** The compare ops ([Int_lt] ... [Int_ge], [Int_is_true],
-    [Int_is_zero], [Float_lt] ... [Float_ge], [Ptr_eq], [Ptr_ne]),
-    staged to the bool they compute: [stage_test opcode readers] binds
-    the operand readers and returns the test over an environment ['e],
-    or [None] for any other opcode.  {!stage} derives their [Value.t]
-    results from this; the executor branches on it directly when it
-    fuses a compare with the truth guard after it. *)
-
 val stage : Ir.opcode -> ('e -> Mtj_rt.Value.t) array -> 'e -> Mtj_rt.Value.t
 (** [stage opcode readers] is the one definition of a pure opcode:
     staging decodes it and binds the operand readers once, the returned

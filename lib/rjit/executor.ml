@@ -20,12 +20,13 @@
     - {!run}, the closure-threaded loop (after Izawa et al. 2021):
       {!precompile}/[code_for] translate the op array {e once} into an
       array of step closures built from the staged definitions —
-      operands resolved to direct register indices or hoisted
-      constants, guards pre-bound to their resume data and fail path,
-      compare+guard and int-op+overflow-guard pairs fused into
-      superinstructions — cached per context and keyed by trace id,
-      invalidated when a bridge attachment bumps the trace's
-      [code_version].
+      one step per op, operands resolved to direct register indices or
+      hoisted constants, guards pre-bound to their resume data and fail
+      path — cached per context and keyed by trace id, invalidated when
+      a bridge attachment bumps the trace's [code_version].  No pair of
+      ops is fused: built without [-opaque], a hand-fused compare+guard
+      or int-op+overflow-guard step ran no faster than the two plain
+      steps (DESIGN.md §3f).
 
     Both charge the simulated machine identically: every counter the
     engine sees is byte-for-byte the same under either strategy. *)
@@ -532,14 +533,11 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
    closures over a small mutable machine state.  Each step is pre-bound
    at translation time: the op's work is its staged definition, operand
    lookups are direct register indices or hoisted constants, the per-op
-   cost bundle and op_exec counter cell are captured, guards carry their
-   resolved fail path (bridge target or deopt), and the two pairs the
-   recorder always emits adjacently — compare+guard and
-   int-op+overflow-guard — collapse into fused superinstruction steps.
-   The interpretive costs of the reference loop (opcode re-match,
-   operand re-decode and staging, per-iteration closure and array
-   allocation) are paid once per translation instead of once per
-   executed op. *)
+   cost bundle and op_exec counter cell are captured, and guards carry
+   their resolved fail path (bridge target or deopt).  The interpretive
+   costs of the reference loop (opcode re-match, operand re-decode and
+   staging, per-iteration closure and array allocation) are paid once
+   per translation instead of once per executed op. *)
 
 type state = {
   mutable st_regs : Value.t array;
@@ -678,7 +676,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
       | () -> st.st_ip <- i + 1
       | exception e when lang_errors e -> deopt_boundary st e
   in
-  let plain_step i (op : Ir.op) : step =
+  let op_step i (op : Ir.op) : step =
     match op.Ir.opcode with
     | Ir.Debug_merge_point d ->
         let cost = costs.(i) in
@@ -803,111 +801,10 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
                   | None -> Semantics.err "call_assembler to unknown trace")))
     | _ -> ordinary i op
   in
-  (* superinstruction fusion: compare feeding a truth guard, and the
-     int-op + overflow-guard pair the recorder always emits adjacently.
-     The guard slot keeps its standalone step so a back-edge landing on
-     it (loop_start) still works. *)
-  let fused_cmp_guard i (op : Ir.op) (g : Ir.guard) (test : Value.t array -> bool)
-      : step =
-    let cost_op = costs.(i) and cost_g = costs.(i + 1) in
-    let set = store op.Ir.result in
-    let site = 400_000 + (g.Ir.guard_id land 4095) in
-    let want = match g.Ir.gkind with Ir.G_true -> true | _ -> false in
-    let fail = fail_path g in
-    fun st ->
-      exec.(i) <- exec.(i) + 1;
-      Engine.emit eng cost_op;
-      match test st.st_regs with
-      | b ->
-          set st.st_regs (Value.of_bool b);
-          exec.(i + 1) <- exec.(i + 1) + 1;
-          Engine.emit eng cost_g;
-          if b = want then begin
-            Engine.branch eng ~site ~taken:true;
-            st.st_ip <- i + 2
-          end
-          else begin
-            Engine.branch eng ~site ~taken:false;
-            fail st
-          end
-      | exception e when lang_errors e -> deopt_boundary st e
-  in
-  (* the checked op computes the result; only an overflow (the guard
-     failing) stages the wrapped result the op stores *)
-  let fused_int_ovf i (op : Ir.op) (g : Ir.guard) : step =
-    let gs = readers op.Ir.args in
-    let checked = Eval_op.stage_checked op.Ir.opcode gs in
-    let wrapped = Eval_op.stage op.Ir.opcode gs in
-    let set = store op.Ir.result in
-    let cost_op = costs.(i) and cost_g = costs.(i + 1) in
-    let site = 400_000 + (g.Ir.guard_id land 4095) in
-    let fail = fail_path g in
-    fun st ->
-      exec.(i) <- exec.(i) + 1;
-      Engine.emit eng cost_op;
-      let regs = st.st_regs in
-      match checked regs with
-      | v ->
-          set regs v;
-          exec.(i + 1) <- exec.(i + 1) + 1;
-          Engine.emit eng cost_g;
-          Engine.branch eng ~site ~taken:true;
-          st.st_ip <- i + 2
-      | exception Eval_op.Overflow ->
-          set regs (wrapped regs);
-          exec.(i + 1) <- exec.(i + 1) + 1;
-          Engine.emit eng cost_g;
-          Engine.branch eng ~site ~taken:false;
-          fail st
-      | exception e when lang_errors e -> deopt_boundary st e
-  in
-  let reads_reg (args : Ir.operand array) r =
-    Array.exists (function Ir.Reg x -> x = r | Ir.Const _ -> false) args
-  in
-  let same_args (xs : Ir.operand array) (ys : Ir.operand array) =
-    Array.length xs = Array.length ys
-    && Array.for_all2
-         (fun (x : Ir.operand) (y : Ir.operand) ->
-           match (x, y) with
-           | Ir.Reg a, Ir.Reg b -> a = b
-           | Ir.Const a, Ir.Const b ->
-               Value.is_int a && Value.is_int b
-               && Value.to_int_unchecked a = Value.to_int_unchecked b
-           | _ -> false)
-         xs ys
-  in
-  let fuse i (op : Ir.op) : step option =
-    if i + 1 >= n then None
-    else
-      match ops.(i + 1).Ir.opcode with
-      | Ir.Guard g -> (
-          let gargs = ops.(i + 1).Ir.args in
-          match (g.Ir.gkind, op.Ir.opcode) with
-          | (Ir.G_true | Ir.G_false), _
-            when op.Ir.result >= 0
-                 && same_args gargs [| Ir.Reg op.Ir.result |] -> (
-              match Eval_op.stage_test op.Ir.opcode (readers op.Ir.args) with
-              | Some test -> Some (fused_cmp_guard i op g test)
-              | None -> None)
-          | Ir.G_no_ovf_add, Ir.Int_add
-          | Ir.G_no_ovf_sub, Ir.Int_sub
-          | Ir.G_no_ovf_mul, Ir.Int_mul
-            when op.Ir.result >= 0
-                 && same_args gargs op.Ir.args
-                 && not (reads_reg op.Ir.args op.Ir.result) ->
-              Some (fused_int_ovf i op g)
-          | _ -> None)
-      | _ -> None
-  in
-  let code =
-    Array.init (n + 1) (fun i ->
-        if i = n then (fun (_ : state) ->
-          invalid_arg "Executor: trace ran off the end")
-        else
-          let op = ops.(i) in
-          match fuse i op with Some s -> s | None -> plain_step i op)
-  in
-  code
+  Array.init (n + 1) (fun i ->
+      if i = n then fun (_ : state) ->
+        invalid_arg "Executor: trace ran off the end"
+      else op_step i ops.(i))
 
 (* --- the per-context trace code cache --- *)
 

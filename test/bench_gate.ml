@@ -23,9 +23,11 @@
       are machine-independent (the allocation counter is monotonic and
       the simulation is deterministic), so this quotient needs no
       normalization; it catches regressions in the allocation-free value
-      fast paths (the immediate-tagged value representation, the unboxed
-      cycle-transfer charge path, frame pooling)
-      that the wall-clock gates could absorb in noise.
+      fast paths (the immediate-tagged value representation, the
+      allocation-free charge path, frame pooling) that the wall-clock
+      gates could absorb in noise.  A build with [-opaque] (dune's dev
+      profile) fails it and the JIT allocation gate: the charge path's
+      [~cycles] float boxes on every call.
     - {b JIT allocation gate}: the same quotient over the JIT configs
       (pypy / pypy-2tier / pycket), whose host allocation is mostly the
       JIT's own: resume snapshots built while recording, optimizer
@@ -52,7 +54,8 @@
       bench_gate.exe --serve-gate METRICS.json [UNSEEDED.json]
 
     [MAX_REGRESS] defaults to 0.15 (fail above +15%) and applies to all
-    four gates.  [--update-baseline] validates CURRENT and copies it over
+    four gates; anything but a finite fraction >= 0 prints the usage and
+    exits 2.  [--update-baseline] validates CURRENT and copies it over
     BASELINE instead of gating.
 
     Baseline refresh workflow (after an intentional perf change):
@@ -269,15 +272,25 @@ let () =
     | "--update-baseline" :: rest -> (true, rest)
     | _ -> (false, args)
   in
+  let usage () =
+    die
+      "usage: %s [--update-baseline] BASELINE.json CURRENT.json \
+       [MAX_REGRESS]"
+      Sys.argv.(0)
+  in
   let baseline_file, current_file, max_regress =
     match args with
     | [ b; c ] -> (b, c, 0.15)
-    | [ b; c; m ] when not update -> (b, c, float_of_string m)
-    | _ ->
-        die
-          "usage: %s [--update-baseline] BASELINE.json CURRENT.json \
-           [MAX_REGRESS]"
-          Sys.argv.(0)
+    | [ b; c; m ] when not update -> (
+        (* nan would turn every gate off and a negative limit fail them
+           all *)
+        match float_of_string_opt m with
+        | Some l when Float.is_finite l && l >= 0.0 -> (b, c, l)
+        | _ ->
+            Printf.eprintf
+              "error: bad MAX_REGRESS %S (want a finite fraction >= 0)\n" m;
+            usage ())
+    | _ -> usage ()
   in
   if update then update_baseline ~baseline_file ~current_file
   else begin

@@ -572,6 +572,45 @@ let scenario_flush_stats () =
   Alcotest.(check int)
     "idempotent flush not recounted" flushes_after (Engine.charge_flushes eng)
 
+(* The charge path allocates nothing on the host.  Two causes have made
+   it allocate: a build with [-opaque] (dune's dev profile; the
+   workspace profile passes none), under which Engine's [~cycles] float
+   boxes on every call into Counters, and a closure built per lookup in
+   Dcache. *)
+let scenario_charge_alloc_free () =
+  let eng = Engine.create () in
+  let dc = Engine.dcache eng in
+  let cost = Cost.make ~alu:3 ~load:1 ~store:1 () in
+  let calls = 10_000 in
+  let per_call name f =
+    for i = 0 to 999 do f i done;
+    let before = Gc.minor_words () in
+    for i = 0 to calls - 1 do f i done;
+    let words = Gc.minor_words () -. before in
+    if words <> 0.0 then
+      Alcotest.failf
+        "%s allocated %.3f host words per call; either the build passes \
+         -opaque (dune --profile dev: Counters' ~cycles float boxes) or a \
+         Dcache lookup allocates"
+        name (words /. float_of_int calls)
+  in
+  per_call "Engine.emit" (fun _ -> Engine.emit eng cost);
+  per_call "Engine.branch" (fun i ->
+      Engine.branch eng ~site:(i land 63) ~taken:(i land 3 <> 0));
+  per_call "Engine.branch_indirect" (fun i ->
+      Engine.branch_indirect eng ~site:7 ~target:(i land 3));
+  (* 16 lines, one per set: only their first touches miss *)
+  let misses = Dcache.misses dc in
+  per_call "Engine.mem_access (hit)" (fun i ->
+      Engine.mem_access eng ~addr:((1 + (i land 15)) lsl 6)
+        ~write:(i land 1 = 0));
+  Alcotest.(check int) "only cold lines missed" 16 (Dcache.misses dc - misses);
+  (* 8 lines in one 4-way set, cycled: LRU evicts each before its reuse *)
+  let hits = Dcache.hits dc in
+  per_call "Engine.mem_access (miss)" (fun i ->
+      Engine.mem_access eng ~addr:((i land 7) lsl 15) ~write:false);
+  Alcotest.(check int) "no access hit" 0 (Dcache.hits dc - hits)
+
 let suite =
   [
     Alcotest.test_case "phase interleaving" `Quick scenario_phases;
@@ -584,5 +623,7 @@ let suite =
     Alcotest.test_case "listener order across growth" `Quick
       scenario_listener_order;
     Alcotest.test_case "fast-path stats" `Quick scenario_flush_stats;
+    Alcotest.test_case "charge path allocates nothing" `Quick
+      scenario_charge_alloc_free;
     QCheck_alcotest.to_alcotest prop_batched_identical;
   ]

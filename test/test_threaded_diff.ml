@@ -10,8 +10,7 @@
     simulated machine counters (including float cycles, compared
     exactly), trace entry counts, per-op execution counts, and guard
     fail counts.  The threaded form is an execution-strategy change
-    only; any divergence is a bug in the translation or in a fused
-    superinstruction. *)
+    only; any divergence is a bug in the translation. *)
 
 open Mtj_rjit
 module V = Mtj_rt.Value
@@ -195,8 +194,8 @@ let gen_step st =
       let r = fresh st RInt in
       emit st ~result:r opc [| Ir.Reg a; Ir.Reg b |]
   | 2 ->
-      (* int op immediately followed by its overflow guard: the threaded
-         translator fuses this pair into one superinstruction *)
+      (* int op immediately followed by its overflow guard, the pair the
+         recorder always emits; the guard recomputes the op checked *)
       let a = int_reg () and b = int_reg () in
       let opc, gk =
         match rnd 3 with
@@ -209,8 +208,8 @@ let gen_step st =
       emit st ~result:r opc args;
       emit_guard st gk (Array.copy args)
   | 3 ->
-      (* compare immediately followed by a guard on its result: the
-         other fused superinstruction; fails on real data *)
+      (* compare immediately followed by a guard on its result; fails
+         on real data *)
       let a = int_reg () and b = int_reg () in
       let opc =
         match rnd 6 with
@@ -246,7 +245,7 @@ let gen_step st =
       let r = fresh st RFloat in
       emit st ~result:r opc [| Ir.Reg a; Ir.Reg b |]
   | 6 ->
-      (* float compare + fused guard *)
+      (* float compare + guard on its result *)
       let a = float_reg () and b = float_reg () in
       let opc =
         match rnd 6 with
@@ -381,7 +380,7 @@ let gen_step st =
       | 1 -> emit st ~result:(fresh st RFloat) Ir.Float_abs [| Ir.Reg a |]
       | _ -> emit st ~result:(fresh st RInt) Ir.Cast_float_to_int [| Ir.Reg a |])
   | 17 ->
-      (* identity compares on ints or heap objects, sometimes fused with
+      (* identity compares on ints or heap objects, sometimes followed by
          a guard on the result *)
       let kind =
         match (pick_kind st RArr, pick_kind st RList) with
@@ -548,7 +547,7 @@ let mk_guard ~id gkind resume =
   { Ir.guard_id = id; gkind; resume; fail_count = 0; bridge = None;
     bridgeable = true }
 
-(* r1 = r0 + 1; guard r1 < limit (fused cmp+guard); jump [r1] *)
+(* r1 = r0 + 1; guard r1 < limit (compare + guard); jump [r1] *)
 let counting_loop_ops ~limit =
   [|
     { Ir.opcode =
@@ -652,10 +651,10 @@ let scenario_tiered (exec : executor) =
   let e = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
   observe rtc [ trace ] [ e ]
 
-(* integer overflow inside a fused op+guard pair; the guard's resume
-   also reads the op's result, so the deopt shows the wrapped value the
-   op stored before its guard failed *)
-let scenario_ovf_fused (exec : executor) =
+(* integer overflow in an int op + overflow guard pair; the guard's
+   resume also reads the op's result, so the deopt shows the wrapped
+   value the op stored before its guard failed *)
+let scenario_ovf_pair (exec : executor) =
   let rtc = Mtj_rt.Ctx.create () in
   let jitlog = Jitlog.create () in
   let ops entry_ovf =
@@ -698,7 +697,8 @@ let test_call_assembler () =
   check_scenario "call_assembler chain" scenario_call_assembler
 
 let test_tiered () = check_scenario "tier-1 back-edge exit" scenario_tiered
-let test_ovf () = check_scenario "fused overflow guard" scenario_ovf_fused
+let test_ovf () =
+  check_scenario "int op + overflow guard pair" scenario_ovf_pair
 
 (* ---------- cache accounting (threaded executor only) ---------- *)
 
@@ -735,6 +735,6 @@ let suite =
     Alcotest.test_case "bridge attach + cache invalidation" `Quick test_bridge;
     Alcotest.test_case "call_assembler switch" `Quick test_call_assembler;
     Alcotest.test_case "tiered back-edge exit" `Quick test_tiered;
-    Alcotest.test_case "fused overflow guard" `Quick test_ovf;
+    Alcotest.test_case "int op + overflow guard pair" `Quick test_ovf;
     Alcotest.test_case "code cache accounting" `Quick test_cache_accounting;
   ]
