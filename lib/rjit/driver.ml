@@ -276,8 +276,7 @@ module Make (L : Threaded.LANG) = struct
   (* runs the tracing meta-interpreter until [close] says the trace is
      complete or tracing aborts; returns the recorded ops and the
      concrete state to resume direct execution from *)
-  let record_session t (rec_ : Recorder.t) (start : tframe) ~target_key
-      ~allow_finish
+  let record_session t (rec_ : Recorder.t) (start : tframe) ~allow_finish
       ~(close : steps:int -> tframe -> bool) ~(finish : Recorder.t -> tframe -> unit) :
       session_end =
     let tcur = ref start in
@@ -288,7 +287,6 @@ module Make (L : Threaded.LANG) = struct
       t.tracking <- None;
       result
     in
-    ignore target_key;
     let rec loop steps =
       let f = !tcur in
       if close ~steps f then begin
@@ -353,7 +351,7 @@ module Make (L : Threaded.LANG) = struct
         t.tracking <- None;
         raise e
 
-  let tval_of_value r i v : Recorder.tval = ignore r; { Recorder.v; src = Ir.Reg i }
+  let tval_of_value i v : Recorder.tval = { Recorder.v; src = Ir.Reg i }
 
   (* --- tracing a loop --- *)
 
@@ -369,7 +367,7 @@ module Make (L : Threaded.LANG) = struct
         ~code_ref:f.Frame.code_ref ~nlocals:entry_slots
         ~stack_size:(L.stack_size f.Frame.code) ~parent:None
     in
-    Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value rec_ i v) f.Frame.locals;
+    Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value i v) f.Frame.locals;
     tf.Frame.pc <- f.Frame.pc;
     let close ~steps (fr : tframe) =
       steps > 0 && fr.Frame.parent = None
@@ -381,7 +379,7 @@ module Make (L : Threaded.LANG) = struct
       Recorder.emit_n rec_ Ir.Jump args
     in
     let orig_parent = f.Frame.parent in
-    match record_session t rec_ tf ~target_key:key ~allow_finish:false ~close ~finish with
+    match record_session t rec_ tf ~allow_finish:false ~close ~finish with
     | Closed (ops, saved) ->
         let trace =
           if Tierpolicy.compile_tier t.cfg <= 1 then begin
@@ -582,10 +580,7 @@ module Make (L : Threaded.LANG) = struct
       | outermost :: _ -> outermost.Executor.df_discard
       | [] -> false
     in
-    match
-      record_session t rec_ start ~target_key:loop_key ~allow_finish:true
-        ~close ~finish
-    with
+    match record_session t rec_ start ~allow_finish:true ~close ~finish with
     | Closed (ops, saved) ->
         compile_bridge ops;
         J_frame (rebuild_saved t saved orig_parent)

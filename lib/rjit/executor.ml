@@ -13,20 +13,26 @@
     Each op's semantics is defined once, staged (decode now, run when
     applied): {!Eval_op.stage} for the pure ops, [stage_op] for heap
     reads and writes, allocation and residual calls, [guard_test] for
-    guards.  Two execution strategies run those definitions:
+    guards.  Each way out of JIT code is defined once too: [deopt],
+    [finished] and [tier_up_exit] build the {!exit_state}.  Two
+    execution strategies run those definitions:
 
     - {!run_ref}, the reference loop, re-matches [op.opcode] and stages
       the op on every iteration;
-    - {!run}, the closure-threaded loop (after Izawa et al. 2021):
-      {!precompile}/[code_for] translate the op array {e once} into an
-      array of step closures built from the staged definitions —
-      one step per op, operands resolved to direct register indices or
+    - {!run}, continuation-threaded code (after Izawa et al. 2021):
+      {!precompile}/[code_for] translate the op array {e once}, back to
+      front, into step closures built from the staged definitions — one
+      step per op, operands resolved to direct register indices or
       hoisted constants, guards pre-bound to their resume data and fail
       path — cached per context and keyed by trace id, invalidated when
-      a bridge attachment bumps the trace's [code_version].  No pair of
-      ops is fused: built without [-opaque], a hand-fused compare+guard
-      or int-op+overflow-guard step ran no faster than the two plain
-      steps (DESIGN.md §3f).
+      a bridge attachment bumps the trace's [code_version].  Each step
+      holds its successor as its continuation and tail-calls it; a
+      back-edge tail-calls the loop head, a bridge entry or
+      call_assembler the target's first step, and an exit returns its
+      [exit_state].  There is no instruction pointer and no dispatch
+      loop.  No pair of ops is fused: built without [-opaque], a
+      hand-fused compare+guard or int-op+overflow-guard step ran no
+      faster than the two plain steps (DESIGN.md §3f).
 
     Both charge the simulated machine identically: every counter the
     engine sees is byte-for-byte the same under either strategy. *)
@@ -350,21 +356,86 @@ let reader ~nregs (o : Ir.operand) : Value.t array -> Value.t =
         invalid_arg "Executor: register out of range";
       fun regs -> Array.unsafe_get regs r
 
+(* read every operand into [tmp], which is as long as [gs], before
+   anything is written: a jump's sources may overlap the entry
+   registers it refills *)
+let[@inline] fill (gs : (Value.t array -> Value.t) array) tmp regs =
+  for k = 0 to Array.length gs - 1 do
+    Array.unsafe_set tmp k ((Array.unsafe_get gs k) regs)
+  done
+
 let entry_cost = Cost.make ~alu:6 ~load:8 ~store:8 ~other:9 ()
+
+(* --- exits, shared by both loops --- *)
+
+(* leave JIT code through [guard]'s (or, with [None], the bytecode
+   boundary's) resume data: charge the blackhole and rebuild the
+   interpreter frames from [cur]'s register file [regs] *)
+let deopt rtc (jitlog : Jitlog.t) (cur : Ir.trace) (regs : Value.t array)
+    (resume : Ir.resume) (guard : Ir.guard option) : exit_state =
+  let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
+  Engine.annot (Ctx.engine rtc) (Annot.Guard_fail guard_id);
+  Jitlog.record_deopt jitlog;
+  cur.Ir.deopts <- cur.Ir.deopts + 1;
+  let frames = blackhole rtc resume regs ~guard_id in
+  let request_bridge =
+    match guard with
+    | Some g ->
+        g.Ir.fail_count >= (Ctx.config rtc).Config.bridge_threshold
+        && g.Ir.bridgeable && g.Ir.bridge = None
+    | None -> false
+  in
+  {
+    frames;
+    failed_guard = guard;
+    failed_in = Some cur;
+    request_bridge;
+    finished = None;
+  }
+
+let finished v =
+  {
+    frames = [];
+    failed_guard = None;
+    failed_in = None;
+    request_bridge = false;
+    finished = Some v;
+  }
+
+(* adaptive tiers: a baseline loop that has reached its promotion point
+   leaves JIT code at its own back-edge — the frame state there is
+   exactly the loop-header state [vals] — so the driver's portal can
+   take a tier-up decision and re-enter *)
+let tier_up_exit ~loop_code ~loop_pc vals =
+  {
+    frames =
+      [
+        {
+          df_code = loop_code;
+          df_pc = loop_pc;
+          df_locals = vals;
+          df_stack = [||];
+          df_discard = false;
+        };
+      ];
+    failed_guard = None;
+    failed_in = None;
+    request_bridge = false;
+    finished = None;
+  }
 
 (* --- the reference loop ---
 
    Interprets the IR directly, staging each op as it runs it: the
    oracle for what the threaded translation below adds on top of the
-   shared op definitions, namely fusion, pre-bound fail paths, the code
-   cache and its control flow (the differential test in
-   test/test_threaded_diff.ml holds the two to identical exits,
+   shared op and exit definitions, namely pre-bound fail paths, the
+   code cache and continuation-passing control flow (the differential
+   test in test/test_threaded_diff.ml holds the two to identical exits,
    register files and machine counters). *)
 
 let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     ~(entry : Value.t array) : exit_state =
   let eng = Ctx.engine rtc in
-  let cfg = Ctx.config rtc in
   let gc = Ctx.gc rtc in
   (* current register file, tracked for GC root scanning *)
   let cur_regs = ref (Array.make trace.Ir.nregs Value.nil) in
@@ -395,29 +466,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     target.Ir.exec_count <- target.Ir.exec_count + 1;
     ip := 0
   in
-  let deopt resume ~guard =
-    let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
-    Engine.annot eng (Annot.Guard_fail guard_id);
-    Jitlog.record_deopt jitlog;
-    (!cur_trace).Ir.deopts <- (!cur_trace).Ir.deopts + 1;
-    let frames = blackhole rtc resume !cur_regs ~guard_id in
-    let request_bridge =
-      match guard with
-      | Some g ->
-          g.Ir.fail_count >= cfg.Config.bridge_threshold
-          && g.Ir.bridgeable && g.Ir.bridge = None
-      | None -> false
-    in
-    exit_state :=
-      Some
-        {
-          frames;
-          failed_guard = guard;
-          failed_in = Some !cur_trace;
-          request_bridge;
-          finished = None;
-        }
-  in
+  let leave e = exit_state := Some e in
   while !exit_state = None do
     let t = !cur_trace in
     let regs = !cur_regs in
@@ -455,47 +504,18 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
                     frames
                 in
                 switch_trace bridge (Array.of_list flat)
-            | None -> deopt g.Ir.resume ~guard:(Some g))
+            | None -> leave (deopt rtc jitlog t regs g.Ir.resume (Some g)))
         | exception (Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero) ->
-            deopt g.Ir.resume ~guard:(Some g))
+            leave (deopt rtc jitlog t regs g.Ir.resume (Some g)))
     | Ir.Finish ->
         Engine.branch eng ~site:(430_000 + (t.Ir.trace_id land 1023)) ~taken:true;
-        exit_state :=
-          Some
-            {
-              frames = [];
-              failed_guard = None;
-              failed_in = None;
-              request_bridge = false;
-              finished = Some (argvals ()).(0);
-            }
+        leave (finished (argvals ()).(0))
     | Ir.Jump -> (
         let vals = argvals () in
-        (* adaptive tiers: a baseline loop that has reached its
-           promotion point leaves JIT code at its own back-edge — the
-           frame state there is exactly the loop-header state — so the
-           driver's portal can take a tier-up decision and re-enter *)
         match t.Ir.kind with
         | Ir.Loop { loop_code; loop_pc }
           when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-            exit_state :=
-              Some
-                {
-                  frames =
-                    [
-                      {
-                        df_code = loop_code;
-                        df_pc = loop_pc;
-                        df_locals = vals;
-                        df_stack = [||];
-                        df_discard = false;
-                      };
-                    ];
-                  failed_guard = None;
-                  failed_in = None;
-                  request_bridge = false;
-                  finished = None;
-                }
+            leave (tier_up_exit ~loop_code ~loop_pc vals)
         | _ ->
             Array.blit vals 0 regs t.Ir.loop_base (Array.length vals);
             Engine.branch eng ~site:(410_000 + (t.Ir.trace_id land 1023))
@@ -510,7 +530,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
             switch_trace target (argvals ())
         | None -> (
             match !last_resume with
-            | Some r -> deopt r ~guard:None
+            | Some r -> leave (deopt rtc jitlog t regs r None)
             | None -> Semantics.err "call_assembler to unknown trace"))
     | opc -> (
         (* ordinary operations; language errors deoptimize to the current
@@ -521,35 +541,36 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
             ((Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero)
              as e) -> (
             match !last_resume with
-            | Some r -> deopt r ~guard:None
+            | Some r -> leave (deopt rtc jitlog t regs r None)
             | None -> raise e))
   done;
   Engine.annot eng (Annot.Trace_exit !cur_trace.Ir.trace_id);
   Option.get !exit_state
 
-(* --- closure-threaded trace code ---
+(* --- continuation-threaded trace code ---
 
    [translate] lowers a trace's op array, once, into an array of [step]
-   closures over a small mutable machine state.  Each step is pre-bound
-   at translation time: the op's work is its staged definition, operand
-   lookups are direct register indices or hoisted constants, the per-op
-   cost bundle and op_exec counter cell are captured, and guards carry
-   their resolved fail path (bridge target or deopt).  The interpretive
-   costs of the reference loop (opcode re-match, operand re-decode and
-   staging, per-iteration closure and array allocation) are paid once
-   per translation instead of once per executed op. *)
+   closures, one per op.  Each step is pre-bound at translation time:
+   the op's work is its staged definition, operand lookups are direct
+   register indices or hoisted constants, the per-op cost bundle and
+   op_exec counter cell are captured, and guards carry their resolved
+   fail path (bridge target or deopt).  A step ends by tail-calling its
+   continuation — the next op's step, the loop head at a back-edge, the
+   target's first step on a trace switch — or returns the
+   [exit_state] it leaves JIT code with, so a run is one chain of tail
+   calls in constant host stack.  The interpretive costs of the
+   reference loop (opcode re-match, operand re-decode and staging,
+   per-iteration closure and array allocation, the instruction pointer
+   and its dispatch loop) are paid once per translation instead of
+   once per executed op. *)
 
 type state = {
   mutable st_regs : Value.t array;
   mutable st_cur : Ir.trace;
-  mutable st_code : step array;
-  mutable st_ip : int;
   mutable st_resume : Ir.resume option;
-  mutable st_exit : exit_state option;
 }
 
-and step = state -> unit
-
+type step = state -> exit_state
 type threaded = { th_version : int; th_code : step array }
 type Ctx.code += Threaded of threaded
 
@@ -560,15 +581,22 @@ let lang_errors = function
   | Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero -> true
   | _ -> false
 
+(* the continuation past the last op: well-formed traces end in a jump,
+   finish or call_assembler and never reach it *)
+let off_end (_ : state) : exit_state =
+  invalid_arg "Executor: trace ran off the end"
+
 let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   let eng = Ctx.engine rtc in
-  let cfg = Ctx.config rtc in
   let ops = t.Ir.ops in
   let costs = t.Ir.op_costs in
   let exec = t.Ir.op_exec in
   let n = Array.length ops in
   if t.Ir.loop_start < 0 || t.Ir.loop_start > n then
     invalid_arg "Executor.translate: loop_start out of range";
+  (* filled back to front below; the back-edge reads its loop head out
+     of it when it runs, after every step is in place *)
+  let code = Array.make (n + 1) off_end in
   (* operand readers: constants hoisted, registers resolved to direct
      (validated, hence unsafe-indexable) slots *)
   let readers (args : Ir.operand array) =
@@ -582,49 +610,20 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     end
     else fun _ _ -> ()
   in
-  (* shared exit paths, mirroring the reference loop exactly *)
-  let deopt st (resume : Ir.resume) (guard : Ir.guard option) =
-    let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
-    Engine.annot eng (Annot.Guard_fail guard_id);
-    Jitlog.record_deopt jitlog;
-    st.st_cur.Ir.deopts <- st.st_cur.Ir.deopts + 1;
-    let frames = blackhole rtc resume st.st_regs ~guard_id in
-    let request_bridge =
-      match guard with
-      | Some g ->
-          g.Ir.fail_count >= cfg.Config.bridge_threshold
-          && g.Ir.bridgeable && g.Ir.bridge = None
-      | None -> false
-    in
-    st.st_exit <-
-      Some
-        {
-          frames;
-          failed_guard = guard;
-          failed_in = Some st.st_cur;
-          request_bridge;
-          finished = None;
-        }
-  in
   let deopt_boundary st e =
     match st.st_resume with
-    | Some r -> deopt st r None
+    | Some r -> deopt rtc jitlog st.st_cur st.st_regs r None
     | None -> raise e
   in
-  (* continue in [target] with [regs] as its register file *)
+  (* continue in [target]'s first step with [regs] as its register file *)
   let enter st (target : Ir.trace) (regs : Value.t array) =
     Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
     Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
     st.st_regs <- regs;
     st.st_cur <- target;
-    st.st_code <- code_for rtc jitlog target;
+    let first = Array.unsafe_get (code_for rtc jitlog target) 0 in
     target.Ir.exec_count <- target.Ir.exec_count + 1;
-    st.st_ip <- 0
-  in
-  let switch st (target : Ir.trace) (values : Value.t array) =
-    let regs = Array.make target.Ir.nregs Value.nil in
-    Array.blit values 0 regs 0 (Array.length values);
-    enter st target regs
+    first st
   in
   (* a guard's fail path, resolved at translation time: an attached
      bridge becomes a direct jump that materializes the guard's frames
@@ -632,7 +631,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
      Sound to pre-bind because bridges only attach between runs (in the
      driver), and attaching one bumps [code_version] which invalidates
      this translation. *)
-  let fail_path (g : Ir.guard) : state -> unit =
+  let fail_path (g : Ir.guard) : step =
     match g.Ir.bridge with
     | Some bridge ->
         fun st ->
@@ -643,9 +642,10 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     | None ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
-          deopt st g.Ir.resume (Some g)
+          deopt rtc jitlog st.st_cur st.st_regs g.Ir.resume (Some g)
   in
-  let guard_step i (g : Ir.guard) (args : Ir.operand array) : step =
+  let guard_step i (g : Ir.guard) (args : Ir.operand array) ~(k : step) :
+      step =
     let cost = costs.(i) in
     let site = 400_000 + (g.Ir.guard_id land 4095) in
     let test = guard_test g (readers args) in
@@ -656,15 +656,16 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
       match test st.st_regs with
       | true ->
           Engine.branch eng ~site ~taken:true;
-          st.st_ip <- i + 1
+          k st
       | false ->
           Engine.branch eng ~site ~taken:false;
           fail st
-      | exception e when lang_errors e -> deopt st g.Ir.resume (Some g)
+      | exception e when lang_errors e ->
+          deopt rtc jitlog st.st_cur st.st_regs g.Ir.resume (Some g)
   in
   (* ordinary (non-control) op: bump, charge, do the work, fall through;
      language errors deoptimize to the last bytecode boundary *)
-  let ordinary i (op : Ir.op) : step =
+  let ordinary i (op : Ir.op) ~(k : step) : step =
     let cost = costs.(i) in
     let work = stage_op rtc op.Ir.opcode (readers op.Ir.args) in
     let set = store op.Ir.result in
@@ -673,10 +674,10 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
       Engine.emit eng cost;
       let regs = st.st_regs in
       match set regs (work regs) with
-      | () -> st.st_ip <- i + 1
+      | () -> k st
       | exception e when lang_errors e -> deopt_boundary st e
   in
-  let op_step i (op : Ir.op) : step =
+  let op_step i (op : Ir.op) ~(k : step) : step =
     match op.Ir.opcode with
     | Ir.Debug_merge_point d ->
         let cost = costs.(i) in
@@ -686,14 +687,14 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           Engine.emit eng cost;
           st.st_resume <- resume;
           Engine.annot eng Annot.Dispatch_tick;
-          st.st_ip <- i + 1
+          k st
     | Ir.Label ->
         let cost = costs.(i) in
         fun st ->
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
-          st.st_ip <- i + 1
-    | Ir.Guard g -> guard_step i g op.Ir.args
+          k st
+    | Ir.Guard g -> guard_step i g op.Ir.args ~k
     | Ir.Finish ->
         let cost = costs.(i) in
         let a0 = (readers op.Ir.args).(0) in
@@ -702,109 +703,61 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
           Engine.branch eng ~site ~taken:true;
-          st.st_exit <-
-            Some
-              {
-                frames = [];
-                failed_guard = None;
-                failed_in = None;
-                request_bridge = false;
-                finished = Some (a0 st.st_regs);
-              }
-    | Ir.Jump -> (
+          finished (a0 st.st_regs)
+    | Ir.Jump ->
         let cost = costs.(i) in
         let gs = readers op.Ir.args in
         let len = Array.length gs in
         let site = 410_000 + (t.Ir.trace_id land 1023) in
-        let back_edge st vals =
-          (* values are all read before the blit: the jump's sources may
-             overlap the entry registers it refills *)
-          Array.blit vals 0 st.st_regs t.Ir.loop_base len;
-          Engine.branch eng ~site ~taken:true;
-          t.Ir.exec_count <- t.Ir.exec_count + 1;
-          st.st_ip <- t.Ir.loop_start
-        in
-        match t.Ir.kind with
-        | Ir.Loop { loop_code; loop_pc }
-          when t.Ir.tier = 1 && t.Ir.promote_at <> Tierpolicy.never ->
-            fun st ->
-              exec.(i) <- exec.(i) + 1;
-              Engine.emit eng cost;
-              let regs = st.st_regs in
-              let vals = Array.map (fun g -> g regs) gs in
-              if t.Ir.exec_count >= t.Ir.promote_at then
-                (* baseline loop at its promotion point: leave JIT code
-                   at the back-edge so the driver's portal can take a
-                   tier-up decision *)
-                st.st_exit <-
-                  Some
-                    {
-                      frames =
-                        [
-                          {
-                            df_code = loop_code;
-                            df_pc = loop_pc;
-                            df_locals = vals;
-                            df_stack = [||];
-                            df_discard = false;
-                          };
-                        ];
-                      failed_guard = None;
-                      failed_in = None;
-                      request_bridge = false;
-                      finished = None;
-                    }
-              else back_edge st vals
-        | _ ->
-            (* steady state: the argument scratch never escapes, so one
-               translation-time array serves every iteration *)
-            let tmp = Array.make len Value.nil in
-            fun st ->
-              exec.(i) <- exec.(i) + 1;
-              Engine.emit eng cost;
-              let regs = st.st_regs in
-              for k = 0 to len - 1 do
-                Array.unsafe_set tmp k ((Array.unsafe_get gs k) regs)
-              done;
-              back_edge st tmp)
+        (* one translation-time scratch array serves every iteration; the
+           tier-up exit hands out a copy, since its frame escapes *)
+        let tmp = Array.make len Value.nil in
+        fun st -> (
+          exec.(i) <- exec.(i) + 1;
+          Engine.emit eng cost;
+          let regs = st.st_regs in
+          fill gs tmp regs;
+          match t.Ir.kind with
+          | Ir.Loop { loop_code; loop_pc }
+            when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
+              tier_up_exit ~loop_code ~loop_pc (Array.copy tmp)
+          | _ ->
+              Array.blit tmp 0 regs t.Ir.loop_base len;
+              Engine.branch eng ~site ~taken:true;
+              t.Ir.exec_count <- t.Ir.exec_count + 1;
+              (Array.unsafe_get code t.Ir.loop_start) st)
     | Ir.Call_assembler target_id -> (
         let cost = costs.(i) in
-        let gs = readers op.Ir.args in
-        let len = Array.length gs in
-        let site = 420_000 + (t.Ir.trace_id land 1023) in
+        (* the backend registers a trace before translating it, and the
+           recorder only emits a call_assembler to a compiled loop, so a
+           target unknown now stays unknown: deoptimize at the boundary *)
         match Jitlog.find jitlog target_id with
         | Some target ->
-            (* target resolved at translation time; trace registration is
-               permanent, so the binding can never go stale *)
-            let tmp = Array.make len Value.nil in
+            let gs = readers op.Ir.args in
+            let site = 420_000 + (t.Ir.trace_id land 1023) in
+            let tmp = Array.make (Array.length gs) Value.nil in
             fun st ->
               exec.(i) <- exec.(i) + 1;
               Engine.emit eng cost;
               Engine.branch_indirect eng ~site ~target:target_id;
-              let regs = st.st_regs in
-              for k = 0 to len - 1 do
-                Array.unsafe_set tmp k ((Array.unsafe_get gs k) regs)
-              done;
-              switch st target tmp
+              fill gs tmp st.st_regs;
+              let regs = Array.make target.Ir.nregs Value.nil in
+              Array.blit tmp 0 regs 0 (Array.length tmp);
+              enter st target regs
         | None ->
-            fun st -> (
+            let unknown =
+              Ops_intf.Lang_error "call_assembler to unknown trace"
+            in
+            fun st ->
               exec.(i) <- exec.(i) + 1;
               Engine.emit eng cost;
-              match Jitlog.find jitlog target_id with
-              | Some target ->
-                  Engine.branch_indirect eng ~site ~target:target_id;
-                  let regs = st.st_regs in
-                  switch st target (Array.map (fun g -> g regs) gs)
-              | None -> (
-                  match st.st_resume with
-                  | Some r -> deopt st r None
-                  | None -> Semantics.err "call_assembler to unknown trace")))
-    | _ -> ordinary i op
+              deopt_boundary st unknown)
+    | _ -> ordinary i op ~k
   in
-  Array.init (n + 1) (fun i ->
-      if i = n then fun (_ : state) ->
-        invalid_arg "Executor: trace ran off the end"
-      else op_step i ops.(i))
+  for i = n - 1 downto 0 do
+    code.(i) <- op_step i ops.(i) ~k:code.(i + 1)
+  done;
+  code
 
 (* --- the per-context trace code cache --- *)
 
@@ -828,7 +781,7 @@ and install rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
 
 let precompile rtc jitlog t = ignore (install rtc jitlog t : step array)
 
-(* --- the threaded main loop --- *)
+(* --- entry: the first step runs the whole chain --- *)
 
 let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
     exit_state =
@@ -836,16 +789,8 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   let gc = Ctx.gc rtc in
   let regs = Array.make trace.Ir.nregs Value.nil in
   Array.blit entry 0 regs 0 (Array.length entry);
-  let st =
-    {
-      st_regs = regs;
-      st_cur = trace;
-      st_code = code_for rtc jitlog trace;
-      st_ip = 0;
-      st_resume = None;
-      st_exit = None;
-    }
-  in
+  let code = code_for rtc jitlog trace in
+  let st = { st_regs = regs; st_cur = trace; st_resume = None } in
   (* the live register file is a GC root for the duration *)
   let scanner_id =
     Gc_sim.add_root_scanner gc (fun visit -> Array.iter visit st.st_regs)
@@ -857,8 +802,6 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   (* counted before the charge, as in [run_ref] *)
   trace.Ir.exec_count <- trace.Ir.exec_count + 1;
   Engine.emit eng entry_cost;
-  while st.st_exit == None do
-    (Array.unsafe_get st.st_code st.st_ip) st
-  done;
+  let ex = (Array.unsafe_get code 0) st in
   Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
-  Option.get st.st_exit
+  ex

@@ -8,13 +8,15 @@
     worst-IPC phase) rebuilds interpreter frames from the guard's resume
     data, materializing any virtualized allocations.
 
-    {!run} executes closure-threaded code: the op array is translated
-    once ({!precompile}) into pre-bound step closures, cached in the
-    context's code cache keyed by trace id, and invalidated when a
-    bridge attachment bumps the trace's [code_version].  {!run_ref} is
-    the reference interpreting loop with identical semantics and
-    identical simulated-machine charging (the differential tests hold
-    the two to byte-identical counters). *)
+    {!run} executes continuation-threaded code: the op array is
+    translated once ({!precompile}) into pre-bound step closures, each
+    holding its successor's step, cached in the context's code cache
+    keyed by trace id, and invalidated when a bridge attachment bumps
+    the trace's [code_version].  {!run_ref} is the reference
+    interpreting loop with identical semantics and identical
+    simulated-machine charging (the differential tests hold the two to
+    byte-identical counters); both leave JIT code through the same exit
+    definitions. *)
 
 type deopt_frame = {
   df_code : int;             (** interpreter code_ref *)
@@ -63,10 +65,10 @@ val blackhole :
     deoptimization cost model (resume-chain walking, poor prediction). *)
 
 val precompile : Mtj_rt.Ctx.t -> Jitlog.t -> Ir.trace -> unit
-(** Translate [trace] into closure-threaded code and install it in the
-    context's code cache (the backend calls this at compile time, so the
-    first entry is already a cache hit).  Host-side work only: charges
-    nothing to the simulated machine. *)
+(** Translate [trace] into continuation-threaded code and install it in
+    the context's code cache (the backend calls this at compile time, so
+    the first entry is already a cache hit).  Host-side work only:
+    charges nothing to the simulated machine. *)
 
 val run :
   Mtj_rt.Ctx.t ->
@@ -79,8 +81,12 @@ val run :
     a finished region, or frames to continue from in the interpreter
     (with [request_bridge] set when the failing guard crossed the bridge
     threshold). The register file is a GC root for the duration.  Runs
-    the closure-threaded form out of the context's code cache,
-    re-translating when the trace's [code_version] moved. *)
+    the continuation-threaded form out of the context's code cache,
+    re-translating when the trace's [code_version] moved: it calls the
+    trace's first step, and the chain of tail calls that follows —
+    each step into its successor, a back-edge into the loop head, a
+    bridge entry or trace switch into the target's first step — returns
+    only at an exit, in constant host stack. *)
 
 val run_ref :
   Mtj_rt.Ctx.t ->
@@ -89,8 +95,9 @@ val run_ref :
   entry:Mtj_rt.Value.t array ->
   exit_state
 (** Reference executor: interprets the trace IR directly, re-matching
-    each op and staging its definition on every iteration.  It runs the
-    same op and guard definitions as {!run} and charges the simulated
+    each op and staging its definition on every iteration, with its
+    own instruction pointer and dispatch loop.  It runs the same op,
+    guard and exit definitions as {!run} and charges the simulated
     machine identically; kept as the differential tests' oracle for
-    what {!run} adds on top: fusion, pre-bound fail paths, the code
-    cache and control flow. *)
+    what {!run} adds on top: pre-bound fail paths, the code cache and
+    continuation-passing control flow. *)

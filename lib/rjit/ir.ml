@@ -213,11 +213,13 @@ and trace = {
   op_exec : int array;   (* per-op dynamic execution counts *)
   tier : int;            (* 1 = quick unoptimized compile, 2 = full *)
   mutable promote_at : int;
-      (* exec_count at which the executor exits to the portal for a
-         tier-up decision; Tierpolicy.never for traces that are never
-         promoted (Optimizing/Baseline, or a site past max_demotions).
-         Only ever mutated finite -> finite (promotion deferral), so a
-         translate-time [promote_at <> never] check stays sound. *)
+      (* exec_count at which a tier-1 loop's back-edge exits to the
+         portal for a tier-up decision, tested on every back-edge;
+         Tierpolicy.never for traces that are never promoted
+         (Optimizing/Baseline, a site past max_demotions, or a tier-1
+         trace with no recording to promote from).  The driver moves it
+         while the trace is live: later on a guard-unstable deferral,
+         to never when it pins the trace at tier 1. *)
   mutable deopts : int;  (* guard-fail side exits taken from this trace;
                             with exec_count, the guard-fail profile the
                             tier-up stability gate reads *)

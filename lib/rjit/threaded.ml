@@ -1,8 +1,8 @@
 (** The threaded-dispatch interpreter tier.
 
     The trace executor ({!Executor}) translates each trace {e once} into
-    an array of pre-bound step closures and dispatches by indexed call
-    instead of decode-and-match (Izawa & Masuhara, "Threaded Code
+    pre-bound step closures, each tail-calling its successor, instead of
+    decoding and matching every op (Izawa & Masuhara, "Threaded Code
     Generation with a Meta-Tracing JIT Compiler", 2021).  This module is
     the seam that extends the same pattern down to the interpreters
     themselves: the hosted language stages each [Bytecode]/[Kbytecode]

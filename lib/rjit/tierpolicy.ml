@@ -13,9 +13,8 @@ open Mtj_core
    profile, and demotion (with an exponentially raised re-promotion
    threshold) when bridges proliferate on an optimized loop. *)
 
-(* Sentinel promote_at for "this trace is never promoted" — used by the
-   translate-time check in the threaded executor so Optimizing/Baseline
-   traces carry zero promotion overhead. *)
+(* Sentinel promote_at for "this trace is never promoted": no
+   exec_count reaches it, so the back-edge's tier-up test never fires. *)
 let never = max_int
 
 (* Loop-header hotness needed before tracing starts.  Baseline/Adaptive

@@ -1,4 +1,4 @@
-(** Differential test of the closure-threaded executor ({!Executor.run})
+(** Differential test of the continuation-threaded executor ({!Executor.run})
     against the reference interpreting loop ({!Executor.run_ref}).
 
     Random straight-line traces (integer/float/string arithmetic, heap
@@ -638,7 +638,11 @@ let scenario_call_assembler (exec : executor) =
   let e = exit_of exec rtc jitlog a [| V.of_int 5 |] in
   observe rtc [ a; b ] [ e ]
 
-(* a hot tier-1 loop exits at its back-edge under the two-tier config *)
+(* a hot tier-1 loop exits at its back-edge once it reaches its
+   promotion point, on the first entry after four back-edges and on the
+   second at once; both exits are rendered only after the second run,
+   so a tier-up exit that handed out the jump's shared argument array
+   instead of a copy would show the second run's locals twice *)
 let scenario_tiered (exec : executor) =
   let cfg = { Config.two_tier with Config.tier2_threshold = 5 } in
   let rtc = Mtj_rt.Ctx.create ~config:cfg () in
@@ -646,10 +650,11 @@ let scenario_tiered (exec : executor) =
   let trace =
     Backend.compile jitlog rtc
       ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
-      ~entry_slots:1 ~tier:1 (counting_loop_ops ~limit:500)
+      ~entry_slots:1 ~tier:1 ~promote_at:5 (counting_loop_ops ~limit:500)
   in
-  let e = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
-  observe rtc [ trace ] [ e ]
+  let e1 = exec rtc jitlog ~trace ~entry:[| V.of_int 0 |] in
+  let e2 = exec rtc jitlog ~trace ~entry:[| V.of_int 100 |] in
+  observe rtc [ trace ] (List.map render_exit [ e1; e2 ])
 
 (* integer overflow in an int op + overflow guard pair; the guard's
    resume also reads the op's result, so the deopt shows the wrapped
@@ -686,6 +691,88 @@ let scenario_ovf_pair (exec : executor) =
   let e2 = exit_of exec rtc jitlog t_ovf [| V.of_int max_int |] in
   observe rtc [ t_ok; t_ovf ] [ e1; e2 ]
 
+(* ---------- host stack depth (threaded executor only) ---------- *)
+
+let depth_probe = Mtj_rt.Aot.register ~name:"test.stack_depth" ~src:Mtj_rt.Aot.I
+
+(* a loop whose parity guard fails every other iteration into a bridge
+   that call_assemblers straight back into the loop: 200,000 iterations
+   cross the fail path, the bridge entry and the trace switch 100,000
+   times.  Steps continue by tail calls, so the host stack a residual
+   call sees must be as deep at iteration 100,001 as at iteration 11. *)
+let test_constant_stack () =
+  let rtc = Mtj_rt.Ctx.create () in
+  let jitlog = Jitlog.create () in
+  let depths = ref [] in
+  let probe =
+    {
+      Ir.aot = depth_probe;
+      run =
+        (fun _ args ->
+          (match V.to_int_unchecked args.(0) with
+          | 11 | 1_001 | 100_001 ->
+              depths :=
+                Printexc.raw_backtrace_length
+                  (Printexc.get_callstack 1_000_000)
+                :: !depths
+          | _ -> ());
+          V.nil);
+      effectful = false;
+    }
+  in
+  let loop =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
+      ~entry_slots:1
+      [|
+        { Ir.opcode =
+            Ir.Debug_merge_point
+              { dmp_code = 1; dmp_pc = 0; dmp_resume = snap_reg 0 };
+          args = [||]; result = -1 };
+        { Ir.opcode = Ir.Int_add;
+          args = [| Ir.Reg 0; Ir.Const (V.of_int 1) |]; result = 1 };
+        { Ir.opcode = Ir.Int_lt;
+          args = [| Ir.Reg 1; Ir.Const (V.of_int 200_000) |]; result = 2 };
+        { Ir.opcode = Ir.Guard (mk_guard ~id:9201 Ir.G_true (snap_reg 1));
+          args = [| Ir.Reg 2 |]; result = -1 };
+        { Ir.opcode = Ir.Call_r probe; args = [| Ir.Reg 1 |]; result = 3 };
+        { Ir.opcode = Ir.Int_and;
+          args = [| Ir.Reg 1; Ir.Const (V.of_int 1) |]; result = 4 };
+        { Ir.opcode = Ir.Guard (mk_guard ~id:9202 Ir.G_false (snap_reg 1));
+          args = [| Ir.Reg 4 |]; result = -1 };
+        { Ir.opcode = Ir.Jump; args = [| Ir.Reg 1 |]; result = -1 };
+      |]
+  in
+  let bridge =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Bridge { from_guard = 9202; loop_code = 1; loop_pc = 0 })
+      ~entry_slots:1
+      [|
+        { Ir.opcode = Ir.Call_assembler loop.Ir.trace_id;
+          args = [| Ir.Reg 0 |]; result = -1 };
+      |]
+  in
+  Array.iter
+    (fun (op : Ir.op) ->
+      match op.Ir.opcode with
+      | Ir.Guard g when g.Ir.guard_id = 9202 -> g.Ir.bridge <- Some bridge
+      | _ -> ())
+    loop.Ir.ops;
+  Ir.invalidate_code loop;
+  let ex = Executor.run rtc jitlog ~trace:loop ~entry:[| V.of_int 0 |] in
+  Alcotest.(check string) "leaves through the limit guard"
+    (Printf.sprintf
+       "deopt|guard=9201|in=%d|bridge?=false|frame code=1 pc=0 \
+        discard=false locals=200000, stack="
+       loop.Ir.trace_id)
+    (render_exit ex);
+  Alcotest.(check int) "bridge entries" 100_000 bridge.Ir.exec_count;
+  match !depths with
+  | [ d100001; d1001; d11 ] ->
+      Alcotest.(check int) "depth at 1,001 = depth at 11" d11 d1001;
+      Alcotest.(check int) "depth at 100,001 = depth at 11" d11 d100001
+  | ds -> Alcotest.failf "probe ran %d times, expected 3" (List.length ds)
+
 let check_scenario name scenario =
   Alcotest.(check string) name (scenario Executor.run_ref)
     (scenario Executor.run)
@@ -696,7 +783,20 @@ let test_bridge () = check_scenario "bridge + invalidation" scenario_bridge
 let test_call_assembler () =
   check_scenario "call_assembler chain" scenario_call_assembler
 
-let test_tiered () = check_scenario "tier-1 back-edge exit" scenario_tiered
+let test_tiered () =
+  let reference = scenario_tiered Executor.run_ref in
+  Alcotest.(check string) "tier-1 back-edge exit" reference
+    (scenario_tiered Executor.run);
+  let back_edge i locals =
+    Printf.sprintf
+      "exit%d: deopt|bridge?=false|frame code=1 pc=0 discard=false \
+       locals=%s, stack="
+      i locals
+  in
+  Alcotest.(check (list string)) "both runs leave at the back-edge"
+    [ back_edge 0 "5"; back_edge 1 "101" ]
+    (List.filteri (fun i _ -> i < 2) (String.split_on_char '\n' reference))
+
 let test_ovf () =
   check_scenario "int op + overflow guard pair" scenario_ovf_pair
 
@@ -737,4 +837,5 @@ let suite =
     Alcotest.test_case "tiered back-edge exit" `Quick test_tiered;
     Alcotest.test_case "int op + overflow guard pair" `Quick test_ovf;
     Alcotest.test_case "code cache accounting" `Quick test_cache_accounting;
+    Alcotest.test_case "constant host stack" `Quick test_constant_stack;
   ]
