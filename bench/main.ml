@@ -31,6 +31,18 @@ let bechamel () =
     in
     ignore (Mtj_pylite.Vm.run ~config pylite_src)
   in
+  (* a cold serving request's frontend work: a fresh VM, then a compile *)
+  let module B = Mtj_benchmarks.Registry in
+  let richards = (B.find_exn ~lang:B.Py "richards").B.source in
+  let compile_pylite () =
+    ignore (Mtj_pylite.Vm.create ());
+    ignore (Mtj_pylite.Vm.compile_bundle richards)
+  in
+  let spectralnorm = (B.find_exn ~lang:B.Rk "spectralnorm").B.source in
+  let compile_rklite () =
+    ignore (Mtj_rklite.Kvm.create ());
+    ignore (Mtj_rklite.Kvm.compile_bundle spectralnorm)
+  in
   let bigint () =
     let a = Mtj_rt.Rbigint.of_string "123456789012345678901234567890" in
     let b = Mtj_rt.Rbigint.of_string "98765432109876543210" in
@@ -54,6 +66,9 @@ let bechamel () =
     [
       Test.make ~name:"pylite-interp-run" (Staged.stage (run_pylite false));
       Test.make ~name:"pylite-jit-run" (Staged.stage (run_pylite true));
+      Test.make ~name:"pylite-compile-richards" (Staged.stage compile_pylite);
+      Test.make ~name:"rklite-compile-spectralnorm"
+        (Staged.stage compile_rklite);
       Test.make ~name:"rbigint-mul-divmod" (Staged.stage bigint);
       Test.make ~name:"predictor-1k-branches" (Staged.stage predictor);
       Test.make ~name:"engine-1k-bundles" (Staged.stage engine);
@@ -76,8 +91,8 @@ let bechamel () =
         (fun name ols ->
           match Bechamel.Analyze.OLS.estimates ols with
           | Some [ est ] ->
-              Printf.printf "%-28s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
+              Printf.printf "%-30s %12.1f ns/run\n" name est
+          | _ -> Printf.printf "%-30s (no estimate)\n" name)
         res)
     tests
 

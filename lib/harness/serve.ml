@@ -80,8 +80,10 @@ type summary = {
 let default_budget = 300_000
 
 (* Most-popular-first (Zipf rank 1 first).  Compile-heavy programs
-   lead — richards and nbody spend most of a short run's wall in the
-   compiler — and the mix alternates pylite and rklite tenants. *)
+   lead — a cold request for richards or nbody_modified spends close to
+   half its wall in VM creation and the compiler, against a fifth or
+   less for telco or chaos — and the mix alternates pylite and rklite
+   tenants. *)
 let default_corpus =
   [
     (B.Py, "richards");

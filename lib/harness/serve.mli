@@ -95,7 +95,9 @@ val default_budget : int
 
 val default_corpus : (Mtj_benchmarks.Registry.lang * string) list
 (** The tenant program mix, ordered most-popular first (Zipf rank 1
-    first).  Compile-heavy programs lead, mixed pylite/rklite. *)
+    first).  Compile-heavy programs lead: a cold request for either of
+    the first two spends close to half its wall compiling.  Mixed
+    pylite/rklite. *)
 
 val gen_requests :
   corpus:(Mtj_benchmarks.Registry.lang * string) list ->

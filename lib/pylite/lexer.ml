@@ -19,6 +19,12 @@ let keywords =
     "break"; "continue"; "pass"; "and"; "or"; "not"; "True"; "False";
     "None"; "is"; "global"; "del"; "lambda" ]
 
+(* the keyword test, derived once from [keywords] *)
+let keyword_table =
+  let t = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
 let pp_token fmt = function
   | NAME s -> Format.fprintf fmt "NAME(%s)" s
   | INT i -> Format.fprintf fmt "INT(%d)" i
@@ -35,12 +41,37 @@ let is_name_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_
 let is_name_char c = is_name_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-(* multi-character operators, longest first *)
+(* operator and punctuation spellings, longest first *)
 let operators =
   [ "**="; "//="; "<<="; ">>="; "=="; "!="; "<="; ">="; "+="; "-="; "*=";
     "/="; "%="; "&="; "|="; "^="; "**"; "//"; "<<"; ">>"; "("; ")"; "[";
     "]"; "{"; "}"; ","; ":"; "."; ";"; "+"; "-"; "*"; "/"; "%"; "<"; ">";
     "="; "&"; "|"; "^"; "~" ]
+
+(* [operators] grouped by first byte, derived once; each group keeps the
+   list's longest-first order, so its first match is the longest *)
+let operators_by_byte =
+  let groups = Array.make 256 [] in
+  List.iter
+    (fun op ->
+      let b = Char.code op.[0] in
+      groups.(b) <- groups.(b) @ [ op ])
+    operators;
+  groups
+
+(* does [op], whose first byte is [src.[i]], occur in [src] at [i]?
+   compares in place, allocating nothing *)
+let op_at src i op =
+  let len = String.length op in
+  i + len <= String.length src
+  &&
+  let rec rest k = k = len || (src.[i + k] = op.[k] && rest (k + 1)) in
+  rest 1
+
+(* the first, so longest, spelling in [group] that occurs in [src] at [i] *)
+let rec match_op src i = function
+  | [] -> None
+  | op :: group -> if op_at src i op then Some op else match_op src i group
 
 let tokenize (src : string) : token list =
   let n = String.length src in
@@ -144,7 +175,8 @@ let tokenize (src : string) : token list =
         let start = !i in
         while !i < n && is_name_char src.[!i] do incr i done;
         let word = String.sub src start (!i - start) in
-        if List.mem word keywords then emit (KW word) else emit (NAME word)
+        if Hashtbl.mem keyword_table word then emit (KW word)
+        else emit (NAME word)
       end
       else if c = '\'' || c = '"' then begin
         let quote = c in
@@ -178,14 +210,7 @@ let tokenize (src : string) : token list =
         emit (STRING (Buffer.contents buf))
       end
       else begin
-        let matched =
-          List.find_opt
-            (fun op ->
-              let len = String.length op in
-              !i + len <= n && String.sub src !i len = op)
-            operators
-        in
-        match matched with
+        match match_op src !i operators_by_byte.(Char.code c) with
         | Some op ->
             (match op with
             | "(" | "[" | "{" -> incr paren_depth

@@ -13,10 +13,6 @@ exception Compile_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Compile_error s)) fmt
 
-let special_forms =
-  [ "define"; "lambda"; "let"; "let*"; "letrec"; "if"; "cond"; "else";
-    "begin"; "set!"; "and"; "or"; "quote"; "when"; "unless" ]
-
 let prims =
   [ ("+", P_add); ("-", P_sub); ("*", P_mul); ("/", P_div);
     ("quotient", P_quotient); ("remainder", P_remainder);
@@ -35,18 +31,28 @@ let prims =
     ("exact->inexact", P_to_float); ("list", P_list);
     ("annotate", P_annotate) ]
 
-(* --- free-variable analysis (transitive through inner lambdas) --- *)
+(* the call-head lookup, derived once from [prims]; the first binding
+   wins, as with [List.assoc] *)
+let prim_table =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (name, p) -> if not (Hashtbl.mem t name) then Hashtbl.add t name p)
+    prims;
+  t
+
+(* --- free-variable analysis (transitive through inner lambdas) ---
+
+   Primitive and special-form names count as free like any other atom:
+   a scope only consults its free set for names it binds itself, and a
+   binding named like a primitive must still be celled when a nested
+   lambda uses it. *)
 
 module SSet = Set.Make (String)
 
 let rec free_vars (e : sexp) (bound : SSet.t) : SSet.t =
   match e with
   | Atom ("#t" | "#f") | Num _ | Fnum _ | Strlit _ -> SSet.empty
-  | Atom a ->
-      if SSet.mem a bound || List.mem_assoc a prims
-         || List.mem a special_forms
-      then SSet.empty
-      else SSet.singleton a
+  | Atom a -> if SSet.mem a bound then SSet.empty else SSet.singleton a
   | Slist (Atom "quote" :: _) -> SSet.empty
   | Slist (Atom "lambda" :: Slist params :: body) ->
       let bound' =
@@ -400,11 +406,12 @@ and compile_form sc ~tail head args =
           List.iter (compile_expr sc ~tail:false) args;
           ignore (emit b (K_TAILJUMP (List.length args)))
       | _ -> compile_call sc ~tail head args)
-  | Atom name, _ when List.mem_assoc name prims && not (parent_has sc name)
-    ->
-      let p = List.assoc name prims in
-      List.iter (compile_expr sc ~tail:false) args;
-      ignore (emit b (K_PRIM (p, List.length args)))
+  | Atom name, _ -> (
+      match Hashtbl.find_opt prim_table name with
+      | Some p when not (parent_has sc name) ->
+          List.iter (compile_expr sc ~tail:false) args;
+          ignore (emit b (K_PRIM (p, List.length args)))
+      | _ -> compile_call sc ~tail head args)
   | _, _ -> compile_call sc ~tail head args
 
 and compile_call sc ~tail head args =

@@ -1,9 +1,10 @@
-(* Golden-file driver for lib/harness/render.ml.
+(* Golden-file generator for lib/harness/render.ml and the frontends.
 
-   Renders two small experiments over live (deterministic) simulated
-   runs; dune diffs the output byte-for-byte against the committed
-   .expected files, so any drift in table layout, bar/sparkline
-   rendering, number formatting, or the simulation itself fails
+   Renders small experiments over live (deterministic) simulated runs
+   and digests every registry program's compiled bundle; dune diffs the
+   output byte-for-byte against the committed .expected files, so any
+   drift in table layout, bar/sparkline rendering, number formatting,
+   the frontends' bytecode or the simulation itself fails
    `dune runtest`.  After an intentional change, refresh with
    `dune promote`. *)
 
@@ -139,12 +140,38 @@ let metrics () =
   print_string printed;
   print_newline ()
 
+(* experiment 5: the frontends' output — one line per registry program
+   with the MD5 of its marshalled compile bundle, taken on a fresh VM
+   (whose create resets the code table) as a cold request compiles it;
+   any change to the bytecode a frontend emits fails the diff *)
+let frontend () =
+  let module B = Mtj_benchmarks.Registry in
+  let md5 bundle =
+    Digest.to_hex
+      (Digest.string (Marshal.to_string bundle [ Marshal.No_sharing ]))
+  in
+  List.iter
+    (fun (b : B.bench) ->
+      let lang, digest =
+        match b.B.lang with
+        | B.Py ->
+            ignore (Mtj_pylite.Vm.create ());
+            ("py", md5 (Mtj_pylite.Vm.compile_bundle b.B.source))
+        | B.Rk ->
+            ignore (Mtj_rklite.Kvm.create ());
+            ("rk", md5 (Mtj_rklite.Kvm.compile_bundle b.B.source))
+      in
+      Rd.pr "%s %-20s %s\n" lang b.B.name digest)
+    B.all
+
 let () =
   match Sys.argv with
   | [| _; "table" |] -> table ()
   | [| _; "figures" |] -> figures ()
   | [| _; "tiers" |] -> tiers ()
   | [| _; "metrics" |] -> metrics ()
+  | [| _; "frontend" |] -> frontend ()
   | _ ->
-      prerr_endline "usage: golden_render.exe (table|figures|tiers|metrics)";
+      prerr_endline
+        "usage: golden_render.exe (table|figures|tiers|metrics|frontend)";
       exit 2

@@ -55,6 +55,36 @@ let test_lex_multichar_ops () =
   | [ _; L.OP "//="; _; L.OP "**"; _; _; _ ] -> ()
   | _ -> Alcotest.fail "multichar operators"
 
+let token = Alcotest.testable L.pp_token ( = )
+
+let test_lex_every_operator () =
+  List.iter
+    (fun op ->
+      Alcotest.(check (list token)) op [ L.OP op; L.NEWLINE; L.EOF ] (toks op))
+    L.operators
+
+let test_lex_longest_match () =
+  List.iter
+    (fun (src, l, op, r) ->
+      Alcotest.(check (list token)) src
+        [ L.NAME l; L.OP op; r; L.NEWLINE; L.EOF ]
+        (toks src))
+    [ ("a<<=b", "a", "<<=", L.NAME "b"); ("x**=2", "x", "**=", L.INT 2);
+      ("a//b", "a", "//", L.NAME "b"); ("a<=b", "a", "<=", L.NAME "b");
+      ("a!=b", "a", "!=", L.NAME "b") ];
+  Alcotest.check_raises "lone !" (L.Syntax_error "unexpected character '!'")
+    (fun () -> ignore (toks "!"))
+
+let test_lex_keywords () =
+  List.iter
+    (fun kw ->
+      Alcotest.(check (list token)) kw [ L.KW kw; L.NEWLINE; L.EOF ] (toks kw))
+    L.keywords;
+  List.iter
+    (fun w ->
+      Alcotest.(check (list token)) w [ L.NAME w; L.NEWLINE; L.EOF ] (toks w))
+    [ "iff"; "Truee"; "_if"; "define" ]
+
 let test_lex_paren_continuation () =
   (* newlines inside brackets do not end the logical line *)
   let t = toks "x = [1,\n     2]\n" in
@@ -256,6 +286,9 @@ let suite =
     Alcotest.test_case "lex strings" `Quick test_lex_strings;
     Alcotest.test_case "lex comments/blank lines" `Quick test_lex_comments_blank_lines;
     Alcotest.test_case "lex multichar ops" `Quick test_lex_multichar_ops;
+    Alcotest.test_case "lex every operator" `Quick test_lex_every_operator;
+    Alcotest.test_case "lex longest match" `Quick test_lex_longest_match;
+    Alcotest.test_case "lex keywords" `Quick test_lex_keywords;
     Alcotest.test_case "lex paren continuation" `Quick test_lex_paren_continuation;
     Alcotest.test_case "lex error" `Quick test_lex_error;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;

@@ -186,6 +186,17 @@ let suite =
     (if (null? l) s (loop (cdr l) (+ s (car l))))))
 (display (sum (build 100))) (newline)
 |};
+    (* closures capturing a variable named like a primitive or a
+       special form: the enclosing scope must still cell it *)
+    t "capture a primitive's name" ~expect:"5"
+      "(define (mk list) (lambda () list)) (display ((mk 5)))";
+    t "call a captured primitive's name" ~expect:"6"
+      "(define (mk max) (lambda (y) (max y)))\n\
+       (display ((mk (lambda (z) (+ z 1))) 5))";
+    t "capture a let-bound primitive's name" ~expect:"3"
+      "(let ((list 3)) (display ((lambda () list))))";
+    t "capture a special form's name" ~expect:"7"
+      "(define (mk else) (lambda () else)) (display ((mk 7)))";
     t "type-polymorphic loop"
       {|
 (define (run n)
