@@ -155,7 +155,9 @@ let run_cmd =
       (fun i name ->
         if i > 0 then print_newline ();
         match R.run ~budget name vm with
-        | r -> print_result r show_output
+        | r ->
+            print_result r show_output;
+            (match r.R.status with R.Failed _ -> ok := false | _ -> ())
         | exception Invalid_argument msg ->
             ok := false;
             Printf.eprintf "error: %s\n" msg)
@@ -402,28 +404,28 @@ let exec_cmd =
     let is_scheme =
       Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
     in
-    let outcome_str, output, insns =
-      if is_scheme then begin
+    let outcome, output, insns =
+      if is_scheme then
         let outcome, vm = Mtj_rklite.Kvm.run ~config src in
-        ( (match outcome with
-          | Mtj_rjit.Driver.Completed _ -> "ok"
-          | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
-          | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e),
+        ( outcome,
           Mtj_rklite.Kvm.output vm,
           Mtj_machine.Engine.total_insns (Mtj_rklite.Kvm.engine vm) )
-      end
-      else begin
+      else
         let outcome, vm = Mtj_pylite.Vm.run ~config src in
-        ( (match outcome with
-          | Mtj_rjit.Driver.Completed _ -> "ok"
-          | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
-          | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e),
+        ( outcome,
           Mtj_pylite.Vm.output vm,
           Mtj_machine.Engine.total_insns (Mtj_pylite.Vm.engine vm) )
-      end
     in
     print_string output;
-    Printf.eprintf "[%s; %d simulated instructions]\n" outcome_str insns
+    let label =
+      match outcome with
+      | Mtj_rjit.Driver.Completed _ -> "ok"
+      | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
+      | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e
+    in
+    Printf.eprintf "[%s; %d simulated instructions]\n" label insns;
+    (* a budget stop is a clean end; a runtime error fails the command *)
+    match outcome with Mtj_rjit.Driver.Runtime_error _ -> exit 1 | _ -> ()
   in
   Cmd.v (Cmd.info "exec" ~doc)
     Term.(

@@ -17,7 +17,6 @@ type t = {
   sample_window : int;
   jit_enabled : bool;
   threaded_interp : bool;
-  frame_pool : bool;
   tier_policy : tier_policy;
   tier1_threshold : int;
   tier2_threshold : int;
@@ -44,7 +43,6 @@ let default =
     sample_window = 100_000;
     jit_enabled = true;
     threaded_interp = true;
-    frame_pool = true;
     tier_policy = Optimizing;
     tier1_threshold = 37;
     tier2_threshold = 40;

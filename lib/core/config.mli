@@ -51,12 +51,6 @@ type t = {
           [false] selects the reference loop as the oracle the
           differential suites compare against — simulated counters are
           byte-identical either way *)
-  frame_pool : bool;
-      (** recycle dead interpreter frames' locals/stack arrays through
-          per-context free lists instead of reallocating.  Always on in
-          production; [false] selects plain allocation as the oracle
-          the differential suites compare against — simulated counters
-          are byte-identical either way *)
   (* --- multi-tier compilation (extends the paper's Q4/Q5 warmup
      questions to a per-tier dimension) --- *)
   tier_policy : tier_policy;

@@ -55,7 +55,7 @@ let write_timings ~file ~jobs ~total_wall ~experiments =
     (timings_json ~jobs ~total_wall ~experiments ~runs:(R.run_timings ()));
   Printf.eprintf "[timings written to %s]\n%!" file
 
-(* --- metrics ("mtj-metrics/10") --- *)
+(* --- metrics ("mtj-metrics/11") --- *)
 
 let status_name = function
   | R.Ok_run -> "ok"
@@ -135,7 +135,6 @@ let metrics_json (r : R.result) =
       ("imm_fast_path_hits", J.Int r.R.imm_fast_path_hits);
       ("boxed_slow_path_hits", J.Int r.R.boxed_slow_path_hits);
       ("typed_ops_total", J.Int r.R.typed_ops_total);
-      ("frame_pool_reuses", J.Int r.R.frame_pool_reuses);
       ( "phases",
         J.Obj (phase_rows @ [ ("total", Metrics.snapshot_json r.R.total) ]) );
       ("gc", Metrics.gc_json r.R.gc);

@@ -105,7 +105,6 @@ type result = {
   imm_fast_path_hits : int;                 (* host fast-path counters *)
   boxed_slow_path_hits : int;
   typed_ops_total : int;
-  frame_pool_reuses : int;
 }
 
 let default_budget = 200_000_000
@@ -237,7 +236,6 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
       imm_fast_path_hits = (Ctx.hstats rtc).Hstats.imm_fast_path_hits;
       boxed_slow_path_hits = (Ctx.hstats rtc).Hstats.boxed_slow_path_hits;
       typed_ops_total = (Ctx.hstats rtc).Hstats.typed_ops_total;
-      frame_pool_reuses = (Ctx.hstats rtc).Hstats.frame_pool_reuses;
     }
   in
   match vc with

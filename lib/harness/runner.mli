@@ -112,8 +112,6 @@ type result = {
   typed_ops_total : int;
       (** every counted typed-arithmetic entry; always equals
           [imm_fast_path_hits + boxed_slow_path_hits] *)
-  frame_pool_reuses : int;
-      (** locals/stack arrays recycled from a frame pool free list *)
 }
 
 val default_budget : int
@@ -123,8 +121,8 @@ val config_of : ?budget:int -> vm_config -> Mtj_core.Config.t
     session's [--tier-policy] setting and the budget applied.  This is
     exactly the config {!run} builds; the serving harness ({!Serve})
     uses it so shared-cache keys reflect every knob that affects
-    compiled code.  The threaded dispatch tier and the frame pools are
-    always on: their off paths are test oracles, selected only by
+    compiled code.  The threaded dispatch tier is always on: its off
+    path, the reference loop, is a test oracle, selected only by
     building a {!Mtj_core.Config.t} directly. *)
 
 (* --- running --- *)

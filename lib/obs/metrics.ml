@@ -12,10 +12,10 @@ module Engine = Mtj_machine.Engine
    the threaded interpreter tier's translate-once cache (code objects
    translated to handler-closure arrays, and code switches served from
    the cache).
-   v5: run records gained [value_interned_hits]/[frame_pool_reuses]/
-   [dict_hash_skips] — the allocation-free value fast paths (small-int
-   interning, frame pooling, precomputed key hashes); host-side
-   counters, invisible to the simulated machine.
+   v5: run records gained [value_interned_hits], a frame-pool reuse
+   count and [dict_hash_skips] — the allocation-free value fast paths
+   (small-int interning, frame pooling, precomputed key hashes);
+   host-side counters, invisible to the simulated machine.
    v6: the jit block gained the multi-tier counters
    [tier1_compiles]/[tier2_compiles]/[demotions]/[first_entry_insns]
    and the per-tier residency block [tier_residency]
@@ -43,8 +43,10 @@ module Engine = Mtj_machine.Engine
    [evictions]/[requeues]/[quota_rejections]/[profile_publications]/
    [seeded_imports].
    v10: run records dropped [dict_hash_skips] with the precomputed
-   key-hash probes it counted. *)
-let schema = "mtj-metrics/10"
+   key-hash probes it counted.
+   v11: run records dropped the frame-pool reuse count with the frame
+   pool it counted; every frame takes fresh arrays. *)
+let schema = "mtj-metrics/11"
 
 let snapshot_json (s : Counters.snapshot) =
   let cache_miss_rate =
@@ -173,7 +175,6 @@ let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks ?hstats () =
       ( "boxed_slow_path_hits",
         hstat (fun h -> h.Mtj_rt.Hstats.boxed_slow_path_hits) );
       ("typed_ops_total", hstat (fun h -> h.Mtj_rt.Hstats.typed_ops_total));
-      ("frame_pool_reuses", hstat (fun h -> h.Mtj_rt.Hstats.frame_pool_reuses));
       ("phases", phases_json (Engine.counters engine));
       ("gc", opt gc_json gc);
       ("jit", opt jitlog_json jitlog);

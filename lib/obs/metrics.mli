@@ -7,7 +7,7 @@
     diffed without scraping terminal tables. *)
 
 val schema : string
-(** ["mtj-metrics/10"]; written to the document's ["schema"] field. *)
+(** ["mtj-metrics/11"]; written to the document's ["schema"] field. *)
 
 val snapshot_json : Mtj_machine.Counters.snapshot -> Json.t
 (** Raw counters plus the derived rates ([ipc], [branch_mpki],
@@ -42,9 +42,9 @@ val run_json :
   Json.t
 (** The full record for one benchmark run.  [ticks] is the
     application-level dispatch-tick total when a {!Sink} counted one;
-    [hstats] carries the host fast-path counters (v5: interned-value
-    hits, frame-pool reuses, precomputed-hash skips) — absent, the
-    fields are [null]. *)
+    [hstats] carries the host fast-path counters (the immediate/boxed
+    split of typed ops and their total) — absent, the fields are
+    [null]. *)
 
 val document : ?serve:Json.t -> runs:Json.t list -> unit -> Json.t
 (** Wrap run records into the versioned top-level document.  [serve],

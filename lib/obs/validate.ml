@@ -319,7 +319,6 @@ let check_hstats run j insns =
       "imm_fast_path_hits";
       "boxed_slow_path_hits";
       "typed_ops_total";
-      "frame_pool_reuses";
     ];
   (* the immediate-representation split partitions the typed-op total:
      every counted typed-arithmetic entry is exactly one of the two *)
@@ -458,7 +457,7 @@ let check_serve j =
         fail "serve: shared cache off but cache counters nonzero"
 
 let metrics_exn j =
-  check_schema j "mtj-metrics/10";
+  check_schema j "mtj-metrics/11";
   check_serve j;
   let runs = arr_field j "runs" in
   List.iter

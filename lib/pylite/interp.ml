@@ -25,10 +25,9 @@ module Step (O : Ops_intf.OPS) = struct
   let err = Semantics.err
 
   let make_frame cx code parent : frame =
-    Frame.create_pooled
-      ~pool:(O.frame_pool cx)
-      ~code ~code_ref:code.Bytecode.id ~nlocals:code.Bytecode.nlocals
-      ~stack_size:code.Bytecode.stacksize ~parent
+    Frame.create ~code ~code_ref:code.Bytecode.id
+      ~nlocals:code.Bytecode.nlocals ~stack_size:code.Bytecode.stacksize
+      ~default:(O.const cx Value.nil) ~parent
 
   (* pop [n] operands into a fresh positional-order array (top of stack
      is the last argument) *)

@@ -60,7 +60,6 @@ type t = Value.t
 let rt cx = cx.rtc
 let const _cx v = v
 let concrete v = v
-let frame_pool cx = Ctx.frame_pool cx.rtc
 let[@inline] charge cx (c : Cost.t) = Engine.emit cx.eng c
 let branch cx ~site ~taken = Engine.branch cx.eng ~site ~taken
 
@@ -128,7 +127,7 @@ let rshift cx a b = charge cx cx.k_arith; Rarith.rshift cx.rtc a (Semantics.as_i
 
 let int2 f cx a b =
   charge cx cx.k_arith;
-  Ctx.of_int cx.rtc (f (Semantics.as_int a) (Semantics.as_int b))
+  Value.of_int (f (Semantics.as_int a) (Semantics.as_int b))
 
 let bitand = int2 ( land )
 let bitor = int2 ( lor )
@@ -256,7 +255,7 @@ let setitem cx c k v =
 
 let len_ cx v =
   charge cx cx.k_truth;
-  Ctx.of_int cx.rtc (Semantics.len_of cx.rtc v)
+  Value.of_int (Semantics.len_of cx.rtc v)
 
 let unpack cx v n =
   charge cx cx.k_item;

@@ -136,10 +136,9 @@ module Make (L : Threaded.LANG) = struct
         Hashtbl.replace t.sites key s;
         s
 
-  let make_dframe t code parent : dframe =
-    Frame.create_pooled ~pool:(Ctx.frame_pool t.rtc) ~code
-      ~code_ref:(L.code_ref code) ~nlocals:(L.nlocals code)
-      ~stack_size:(L.stack_size code) ~parent
+  let make_dframe code parent : dframe =
+    Frame.create ~code ~code_ref:(L.code_ref code) ~nlocals:(L.nlocals code)
+      ~stack_size:(L.stack_size code) ~default:Value.nil ~parent
 
   (* --- resume snapshots over tracked frames --- *)
 
@@ -235,11 +234,11 @@ module Make (L : Threaded.LANG) = struct
 
   (* rebuild a direct frame chain from saved state; [parent] is the frame
      below the traced region *)
-  let rebuild_saved t (saved : saved_frame list) (parent : dframe option) :
+  let rebuild_saved (saved : saved_frame list) (parent : dframe option) :
       dframe =
     List.fold_left
       (fun parent s ->
-        let f = make_dframe t s.s_code parent in
+        let f = make_dframe s.s_code parent in
         f.Frame.pc <- s.s_pc;
         f.Frame.discard_return <- s.s_discard;
         Array.blit s.s_locals 0 f.Frame.locals 0 (Array.length s.s_locals);
@@ -249,9 +248,9 @@ module Make (L : Threaded.LANG) = struct
       parent saved
     |> Option.get
 
-  let rebuild_deopt t (frames : Executor.deopt_frame list)
+  let rebuild_deopt (frames : Executor.deopt_frame list)
       (parent : dframe option) : dframe =
-    rebuild_saved t
+    rebuild_saved
       (List.map
          (fun (d : Executor.deopt_frame) ->
            {
@@ -318,10 +317,6 @@ module Make (L : Threaded.LANG) = struct
                 Recorder.exit_call rec_;
                 tcur := p;
                 t.tracking <- Some p;
-                (* [f] is now unreachable from the tracked chain and all
-                   resume/save snapshots copied its arrays, so they can
-                   be recycled for the next tracked call *)
-                Frame.release ~pool:(Recorder.pool rec_) f;
                 loop (steps + 1)
             | None ->
                 if allow_finish then begin
@@ -353,6 +348,10 @@ module Make (L : Threaded.LANG) = struct
 
   let tval_of_value i v : Recorder.tval = { Recorder.v; src = Ir.Reg i }
 
+  (* what a tracked frame's unset slots hold: nil, as a trace constant *)
+  let tnil : Recorder.tval =
+    { Recorder.v = Value.nil; src = Ir.Const Value.nil }
+
   (* --- tracing a loop --- *)
 
   let trace_loop t (f : dframe) (site : site) : dframe =
@@ -363,9 +362,9 @@ module Make (L : Threaded.LANG) = struct
     let entry_slots = Array.length f.Frame.locals in
     let rec_ = Recorder.create t.rtc ~entry_slots in
     let tf : tframe =
-      Frame.create_pooled ~pool:(Recorder.pool rec_) ~code:f.Frame.code
-        ~code_ref:f.Frame.code_ref ~nlocals:entry_slots
-        ~stack_size:(L.stack_size f.Frame.code) ~parent:None
+      Frame.create ~code:f.Frame.code ~code_ref:f.Frame.code_ref
+        ~nlocals:entry_slots ~stack_size:(L.stack_size f.Frame.code)
+        ~default:tnil ~parent:None
     in
     Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value i v) f.Frame.locals;
     tf.Frame.pc <- f.Frame.pc;
@@ -405,7 +404,7 @@ module Make (L : Threaded.LANG) = struct
           end
         in
         site.state <- `Compiled trace;
-        rebuild_saved t saved orig_parent
+        rebuild_saved saved orig_parent
     | Closed_return _ -> assert false (* loops never record [finish] *)
     | Aborted (msg, saved) ->
         Engine.annot eng (Annot.Trace_abort (fst key));
@@ -416,7 +415,7 @@ module Make (L : Threaded.LANG) = struct
           site.state <- `Blacklisted;
           Jitlog.record_blacklist t.jitlog
         end;
-        rebuild_saved t saved orig_parent
+        rebuild_saved saved orig_parent
 
   (* --- tracing a bridge from a deoptimized state --- *)
 
@@ -461,9 +460,9 @@ module Make (L : Threaded.LANG) = struct
         (fun parent (d : Executor.deopt_frame) ->
           let code = L.lookup_code d.Executor.df_code in
           let f : tframe =
-            Frame.create_pooled ~pool:(Recorder.pool rec_) ~code
-              ~code_ref:d.Executor.df_code ~nlocals:(L.nlocals code)
-              ~stack_size:(L.stack_size code) ~parent
+            Frame.create ~code ~code_ref:d.Executor.df_code
+              ~nlocals:(L.nlocals code) ~stack_size:(L.stack_size code)
+              ~default:tnil ~parent
           in
           f.Frame.pc <- d.Executor.df_pc;
           f.Frame.discard_return <- d.Executor.df_discard;
@@ -583,7 +582,7 @@ module Make (L : Threaded.LANG) = struct
     match record_session t rec_ start ~allow_finish:true ~close ~finish with
     | Closed (ops, saved) ->
         compile_bridge ops;
-        J_frame (rebuild_saved t saved orig_parent)
+        J_frame (rebuild_saved saved orig_parent)
     | Closed_return (ops, v) ->
         compile_bridge ops;
         continue_after_region_return ~orig_parent ~discard:region_discard v
@@ -591,7 +590,7 @@ module Make (L : Threaded.LANG) = struct
         Engine.annot eng (Annot.Trace_abort (fst loop_key));
         Jitlog.record_abort t.jitlog msg;
         g.Ir.bridgeable <- false;
-        J_frame (rebuild_saved t saved orig_parent)
+        J_frame (rebuild_saved saved orig_parent)
 
   (* --- entering compiled code --- *)
 
@@ -612,7 +611,7 @@ module Make (L : Threaded.LANG) = struct
         | Some g when ex.Executor.request_bridge && g.Ir.bridgeable ->
             trace_bridge t g ex.Executor.frames ~loop_key:(loop_key_of trace)
               ~owner:ex.Executor.failed_in ~orig_parent
-        | Some _ | None -> J_frame (rebuild_deopt t ex.Executor.frames orig_parent))
+        | Some _ | None -> J_frame (rebuild_deopt ex.Executor.frames orig_parent))
 
   (* --- the JIT portal, consulted at every loop header --- *)
 
@@ -809,11 +808,7 @@ module Make (L : Threaded.LANG) = struct
                  Engine.emit_static eng t.charge_tab ~lo:1 ~hi:2;
                  if not f.Frame.discard_return then Frame.push p v;
                  cur := p;
-                 t.cur <- Some p;
-                 (* [f] left the live chain and nothing retains its
-                    arrays (the executor blits entry slots, resume
-                    snapshots are copies): recycle them *)
-                 Frame.release ~pool:(Ctx.frame_pool t.rtc) f
+                 t.cur <- Some p
              | None -> result := Some (Completed v))
        done
      with
@@ -825,7 +820,7 @@ module Make (L : Threaded.LANG) = struct
     Option.get !result
 
   let run t (code : L.code) : outcome =
-    run_frame t (make_dframe t code None)
+    run_frame t (make_dframe code None)
 
   (* --- trace profiles (serving mode, DESIGN.md §3m) --- *)
 

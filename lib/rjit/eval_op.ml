@@ -27,28 +27,11 @@ let[@inline] as_str v =
   if Value.is_str v then Value.to_str_unchecked v
   else Semantics.err "str op on %s" (Value.type_name v)
 
-let checked_add x y =
-  let r = x + y in
-  if (x >= 0) = (y >= 0) && (r >= 0) <> (x >= 0) then raise Overflow else r
-
-let checked_sub x y =
-  let r = x - y in
-  if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then raise Overflow else r
-
-(* min_int-safe, mirroring [Rarith.mul_overflows]: explicit ranges
-   instead of [abs] (whose min_int result is negative), and the
-   quotient probe never divides by -1 (hardware trap) *)
-let checked_mul x y =
-  let overflows =
-    x <> 0 && y <> 0
-    &&
-    if x = -1 then y = min_int
-    else if y = -1 then x = min_int
-    else
-      (x < -(1 lsl 31) || x > 1 lsl 31 || y < -(1 lsl 31) || y > 1 lsl 31)
-      && (x * y) / x <> y
-  in
-  if overflows then raise Overflow else x * y
+(* the interpreter's overflow tests, so a guard fails exactly where
+   [Rarith] promotes to a bigint *)
+let checked_add x y = if Rarith.add_overflows x y then raise Overflow else x + y
+let checked_sub x y = if Rarith.sub_overflows x y then raise Overflow else x - y
+let checked_mul x y = if Rarith.mul_overflows x y then raise Overflow else x * y
 
 (* --- the pure opcodes, staged ---
 

@@ -31,30 +31,6 @@ let create ~code ~code_ref ~nlocals ~stack_size ~default ~parent =
     discard_return = false;
   }
 
-(* [create] with the locals/stack arrays drawn from [pool].  The pool
-   hands back arrays refilled with its default element, so a pooled
-   frame is indistinguishable from a fresh one; with the pool disabled
-   this IS [create]. *)
-let create_pooled ~pool ~code ~code_ref ~nlocals ~stack_size ~parent =
-  {
-    code;
-    code_ref;
-    pc = 0;
-    locals = Mtj_rt.Apool.acquire pool (max 1 nlocals);
-    stack = Mtj_rt.Apool.acquire pool (max 1 stack_size);
-    sp = 0;
-    parent;
-    discard_return = false;
-  }
-
-(* Return a dead frame's arrays to [pool].  Caller contract: the frame
-   is unreachable from any live frame chain and its arrays were not
-   handed to anything that outlives it (e.g. a compiled trace's entry
-   slots). *)
-let release ~pool t =
-  Mtj_rt.Apool.release pool t.locals;
-  Mtj_rt.Apool.release pool t.stack
-
 let push t v =
   t.stack.(t.sp) <- v;
   t.sp <- t.sp + 1

@@ -8,8 +8,7 @@
 
     Code throughout the interpreters relies on
     [Array.length t.locals = max 1 nlocals] (e.g. to recover the local
-    count and to blit call arguments), which is why the frame pool
-    below buckets arrays by exact length. *)
+    count and to blit call arguments). *)
 
 type ('v, 'code) t = {
   code : 'code;
@@ -34,37 +33,6 @@ val create :
   ('v, 'code) t
 (** Fresh frame with newly allocated locals/stack arrays filled with
     [default]. *)
-
-val create_pooled :
-  pool:'v Mtj_rt.Apool.t ->
-  code:'code ->
-  code_ref:int ->
-  nlocals:int ->
-  stack_size:int ->
-  parent:('v, 'code) t option ->
-  ('v, 'code) t
-(** [create] with the locals/stack arrays drawn from [pool] (the pool's
-    default element plays the role of [~default]).
-
-    {b Reuse contract}: {!Mtj_rt.Apool.release} re-fills arrays with the
-    pool default before shelving them, so a pooled frame starts fully
-    re-initialized — every locals/stack slot holds the default, [pc] and
-    [sp] are 0 — and is indistinguishable from one built by [create].
-    No value from a previous frame's life can be observed through a
-    pooled frame.  With a disabled pool this degrades to exactly
-    [create]. *)
-
-val release : pool:'v Mtj_rt.Apool.t -> ('v, 'code) t -> unit
-(** Return a dead frame's locals/stack arrays to [pool].
-
-    Caller contract: the frame must be unreachable from every live
-    frame chain (the driver's current-frame pointer, the recorder's
-    tracked chain) {e before} release, and its arrays must not have
-    been handed to anything that outlives the frame — in particular,
-    frames whose [locals] were passed to a compiled trace as entry
-    slots must never be released.  The frame record itself is not
-    pooled; only its arrays are.  Touching a frame after releasing it
-    is a bug. *)
 
 val push : ('v, 'code) t -> 'v -> unit
 val pop : ('v, 'code) t -> 'v

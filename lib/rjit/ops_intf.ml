@@ -34,10 +34,6 @@ module type OPS = sig
   val const : cx -> Mtj_rt.Value.t -> t
   val concrete : t -> Mtj_rt.Value.t
 
-  val frame_pool : cx -> t Mtj_rt.Apool.t
-  (** the pool dead frames' locals/stack arrays are recycled through
-      (host-side only; disabled pools degrade to plain allocation) *)
-
   (* --- control: these return concrete answers and record guards --- *)
 
   val is_true : cx -> t -> bool

@@ -51,10 +51,6 @@ type t = {
       (* register type shapes proven by a producing op or a prior guard;
          sound because registers are SSA and the back-edge only refreshes
          entry registers, whose guards re-execute each iteration *)
-  pool : tval Apool.t;
-      (* frame pool for tracked frames; shares the runtime context's
-         enable flag and host-stat counters so pool-on/off and the
-         exported reuse count cover both interpreters uniformly *)
 }
 
 let create rtc ~entry_slots =
@@ -68,15 +64,9 @@ let create rtc ~entry_slots =
     effect_in_bytecode = false;
     call_depth = 0;
     known_shapes = Hashtbl.create 64;
-    pool =
-      Apool.create
-        ~enabled:(Apool.enabled (Ctx.frame_pool rtc))
-        ~stats:(Ctx.hstats rtc)
-        { v = Value.nil; src = Ir.Const Value.nil };
   }
 
 let rt t = t.rtc
-let pool t = t.pool
 
 (* cost of the meta-interpreter recording one operation *)
 let trace_op_cost = Cost.make ~alu:14 ~load:9 ~store:8 ~other:10 ()

@@ -22,7 +22,6 @@ type cx = R.t
 let rt = R.rt
 let concrete (tv : t) = tv.R.v
 let const _cx v : t = { R.v; src = Ir.Const v }
-let frame_pool cx = R.pool cx
 let lift v : t = { R.v; src = Ir.Const v }
 let err = Semantics.err
 

@@ -40,16 +40,29 @@ let prim_table =
     prims;
   t
 
+(* a call of [name] with [args] is a self tail call, compiled to a
+   [K_TAILJUMP] back-edge, when [name] is [self] (the enclosing
+   function's own name) and not rebound inside it, the call is in tail
+   position, and it passes one argument per parameter *)
+let tailjump ~self ~nargs ~shadowed ~tail name args =
+  tail && self = Some name && (not shadowed) && List.length args = nargs
+
 (* --- free-variable analysis (transitive through inner lambdas) ---
 
    Primitive and special-form names count as free like any other atom:
    a scope only consults its free set for names it binds itself, and a
    binding named like a primitive must still be celled when a nested
-   lambda uses it. *)
+   lambda uses it.
+
+   A named let's name is free only where its body refers to it other
+   than by a self tail call: every other reference captures the loop
+   closure from the enclosing scope, which must then cell it.  [self]
+   is given when [e] is in tail position of a named let's body: that
+   let's name and parameter count. *)
 
 module SSet = Set.Make (String)
 
-let rec free_vars (e : sexp) (bound : SSet.t) : SSet.t =
+let rec free_vars ?self (e : sexp) (bound : SSet.t) : SSet.t =
   match e with
   | Atom ("#t" | "#f") | Num _ | Fnum _ | Strlit _ -> SSet.empty
   | Atom a -> if SSet.mem a bound then SSet.empty else SSet.singleton a
@@ -75,9 +88,10 @@ let rec free_vars (e : sexp) (bound : SSet.t) : SSet.t =
         List.fold_left
           (fun acc b ->
             match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
-          (SSet.add name bound) bindings
+          bound bindings
       in
-      SSet.union inits (free_list body bound')
+      SSet.union inits
+        (free_body ~self:(name, List.length bindings) body bound')
   | Slist (Atom ("let" | "let*") :: Slist bindings :: body) ->
       let inits =
         List.fold_left
@@ -93,7 +107,7 @@ let rec free_vars (e : sexp) (bound : SSet.t) : SSet.t =
             match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
           bound bindings
       in
-      SSet.union inits (free_list body bound')
+      SSet.union inits (free_body ?self body bound')
   | Slist (Atom "letrec" :: Slist bindings :: body) ->
       let bound' =
         List.fold_left
@@ -109,12 +123,45 @@ let rec free_vars (e : sexp) (bound : SSet.t) : SSet.t =
             | _ -> acc)
           SSet.empty bindings
       in
-      SSet.union inits (free_list body bound')
+      SSet.union inits (free_body ?self body bound')
+  (* the forms that pass tail position on, as [compile_form] does *)
+  | Slist [ (Atom "if" as kw); c; t ] ->
+      SSet.union (free_list [ kw; c ] bound) (free_vars ?self t bound)
+  | Slist [ (Atom "if" as kw); c; t; f ] ->
+      SSet.union (free_list [ kw; c ] bound)
+        (SSet.union (free_vars ?self t bound) (free_vars ?self f bound))
+  | Slist ((Atom "cond" as kw) :: clauses) ->
+      List.fold_left
+        (fun acc clause ->
+          SSet.union acc
+            (match clause with
+            | Slist (c :: body) ->
+                SSet.union (free_vars c bound) (free_body ?self body bound)
+            | _ -> free_vars clause bound))
+        (free_vars kw bound) clauses
+  | Slist ((Atom ("when" | "unless") as kw) :: c :: body) ->
+      SSet.union (free_list [ kw; c ] bound) (free_body ?self body bound)
+  | Slist ((Atom ("begin" | "and" | "or") as kw) :: body) ->
+      SSet.union (free_vars kw bound) (free_body ?self body bound)
+  | Slist (Atom name :: args)
+    when (match self with
+         | Some (self, nargs) ->
+             tailjump ~self:(Some self) ~nargs
+               ~shadowed:(SSet.mem name bound) ~tail:true name args
+         | None -> false) ->
+      free_list args bound
   | Slist items -> free_list items bound
 
 and free_list items bound =
   List.fold_left (fun acc e -> SSet.union acc (free_vars e bound)) SSet.empty
     items
+
+(* a body: the last expression is in tail position *)
+and free_body ?self items bound =
+  match items with
+  | [] -> SSet.empty
+  | [ last ] -> free_vars ?self last bound
+  | e :: rest -> SSet.union (free_vars e bound) (free_body ?self rest bound)
 
 (* names captured by any lambda nested in [body] *)
 let captured_names (body : sexp list) : SSet.t =
@@ -204,9 +251,7 @@ and parent_has sc name =
 let cell_slot_for sc name =
   match resolve sc name with
   | A_cell slot -> slot
-  | A_local slot ->
-      (* should not happen thanks to the celled analysis; be lenient *)
-      slot
+  | A_local _ -> error "%s is captured but not celled" name
   | A_global -> error "cannot capture global %s" name
 
 (* --- compilation --- *)
@@ -398,14 +443,11 @@ and compile_form sc ~tail head args =
       (* a keyword reaching this point missed every valid shape above *)
       error "malformed %s form" kw
   | Atom name, _
-    when Some name = sc.self_name && tail
-         && not (Hashtbl.mem sc.tbl name) -> (
+    when tailjump ~self:sc.self_name ~nargs:sc.nargs
+           ~shadowed:(Hashtbl.mem sc.tbl name) ~tail name args ->
       (* self tail call -> loop back-edge *)
-      match sc.self_name with
-      | Some _ when List.length args = sc.nargs ->
-          List.iter (compile_expr sc ~tail:false) args;
-          ignore (emit b (K_TAILJUMP (List.length args)))
-      | _ -> compile_call sc ~tail head args)
+      List.iter (compile_expr sc ~tail:false) args;
+      ignore (emit b (K_TAILJUMP (List.length args)))
   | Atom name, _ -> (
       match Hashtbl.find_opt prim_table name with
       | Some p when not (parent_has sc name) ->

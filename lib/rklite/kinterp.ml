@@ -27,9 +27,9 @@ module Step (O : Ops_intf.OPS) = struct
   let err = Semantics.err
 
   let make_frame cx code parent : frame =
-    Frame.create_pooled ~pool:(O.frame_pool cx) ~code
-      ~code_ref:code.Kbytecode.id ~nlocals:code.Kbytecode.nlocals
-      ~stack_size:code.Kbytecode.stacksize ~parent
+    Frame.create ~code ~code_ref:code.Kbytecode.id
+      ~nlocals:code.Kbytecode.nlocals ~stack_size:code.Kbytecode.stacksize
+      ~default:(O.const cx Value.nil) ~parent
 
   (* pop [n] operands into a fresh positional-order array (top of stack
      is the last argument) — no per-call list building on the call path *)
@@ -264,10 +264,6 @@ module Step (O : Ops_intf.OPS) = struct
               nf.Frame.locals.(code.Kbytecode.nargs + i) <-
                 O.func_captured cx callee i
             done;
-            (* the replaced frame is dead the instant we hand back [nf]:
-               nothing simulated can run between here and the driver
-               swapping its chain head, so its arrays can be recycled *)
-            Frame.release ~pool:(O.frame_pool cx) f;
             Frame.Call nf
           end
     | K_TAILJUMP nargs ->

@@ -26,9 +26,6 @@ type t = {
   hstats : Hstats.t;
       (* host-side fast-path counters; per-context so parallel runs never
          share a counter *)
-  frame_pool : Value.t Apool.t;
-      (* free lists for dead frames' locals/stack arrays, per-context so
-         pooled arrays never cross domains *)
   uid : int;
       (* process-unique context identity.  The shared artifact cache
          (Mtj_rjit.Sharedcache) records the publishing context's uid so
@@ -44,17 +41,13 @@ let create ?config () =
   let config = Option.value ~default:Mtj_core.Config.default config in
   let engine = Mtj_machine.Engine.create ~config () in
   let gc = Gc_sim.create engine config in
-  let hstats = Hstats.create () in
   {
     engine;
     gc;
     out = Buffer.create 256;
     builtin_cache = Hashtbl.create 64;
     code_cache = Hashtbl.create 64;
-    hstats;
-    frame_pool =
-      Apool.create ~enabled:config.Mtj_core.Config.frame_pool ~stats:hstats
-        Value.nil;
+    hstats = Hstats.create ();
     uid = Atomic.fetch_and_add next_uid 1;
   }
 
@@ -65,10 +58,4 @@ let builtin_cache t = t.builtin_cache
 let code_cache t = t.code_cache
 let config t = Mtj_machine.Engine.config t.engine
 let hstats t = t.hstats
-let frame_pool t = t.frame_pool
 let uid t = t.uid
-
-(* small-int boxing used to be counted here (intern-table hits); with
-   the immediate representation [Value.of_int] is the identity and the
-   fast-path accounting moved into Rarith's typed entry points *)
-let[@inline] of_int _t i = Value.of_int i

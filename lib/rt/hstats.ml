@@ -20,9 +20,6 @@ type t = {
          classifies as exactly one of the two buckets above, so
          [imm_fast_path_hits + boxed_slow_path_hits = typed_ops_total]
          is a structural invariant (checked by the metrics validator) *)
-  mutable frame_pool_reuses : int;
-      (* locals/stack arrays served from a frame pool free list instead
-         of [Array.make] *)
 }
 
 let create () =
@@ -30,5 +27,4 @@ let create () =
     imm_fast_path_hits = 0;
     boxed_slow_path_hits = 0;
     typed_ops_total = 0;
-    frame_pool_reuses = 0;
   }

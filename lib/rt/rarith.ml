@@ -35,7 +35,7 @@ let is_number v =
 
 let normalize_big ctx b =
   match Rbigint.to_int_opt b with
-  | Some i -> Ctx.of_int ctx i
+  | Some i -> Value.of_int i
   | None -> Gc_sim.obj (Ctx.gc ctx) (Value.Bigint b)
 
 let as_big v =
@@ -87,7 +87,26 @@ let big_binop ctx fn op a b =
            (Printf.sprintf "unsupported operand types: %s and %s"
               (Value.type_name a) (Value.type_name b)))
 
-let overflowed_add a b r = (a >= 0) = (b >= 0) && (r >= 0) <> (a >= 0)
+(* the native-int overflow tests: whether [x op y] wraps *)
+let[@inline] add_overflows x y =
+  let r = x + y in
+  (x >= 0) = (y >= 0) && (r >= 0) <> (x >= 0)
+
+let[@inline] sub_overflows x y =
+  let r = x - y in
+  (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0)
+
+(* min_int-safe: [abs min_int] is still negative, so the old magnitude
+   screen let [min_int * -1] wrap silently; and the quotient probe must
+   never divide by -1 ([min_int / -1] traps in hardware) *)
+let[@inline] mul_overflows x y =
+  x <> 0 && y <> 0
+  &&
+  if x = -1 then y = min_int
+  else if y = -1 then x = min_int
+  else
+    (x < -(1 lsl 31) || x > 1 lsl 31 || y < -(1 lsl 31) || y > 1 lsl 31)
+    && (let r = x * y in r / x <> y)
 
 let[@inline] int_like v = Value.is_int v || Value.is_bool v
 
@@ -106,14 +125,13 @@ let[@inline] float_involved a b = Value.is_float a || Value.is_float b
 let add ctx a b =
   if Value.is_int a && Value.is_int b then begin
     let x = Value.to_int_unchecked a and y = Value.to_int_unchecked b in
-    let r = x + y in
-    if overflowed_add x y r then begin
+    if add_overflows x y then begin
       tick_boxed ctx;
       big_binop ctx big_add_fn Rbigint.add a b
     end
     else begin
       tick_imm ctx;
-      Value.of_int r
+      Value.of_int (x + y)
     end
   end
   else begin
@@ -121,9 +139,8 @@ let add ctx a b =
     if float_involved a b then Value.of_float (to_float a +. to_float b)
     else if int_like a && int_like b then begin
       let x = as_int a and y = as_int b in
-      let r = x + y in
-      if overflowed_add x y r then big_binop ctx big_add_fn Rbigint.add a b
-      else Ctx.of_int ctx r
+      if add_overflows x y then big_binop ctx big_add_fn Rbigint.add a b
+      else Value.of_int (x + y)
     end
     else big_binop ctx big_add_fn Rbigint.add a b
   end
@@ -131,14 +148,13 @@ let add ctx a b =
 let sub ctx a b =
   if Value.is_int a && Value.is_int b then begin
     let x = Value.to_int_unchecked a and y = Value.to_int_unchecked b in
-    let r = x - y in
-    if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then begin
+    if sub_overflows x y then begin
       tick_boxed ctx;
       big_binop ctx big_sub_fn Rbigint.sub a b
     end
     else begin
       tick_imm ctx;
-      Value.of_int r
+      Value.of_int (x - y)
     end
   end
   else begin
@@ -146,25 +162,11 @@ let sub ctx a b =
     if float_involved a b then Value.of_float (to_float a -. to_float b)
     else if int_like a && int_like b then begin
       let x = as_int a and y = as_int b in
-      let r = x - y in
-      if (x >= 0) <> (y >= 0) && (r >= 0) <> (x >= 0) then
-        big_binop ctx big_sub_fn Rbigint.sub a b
-      else Ctx.of_int ctx r
+      if sub_overflows x y then big_binop ctx big_sub_fn Rbigint.sub a b
+      else Value.of_int (x - y)
     end
     else big_binop ctx big_sub_fn Rbigint.sub a b
   end
-
-(* min_int-safe: [abs min_int] is still negative, so the old magnitude
-   screen let [min_int * -1] wrap silently; and the quotient probe must
-   never divide by -1 ([min_int / -1] traps in hardware) *)
-let mul_overflows x y =
-  x <> 0 && y <> 0
-  &&
-  if x = -1 then y = min_int
-  else if y = -1 then x = min_int
-  else
-    (x < -(1 lsl 31) || x > 1 lsl 31 || y < -(1 lsl 31) || y > 1 lsl 31)
-    && (let r = x * y in r / x <> y)
 
 let mul ctx a b =
   if Value.is_int a && Value.is_int b then begin
@@ -184,7 +186,7 @@ let mul ctx a b =
     else if int_like a && int_like b then begin
       let x = as_int a and y = as_int b in
       if mul_overflows x y then big_binop ctx big_mul_fn Rbigint.mul a b
-      else Ctx.of_int ctx (x * y)
+      else Value.of_int (x * y)
     end
     else big_binop ctx big_mul_fn Rbigint.mul a b
   end
@@ -214,7 +216,7 @@ let floordiv ctx a b =
       Value.of_float (floor (to_float a /. d))
     end
     else if int_like a && int_like b then
-      Ctx.of_int ctx (floordiv_int (as_int a) (as_int b))
+      Value.of_int (floordiv_int (as_int a) (as_int b))
     else big_binop ctx big_divmod_fn (fun x y -> fst (Rbigint.divmod x y)) a b
   end
 
@@ -233,7 +235,7 @@ let modulo ctx a b =
       Value.of_float r
     end
     else if int_like a && int_like b then
-      Ctx.of_int ctx (mod_int (as_int a) (as_int b))
+      Value.of_int (mod_int (as_int a) (as_int b))
     else big_binop ctx big_divmod_fn (fun x y -> snd (Rbigint.divmod x y)) a b
   end
 
@@ -261,7 +263,7 @@ let neg ctx v =
     tick_boxed ctx;
     if Value.is_float v then Value.of_float (-.(Value.to_float_unchecked v))
     else if Value.is_bool v then
-      Ctx.of_int ctx (-Bool.to_int (Value.to_bool_unchecked v))
+      Value.of_int (-Bool.to_int (Value.to_bool_unchecked v))
     else
       match as_big v with
       | Some b -> normalize_big ctx (Rbigint.neg b)

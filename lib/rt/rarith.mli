@@ -32,6 +32,13 @@ val to_float : Value.t -> float
 val normalize_big : Ctx.t -> Rbigint.t -> Value.t
 (** Box as [Int] when it fits, else allocate a bigint object. *)
 
+val add_overflows : int -> int -> bool
+val sub_overflows : int -> int -> bool
+val mul_overflows : int -> int -> bool
+(** Whether native [x + y], [x - y] or [x * y] wraps: the test every
+    int op makes before promoting to {!Rbigint}, and the condition the
+    JIT's overflow guards check. *)
+
 val floordiv_int : int -> int -> int
 (** Python floor division on native ints; raises [Division_by_zero]. *)
 

@@ -24,8 +24,8 @@
       the simulation is deterministic), so this quotient needs no
       normalization; it catches regressions in the allocation-free value
       fast paths (the immediate-tagged value representation, the
-      allocation-free charge path, frame pooling) that the wall-clock
-      gates could absorb in noise.  A build with [-opaque] (dune's dev
+      allocation-free charge path) that the wall-clock gates could
+      absorb in noise.  A build with [-opaque] (dune's dev
       profile) fails it and the JIT allocation gate: the charge path's
       [~cycles] float boxes on every call.
     - {b JIT allocation gate}: the same quotient over the JIT configs
@@ -37,7 +37,7 @@
     A separate, self-contained mode gates the serving harness:
 
     - {b serving latency gate} ([--serve-gate FILE [UNSEEDED]]): FILE
-      is an ["mtj-metrics/10"] document with a [serve] block from a
+      is an ["mtj-metrics/11"] document with a [serve] block from a
       session with the shared cache on.  The gate asserts the cache
       actually paid: warm (imported) requests must have a median
       latency no worse than cold (compiling) ones — machine-

@@ -213,10 +213,6 @@ let test_metrics_roundtrip () =
   Alcotest.(check int)
     "typed_ops_total round-trips" o.o_hstats.Mtj_rt.Hstats.typed_ops_total
     (rint "typed_ops_total");
-  Alcotest.(check int)
-    "frame_pool_reuses round-trips"
-    o.o_hstats.Mtj_rt.Hstats.frame_pool_reuses
-    (rint "frame_pool_reuses");
   (* integer arithmetic dominates every bench, so the immediate fast
      path always fires, and the two buckets partition the total *)
   Alcotest.(check bool)
@@ -268,9 +264,6 @@ let test_runner_metrics_roundtrip () =
   Alcotest.(check int)
     "typed_ops_total round-trips" r.Mtj_harness.Runner.typed_ops_total
     (rint "typed_ops_total");
-  Alcotest.(check int)
-    "frame_pool_reuses round-trips" r.Mtj_harness.Runner.frame_pool_reuses
-    (rint "frame_pool_reuses");
   Alcotest.(check bool)
     "immediate fast path is live" true
     (rint "imm_fast_path_hits" > 0);
@@ -386,11 +379,10 @@ let test_validator_rejects_corruption () =
       ]
   in
   let mdoc ?(flushes = 3) ?(bundles = 5) ?(imm = Json.Int 2)
-      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) ?(pooled = Json.Null) total
-      =
+      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) total =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/10");
+        ("schema", Json.Str "mtj-metrics/11");
         ( "runs",
           Json.Arr
             [
@@ -406,7 +398,6 @@ let test_validator_rejects_corruption () =
                   ("imm_fast_path_hits", imm);
                   ("boxed_slow_path_hits", boxed);
                   ("typed_ops_total", typed);
-                  ("frame_pool_reuses", pooled);
                   ( "phases",
                     Json.Obj
                       [ ("interpreter", snap 7); ("total", snap total) ] );
@@ -441,10 +432,11 @@ let test_validator_rejects_corruption () =
     (Validate.metrics (mdoc ~imm:(Json.Int (-1)) 7));
   expect_err "imm + boxed <> typed_ops_total"
     (Validate.metrics (mdoc ~imm:(Json.Int 2) ~boxed:(Json.Int 2) 7));
-  expect_err "frame_pool_reuses exceeding insns"
-    (Validate.metrics (mdoc ~pooled:(Json.Int 8) 7));
-  expect_err "non-int frame_pool_reuses"
-    (Validate.metrics (mdoc ~pooled:(Json.Str "many") 7));
+  expect_err "imm_fast_path_hits exceeding insns"
+    (Validate.metrics
+       (mdoc ~imm:(Json.Int 8) ~boxed:(Json.Int 0) ~typed:(Json.Int 8) 7));
+  expect_err "non-int imm_fast_path_hits"
+    (Validate.metrics (mdoc ~imm:(Json.Str "many") 7));
   (* jit block violating the v2 cache invariants *)
   let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
       ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
@@ -452,7 +444,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_sites = 0) translations trace_translations =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/10");
+        ("schema", Json.Str "mtj-metrics/11");
         ( "runs",
           Json.Arr
             [
@@ -468,7 +460,6 @@ let test_validator_rejects_corruption () =
                   ("imm_fast_path_hits", Json.Int 2);
                   ("boxed_slow_path_hits", Json.Int 0);
                   ("typed_ops_total", Json.Int 2);
-                  ("frame_pool_reuses", Json.Int 0);
                   ( "phases",
                     Json.Obj [ ("interpreter", snap 7); ("total", snap 7) ] );
                   ( "jit",
@@ -567,7 +558,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_imports = 1) ?(zipf_s = 1.1) () =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/10");
+        ("schema", Json.Str "mtj-metrics/11");
         ("runs", Json.Arr []);
         ( "serve",
           Json.Obj

@@ -197,6 +197,13 @@ let suite =
       "(let ((list 3)) (display ((lambda () list))))";
     t "capture a special form's name" ~expect:"7"
       "(define (mk else) (lambda () else)) (display ((mk 7)))";
+    (* a named let called other than by a self tail call: the
+       enclosing scope must cell the loop closure *)
+    t "non-tail named-let call" ~expect:"3"
+      "(display (let loop ((i 0)) (if (< i 3) (+ 1 (loop (+ i 1))) 0)))";
+    t "non-tail named-let call in a define" ~expect:"3"
+      "(define (f) (let loop ((i 0)) (if (< i 3) (+ 1 (loop (+ i 1))) 0)))\n\
+       (display (f))";
     t "type-polymorphic loop"
       {|
 (define (run n)

@@ -13,10 +13,12 @@
     - QCheck properties holding [Rarith] to an exact [Rbigint] oracle
       at the native-int boundary (min_int negation, lshift past the
       word, add/sub/mul overflow → bigint promotion, and the
-      fits-back-in-an-int ⇒ immediate normalization direction);
-    - digest differentials over RANDOM generated programs: host-side
-      knobs (threaded dispatch, frame pooling) must leave the simulated
-      machine counters and program output byte-identical in both VMs. *)
+      fits-back-in-an-int ⇒ immediate normalization direction), and
+      the JIT's checked int ops to [Rarith]'s promotion;
+    - digest differentials over RANDOM generated programs: the
+      host-side dispatch knob (threaded steps or the reference loop)
+      must leave the simulated machine counters and program output
+      byte-identical in both VMs. *)
 
 module V = Mtj_rt.Value
 module Ctx = Mtj_rt.Ctx
@@ -190,6 +192,24 @@ let prop_addsubmul_oracle =
       && agrees_with_oracle (Rarith.sub c va vb) (Rbigint.sub (big a) (big b))
       && agrees_with_oracle (Rarith.mul c va vb) (Rbigint.mul (big a) (big b)))
 
+(* the JIT's overflow guards held to the interpreter's promotion:
+   [Eval_op.checked_*] raises [Overflow] exactly when the matching
+   [Rarith] op returns a bigint, and otherwise returns the same int *)
+let prop_checked_promotion =
+  QCheck.Test.make
+    ~name:"checked add/sub/mul overflow exactly where Rarith promotes"
+    ~count:1000 arb_boundary_pair (fun (a, b) ->
+      let c = ctx () in
+      let agrees checked op =
+        let v = op c (V.of_int a) (V.of_int b) in
+        match checked a b with
+        | r -> V.is_int v && V.to_int_unchecked v = r
+        | exception Mtj_rjit.Eval_op.Overflow -> not (V.is_int v)
+      in
+      agrees Mtj_rjit.Eval_op.checked_add Rarith.add
+      && agrees Mtj_rjit.Eval_op.checked_sub Rarith.sub
+      && agrees Mtj_rjit.Eval_op.checked_mul Rarith.mul)
+
 let prop_neg_oracle =
   QCheck.Test.make ~name:"negation matches the bigint oracle (incl. min_int)"
     ~count:500 arb_boundary_int (fun a ->
@@ -327,14 +347,12 @@ let digest_rk ~config src =
     (Mtj_rklite.Kvm.output vm)
     (snap_str (Counters.total (Engine.counters (Mtj_rklite.Kvm.engine vm))))
 
-(* the four host-side configurations that must be indistinguishable in
-   the simulation: threaded dispatch x frame pooling *)
+(* the host-side configurations that must be indistinguishable in the
+   simulation: threaded dispatch and the reference loop *)
 let host_knob_configs base =
   [
-    { base with Config.threaded_interp = true; frame_pool = true };
-    { base with Config.threaded_interp = true; frame_pool = false };
-    { base with Config.threaded_interp = false; frame_pool = true };
-    { base with Config.threaded_interp = false; frame_pool = false };
+    { base with Config.threaded_interp = true };
+    { base with Config.threaded_interp = false };
   ]
 
 let all_equal = function
@@ -393,6 +411,7 @@ let suite =
     Alcotest.test_case "overflow promotion/normalization pins" `Quick
       test_overflow_pins;
     QCheck_alcotest.to_alcotest prop_addsubmul_oracle;
+    QCheck_alcotest.to_alcotest prop_checked_promotion;
     QCheck_alcotest.to_alcotest prop_neg_oracle;
     QCheck_alcotest.to_alcotest prop_shift_oracle;
     QCheck_alcotest.to_alcotest prop_imm_float_hash;
