@@ -41,7 +41,7 @@ let list_cmd =
     List.iter
       (fun (b : B.bench) ->
         Printf.printf "%-20s %-4s %-6s %s\n" b.B.name
-          (match b.B.lang with B.Py -> "py" | B.Rk -> "rk")
+          (Mtj_harness.Hosted.name b.B.lang)
           (match b.B.suite with B.Pypy_suite -> "pypy" | B.Clbg -> "clbg")
           b.B.regime)
       B.all
@@ -197,29 +197,20 @@ let trace_cmd =
     let attach eng =
       if observing then Some (Mtj_obs.Sink.attach eng) else None
     in
-    let status_of = function
-      | Mtj_rjit.Driver.Completed _ -> "ok"
-      | Mtj_rjit.Driver.Budget_exceeded -> "budget"
-      | Mtj_rjit.Driver.Runtime_error _ -> "failed"
+    (* the pylite program of that name: every rklite registry name is
+       also a pylite name *)
+    let b =
+      try B.find_exn ~lang:B.Py name
+      with Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1
     in
-    let jl, header, eng, rtc, sink, status =
-      match B.find ~lang:B.Py name with
-      | Some b ->
-          let vm = Mtj_pylite.Vm.create ~config () in
-          let eng = Mtj_pylite.Vm.engine vm in
-          let sink = attach eng in
-          let outcome = Mtj_pylite.Vm.run_source vm b.B.source in
-          ( Mtj_pylite.Vm.jitlog vm, "pylite", eng, Mtj_pylite.Vm.rtc vm,
-            sink, status_of outcome )
-      | None ->
-          let b = B.find_exn ~lang:B.Rk name in
-          let vm = Mtj_rklite.Kvm.create ~config () in
-          let eng = Mtj_rklite.Kvm.engine vm in
-          let sink = attach eng in
-          let outcome = Mtj_rklite.Kvm.run_source vm b.B.source in
-          ( Mtj_rklite.Kvm.jitlog vm, "rklite", eng, Mtj_rklite.Kvm.rtc vm,
-            sink, status_of outcome )
-    in
+    let vm = Mtj_pylite.Vm.create ~config () in
+    let eng = Mtj_pylite.Vm.engine vm in
+    let sink = attach eng in
+    let outcome = Mtj_pylite.Vm.run_source vm b.B.source in
+    let jl = Mtj_pylite.Vm.jitlog vm and rtc = Mtj_pylite.Vm.rtc vm in
+    let header = "pylite" in
     Option.iter Mtj_obs.Sink.finalize sink;
     (match (trace_out, sink) with
     | Some file, Some s ->
@@ -229,7 +220,8 @@ let trace_cmd =
     (match metrics_out with
     | Some file ->
         let run_record =
-          Mtj_obs.Metrics.run_json ~bench:name ~config:header ~status
+          Mtj_obs.Metrics.run_json ~bench:name ~config:header
+            ~status:(R.status_name (R.status_of outcome))
             ~engine:eng ~jitlog:jl
             ~gc:(Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc rtc))
             ?ticks:(Option.map Mtj_obs.Sink.ticks sink)
@@ -401,29 +393,23 @@ let exec_cmd =
     let config =
       R.config_of ~budget (if nojit then R.Pypy_nojit else R.Pypy_jit)
     in
-    let is_scheme =
-      Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
+    let lang =
+      if Filename.check_suffix file ".rkt" || Filename.check_suffix file ".scm"
+      then B.Rk
+      else B.Py
     in
-    let outcome, output, insns =
-      if is_scheme then
-        let outcome, vm = Mtj_rklite.Kvm.run ~config src in
-        ( outcome,
-          Mtj_rklite.Kvm.output vm,
-          Mtj_machine.Engine.total_insns (Mtj_rklite.Kvm.engine vm) )
-      else
-        let outcome, vm = Mtj_pylite.Vm.run ~config src in
-        ( outcome,
-          Mtj_pylite.Vm.output vm,
-          Mtj_machine.Engine.total_insns (Mtj_pylite.Vm.engine vm) )
-    in
-    print_string output;
+    let (module V : Mtj_harness.Hosted.VM) = Mtj_harness.Hosted.vm lang in
+    let vm = V.create ~config () in
+    let outcome = V.run_source vm src in
+    print_string (V.output vm);
     let label =
       match outcome with
       | Mtj_rjit.Driver.Completed _ -> "ok"
       | Mtj_rjit.Driver.Budget_exceeded -> "budget exceeded"
       | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e
     in
-    Printf.eprintf "[%s; %d simulated instructions]\n" label insns;
+    Printf.eprintf "[%s; %d simulated instructions]\n" label
+      (Mtj_machine.Engine.total_insns (V.engine vm));
     (* a budget stop is a clean end; a runtime error fails the command *)
     match outcome with Mtj_rjit.Driver.Runtime_error _ -> exit 1 | _ -> ()
   in

@@ -885,11 +885,10 @@ let cachesweep () =
         let cache = SC.create ~capacity:cap () in
         Array.iter
           (fun (rq : Serve.request) ->
-            let lang =
-              match rq.Serve.req_lang with B.Py -> "py" | B.Rk -> "rk"
-            in
             let key =
-              SC.key ~lang ~program:rq.Serve.req_bench ~config_digest:"sweep"
+              SC.key
+                ~lang:(Hosted.name rq.Serve.req_lang)
+                ~program:rq.Serve.req_bench ~config_digest:"sweep"
             in
             match SC.find cache ~ctx_uid:0 key with
             | Some _ -> ()

@@ -1,6 +1,5 @@
 module J = Mtj_obs.Json
 module Metrics = Mtj_obs.Metrics
-module Counters = Mtj_machine.Counters
 module R = Runner
 
 (* --- percentiles (exact nearest-rank) --- *)
@@ -57,89 +56,8 @@ let write_timings ~file ~jobs ~total_wall ~experiments =
 
 (* --- metrics ("mtj-metrics/11") --- *)
 
-let status_name = function
-  | R.Ok_run -> "ok"
-  | R.Hit_budget -> "budget"
-  | R.Failed _ -> "failed"
-
-let jit_json (j : R.jit_stats) =
-  J.Obj
-    [
-      ("num_traces", J.Int j.R.traces);
-      ("aborts", J.Int j.R.aborts);
-      ("deopts", J.Int j.R.deopts);
-      ("bridges_attached", J.Int j.R.bridges);
-      ("blacklisted", J.Int j.R.blacklisted);
-      ("retiers", J.Int j.R.retiers);
-      ("translations", J.Int j.R.translations);
-      ("code_cache_hits", J.Int j.R.code_cache_hits);
-      ("shared_code_hits", J.Int j.R.shared_code_hits);
-      ( "code_cache_total_hits",
-        J.Int (j.R.code_cache_hits + j.R.shared_code_hits) );
-      ("interp_translations", J.Int j.R.interp_translations);
-      ("threaded_code_hits", J.Int j.R.threaded_code_hits);
-      ("tier1_compiles", J.Int j.R.tier1_compiles);
-      ("tier2_compiles", J.Int j.R.tier2_compiles);
-      ("demotions", J.Int j.R.demotions);
-      ("first_entry_insns", J.Int j.R.first_entry_insns);
-      ("seeded_sites", J.Int j.R.seeded_sites);
-      ( "tier_residency",
-        J.Obj
-          [
-            ("tier1_entries", J.Int j.R.tier1_entries);
-            ("tier2_entries", J.Int j.R.tier2_entries);
-            ("tier1_dynamic_ir", J.Int j.R.tier1_dynamic_ir);
-            ("tier2_dynamic_ir", J.Int j.R.tier2_dynamic_ir);
-          ] );
-      ("total_ir_compiled", J.Int j.R.ir_compiled);
-      ("total_dynamic_ir", J.Int j.R.ir_dynamic);
-      ( "traces",
-        J.Arr
-          (List.map
-             (fun (tr : R.trace_row) ->
-               J.Obj
-                 [
-                   ("id", J.Int tr.R.tr_id);
-                   ("kind", J.Str tr.R.tr_kind);
-                   ("tier", J.Int tr.R.tr_tier);
-                   ("loop_code", J.Int tr.R.tr_loop_code);
-                   ("static_ops", J.Int tr.R.tr_static_ops);
-                   ("entries", J.Int tr.R.tr_entries);
-                   ("dynamic_ir", J.Int tr.R.tr_dynamic_ir);
-                   ("translations", J.Int tr.R.tr_translations);
-                   ("cache_hits", J.Int tr.R.tr_cache_hits);
-                   ("deopts", J.Int tr.R.tr_deopts);
-                   ("bridges", J.Int tr.R.tr_bridges);
-                 ])
-             j.R.trace_rows) );
-    ]
-
-let metrics_json (r : R.result) =
-  let phase_rows =
-    List.filter_map
-      (fun (p, s) ->
-        if s.Counters.insns = 0 then None
-        else Some (Mtj_core.Phase.name p, Metrics.snapshot_json s))
-      r.R.per_phase
-  in
-  J.Obj
-    [
-      ("bench", J.Str r.R.bench_name);
-      ("config", J.Str (R.config_name r.R.config));
-      ("status", J.Str (status_name r.R.status));
-      ("insns", J.Int r.R.insns);
-      ("cycles", J.Float r.R.cycles);
-      ("ticks", J.Int r.R.ticks);
-      ("charge_flushes", J.Int r.R.charge_flushes);
-      ("fast_path_bundles", J.Int r.R.fast_path_bundles);
-      ("imm_fast_path_hits", J.Int r.R.imm_fast_path_hits);
-      ("boxed_slow_path_hits", J.Int r.R.boxed_slow_path_hits);
-      ("typed_ops_total", J.Int r.R.typed_ops_total);
-      ( "phases",
-        J.Obj (phase_rows @ [ ("total", Metrics.snapshot_json r.R.total) ]) );
-      ("gc", Metrics.gc_json r.R.gc);
-      ("jit", match r.R.jit with Some j -> jit_json j | None -> J.Null);
-    ]
+let status_name = R.status_name
+let metrics_json (r : R.result) = r.R.metrics
 
 let write_metrics ~file results =
   Metrics.write ~file ~runs:(List.map metrics_json results) ();

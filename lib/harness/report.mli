@@ -32,11 +32,11 @@ val write_timings :
 (** Render {!timings_json} over [Runner.run_timings ()] and write it. *)
 
 val status_name : Runner.status -> string
-(** ["ok"], ["budget"] or ["failed"]. *)
+(** {!Runner.status_name}: ["ok"], ["budget"] or ["failed"]. *)
 
 val metrics_json : Runner.result -> Mtj_obs.Json.t
-(** One ["mtj-metrics/11"] run record, built purely from the memoized
-    result (no live engine needed). *)
+(** The result's ["mtj-metrics/11"] run record, written by
+    {!Mtj_obs.Metrics.run_json} when the run ended. *)
 
 val write_metrics : file:string -> Runner.result list -> unit
 (** Wrap the run records into the versioned document and write it. *)

@@ -36,22 +36,6 @@ let config_name = function
 
 type status = Ok_run | Hit_budget | Failed of string
 
-(* one row per compiled trace, in compilation order; everything the
-   metrics export needs, without retaining the trace IR itself *)
-type trace_row = {
-  tr_id : int;
-  tr_kind : string;  (* "loop" | "bridge" *)
-  tr_tier : int;
-  tr_loop_code : int;
-  tr_static_ops : int;
-  tr_entries : int;
-  tr_dynamic_ir : int;
-  tr_translations : int;
-  tr_cache_hits : int;
-  tr_deopts : int;
-  tr_bridges : int;
-}
-
 type jit_stats = {
   traces : int;
   bridges : int;
@@ -79,7 +63,6 @@ type jit_stats = {
   by_category : (Ir.cat * int) list;
   by_node_type : (string * int) list;
   x86_per_type : (string * float) list;
-  trace_rows : trace_row list;
 }
 
 type result = {
@@ -105,7 +88,20 @@ type result = {
   imm_fast_path_hits : int;                 (* host fast-path counters *)
   boxed_slow_path_hits : int;
   typed_ops_total : int;
+  metrics : Mtj_obs.Json.t;
+      (* the mtj-metrics run record, written by [Metrics.run_json] while
+         the run's engine was live *)
 }
+
+let status_of = function
+  | Mtj_rjit.Driver.Completed _ -> Ok_run
+  | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
+  | Mtj_rjit.Driver.Runtime_error e -> Failed e
+
+let status_name = function
+  | Ok_run -> "ok"
+  | Hit_budget -> "budget"
+  | Failed _ -> "failed"
 
 let default_budget = 200_000_000
 
@@ -168,28 +164,6 @@ let jit_stats_of jl =
     by_category = Jitlog.dynamic_by_category jl;
     by_node_type = Jitlog.dynamic_by_node_type jl;
     x86_per_type = Jitlog.x86_per_node_type jl;
-    trace_rows =
-      List.map
-        (fun (tr : Ir.trace) ->
-          let kind, loop_code =
-            match tr.Ir.kind with
-            | Ir.Loop { loop_code; _ } -> ("loop", loop_code)
-            | Ir.Bridge { loop_code; _ } -> ("bridge", loop_code)
-          in
-          {
-            tr_id = tr.Ir.trace_id;
-            tr_kind = kind;
-            tr_tier = tr.Ir.tier;
-            tr_loop_code = loop_code;
-            tr_static_ops = Array.length tr.Ir.ops;
-            tr_entries = tr.Ir.exec_count;
-            tr_dynamic_ir = Array.fold_left ( + ) 0 tr.Ir.op_exec;
-            tr_translations = tr.Ir.translations;
-            tr_cache_hits = tr.Ir.cache_hits;
-            tr_deopts = tr.Ir.deopts;
-            tr_bridges = tr.Ir.bridges;
-          })
-        (Jitlog.traces jl);
   }
 
 let aot_ranking attrib =
@@ -200,13 +174,21 @@ let aot_ranking attrib =
              Some (Aot.src_letter (Aot.src fn), Aot.name fn, insns)
          | None -> None)
 
+(* the hosted language a configuration runs; [None] for native kernels *)
+let lang_of = function
+  | Cpython | Pypy_nojit | Pypy_jit | Pypy_tiered | Pypy_baseline -> Some B.Py
+  | Racket | Pycket_nojit | Pycket_jit -> Some B.Rk
+  | Native_c -> None
+
 let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
   let config = config_of ?budget vc in
-  let finish ~bench ~status ~output ~ticks ~aot_top ~jit rtc tracker sampler =
+  let finish ~bench ~status ~output ~aot_top ?jitlog rtc tracker sampler =
     Mtj_pintool.Phase_tracker.finalize tracker;
     Mtj_pintool.Rate_sampler.finalize sampler;
     let eng = Ctx.engine rtc in
     let counters = Engine.counters eng in
+    let ticks = Mtj_pintool.Rate_sampler.ticks sampler in
+    let gc = Gc_sim.stats (Ctx.gc rtc) in
     {
       bench;
       bench_name;
@@ -224,11 +206,11 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
           Phase.all;
       timeline = Mtj_pintool.Phase_tracker.timeline tracker;
       timeline_bucket = Mtj_pintool.Phase_tracker.bucket_insns tracker;
-      ticks = (if ticks >= 0 then ticks else Mtj_pintool.Rate_sampler.ticks sampler);
+      ticks;
       samples = Mtj_pintool.Rate_sampler.samples sampler;
       aot_top;
-      jit;
-      gc = Gc_sim.stats (Ctx.gc rtc);
+      jit = Option.map jit_stats_of jitlog;
+      gc;
       (* read after [Counters.total] above so the final writeback of the
          staged fast path is included in the flush count *)
       charge_flushes = Engine.charge_flushes eng;
@@ -236,10 +218,14 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
       imm_fast_path_hits = (Ctx.hstats rtc).Hstats.imm_fast_path_hits;
       boxed_slow_path_hits = (Ctx.hstats rtc).Hstats.boxed_slow_path_hits;
       typed_ops_total = (Ctx.hstats rtc).Hstats.typed_ops_total;
+      metrics =
+        Mtj_obs.Metrics.run_json ~bench:bench_name ~config:(config_name vc)
+          ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks
+          ~hstats:(Ctx.hstats rtc) ();
     }
   in
-  match vc with
-  | Native_c -> (
+  match lang_of vc with
+  | None -> (
       match Mtj_baselines.Native.find bench_name with
       | None -> invalid_arg ("no native kernel for " ^ bench_name)
       | Some kernel ->
@@ -251,42 +237,19 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
             | out -> (Ok_run, out)
             | exception Engine.Budget_exhausted -> (Hit_budget, "")
           in
-          finish ~bench:None ~status ~output ~ticks:(-1) ~aot_top:[]
-            ~jit:None rtc tracker sampler)
-  | Cpython | Pypy_nojit | Pypy_jit | Pypy_tiered | Pypy_baseline ->
-      let b = B.find_exn ~lang:B.Py bench_name in
-      let vm = Mtj_pylite.Vm.create ~config ~profile:(profile_of vc) () in
-      let eng = Mtj_pylite.Vm.engine vm in
+          finish ~bench:None ~status ~output ~aot_top:[] rtc tracker sampler)
+  | Some lang ->
+      let (module V : Hosted.VM) = Hosted.vm lang in
+      let b = B.find_exn ~lang bench_name in
+      let vm = V.create ~config ~profile:(profile_of vc) () in
+      let eng = V.engine vm in
       let tracker = Mtj_pintool.Phase_tracker.attach eng in
       let sampler = Mtj_pintool.Rate_sampler.attach eng in
       let attrib = Mtj_pintool.Aot_attrib.attach eng in
-      let status =
-        match Mtj_pylite.Vm.run_source vm b.B.source with
-        | Mtj_rjit.Driver.Completed _ -> Ok_run
-        | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
-        | Mtj_rjit.Driver.Runtime_error e -> Failed e
-      in
-      finish ~bench:(Some b) ~status ~output:(Mtj_pylite.Vm.output vm)
-        ~ticks:(-1) ~aot_top:(aot_ranking attrib)
-        ~jit:(Some (jit_stats_of (Mtj_pylite.Vm.jitlog vm)))
-        (Mtj_pylite.Vm.rtc vm) tracker sampler
-  | Racket | Pycket_nojit | Pycket_jit ->
-      let b = B.find_exn ~lang:B.Rk bench_name in
-      let vm = Mtj_rklite.Kvm.create ~config ~profile:(profile_of vc) () in
-      let eng = Mtj_rklite.Kvm.engine vm in
-      let tracker = Mtj_pintool.Phase_tracker.attach eng in
-      let sampler = Mtj_pintool.Rate_sampler.attach eng in
-      let attrib = Mtj_pintool.Aot_attrib.attach eng in
-      let status =
-        match Mtj_rklite.Kvm.run_source vm b.B.source with
-        | Mtj_rjit.Driver.Completed _ -> Ok_run
-        | Mtj_rjit.Driver.Budget_exceeded -> Hit_budget
-        | Mtj_rjit.Driver.Runtime_error e -> Failed e
-      in
-      finish ~bench:(Some b) ~status ~output:(Mtj_rklite.Kvm.output vm)
-        ~ticks:(-1) ~aot_top:(aot_ranking attrib)
-        ~jit:(Some (jit_stats_of (Mtj_rklite.Kvm.jitlog vm)))
-        (Mtj_rklite.Kvm.rtc vm) tracker sampler
+      let status = status_of (V.run_source vm b.B.source) in
+      finish ~bench:(Some b) ~status ~output:(V.output vm)
+        ~aot_top:(aot_ranking attrib) ~jitlog:(V.jitlog vm) (V.rtc vm)
+        tracker sampler
 
 (* --- memoized entry point --- *)
 

@@ -22,22 +22,6 @@ val config_name : vm_config -> string
 
 type status = Ok_run | Hit_budget | Failed of string
 
-(** One row per compiled trace, in compilation order; everything the
-    metrics export needs, without retaining the trace IR itself. *)
-type trace_row = {
-  tr_id : int;
-  tr_kind : string;  (** ["loop"] or ["bridge"] *)
-  tr_tier : int;
-  tr_loop_code : int;
-  tr_static_ops : int;
-  tr_entries : int;
-  tr_dynamic_ir : int;
-  tr_translations : int;  (** times threaded code was (re)built *)
-  tr_cache_hits : int;    (** entries served from the code cache *)
-  tr_deopts : int;        (** guard-fail side exits taken from it *)
-  tr_bridges : int;       (** bridges attached to its guards *)
-}
-
 type jit_stats = {
   traces : int;
   bridges : int;
@@ -76,7 +60,6 @@ type jit_stats = {
   by_category : (Mtj_rjit.Ir.cat * int) list;
   by_node_type : (string * int) list;
   x86_per_type : (string * float) list;
-  trace_rows : trace_row list;
 }
 
 type result = {
@@ -112,7 +95,16 @@ type result = {
   typed_ops_total : int;
       (** every counted typed-arithmetic entry; always equals
           [imm_fast_path_hits + boxed_slow_path_hits] *)
+  metrics : Mtj_obs.Json.t;
+      (** the run's ["mtj-metrics/11"] record, written by
+          {!Mtj_obs.Metrics.run_json} (the one writer [mtj trace] uses
+          too) while the run's engine was live *)
 }
+
+val status_of : Mtj_rjit.Driver.outcome -> status
+
+val status_name : status -> string
+(** ["ok"], ["budget"] or ["failed"]. *)
 
 val default_budget : int
 

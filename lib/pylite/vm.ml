@@ -6,7 +6,6 @@
     JIT) it models the reference CPython interpreter (Table I's three
     configurations). *)
 
-open Mtj_core
 open Mtj_rt
 open Mtj_rjit
 
@@ -26,13 +25,9 @@ module Lang : Threaded.LANG with type code = Bytecode.code = struct
   (* the threaded-dispatch tier (Config.threaded_interp) *)
   let headers (c : code) = c.Bytecode.headers
   let threaded_code = Interp.threaded_code
-  let lookup_threaded (c : code) = Code_table.lookup_threaded c.Bytecode.id
-  let store_threaded (c : code) s = Code_table.store_threaded c.Bytecode.id s
+  let lookup_threaded = Code_table.lookup_threaded
+  let store_threaded = Code_table.store_threaded
 end
-
-module D = Driver.Make (Lang)
-
-type t = { rtc : Ctx.t; driver : D.t }
 
 (* names exposed as module-level globals *)
 let global_builtins =
@@ -67,68 +62,9 @@ let bind_builtins rtc globals =
   in
   Globals.define globals "math" math
 
-let create ?(config = Config.default) ?(profile = Profile.rpython_interp) () =
-  (* fresh per-VM code-id sequence: simulated behaviour must not depend
-     on what compiled before us on this domain (see Code_table) *)
-  Code_table.reset ();
-  let rtc = Ctx.create ~config () in
-  let globals = Globals.create () in
-  bind_builtins rtc globals;
-  let driver = D.create ~profile rtc globals in
-  { rtc; driver }
-
-let rtc t = t.rtc
-let engine t = Ctx.engine t.rtc
-let jitlog t = D.jitlog t.driver
-let globals t = D.globals t.driver
-let output t = Buffer.contents (Ctx.out t.rtc)
-
-let compile = Compiler.compile_source
-
-let run_code t (code : Bytecode.code) : Driver.outcome = D.run t.driver code
-
-let run_source t (src : string) : Driver.outcome =
-  run_code t (compile src)
-
-(* --- compiled-program bundles (the shared serving cache) ---
-
-   A bundle is everything one source string compiles to: the entry code
-   object, every code object it registered, and the id watermark.  All
-   of it is immutable bytecode with scalar constants, so a bundle is
-   context-free and may be published to [Mtj_rjit.Sharedcache] and
-   imported by a VM on any domain.  Importing reproduces exactly the
-   code-table state a fresh compile would have built (ids restart at
-   zero per VM), so a warm request's simulated behaviour is
-   byte-identical to a cold one's: compilation itself charges nothing
-   to the simulated machine, only host wall time. *)
-
-type bundle = {
-  b_entry : Bytecode.code;
-  b_codes : Bytecode.code list;  (* sorted by id; includes [b_entry] *)
-  b_next_id : int;
-}
-
-let bundle_size b = List.length b.b_codes
-
-let compile_bundle src =
-  let entry = compile src in
-  let codes, next_id = Code_table.export_bundle () in
-  { b_entry = entry; b_codes = codes; b_next_id = next_id }
-
-(* must run after [create] (which reset the table) and before the VM
-   executes anything that resolves a code_ref *)
-let import_bundle (_ : t) b =
-  Code_table.import_bundle b.b_codes ~next_id:b.b_next_id
-
-let run_bundle t b : Driver.outcome = run_code t b.b_entry
-
-(* trace-profile seeding (DESIGN.md §3m): export after an unseeded run,
-   seed a fresh importer before it executes anything *)
-let export_profile t = D.export_profile t.driver
-let seed_profile t p = D.seed_profile t.driver p
-
-(** convenience: fresh VM, run source, return (outcome, vm) *)
-let run ?config ?profile src =
-  let t = create ?config ?profile () in
-  let outcome = run_source t src in
-  (outcome, t)
+include
+  Lang_vm.Make (Lang) (Code_table)
+    (struct
+      let compile = Compiler.compile_source
+      let install_globals = bind_builtins
+    end)

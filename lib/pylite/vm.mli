@@ -9,6 +9,10 @@
     RPython-translated interpreter, with or without the meta-tracing
     JIT ({!Mtj_core.Config.jit_enabled}).
 
+    Only the language's accessors and predefined globals are pylite's
+    own: everything below is {!Mtj_rjit.Lang_vm.Make}, which
+    {!Mtj_rklite.Kvm} applies too.
+
     {[
       let vm = Vm.create ~config:Mtj_core.Config.default () in
       match Vm.run_source vm "print(1 + 2)" with
@@ -27,7 +31,7 @@ val create :
 val compile : string -> Bytecode.code
 (** Compile source to bytecode. Raises {!Parser.Syntax_error} or
     {!Compiler.Compile_error} on invalid programs. VM-independent: code
-    objects live in a global table keyed by [code_ref]. *)
+    objects live in this domain's {!Code_table}, keyed by [code_ref]. *)
 
 val run_code : t -> Bytecode.code -> Mtj_rjit.Driver.outcome
 val run_source : t -> string -> Mtj_rjit.Driver.outcome

@@ -1,75 +1,11 @@
-(** Registry of compiled rklite code objects.
+(** Registry of compiled rklite code objects (see
+    {!Mtj_rjit.Code_registry}).  Ids start at 1_000_000, disjoint from
+    pylite ids. *)
 
-    Domain-local, reset per VM from [Kvm.create] — same reproducibility
-    and isolation story as [Mtj_pylite.Code_table].  Ids start at
-    1_000_000, disjoint from pylite ids, for sanity. *)
+include Mtj_rjit.Code_registry.Make (struct
+  type code = Kbytecode.code
 
-let first_id = 1_000_000
-
-type threaded =
-  (Mtj_rjit.Direct_ops.t, Kbytecode.code) Mtj_rjit.Threaded.step array
-(** a code object's threaded-dispatch translation (see
-    {!Mtj_rjit.Threaded} and [Kinterp.threaded_code]) *)
-
-type store = {
-  table : (int, Kbytecode.code) Hashtbl.t;
-  threaded : (int, threaded) Hashtbl.t;
-      (* translate-once cache, keyed by code id.  Step closures bind the
-         translating VM's engine and context, so this cache MUST be
-         dropped whenever the id sequence restarts — [reset] clears it
-         together with the code table. *)
-  mutable next_id : int;
-}
-
-let store_key : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { table = Hashtbl.create 128; threaded = Hashtbl.create 64;
-        next_id = first_id })
-
-let reset () =
-  let s = Domain.DLS.get store_key in
-  Hashtbl.reset s.table;
-  Hashtbl.reset s.threaded;
-  s.next_id <- first_id
-
-let fresh_id () =
-  let s = Domain.DLS.get store_key in
-  let id = s.next_id in
-  s.next_id <- id + 1;
-  id
-
-let register (c : Kbytecode.code) =
-  Hashtbl.replace (Domain.DLS.get store_key).table c.Kbytecode.id c
-
-let lookup id =
-  match Hashtbl.find_opt (Domain.DLS.get store_key).table id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "unknown rklite code_ref %d" id)
-
-let lookup_threaded id =
-  Hashtbl.find_opt (Domain.DLS.get store_key).threaded id
-
-let store_threaded id (s : threaded) =
-  Hashtbl.replace (Domain.DLS.get store_key).threaded id s
-
-(* compiled-program bundles for the shared serving cache — same
-   contract as [Mtj_pylite.Code_table]: immutable bytecode only, ids
-   deterministic because the sequence always restarts at [first_id],
-   threaded translations never cross VMs *)
-
-let export_bundle () =
-  let s = Domain.DLS.get store_key in
-  let codes = Hashtbl.fold (fun _ c acc -> c :: acc) s.table [] in
-  ( List.sort
-      (fun (a : Kbytecode.code) b -> compare a.Kbytecode.id b.Kbytecode.id)
-      codes,
-    s.next_id )
-
-let import_bundle codes ~next_id =
-  let s = Domain.DLS.get store_key in
-  Hashtbl.reset s.table;
-  Hashtbl.reset s.threaded;
-  List.iter
-    (fun (c : Kbytecode.code) -> Hashtbl.replace s.table c.Kbytecode.id c)
-    codes;
-  s.next_id <- next_id
+  let id (c : code) = c.Kbytecode.id
+  let first_id = 1_000_000
+  let lang = "rklite"
+end)

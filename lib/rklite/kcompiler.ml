@@ -204,6 +204,7 @@ type scope = {
   fname : string;
   nargs : int;
   self_name : string option;
+  defined : SSet.t;                    (* the program's toplevel defines *)
   tbl : (string, int) Hashtbl.t;       (* visible name -> local slot *)
   celled : SSet.t;                     (* names living in cells *)
   mutable captures : (string * int) list;  (* captured name -> index *)
@@ -212,6 +213,11 @@ type scope = {
 }
 
 let is_celled sc name = SSet.mem name sc.celled
+
+(* reset the names visible in [sc] to a saved table *)
+let restore sc saved =
+  Hashtbl.reset sc.tbl;
+  Hashtbl.iter (Hashtbl.replace sc.tbl) saved
 
 let fresh_slot sc =
   let s = sc.nlocals in
@@ -365,26 +371,24 @@ and compile_form sc ~tail head args =
   | Atom "lambda", Slist params :: body ->
       compile_closure sc ~cname:"lambda" ~self:None params body
   | Atom "let", Atom name :: Slist bindings :: body ->
-      (* named let: (letrec ((name (lambda (vars) body))) (name inits)) *)
-      let vars =
-        List.map
-          (function
-            | Slist [ Atom v; _ ] -> Atom v
-            | _ -> error "malformed named-let binding")
-          bindings
+      (* named let: (letrec ((name (lambda (vars) body))) (name inits)),
+         except that the inits see the enclosing scope, not the loop *)
+      let vars, inits =
+        List.split
+          (List.map
+             (function
+               | Slist [ Atom v; e ] -> (Atom v, e)
+               | _ -> error "malformed named-let binding")
+             bindings)
       in
-      let inits =
-        List.map
-          (function
-            | Slist [ Atom _; e ] -> e
-            | _ -> error "malformed named-let binding")
-          bindings
-      in
-      compile_form sc ~tail (Atom "letrec")
-        [
-          Slist [ Slist [ Atom name; Slist (Atom "lambda" :: Slist vars :: body) ] ];
-          Slist (Atom name :: inits);
-        ]
+      compile_letrec sc
+        [ Slist [ Atom name; Slist (Atom "lambda" :: Slist vars :: body) ] ]
+        (fun outer ->
+          compile_expr sc ~tail:false (Atom name);
+          restore sc outer;
+          List.iter (compile_expr sc ~tail:false) inits;
+          let n = List.length inits in
+          ignore (emit b (if tail then K_TAILCALL n else K_CALL n)))
   | Atom ("let" | "let*"), Slist bindings :: body ->
       (* both evaluate bindings in order; [let*] scoping emerges because
          each binding is added to the table as soon as it is compiled —
@@ -402,41 +406,10 @@ and compile_form sc ~tail head args =
           | _ -> error "malformed let binding")
         bindings;
       compile_body sc ~tail body;
-      Hashtbl.reset sc.tbl;
-      Hashtbl.iter (Hashtbl.replace sc.tbl) saved
+      restore sc saved
   | Atom "letrec", [ Slist _ ] -> error "letrec needs a body"
   | Atom "letrec", Slist bindings :: body ->
-      let saved = Hashtbl.copy sc.tbl in
-      (* pre-bind all names (celled, since the lambdas capture them) *)
-      let slots =
-        List.map
-          (function
-            | Slist [ Atom v; _ ] ->
-                let slot = fresh_slot sc in
-                Hashtbl.replace sc.tbl v slot;
-                ignore (emit b (K_CONST Value.nil));
-                ignore (emit b (K_SET_LOCAL slot));
-                if is_celled sc v then ignore (emit b (K_MAKE_CELL slot));
-                (v, slot)
-            | _ -> error "malformed letrec binding")
-          bindings
-      in
-      List.iter2
-        (fun (v, slot) binding ->
-          match binding with
-          | Slist [ Atom _; Slist (Atom "lambda" :: Slist params :: lbody) ] ->
-              compile_closure sc ~cname:v ~self:(Some v) params lbody;
-              if is_celled sc v then ignore (emit b (K_CELL_SET slot))
-              else ignore (emit b (K_SET_LOCAL slot))
-          | Slist [ Atom _; e ] ->
-              compile_expr sc ~tail:false e;
-              if is_celled sc v then ignore (emit b (K_CELL_SET slot))
-              else ignore (emit b (K_SET_LOCAL slot))
-          | _ -> error "malformed letrec binding")
-        slots bindings;
-      compile_body sc ~tail body;
-      Hashtbl.reset sc.tbl;
-      Hashtbl.iter (Hashtbl.replace sc.tbl) saved
+      compile_letrec sc bindings (fun _ -> compile_body sc ~tail body)
   | Atom "define", _ -> error "define is only allowed at toplevel"
   | Atom (("lambda" | "let" | "let*" | "letrec" | "if" | "quote" | "set!"
           | "when" | "unless" | "else") as kw), _ ->
@@ -450,11 +423,46 @@ and compile_form sc ~tail head args =
       ignore (emit b (K_TAILJUMP (List.length args)))
   | Atom name, _ -> (
       match Hashtbl.find_opt prim_table name with
-      | Some p when not (parent_has sc name) ->
+      | Some p when not (parent_has sc name || SSet.mem name sc.defined) ->
           List.iter (compile_expr sc ~tail:false) args;
           ignore (emit b (K_PRIM (p, List.length args)))
       | _ -> compile_call sc ~tail head args)
   | _, _ -> compile_call sc ~tail head args
+
+(* bind [bindings] recursively, run [k] (given the enclosing scope's
+   names), then restore the enclosing scope *)
+and compile_letrec sc bindings k =
+  let b = sc.buf in
+  let saved = Hashtbl.copy sc.tbl in
+  (* pre-bind all names (celled, since the lambdas capture them) *)
+  let slots =
+    List.map
+      (function
+        | Slist [ Atom v; _ ] ->
+            let slot = fresh_slot sc in
+            Hashtbl.replace sc.tbl v slot;
+            ignore (emit b (K_CONST Value.nil));
+            ignore (emit b (K_SET_LOCAL slot));
+            if is_celled sc v then ignore (emit b (K_MAKE_CELL slot));
+            (v, slot)
+        | _ -> error "malformed letrec binding")
+      bindings
+  in
+  List.iter2
+    (fun (v, slot) binding ->
+      match binding with
+      | Slist [ Atom _; Slist (Atom "lambda" :: Slist params :: lbody) ] ->
+          compile_closure sc ~cname:v ~self:(Some v) params lbody;
+          if is_celled sc v then ignore (emit b (K_CELL_SET slot))
+          else ignore (emit b (K_SET_LOCAL slot))
+      | Slist [ Atom _; e ] ->
+          compile_expr sc ~tail:false e;
+          if is_celled sc v then ignore (emit b (K_CELL_SET slot))
+          else ignore (emit b (K_SET_LOCAL slot))
+      | _ -> error "malformed letrec binding")
+    slots bindings;
+  k saved;
+  restore sc saved
 
 and compile_call sc ~tail head args =
   compile_expr sc ~tail:false head;
@@ -489,6 +497,7 @@ and compile_lambda ~parent ~cname ~self params body : unit =
       fname = cname;
       nargs = List.length param_names;
       self_name = self;
+      defined = (match parent with Some p -> p.defined | None -> SSet.empty);
       tbl = Hashtbl.create 16;
       celled;
       captures = [];
@@ -592,6 +601,17 @@ let compile_program (forms : sexp list) : Kbytecode.code =
       fname = "<toplevel>";
       nargs = 0;
       self_name = None;
+      (* a program's own define of a primitive's name replaces the
+         primitive wherever the name is called *)
+      defined =
+        List.fold_left
+          (fun acc form ->
+            match form with
+            | Slist [ Atom "define"; Atom name; _ ]
+            | Slist (Atom "define" :: Slist (Atom name :: _) :: _) ->
+                SSet.add name acc
+            | _ -> acc)
+          SSet.empty forms;
       tbl = Hashtbl.create 16;
       (* toplevel let/letrec bindings can be captured by lambdas too *)
       celled = captured_names forms;

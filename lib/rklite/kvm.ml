@@ -4,7 +4,6 @@
     the custom-JIT profile with the JIT disabled it models the reference
     Racket VM (Table II's two Racket-language configurations). *)
 
-open Mtj_core
 open Mtj_rt
 open Mtj_rjit
 
@@ -24,13 +23,9 @@ module Lang : Threaded.LANG with type code = Kbytecode.code = struct
   (* the threaded-dispatch tier (Config.threaded_interp) *)
   let headers (c : code) = c.Kbytecode.headers
   let threaded_code = Kinterp.threaded_code
-  let lookup_threaded (c : code) = Kcode_table.lookup_threaded c.Kbytecode.id
-  let store_threaded (c : code) s = Kcode_table.store_threaded c.Kbytecode.id s
+  let lookup_threaded = Kcode_table.lookup_threaded
+  let store_threaded = Kcode_table.store_threaded
 end
-
-module D = Driver.Make (Lang)
-
-type t = { rtc : Ctx.t; driver : D.t }
 
 (* the pair "struct": rklite's cons cells are 2-field instances, so car
    and cdr trace to plain getfield_gc nodes and non-escaping pairs are
@@ -49,51 +44,9 @@ let install_pair_class rtc globals =
   in
   Globals.define globals "%pair" cls
 
-let create ?(config = Config.default) ?(profile = Profile.rpython_interp) () =
-  (* fresh per-VM code-id sequence (see Kcode_table) *)
-  Kcode_table.reset ();
-  let rtc = Ctx.create ~config () in
-  let globals = Globals.create () in
-  install_pair_class rtc globals;
-  let driver = D.create ~profile rtc globals in
-  { rtc; driver }
-
-let rtc t = t.rtc
-let engine t = Ctx.engine t.rtc
-let jitlog t = D.jitlog t.driver
-let globals t = D.globals t.driver
-let output t = Buffer.contents (Ctx.out t.rtc)
-
-let compile = Kcompiler.compile_source
-let run_code t code : Driver.outcome = D.run t.driver code
-let run_source t src = run_code t (compile src)
-
-(* compiled-program bundles for the shared serving cache — same
-   contract and determinism argument as [Mtj_pylite.Vm] *)
-
-type bundle = {
-  b_entry : Kbytecode.code;
-  b_codes : Kbytecode.code list;  (* sorted by id; includes [b_entry] *)
-  b_next_id : int;
-}
-
-let bundle_size b = List.length b.b_codes
-
-let compile_bundle src =
-  let entry = compile src in
-  let codes, next_id = Kcode_table.export_bundle () in
-  { b_entry = entry; b_codes = codes; b_next_id = next_id }
-
-let import_bundle (_ : t) b =
-  Kcode_table.import_bundle b.b_codes ~next_id:b.b_next_id
-
-let run_bundle t b : Driver.outcome = run_code t b.b_entry
-
-(* trace-profile seeding — same contract as Mtj_pylite.Vm *)
-let export_profile t = D.export_profile t.driver
-let seed_profile t p = D.seed_profile t.driver p
-
-let run ?config ?profile src =
-  let t = create ?config ?profile () in
-  let outcome = run_source t src in
-  (outcome, t)
+include
+  Lang_vm.Make (Lang) (Kcode_table)
+    (struct
+      let compile = Kcompiler.compile_source
+      let install_globals = install_pair_class
+    end)

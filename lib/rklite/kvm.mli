@@ -8,7 +8,12 @@
     pre-installed [%pair] class, so they participate in escape analysis
     like any other allocation. With {!Mtj_core.Profile.racket_custom}
     and the JIT disabled the VM stands in for the Racket reference
-    implementation. *)
+    implementation.
+
+    Only the language's accessors and the [%pair] class are rklite's
+    own: everything below is {!Mtj_rjit.Lang_vm.Make}, the same
+    functor {!Mtj_pylite.Vm} applies, so its documentation holds here
+    word for word. *)
 
 type t
 
@@ -23,8 +28,8 @@ val run_code : t -> Kbytecode.code -> Mtj_rjit.Driver.outcome
 val run_source : t -> string -> Mtj_rjit.Driver.outcome
 
 type bundle
-(** A compiled program as a context-free artifact — same contract as
-    {!Mtj_pylite.Vm.bundle}. *)
+(** A compiled program as a context-free artifact
+    ({!Mtj_pylite.Vm.bundle}). *)
 
 val compile_bundle : string -> bundle
 val import_bundle : t -> bundle -> unit
@@ -32,11 +37,11 @@ val run_bundle : t -> bundle -> Mtj_rjit.Driver.outcome
 val bundle_size : bundle -> int
 
 val export_profile : t -> Mtj_rjit.Traceprofile.t
-(** Same contract as {!Mtj_pylite.Vm.export_profile}. *)
+(** {!Mtj_pylite.Vm.export_profile}. *)
 
 val seed_profile : t -> Mtj_rjit.Traceprofile.t -> unit
-(** Same contract as {!Mtj_pylite.Vm.seed_profile}: call after
-    {!import_bundle}, before the VM runs. *)
+(** {!Mtj_pylite.Vm.seed_profile}: call after {!import_bundle}, before
+    the VM runs. *)
 
 val run :
   ?config:Mtj_core.Config.t ->

@@ -277,6 +277,29 @@ let test_kcompile_closure_captures () =
   done;
   Alcotest.(check bool) "a code object captures" true !found
 
+(* --- code registries --- *)
+
+(* each language's registry is its own instance of the shared functor,
+   with its own domain-local store: creating an rklite VM (which resets
+   rklite's registry) must not drop the pylite code compiled before it
+   on the same domain, and each VM resolves its own code refs *)
+let test_separate_registries () =
+  let module Vm = Mtj_pylite.Vm in
+  let module Kvm = Mtj_rklite.Kvm in
+  let py = Vm.create () in
+  let pcode = Vm.compile "def f(n):\n    return n + 1\nprint(f(41))\n" in
+  let rk = Kvm.create () in
+  let kcode = Kvm.compile "(define (g n) (+ n 1)) (display (g 41))" in
+  Alcotest.(check bool) "pylite ids start at 0" true
+    (pcode.BC.id < 1_000_000);
+  Alcotest.(check bool) "rklite ids start at 1_000_000" true
+    (kcode.Mtj_rklite.Kbytecode.id >= 1_000_000);
+  let ok = function Mtj_rjit.Driver.Completed _ -> "ok" | _ -> "failed" in
+  Alcotest.(check string) "pylite runs" "ok" (ok (Vm.run_code py pcode));
+  Alcotest.(check string) "rklite runs" "ok" (ok (Kvm.run_code rk kcode));
+  Alcotest.(check string) "pylite output" "42\n" (Vm.output py);
+  Alcotest.(check string) "rklite output" "42" (Kvm.output rk)
+
 let suite =
   [
     Alcotest.test_case "lex simple" `Quick test_lex_simple;
@@ -311,4 +334,5 @@ let suite =
     Alcotest.test_case "reader unclosed" `Quick test_reader_unclosed;
     Alcotest.test_case "kcompile tail jump" `Quick test_kcompile_tailjump;
     Alcotest.test_case "kcompile closures" `Quick test_kcompile_closure_captures;
+    Alcotest.test_case "separate code registries" `Quick test_separate_registries;
   ]

@@ -204,6 +204,23 @@ let suite =
     t "non-tail named-let call in a define" ~expect:"3"
       "(define (f) (let loop ((i 0)) (if (< i 3) (+ 1 (loop (+ i 1))) 0)))\n\
        (display (f))";
+    (* a program's own define of a primitive's name is the function
+       every call of that name reaches *)
+    t "define shadows a primitive" ~expect:"3"
+      "(define (list x) (if (= x 0) 0 (+ 1 (list (- x 1)))))\n\
+       (display (list 3))";
+    t "define shadows a primitive in a callee" ~expect:"9"
+      "(define (g y) (max y))\n\
+       (define (max y) (* y y))\n\
+       (display (g 3))";
+    (* a named let's inits are evaluated outside the loop: its name
+       there is the enclosing binding *)
+    t "named-let init sees the enclosing name" ~expect:"5"
+      "(define loop 5) (display (let loop ((i loop)) i))";
+    t "named-let init sees an enclosing local" ~expect:"6"
+      "(define (f loop) (let loop ((i loop) (s 0))\n\
+       \  (if (= i 0) s (loop (- i 1) (+ s i)))))\n\
+       (display (f 3))";
     t "type-polymorphic loop"
       {|
 (define (run n)
