@@ -4,7 +4,8 @@
      list              enumerate the benchmark registry
      run               run a benchmark (or source file) under a VM config,
                        with phase breakdown and JIT statistics
-     trace             dump the compiled JIT traces of a run
+     trace             dump the compiled JIT traces of a run under a VM
+                       config, or export its timeline and counters
      serve             multi-tenant serving mode: stream a seeded Zipf mix
                        of short requests onto worker domains, with the
                        cross-context shared JIT code cache on or off
@@ -190,27 +191,28 @@ let trace_cmd =
      $(b,--trace-out)/$(b,--metrics-out)) export the run's timeline and \
      counters as JSON"
   in
-  let run name budget trace_out metrics_out tier_policy =
+  let run name vm budget trace_out metrics_out tier_policy =
     apply_tier_policy tier_policy;
+    let fail msg =
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
+    in
+    let lang =
+      match R.lang_of vm with
+      | Some lang -> lang
+      | None -> fail (R.config_name vm ^ " runs no hosted VM to trace")
+    in
+    let b = try B.find_exn ~lang name with Invalid_argument msg -> fail msg in
     let observing = trace_out <> None || metrics_out <> None in
-    let config = R.config_of ~budget R.Pypy_jit in
-    let attach eng =
-      if observing then Some (Mtj_obs.Sink.attach eng) else None
+    let (module V : Mtj_harness.Hosted.VM) = Mtj_harness.Hosted.vm lang in
+    let v =
+      V.create ~config:(R.config_of ~budget vm) ~profile:(R.profile_of vm) ()
     in
-    (* the pylite program of that name: every rklite registry name is
-       also a pylite name *)
-    let b =
-      try B.find_exn ~lang:B.Py name
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
-    let vm = Mtj_pylite.Vm.create ~config () in
-    let eng = Mtj_pylite.Vm.engine vm in
-    let sink = attach eng in
-    let outcome = Mtj_pylite.Vm.run_source vm b.B.source in
-    let jl = Mtj_pylite.Vm.jitlog vm and rtc = Mtj_pylite.Vm.rtc vm in
-    let header = "pylite" in
+    let eng = V.engine v in
+    let sink = if observing then Some (Mtj_obs.Sink.attach eng) else None in
+    let outcome = V.run_source v b.B.source in
+    let jl = V.jitlog v and rtc = V.rtc v in
+    let header = R.config_name vm in
     Option.iter Mtj_obs.Sink.finalize sink;
     (match (trace_out, sink) with
     | Some file, Some s ->
@@ -224,8 +226,7 @@ let trace_cmd =
             ~status:(R.status_name (R.status_of outcome))
             ~engine:eng ~jitlog:jl
             ~gc:(Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc rtc))
-            ?ticks:(Option.map Mtj_obs.Sink.ticks sink)
-            ~hstats:(Mtj_rt.Ctx.hstats rtc) ()
+            ?ticks:(Option.map Mtj_obs.Sink.ticks sink) ()
         in
         Mtj_obs.Metrics.write ~file ~runs:[ run_record ] ();
         Printf.eprintf "[metrics written to %s]\n%!" file
@@ -256,8 +257,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ bench_arg $ budget_arg $ trace_out_arg $ metrics_out_arg
-      $ tier_policy_arg)
+      const run $ bench_arg $ config_arg $ budget_arg $ trace_out_arg
+      $ metrics_out_arg $ tier_policy_arg)
 
 (* --- serve --- *)
 

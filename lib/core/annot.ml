@@ -2,7 +2,6 @@ type t =
   | Phase_push of Phase.t
   | Phase_pop of Phase.t
   | Dispatch_tick
-  | Ir_exec of int
   | Aot_enter of int
   | Aot_exit of int
   | Trace_enter of int
@@ -16,7 +15,6 @@ let to_string = function
   | Phase_push p -> "phase_push:" ^ Phase.name p
   | Phase_pop p -> "phase_pop:" ^ Phase.name p
   | Dispatch_tick -> "dispatch_tick"
-  | Ir_exec id -> Printf.sprintf "ir_exec:%d" id
   | Aot_enter id -> Printf.sprintf "aot_enter:%d" id
   | Aot_exit id -> Printf.sprintf "aot_exit:%d" id
   | Trace_enter id -> Printf.sprintf "trace_enter:%d" id

@@ -20,9 +20,6 @@ type t =
           bytecode-level merge point crossed.  Inserted at the interpreter
           layer; this is the work measure that makes warmup curves and
           break-even points observable (Sec. IV, Fig. 5). *)
-  | Ir_exec of int
-      (** The assembly lowered from JIT IR node [id] is about to execute
-          (backend layer). *)
   | Aot_enter of int  (** Entering AOT-compiled runtime function [id]. *)
   | Aot_exit of int   (** Leaving AOT-compiled runtime function [id]. *)
   | Trace_enter of int  (** Execution enters compiled trace [id]. *)

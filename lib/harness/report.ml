@@ -54,7 +54,7 @@ let write_timings ~file ~jobs ~total_wall ~experiments =
     (timings_json ~jobs ~total_wall ~experiments ~runs:(R.run_timings ()));
   Printf.eprintf "[timings written to %s]\n%!" file
 
-(* --- metrics ("mtj-metrics/11") --- *)
+(* --- metrics ("mtj-metrics/12") --- *)
 
 let status_name = R.status_name
 let metrics_json (r : R.result) = r.R.metrics

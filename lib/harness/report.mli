@@ -5,7 +5,7 @@
 
     - ["mtj-bench-timings/1"] — per-experiment and per-run wall-clock of
       a bench invocation ([--timings FILE]);
-    - ["mtj-metrics/11"] — the full cross-layer counter export of a set
+    - ["mtj-metrics/12"] — the full cross-layer counter export of a set
       of runs ([--metrics-out FILE]): per-phase machine counters with
       derived rates, GC statistics, JIT machinery counters (multi-tier
       accounting included) and per-trace rows. *)
@@ -35,7 +35,7 @@ val status_name : Runner.status -> string
 (** {!Runner.status_name}: ["ok"], ["budget"] or ["failed"]. *)
 
 val metrics_json : Runner.result -> Mtj_obs.Json.t
-(** The result's ["mtj-metrics/11"] run record, written by
+(** The result's ["mtj-metrics/12"] run record, written by
     {!Mtj_obs.Metrics.run_json} when the run ended. *)
 
 val write_metrics : file:string -> Runner.result list -> unit

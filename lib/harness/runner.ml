@@ -83,11 +83,6 @@ type result = {
   aot_top : (string * string * int) list;   (* (src, name, insns) desc *)
   jit : jit_stats option;
   gc : Gc_sim.stats;
-  charge_flushes : int;                     (* staged-counter writebacks *)
-  fast_path_bundles : int;                  (* bundles charged via fast path *)
-  imm_fast_path_hits : int;                 (* host fast-path counters *)
-  boxed_slow_path_hits : int;
-  typed_ops_total : int;
   metrics : Mtj_obs.Json.t;
       (* the mtj-metrics run record, written by [Metrics.run_json] while
          the run's engine was live *)
@@ -211,17 +206,9 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
       aot_top;
       jit = Option.map jit_stats_of jitlog;
       gc;
-      (* read after [Counters.total] above so the final writeback of the
-         staged fast path is included in the flush count *)
-      charge_flushes = Engine.charge_flushes eng;
-      fast_path_bundles = Engine.fast_path_bundles eng;
-      imm_fast_path_hits = (Ctx.hstats rtc).Hstats.imm_fast_path_hits;
-      boxed_slow_path_hits = (Ctx.hstats rtc).Hstats.boxed_slow_path_hits;
-      typed_ops_total = (Ctx.hstats rtc).Hstats.typed_ops_total;
       metrics =
         Mtj_obs.Metrics.run_json ~bench:bench_name ~config:(config_name vc)
-          ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks
-          ~hstats:(Ctx.hstats rtc) ();
+          ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks ();
     }
   in
   match lang_of vc with

@@ -81,22 +81,8 @@ type result = {
   aot_top : (string * string * int) list;  (** (src, name, insns) desc *)
   jit : jit_stats option;
   gc : Mtj_rt.Gc_sim.stats;
-  charge_flushes : int;
-      (** staged-counter writebacks performed by the charging fast path *)
-  fast_path_bundles : int;
-      (** bundles charged through the batched [Counters] fast path *)
-  imm_fast_path_hits : int;
-      (** typed arithmetic entries that completed on the immediate
-          (unboxed int/bool) fast path (host counter, see
-          {!Mtj_rt.Hstats}) *)
-  boxed_slow_path_hits : int;
-      (** typed arithmetic entries that fell through to a boxed slow
-          path (float, bigint, string, overflow) *)
-  typed_ops_total : int;
-      (** every counted typed-arithmetic entry; always equals
-          [imm_fast_path_hits + boxed_slow_path_hits] *)
   metrics : Mtj_obs.Json.t;
-      (** the run's ["mtj-metrics/11"] record, written by
+      (** the run's ["mtj-metrics/12"] record, written by
           {!Mtj_obs.Metrics.run_json} (the one writer [mtj trace] uses
           too) while the run's engine was live *)
 }
@@ -107,6 +93,12 @@ val status_name : status -> string
 (** ["ok"], ["budget"] or ["failed"]. *)
 
 val default_budget : int
+
+val lang_of : vm_config -> Mtj_benchmarks.Registry.lang option
+(** The hosted language a configuration runs; [None] for [Native_c]. *)
+
+val profile_of : vm_config -> Mtj_core.Profile.t
+(** The interpreter profile a configuration runs under. *)
 
 val config_of : ?budget:int -> vm_config -> Mtj_core.Config.t
 (** The {!Mtj_core.Config.t} a given [vm_config] runs under, with the

@@ -147,7 +147,7 @@ val serve :
     statistics are host-side measurements. *)
 
 val summary_json : summary -> Mtj_obs.Json.t
-(** The ["serve"] block of an ["mtj-metrics/11"] document (see
+(** The ["serve"] block of an ["mtj-metrics/12"] document (see
     OBS_SCHEMA.md and {!Mtj_obs.Validate}). *)
 
 val print_summary : out_channel -> summary -> unit

@@ -23,40 +23,20 @@ val reset : t -> unit
 
 (* --- charging (used by Engine) ---
 
-    Charging is staged: updates for the current phase accumulate in
-    scalar registers and are written back to the per-phase arrays on the
-    next phase switch or query ("flush").  The staged cycle scalar is
-    seeded from the committed value and receives the identical [+.]
-    sequence the array slot would have, so flushed counters are
-    bit-for-bit equal to unstaged per-event charging.  Every query below
-    flushes first, so a captured [t] handle always reads exact values —
-    there is no "pending" state observable from outside.
-
-    [i] must be a valid [Phase.index] (the Engine passes its cached
-    current-phase index).  [add_bundle_idx] takes the bundle
-    pre-decomposed so callers with preinterned costs skip the record
-    walk.  The three are [[@inline]]: in a build without [-opaque] they
-    inline into Engine's charge paths and [~cycles] never boxes; under
-    [-opaque] each call boxes it (2 host words per charge). *)
+    Each call adds into the slots of phase index [i], which must be a
+    valid [Phase.index] (the Engine passes its cached current-phase
+    index; the slots are bounds-checked).  [add_bundle_idx] takes the
+    bundle pre-decomposed so callers with preinterned costs skip the
+    record walk.  The three are [[@inline]]: in a build without
+    [-opaque] they inline into Engine's charge paths and [~cycles] never
+    boxes; under [-opaque] each call boxes it (2 host words per
+    charge). *)
 
 val add_bundle_idx :
   t -> int -> n:int -> loads:int -> stores:int -> cycles:float -> unit
 
 val add_branch_idx : t -> int -> mispredicted:bool -> cycles:float -> unit
 val add_cache_miss_idx : t -> int -> cycles:float -> unit
-
-val flush : t -> unit
-(** Write any staged updates back to the per-phase arrays.  Queries call
-    this implicitly; it is exposed for explicit synchronization points
-    (e.g. before handing the arrays to an external reader). *)
-
-val charge_flushes : t -> int
-(** Number of staged-state writebacks performed so far (phase switches
-    and query-triggered flushes that had pending updates). *)
-
-val fast_path_bundles : t -> int
-(** Number of instruction bundles charged through the staged fast path
-    (i.e. every [add_bundle_idx] call). *)
 
 (* --- queries --- *)
 

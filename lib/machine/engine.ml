@@ -11,7 +11,7 @@ type t = {
   counters : Counters.t;
   mutable phase : Phase.t;
   mutable phase_idx : int;  (* Phase.index phase, cached for the
-                               counter fast path *)
+                               charge paths *)
   mutable phase_stack : Phase.t list;
   mutable listeners : listener array;  (* first n_listeners slots live;
                                           newest listener last *)
@@ -89,13 +89,6 @@ let[@inline] emit t cost =
       ~stores:cost.Cost.store ~cycles:cy;
     bump_insns t n
   end
-
-let emit_static t costs ~lo ~hi =
-  if lo < 0 || hi > Array.length costs || lo > hi then
-    invalid_arg "Engine.emit_static";
-  for i = lo to hi - 1 do
-    emit t (Array.unsafe_get costs i)
-  done
 
 let[@inline] charge_branch t ~correct =
   let cy =
@@ -184,8 +177,6 @@ let add_listener t l =
 let total_insns t = t.insns
 let total_cycles t = t.cycles.(0)
 let counters t = t.counters
-let charge_flushes t = Counters.charge_flushes t.counters
-let fast_path_bundles t = Counters.fast_path_bundles t.counters
 let config t = t.cfg
 let predictor t = t.predictor
 let dcache t = t.dcache

@@ -36,16 +36,6 @@ val set_interp_width : t -> float -> unit
 val emit : t -> Mtj_core.Cost.t -> unit
 (** Charge a bundle of non-branch instructions to the current phase. *)
 
-val emit_static : t -> Mtj_core.Cost.t array -> lo:int -> hi:int -> unit
-(** [emit_static t costs ~lo ~hi] charges the preinterned bundles
-    [costs.(lo) .. costs.(hi - 1)] in order, exactly as the equivalent
-    sequence of {!emit} calls would (same per-bundle cycle arithmetic,
-    same per-bundle budget check, so [Budget_exhausted] raises at the
-    identical bundle).  This is the block API for dispatch loops and the
-    trace executor, whose per-opcode costs are interned in code tables
-    at compile time.  Raises [Invalid_argument] when [lo < 0],
-    [hi > Array.length costs] or [lo > hi]. *)
-
 val branch : t -> site:int -> taken:bool -> unit
 (** A conditional branch at code site [site]. *)
 
@@ -83,13 +73,6 @@ val add_listener : t -> listener -> unit
 val total_insns : t -> int
 val total_cycles : t -> float
 val counters : t -> Counters.t
-
-val charge_flushes : t -> int
-(** Writebacks of the staged counter state (see {!Counters.charge_flushes}). *)
-
-val fast_path_bundles : t -> int
-(** Bundles charged through the staged fast path (see
-    {!Counters.fast_path_bundles}). *)
 
 val config : t -> Mtj_core.Config.t
 val predictor : t -> Predictor.t

@@ -45,8 +45,12 @@ module Engine = Mtj_machine.Engine
    v10: run records dropped [dict_hash_skips] with the precomputed
    key-hash probes it counted.
    v11: run records dropped the frame-pool reuse count with the frame
-   pool it counted; every frame takes fresh arrays. *)
-let schema = "mtj-metrics/11"
+   pool it counted; every frame takes fresh arrays.
+   v12: run records dropped the last five host counters,
+   [charge_flushes]/[fast_path_bundles] with the staged charging path
+   and [imm_fast_path_hits]/[boxed_slow_path_hits]/[typed_ops_total];
+   a run record holds only what the simulated machine determined. *)
+let schema = "mtj-metrics/12"
 
 let snapshot_json (s : Counters.snapshot) =
   let cache_miss_rate =
@@ -155,11 +159,8 @@ let jitlog_json (jl : Mtj_rjit.Jitlog.t) =
       ("traces", Json.Arr (List.map trace_row_json traces));
     ]
 
-let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks ?hstats () =
+let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks () =
   let opt f = function Some v -> f v | None -> Json.Null in
-  let hstat f =
-    opt (fun (h : Mtj_rt.Hstats.t) -> Json.Int (f h)) hstats
-  in
   Json.Obj
     [
       ("bench", Json.Str bench);
@@ -168,13 +169,6 @@ let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks ?hstats () =
       ("insns", Json.Int (Engine.total_insns engine));
       ("cycles", Json.Float (Engine.total_cycles engine));
       ("ticks", opt (fun n -> Json.Int n) ticks);
-      ("charge_flushes", Json.Int (Engine.charge_flushes engine));
-      ("fast_path_bundles", Json.Int (Engine.fast_path_bundles engine));
-      ( "imm_fast_path_hits",
-        hstat (fun h -> h.Mtj_rt.Hstats.imm_fast_path_hits) );
-      ( "boxed_slow_path_hits",
-        hstat (fun h -> h.Mtj_rt.Hstats.boxed_slow_path_hits) );
-      ("typed_ops_total", hstat (fun h -> h.Mtj_rt.Hstats.typed_ops_total));
       ("phases", phases_json (Engine.counters engine));
       ("gc", opt gc_json gc);
       ("jit", opt jitlog_json jitlog);

@@ -7,7 +7,7 @@
     diffed without scraping terminal tables. *)
 
 val schema : string
-(** ["mtj-metrics/11"]; written to the document's ["schema"] field. *)
+(** ["mtj-metrics/12"]; written to the document's ["schema"] field. *)
 
 val snapshot_json : Mtj_machine.Counters.snapshot -> Json.t
 (** Raw counters plus the derived rates ([ipc], [branch_mpki],
@@ -37,14 +37,12 @@ val run_json :
   ?jitlog:Mtj_rjit.Jitlog.t ->
   ?gc:Mtj_rt.Gc_sim.stats ->
   ?ticks:int ->
-  ?hstats:Mtj_rt.Hstats.t ->
   unit ->
   Json.t
 (** The full record for one benchmark run.  [ticks] is the
-    application-level dispatch-tick total when a {!Sink} counted one;
-    [hstats] carries the host fast-path counters (the immediate/boxed
-    split of typed ops and their total) — absent, the fields are
-    [null]. *)
+    application-level dispatch-tick total when a {!Sink} counted one
+    ([null] otherwise).  Every field is simulated state: the record
+    holds no host-side counter. *)
 
 val document : ?serve:Json.t -> runs:Json.t list -> unit -> Json.t
 (** Wrap run records into the versioned top-level document.  [serve],

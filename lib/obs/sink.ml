@@ -49,10 +49,9 @@ type t = {
 }
 
 (* Samples are taken from inside listener dispatch, i.e. mid-stream of
-   the engine's staged charging fast path.  [Counters.total] flushes the
-   staged state before reading (and [total_cycles]/[insns] are always
-   exact), so ring-buffer samples observe exact counts with no explicit
-   synchronization here. *)
+   the engine's charging.  Every charge lands in the counter arrays
+   before the next annotation can be delivered, so ring-buffer samples
+   observe exact counts with no synchronization here. *)
 let take_sample t insns =
   t.rev_samples <-
     {
@@ -85,7 +84,7 @@ let on_annot t ~insns (a : Annot.t) =
   | Annot.Trace_abort code -> record t 6 code insns
   | Annot.App_marker n -> record t 7 n insns
   | Annot.Dispatch_tick -> t.ticks <- t.ticks + 1
-  | Annot.Ir_exec _ | Annot.Aot_enter _ | Annot.Aot_exit _ -> ());
+  | Annot.Aot_enter _ | Annot.Aot_exit _ -> ());
   if insns >= t.next_mark then begin
     take_sample t insns;
     t.next_mark <- t.next_mark + t.window

@@ -280,64 +280,6 @@ let check_jit run j insns =
         fail "run %s: trace-row cache_hits sum %d <> code_cache_hits %d" run
           !s_hits hits
 
-(* charging fast-path stats (v3).  Every bundle — including the implicit
-   one-insn bundle of a memory access — goes through the staged
-   [Counters] path, so a run with any loads or stores must report at
-   least one fast-path bundle; and since exporting queries the counters
-   (which writes the staged state back), a run that retired insns must
-   have flushed at least once. *)
-let check_charge_stats run j total =
-  let flushes = int_field j "charge_flushes" in
-  let bundles = int_field j "fast_path_bundles" in
-  if flushes < 0 then fail "run %s: negative charge_flushes" run;
-  if bundles < 0 then fail "run %s: negative fast_path_bundles" run;
-  let mem = int_field total "loads" + int_field total "stores" in
-  if bundles = 0 && mem > 0 then
-    fail "run %s: %d loads+stores but no fast-path bundles" run mem;
-  if int_field j "insns" > 0 && flushes = 0 then
-    fail "run %s: insns retired but charge_flushes = 0" run
-
-(* host fast-path counters (v5).  Null is allowed (exporters without a
-   runtime context, e.g. native kernels, omit them); present values must
-   be non-negative, and since every counted fast-path hit corresponds to
-   at least one simulated instruction retired by the run, each counter
-   is bounded by the run's insn total. *)
-let check_hstats run j insns =
-  List.iter
-    (fun key ->
-      match Json.member key j with
-      | None -> fail "run %s: missing %s" run key
-      | Some Json.Null -> ()
-      | Some v -> (
-          match Json.get_int v with
-          | None -> fail "run %s: %s not an int" run key
-          | Some n ->
-              if n < 0 then fail "run %s: negative %s" run key;
-              if n > insns then
-                fail "run %s: %s %d exceeds insns %d" run key n insns))
-    [
-      "imm_fast_path_hits";
-      "boxed_slow_path_hits";
-      "typed_ops_total";
-    ];
-  (* the immediate-representation split partitions the typed-op total:
-     every counted typed-arithmetic entry is exactly one of the two *)
-  match
-    ( Json.member "imm_fast_path_hits" j,
-      Json.member "boxed_slow_path_hits" j,
-      Json.member "typed_ops_total" j )
-  with
-  | Some a, Some b, Some t -> (
-      match (Json.get_int a, Json.get_int b, Json.get_int t) with
-      | Some a, Some b, Some t ->
-          if a + b <> t then
-            fail
-              "run %s: imm_fast_path_hits %d + boxed_slow_path_hits %d <> \
-               typed_ops_total %d"
-              run a b t
-      | _ -> ())
-  | _ -> ()
-
 (* serve block (v7): a serving session's latency/throughput summary and
    shared-cache counters.  Invariants: percentiles are ordered; every
    request is either cold or warm; with the shared cache off nothing may
@@ -457,7 +399,7 @@ let check_serve j =
         fail "serve: shared cache off but cache counters nonzero"
 
 let metrics_exn j =
-  check_schema j "mtj-metrics/11";
+  check_schema j "mtj-metrics/12";
   check_serve j;
   let runs = arr_field j "runs" in
   List.iter
@@ -492,8 +434,6 @@ let metrics_exn j =
       if total_insns <> insns then
         fail "run %s: phases.total.insns %d <> run insns %d" label total_insns
           insns;
-      check_charge_stats label run total;
-      check_hstats label run insns;
       check_jit label run insns)
     runs;
   List.length runs

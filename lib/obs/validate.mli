@@ -26,7 +26,7 @@ val trace : Json.t -> (trace_stats, string) result
     finite and non-negative. *)
 
 val metrics : Json.t -> (int, string) result
-(** Check a ["mtj-metrics/11"] document; returns the number of run
+(** Check a ["mtj-metrics/12"] document; returns the number of run
     records.  Verifies each run's required fields, that rate fields lie
     in [0, 1], that the per-phase instruction counts sum to the run's
     ["total"] row, and the multi-tier JIT accounting: tier-1 + tier-2

@@ -36,9 +36,8 @@ let attach engine =
           | _ -> ()
         end
       | Annot.Phase_push _ | Annot.Phase_pop _ | Annot.Dispatch_tick
-      | Annot.Ir_exec _ | Annot.Trace_enter _ | Annot.Trace_exit _
-      | Annot.Trace_compile _ | Annot.Trace_abort _
-      | Annot.Guard_fail _ | Annot.App_marker _ ->
+      | Annot.Trace_enter _ | Annot.Trace_exit _ | Annot.Trace_compile _
+      | Annot.Trace_abort _ | Annot.Guard_fail _ | Annot.App_marker _ ->
           ());
   t
 

@@ -57,10 +57,9 @@ let attach ?(bucket_insns = 50_000) engine =
           t.cur_phase <- Mtj_machine.Engine.current_phase engine
           (* the engine has already restored the parent phase when the
              pop annotation is delivered *)
-      | Annot.Dispatch_tick | Annot.Ir_exec _ | Annot.Aot_enter _
-      | Annot.Aot_exit _ | Annot.Trace_enter _ | Annot.Trace_exit _
-      | Annot.Trace_compile _ | Annot.Trace_abort _
-      | Annot.Guard_fail _ | Annot.App_marker _ ->
+      | Annot.Dispatch_tick | Annot.Aot_enter _ | Annot.Aot_exit _
+      | Annot.Trace_enter _ | Annot.Trace_exit _ | Annot.Trace_compile _
+      | Annot.Trace_abort _ | Annot.Guard_fail _ | Annot.App_marker _ ->
           ());
   t
 

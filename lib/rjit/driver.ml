@@ -58,10 +58,6 @@ module Make (L : Threaded.LANG) = struct
     jitlog : Jitlog.t;
     sites : (int * int, site) Hashtbl.t;
     dcx : Direct_ops.cx;
-    charge_tab : Cost.t array;
-        (* preinterned dispatch-loop cost table: slot 0 = per-bytecode
-           dispatch bundle, slot 1 = frame setup/teardown; charged via
-           [Engine.emit_static] *)
     mutable cur : dframe option;        (* GC roots: direct frames *)
     mutable tracking : tframe option;   (* GC roots: tracked frames *)
     mutable translated_refs : int list;
@@ -82,7 +78,6 @@ module Make (L : Threaded.LANG) = struct
         jitlog = Jitlog.create ();
         sites = Hashtbl.create 64;
         dcx = Direct_ops.make_cx rtc profile;
-        charge_tab = [| profile.Profile.dispatch; profile.Profile.frame_cost |];
         cur = None;
         tracking = None;
         translated_refs = [];
@@ -357,8 +352,7 @@ module Make (L : Threaded.LANG) = struct
   let trace_loop t (f : dframe) (site : site) : dframe =
     let key = (f.Frame.code_ref, f.Frame.pc) in
     let eng = Ctx.engine t.rtc in
-    Engine.push_phase eng Phase.Tracing;
-    Fun.protect ~finally:(fun () -> Engine.pop_phase eng) @@ fun () ->
+    Engine.in_phase eng Phase.Tracing @@ fun () ->
     let entry_slots = Array.length f.Frame.locals in
     let rec_ = Recorder.create t.rtc ~entry_slots in
     let tf : tframe =
@@ -441,8 +435,7 @@ module Make (L : Threaded.LANG) = struct
       ~loop_key ~(owner : Ir.trace option) ~(orig_parent : dframe option) :
       jit_outcome =
     let eng = Ctx.engine t.rtc in
-    Engine.push_phase eng Phase.Tracing;
-    Fun.protect ~finally:(fun () -> Engine.pop_phase eng) @@ fun () ->
+    Engine.in_phase eng Phase.Tracing @@ fun () ->
     (* flatten the deopt state: entry registers in frame order, locals
        then stack for each frame, outermost first *)
     let next = ref 0 in
@@ -597,9 +590,8 @@ module Make (L : Threaded.LANG) = struct
   let enter_jit t (trace : Ir.trace) (f : dframe) : jit_outcome =
     let eng = Ctx.engine t.rtc in
     let orig_parent = f.Frame.parent in
-    Engine.push_phase eng Phase.Jit;
     let ex =
-      Fun.protect ~finally:(fun () -> Engine.pop_phase eng) @@ fun () ->
+      Engine.in_phase eng Phase.Jit @@ fun () ->
       Executor.run t.rtc t.jitlog ~trace ~entry:f.Frame.locals
     in
     match ex.Executor.finished with
@@ -641,9 +633,7 @@ module Make (L : Threaded.LANG) = struct
             | Tierpolicy.Promote -> (
                 match site.raw with
                 | Some raw ->
-                    let eng = Ctx.engine t.rtc in
-                    Engine.push_phase eng Phase.Tracing;
-                    Fun.protect ~finally:(fun () -> Engine.pop_phase eng)
+                    Engine.in_phase (Ctx.engine t.rtc) Phase.Tracing
                     @@ fun () ->
                     let entry_slots = trace.Ir.entry_slots in
                     let ops = Ir.copy_ops raw in
@@ -683,7 +673,7 @@ module Make (L : Threaded.LANG) = struct
     let d =
       {
         Threaded.d_eng = Ctx.engine t.rtc;
-        d_tab = t.charge_tab;
+        d_cost = t.profile.Profile.dispatch;
         d_site = 200_000 + (L.code_ref code land 1023);
         d_indirect = t.profile.Profile.dispatch_indirect;
       }
@@ -788,7 +778,7 @@ module Make (L : Threaded.LANG) = struct
            end
            else begin
              Engine.annot eng Annot.Dispatch_tick;
-             Engine.emit_static eng t.charge_tab ~lo:0 ~hi:1;
+             Engine.emit eng t.profile.Profile.dispatch;
              if t.profile.Profile.dispatch_indirect then
                Engine.branch_indirect eng
                  ~site:(200_000 + (f.Frame.code_ref land 1023))
@@ -799,13 +789,13 @@ module Make (L : Threaded.LANG) = struct
          match oc with
          | Frame.Continue -> ()
          | Frame.Call nf ->
-             Engine.emit_static eng t.charge_tab ~lo:1 ~hi:2;
+             Engine.emit eng t.profile.Profile.frame_cost;
              cur := nf;
              t.cur <- Some nf
          | Frame.Return v -> (
              match f.Frame.parent with
              | Some p ->
-                 Engine.emit_static eng t.charge_tab ~lo:1 ~hi:2;
+                 Engine.emit eng t.profile.Profile.frame_cost;
                  if not f.Frame.discard_return then Frame.push p v;
                  cur := p;
                  t.cur <- Some p

@@ -424,6 +424,18 @@ let tier_up_exit ~loop_code ~loop_pc vals =
     finished = None;
   }
 
+(* run [body] with [scan] registered as a GC root scanner, removing it
+   however [body] ends *)
+let with_roots gc scan body =
+  let id = Gc_sim.add_root_scanner gc scan in
+  match body () with
+  | v ->
+      Gc_sim.remove_root_scanner gc id;
+      v
+  | exception e ->
+      Gc_sim.remove_root_scanner gc id;
+      raise e
+
 (* --- the reference loop ---
 
    Interprets the IR directly, staging each op as it runs it: the
@@ -440,11 +452,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
   (* current register file, tracked for GC root scanning *)
   let cur_regs = ref (Array.make trace.Ir.nregs Value.nil) in
   Array.blit entry 0 !cur_regs 0 (Array.length entry);
-  let scanner_id =
-    Gc_sim.add_root_scanner gc (fun visit -> Array.iter visit !cur_regs)
-  in
-  Fun.protect ~finally:(fun () -> Gc_sim.remove_root_scanner gc scanner_id)
-  @@ fun () ->
+  with_roots gc (fun visit -> Array.iter visit !cur_regs) @@ fun () ->
   let cur_trace = ref trace in
   let last_resume = ref None in
   Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
@@ -472,9 +480,8 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     let regs = !cur_regs in
     let op = t.Ir.ops.(!ip) in
     t.Ir.op_exec.(!ip) <- t.Ir.op_exec.(!ip) + 1;
-    (* per-opcode costs are interned in the trace's code table at
-       compile time; charge through the block API *)
-    Engine.emit_static eng t.Ir.op_costs ~lo:!ip ~hi:(!ip + 1);
+    (* per-opcode costs are interned in the trace at compile time *)
+    Engine.emit eng t.Ir.op_costs.(!ip);
     let readers () = Array.map (reader ~nregs:(Array.length regs)) op.Ir.args in
     let argvals () = fetch (readers ()) regs in
     let set_result v = if op.Ir.result >= 0 then regs.(op.Ir.result) <- v in
@@ -792,11 +799,7 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   let code = code_for rtc jitlog trace in
   let st = { st_regs = regs; st_cur = trace; st_resume = None } in
   (* the live register file is a GC root for the duration *)
-  let scanner_id =
-    Gc_sim.add_root_scanner gc (fun visit -> Array.iter visit st.st_regs)
-  in
-  Fun.protect ~finally:(fun () -> Gc_sim.remove_root_scanner gc scanner_id)
-  @@ fun () ->
+  with_roots gc (fun visit -> Array.iter visit st.st_regs) @@ fun () ->
   Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
   Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
   (* counted before the charge, as in [run_ref] *)

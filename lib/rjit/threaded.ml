@@ -71,10 +71,7 @@ let thread ~(headers : bool array) n
 
 type dispatch = {
   d_eng : Engine.t;
-  d_tab : Cost.t array;
-      (* the driver's preinterned dispatch-loop cost table; slot 0 is the
-         per-bytecode dispatch bundle (slot 1, frame setup/teardown, is
-         charged by the driver on Call/Return, never by a step) *)
+  d_cost : Cost.t;  (* Profile.dispatch, the per-bytecode dispatch bundle *)
   d_site : int;   (* indirect-dispatch predictor site of this code object *)
   d_indirect : bool;  (* Profile.dispatch_indirect, resolved once *)
 }
@@ -82,24 +79,23 @@ type dispatch = {
     translate time so the hot path re-checks nothing per bytecode *)
 
 (* The reference loop's per-iteration prologue in Driver.Make.run_frame,
-   byte for byte (annotation, dispatch bundle via the emit_static fast
-   path, then the predictor's indirect branch), specialized at translate
-   time: the dispatch record is torn apart once per code translation, so
-   each emitted step pays a single closure call with no field loads and
-   no [d_indirect] test.  Translators pass this to their staged handlers
-   as the [charge]. *)
+   byte for byte (annotation, dispatch bundle, then the predictor's
+   indirect branch), specialized at translate time: the dispatch record
+   is torn apart once per code translation, so each emitted step pays a
+   single closure call with no field loads and no [d_indirect] test.
+   Translators pass this to their staged handlers as the [charge]. *)
 let charger d =
-  let eng = d.d_eng and tab = d.d_tab in
+  let eng = d.d_eng and cost = d.d_cost in
   if d.d_indirect then
     let site = d.d_site in
     fun ~target ->
       Engine.annot eng Annot.Dispatch_tick;
-      Engine.emit_static eng tab ~lo:0 ~hi:1;
+      Engine.emit eng cost;
       Engine.branch_indirect eng ~site ~target
   else
     fun ~target:_ ->
       Engine.annot eng Annot.Dispatch_tick;
-      Engine.emit_static eng tab ~lo:0 ~hi:1
+      Engine.emit eng cost
 
 (** What a hosted language provides to drive the threaded tier, on top
     of the base meta-tracing seam.  The translation cache lives in the

@@ -389,22 +389,28 @@ and compile_form sc ~tail head args =
           List.iter (compile_expr sc ~tail:false) inits;
           let n = List.length inits in
           ignore (emit b (if tail then K_TAILCALL n else K_CALL n)))
-  | Atom ("let" | "let*"), Slist bindings :: body ->
-      (* both evaluate bindings in order; [let*] scoping emerges because
-         each binding is added to the table as soon as it is compiled —
-         for plain [let] the benchmark programs do not rely on the
-         simultaneous-scope difference *)
+  | Atom (("let" | "let*") as kw), Slist bindings :: body ->
+      (* both evaluate the inits in order, each into a fresh slot; [let*]
+         binds each name as soon as its init is compiled, so later inits
+         see it, while plain [let] binds its names only once every init
+         has compiled *)
       let saved = Hashtbl.copy sc.tbl in
-      List.iter
-        (function
-          | Slist [ Atom v; e ] ->
-              compile_expr sc ~tail:false e;
-              let slot = fresh_slot sc in
-              Hashtbl.replace sc.tbl v slot;
-              ignore (emit b (K_SET_LOCAL slot));
-              if is_celled sc v then ignore (emit b (K_MAKE_CELL slot))
-          | _ -> error "malformed let binding")
-        bindings;
+      let sequential = kw = "let*" in
+      let bound =
+        List.map
+          (function
+            | Slist [ Atom v; e ] ->
+                compile_expr sc ~tail:false e;
+                let slot = fresh_slot sc in
+                if sequential then Hashtbl.replace sc.tbl v slot;
+                ignore (emit b (K_SET_LOCAL slot));
+                if is_celled sc v then ignore (emit b (K_MAKE_CELL slot));
+                (v, slot)
+            | _ -> error "malformed let binding")
+          bindings
+      in
+      if not sequential then
+        List.iter (fun (v, slot) -> Hashtbl.replace sc.tbl v slot) bound;
       compile_body sc ~tail body;
       restore sc saved
   | Atom "letrec", [ Slist _ ] -> error "letrec needs a body"

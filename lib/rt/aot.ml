@@ -61,6 +61,12 @@ let find i = Hashtbl.find_opt by_id i
    call-class IR nodes costing 15+ x86 instructions) *)
 let call_overhead = Cost.make ~alu:3 ~load:3 ~store:4 ~other:5 ()
 
+(* the end of an AOT call, however [body] ended: the exit annotation,
+   then the [Jit_call] pop when the call came from JIT code *)
+let leave eng fn ~from_jit =
+  Engine.annot eng (Annot.Aot_exit fn.id);
+  if from_jit then Engine.pop_phase eng
+
 let call ctx fn body =
   let eng = Ctx.engine ctx in
   let from_jit =
@@ -68,18 +74,12 @@ let call ctx fn body =
   in
   Engine.emit eng call_overhead;
   Engine.branch_indirect eng ~site:(700_000 + fn.id) ~target:fn.id;
-  if from_jit then begin
-    Engine.push_phase eng Phase.Jit_call;
-    Engine.annot eng (Annot.Aot_enter fn.id);
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.annot eng (Annot.Aot_exit fn.id);
-        Engine.pop_phase eng)
-      body
-  end
-  else begin
-    Engine.annot eng (Annot.Aot_enter fn.id);
-    Fun.protect
-      ~finally:(fun () -> Engine.annot eng (Annot.Aot_exit fn.id))
-      body
-  end
+  if from_jit then Engine.push_phase eng Phase.Jit_call;
+  Engine.annot eng (Annot.Aot_enter fn.id);
+  match body () with
+  | v ->
+      leave eng fn ~from_jit;
+      v
+  | exception e ->
+      leave eng fn ~from_jit;
+      raise e

@@ -23,9 +23,6 @@ type t = {
          reason as [builtin_cache]: translations close over this
          context's engine/gc, so sharing them across domains would leak
          simulated state between runs. *)
-  hstats : Hstats.t;
-      (* host-side fast-path counters; per-context so parallel runs never
-         share a counter *)
   uid : int;
       (* process-unique context identity.  The shared artifact cache
          (Mtj_rjit.Sharedcache) records the publishing context's uid so
@@ -47,7 +44,6 @@ let create ?config () =
     out = Buffer.create 256;
     builtin_cache = Hashtbl.create 64;
     code_cache = Hashtbl.create 64;
-    hstats = Hstats.create ();
     uid = Atomic.fetch_and_add next_uid 1;
   }
 
@@ -57,5 +53,4 @@ let out t = t.out
 let builtin_cache t = t.builtin_cache
 let code_cache t = t.code_cache
 let config t = Mtj_machine.Engine.config t.engine
-let hstats t = t.hstats
 let uid t = t.uid

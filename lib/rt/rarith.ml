@@ -11,20 +11,6 @@ let big_lshift_fn = Aot.register ~name:"rbigint.lshift" ~src:Aot.L
 let big_rshift_fn = Aot.register ~name:"rbigint.rshift" ~src:Aot.L
 let big_cmp_fn = Aot.register ~name:"rbigint.cmp" ~src:Aot.L
 
-(* typed-op accounting: every counted entry point classifies exactly once
-   as immediate-fast or boxed-slow, so fast + slow = total structurally.
-   Host-side counters only; the simulation never sees them. *)
-
-let[@inline] tick_imm ctx =
-  let h = Ctx.hstats ctx in
-  h.Hstats.typed_ops_total <- h.Hstats.typed_ops_total + 1;
-  h.Hstats.imm_fast_path_hits <- h.Hstats.imm_fast_path_hits + 1
-
-let[@inline] tick_boxed ctx =
-  let h = Ctx.hstats ctx in
-  h.Hstats.typed_ops_total <- h.Hstats.typed_ops_total + 1;
-  h.Hstats.boxed_slow_path_hits <- h.Hstats.boxed_slow_path_hits + 1
-
 let is_number v =
   Value.is_int v || Value.is_float v || Value.is_bool v
   || (Value.is_obj v
@@ -125,71 +111,44 @@ let[@inline] float_involved a b = Value.is_float a || Value.is_float b
 let add ctx a b =
   if Value.is_int a && Value.is_int b then begin
     let x = Value.to_int_unchecked a and y = Value.to_int_unchecked b in
-    if add_overflows x y then begin
-      tick_boxed ctx;
-      big_binop ctx big_add_fn Rbigint.add a b
-    end
-    else begin
-      tick_imm ctx;
-      Value.of_int (x + y)
-    end
+    if add_overflows x y then big_binop ctx big_add_fn Rbigint.add a b
+    else Value.of_int (x + y)
   end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then Value.of_float (to_float a +. to_float b)
-    else if int_like a && int_like b then begin
-      let x = as_int a and y = as_int b in
-      if add_overflows x y then big_binop ctx big_add_fn Rbigint.add a b
-      else Value.of_int (x + y)
-    end
-    else big_binop ctx big_add_fn Rbigint.add a b
+  else if float_involved a b then Value.of_float (to_float a +. to_float b)
+  else if int_like a && int_like b then begin
+    let x = as_int a and y = as_int b in
+    if add_overflows x y then big_binop ctx big_add_fn Rbigint.add a b
+    else Value.of_int (x + y)
   end
+  else big_binop ctx big_add_fn Rbigint.add a b
 
 let sub ctx a b =
   if Value.is_int a && Value.is_int b then begin
     let x = Value.to_int_unchecked a and y = Value.to_int_unchecked b in
-    if sub_overflows x y then begin
-      tick_boxed ctx;
-      big_binop ctx big_sub_fn Rbigint.sub a b
-    end
-    else begin
-      tick_imm ctx;
-      Value.of_int (x - y)
-    end
+    if sub_overflows x y then big_binop ctx big_sub_fn Rbigint.sub a b
+    else Value.of_int (x - y)
   end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then Value.of_float (to_float a -. to_float b)
-    else if int_like a && int_like b then begin
-      let x = as_int a and y = as_int b in
-      if sub_overflows x y then big_binop ctx big_sub_fn Rbigint.sub a b
-      else Value.of_int (x - y)
-    end
-    else big_binop ctx big_sub_fn Rbigint.sub a b
+  else if float_involved a b then Value.of_float (to_float a -. to_float b)
+  else if int_like a && int_like b then begin
+    let x = as_int a and y = as_int b in
+    if sub_overflows x y then big_binop ctx big_sub_fn Rbigint.sub a b
+    else Value.of_int (x - y)
   end
+  else big_binop ctx big_sub_fn Rbigint.sub a b
 
 let mul ctx a b =
   if Value.is_int a && Value.is_int b then begin
     let x = Value.to_int_unchecked a and y = Value.to_int_unchecked b in
-    if mul_overflows x y then begin
-      tick_boxed ctx;
-      big_binop ctx big_mul_fn Rbigint.mul a b
-    end
-    else begin
-      tick_imm ctx;
-      Value.of_int (x * y)
-    end
+    if mul_overflows x y then big_binop ctx big_mul_fn Rbigint.mul a b
+    else Value.of_int (x * y)
   end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then Value.of_float (to_float a *. to_float b)
-    else if int_like a && int_like b then begin
-      let x = as_int a and y = as_int b in
-      if mul_overflows x y then big_binop ctx big_mul_fn Rbigint.mul a b
-      else Value.of_int (x * y)
-    end
-    else big_binop ctx big_mul_fn Rbigint.mul a b
+  else if float_involved a b then Value.of_float (to_float a *. to_float b)
+  else if int_like a && int_like b then begin
+    let x = as_int a and y = as_int b in
+    if mul_overflows x y then big_binop ctx big_mul_fn Rbigint.mul a b
+    else Value.of_int (x * y)
   end
+  else big_binop ctx big_mul_fn Rbigint.mul a b
 
 (* Python floor division / modulo on native ints *)
 let floordiv_int x y =
@@ -203,44 +162,33 @@ let mod_int x y =
   if r <> 0 && (r < 0) <> (y < 0) then r + y else r
 
 let floordiv ctx a b =
-  if Value.is_int a && Value.is_int b then begin
-    tick_imm ctx;
+  if Value.is_int a && Value.is_int b then
     Value.of_int
       (floordiv_int (Value.to_int_unchecked a) (Value.to_int_unchecked b))
+  else if float_involved a b then begin
+    let d = to_float b in
+    if d = 0.0 then raise Division_by_zero;
+    Value.of_float (floor (to_float a /. d))
   end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then begin
-      let d = to_float b in
-      if d = 0.0 then raise Division_by_zero;
-      Value.of_float (floor (to_float a /. d))
-    end
-    else if int_like a && int_like b then
-      Value.of_int (floordiv_int (as_int a) (as_int b))
-    else big_binop ctx big_divmod_fn (fun x y -> fst (Rbigint.divmod x y)) a b
-  end
+  else if int_like a && int_like b then
+    Value.of_int (floordiv_int (as_int a) (as_int b))
+  else big_binop ctx big_divmod_fn (fun x y -> fst (Rbigint.divmod x y)) a b
 
 let modulo ctx a b =
-  if Value.is_int a && Value.is_int b then begin
-    tick_imm ctx;
+  if Value.is_int a && Value.is_int b then
     Value.of_int (mod_int (Value.to_int_unchecked a) (Value.to_int_unchecked b))
+  else if float_involved a b then begin
+    let d = to_float b in
+    if d = 0.0 then raise Division_by_zero;
+    let r = Float.rem (to_float a) d in
+    let r = if r <> 0.0 && (r < 0.0) <> (d < 0.0) then r +. d else r in
+    Value.of_float r
   end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then begin
-      let d = to_float b in
-      if d = 0.0 then raise Division_by_zero;
-      let r = Float.rem (to_float a) d in
-      let r = if r <> 0.0 && (r < 0.0) <> (d < 0.0) then r +. d else r in
-      Value.of_float r
-    end
-    else if int_like a && int_like b then
-      Value.of_int (mod_int (as_int a) (as_int b))
-    else big_binop ctx big_divmod_fn (fun x y -> snd (Rbigint.divmod x y)) a b
-  end
+  else if int_like a && int_like b then
+    Value.of_int (mod_int (as_int a) (as_int b))
+  else big_binop ctx big_divmod_fn (fun x y -> snd (Rbigint.divmod x y)) a b
 
-let truediv ctx a b =
-  tick_boxed ctx;
+let truediv _ctx a b =
   let d = to_float b in
   if d = 0.0 then raise Division_by_zero;
   Value.of_float (to_float a /. d)
@@ -250,26 +198,17 @@ let divmod ctx a b = (floordiv ctx a b, modulo ctx a b)
 let neg ctx v =
   if Value.is_int v then begin
     let i = Value.to_int_unchecked v in
-    if i <> min_int then begin
-      tick_imm ctx;
-      Value.of_int (-i)
-    end
-    else begin
-      tick_boxed ctx;
-      normalize_big ctx (Rbigint.neg (Rbigint.of_int i))
-    end
+    if i <> min_int then Value.of_int (-i)
+    else normalize_big ctx (Rbigint.neg (Rbigint.of_int i))
   end
-  else begin
-    tick_boxed ctx;
-    if Value.is_float v then Value.of_float (-.(Value.to_float_unchecked v))
-    else if Value.is_bool v then
-      Value.of_int (-Bool.to_int (Value.to_bool_unchecked v))
-    else
-      match as_big v with
-      | Some b -> normalize_big ctx (Rbigint.neg b)
-      | None ->
-          raise (Type_error ("bad operand for unary -: " ^ Value.type_name v))
-  end
+  else if Value.is_float v then Value.of_float (-.(Value.to_float_unchecked v))
+  else if Value.is_bool v then
+    Value.of_int (-Bool.to_int (Value.to_bool_unchecked v))
+  else
+    match as_big v with
+    | Some b -> normalize_big ctx (Rbigint.neg b)
+    | None ->
+        raise (Type_error ("bad operand for unary -: " ^ Value.type_name v))
 
 let pow ctx a b =
   if float_involved a b then
@@ -279,8 +218,7 @@ let pow ctx a b =
     if e < 0 then
       Value.of_float (Rstr.pow_float ctx (float_of_int base) (float_of_int e))
     else begin
-      (* exponentiation by squaring with overflow promotion; the [mul]
-         calls do the typed-op accounting *)
+      (* exponentiation by squaring with overflow promotion *)
       let rec go acc base e =
         if e = 0 then acc
         else begin
@@ -305,12 +243,8 @@ let lshift ctx a n =
     Value.is_int a && n < 40
     && Value.to_int_unchecked a > -(1 lsl 20)
     && Value.to_int_unchecked a < 1 lsl 20
-  then begin
-    tick_imm ctx;
-    Value.of_int (Value.to_int_unchecked a lsl n)
-  end
-  else begin
-    tick_boxed ctx;
+  then Value.of_int (Value.to_int_unchecked a lsl n)
+  else
     match as_big a with
     | Some b ->
         Aot.call ctx big_lshift_fn (fun () ->
@@ -319,17 +253,13 @@ let lshift ctx a n =
               (Cost.make ~alu:(2 * w) ~load:w ~store:w ());
             normalize_big ctx (Rbigint.lshift b n))
     | None -> raise (Type_error "lshift: expected int")
-  end
 
 let rshift ctx a n =
-  if Value.is_int a && Value.to_int_unchecked a >= 0 then begin
-    tick_imm ctx;
+  if Value.is_int a && Value.to_int_unchecked a >= 0 then
     (* [asr] is unspecified past the word size (hardware wraps the
        count); clamp — a non-negative int shifted by >= 62 is 0 *)
     Value.of_int (Value.to_int_unchecked a asr (if n > 62 then 62 else n))
-  end
-  else begin
-    tick_boxed ctx;
+  else
     match as_big a with
     | Some b ->
         Aot.call ctx big_rshift_fn (fun () ->
@@ -338,27 +268,21 @@ let rshift ctx a n =
               (Cost.make ~alu:(2 * w) ~load:w ~store:w ());
             normalize_big ctx (Rbigint.rshift b n))
     | None -> raise (Type_error "rshift: expected int")
-  end
 
 let compare_num ctx a b =
-  if Value.is_int a && Value.is_int b then begin
-    tick_imm ctx;
+  if Value.is_int a && Value.is_int b then
     Int.compare (Value.to_int_unchecked a) (Value.to_int_unchecked b)
-  end
-  else begin
-    tick_boxed ctx;
-    if float_involved a b then Float.compare (to_float a) (to_float b)
-    else if int_like a && int_like b then Int.compare (as_int a) (as_int b)
-    else
-      match (as_big a, as_big b) with
-      | Some ba, Some bb ->
-          Aot.call ctx big_cmp_fn (fun () ->
-              let w = Rbigint.work ba bb in
-              Engine.emit (Ctx.engine ctx) (Cost.make ~alu:w ~load:w ());
-              Rbigint.compare ba bb)
-      | _ ->
-          raise
-            (Type_error
-               (Printf.sprintf "cannot compare %s and %s" (Value.type_name a)
-                  (Value.type_name b)))
-  end
+  else if float_involved a b then Float.compare (to_float a) (to_float b)
+  else if int_like a && int_like b then Int.compare (as_int a) (as_int b)
+  else
+    match (as_big a, as_big b) with
+    | Some ba, Some bb ->
+        Aot.call ctx big_cmp_fn (fun () ->
+            let w = Rbigint.work ba bb in
+            Engine.emit (Ctx.engine ctx) (Cost.make ~alu:w ~load:w ());
+            Rbigint.compare ba bb)
+    | _ ->
+        raise
+          (Type_error
+             (Printf.sprintf "cannot compare %s and %s" (Value.type_name a)
+                (Value.type_name b)))

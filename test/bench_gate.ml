@@ -37,7 +37,7 @@
     A separate, self-contained mode gates the serving harness:
 
     - {b serving latency gate} ([--serve-gate FILE [UNSEEDED]]): FILE
-      is an ["mtj-metrics/11"] document with a [serve] block from a
+      is an ["mtj-metrics/12"] document with a [serve] block from a
       session with the shared cache on.  The gate asserts the cache
       actually paid: warm (imported) requests must have a median
       latency no worse than cold (compiling) ones — machine-

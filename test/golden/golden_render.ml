@@ -119,7 +119,7 @@ let tiers () =
                ])
          benches)
 
-(* experiment 4: the mtj-metrics/11 document itself — built from a tiered
+(* experiment 4: the mtj-metrics/12 document itself — built from a tiered
    run, validated (schema + tier invariants), round-tripped through the
    parser, and printed; any drift in the export format fails the diff *)
 let metrics () =

@@ -87,7 +87,7 @@ let collect src config =
           match !phase_stack with
           | Phase.Tracing :: _ -> ()
           | _ -> violate "trace_abort outside the tracing phase")
-      | A.Ir_exec _ | A.App_marker _ -> ());
+      | A.App_marker _ -> ());
   (match V.run_source vm src with
   | Mtj_rjit.Driver.Completed _ -> ()
   | Mtj_rjit.Driver.Budget_exceeded -> Alcotest.fail "budget"

@@ -1,20 +1,18 @@
-(** Differential test of the engine's staged (batched) charging fast
-    path against a straight-line reference implementation of the
-    pre-batching algorithm.
+(** Differential test of the engine's charge path against a
+    straight-line reference implementation of the charging rules.
 
-    The reference model below replays every charging rule exactly as the
-    unstaged engine performed it: per-event counter-array updates, the
-    per-bundle cycle arithmetic ([float n *. inv_width], penalty adds)
-    in the same order, per-bundle budget checks, and the sink's
-    record-then-sample annotation behaviour.  Random interleavings of
-    bundle emits / [emit_static] blocks / conditional + indirect
-    branches / memory accesses / phase pushes + pops / mid-stream
-    counter reads — plus deterministic budget-exhaustion boundaries —
-    are driven through a real [Engine] (with a [Sink] attached) and
-    through the model.  Everything observable must be BYTE-IDENTICAL:
-    per-phase counters (float cycles compared exactly via [%.17g]),
-    engine totals, the budget-exhaustion point, ring-buffer events and
-    counter samples. *)
+    The reference model below replays every charging rule on its own
+    counter arrays: per-event counter-array updates, the per-bundle
+    cycle arithmetic ([float n *. inv_width], penalty adds) in the same
+    order, per-bundle budget checks, and the sink's record-then-sample
+    annotation behaviour.  Random interleavings of bundle emits /
+    conditional + indirect branches / memory accesses / phase pushes +
+    pops / mid-stream counter reads — plus deterministic
+    budget-exhaustion boundaries — are driven through a real [Engine]
+    (with a [Sink] attached) and through the model.  Everything
+    observable must be BYTE-IDENTICAL: per-phase counters (float cycles
+    compared exactly via [%.17g]), engine totals, the budget-exhaustion
+    point, ring-buffer events and counter samples. *)
 
 module Engine = Mtj_machine.Engine
 module Counters = Mtj_machine.Counters
@@ -32,7 +30,6 @@ let all_phases = Array.of_list Phase.all
 
 type ev =
   | Emit of Cost.t
-  | Emit_block of Cost.t array * int * int  (* costs, lo, hi *)
   | Branch of int * bool                    (* site, taken *)
   | Branch_ind of int * int                 (* site, target *)
   | Mem of int * bool                       (* addr, write *)
@@ -42,7 +39,7 @@ type ev =
   | Marker of int                           (* App_marker annotation *)
   | Read                                    (* mid-stream counter read *)
 
-(* ---------- reference model: the unstaged charging algorithm ---------- *)
+(* ---------- reference model: the charging rules, written out ---------- *)
 
 module Ref_model = struct
   exception Budget
@@ -227,10 +224,6 @@ module Ref_model = struct
 
   let apply t = function
     | Emit c -> emit t c
-    | Emit_block (costs, lo, hi) ->
-        for i = lo to hi - 1 do
-          emit t costs.(i)
-        done
     | Branch (site, taken) ->
         charge_branch t (Predictor.conditional t.pred ~site ~taken)
     | Branch_ind (site, target) ->
@@ -324,7 +317,6 @@ let run_engine ~budget ~interp_width (events : ev array) : outcome =
          try
            match ev with
            | Emit c -> Engine.emit eng c
-           | Emit_block (costs, lo, hi) -> Engine.emit_static eng costs ~lo ~hi
            | Branch (site, taken) -> Engine.branch eng ~site ~taken
            | Branch_ind (site, target) ->
                Engine.branch_indirect eng ~site ~target
@@ -401,13 +393,7 @@ let gen_events rng n : ev array =
   for idx = 0 to n - 1 do
     out.(idx) <-
       (match Random.State.int rng 100 with
-      | k when k < 30 -> Emit (gen_cost rng)
-      | k when k < 40 ->
-          let len = 1 + Random.State.int rng 4 in
-          let costs = Array.init len (fun _ -> gen_cost rng) in
-          let lo = Random.State.int rng (len + 1) in
-          let hi = lo + Random.State.int rng (len - lo + 1) in
-          Emit_block (costs, lo, hi)
+      | k when k < 40 -> Emit (gen_cost rng)
       | k when k < 55 ->
           Branch (Random.State.int rng 8, Random.State.bool rng)
       | k when k < 65 ->
@@ -429,7 +415,7 @@ let gen_events rng n : ev array =
   done;
   out
 
-let prop_batched_identical =
+let prop_engine_matches_model =
   QCheck.Test.make ~count:300
     ~name:"staged charging is byte-identical to the reference algorithm"
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
@@ -438,7 +424,7 @@ let prop_batched_identical =
       let n = 20 + Random.State.int rng 400 in
       let events = gen_events rng n in
       (* small budgets sometimes, to land the exhaustion boundary inside
-         the stream (including inside emit_static blocks) *)
+         the stream *)
       let budget =
         if Random.State.int rng 3 = 0 then 50 + Random.State.int rng 400
         else Config.default.Config.insn_budget
@@ -448,7 +434,7 @@ let prop_batched_identical =
       let m = run_model ~budget ~interp_width events in
       if outcome_str e <> outcome_str m then
         QCheck.Test.fail_reportf
-          "seed %d diverged:\n--- reference:\n%s\n--- staged:\n%s" seed
+          "seed %d diverged:\n--- reference:\n%s\n--- engine:\n%s" seed
           (outcome_str m) (outcome_str e)
       else true)
 
@@ -494,53 +480,9 @@ let scenario_budget_boundary () =
   (* landing exactly ON the budget does not raise (only crossing it) *)
   check_same "budget exact boundary" ~budget:10 ~interp_width:2.0
     [| Emit (Cost.make ~alu:10 ()); Read; Branch (1, true) |];
-  (* exhaustion inside an emit_static block: partial charges retained *)
-  let costs = Array.init 8 (fun i -> Cost.make ~alu:(i + 1) ()) in
-  check_same "budget inside emit_static" ~budget:12 ~interp_width:2.0
-    [| Emit_block (costs, 0, 8) |]
-
-let scenario_emit_static_equivalence () =
-  (* emit_static over a slice == the equivalent per-element emit calls,
-     engine vs engine *)
-  let costs =
-    [|
-      Cost.make ~alu:3 ~load:1 ();
-      Cost.make ~store:2 ();
-      Cost.zero;
-      Cost.make ~fpu:4 ~other:1 ();
-    |]
-  in
-  let block = run_engine ~budget:1_000_000 ~interp_width:2.0
-      [| Push Phase.Jit; Emit_block (costs, 1, 4); Pop; Read |]
-  in
-  let seq =
-    run_engine ~budget:1_000_000 ~interp_width:2.0
-      [|
-        Push Phase.Jit;
-        Emit costs.(1);
-        Emit costs.(2);
-        Emit costs.(3);
-        Pop;
-        Read;
-      |]
-  in
-  Alcotest.(check string)
-    "emit_static == emit sequence" (outcome_str seq) (outcome_str block)
-
-let scenario_emit_static_bounds () =
-  let eng = Engine.create () in
-  let costs = [| Cost.make ~alu:1 () |] in
-  let raises lo hi =
-    match Engine.emit_static eng costs ~lo ~hi with
-    | () -> false
-    | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "lo < 0 raises" true (raises (-1) 0);
-  Alcotest.(check bool) "hi > len raises" true (raises 0 2);
-  Alcotest.(check bool) "lo > hi raises" true (raises 1 0);
-  Engine.emit_static eng costs ~lo:0 ~hi:0;
-  Engine.emit_static eng costs ~lo:1 ~hi:1;
-  Alcotest.(check int) "empty slices charge nothing" 0 (Engine.total_insns eng)
+  (* exhaustion inside a run of bundles: earlier charges retained *)
+  check_same "budget inside a bundle run" ~budget:12 ~interp_width:2.0
+    (Array.init 8 (fun i -> Emit (Cost.make ~alu:(i + 1) ())))
 
 let scenario_listener_order () =
   (* add_listener's growth buffer must deliver newest-first, like the
@@ -554,23 +496,6 @@ let scenario_listener_order () =
   Alcotest.(check (list int))
     "newest-first delivery, all 7 listeners" [ 7; 6; 5; 4; 3; 2; 1 ]
     (List.rev !log)
-
-let scenario_flush_stats () =
-  let eng = Engine.create () in
-  Alcotest.(check int) "no bundles yet" 0 (Engine.fast_path_bundles eng);
-  Engine.emit eng (Cost.make ~alu:2 ());
-  Engine.emit eng (Cost.make ~alu:1 ());
-  Alcotest.(check int) "two bundles charged" 2 (Engine.fast_path_bundles eng);
-  let flushes_before = Engine.charge_flushes eng in
-  ignore (Counters.total (Engine.counters eng));
-  let flushes_after = Engine.charge_flushes eng in
-  Alcotest.(check bool)
-    "query flushed the staged state" true
-    (flushes_after >= 1 && flushes_after >= flushes_before);
-  (* a clean flush (nothing staged) does not count *)
-  ignore (Counters.total (Engine.counters eng));
-  Alcotest.(check int)
-    "idempotent flush not recounted" flushes_after (Engine.charge_flushes eng)
 
 (* The charge path allocates nothing on the host.  Two causes have made
    it allocate: a build with [-opaque] (dune's dev profile; the
@@ -617,13 +542,9 @@ let suite =
     Alcotest.test_case "read after every event" `Quick
       scenario_reads_every_event;
     Alcotest.test_case "budget boundaries" `Quick scenario_budget_boundary;
-    Alcotest.test_case "emit_static equivalence" `Quick
-      scenario_emit_static_equivalence;
-    Alcotest.test_case "emit_static bounds" `Quick scenario_emit_static_bounds;
     Alcotest.test_case "listener order across growth" `Quick
       scenario_listener_order;
-    Alcotest.test_case "fast-path stats" `Quick scenario_flush_stats;
     Alcotest.test_case "charge path allocates nothing" `Quick
       scenario_charge_alloc_free;
-    QCheck_alcotest.to_alcotest prop_batched_identical;
+    QCheck_alcotest.to_alcotest prop_engine_matches_model;
   ]

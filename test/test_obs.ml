@@ -18,7 +18,6 @@ type observed = {
   o_baseline : (Phase.t * Counters.snapshot) list;
   o_jitlog : Mtj_rjit.Jitlog.t;
   o_gc : Mtj_rt.Gc_sim.stats;
-  o_hstats : Mtj_rt.Hstats.t;
   o_status : string;
 }
 
@@ -41,7 +40,6 @@ let run_observed ?capacity ~budget name =
     o_baseline = baseline;
     o_jitlog = Mtj_pylite.Vm.jitlog vm;
     o_gc = Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc (Mtj_pylite.Vm.rtc vm));
-    o_hstats = Mtj_rt.Ctx.hstats (Mtj_pylite.Vm.rtc vm);
     o_status =
       (match outcome with
       | Mtj_rjit.Driver.Completed _ -> "ok"
@@ -144,7 +142,7 @@ let test_metrics_roundtrip () =
   let run =
     Metrics.run_json ~bench:"binarytrees" ~config:"pypy" ~status:o.o_status
       ~engine:o.o_eng ~jitlog:o.o_jitlog ~gc:o.o_gc
-      ~ticks:(Sink.ticks o.o_sink) ~hstats:o.o_hstats ()
+      ~ticks:(Sink.ticks o.o_sink) ()
   in
   let doc = Metrics.document ~runs:[ run ] () in
   let reparsed = parse_ok "metrics json" (Json.to_string ~indent:2 doc) in
@@ -190,38 +188,7 @@ let test_metrics_roundtrip () =
     (jint "interp_translations" > 0);
   Alcotest.(check bool)
     "code switches hit the threaded cache" true
-    (jint "threaded_code_hits" > 0);
-  (* v5 host fast-path counters survive the round trip verbatim *)
-  let rint key =
-    match
-      Option.bind (Json.member "runs" reparsed) (fun runs ->
-          match Json.get_arr runs with
-          | Some (r :: _) -> Option.bind (Json.member key r) Json.get_int
-          | _ -> None)
-    with
-    | Some v -> v
-    | None -> Alcotest.failf "run.%s missing" key
-  in
-  Alcotest.(check int)
-    "imm_fast_path_hits round-trips"
-    o.o_hstats.Mtj_rt.Hstats.imm_fast_path_hits
-    (rint "imm_fast_path_hits");
-  Alcotest.(check int)
-    "boxed_slow_path_hits round-trips"
-    o.o_hstats.Mtj_rt.Hstats.boxed_slow_path_hits
-    (rint "boxed_slow_path_hits");
-  Alcotest.(check int)
-    "typed_ops_total round-trips" o.o_hstats.Mtj_rt.Hstats.typed_ops_total
-    (rint "typed_ops_total");
-  (* integer arithmetic dominates every bench, so the immediate fast
-     path always fires, and the two buckets partition the total *)
-  Alcotest.(check bool)
-    "immediate fast path is live" true
-    (rint "imm_fast_path_hits" > 0);
-  Alcotest.(check int)
-    "imm + boxed = typed total"
-    (rint "typed_ops_total")
-    (rint "imm_fast_path_hits" + rint "boxed_slow_path_hits")
+    (jint "threaded_code_hits" > 0)
 
 let test_runner_metrics_roundtrip () =
   (* the memoized-result path used by `bench --metrics-out` *)
@@ -233,44 +200,33 @@ let test_runner_metrics_roundtrip () =
   (match Validate.metrics reparsed with
   | Ok n -> Alcotest.(check int) "one run record" 1 n
   | Error e -> Alcotest.failf "runner metrics validation: %s" e);
-  (* v3 charging fast-path stats survive the round trip verbatim *)
+  (* the record carries the run's simulated totals verbatim and no
+     host-side counter (v12) *)
+  let run =
+    match Option.bind (Json.member "runs" reparsed) Json.get_arr with
+    | Some (first :: _) -> first
+    | _ -> Alcotest.fail "run record missing"
+  in
   let rint key =
-    match
-      Option.bind (Json.member "runs" reparsed) (fun runs ->
-          match Json.get_arr runs with
-          | Some (first :: _) -> Option.bind (Json.member key first) Json.get_int
-          | _ -> None)
-    with
+    match Option.bind (Json.member key run) Json.get_int with
     | Some v -> v
     | None -> Alcotest.failf "run.%s missing" key
   in
-  Alcotest.(check int)
-    "charge_flushes round-trips" r.Mtj_harness.Runner.charge_flushes
-    (rint "charge_flushes");
-  Alcotest.(check int)
-    "fast_path_bundles round-trips" r.Mtj_harness.Runner.fast_path_bundles
-    (rint "fast_path_bundles");
-  Alcotest.(check bool)
-    "bundles dominate flushes on a real run" true
-    (rint "fast_path_bundles" > rint "charge_flushes" && rint "charge_flushes" > 0);
-  (* v8 host fast-path counters flow through the memoized-result path *)
-  Alcotest.(check int)
-    "imm_fast_path_hits round-trips" r.Mtj_harness.Runner.imm_fast_path_hits
-    (rint "imm_fast_path_hits");
-  Alcotest.(check int)
-    "boxed_slow_path_hits round-trips"
-    r.Mtj_harness.Runner.boxed_slow_path_hits
-    (rint "boxed_slow_path_hits");
-  Alcotest.(check int)
-    "typed_ops_total round-trips" r.Mtj_harness.Runner.typed_ops_total
-    (rint "typed_ops_total");
-  Alcotest.(check bool)
-    "immediate fast path is live" true
-    (rint "imm_fast_path_hits" > 0);
-  Alcotest.(check int)
-    "imm + boxed = typed total"
-    (rint "typed_ops_total")
-    (rint "imm_fast_path_hits" + rint "boxed_slow_path_hits")
+  Alcotest.(check int) "insns round-trips" r.Mtj_harness.Runner.insns
+    (rint "insns");
+  Alcotest.(check int) "ticks round-trips" r.Mtj_harness.Runner.ticks
+    (rint "ticks");
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " is not exported") true
+        (Json.member key run = None))
+    [
+      "charge_flushes";
+      "fast_path_bundles";
+      "imm_fast_path_hits";
+      "boxed_slow_path_hits";
+      "typed_ops_total";
+    ]
 
 (* --- bench timings --- *)
 
@@ -378,11 +334,10 @@ let test_validator_rejects_corruption () =
         ("cache_miss_rate", Json.Float 0.0);
       ]
   in
-  let mdoc ?(flushes = 3) ?(bundles = 5) ?(imm = Json.Int 2)
-      ?(boxed = Json.Int 1) ?(typed = Json.Int 3) total =
+  let mdoc ?(schema = "mtj-metrics/12") ?insns total =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/11");
+        ("schema", Json.Str schema);
         ( "runs",
           Json.Arr
             [
@@ -391,13 +346,8 @@ let test_validator_rejects_corruption () =
                   ("bench", Json.Str "b");
                   ("config", Json.Str "c");
                   ("status", Json.Str "ok");
-                  ("insns", Json.Int total);
+                  ("insns", Option.value insns ~default:(Json.Int total));
                   ("cycles", Json.Float 10.0);
-                  ("charge_flushes", Json.Int flushes);
-                  ("fast_path_bundles", Json.Int bundles);
-                  ("imm_fast_path_hits", imm);
-                  ("boxed_slow_path_hits", boxed);
-                  ("typed_ops_total", typed);
                   ( "phases",
                     Json.Obj
                       [ ("interpreter", snap 7); ("total", snap total) ] );
@@ -410,33 +360,10 @@ let test_validator_rejects_corruption () =
   | Ok n -> Alcotest.failf "expected 1 run, got %d" n
   | Error e -> Alcotest.failf "consistent metrics rejected: %s" e);
   expect_err "inconsistent phase sum" (Validate.metrics (mdoc 8));
-  (* v3 charging fast-path invariants: the total snapshot carries a
-     load, so a zero bundle count is impossible; and retired insns imply
-     at least one staged-counter writeback *)
-  expect_err "loads but no fast-path bundles"
-    (Validate.metrics (mdoc ~bundles:0 7));
-  expect_err "insns but no flushes" (Validate.metrics (mdoc ~flushes:0 7));
-  expect_err "negative fast_path_bundles"
-    (Validate.metrics (mdoc ~bundles:(-1) 7));
-  (* v8 host fast-path counters: null is fine (native exporters), ints
-     must be non-negative and bounded by the run's insn total, and the
-     immediate/boxed split must partition the typed-op total *)
-  (match
-     Validate.metrics
-       (mdoc ~imm:Json.Null ~boxed:Json.Null ~typed:Json.Null 7)
-   with
-  | Ok 1 -> ()
-  | Ok n -> Alcotest.failf "expected 1 run, got %d" n
-  | Error e -> Alcotest.failf "null hstats counters rejected: %s" e);
-  expect_err "negative imm_fast_path_hits"
-    (Validate.metrics (mdoc ~imm:(Json.Int (-1)) 7));
-  expect_err "imm + boxed <> typed_ops_total"
-    (Validate.metrics (mdoc ~imm:(Json.Int 2) ~boxed:(Json.Int 2) 7));
-  expect_err "imm_fast_path_hits exceeding insns"
-    (Validate.metrics
-       (mdoc ~imm:(Json.Int 8) ~boxed:(Json.Int 0) ~typed:(Json.Int 8) 7));
-  expect_err "non-int imm_fast_path_hits"
-    (Validate.metrics (mdoc ~imm:(Json.Str "many") 7));
+  expect_err "non-int insns"
+    (Validate.metrics (mdoc ~insns:(Json.Str "many") 7));
+  expect_err "previous schema"
+    (Validate.metrics (mdoc ~schema:"mtj-metrics/11" 7));
   (* jit block violating the v2 cache invariants *)
   let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
       ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
@@ -444,7 +371,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_sites = 0) translations trace_translations =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/11");
+        ("schema", Json.Str "mtj-metrics/12");
         ( "runs",
           Json.Arr
             [
@@ -455,11 +382,6 @@ let test_validator_rejects_corruption () =
                   ("status", Json.Str "ok");
                   ("insns", Json.Int 7);
                   ("cycles", Json.Float 10.0);
-                  ("charge_flushes", Json.Int 3);
-                  ("fast_path_bundles", Json.Int 5);
-                  ("imm_fast_path_hits", Json.Int 2);
-                  ("boxed_slow_path_hits", Json.Int 0);
-                  ("typed_ops_total", Json.Int 2);
                   ( "phases",
                     Json.Obj [ ("interpreter", snap 7); ("total", snap 7) ] );
                   ( "jit",
@@ -558,7 +480,7 @@ let test_validator_rejects_corruption () =
       ?(seeded_imports = 1) ?(zipf_s = 1.1) () =
     Json.Obj
       [
-        ("schema", Json.Str "mtj-metrics/11");
+        ("schema", Json.Str "mtj-metrics/12");
         ("runs", Json.Arr []);
         ( "serve",
           Json.Obj

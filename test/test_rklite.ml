@@ -221,6 +221,16 @@ let suite =
       "(define (f loop) (let loop ((i loop) (s 0))\n\
        \  (if (= i 0) s (loop (- i 1) (+ s i)))))\n\
        (display (f 3))";
+    (* plain [let] binds its names only after every init: an init sees
+       the enclosing binding of a name the same [let] rebinds; [let*]
+       binds them one at a time *)
+    t "let binds at once, let* in turn" ~expect:"12"
+      "(define x 1)\n\
+       (display (let ((x 2) (y x)) y))\n\
+       (display (let* ((x 2) (y x)) y))";
+    t "let inits see an enclosing local" ~expect:"21"
+      "(define (f x) (let ((x 2) (y x)) ((lambda () (+ (* 10 x) y)))))\n\
+       (display (f 1))";
     t "type-polymorphic loop"
       {|
 (define (run n)

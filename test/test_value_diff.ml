@@ -3,16 +3,19 @@
 
     The immediate-identity properties pin the physical-equality
     contract documented in [value.mli], the integral-float hash tests
-    pin the [py_eq]/[py_hash] contract that dict lookups rely on, and
-    the host-counter cases check, in both VMs and under every JIT
-    configuration, that the immediate fast path fires and that its
-    counters partition the typed-op total. *)
+    pin the [py_eq]/[py_hash] contract that dict lookups rely on, the
+    host-counter cases check, in both VMs and under every JIT
+    configuration, that the run record holds no host fast-path counter,
+    and the allocation case checks that small-int arithmetic stays on
+    the immediate path, where it touches no host heap. *)
 
 module V = Mtj_rt.Value
 module Ctx = Mtj_rt.Ctx
-module Hstats = Mtj_rt.Hstats
+module Rarith = Mtj_rt.Rarith
 module Config = Mtj_core.Config
 module B = Mtj_benchmarks.Registry
+module Runner = Mtj_harness.Runner
+module Json = Mtj_obs.Json
 
 (* ---------- immediate int/bool/nil representation ---------- *)
 
@@ -101,49 +104,110 @@ let prop_int_float_hash =
       V.py_eq (V.of_int i) (V.of_float f)
       && V.py_hash (V.of_int i) = V.py_hash (V.of_float f))
 
-(* ---------- host fast-path counters ---------- *)
+(* ---------- host counters stay out of the run record ---------- *)
 
-(* the host fast-path counters of a registry benchmark's run *)
-let hstats_py ~config name =
-  let b = B.find_exn ~lang:B.Py name in
-  let vm = Mtj_pylite.Vm.create ~config () in
-  ignore (Mtj_pylite.Vm.run_source vm b.B.source);
-  Ctx.hstats (Mtj_pylite.Vm.rtc vm)
+(* The fast paths are invisible to the simulation, so the counters that
+   once tallied them are not simulated state and no run record carries
+   them. *)
+let host_counters =
+  [
+    "charge_flushes";
+    "fast_path_bundles";
+    "imm_fast_path_hits";
+    "boxed_slow_path_hits";
+    "typed_ops_total";
+  ]
 
-let hstats_rk ~config name =
-  let b = B.find_exn ~lang:B.Rk name in
-  let vm = Mtj_rklite.Kvm.create ~config () in
-  ignore (Mtj_rklite.Kvm.run_source vm b.B.source);
-  Ctx.hstats (Mtj_rklite.Kvm.rtc vm)
-
-let check_counters ~label ~bench hstats config =
-  let h = hstats ~config bench in
-  Alcotest.(check bool)
-    (label ^ ": immediate fast path live") true
-    (h.Hstats.imm_fast_path_hits > 0);
-  (* counter invariant: every typed op went one way or the other *)
-  Alcotest.(check int)
-    (label ^ ": imm + boxed = typed total")
-    h.Hstats.typed_ops_total
-    (h.Hstats.imm_fast_path_hits + h.Hstats.boxed_slow_path_hits)
+(* Run a registry benchmark in one VM and configuration and build its
+   run record as [Runner] does when a run ends; the record must
+   validate, carry the engine's instruction total and hold none of the
+   host counters. *)
+let check_counters ~label ~lang ~bench config =
+  let (module H : Mtj_harness.Hosted.VM) = Mtj_harness.Hosted.vm lang in
+  let b = B.find_exn ~lang bench in
+  let vm = H.create ~config () in
+  let status = Runner.status_of (H.run_source vm b.B.source) in
+  let rtc = H.rtc vm in
+  let record =
+    Mtj_obs.Metrics.run_json ~bench ~config:(Mtj_harness.Hosted.name lang)
+      ~status:(Runner.status_name status) ~engine:(H.engine vm)
+      ~jitlog:(H.jitlog vm)
+      ~gc:(Mtj_rt.Gc_sim.stats (Ctx.gc rtc))
+      ()
+  in
+  let doc = Mtj_obs.Metrics.document ~runs:[ record ] () in
+  let reparsed =
+    match Json.parse (Json.to_string doc) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: record does not parse: %s" label e
+  in
+  (match Mtj_obs.Validate.metrics reparsed with
+  | Ok n -> Alcotest.(check int) (label ^ ": one run record") 1 n
+  | Error e -> Alcotest.failf "%s: record rejected: %s" label e);
+  let run =
+    match Option.bind (Json.member "runs" reparsed) Json.get_arr with
+    | Some [ run ] -> run
+    | _ -> Alcotest.failf "%s: run record missing" label
+  in
+  Alcotest.(check (option int))
+    (label ^ ": insns is the engine's total")
+    (Some (Mtj_machine.Engine.total_insns (H.engine vm)))
+    (Option.bind (Json.member "insns" run) Json.get_int);
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (label ^ ": " ^ key ^ " is not exported")
+        true
+        (Json.member key run = None))
+    host_counters
 
 let budgeted base = Config.with_budget 2_000_000 base
 
 let test_counters_py_jit () =
-  check_counters ~label:"binarytrees(py,jit)" ~bench:"binarytrees" hstats_py
-    (budgeted Config.default)
+  check_counters ~label:"binarytrees(py,jit)" ~lang:B.Py
+    ~bench:"binarytrees" (budgeted Config.default)
 
 let test_counters_py_nojit () =
-  check_counters ~label:"binarytrees(py,nojit)" ~bench:"binarytrees"
-    hstats_py (budgeted Config.no_jit)
+  check_counters ~label:"binarytrees(py,nojit)" ~lang:B.Py
+    ~bench:"binarytrees" (budgeted Config.no_jit)
 
 let test_counters_py_2tier () =
-  check_counters ~label:"binarytrees(py,2tier)" ~bench:"binarytrees"
-    hstats_py (budgeted Config.two_tier)
+  check_counters ~label:"binarytrees(py,2tier)" ~lang:B.Py
+    ~bench:"binarytrees" (budgeted Config.two_tier)
 
 let test_counters_rk_jit () =
-  check_counters ~label:"binarytrees(rk,jit)" ~bench:"binarytrees" hstats_rk
-    (budgeted Config.default)
+  check_counters ~label:"binarytrees(rk,jit)" ~lang:B.Rk
+    ~bench:"binarytrees" (budgeted Config.default)
+
+(* ---------- the immediate path allocates nothing ---------- *)
+
+(* Small-int arithmetic takes [Rarith]'s immediate path: tag tests,
+   native arithmetic and an [of_int] that is an identity cast, so a call
+   leaves the host's minor heap untouched.  A path that round-trips its
+   operands through [Value.view] allocates on every call. *)
+let test_int_arith_alloc_free () =
+  let ctx = Ctx.create () in
+  let calls = 10_000 in
+  let a i = V.of_int (i land 1023) and b i = V.of_int (1 + (i land 15)) in
+  let per_call name f =
+    for i = 0 to 999 do ignore (Sys.opaque_identity (f i)) done;
+    let before = Gc.minor_words () in
+    for i = 0 to calls - 1 do ignore (Sys.opaque_identity (f i)) done;
+    let words = Gc.minor_words () -. before in
+    if words <> 0.0 then
+      Alcotest.failf "Rarith.%s allocated %.3f host words per call" name
+        (words /. float_of_int calls)
+  in
+  per_call "add" (fun i -> Rarith.add ctx (a i) (b i));
+  per_call "sub" (fun i -> Rarith.sub ctx (a i) (b i));
+  per_call "mul" (fun i -> Rarith.mul ctx (a i) (b i));
+  per_call "floordiv" (fun i -> Rarith.floordiv ctx (a i) (b i));
+  per_call "modulo" (fun i -> Rarith.modulo ctx (a i) (b i));
+  per_call "neg" (fun i -> Rarith.neg ctx (a i));
+  per_call "lshift" (fun i -> Rarith.lshift ctx (a i) (i land 31));
+  per_call "rshift" (fun i -> Rarith.rshift ctx (a i) (i land 63));
+  per_call "compare_num" (fun i ->
+      V.of_int (Rarith.compare_num ctx (a i) (b i)))
 
 let suite =
   [
@@ -159,4 +223,6 @@ let suite =
     Alcotest.test_case "host counters: py two-tier" `Quick
       test_counters_py_2tier;
     Alcotest.test_case "host counters: rk jit" `Quick test_counters_rk_jit;
+    Alcotest.test_case "int arithmetic allocates nothing" `Quick
+      test_int_arith_alloc_free;
   ]
