@@ -890,7 +890,7 @@ let cachesweep () =
                 ~lang:(Hosted.name rq.Serve.req_lang)
                 ~program:rq.Serve.req_bench ~config_digest:"sweep"
             in
-            match SC.find cache ~ctx_uid:0 key with
+            match SC.find_with_profile cache ~ctx_uid:0 key with
             | Some _ -> ()
             | None -> ignore (SC.publish cache ~ctx_uid:0 key Probe))
           stream;

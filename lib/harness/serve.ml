@@ -199,14 +199,9 @@ let run_one ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) :
   let warm, seeded, published, outcome =
     if not shared then (false, false, false, V.run_source vm b.B.source)
     else
-      let lookup () =
-        if profile_seed then Sharedcache.find_with_profile cache ~ctx_uid:uid key
-        else
-          match Sharedcache.find cache ~ctx_uid:uid key with
-          | Some e -> Some (e, None)
-          | None -> None
-      in
-      match lookup () with
+      (* a seed-off session never attaches a profile, so its hits
+         carry none *)
+      match Sharedcache.find_with_profile cache ~ctx_uid:uid key with
       | Some (V.Bundle bu, prof) ->
           V.import_bundle vm bu;
           Jitlog.record_shared_code_hits (V.jitlog vm) ~n:(V.bundle_size bu);

@@ -1,5 +1,6 @@
 type trace_stats = {
   events : int;
+  track_names : string list;
   duration_tracks : int;
   counter_tracks : int;
   instants : int;
@@ -40,6 +41,8 @@ let trace_exn j =
   let stacks : (int, (string * float) list) Hashtbl.t = Hashtbl.create 8 in
   let counter_names = Hashtbl.create 8 in
   let duration_tids = Hashtbl.create 8 in
+  (* tid -> the name its thread_name metadata declares, newest first *)
+  let declared = ref [] in
   let instants = ref 0 in
   let auto_closed = ref 0 in
   let prev_ts = ref neg_infinity in
@@ -60,7 +63,16 @@ let trace_exn j =
     (fun i ev ->
       incr n;
       let ph = str_field ev "ph" in
-      if ph = "M" then ()
+      if ph = "M" then begin
+        if str_field ev "name" = "thread_name" then
+          declared :=
+            ( int_field ev "tid",
+              need "thread_name args.name"
+                (Option.bind
+                   (Option.bind (Json.member "args" ev) (Json.member "name"))
+                   Json.get_str) )
+            :: !declared
+      end
       else begin
         let ts = num_field ev "ts" in
         if Float.is_nan ts then fail "event %d: NaN timestamp" i;
@@ -130,6 +142,11 @@ let trace_exn j =
       | [] -> ()
       | (name, _) :: _ -> fail "span %S left open on tid %d" name tid)
     stacks;
+  Hashtbl.iter
+    (fun tid () ->
+      if not (List.mem_assoc tid !declared) then
+        fail "spans on tid %d, which no thread_name declares" tid)
+    duration_tids;
   if !phase_stack <> [] then fail "phase stack not empty at end of stream";
   let phase_self_cycles =
     List.filter_map
@@ -140,6 +157,7 @@ let trace_exn j =
   in
   {
     events = !n;
+    track_names = List.rev_map snd !declared;
     duration_tracks = Hashtbl.length duration_tids;
     counter_tracks = Hashtbl.length counter_names;
     instants = !instants;

@@ -9,6 +9,8 @@
 
 type trace_stats = {
   events : int;  (** traceEvents entries, metadata included *)
+  track_names : string list;
+      (** the names [thread_name] metadata declares, in document order *)
   duration_tracks : int;  (** distinct [tid]s carrying B/E spans *)
   counter_tracks : int;  (** distinct counter-event names *)
   instants : int;
@@ -22,6 +24,7 @@ type trace_stats = {
 val trace : Json.t -> (trace_stats, string) result
 (** Check a ["mtj-trace/1"] document: schema tag, required event fields,
     per-[tid] B/E balance (every E matches an open B, nothing left open),
+    spans only on [tid]s a [thread_name] metadata event declares,
     globally non-decreasing timestamps, and counter values that are
     finite and non-negative. *)
 

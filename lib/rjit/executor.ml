@@ -177,7 +177,7 @@ let guard_test (g : Ir.guard) (gs : ('e -> Value.t) array) : 'e -> bool =
       fun e -> Value.py_eq (a e) v
   | Ir.G_class sh ->
       let a = gs.(0) in
-      fun e -> Trace_ops.tyshape_of (a e) = sh
+      fun e -> Ir.tyshape_of (a e) = sh
   | Ir.G_nonnull ->
       let a = gs.(0) in
       fun e -> not (Value.is_nil (a e))

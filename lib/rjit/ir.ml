@@ -73,6 +73,32 @@ type tyshape =
   | Ty_class of int        (* a specific class object, by uid *)
   | Ty_method
 
+(* the type shape of a value: what a [G_class] guard on it checks *)
+let tyshape_of (v : Mtj_rt.Value.t) : tyshape =
+  let module V = Mtj_rt.Value in
+  if V.is_int v then Ty_int
+  else
+    match V.view v with
+    | V.Int _ -> Ty_int
+    | V.Float _ -> Ty_float
+    | V.Str _ -> Ty_str
+    | V.Bool _ -> Ty_bool
+    | V.Nil -> Ty_nil
+    | V.Obj o -> (
+        match o.V.payload with
+        | V.Instance i -> Ty_instance_of i.V.cls.V.uid
+        | V.Class _ -> Ty_class o.V.uid
+        | V.List _ -> Ty_list
+        | V.Dict _ -> Ty_dict
+        | V.Set _ -> Ty_set
+        | V.Tuple _ -> Ty_tuple
+        | V.Func f -> Ty_func_code f.V.code_ref
+        | V.Method _ -> Ty_method
+        | V.Cell _ -> Ty_cell
+        | V.Bigint _ -> Ty_bigint
+        | V.Strbuilder _ -> Ty_builder
+        | V.Range _ -> Ty_range)
+
 type gkind =
   | G_true                      (* arg truthy *)
   | G_false                     (* arg falsy *)

@@ -92,30 +92,6 @@ let clear_heap env =
 let bump_effect env =
   env.epoch <- env.epoch + 1
 
-(* shape of a constant value, for dropping guards on constants *)
-let shape_of_const (v : Mtj_rt.Value.t) : Ir.tyshape option =
-  match Mtj_rt.Value.view v with
-  | Mtj_rt.Value.Int _ -> Some Ir.Ty_int
-  | Mtj_rt.Value.Float _ -> Some Ir.Ty_float
-  | Mtj_rt.Value.Str _ -> Some Ir.Ty_str
-  | Mtj_rt.Value.Bool _ -> Some Ir.Ty_bool
-  | Mtj_rt.Value.Nil -> Some Ir.Ty_nil
-  | Mtj_rt.Value.Obj o -> (
-      match o.Mtj_rt.Value.payload with
-      | Mtj_rt.Value.Instance i ->
-          Some (Ir.Ty_instance_of i.Mtj_rt.Value.cls.Mtj_rt.Value.uid)
-      | Mtj_rt.Value.Func f -> Some (Ir.Ty_func_code f.Mtj_rt.Value.code_ref)
-      | Mtj_rt.Value.Class _ -> Some (Ir.Ty_class o.Mtj_rt.Value.uid)
-      | Mtj_rt.Value.List _ -> Some Ir.Ty_list
-      | Mtj_rt.Value.Dict _ -> Some Ir.Ty_dict
-      | Mtj_rt.Value.Set _ -> Some Ir.Ty_set
-      | Mtj_rt.Value.Tuple _ -> Some Ir.Ty_tuple
-      | Mtj_rt.Value.Bigint _ -> Some Ir.Ty_bigint
-      | Mtj_rt.Value.Cell _ -> Some Ir.Ty_cell
-      | Mtj_rt.Value.Strbuilder _ -> Some Ir.Ty_builder
-      | Mtj_rt.Value.Method _ -> Some Ir.Ty_method
-      | Mtj_rt.Value.Range _ -> Some Ir.Ty_range)
-
 (* shape established by an allocation opcode *)
 let shape_of_new (opc : Ir.opcode) : Ir.tyshape option =
   match opc with
@@ -230,7 +206,7 @@ let guard_step env (g : Ir.guard) (args : Ir.operand array) =
   let dedup = env.cfg.Config.opt_guard_elim in
   match (g.Ir.gkind, args) with
   | Ir.G_class sh, [| Ir.Const v |] ->
-      if shape_of_const v = Some sh then `Drop else `Keep
+      if Ir.tyshape_of v = sh then `Drop else `Keep
   | Ir.G_class sh, [| Ir.Reg r |] ->
       if dedup && Hashtbl.find_opt env.shapes r = Some sh then `Drop
       else begin
@@ -248,9 +224,7 @@ let guard_step env (g : Ir.guard) (args : Ir.operand array) =
       if dedup && known then `Drop
       else begin
         Hashtbl.replace env.gvalues r v;
-        (match shape_of_const v with
-        | Some sh -> Hashtbl.replace env.shapes r sh
-        | None -> ());
+        Hashtbl.replace env.shapes r (Ir.tyshape_of v);
         (* NOTE: the register is NOT substituted by the constant — the
            substitution table is applied position-independently by the
            virtuals pass, and entry registers are refreshed by [jump],
@@ -346,11 +320,9 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
           bump_effect env;
           let ko = okey_of args.(0) in
           (* kill aliasing entries for this field index *)
-          Hashtbl.iter
-            (fun (k, i) _ ->
-              if i = idx && k <> ko then
-                Hashtbl.remove env.heap_fields (k, i))
-            (Hashtbl.copy env.heap_fields);
+          Hashtbl.filter_map_inplace
+            (fun (k, i) v -> if i = idx && k <> ko then None else Some v)
+            env.heap_fields;
           if env.cfg.Config.opt_forward && ko <> K_none then
             Hashtbl.replace env.heap_fields (ko, idx) args.(1);
           keep op
@@ -496,88 +468,96 @@ let new_candidates (ops : Ir.op array) =
          | _ -> None)
   |> IntSet.of_seq
 
-(* Debugging hooks (DESIGN.md §3c), read once at start-up. *)
+(* the element index of a constant-index list or tuple access *)
+let const_index (o : Ir.operand) =
+  match o with
+  | Ir.Const c when Mtj_rt.Value.is_int c ->
+      Some (Mtj_rt.Value.to_int_unchecked c)
+  | _ -> None
 
-(* MTJ_DEBUG_ESCAPE=<register>: trace the escape decision on that
-   register; a value that is not a register number disables the hook *)
-let debug_escape =
-  match Sys.getenv_opt "MTJ_DEBUG_ESCAPE" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some r -> Some r
-      | None ->
-          Printf.eprintf
-            "mtj: MTJ_DEBUG_ESCAPE=%S is not a register number; escape \
-             tracing is off\n%!"
-            s;
-          None)
-
-(* MTJ_DEBUG_VIRTUALS: print every allocation escape analysis removes *)
-let debug_virtuals = Sys.getenv_opt "MTJ_DEBUG_VIRTUALS" <> None
-
-(* MTJ_MAX_VIRTUALS=<n>: bisection cap on how many allocations may be
-   virtualized, cumulative across the run *)
-let max_virtuals =
-  match Sys.getenv_opt "MTJ_MAX_VIRTUALS" with
-  | Some s -> (try int_of_string s with _ -> max_int)
-  | None -> max_int
-
-(* MTJ_VERIFY_TRACES: define-before-use check of every optimizer result *)
-let verify_traces = Sys.getenv_opt "MTJ_VERIFY_TRACES" <> None
-
+(* Escape analysis, reading each operand as the rewrite below will see
+   it.  A read of a candidate's field at a constant index stands for the
+   value last stored there (nil if none): the rewrite forwards it when
+   the candidate is removed.  So a value read back out of one allocation
+   escapes here when it is used where values escape, or as the target of
+   a heap op that stays (the rewrite removes a heap op only when its own
+   target is a removed allocation).  Aliasing the read unconditionally
+   is exact: if the candidate read from escapes, every value ever stored
+   into it escapes too, by the fixpoint below. *)
 let compute_escapes (ops : Ir.op array) candidates =
   (* stores into (possibly virtual) targets: target reg -> stored operands *)
   let stores : (int, Ir.operand list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* each candidate's fields at the current op: field/element index -> value *)
+  let fields : (int, Ir.operand IntMap.t) Hashtbl.t = Hashtbl.create 16 in
+  (* results of reads out of candidates -> the value read *)
+  let reads : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+  let seen (o : Ir.operand) =
+    match o with
+    | Ir.Reg r -> (
+        match Hashtbl.find_opt reads r with Some v -> v | None -> o)
+    | Ir.Const _ -> o
+  in
+  let candidate = function
+    | Ir.Reg r when IntSet.mem r candidates -> Some r
+    | _ -> None
+  in
   let escaped = ref IntSet.empty in
   let escape_op (o : Ir.operand) =
-    match o with
+    match seen o with
     | Ir.Reg r when IntSet.mem r candidates ->
         escaped := IntSet.add r !escaped
     | _ -> ()
   in
-  let record_store target v =
-    match target with
-    | Ir.Reg r when IntSet.mem r candidates ->
-        let l =
-          match Hashtbl.find_opt stores r with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace stores r l;
-              l
+  let record_store target idx v =
+    match candidate target with
+    | Some r ->
+        let v = seen v in
+        (match Hashtbl.find_opt stores r with
+        | Some l -> l := v :: !l
+        | None -> Hashtbl.replace stores r (ref [ v ]));
+        Hashtbl.replace fields r
+          (IntMap.add idx v
+             (Option.value ~default:IntMap.empty (Hashtbl.find_opt fields r)))
+    | None ->
+        escape_op target;
+        escape_op v
+  in
+  let record_read (op : Ir.op) target idx =
+    match candidate target with
+    | Some r ->
+        let v =
+          match
+            Option.bind (Hashtbl.find_opt fields r) (IntMap.find_opt idx)
+          with
+          | Some v -> v
+          | None -> Ir.Const Mtj_rt.Value.nil
         in
-        l := v :: !l
-    | _ -> escape_op v
+        Hashtbl.replace reads op.Ir.result v
+    | None -> escape_op target
   in
   Array.iter
     (fun (op : Ir.op) ->
+      let args = op.Ir.args in
       match op.Ir.opcode with
-      | Ir.Getfield_gc _ | Ir.Getcell | Ir.Arraylen -> ()
+      | Ir.Getfield_gc idx -> record_read op args.(0) idx
+      | Ir.Getcell -> record_read op args.(0) 0
+      | Ir.Arraylen -> if candidate args.(0) = None then escape_op args.(0)
       | Ir.Getarrayitem_gc | Ir.Getlistitem -> (
           (* dynamic-index reads of a virtual cannot be resolved *)
-          match (op.Ir.args.(0), op.Ir.args.(1)) with
-          | Ir.Reg r, Ir.Const c
-            when IntSet.mem r candidates && Mtj_rt.Value.is_int c ->
-              ()
-          | target, _ -> escape_op target)
-      | Ir.Setfield_gc _ -> record_store op.Ir.args.(0) op.Ir.args.(1)
-      | Ir.Setcell -> record_store op.Ir.args.(0) op.Ir.args.(1)
+          match (candidate args.(0), const_index args.(1)) with
+          | Some _, Some idx -> record_read op args.(0) idx
+          | _ -> Array.iter escape_op args)
+      | Ir.Setfield_gc idx -> record_store args.(0) idx args.(1)
+      | Ir.Setcell -> record_store args.(0) 0 args.(1)
       | Ir.Setlistitem -> (
-          match (op.Ir.args.(0), op.Ir.args.(1)) with
-          | (Ir.Reg r as t), Ir.Const c
-            when IntSet.mem r candidates && Mtj_rt.Value.is_int c ->
-              record_store t op.Ir.args.(2)
-          | t, _ ->
-              escape_op t;
-              escape_op op.Ir.args.(2))
-      | Ir.Guard _ -> Array.iter escape_op op.Ir.args
+          match (candidate args.(0), const_index args.(1)) with
+          | Some _, Some idx -> record_store args.(0) idx args.(2)
+          | _ -> Array.iter escape_op args)
       | Ir.New_with_vtable _ | Ir.New_array _ | Ir.New_list _ | Ir.New_cell
         ->
           (* initial elements of arrays/lists/cells count as stores *)
-          Array.iter (fun v -> record_store (Ir.Reg op.Ir.result) v) op.Ir.args
-      | Ir.Debug_merge_point _ | Ir.Label -> ()
-      | _ -> Array.iter escape_op op.Ir.args)
+          Array.iteri (fun i v -> record_store (Ir.Reg op.Ir.result) i v) args
+      | _ -> Array.iter escape_op args)
     ops;
   (* fixpoint: everything stored into an escaping virtual escapes too *)
   let changed = ref true in
@@ -598,30 +578,12 @@ let compute_escapes (ops : Ir.op array) candidates =
             !values)
       stores
   done;
-  (match debug_escape with
-  | Some r ->
-      if IntSet.mem r candidates then begin
-        Printf.eprintf "ESCAPE[%d ops]: r%d candidate=%b escaped=%b\n"
-          (Array.length ops) r true (IntSet.mem r !escaped);
-        Hashtbl.iter
-          (fun target values ->
-            if List.exists (function Ir.Reg x -> x = r | _ -> false) !values
-            then
-              Printf.eprintf "  stored into r%d (candidate=%b escaped=%b)\n"
-                target (IntSet.mem target candidates)
-                (IntSet.mem target !escaped))
-          stores
-      end
-  | None -> ());
   !escaped
 
-(* shared across domains; only consulted when MTJ_MAX_VIRTUALS is set,
-   so an atomic is plenty *)
-let virtuals_seen = Atomic.make 0
-
-let pass_virtuals_once cfg (ops : Ir.op array)
-    (subst0 : (int, Ir.operand) Hashtbl.t) ~(forced : IntSet.t) =
-  let subst = Hashtbl.copy subst0 in
+(* Removes the allocations that do not escape, forwarding reads of
+   their fields through [subst] (fold-forward's table, extended in
+   place) and rewriting resumes to materialize them on deoptimization. *)
+let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) =
   (* virtual-read substitutions can chain (a getcell of a value that was
      itself read out of a virtual), so resolution must be transitive *)
   let rec resolve_chain (o : Ir.operand) =
@@ -634,36 +596,9 @@ let pass_virtuals_once cfg (ops : Ir.op array)
     | Ir.Const _ -> o
   in
   let candidates =
-    if cfg.Config.opt_virtuals then IntSet.diff (new_candidates ops) forced
-    else IntSet.empty
+    if cfg.Config.opt_virtuals then new_candidates ops else IntSet.empty
   in
-  let escaped = compute_escapes ops candidates in
-  let virtuals = IntSet.diff candidates escaped in
-  let virtuals =
-    if max_virtuals = max_int then virtuals
-    else
-      IntSet.filter
-        (fun _ -> 1 + Atomic.fetch_and_add virtuals_seen 1 <= max_virtuals)
-        virtuals
-  in
-  if debug_virtuals then
-    IntSet.iter
-      (fun r ->
-        Printf.eprintf "VIRTUALIZING reg %d in trace of %d ops\n" r
-          (Array.length ops);
-        Array.iteri
-          (fun i (op : Ir.op) ->
-            let uses =
-              op.Ir.result = r
-              || Array.exists
-                   (function Ir.Reg x -> x = r | _ -> false)
-                   op.Ir.args
-            in
-            if uses then
-              Printf.eprintf "   op %d: %s\n" i
-                (Format.asprintf "%a" Ir.pp_op op))
-          ops)
-      virtuals;
+  let virtuals = IntSet.diff candidates (compute_escapes ops candidates) in
   let vstates : (int, vstate) Hashtbl.t = Hashtbl.create 16 in
   let is_virtual = function
     | Ir.Reg r -> IntSet.mem r virtuals
@@ -808,9 +743,8 @@ let pass_virtuals_once cfg (ops : Ir.op array)
                 IntMap.add 0 (resolve_chain op.Ir.args.(1)) st.v_fields
           | Ir.Const _ -> assert false)
       | Ir.Setlistitem when is_virtual op.Ir.args.(0) -> (
-          match (op.Ir.args.(0), op.Ir.args.(1)) with
-          | Ir.Reg r, Ir.Const c when Mtj_rt.Value.is_int c ->
-              let idx = Mtj_rt.Value.to_int_unchecked c in
+          match (op.Ir.args.(0), const_index op.Ir.args.(1)) with
+          | Ir.Reg r, Some idx ->
               let st = Hashtbl.find vstates r in
               st.v_fields <-
                 IntMap.add idx (resolve_chain op.Ir.args.(2)) st.v_fields
@@ -834,9 +768,8 @@ let pass_virtuals_once cfg (ops : Ir.op array)
           | Ir.Const _ -> assert false)
       | (Ir.Getarrayitem_gc | Ir.Getlistitem)
         when is_virtual op.Ir.args.(0) -> (
-          match (op.Ir.args.(0), op.Ir.args.(1)) with
-          | Ir.Reg r, Ir.Const c when Mtj_rt.Value.is_int c ->
-              let idx = Mtj_rt.Value.to_int_unchecked c in
+          match (op.Ir.args.(0), const_index op.Ir.args.(1)) with
+          | Ir.Reg r, Some idx ->
               let st = Hashtbl.find vstates r in
               let v =
                 match IntMap.find_opt idx st.v_fields with
@@ -872,56 +805,7 @@ let pass_virtuals_once cfg (ops : Ir.op array)
           let args = Array.map resolve_chain op.Ir.args in
           keep { op with Ir.args })
     ops;
-  (Array.of_list (List.rev !out), virtuals)
-
-(* regs from [removed] still referenced by the output (dangling uses):
-   the escape analysis runs before virtual-read forwarding, so a value
-   read back out of one virtual and stored into an escaping location can
-   be missed on the first attempt; such allocations are forced to escape
-   and the pass retried *)
-let dangling_uses (ops : Ir.op array) (removed : IntSet.t) =
-  if IntSet.is_empty removed then IntSet.empty
-  else
-  let found = ref IntSet.empty in
-  let check_operand = function
-    | Ir.Reg r when IntSet.mem r removed -> found := IntSet.add r !found
-    | _ -> ()
-  in
-  let check_src = function
-    | Ir.S_reg r when IntSet.mem r removed -> found := IntSet.add r !found
-    | _ -> ()
-  in
-  let check_resume (r : Ir.resume) =
-    List.iter
-      (fun (f : Ir.frame_snap) ->
-        Array.iter check_src f.Ir.snap_locals;
-        Array.iter check_src f.Ir.snap_stack)
-      r.Ir.frames;
-    Array.iter
-      (function
-        | Ir.V_instance { v_fields; _ } -> Array.iter check_src v_fields
-        | Ir.V_tuple a | Ir.V_list a -> Array.iter check_src a
-        | Ir.V_cell sc -> check_src sc)
-      r.Ir.r_virtuals
-  in
-  Array.iter
-    (fun (op : Ir.op) ->
-      Array.iter check_operand op.Ir.args;
-      match op.Ir.opcode with
-      | Ir.Guard g -> check_resume g.Ir.resume
-      | Ir.Debug_merge_point d -> check_resume d.dmp_resume
-      | _ -> ())
-    ops;
-  !found
-
-let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) =
-  let rec go forced =
-    let out, virtuals = pass_virtuals_once cfg ops subst ~forced in
-    let dangling = dangling_uses out virtuals in
-    if IntSet.is_empty dangling then out
-    else go (IntSet.union forced dangling)
-  in
-  go IntSet.empty
+  Array.of_list (List.rev !out)
 
 (* --- pass 3: dead code elimination (reverse walk) --- *)
 
@@ -1065,7 +949,7 @@ let max_reg (ops : Ir.op array) =
     0 ops
 
 let shape_of_operand env = function
-  | Ir.Const v -> shape_of_const v
+  | Ir.Const v -> Some (Ir.tyshape_of v)
   | Ir.Reg r -> Hashtbl.find_opt env.shapes r
 
 let bounds_within (b : bounds) (c : bounds) = b.lo >= c.lo && b.hi <= c.hi
@@ -1125,23 +1009,10 @@ let verify_defs (ops : Ir.op array) ~entry_slots ~loop_base =
     ops;
   List.rev !found
 
-(* the MTJ_VERIFY_TRACES hook: report dangling uses on stderr *)
-let report_dangling stage (ops : Ir.op array) ~entry_slots ~loop_base =
-  if verify_traces then
-    List.iter
-      (fun d ->
-        Printf.eprintf "DANGLING %s: op %d %s undefined r%d: %s\n" stage
-          d.d_op
-          (if d.d_in_resume then "resume uses" else "uses")
-          d.d_reg
-          (Format.asprintf "%a" Ir.pp_op ops.(d.d_op)))
-      (verify_defs ops ~entry_slots ~loop_base)
-
 let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
     ~entry_slots : Ir.op array * int * int =
   let plain () =
     let final, _, _ = straight cfg ops in
-    report_dangling "plain" final ~entry_slots ~loop_base:0;
     (final, 0, 0)
   in
   if not (cfg.Config.opt_peel && kind = `Loop && ends_with_jump ops) then
@@ -1216,8 +1087,6 @@ let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
       match !body_result with
       | None -> plain ()
       | Some body_final ->
-          let all = Array.append pre_final body_final in
-          report_dangling "peeled" all ~entry_slots ~loop_base:k;
-          (all, k, Array.length pre_final)
+          (Array.append pre_final body_final, k, Array.length pre_final)
     end
   end

@@ -11,7 +11,10 @@
       and aliasing stores;
     - escape analysis: allocations that never escape the trace are
       removed ("virtuals"); guard resume data is rewritten to carry
-      materialization descriptors so deoptimization can rebuild them;
+      materialization descriptors so deoptimization can rebuild them.
+      One analysis decides every allocation: it reads a value read back
+      out of a candidate as the value last stored there, as the rewrite
+      will;
     - dead-code elimination of unused pure results;
     - loop peeling ([`Loop] traces only): the trace is duplicated into a
       preamble and a loop body, and facts established by the preamble
@@ -33,9 +36,7 @@ val optimize :
     the trace was peeled, the register base the back-edge jump refills
     and the operation index it targets (both [0] otherwise).
     [entry_slots] is the number of registers filled from interpreter
-    frame locals on trace entry. Setting [MTJ_VERIFY_TRACES] in the
-    environment runs {!verify_defs} on the result and reports the
-    dangling uses on stderr. *)
+    frame locals on trace entry. *)
 
 type dangling = {
   d_op : int;  (** index of the op holding the use *)

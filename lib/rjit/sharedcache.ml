@@ -77,7 +77,6 @@ type shard = {
 type t = {
   shards : shard array;
   mask : int;
-  capacity : int;  (* global capacity (sum of shard slices); 0 = unbounded *)
   quota : int;  (* max live entries per tenant; 0 = unbounded *)
   tlock : Mutex.t;
       (* guards [tenants]; lock order is shard lock first, then
@@ -146,14 +145,11 @@ let create ?(shards = 16) ?(capacity = 0) ?(tenant_quota = 0) () =
             c_contention = 0;
           });
     mask = n - 1;
-    capacity;
     quota = tenant_quota;
     tlock = Mutex.create ();
     tenants = Hashtbl.create 16;
   }
 
-let capacity t = t.capacity
-let tenant_quota t = t.quota
 let shard_of t key = t.shards.(Hashtbl.hash key land t.mask)
 
 (* lock a shard, counting contention when the lock is already held —
@@ -205,23 +201,6 @@ let stats t =
     t.shards;
   !z
 
-let reset_stats t =
-  Array.iter
-    (fun s ->
-      with_shard s (fun () ->
-          s.c_shared_hits <- 0;
-          s.c_local_hits <- 0;
-          s.c_misses <- 0;
-          s.c_publications <- 0;
-          s.c_invalidations <- 0;
-          s.c_evictions <- 0;
-          s.c_requeues <- 0;
-          s.c_quota_rejections <- 0;
-          s.c_profile_publications <- 0;
-          s.c_seeded_imports <- 0;
-          s.c_contention <- 0))
-    t.shards
-
 (** [key ~lang ~program ~config_digest] — the publication key: artifacts
     are valid only for the exact (language, program, configuration)
     triple that produced them. *)
@@ -232,21 +211,10 @@ let touch (s : shard) (sl : slot) =
   s.clock <- s.clock + 1;
   sl.stamp <- s.clock
 
-let find t ~ctx_uid k : entry option =
-  let s = shard_of t k in
-  with_shard s (fun () ->
-      match Hashtbl.find_opt s.tbl k with
-      | Some sl ->
-          if sl.publisher = ctx_uid then s.c_local_hits <- s.c_local_hits + 1
-          else s.c_shared_hits <- s.c_shared_hits + 1;
-          touch s sl;
-          Some sl.payload
-      | None ->
-          s.c_misses <- s.c_misses + 1;
-          None)
-
-(** Like {!find}, but also return the attached trace profile (if any);
-    a hit that carries a profile is counted as a seeded import. *)
+(** Look up a key and its attached trace profile (if any).  Counts a
+    shared or local hit depending on whether [ctx_uid] is the publisher,
+    or a miss; a hit that carries a profile is also counted as a seeded
+    import, and refreshes the entry's LRU position. *)
 let find_with_profile t ~ctx_uid k : (entry * Traceprofile.t option) option =
   let s = shard_of t k in
   with_shard s (fun () ->
@@ -370,16 +338,6 @@ let invalidate t k =
               | None -> ())
       | None -> ())
 
-let clear t =
-  Array.iter
-    (fun s ->
-      with_shard s (fun () ->
-          Hashtbl.reset s.tbl;
-          Hashtbl.reset s.evicted;
-          s.clock <- 0))
-    t.shards;
-  with_tenants t (fun () -> Hashtbl.reset t.tenants)
-
 let size t =
   Array.fold_left
     (fun acc s -> acc + with_shard s (fun () -> Hashtbl.length s.tbl))
@@ -399,9 +357,3 @@ let recency t =
              List.map snd
                (List.sort (fun (a, _) (b, _) -> compare b a) rows)))
        t.shards)
-
-(** The process-wide instance (unbounded).  The serving harness builds
-    its own per-session cache so capacity and quota are session
-    parameters; this instance remains for ad-hoc cross-context
-    sharing. *)
-let global : t = create ()

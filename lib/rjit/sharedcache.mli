@@ -50,27 +50,16 @@ val create : ?shards:int -> ?capacity:int -> ?tenant_quota:int -> unit -> t
     hold (0 = unbounded).  Raises [Invalid_argument] on negative
     [capacity] or [tenant_quota]. *)
 
-val global : t
-(** The process-wide instance (unbounded).  The serving harness builds
-    a per-session cache instead, so capacity and quota are session
-    parameters. *)
-
-val capacity : t -> int
-val tenant_quota : t -> int
-
 val key : lang:string -> program:string -> config_digest:string -> string
 (** The publication key: artifacts are valid only for the exact
     (language, program, configuration) triple that produced them. *)
 
-val find : t -> ctx_uid:int -> string -> entry option
-(** Look up a key.  Counts a shared or local hit depending on whether
-    [ctx_uid] is the publisher, or a miss; a hit refreshes the entry's
-    LRU position. *)
-
 val find_with_profile :
   t -> ctx_uid:int -> string -> (entry * Traceprofile.t option) option
-(** Like {!find}, but also return the attached trace profile (if any);
-    a hit that carries a profile is counted as a seeded import. *)
+(** Look up a key and its attached trace profile (if any).  Counts a
+    shared or local hit depending on whether [ctx_uid] is the publisher,
+    or a miss; a hit that carries a profile is also counted as a seeded
+    import.  A hit refreshes the entry's LRU position. *)
 
 val publish : t -> ctx_uid:int -> ?tenant:string -> string -> entry -> pub_result
 (** Bind a key to an artifact unless it is already bound (first writer
@@ -93,10 +82,6 @@ val invalidate : t -> string -> unit
 (** Drop a key (counted in {!stats}); no-op when absent.  Releases the
     publishing tenant's quota slot. *)
 
-val clear : t -> unit
-(** Drop every entry, eviction memory and tenant count (statistics keep
-    counting; see {!reset_stats}). *)
-
 val size : t -> int
 
 val recency : t -> string list list
@@ -106,5 +91,3 @@ val recency : t -> string list list
 val stats : t -> stats
 (** Consistent snapshot of the counters (summed shard by shard under
     each shard's lock). *)
-
-val reset_stats : t -> unit

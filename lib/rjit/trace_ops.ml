@@ -27,35 +27,11 @@ let err = Semantics.err
 
 (* --- type shapes --- *)
 
-let tyshape_of (v : Value.t) : Ir.tyshape =
-  if Value.is_int v then Ir.Ty_int
-  else
-    match Value.view v with
-    | Value.Int _ -> Ir.Ty_int
-    | Value.Float _ -> Ir.Ty_float
-    | Value.Str _ -> Ir.Ty_str
-    | Value.Bool _ -> Ir.Ty_bool
-    | Value.Nil -> Ir.Ty_nil
-    | Value.Obj o -> (
-        match o.Value.payload with
-        | Value.Instance i -> Ir.Ty_instance_of i.Value.cls.Value.uid
-        | Value.Class _ -> Ir.Ty_class o.Value.uid
-        | Value.List _ -> Ir.Ty_list
-        | Value.Dict _ -> Ir.Ty_dict
-        | Value.Set _ -> Ir.Ty_set
-        | Value.Tuple _ -> Ir.Ty_tuple
-        | Value.Func f -> Ir.Ty_func_code f.Value.code_ref
-        | Value.Method _ -> Ir.Ty_method
-        | Value.Cell _ -> Ir.Ty_cell
-        | Value.Bigint _ -> Ir.Ty_bigint
-        | Value.Strbuilder _ -> Ir.Ty_builder
-        | Value.Range _ -> Ir.Ty_range)
-
 (* guard the value's type shape unless it is already a trace constant *)
 let guard_shape cx (tv : t) =
   match tv.R.src with
   | Ir.Const _ -> ()
-  | Ir.Reg _ -> R.guard cx (Ir.G_class (tyshape_of tv.R.v)) [| tv.R.src |]
+  | Ir.Reg _ -> R.guard cx (Ir.G_class (Ir.tyshape_of tv.R.v)) [| tv.R.src |]
 
 (* promote: pin the concrete value as a trace constant *)
 let promote cx (tv : t) : t =

@@ -1,10 +1,12 @@
-(* Golden-file generator for lib/harness/render.ml and the frontends.
+(* Golden-file generator for lib/harness/render.ml, the frontends and
+   the optimizer.
 
    Renders small experiments over live (deterministic) simulated runs
-   and digests every registry program's compiled bundle; dune diffs the
-   output byte-for-byte against the committed .expected files, so any
-   drift in table layout, bar/sparkline rendering, number formatting,
-   the frontends' bytecode or the simulation itself fails
+   and digests every registry program's compiled bundle and a few runs'
+   compiled traces; dune diffs the output byte-for-byte against the
+   committed .expected files, so any drift in table layout,
+   bar/sparkline rendering, number formatting, the frontends' bytecode,
+   the optimizer's output or the simulation itself fails
    `dune runtest`.  After an intentional change, refresh with
    `dune promote`. *)
 
@@ -60,9 +62,7 @@ let figures () =
 
 (* experiment 3: the tier-policy extension — warmup latch, per-tier
    residency, and tier compile counts across the three policies *)
-let tier_configs =
-  [ ("optimizing", R.Pypy_jit); ("baseline", R.Pypy_baseline);
-    ("adaptive", R.Pypy_tiered) ]
+let tier_configs = Mtj_harness.Experiments.tierpolicy_configs
 
 let tiers () =
   R.prefetch ~jobs:2 ~budget
@@ -164,6 +164,102 @@ let frontend () =
       Rd.pr "%s %-20s %s\n" lang b.B.name digest)
     B.all
 
+(* experiment 6: the optimizer's output — one line per (program, JIT
+   config) with the trace count, the op count and the MD5 of a dump of
+   every compiled trace: each op by [Ir.pp_op], each guard's id, and
+   each guard's and merge point's resume (the frames' sources and the
+   virtual descriptors); any change to what the optimizer emits fails
+   the diff.  rklite binarytrees runs at 5 M instructions: at 2 M it
+   does not reach the traces that read a value back out of a removed
+   allocation. *)
+let dump_trace b (tr : Mtj_rjit.Ir.trace) =
+  let module Ir = Mtj_rjit.Ir in
+  let module V = Mtj_rt.Value in
+  let src = function
+    | Ir.S_reg r -> Printf.bprintf b " r%d" r
+    | Ir.S_const v -> Printf.bprintf b " %s" (V.repr v)
+    | Ir.S_virtual k -> Printf.bprintf b " v%d" k
+  in
+  let resume (r : Ir.resume) =
+    List.iter
+      (fun (f : Ir.frame_snap) ->
+        Printf.bprintf b " [%d@%d%s L" f.Ir.snap_code f.Ir.snap_pc
+          (if f.Ir.snap_discard then " discard" else "");
+        Array.iter src f.Ir.snap_locals;
+        Buffer.add_string b " S";
+        Array.iter src f.Ir.snap_stack;
+        Buffer.add_char b ']')
+      r.Ir.frames;
+    Array.iteri
+      (fun i d ->
+        Printf.bprintf b " v%d=" i;
+        match d with
+        | Ir.V_instance { v_cls; v_fields } ->
+            Printf.bprintf b "instance(%d:" v_cls.V.uid;
+            Array.iter src v_fields;
+            Buffer.add_char b ')'
+        | Ir.V_tuple a ->
+            Buffer.add_string b "tuple(";
+            Array.iter src a;
+            Buffer.add_char b ')'
+        | Ir.V_list a ->
+            Buffer.add_string b "list(";
+            Array.iter src a;
+            Buffer.add_char b ')'
+        | Ir.V_cell s ->
+            Buffer.add_string b "cell(";
+            src s;
+            Buffer.add_char b ')')
+      r.Ir.r_virtuals
+  in
+  Printf.bprintf b "trace %d %s tier=%d entry=%d base=%d start=%d\n"
+    tr.Ir.trace_id
+    (match tr.Ir.kind with
+    | Ir.Loop { loop_code; loop_pc } ->
+        Printf.sprintf "loop %d@%d" loop_code loop_pc
+    | Ir.Bridge { from_guard; loop_code; loop_pc } ->
+        Printf.sprintf "bridge #%d %d@%d" from_guard loop_code loop_pc)
+    tr.Ir.tier tr.Ir.entry_slots tr.Ir.loop_base tr.Ir.loop_start;
+  Array.iter
+    (fun (op : Ir.op) ->
+      Buffer.add_string b (Format.asprintf "%a" Ir.pp_op op);
+      (match op.Ir.opcode with
+      | Ir.Guard g ->
+          Printf.bprintf b " #%d" g.Ir.guard_id;
+          resume g.Ir.resume
+      | Ir.Debug_merge_point d ->
+          Printf.bprintf b " @%d:%d" d.dmp_code d.dmp_pc;
+          resume d.dmp_resume
+      | _ -> ());
+      Buffer.add_char b '\n')
+    tr.Ir.ops
+
+let traces () =
+  let module B = Mtj_benchmarks.Registry in
+  let row lang name budget vc =
+    let (module V : Mtj_harness.Hosted.VM) = Mtj_harness.Hosted.vm lang in
+    let b = B.find_exn ~lang name in
+    let vm =
+      V.create ~config:(R.config_of ~budget vc) ~profile:(R.profile_of vc) ()
+    in
+    ignore (V.run_source vm b.B.source);
+    let trs = Mtj_rjit.Jitlog.traces (V.jitlog vm) in
+    let buf = Buffer.create 65536 in
+    List.iter (dump_trace buf) trs;
+    Rd.pr "%s %-11s %-10s %3d traces %6d ops %s\n"
+      (Mtj_harness.Hosted.name lang)
+      name (R.config_name vc) (List.length trs)
+      (List.fold_left
+         (fun n (tr : Mtj_rjit.Ir.trace) -> n + Array.length tr.Mtj_rjit.Ir.ops)
+         0 trs)
+      (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  List.iter
+    (fun name ->
+      List.iter (fun (_, vc) -> row B.Py name budget vc) tier_configs)
+    [ "richards"; "nbody" ];
+  row B.Rk "binarytrees" 5_000_000 R.Pycket_jit
+
 let () =
   match Sys.argv with
   | [| _; "table" |] -> table ()
@@ -171,7 +267,9 @@ let () =
   | [| _; "tiers" |] -> tiers ()
   | [| _; "metrics" |] -> metrics ()
   | [| _; "frontend" |] -> frontend ()
+  | [| _; "traces" |] -> traces ()
   | _ ->
       prerr_endline
-        "usage: golden_render.exe (table|figures|tiers|metrics|frontend)";
+        "usage: golden_render.exe \
+         (table|figures|tiers|metrics|frontend|traces)";
       exit 2

@@ -417,7 +417,7 @@ let gen_events rng n : ev array =
 
 let prop_engine_matches_model =
   QCheck.Test.make ~count:300
-    ~name:"staged charging is byte-identical to the reference algorithm"
+    ~name:"engine charging is byte-identical to the reference algorithm"
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
     (fun seed ->
       let rng = Random.State.make [| seed; 0xC4A6 |] in

@@ -305,10 +305,34 @@ let test_validator_rejects_corruption () =
         ("args", Json.Obj []);
       ]
   in
+  (* declares tid 1, the one [ev] puts every span on *)
+  let thread_name =
+    Json.Obj
+      [
+        ("name", Json.Str "thread_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 1);
+        ("tid", Json.Int 1);
+        ("args", Json.Obj [ ("name", Json.Str "phases") ]);
+      ]
+  in
   let doc events =
     Json.Obj
-      [ ("schema", Json.Str "mtj-trace/1"); ("traceEvents", Json.Arr events) ]
+      [
+        ("schema", Json.Str "mtj-trace/1");
+        ("traceEvents", Json.Arr (thread_name :: events));
+      ]
   in
+  (match Validate.trace (doc [ ev "B" "x" 1.0; ev "E" "x" 2.0 ]) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "validator rejected a balanced span: %s" e);
+  expect_err "span on an undeclared tid"
+    (Validate.trace
+       (Json.Obj
+          [
+            ("schema", Json.Str "mtj-trace/1");
+            ("traceEvents", Json.Arr [ ev "B" "x" 1.0; ev "E" "x" 2.0 ]);
+          ]));
   expect_err "E without B" (Validate.trace (doc [ ev "E" "x" 1.0 ]));
   expect_err "unclosed B" (Validate.trace (doc [ ev "B" "x" 1.0 ]));
   expect_err "time going backwards"

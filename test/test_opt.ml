@@ -188,6 +188,25 @@ let test_virtuals_kept_when_escaping () =
   let out = optimize ops in
   Alcotest.(check int) "allocation kept" 1 (count (opcode_is "new_array") out)
 
+let test_read_back_escapes () =
+  (* the tuple is read back out of the cell and then escapes through the
+     jump, and the read-back value is the target of a read that stays:
+     the cell goes, the tuple must stay, and nothing may name it once
+     it is gone *)
+  let ops =
+    [ mk ~result:2 (Ir.New_array 1) [| Ir.Reg 0 |];
+      mk ~result:3 Ir.New_cell [| Ir.Reg 2 |];
+      mk ~result:4 Ir.Getcell [| Ir.Reg 3 |];
+      mk ~result:5 Ir.Getarrayitem_gc [| Ir.Reg 4; vi 0 |];
+      jump [| Ir.Reg 5; Ir.Reg 4 |] ]
+  in
+  let out = optimize ops in
+  Alcotest.(check int) "cell removed" 0 (count (opcode_is "new_cell") out);
+  Alcotest.(check int) "tuple kept" 1 (count (opcode_is "new_array") out);
+  Alcotest.(check int) "every use defined" 0
+    (List.length
+       (Opt.verify_defs (Array.of_list out) ~entry_slots:2 ~loop_base:0))
+
 let test_virtual_in_resume_materializes () =
   (* a virtual referenced only by a resume becomes S_virtual with a
      descriptor *)
@@ -315,6 +334,7 @@ let suite =
       test_virtuals_removed_when_private;
     Alcotest.test_case "virtuals kept when escaping" `Quick
       test_virtuals_kept_when_escaping;
+    Alcotest.test_case "read-back value escapes" `Quick test_read_back_escapes;
     Alcotest.test_case "virtual captured in resume" `Quick
       test_virtual_in_resume_materializes;
     Alcotest.test_case "peeling hoists type guards" `Quick test_peeling_duplicates;

@@ -2,16 +2,18 @@
 
     Generates random straight-line traces (integer arithmetic, always-true
     class guards with live resume snapshots, and heap traffic through
-    cells, tuples and lists) and checks that executing the raw IR and the
-    IR after every optimizer configuration yields the same [Finish]
-    value. This attacks exactly the class of bug we found during bring-up
+    cells, tuples and lists, including a tuple read back out of another
+    allocation) and checks that executing the raw IR and the IR after
+    every optimizer configuration yields the same [Finish] value, and
+    that every register the optimized IR uses is defined before it. This attacks exactly the class of bug we found during bring-up
     (virtuals/substitution corruption): any unsound rewrite of data flow
     changes the xor-accumulated result. *)
 
 open Mtj_rjit
 module V = Mtj_rt.Value
 
-type rkind = RInt | RArr | RCell | RList
+(* [RNest] is a cell, or a 2-tuple, whose element 0 is a tuple *)
+type rkind = RInt | RArr | RCell | RList | RNest of { cell : bool }
 
 let guard_ctr = ref 0
 
@@ -57,52 +59,56 @@ let guard_frame st (fresh : Ir.frame_snap) =
   st.last_frame <- Some (st.next, f);
   f
 
+(* a guard whose resume snapshot keeps up to 4 random registers live *)
+let push_guard st ~guard_id ~pc gkind args =
+  let n = 1 + Random.State.int st.rng 4 in
+  let all = Array.of_list (List.map fst st.regs) in
+  let live =
+    Array.init n (fun _ ->
+        Ir.S_reg all.(Random.State.int st.rng (Array.length all)))
+  in
+  push st
+    {
+      Ir.opcode =
+        Ir.Guard
+          {
+            Ir.guard_id;
+            gkind;
+            resume =
+              {
+                Ir.frames =
+                  [
+                    guard_frame st
+                      {
+                        Ir.snap_code = 1;
+                        snap_pc = pc;
+                        snap_locals = live;
+                        snap_stack = [||];
+                        snap_discard = false;
+                      };
+                  ];
+                r_virtuals = [||];
+              };
+            fail_count = 0;
+            bridge = None;
+            bridgeable = true;
+          };
+      args;
+      result = -1;
+    }
+
 let emit_guard st =
   match pick_kind st RInt with
   | None -> ()
   | Some r ->
       incr guard_ctr;
-      (* a resume snapshot keeping up to 4 random registers live *)
-      let n = 1 + Random.State.int st.rng 4 in
-      let all = Array.of_list (List.map fst st.regs) in
-      let live =
-        Array.init n (fun _ ->
-            Ir.S_reg all.(Random.State.int st.rng (Array.length all)))
-      in
-      push st
-        {
-          Ir.opcode =
-            Ir.Guard
-              {
-                Ir.guard_id = 500_000 + !guard_ctr;
-                gkind = Ir.G_class Ir.Ty_int;
-                resume =
-                  {
-                    Ir.frames =
-                      [
-                        guard_frame st
-                          {
-                            Ir.snap_code = 1;
-                            snap_pc = 0;
-                            snap_locals = live;
-                            snap_stack = [||];
-                            snap_discard = false;
-                          };
-                      ];
-                    r_virtuals = [||];
-                  };
-                fail_count = 0;
-                bridge = None;
-                bridgeable = true;
-              };
-          args = [| Ir.Reg r |];
-          result = -1;
-        }
+      push_guard st ~guard_id:(500_000 + !guard_ctr) ~pc:0
+        (Ir.G_class Ir.Ty_int) [| Ir.Reg r |]
 
 let gen_step st =
   let rnd n = Random.State.int st.rng n in
   let int_reg () = Option.get (pick_kind st RInt) in
-  match rnd 13 with
+  match rnd 14 with
   | 0 | 1 | 2 ->
       (* add/sub/xor/and/or on two int regs *)
       let a = int_reg () and b = int_reg () in
@@ -196,52 +202,56 @@ let gen_step st =
       | None -> ()
       | Some r ->
           incr guard_ctr;
-          let n = 1 + Random.State.int st.rng 4 in
-          let all = Array.of_list (List.map fst st.regs) in
-          let live =
-            Array.init n (fun _ ->
-                Ir.S_reg all.(Random.State.int st.rng (Array.length all)))
+          if Random.State.bool st.rng then
+            (* fails when r is outside [0, bound) *)
+            push_guard st ~guard_id:(700_000 + !guard_ctr) ~pc:!guard_ctr
+              Ir.G_index_lt
+              [| Ir.Reg r; Ir.Const (V.of_int (Random.State.int st.rng 40)) |]
+          else
+            (* always holds: control case *)
+            push_guard st ~guard_id:(700_000 + !guard_ctr) ~pc:!guard_ctr
+              (Ir.G_class Ir.Ty_int) [| Ir.Reg r |])
+  | 12 -> (
+      (* an allocation inside another: a tuple held by a cell or by a
+         2-tuple is read back out, then used as a read target, a guard
+         argument or a stored value *)
+      match pick_kind st RArr with
+      | None -> ()
+      | Some t ->
+          let cell = Random.State.bool st.rng in
+          let outer =
+            match pick_kind st (RNest { cell = true }) with
+            | Some c when cell && Random.State.bool st.rng ->
+                emit st Ir.Setcell [| Ir.Reg c; Ir.Reg t |];
+                c
+            | _ when cell ->
+                let c = fresh st (RNest { cell = true }) in
+                emit st ~result:c Ir.New_cell [| Ir.Reg t |];
+                c
+            | _ ->
+                let b = int_reg () in
+                let a = fresh st (RNest { cell = false }) in
+                emit st ~result:a (Ir.New_array 2) [| Ir.Reg t; Ir.Reg b |];
+                a
           in
-          let gkind =
-            if Random.State.bool st.rng then
-              Ir.G_index_lt (* fails when r outside [0, bound) *)
-            else Ir.G_class Ir.Ty_int (* always holds: control case *)
-          in
-          let args =
-            match gkind with
-            | Ir.G_index_lt ->
-                [| Ir.Reg r; Ir.Const (V.of_int (Random.State.int st.rng 40)) |]
-            | _ -> [| Ir.Reg r |]
-          in
-          push st
-            {
-              Ir.opcode =
-                Ir.Guard
-                  {
-                    Ir.guard_id = 700_000 + !guard_ctr;
-                    gkind;
-                    resume =
-                      {
-                        Ir.frames =
-                          [
-                            guard_frame st
-                              {
-                                Ir.snap_code = 1;
-                                snap_pc = !guard_ctr;
-                                snap_locals = live;
-                                snap_stack = [||];
-                                snap_discard = false;
-                              };
-                          ];
-                        r_virtuals = [||];
-                      };
-                    fail_count = 0;
-                    bridge = None;
-                    bridgeable = true;
-                  };
-              args;
-              result = -1;
-            })
+          let inner = fresh st RArr in
+          if cell then emit st ~result:inner Ir.Getcell [| Ir.Reg outer |]
+          else
+            emit st ~result:inner Ir.Getarrayitem_gc
+              [| Ir.Reg outer; Ir.Const (V.of_int 0) |];
+          match rnd 3 with
+          | 0 ->
+              let r = fresh st RInt in
+              emit st ~result:r Ir.Getarrayitem_gc
+                [| Ir.Reg inner; Ir.Const (V.of_int (rnd 2)) |];
+              set_bound st r (1 lsl 21)
+          | 1 ->
+              incr guard_ctr;
+              push_guard st ~guard_id:(800_000 + !guard_ctr) ~pc:!guard_ctr
+                (Ir.G_class Ir.Ty_tuple) [| Ir.Reg inner |]
+          | _ ->
+              let c = fresh st (RNest { cell = true }) in
+              emit st ~result:c Ir.New_cell [| Ir.Reg inner |])
   | _ -> emit_guard st
 
 (* fold every live register into one result so any dataflow corruption
@@ -268,6 +278,16 @@ let epilogue st =
       | RList ->
           let v = fresh st RInt in
           emit st ~result:v Ir.Getlistitem [| Ir.Reg r; Ir.Const (V.of_int 1) |];
+          xor_in (Ir.Reg v)
+      | RNest { cell } ->
+          let t = fresh st RArr in
+          if cell then emit st ~result:t Ir.Getcell [| Ir.Reg r |]
+          else
+            emit st ~result:t Ir.Getarrayitem_gc
+              [| Ir.Reg r; Ir.Const (V.of_int 0) |];
+          let v = fresh st RInt in
+          emit st ~result:v Ir.Getarrayitem_gc
+            [| Ir.Reg t; Ir.Const (V.of_int 1) |];
           xor_in (Ir.Reg v))
     st.regs;
   emit st Ir.Finish [| Ir.Reg !acc |]
@@ -410,6 +430,14 @@ let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
     if optimizing then Opt.optimize cfg ~kind:`Bridge ops ~entry_slots
     else (ops, 0, 0)
   in
+  (* every register the output uses is defined before it *)
+  (match Opt.verify_defs ops ~entry_slots ~loop_base with
+  | [] -> ()
+  | d :: _ ->
+      QCheck.Test.fail_reportf "op %d %s undefined r%d: %s" d.Opt.d_op
+        (if d.Opt.d_in_resume then "resume uses" else "uses")
+        d.Opt.d_reg
+        (Format.asprintf "%a" Ir.pp_op ops.(d.Opt.d_op)));
   let trace =
     Backend.compile jitlog rtc
       ~kind:(Ir.Bridge { from_guard = -1; loop_code = 0; loop_pc = 0 })
@@ -450,7 +478,7 @@ let configs =
 let prop_opt_sound =
   QCheck.Test.make ~name:"optimizer preserves random trace semantics"
     ~count:400
-    (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
     (fun seed ->
       let ops, entry = gen_program seed in
       let reference = run_config base ~optimizing:false ops entry in

@@ -312,13 +312,13 @@ let test_lru_eviction_order () =
   pub "A";
   pub "B";
   (* touch A: B becomes the LRU entry *)
-  (match SC.find t ~ctx_uid:0 "A" with
-  | Some (Tok "A") -> ()
+  (match SC.find_with_profile t ~ctx_uid:0 "A" with
+  | Some (Tok "A", None) -> ()
   | _ -> Alcotest.fail "A not found");
   pub "C";
   Alcotest.(check (list (list string))) "C evicted B, A survived"
     [ [ "C"; "A" ] ] (SC.recency t);
-  Alcotest.(check bool) "B gone" true (SC.find t ~ctx_uid:0 "B" = None);
+  Alcotest.(check bool) "B gone" true (SC.find_with_profile t ~ctx_uid:0 "B" = None);
   (* re-publishing the evicted B counts a requeue and evicts A (now LRU:
      the miss on B did not touch anything, C is the most recent) *)
   pub "B";
@@ -339,7 +339,7 @@ let test_tenant_quota () =
     (SC.publish t ~ctx_uid:0 ~tenant:"py:a" "k2" (Tok "k2")
     = SC.Quota_rejected);
   Alcotest.(check bool) "rejected key absent" true
-    (SC.find t ~ctx_uid:0 "k2" = None);
+    (SC.find_with_profile t ~ctx_uid:0 "k2" = None);
   (* another tenant is unaffected *)
   Alcotest.(check bool) "other tenant admitted" true
     (SC.publish t ~ctx_uid:0 ~tenant:"rk:b" "k3" (Tok "k3") = SC.Published);
