@@ -83,21 +83,12 @@ let run_with label config =
 
 (* first instruction count where this run's cumulative work (dispatch
    ticks) overtakes the interpreter's at the same instruction count *)
-let break_even jit interp =
-  let ticks_at (r : run) insns =
-    let s = r.samples in
-    let n = Array.length s in
-    let rec find i =
-      if i >= n then if n = 0 then 0 else snd s.(n - 1)
-      else if fst s.(i) >= insns then snd s.(i)
-      else find (i + 1)
-    in
-    find 0
-  in
+let break_even (jit : run) (interp : run) =
+  let jit_at = Mtj_pintool.Rate_sampler.interpolate jit.samples in
+  let interp_at = Mtj_pintool.Rate_sampler.interpolate interp.samples in
   let rec scan x =
     if x > 30_000_000 then None
-    else if ticks_at jit x >= ticks_at interp x && ticks_at jit x > 0 then
-      Some x
+    else if jit_at x >= interp_at x && jit_at x > 0 then Some x
     else scan (x + 100_000)
   in
   scan 100_000

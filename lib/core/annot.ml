@@ -11,6 +11,26 @@ type t =
   | Guard_fail of int
   | App_marker of int
 
+type kind = Phases | Ticks | Aot_calls | Traces | Markers
+
+let[@inline] kind = function
+  | Phase_push _ | Phase_pop _ -> Phases
+  | Dispatch_tick -> Ticks
+  | Aot_enter _ | Aot_exit _ -> Aot_calls
+  | Trace_enter _ | Trace_exit _ | Trace_compile _ | Trace_abort _
+  | Guard_fail _ ->
+      Traces
+  | App_marker _ -> Markers
+
+let kinds = [ Phases; Ticks; Aot_calls; Traces; Markers ]
+
+let[@inline] kind_index = function
+  | Phases -> 0
+  | Ticks -> 1
+  | Aot_calls -> 2
+  | Traces -> 3
+  | Markers -> 4
+
 let to_string = function
   | Phase_push p -> "phase_push:" ^ Phase.name p
   | Phase_pop p -> "phase_pop:" ^ Phase.name p

@@ -6,7 +6,14 @@
     real hardware the annotation is a tagged [nop] x86 instruction observed
     by a Pin tool; here it is a zero-cost pseudo-instruction carried in the
     simulated instruction stream and delivered to the listeners registered
-    on the machine engine (see {!Mtj_machine.Engine}). *)
+    for its {!kind} on the machine engine (see {!Mtj_machine.Engine}).
+
+    Like the paper's [nop]s, annotations should not perturb the VM they
+    measure, so the frequent ones allocate nothing: each phase's
+    push/pop value is built once by the engine, each AOT function's
+    enter/exit value once at registration ({!Mtj_rt.Aot}), and each
+    compiled trace's enter/exit value once by the backend
+    ([Mtj_rjit.Ir.trace]).  {!Dispatch_tick} is a constant. *)
 
 type t =
   | Phase_push of Phase.t
@@ -34,6 +41,27 @@ type t =
   | App_marker of int
       (** Application-level annotation emitted through the language-level
           API (e.g. [annotate(n)] in pylite). *)
+
+(** The groups of annotations a listener reads together.  A listener
+    names the kinds it reads when it attaches
+    ({!Mtj_machine.Engine.add_listener}), and the engine delivers each
+    annotation only to the listeners of its kind. *)
+type kind =
+  | Phases     (** {!Phase_push} and {!Phase_pop} *)
+  | Ticks      (** {!Dispatch_tick} *)
+  | Aot_calls  (** {!Aot_enter} and {!Aot_exit} *)
+  | Traces
+      (** {!Trace_enter}, {!Trace_exit}, {!Trace_compile},
+          {!Trace_abort} and {!Guard_fail} *)
+  | Markers    (** {!App_marker} *)
+
+val kind : t -> kind
+
+val kinds : kind list
+(** Every kind. *)
+
+val kind_index : kind -> int
+(** Stable dense index of a kind, for per-kind arrays. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -291,54 +291,21 @@ let warmup_curve (r : R.result) (cpython : R.result) npoints =
   Array.init npoints (fun i ->
       let x = span * (i + 1) / npoints in
       let window = max 1 (span / npoints) in
-      let rate run =
-        let sampler_ticks_at insns =
-          (* interpolate over the recorded samples *)
-          let s = run.R.samples in
-          let n = Array.length s in
-          if n = 0 then 0
-          else begin
-            let rec find i =
-              if i >= n then snd s.(n - 1)
-              else if fst s.(i) >= insns then
-                if i = 0 then
-                  if fst s.(0) = 0 then snd s.(0)
-                  else insns * snd s.(0) / fst s.(0)
-                else
-                  let x0, y0 = s.(i - 1) and x1, y1 = s.(i) in
-                  if x1 = x0 then y0
-                  else y0 + ((insns - x0) * (y1 - y0) / (x1 - x0))
-              else find (i + 1)
-            in
-            find 0
-          end
-        in
-        float_of_int (sampler_ticks_at x - sampler_ticks_at (x - window))
+      let rate (run : R.result) =
+        let ticks_at = Mtj_pintool.Rate_sampler.interpolate run.R.samples in
+        float_of_int (ticks_at x - ticks_at (x - window))
       in
       let c = rate cpython in
       if c <= 0.0 then 0.0 else rate r /. c)
 
 let break_even (fast : R.result) (slow : R.result) =
   (* first instruction count where fast's cumulative ticks catch up *)
-  let ticks_at (run : R.result) insns =
-    let s = run.R.samples in
-    let n = Array.length s in
-    let rec find i =
-      if i >= n then (if n = 0 then 0 else snd s.(n - 1))
-      else if fst s.(i) >= insns then
-        if i = 0 then snd s.(0)
-        else
-          let x0, y0 = s.(i - 1) and x1, y1 = s.(i) in
-          if x1 = x0 then y0 else y0 + ((insns - x0) * (y1 - y0) / (x1 - x0))
-      else find (i + 1)
-    in
-    find 0
-  in
+  let fast_at = Mtj_pintool.Rate_sampler.interpolate fast.R.samples in
+  let slow_at = Mtj_pintool.Rate_sampler.interpolate slow.R.samples in
   let span = min fast.R.insns slow.R.insns in
   let rec scan x =
     if x > span then None
-    else if ticks_at fast x >= ticks_at slow x && ticks_at fast x > 0 then
-      Some x
+    else if fast_at x >= slow_at x && fast_at x > 0 then Some x
     else scan (x + max 1 (span / 200))
   in
   scan (max 1 (span / 200))

@@ -12,14 +12,16 @@ type t = {
   mutable phase : Phase.t;
   mutable phase_idx : int;  (* Phase.index phase, cached for the
                                charge paths *)
-  mutable phase_stack : Phase.t list;
-  mutable listeners : listener array;  (* first n_listeners slots live;
-                                          newest listener last *)
-  mutable n_listeners : int;
+  mutable phase_stack : Phase.t array;  (* the phases pushed over, in
+                                           slots 0 .. depth - 1 *)
+  mutable depth : int;
+  listeners : listener array array;  (* by Annot.kind_index; each newest
+                                        first *)
   mutable interp_width : float;
-  mutable inv_width : float;  (* 1 / width(phase), kept in sync on phase
-                                 changes so the per-instruction paths
-                                 multiply instead of divide *)
+  inv_width : float array;  (* one cell, as [cycles]: 1 / width(phase),
+                               kept in sync on phase changes so the
+                               per-instruction paths multiply instead
+                               of divide *)
   mutable insns : int;
   cycles : float array;  (* one cell: float-array stores stay unboxed,
                             unlike a mutable float field in this mixed
@@ -36,11 +38,11 @@ let create ?(config = Config.default) () =
     counters = Counters.create ();
     phase = Phase.Interpreter;
     phase_idx = Phase.index Phase.Interpreter;
-    phase_stack = [];
-    listeners = [||];
-    n_listeners = 0;
+    phase_stack = Array.make 16 Phase.Interpreter;
+    depth = 0;
+    listeners = Array.make (List.length Annot.kinds) [||];
     interp_width = 2.0;
-    inv_width = 1.0 /. 2.0;
+    inv_width = Array.make 1 (1.0 /. 2.0);
     insns = 0;
     cycles = Array.make 1 0.0;
     mispredict_penalty = 14.0;
@@ -52,7 +54,7 @@ let create ?(config = Config.default) () =
    code; the blackhole interpreter is pointer-chasing and serial (the
    paper's Table IV measures it at the lowest IPC of all phases); GC is
    a tight, cache-warm loop. *)
-let width t = function
+let[@inline] width t = function
   | Phase.Interpreter | Phase.Tracing | Phase.Native -> t.interp_width
   | Phase.Jit -> 1.95
   | Phase.Jit_call -> 1.75
@@ -60,7 +62,7 @@ let width t = function
   | Phase.Blackhole -> 1.05
 
 let refresh_phase t =
-  t.inv_width <- 1.0 /. width t t.phase;
+  Array.unsafe_set t.inv_width 0 (1.0 /. width t t.phase);
   t.phase_idx <- Phase.index t.phase
 
 let set_interp_width t w =
@@ -70,6 +72,8 @@ let set_interp_width t w =
 let[@inline] bump_insns t n =
   t.insns <- t.insns + n;
   if t.insns > t.cfg.Config.insn_budget then raise Budget_exhausted
+
+let[@inline] inv_width t = Array.unsafe_get t.inv_width 0
 
 let[@inline] bump_cycles t cy =
   Array.unsafe_set t.cycles 0 (Array.unsafe_get t.cycles 0 +. cy)
@@ -83,7 +87,7 @@ let[@inline] bump_cycles t cy =
 let[@inline] emit t cost =
   let n = Cost.total cost in
   if n > 0 then begin
-    let cy = float_of_int n *. t.inv_width in
+    let cy = float_of_int n *. inv_width t in
     bump_cycles t cy;
     Counters.add_bundle_idx t.counters t.phase_idx ~n ~loads:cost.Cost.load
       ~stores:cost.Cost.store ~cycles:cy;
@@ -92,7 +96,7 @@ let[@inline] emit t cost =
 
 let[@inline] charge_branch t ~correct =
   let cy =
-    t.inv_width +. (if correct then 0.0 else t.mispredict_penalty)
+    inv_width t +. (if correct then 0.0 else t.mispredict_penalty)
   in
   bump_cycles t cy;
   Counters.add_branch_idx t.counters t.phase_idx ~mispredicted:(not correct)
@@ -113,7 +117,7 @@ let store_cost = Cost.make ~store:1 ()
 let mem_access t ~addr ~write =
   let hit = Dcache.access t.dcache ~addr in
   let cost = if write then store_cost else load_cost in
-  let cy = t.inv_width in
+  let cy = inv_width t in
   bump_cycles t cy;
   Counters.add_bundle_idx t.counters t.phase_idx ~n:1 ~loads:cost.Cost.load
     ~stores:cost.Cost.store ~cycles:cy;
@@ -123,31 +127,44 @@ let mem_access t ~addr ~write =
   end;
   bump_insns t 1
 
-let annot t a =
-  let ls = t.listeners in
-  (* newest-first, matching the prepend order the old append-built array
-     delivered in *)
-  for i = t.n_listeners - 1 downto 0 do
+(* Delivery to the listeners of one kind.  An annotation with none
+   costs one length test; the hot ones are built once (the phase values
+   below, [Aot.fn]'s and [Ir.trace]'s), so delivery allocates nothing. *)
+let[@inline] deliver t slot a =
+  let ls = Array.unsafe_get t.listeners slot in
+  for i = 0 to Array.length ls - 1 do
     (Array.unsafe_get ls i) ~insns:t.insns a
   done
 
+let[@inline] annot t a = deliver t (Annot.kind_index (Annot.kind a)) a
+
+let phases_slot = Annot.kind_index Annot.Phases
+let pushes = Array.init Phase.count (fun i -> Annot.Phase_push (Phase.of_index i))
+let pops = Array.init Phase.count (fun i -> Annot.Phase_pop (Phase.of_index i))
+
 let push_phase t p =
-  annot t (Annot.Phase_push p);
-  t.phase_stack <- t.phase :: t.phase_stack;
+  deliver t phases_slot (Array.unsafe_get pushes (Phase.index p));
+  let d = t.depth in
+  if d = Array.length t.phase_stack then begin
+    let grown = Array.make (2 * d) Phase.Interpreter in
+    Array.blit t.phase_stack 0 grown 0 d;
+    t.phase_stack <- grown
+  end;
+  Array.unsafe_set t.phase_stack d t.phase;
+  t.depth <- d + 1;
   t.phase <- p;
   refresh_phase t
 
 let pop_phase t =
-  match t.phase_stack with
-  | [] -> invalid_arg "Engine.pop_phase: empty phase stack"
-  | p :: rest ->
-      let popped = t.phase in
-      t.phase <- p;
-      t.phase_stack <- rest;
-      refresh_phase t;
-      (* delivered after restoring, so listeners reading [current_phase]
-         see the parent phase while the annotation names the popped one *)
-      annot t (Annot.Phase_pop popped)
+  let d = t.depth - 1 in
+  if d < 0 then invalid_arg "Engine.pop_phase: empty phase stack";
+  let popped = t.phase_idx in
+  t.phase <- Array.unsafe_get t.phase_stack d;
+  t.depth <- d;
+  refresh_phase t;
+  (* delivered after restoring, so listeners reading [current_phase]
+     see the parent phase while the annotation names the popped one *)
+  deliver t phases_slot (Array.unsafe_get pops popped)
 
 let current_phase t = t.phase
 
@@ -161,18 +178,16 @@ let in_phase t p f =
       pop_phase t;
       raise e
 
-(* attachment is rare, delivery is the hot path: grow a capacity-doubled
-   buffer instead of rebuilding the array per attach *)
-let add_listener t l =
-  let n = t.n_listeners in
-  let cap = Array.length t.listeners in
-  if n = cap then begin
-    let grown = Array.make (if cap = 0 then 4 else 2 * cap) l in
-    Array.blit t.listeners 0 grown 0 n;
-    t.listeners <- grown
-  end;
-  t.listeners.(n) <- l;
-  t.n_listeners <- n + 1
+(* attachment is rare, delivery is the hot path: each attach rebuilds
+   its kinds' arrays, so delivery scans exactly the listeners it calls *)
+let add_listener ?(kinds = Annot.kinds) t l =
+  List.iter
+    (fun k ->
+      if List.mem k kinds then begin
+        let i = Annot.kind_index k in
+        t.listeners.(i) <- Array.append [| l |] t.listeners.(i)
+      end)
+    Annot.kinds
 
 let total_insns t = t.insns
 let total_cycles t = t.cycles.(0)

@@ -23,7 +23,8 @@ exception Budget_exhausted
 type t
 
 type listener = insns:int -> Mtj_core.Annot.t -> unit
-(** Called for every annotation with the current total instruction count. *)
+(** Called for every annotation of the kinds it attached for, with the
+    current total instruction count. *)
 
 val create : ?config:Mtj_core.Config.t -> unit -> t
 
@@ -57,16 +58,21 @@ val in_phase : t -> Mtj_core.Phase.t -> (unit -> 'a) -> 'a
 (* --- annotations / instrumentation --- *)
 
 val annot : t -> Mtj_core.Annot.t -> unit
-(** Emit a cross-layer annotation (zero machine cost). *)
+(** Emit a cross-layer annotation (zero machine cost): deliver it to the
+    listeners attached for its {!Mtj_core.Annot.kind}. *)
 
-val add_listener : t -> listener -> unit
-(** Attach [l]; it is delivered before previously attached listeners.
+val add_listener : ?kinds:Mtj_core.Annot.kind list -> t -> listener -> unit
+(** Attach [l] for the annotation [kinds] it reads (default: every
+    kind).  [l] then receives exactly the annotations of those kinds, in
+    emission order; among the listeners of one kind it is delivered
+    before those attached earlier.
 
     Contract: attachment is RARE (harness/tool setup), delivery is the
-    HOT path (every annotation).  Listeners are kept in a capacity-
-    doubled buffer so attaching is amortized O(1) and delivery is a tight
-    array scan with no per-annotation allocation.  Listeners must not
-    attach further listeners from inside a delivery. *)
+    HOT path (every annotation).  The engine keeps one newest-first
+    array per kind, rebuilt on attach, so an annotation with no listener
+    costs one array-length test and delivery is a tight scan with no
+    per-annotation allocation.  Listeners must not attach further
+    listeners from inside a delivery. *)
 
 (* --- observation --- *)
 

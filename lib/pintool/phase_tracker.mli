@@ -1,7 +1,7 @@
 (** Phase timeline tracker (the custom PinTool of Sec. IV/V-B).
 
-    Listens to [Phase_push]/[Phase_pop] annotations in the instruction
-    stream and builds (a) total instructions per phase — Figures 2 and 4 —
+    Listens to the [Phases] kind ([Phase_push]/[Phase_pop] annotations)
+    of the instruction stream, and only to it, and builds (a) total instructions per phase — Figures 2 and 4 —
     and (b) a bucketed timeline of phase occupancy over the run —
     Figure 3.  Totals here are measured {e from the annotation stream},
     independently of {!Mtj_machine.Counters}; tests cross-check the two. *)

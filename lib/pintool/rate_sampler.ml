@@ -1,48 +1,50 @@
 open Mtj_core
+module Engine = Mtj_machine.Engine
 
 type t = {
   window : int;
   mutable ticks : int;
   mutable next_mark : int;
   mutable rev_samples : (int * int) list;
-  engine : Mtj_machine.Engine.t;
+  engine : Engine.t;
   mutable finalized : bool;
 }
+
+(* [insns] is the engine's exact total after the last charged bundle,
+   so sample marks land on precise boundaries *)
+let tick t ~insns =
+  t.ticks <- t.ticks + 1;
+  while insns >= t.next_mark do
+    t.rev_samples <- (t.next_mark, t.ticks) :: t.rev_samples;
+    t.next_mark <- t.next_mark + t.window
+  done
 
 let attach ?window engine =
   let window =
     match window with
     | Some w -> w
-    | None -> (Mtj_machine.Engine.config engine).Config.sample_window
+    | None -> (Engine.config engine).Config.sample_window
   in
   let t =
     {
       window;
       ticks = 0;
-      next_mark = window;
+      (* the first window boundary past the attach point: a sampler
+         attached after the engine has run records no marks it never
+         saw *)
+      next_mark = ((Engine.total_insns engine / window) + 1) * window;
       rev_samples = [];
       engine;
       finalized = false;
     }
   in
-  (* this listener runs on every annotation (the deliver-hot path of
-     Engine.add_listener); [insns] is the engine's exact per-bundle
-     total — bundle charging is staged in Counters, never in the
-     instruction count — so sample marks land on precise boundaries *)
-  Mtj_machine.Engine.add_listener engine (fun ~insns annot ->
-      match annot with
-      | Annot.Dispatch_tick ->
-          t.ticks <- t.ticks + 1;
-          while insns >= t.next_mark do
-            t.rev_samples <- (t.next_mark, t.ticks) :: t.rev_samples;
-            t.next_mark <- t.next_mark + t.window
-          done
-      | _ -> ());
+  Engine.add_listener ~kinds:[ Annot.Ticks ] engine (fun ~insns _ ->
+      tick t ~insns);
   t
 
 let finalize t =
   if not t.finalized then begin
-    let insns = Mtj_machine.Engine.total_insns t.engine in
+    let insns = Engine.total_insns t.engine in
     t.rev_samples <- (insns, t.ticks) :: t.rev_samples;
     t.finalized <- true
   end
@@ -50,8 +52,7 @@ let finalize t =
 let ticks t = t.ticks
 let samples t = Array.of_list (List.rev t.rev_samples)
 
-let ticks_at t insns =
-  let s = samples t in
+let interpolate s insns =
   let n = Array.length s in
   if n = 0 then 0
   else if insns <= fst s.(0) then
@@ -70,16 +71,11 @@ let ticks_at t insns =
     if i1 = i0 then k0 else k0 + ((insns - i0) * (k1 - k0) / (i1 - i0))
   end
 
+let ticks_at t insns = interpolate (samples t) insns
+
 let break_even t ~against =
-  let s = samples t in
-  let found = ref None in
-  (try
-     Array.iter
-       (fun (insns, k) ->
-         if k >= ticks_at against insns && k > 0 then begin
-           found := Some insns;
-           raise Exit
-         end)
-       s
-   with Exit -> ());
-  !found
+  let theirs = samples against in
+  Array.find_map
+    (fun (insns, k) ->
+      if k >= interpolate theirs insns && k > 0 then Some insns else None)
+    (samples t)

@@ -11,8 +11,10 @@
 type t
 
 val attach : ?window:int -> Mtj_machine.Engine.t -> t
-(** [window] is the sampling interval in instructions (default from the
-    engine's configuration). *)
+(** Register on the engine for the [Ticks] kind only.  [window] is the
+    sampling interval in instructions (default from the engine's
+    configuration); the first sample falls on the first multiple of
+    [window] past the engine's instruction count at attach time. *)
 
 val finalize : t -> unit
 (** Record the final partial window. *)
@@ -23,9 +25,14 @@ val ticks : t -> int
 val samples : t -> (int * int) array
 (** [(insns, cumulative_ticks)] at each window boundary, ascending. *)
 
+val interpolate : (int * int) array -> int -> int
+(** [interpolate samples insns]: cumulative ticks at the given
+    instruction count over [samples] as {!samples} returns them (linear
+    interpolation between samples, and from the origin before the
+    first; saturates at the end). *)
+
 val ticks_at : t -> int -> int
-(** [ticks_at t insns]: cumulative ticks at the given instruction count
-    (linear interpolation between samples; saturates at the ends). *)
+(** [ticks_at t insns] is [interpolate (samples t) insns]. *)
 
 val break_even : t -> against:t -> int option
 (** [break_even fast ~against:slow] finds the first instruction count at

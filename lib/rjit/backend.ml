@@ -45,9 +45,10 @@ let compile jitlog rtc ~(kind : Ir.trace_kind) ~entry_slots
           acc op.Ir.args)
       min_regs ops
   in
+  let trace_id = Jitlog.fresh_trace_id jitlog in
   let trace =
     {
-      Ir.trace_id = Jitlog.fresh_trace_id jitlog;
+      Ir.trace_id;
       kind;
       ops;
       op_costs = Array.map (fun (op : Ir.op) -> cost_of_template (Ir.x86_template op.Ir.opcode)) ops;
@@ -64,11 +65,13 @@ let compile jitlog rtc ~(kind : Ir.trace_kind) ~entry_slots
       code_version = 0;
       translations = 0;
       cache_hits = 0;
+      enter_annot = Annot.Trace_enter trace_id;
+      exit_annot = Annot.Trace_exit trace_id;
     }
   in
   Jitlog.register jitlog trace;
   Jitlog.record_tier_compile jitlog ~tier;
-  Engine.annot eng (Annot.Trace_compile trace.Ir.trace_id);
+  Engine.annot eng (Annot.Trace_compile trace_id);
   (* translate once, here, so the first entry already runs threaded code
      out of the context's cache.  Host-side work only: translation is
      part of what the simulated assembling cost above already models, so

@@ -455,7 +455,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
   with_roots gc (fun visit -> Array.iter visit !cur_regs) @@ fun () ->
   let cur_trace = ref trace in
   let last_resume = ref None in
-  Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
+  Engine.annot eng trace.Ir.enter_annot;
   Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
   (* count the entry before charging it: the charge can exhaust the
      budget, and the annotated entry and the latch must still show in
@@ -465,8 +465,8 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
   let exit_state = ref None in
   let ip = ref 0 in
   let switch_trace (target : Ir.trace) (values : Value.t array) =
-    Engine.annot eng (Annot.Trace_exit !cur_trace.Ir.trace_id);
-    Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
+    Engine.annot eng !cur_trace.Ir.exit_annot;
+    Engine.annot eng target.Ir.enter_annot;
     let regs = Array.make target.Ir.nregs Value.nil in
     Array.blit values 0 regs 0 (Array.length values);
     cur_regs := regs;
@@ -551,7 +551,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
             | Some r -> leave (deopt rtc jitlog t regs r None)
             | None -> raise e))
   done;
-  Engine.annot eng (Annot.Trace_exit !cur_trace.Ir.trace_id);
+  Engine.annot eng !cur_trace.Ir.exit_annot;
   Option.get !exit_state
 
 (* --- continuation-threaded trace code ---
@@ -624,8 +624,8 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   in
   (* continue in [target]'s first step with [regs] as its register file *)
   let enter st (target : Ir.trace) (regs : Value.t array) =
-    Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
-    Engine.annot eng (Annot.Trace_enter target.Ir.trace_id);
+    Engine.annot eng st.st_cur.Ir.exit_annot;
+    Engine.annot eng target.Ir.enter_annot;
     st.st_regs <- regs;
     st.st_cur <- target;
     let first = Array.unsafe_get (code_for rtc jitlog target) 0 in
@@ -800,11 +800,11 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   let st = { st_regs = regs; st_cur = trace; st_resume = None } in
   (* the live register file is a GC root for the duration *)
   with_roots gc (fun visit -> Array.iter visit st.st_regs) @@ fun () ->
-  Engine.annot eng (Annot.Trace_enter trace.Ir.trace_id);
+  Engine.annot eng trace.Ir.enter_annot;
   Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
   (* counted before the charge, as in [run_ref] *)
   trace.Ir.exec_count <- trace.Ir.exec_count + 1;
   Engine.emit eng entry_cost;
   let ex = (Array.unsafe_get code 0) st in
-  Engine.annot eng (Annot.Trace_exit st.st_cur.Ir.trace_id);
+  Engine.annot eng st.st_cur.Ir.exit_annot;
   ex

@@ -258,6 +258,10 @@ and trace = {
          to jump straight into the attached bridge *)
   mutable translations : int;  (* times this trace was threaded *)
   mutable cache_hits : int;    (* entries served from the code cache *)
+  enter_annot : Mtj_core.Annot.t;  (* [Trace_enter trace_id] and *)
+  exit_annot : Mtj_core.Annot.t;   (* [Trace_exit trace_id], built once
+                                      by the backend so an entry, exit
+                                      or trace switch allocates neither *)
 }
 
 and trace_kind =

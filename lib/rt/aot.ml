@@ -3,7 +3,13 @@ module Engine = Mtj_machine.Engine
 
 type src = R | L | C | I | M
 
-type fn = { id : int; name : string; src : src }
+type fn = {
+  id : int;
+  name : string;
+  src : src;
+  enter : Annot.t;  (* [Aot_enter id] and [Aot_exit id], built once at *)
+  exit : Annot.t;   (* registration so a call allocates neither *)
+}
 
 let registry : (string, fn) Hashtbl.t = Hashtbl.create 64
 let by_id : (int, fn) Hashtbl.t = Hashtbl.create 64
@@ -37,7 +43,16 @@ let register ~name ~src =
           match Hashtbl.find_opt registry name with
           | Some fn -> fn
           | None ->
-              let fn = { id = !next_id; name; src } in
+              let id = !next_id in
+              let fn =
+                {
+                  id;
+                  name;
+                  src;
+                  enter = Annot.Aot_enter id;
+                  exit = Annot.Aot_exit id;
+                }
+              in
               incr next_id;
               Hashtbl.replace registry name fn;
               Hashtbl.replace by_id fn.id fn;
@@ -64,7 +79,7 @@ let call_overhead = Cost.make ~alu:3 ~load:3 ~store:4 ~other:5 ()
 (* the end of an AOT call, however [body] ended: the exit annotation,
    then the [Jit_call] pop when the call came from JIT code *)
 let leave eng fn ~from_jit =
-  Engine.annot eng (Annot.Aot_exit fn.id);
+  Engine.annot eng fn.exit;
   if from_jit then Engine.pop_phase eng
 
 let call ctx fn body =
@@ -75,7 +90,7 @@ let call ctx fn body =
   Engine.emit eng call_overhead;
   Engine.branch_indirect eng ~site:(700_000 + fn.id) ~target:fn.id;
   if from_jit then Engine.push_phase eng Phase.Jit_call;
-  Engine.annot eng (Annot.Aot_enter fn.id);
+  Engine.annot eng fn.enter;
   match body () with
   | v ->
       leave eng fn ~from_jit;

@@ -29,10 +29,12 @@
       profile) fails it and the JIT allocation gate: the charge path's
       [~cycles] float boxes on every call.
     - {b JIT allocation gate}: the same quotient over the JIT configs
-      (pypy / pypy-2tier / pycket), whose host allocation is mostly the
-      JIT's own: resume snapshots built while recording, optimizer
-      rewrites and bridge entry.  It catches a lost sharing of resume
-      snapshot frames (DESIGN.md §3n).
+      (pypy / pypy-2tier / pycket), whose host allocation is the JIT's
+      own: resume snapshots built while recording, optimizer rewrites
+      and bridge entry.  None of it is instrumentation: each phase's,
+      AOT function's and trace's annotation value is built once, and
+      the listeners that read them keep array state.  It catches a lost
+      sharing of resume snapshot frames (DESIGN.md §3n).
 
     A separate, self-contained mode gates the serving harness:
 

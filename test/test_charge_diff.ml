@@ -485,39 +485,90 @@ let scenario_budget_boundary () =
     (Array.init 8 (fun i -> Emit (Cost.make ~alu:(i + 1) ())))
 
 let scenario_listener_order () =
-  (* add_listener's growth buffer must deliver newest-first, like the
-     prepend semantics it replaced, across the initial-capacity boundary *)
+  (* the listeners of one kind are delivered newest-first, whether
+     they attached for that kind alone or for every kind *)
   let eng = Engine.create () in
   let log = ref [] in
   for k = 1 to 7 do
-    Engine.add_listener eng (fun ~insns:_ _ -> log := k :: !log)
+    let kinds = if k land 1 = 1 then Some [ Annot.Ticks ] else None in
+    Engine.add_listener ?kinds eng (fun ~insns:_ _ -> log := k :: !log)
   done;
   Engine.annot eng Annot.Dispatch_tick;
   Alcotest.(check (list int))
     "newest-first delivery, all 7 listeners" [ 7; 6; 5; 4; 3; 2; 1 ]
-    (List.rev !log)
+    (List.rev !log);
+  log := [];
+  Engine.annot eng (Annot.App_marker 1);
+  Alcotest.(check (list int))
+    "a marker reaches only the listeners of every kind" [ 6; 4; 2 ]
+    (List.rev !log);
+  (* a mixed stream of every constructor: each listener sees exactly
+     the annotations of the kinds it named, in order *)
+  let eng = Engine.create () in
+  let recorder kinds =
+    let seen = ref [] in
+    Engine.add_listener ?kinds eng (fun ~insns:_ a ->
+        seen := Annot.to_string a :: !seen);
+    fun () -> List.rev !seen
+  in
+  let every = recorder None in
+  let ticks = recorder (Some [ Annot.Ticks; Annot.Ticks ]) in
+  let phases = recorder (Some [ Annot.Phases ]) in
+  let calls_and_markers = recorder (Some [ Annot.Aot_calls; Annot.Markers ]) in
+  let traces = recorder (Some [ Annot.Traces ]) in
+  let nothing = recorder (Some []) in
+  let stream =
+    Annot.
+      [
+        Phase_push Phase.Jit; Dispatch_tick; Trace_enter 3; Aot_enter 5;
+        Phase_push Phase.Gc_minor; Phase_pop Phase.Gc_minor; Aot_exit 5;
+        Dispatch_tick; App_marker 11; Guard_fail 8; Trace_exit 3;
+        Trace_compile 4; Trace_abort 70; Phase_pop Phase.Jit; Dispatch_tick;
+      ]
+  in
+  List.iter (Engine.annot eng) stream;
+  let check name want got = Alcotest.(check (list string)) name want (got ()) in
+  check "no kinds named: the whole stream" (List.map Annot.to_string stream)
+    every;
+  check "ticks, once each though named twice"
+    [ "dispatch_tick"; "dispatch_tick"; "dispatch_tick" ]
+    ticks;
+  check "phases: the pushes and pops, in order"
+    [ "phase_push:jit"; "phase_push:gc_minor"; "phase_pop:gc_minor";
+      "phase_pop:jit" ]
+    phases;
+  check "AOT calls and markers"
+    [ "aot_enter:5"; "aot_exit:5"; "app_marker:11" ]
+    calls_and_markers;
+  check "trace and guard events"
+    [ "trace_enter:3"; "guard_fail:8"; "trace_exit:3"; "trace_compile:4";
+      "trace_abort:70" ]
+    traces;
+  check "an empty kind list: nothing" [] nothing
 
 (* The charge path allocates nothing on the host.  Two causes have made
    it allocate: a build with [-opaque] (dune's dev profile; the
    workspace profile passes none), under which Engine's [~cycles] float
    boxes on every call into Counters, and a closure built per lookup in
-   Dcache. *)
+   Dcache.  Nor does the annotation path, listeners included: each
+   phase's, AOT function's and trace's annotation value is built once,
+   the phase stack is an array, and [Runner]'s three listeners keep
+   array state. *)
 let scenario_charge_alloc_free () =
   let eng = Engine.create () in
   let dc = Engine.dcache eng in
   let cost = Cost.make ~alu:3 ~load:1 ~store:1 () in
   let calls = 10_000 in
-  let per_call name f =
+  let per_call ?(cause = "either the build passes -opaque (dune --profile \
+                           dev: Counters' ~cycles float boxes) or a \
+                           Dcache lookup allocates") name f =
     for i = 0 to 999 do f i done;
     let before = Gc.minor_words () in
     for i = 0 to calls - 1 do f i done;
     let words = Gc.minor_words () -. before in
     if words <> 0.0 then
-      Alcotest.failf
-        "%s allocated %.3f host words per call; either the build passes \
-         -opaque (dune --profile dev: Counters' ~cycles float boxes) or a \
-         Dcache lookup allocates"
-        name (words /. float_of_int calls)
+      Alcotest.failf "%s allocated %.3f host words per call; %s" name
+        (words /. float_of_int calls) cause
   in
   per_call "Engine.emit" (fun _ -> Engine.emit eng cost);
   per_call "Engine.branch" (fun i ->
@@ -534,7 +585,35 @@ let scenario_charge_alloc_free () =
   let hits = Dcache.hits dc in
   per_call "Engine.mem_access (miss)" (fun i ->
       Engine.mem_access eng ~addr:((i land 7) lsl 15) ~write:false);
-  Alcotest.(check int) "no access hit" 0 (Dcache.hits dc - hits)
+  Alcotest.(check int) "no access hit" 0 (Dcache.hits dc - hits);
+  (* the annotation path *)
+  let cause = "an annotation value, the phase stack or a listener allocates" in
+  let bracket eng =
+    Engine.push_phase eng Phase.Jit;
+    Engine.pop_phase eng
+  in
+  per_call ~cause "phase bracket, no listener" (fun _ -> bracket eng);
+  let ctx = Mtj_rt.Ctx.create () in
+  let eng = Mtj_rt.Ctx.engine ctx in
+  let tracker = Mtj_pintool.Phase_tracker.attach eng in
+  let sampler = Mtj_pintool.Rate_sampler.attach eng in
+  let attrib = Mtj_pintool.Aot_attrib.attach eng in
+  let fn = Option.get (Mtj_rt.Aot.find 0) in
+  per_call ~cause "Dispatch_tick, Runner's listeners" (fun _ ->
+      Engine.annot eng Annot.Dispatch_tick);
+  per_call ~cause "phase bracket, Runner's listeners" (fun _ -> bracket eng);
+  per_call ~cause "AOT call in a phase bracket, Runner's listeners" (fun _ ->
+      Engine.push_phase eng Phase.Jit;
+      Mtj_rt.Aot.call ctx fn (fun () -> ());
+      Engine.pop_phase eng);
+  Alcotest.(check int) "every tick counted" (calls + 1000)
+    (Mtj_pintool.Rate_sampler.ticks sampler);
+  Alcotest.(check int) "every AOT call attributed" (calls + 1000)
+    (Mtj_pintool.Aot_attrib.calls_of attrib (Mtj_rt.Aot.id fn));
+  Mtj_pintool.Phase_tracker.finalize tracker;
+  Alcotest.(check int) "the tracker saw every instruction"
+    (Engine.total_insns eng)
+    (Mtj_pintool.Phase_tracker.total_insns tracker)
 
 let suite =
   [

@@ -90,6 +90,23 @@ let test_rate_sampler_counts_ticks () =
     samples;
   Alcotest.(check bool) "monotone" true !mono
 
+let test_rate_sampler_late_attach () =
+  (* attached at 1,234 insns with window 100: the first mark is 1,300,
+     not the thirteen marks the engine had passed before it attached *)
+  let e = Engine.create () in
+  Engine.emit e (Cost.make ~alu:1234 ());
+  let rs = Mtj_pintool.Rate_sampler.attach ~window:100 e in
+  for _ = 1 to 57 do
+    Engine.emit e (Cost.make ~alu:10 ());
+    Engine.annot e Annot.Dispatch_tick
+  done;
+  Mtj_pintool.Rate_sampler.finalize rs;
+  Alcotest.(check (list (pair int int)))
+    "samples from the first mark past the attach point"
+    [ (1300, 7); (1400, 17); (1500, 27); (1600, 37); (1700, 47); (1800, 57);
+      (1804, 57) ]
+    (Array.to_list (Mtj_pintool.Rate_sampler.samples rs))
+
 let test_rate_sampler_work_invariant () =
   (* total ticks equal the number of bytecodes executed: the same program
      on interpreter vs JIT completes the same number of dispatch ticks
@@ -170,6 +187,8 @@ let suite =
     Alcotest.test_case "timeline shows warmup" `Quick test_timeline_shows_warmup;
     Alcotest.test_case "rate sampler counts ticks" `Quick
       test_rate_sampler_counts_ticks;
+    Alcotest.test_case "rate sampler attached late" `Quick
+      test_rate_sampler_late_attach;
     Alcotest.test_case "work measure is VM-independent" `Quick
       test_rate_sampler_work_invariant;
     Alcotest.test_case "break-even detection" `Quick test_break_even;
