@@ -184,32 +184,38 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
     let counters = Engine.counters eng in
     let ticks = Mtj_pintool.Rate_sampler.ticks sampler in
     let gc = Gc_sim.stats (Ctx.gc rtc) in
-    {
-      bench;
-      bench_name;
-      config = vc;
-      status;
-      output;
-      insns = Engine.total_insns eng;
-      cycles = Engine.total_cycles eng;
-      total = Counters.total counters;
-      per_phase =
-        List.map (fun p -> (p, Counters.phase counters p)) Phase.all;
-      phase_insns =
-        List.map
-          (fun p -> (p, Mtj_pintool.Phase_tracker.phase_insns tracker p))
-          Phase.all;
-      timeline = Mtj_pintool.Phase_tracker.timeline tracker;
-      timeline_bucket = Mtj_pintool.Phase_tracker.bucket_insns tracker;
-      ticks;
-      samples = Mtj_pintool.Rate_sampler.samples sampler;
-      aot_top;
-      jit = Option.map jit_stats_of jitlog;
-      gc;
-      metrics =
-        Mtj_obs.Metrics.run_json ~bench:bench_name ~config:(config_name vc)
-          ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks ();
-    }
+    let r =
+      {
+        bench;
+        bench_name;
+        config = vc;
+        status;
+        output;
+        insns = Engine.total_insns eng;
+        cycles = Engine.total_cycles eng;
+        total = Counters.total counters;
+        per_phase =
+          List.map (fun p -> (p, Counters.phase counters p)) Phase.all;
+        phase_insns =
+          List.map
+            (fun p -> (p, Mtj_pintool.Phase_tracker.phase_insns tracker p))
+            Phase.all;
+        timeline = Mtj_pintool.Phase_tracker.timeline tracker;
+        timeline_bucket = Mtj_pintool.Phase_tracker.bucket_insns tracker;
+        ticks;
+        samples = Mtj_pintool.Rate_sampler.samples sampler;
+        aot_top;
+        jit = Option.map jit_stats_of jitlog;
+        gc;
+        metrics =
+          Mtj_obs.Metrics.run_json ~bench:bench_name ~config:(config_name vc)
+            ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks ();
+      }
+    in
+    (* [r] holds only values read out of the run: this is the engine's
+       last use, and the next run on this domain takes its tables *)
+    Engine.release eng;
+    r
   in
   match lang_of vc with
   | None -> (

@@ -242,6 +242,9 @@ let run_one ~shared ~profile_seed ~cache ~config ~cfg_digest (req : request) :
       ~jl
   in
   let out_digest = out_digest_of ~status ~output in
+  (* the VM's last use: the next request on this worker takes over its
+     machine tables *)
+  Engine.release eng;
   {
     r_id = req.req_id;
     r_bench = req.req_bench;

@@ -33,15 +33,6 @@ let create () =
     cache_misses = Array.make n 0;
   }
 
-let reset t =
-  Array.fill t.insns 0 Phase.count 0;
-  Array.fill t.cycles 0 Phase.count 0.0;
-  Array.fill t.branches 0 Phase.count 0;
-  Array.fill t.branch_misses 0 Phase.count 0;
-  Array.fill t.loads 0 Phase.count 0;
-  Array.fill t.stores 0 Phase.count 0;
-  Array.fill t.cache_misses 0 Phase.count 0
-
 (* --- charging (Engine passes its cached Phase.index) ---
 
    The array accesses are bounds-checked: [i] comes from the caller.

@@ -19,7 +19,6 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 (* --- charging (used by Engine) ---
 

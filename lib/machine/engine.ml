@@ -28,13 +28,32 @@ type t = {
                             record which would allocate per charge *)
   mispredict_penalty : float;
   miss_penalty : float;
+  mutable released : bool;
 }
 
+(* The predictor and d-cache tables of the last engine released on this
+   domain, for the next [create] on it.  They are about 9,200 words,
+   too large for the minor heap, so a fresh pair per engine goes
+   straight to the major heap; a serve request creates one engine.  One
+   pair at most, and [create] empties the slot, so two live engines
+   never share tables; [Domain.DLS], so pool workers never share it. *)
+let spare : (Predictor.t * Dcache.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
 let create ?(config = Config.default) () =
+  let predictor, dcache =
+    match Domain.DLS.get spare with
+    | Some ((p, d) as tables) ->
+        Domain.DLS.set spare None;
+        Predictor.reset p;
+        Dcache.reset d;
+        tables
+    | None -> (Predictor.create (), Dcache.create ())
+  in
   {
     cfg = config;
-    predictor = Predictor.create ();
-    dcache = Dcache.create ();
+    predictor;
+    dcache;
     counters = Counters.create ();
     phase = Phase.Interpreter;
     phase_idx = Phase.index Phase.Interpreter;
@@ -47,7 +66,14 @@ let create ?(config = Config.default) () =
     cycles = Array.make 1 0.0;
     mispredict_penalty = 14.0;
     miss_penalty = 18.0;
+    released = false;
   }
+
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    Domain.DLS.set spare (Some (t.predictor, t.dcache))
+  end
 
 (* Issue widths for code styles that are properties of the framework
    rather than of the hosted VM.  JIT trace code is dense straight-line

@@ -27,6 +27,18 @@ type listener = insns:int -> Mtj_core.Annot.t -> unit
     current total instruction count. *)
 
 val create : ?config:Mtj_core.Config.t -> unit -> t
+(** A fresh engine: no instructions, cycles or counts, the interpreter
+    phase, no listeners, and predictor and d-cache tables in their
+    initial state.  The tables are those of the last engine {!release}d
+    on this domain, reset, when there is one; otherwise new ones. *)
+
+val release : t -> unit
+(** Hand [t]'s predictor and d-cache tables to the next {!create} on
+    this domain, which resets them.  This must be [t]'s last use:
+    afterwards its tables belong to another engine, so reading or
+    charging [t] would read or change that engine's state.  A second
+    release of [t] does nothing.  An engine that is never released is
+    collected as any value is; its tables are just not reused. *)
 
 val set_interp_width : t -> float -> unit
 (** Install the effective issue width used while in the [Interpreter],

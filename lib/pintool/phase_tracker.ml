@@ -1,5 +1,6 @@
 open Mtj_core
 module Engine = Mtj_machine.Engine
+module Counters = Mtj_machine.Counters
 
 type t = {
   engine : Engine.t;
@@ -58,6 +59,17 @@ let attach ?(bucket_insns = 50_000) engine =
       finalized = false;
     }
   in
+  (* what the engine ran before this attach, booked phase by phase as
+     its counters hold it, in [Phase.all] order (they keep no order
+     within the prefix); the accounting then continues from the
+     engine's count in its current phase *)
+  let counters = Engine.counters engine in
+  List.iter
+    (fun p ->
+      t.cur_phase <- p;
+      account t (t.last_insns + (Counters.phase counters p).Counters.insns))
+    Phase.all;
+  t.cur_phase <- Engine.current_phase engine;
   Engine.add_listener ~kinds:[ Annot.Phases ] engine (fun ~insns annot ->
       account t insns;
       match annot with

@@ -10,7 +10,11 @@ type t
 
 val attach : ?bucket_insns:int -> Mtj_machine.Engine.t -> t
 (** Register on the engine.  [bucket_insns] is the timeline resolution
-    (default 50_000 instructions per bucket). *)
+    (default 50_000 instructions per bucket).  Instructions the engine
+    ran before the attach are booked to their phases as its
+    {!Mtj_machine.Counters} hold them, so the totals equal the counters
+    however late the tracker attaches; within that prefix the timeline
+    takes the phases in {!Mtj_core.Phase.all} order. *)
 
 val finalize : t -> unit
 (** Account the tail segment between the last phase event and the current

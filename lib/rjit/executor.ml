@@ -574,7 +574,13 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
 type state = {
   mutable st_regs : Value.t array;
   mutable st_cur : Ir.trace;
+  mutable st_dmp : int;
+      (* op index in [st_cur] of the last merge point passed, -1 for
+         none since entering it: an int, so the merge-point step, the
+         most frequent op in trace code, stores without a write barrier *)
   mutable st_resume : Ir.resume option;
+      (* the last merge point's resume when it lies in a trace since
+         left, resolved from [st_dmp] on the way out *)
 }
 
 type step = state -> exit_state
@@ -617,8 +623,17 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     end
     else fun _ _ -> ()
   in
+  (* the resume of the last merge point passed, as [run_ref]'s
+     [last_resume]; steps of [t] run with [st.st_cur == t] *)
+  let last_resume st =
+    if st.st_dmp < 0 then st.st_resume
+    else
+      match ops.(st.st_dmp).Ir.opcode with
+      | Ir.Debug_merge_point d -> Some d.dmp_resume
+      | _ -> invalid_arg "Executor: merge-point index names another op"
+  in
   let deopt_boundary st e =
-    match st.st_resume with
+    match last_resume st with
     | Some r -> deopt rtc jitlog st.st_cur st.st_regs r None
     | None -> raise e
   in
@@ -627,6 +642,10 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     Engine.annot eng st.st_cur.Ir.exit_annot;
     Engine.annot eng target.Ir.enter_annot;
     st.st_regs <- regs;
+    if st.st_dmp >= 0 then begin
+      st.st_resume <- last_resume st;
+      st.st_dmp <- -1
+    end;
     st.st_cur <- target;
     let first = Array.unsafe_get (code_for rtc jitlog target) 0 in
     target.Ir.exec_count <- target.Ir.exec_count + 1;
@@ -686,13 +705,12 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   in
   let op_step i (op : Ir.op) ~(k : step) : step =
     match op.Ir.opcode with
-    | Ir.Debug_merge_point d ->
+    | Ir.Debug_merge_point _ ->
         let cost = costs.(i) in
-        let resume = Some d.dmp_resume in
         fun st ->
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
-          st.st_resume <- resume;
+          st.st_dmp <- i;
           Engine.annot eng Annot.Dispatch_tick;
           k st
     | Ir.Label ->
@@ -797,7 +815,7 @@ let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
   let regs = Array.make trace.Ir.nregs Value.nil in
   Array.blit entry 0 regs 0 (Array.length entry);
   let code = code_for rtc jitlog trace in
-  let st = { st_regs = regs; st_cur = trace; st_resume = None } in
+  let st = { st_regs = regs; st_cur = trace; st_dmp = -1; st_resume = None } in
   (* the live register file is a GC root for the duration *)
   with_roots gc (fun visit -> Array.iter visit st.st_regs) @@ fun () ->
   Engine.annot eng trace.Ir.enter_annot;

@@ -615,6 +615,55 @@ let scenario_charge_alloc_free () =
     (Engine.total_insns eng)
     (Mtj_pintool.Phase_tracker.total_insns tracker)
 
+(* Machine tables recycled through [Engine.release] charge exactly as
+   new ones.  A program at a small budget runs on a VM with new tables,
+   then again on the VM that takes them once the first is released: the
+   second run must read the same per-phase counters (branch and cache
+   misses included) and totals.  The same program twice, because its
+   second run would hit every predictor entry and cache line the first
+   one left behind. *)
+let scenario_recycled_vm () =
+  let module B = Mtj_benchmarks.Registry in
+  let module Vm = Mtj_pylite.Vm in
+  let config = Config.with_budget 200_000 Config.default in
+  let src = (B.find_exn ~lang:B.Py "richards").B.source in
+  let run vm =
+    ignore (Vm.run_source vm src);
+    eng_read_digest (Vm.engine vm)
+  in
+  (* take whatever an earlier test released, so [fresh] gets new tables *)
+  ignore (Engine.create ());
+  let fresh = Vm.create ~config () in
+  let want = run fresh in
+  Engine.release (Vm.engine fresh);
+  let recycled = Vm.create ~config () in
+  Alcotest.(check bool) "the tables are the released ones" true
+    (Engine.predictor (Vm.engine recycled) == Engine.predictor (Vm.engine fresh)
+    && Engine.dcache (Vm.engine recycled) == Engine.dcache (Vm.engine fresh));
+  Alcotest.(check string) "counters on recycled tables" want (run recycled)
+
+(* VM set-up allocates nothing in the host's major heap once released
+   tables are on hand.  The predictor and d-cache tables are its only
+   blocks too large for the minor heap: a [create] without a spare puts
+   their 9,222 words there.  [major_words - promoted_words] counts the
+   words allocated directly in the major heap. *)
+let scenario_setup_major_words () =
+  let round () =
+    Engine.release (Mtj_pylite.Vm.engine (Mtj_pylite.Vm.create ()))
+  in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  round ();
+  let rounds = 1000 in
+  let before = direct () in
+  for _ = 1 to rounds do round () done;
+  let words = direct () -. before in
+  if words <> 0.0 then
+    Alcotest.failf "Vm.create put %.1f words per call in the major heap"
+      (words /. float_of_int rounds)
+
 let suite =
   [
     Alcotest.test_case "phase interleaving" `Quick scenario_phases;
@@ -625,5 +674,9 @@ let suite =
       scenario_listener_order;
     Alcotest.test_case "charge path allocates nothing" `Quick
       scenario_charge_alloc_free;
+    Alcotest.test_case "recycled tables charge as new" `Quick
+      scenario_recycled_vm;
+    Alcotest.test_case "VM set-up skips the major heap" `Quick
+      scenario_setup_major_words;
     QCheck_alcotest.to_alcotest prop_engine_matches_model;
   ]

@@ -58,14 +58,42 @@ let test_predictor_indirect_periodic () =
     (Printf.sprintf "path-based indirect (%d misses)" !misses)
     true (!misses < 400)
 
+(* A seeded stream of conditional and indirect branches over 16 sites,
+   each site taken with its own bias.  It opens with a probe of the
+   global history: an indirect branch, four zero targets that shift the
+   history back to 0, and the first branch again, which hits only if
+   the history was 0 when the first one ran. *)
+let branch_stream =
+  let st = Random.State.make [| 25 |] in
+  let probe =
+    [ `Ind (3, 5); `Ind (4, 0); `Ind (4, 0); `Ind (4, 0); `Ind (4, 0);
+      `Ind (3, 5) ]
+  in
+  Array.of_list
+    (probe
+    @ List.init 20_000 (fun _ ->
+          let site = Random.State.int st 16 in
+          if Random.State.int st 4 = 0 then `Ind (site, Random.State.int st 8)
+          else `Cond (site, Random.State.int st 8 < site land 7)))
+
+let predict p = function
+  | `Cond (site, taken) -> Predictor.conditional p ~site ~taken
+  | `Ind (site, target) -> Predictor.indirect p ~site ~target
+
+(* [reset] must restore exactly what [create] builds: a predictor
+   dirtied by the stream and reset predicts the stream again branch by
+   branch as a fresh one does, and equals it field for field
+   (polymorphic equality sees through the abstract type) *)
 let test_predictor_reset () =
-  let p = Predictor.create () in
-  for _ = 1 to 100 do
-    ignore (Predictor.conditional p ~site:1 ~taken:true)
-  done;
-  Predictor.reset p;
-  (* first prediction after reset is from initialized state, weakly taken *)
-  ignore (Predictor.conditional p ~site:1 ~taken:true)
+  let dirty = Predictor.create () in
+  Array.iter (fun b -> ignore (predict dirty b)) branch_stream;
+  Predictor.reset dirty;
+  let fresh = Predictor.create () in
+  Alcotest.(check bool) "reset state = created state" true (dirty = fresh);
+  let on p = Array.map (predict p) branch_stream in
+  let want = on fresh in
+  Alcotest.(check bool) "the probe hits on a fresh predictor" true want.(5);
+  Alcotest.(check (array bool)) "predictions branch by branch" want (on dirty)
 
 let test_dcache_hit_after_fill () =
   let c = Dcache.create () in
@@ -87,6 +115,30 @@ let test_dcache_counters () =
   ignore (Dcache.access c ~addr:64);
   Alcotest.(check int) "hits" 1 (Dcache.hits c);
   Alcotest.(check int) "misses" 1 (Dcache.misses c)
+
+(* 20,000 seeded accesses over 3,072 lines, six to a set of four ways:
+   hits, cold misses and LRU evictions all occur *)
+let access_stream =
+  let st = Random.State.make [| 25 |] in
+  Array.init 20_000 (fun _ ->
+      (Random.State.int st 3072 lsl 6) + Random.State.int st 64)
+
+(* as [test_predictor_reset], for the cache: the same hit/miss sequence
+   and counts as a fresh cache, and the same state field for field.
+   Only the equality sees a clock left running: LRU compares stamps
+   with each other, never with where the clock started. *)
+let test_dcache_reset () =
+  let dirty = Dcache.create () in
+  Array.iter (fun addr -> ignore (Dcache.access dirty ~addr)) access_stream;
+  Dcache.reset dirty;
+  let fresh = Dcache.create () in
+  Alcotest.(check bool) "reset state = created state" true (dirty = fresh);
+  let on c = Array.map (fun addr -> Dcache.access c ~addr) access_stream in
+  Alcotest.(check (array bool)) "hits and misses access by access"
+    (on fresh) (on dirty);
+  Alcotest.(check (pair int int)) "hits, misses"
+    (Dcache.hits fresh, Dcache.misses fresh)
+    (Dcache.hits dirty, Dcache.misses dirty)
 
 let test_engine_counts_instructions () =
   let e = Engine.create () in
@@ -141,6 +193,32 @@ let test_engine_annotations_free () =
   Engine.annot e Annot.Dispatch_tick;
   Alcotest.(check int) "no cost" 0 (Engine.total_insns e)
 
+(* a released engine's tables go to the next engine created on the
+   domain, and to it alone *)
+let test_engine_recycles_tables () =
+  (* take whatever an earlier test released: the slot is empty *)
+  ignore (Engine.create ());
+  let e1 = Engine.create () in
+  let fresh = Engine.create () in
+  Alcotest.(check bool) "two live engines, two predictors" false
+    (Engine.predictor e1 == Engine.predictor fresh);
+  Engine.release e1;
+  let e2 = Engine.create () in
+  Alcotest.(check bool) "predictor reused" true
+    (Engine.predictor e2 == Engine.predictor e1);
+  Alcotest.(check bool) "d-cache reused" true
+    (Engine.dcache e2 == Engine.dcache e1);
+  let e3 = Engine.create () in
+  Alcotest.(check bool) "the next engine gets new tables" false
+    (Engine.predictor e3 == Engine.predictor e2
+    || Engine.dcache e3 == Engine.dcache e2);
+  (* e1's tables are e2's now: releasing e1 again must not offer them *)
+  Engine.release e1;
+  let e4 = Engine.create () in
+  Alcotest.(check bool) "a second release hands out nothing" false
+    (Engine.predictor e4 == Engine.predictor e2
+    || Engine.dcache e4 == Engine.dcache e2)
+
 let test_counters_ipc () =
   let e = Engine.create () in
   Engine.set_interp_width e 2.0;
@@ -177,6 +255,7 @@ let suite =
     Alcotest.test_case "dcache hit after fill" `Quick test_dcache_hit_after_fill;
     Alcotest.test_case "dcache eviction" `Quick test_dcache_eviction;
     Alcotest.test_case "dcache counters" `Quick test_dcache_counters;
+    Alcotest.test_case "dcache reset" `Quick test_dcache_reset;
     Alcotest.test_case "engine instruction count" `Quick test_engine_counts_instructions;
     Alcotest.test_case "engine budget" `Quick test_engine_budget;
     Alcotest.test_case "engine phase attribution" `Quick test_engine_phase_attribution;
@@ -184,6 +263,7 @@ let suite =
     Alcotest.test_case "engine phase exn safety" `Quick test_engine_phase_exception_safety;
     Alcotest.test_case "engine listener" `Quick test_engine_listener;
     Alcotest.test_case "annotations are free" `Quick test_engine_annotations_free;
+    Alcotest.test_case "engine recycles tables" `Quick test_engine_recycles_tables;
     Alcotest.test_case "counters ipc" `Quick test_counters_ipc;
     Alcotest.test_case "counters mpki" `Quick test_counters_mpki;
     Alcotest.test_case "mem access counts" `Quick test_mem_access_counts;

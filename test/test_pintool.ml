@@ -25,6 +25,27 @@ let test_phase_tracker_matches_counters () =
         (Mtj_pintool.Phase_tracker.phase_insns pt p))
     Phase.all
 
+let test_phase_tracker_late_attach () =
+  (* attached at 300 insns in [Jit] (100 interpreted, 200 jitted): the
+     prefix is booked as the counters hold it, not to the interpreter *)
+  let e = Engine.create () in
+  Engine.emit e (Cost.make ~alu:100 ());
+  Engine.push_phase e Phase.Jit;
+  Engine.emit e (Cost.make ~alu:200 ());
+  let pt = Mtj_pintool.Phase_tracker.attach e in
+  Engine.emit e (Cost.make ~alu:50 ());
+  Engine.pop_phase e;
+  Mtj_pintool.Phase_tracker.finalize pt;
+  let insns p = Mtj_pintool.Phase_tracker.phase_insns pt p in
+  Alcotest.(check (pair int int)) "interpreter, jit" (100, 250)
+    (insns Phase.Interpreter, insns Phase.Jit);
+  let counters = Engine.counters e in
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (Phase.name p)
+        (Counters.phase counters p).Counters.insns (insns p))
+    Phase.all
+
 let test_phase_tracker_on_benchmark () =
   (* the independent annotation-stream accounting must agree with the
      hardware-counter accounting on a real JIT run *)
@@ -182,6 +203,8 @@ let suite =
   [
     Alcotest.test_case "tracker matches counters (synthetic)" `Quick
       test_phase_tracker_matches_counters;
+    Alcotest.test_case "tracker attached late" `Quick
+      test_phase_tracker_late_attach;
     Alcotest.test_case "tracker matches counters (real run)" `Quick
       test_phase_tracker_on_benchmark;
     Alcotest.test_case "timeline shows warmup" `Quick test_timeline_shows_warmup;

@@ -691,6 +691,41 @@ let scenario_ovf_pair (exec : executor) =
   let e2 = exit_of exec rtc jitlog t_ovf [| V.of_int max_int |] in
   observe rtc [ t_ok; t_ovf ] [ e1; e2 ]
 
+(* the loop's guard fails into a bridge that divides by zero before it
+   passes a merge point of its own: the language error deoptimizes at
+   the last merge point passed, the loop's, whose resume reads the
+   bridge's registers.  The executor must carry that merge point across
+   the bridge entry. *)
+let scenario_bridge_error (exec : executor) =
+  let rtc = Mtj_rt.Ctx.create () in
+  let jitlog = Jitlog.create () in
+  let trace =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
+      ~entry_slots:1 (counting_loop_ops ~limit:50)
+  in
+  let bridge =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Bridge { from_guard = 9001; loop_code = 1; loop_pc = 0 })
+      ~entry_slots:1
+      [|
+        { Ir.opcode = Ir.Int_add;
+          args = [| Ir.Reg 0; Ir.Const (V.of_int 7) |]; result = 1 };
+        { Ir.opcode = Ir.Int_floordiv;
+          args = [| Ir.Reg 1; Ir.Const (V.of_int 0) |]; result = 2 };
+        { Ir.opcode = Ir.Finish; args = [| Ir.Reg 2 |]; result = -1 };
+      |]
+  in
+  Array.iter
+    (fun (op : Ir.op) ->
+      match op.Ir.opcode with
+      | Ir.Guard g -> g.Ir.bridge <- Some bridge
+      | _ -> ())
+    trace.Ir.ops;
+  Ir.invalidate_code trace;
+  let e = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
+  observe rtc [ trace; bridge ] [ e ]
+
 (* ---------- host stack depth (threaded executor only) ---------- *)
 
 let depth_probe = Mtj_rt.Aot.register ~name:"test.stack_depth" ~src:Mtj_rt.Aot.I
@@ -800,6 +835,13 @@ let test_tiered () =
 let test_ovf () =
   check_scenario "int op + overflow guard pair" scenario_ovf_pair
 
+let test_bridge_error () =
+  let reference = scenario_bridge_error Executor.run_ref in
+  Alcotest.(check string) "bridge error before its merge point" reference
+    (scenario_bridge_error Executor.run);
+  Alcotest.(check bool) "deoptimizes at the loop's merge point" true
+    (String.starts_with ~prefix:"exit0: deopt|in=" reference)
+
 (* ---------- cache accounting (threaded executor only) ---------- *)
 
 let test_cache_accounting () =
@@ -836,6 +878,8 @@ let suite =
     Alcotest.test_case "call_assembler switch" `Quick test_call_assembler;
     Alcotest.test_case "tiered back-edge exit" `Quick test_tiered;
     Alcotest.test_case "int op + overflow guard pair" `Quick test_ovf;
+    Alcotest.test_case "bridge error before a merge point" `Quick
+      test_bridge_error;
     Alcotest.test_case "code cache accounting" `Quick test_cache_accounting;
     Alcotest.test_case "constant host stack" `Quick test_constant_stack;
   ]
