@@ -263,6 +263,7 @@ let check_jit run j insns =
       let s_t1e = ref 0 and s_t2e = ref 0 in
       let s_t1d = ref 0 and s_t2d = ref 0 in
       let s_hits = ref 0 in
+      let entered = ref false in
       List.iter
         (fun tr ->
           let id = int_field tr "id" in
@@ -276,6 +277,7 @@ let check_jit run j insns =
           if int_field tr "bridges" < 0 then
             fail "run %s: trace %d negative bridges" run id;
           let entries = int_field tr "entries" in
+          if entries > 0 then entered := true;
           let dyn = int_field tr "dynamic_ir" in
           if int_field tr "tier" <= 1 then begin
             s_t1e := !s_t1e + entries;
@@ -291,6 +293,12 @@ let check_jit run j insns =
           "run %s: tier_residency (%d,%d,%d,%d) <> trace-row sums \
            (%d,%d,%d,%d)"
           run r_t1e r_t2e r_t1d r_t2d !s_t1e !s_t2e !s_t1d !s_t2d;
+      (* the warmup latch fires at the first trace entry, so it is set
+         exactly when some trace row counts an entry *)
+      if (first_entry >= 0) <> !entered then
+        fail "run %s: first_entry_insns %d but %s trace row has entries" run
+          first_entry
+          (if !entered then "a" else "no");
       (* every local hit is attributed to exactly one trace row, so the
          row sums must reconcile with the machinery counter (v7:
          no-double-counting between the local and shared tiers) *)

@@ -35,7 +35,8 @@ val metrics : Json.t -> (int, string) result
     ["total"] row, and the multi-tier JIT accounting: tier-1 + tier-2
     compiles partition the traces, promotions/demotions are bounded by
     the tier compile counts, the first-entry warmup latch lies within
-    the run, and per-tier residency equals the per-trace row sums. *)
+    the run and is set exactly when some trace row counts an entry, and
+    per-tier residency equals the per-trace row sums. *)
 
 val timings : Json.t -> (int, string) result
 (** Check a ["mtj-bench-timings/2"] document; returns the number of run

@@ -140,11 +140,9 @@ let neg cx a =
 let compare cx op a b =
   charge cx cx.k_cmp;
   (* immediate-immediate fast path: for-loop exit tests and other hot
-     int comparisons skip the generic dispatch in [compare_values].
-     [Rarith.compare_num] ticks the imm counter exactly as the generic
-     path would, and the result is a singleton bool, so charges,
-     branches and host counters are indistinguishable from the slow
-     path — only host-side dispatch work is saved. *)
+     int comparisons skip the generic dispatch in [compare_values].  It
+     charges and branches exactly as the slow path does, so only
+     host-side dispatch work is saved. *)
   let r =
     match op with
     | (Ops_intf.Lt | Ops_intf.Le | Ops_intf.Gt | Ops_intf.Ge | Ops_intf.Eq

@@ -761,7 +761,7 @@ module Make (L : Threaded.LANG) = struct
             pre-bound step closure for this pc, the head of a chain of
             straight-line bytecodes, which emits for each of them the
             exact charge sequence of the reference prologue + handler
-            below (held by test/test_dispatch_diff.ml). *)
+            below (held by test/test_program_diff.ml). *)
          let oc =
            if threaded then begin
              (* the portal may have deoptimized into a different code *)

@@ -14,10 +14,7 @@ open Mtj_rt
 exception Not_pure
 exception Overflow
 
-let[@inline] as_int v =
-  if Value.is_int v then Value.to_int_unchecked v
-  else if Value.is_bool v then Bool.to_int (Value.to_bool_unchecked v)
-  else Semantics.err "int op on %s" (Value.type_name v)
+let as_int = Semantics.as_int
 
 let[@inline] as_float v =
   if Value.is_float v then Value.to_float_unchecked v

@@ -459,6 +459,39 @@ let pp_op fmt (op : op) =
     op.args;
   Format.fprintf fmt ")"
 
+(* a resume's frames (code@pc, then the local and stack sources) and its
+   virtual descriptors, each item led by a space *)
+let pp_resume fmt (r : resume) =
+  let src = function
+    | S_reg r -> Format.fprintf fmt " r%d" r
+    | S_const v -> Format.fprintf fmt " %s" (Mtj_rt.Value.repr v)
+    | S_virtual k -> Format.fprintf fmt " v%d" k
+  in
+  let srcs name a =
+    Format.pp_print_string fmt name;
+    Array.iter src a;
+    Format.pp_print_char fmt ')'
+  in
+  List.iter
+    (fun (f : frame_snap) ->
+      Format.fprintf fmt " [%d@@%d%s L" f.snap_code f.snap_pc
+        (if f.snap_discard then " discard" else "");
+      Array.iter src f.snap_locals;
+      Format.pp_print_string fmt " S";
+      Array.iter src f.snap_stack;
+      Format.pp_print_char fmt ']')
+    r.frames;
+  Array.iteri
+    (fun i d ->
+      Format.fprintf fmt " v%d=" i;
+      match d with
+      | V_instance { v_cls; v_fields } ->
+          srcs (Printf.sprintf "instance(%d:" v_cls.Mtj_rt.Value.uid) v_fields
+      | V_tuple a -> srcs "tuple(" a
+      | V_list a -> srcs "list(" a
+      | V_cell s -> srcs "cell(" [| s |])
+    r.r_virtuals
+
 (* copy recorded ops so a recompile (tier-2, or a test harness) starts
    from pristine guards: fresh guard records with no attached bridge and
    a zero fail count, and private arg arrays. The old trace keeps its

@@ -47,10 +47,23 @@ let as_set_obj v =
   end
   else err "expected set, got %s" (Value.type_name v)
 
+(* why [as_int] refused [v].  A bignum is an int to the program, so its
+   message names the limit it met instead of its type: [&], [|], [^] and
+   shift counts take native ints only (DESIGN §5) *)
+let not_native_int v =
+  if Value.is_obj v then
+    match (Value.to_obj_unchecked v).Value.payload with
+    | Value.Bigint _ ->
+        err
+          "int operand outside the native int range that &, |, ^ and shift \
+           counts accept"
+    | _ -> err "expected int, got %s" (Value.type_name v)
+  else err "expected int, got %s" (Value.type_name v)
+
 let[@inline] as_int v =
   if Value.is_int v then Value.to_int_unchecked v
   else if Value.is_bool v then Bool.to_int (Value.to_bool_unchecked v)
-  else err "expected int, got %s" (Value.type_name v)
+  else not_native_int v
 
 let[@inline] as_str v =
   if Value.is_str v then Value.to_str_unchecked v

@@ -67,16 +67,9 @@ let is_true cx (tv : t) =
   b
 
 let guard_int cx (tv : t) =
-  let v = tv.R.v in
-  if Value.is_int v then begin
-    guard_shape cx tv;
-    Value.to_int_unchecked v
-  end
-  else if Value.is_bool v then begin
-    guard_shape cx tv;
-    Bool.to_int (Value.to_bool_unchecked v)
-  end
-  else err "expected int, got %s" (Value.type_name v)
+  let n = Semantics.as_int tv.R.v in
+  guard_shape cx tv;
+  n
 
 let guard_func cx (tv : t) =
   match Value.view tv.R.v with

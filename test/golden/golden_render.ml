@@ -167,51 +167,14 @@ let frontend () =
 (* experiment 6: the optimizer's output — one line per (program, JIT
    config) with the trace count, the op count and the MD5 of a dump of
    every compiled trace: each op by [Ir.pp_op], each guard's id, and
-   each guard's and merge point's resume (the frames' sources and the
-   virtual descriptors); any change to what the optimizer emits fails
-   the diff.  rklite binarytrees runs at 5 M instructions: at 2 M it
-   does not reach the traces that read a value back out of a removed
-   allocation. *)
+   each guard's and merge point's resume by [Ir.pp_resume] (the frames'
+   sources and the virtual descriptors); any change to what the
+   optimizer emits fails the diff.  rklite binarytrees runs at 5 M
+   instructions: at 2 M it does not reach the traces that read a value
+   back out of a removed allocation. *)
 let dump_trace b (tr : Mtj_rjit.Ir.trace) =
   let module Ir = Mtj_rjit.Ir in
-  let module V = Mtj_rt.Value in
-  let src = function
-    | Ir.S_reg r -> Printf.bprintf b " r%d" r
-    | Ir.S_const v -> Printf.bprintf b " %s" (V.repr v)
-    | Ir.S_virtual k -> Printf.bprintf b " v%d" k
-  in
-  let resume (r : Ir.resume) =
-    List.iter
-      (fun (f : Ir.frame_snap) ->
-        Printf.bprintf b " [%d@%d%s L" f.Ir.snap_code f.Ir.snap_pc
-          (if f.Ir.snap_discard then " discard" else "");
-        Array.iter src f.Ir.snap_locals;
-        Buffer.add_string b " S";
-        Array.iter src f.Ir.snap_stack;
-        Buffer.add_char b ']')
-      r.Ir.frames;
-    Array.iteri
-      (fun i d ->
-        Printf.bprintf b " v%d=" i;
-        match d with
-        | Ir.V_instance { v_cls; v_fields } ->
-            Printf.bprintf b "instance(%d:" v_cls.V.uid;
-            Array.iter src v_fields;
-            Buffer.add_char b ')'
-        | Ir.V_tuple a ->
-            Buffer.add_string b "tuple(";
-            Array.iter src a;
-            Buffer.add_char b ')'
-        | Ir.V_list a ->
-            Buffer.add_string b "list(";
-            Array.iter src a;
-            Buffer.add_char b ')'
-        | Ir.V_cell s ->
-            Buffer.add_string b "cell(";
-            src s;
-            Buffer.add_char b ')')
-      r.Ir.r_virtuals
-  in
+  let resume r = Buffer.add_string b (Format.asprintf "%a" Ir.pp_resume r) in
   Printf.bprintf b "trace %d %s tier=%d entry=%d base=%d start=%d\n"
     tr.Ir.trace_id
     (match tr.Ir.kind with

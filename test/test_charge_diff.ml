@@ -238,19 +238,15 @@ end
 
 (* ---------- engine-side digests ---------- *)
 
-let snap_str (s : Counters.snapshot) =
-  Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" s.Counters.insns
-    s.Counters.cycles s.Counters.branches s.Counters.branch_misses
-    s.Counters.loads s.Counters.stores s.Counters.cache_misses
-
 let eng_read_digest eng =
   let c = Engine.counters eng in
   String.concat "\n"
     (List.map
-       (fun p -> Phase.name p ^ ": " ^ snap_str (Counters.phase c p))
+       (fun p ->
+         Phase.name p ^ ": " ^ Run_digest.snap_str (Counters.phase c p))
        Phase.all
     @ [
-        "total " ^ snap_str (Counters.total c);
+        "total " ^ Run_digest.snap_str (Counters.total c);
         Printf.sprintf "eng i=%d cy=%.17g" (Engine.total_insns eng)
           (Engine.total_cycles eng);
       ])
@@ -286,7 +282,8 @@ let sink_samples_digest sink =
     (List.map
        (fun (s : Sink.sample) ->
          Printf.sprintf "@%d cy=%.17g ticks=%d %s" s.Sink.s_insns
-           s.Sink.s_cycles s.Sink.s_ticks (snap_str s.Sink.s_counters))
+           s.Sink.s_cycles s.Sink.s_ticks
+           (Run_digest.snap_str s.Sink.s_counters))
        (Sink.samples sink))
 
 let model_samples_digest (m : Ref_model.t) =

@@ -9,8 +9,6 @@ let () =
       ("rt-model", Test_rt_model.suite);
       ("pylite", Test_pylite.suite);
       ("rklite", Test_rklite.suite);
-      ("jit-equivalence", Test_jit_equiv.suite);
-      ("jit-equivalence-rk", Test_jit_equiv_rk.suite);
       ("pintool", Test_pintool.suite);
       ("annot-stream", Test_annot_stream.suite);
       ("jit-machinery", Test_jit_machinery.suite);
@@ -20,8 +18,10 @@ let () =
       ("jit-threaded-diff", Test_threaded_diff.suite);
       ("machine-property", Test_machine_prop.suite);
       ("charge-diff", Test_charge_diff.suite);
-      ("dispatch-diff", Test_dispatch_diff.suite);
-      ("tier-diff", Test_tier_diff.suite);
+      ("dispatch-diff", Test_program_diff.dispatch_suite);
+      ("tier-diff", Test_program_diff.tier_suite);
+      ("jit-equivalence", Test_program_diff.py_suite);
+      ("jit-equivalence-rk", Test_program_diff.rk_suite);
       ("obs", Test_obs.suite);
       ("lang-internals", Test_lang_internals.suite);
       ("error-paths", Test_errors.suite);

@@ -391,8 +391,8 @@ let test_validator_rejects_corruption () =
   (* jit block violating the v2 cache invariants *)
   let jdoc ?(itrans = 1) ?(ihits = 0) ?(retiers = 0) ?(t1c = 0) ?(t2c = 1)
       ?(demotions = 0) ?(first_entry = 5) ?(res_t2_entries = 1)
-      ?(tr_deopts = 0) ?(shared_hits = 0) ?total_hits ?(cache_hits = 0)
-      ?(seeded_sites = 0) translations trace_translations =
+      ?(tr_entries = 1) ?(tr_deopts = 0) ?(shared_hits = 0) ?total_hits
+      ?(cache_hits = 0) ?(seeded_sites = 0) translations trace_translations =
     Json.Obj
       [
         ("schema", Json.Str "mtj-metrics/12");
@@ -442,7 +442,7 @@ let test_validator_rejects_corruption () =
                                 [
                                   ("id", Json.Int 1);
                                   ("tier", Json.Int 2);
-                                  ("entries", Json.Int 1);
+                                  ("entries", Json.Int tr_entries);
                                   ("dynamic_ir", Json.Int 4);
                                   ("translations", Json.Int trace_translations);
                                   ("cache_hits", Json.Int 0);
@@ -481,6 +481,10 @@ let test_validator_rejects_corruption () =
     (Validate.metrics (jdoc ~first_entry:(-2) 1 1));
   expect_err "tier_residency disagreeing with trace rows"
     (Validate.metrics (jdoc ~res_t2_entries:5 1 1));
+  expect_err "first-entry latch set with no trace entered"
+    (Validate.metrics (jdoc ~tr_entries:0 ~res_t2_entries:0 1 1));
+  expect_err "first-entry latch unset with a trace entered"
+    (Validate.metrics (jdoc ~first_entry:(-1) 1 1));
   expect_err "negative per-trace deopts"
     (Validate.metrics (jdoc ~tr_deopts:(-1) 1 1));
   (* v7 shared-cache split invariants *)

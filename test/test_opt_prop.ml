@@ -358,37 +358,7 @@ let copy_ops ops =
    fresh ones on every call. *)
 let show_ops (ops : Ir.op array) =
   let b = Buffer.create 1024 in
-  let src = function
-    | Ir.S_reg r -> Printf.bprintf b " r%d" r
-    | Ir.S_const v -> Printf.bprintf b " %s" (V.repr v)
-    | Ir.S_virtual k -> Printf.bprintf b " v%d" k
-  in
-  let resume (r : Ir.resume) =
-    List.iter
-      (fun (f : Ir.frame_snap) ->
-        Printf.bprintf b " [%d@%d%s L" f.Ir.snap_code f.Ir.snap_pc
-          (if f.Ir.snap_discard then " discard" else "");
-        Array.iter src f.Ir.snap_locals;
-        Buffer.add_string b " S";
-        Array.iter src f.Ir.snap_stack;
-        Buffer.add_string b "]")
-      r.Ir.frames;
-    Array.iteri
-      (fun i d ->
-        Printf.bprintf b " v%d=" i;
-        match d with
-        | Ir.V_instance { v_cls; v_fields } ->
-            Printf.bprintf b "instance(%d:" v_cls.V.uid;
-            Array.iter src v_fields;
-            Buffer.add_string b ")"
-        | Ir.V_tuple a -> Buffer.add_string b "tuple("; Array.iter src a;
-            Buffer.add_string b ")"
-        | Ir.V_list a -> Buffer.add_string b "list("; Array.iter src a;
-            Buffer.add_string b ")"
-        | Ir.V_cell s -> Buffer.add_string b "cell("; src s;
-            Buffer.add_string b ")")
-      r.Ir.r_virtuals
-  in
+  let resume r = Buffer.add_string b (Format.asprintf "%a" Ir.pp_resume r) in
   Array.iter
     (fun (op : Ir.op) ->
       Buffer.add_string b (Format.asprintf "%a" Ir.pp_op op);

@@ -28,11 +28,6 @@ type executor =
 
 (* ---------- observation digest ---------- *)
 
-let snap_str (s : Counters.snapshot) =
-  Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" s.Counters.insns
-    s.Counters.cycles s.Counters.branches s.Counters.branch_misses
-    s.Counters.loads s.Counters.stores s.Counters.cache_misses
-
 let render_exit (ex : Executor.exit_state) =
   let buf = Buffer.create 128 in
   (match ex.Executor.finished with
@@ -70,9 +65,11 @@ let observe rtc (traces : Ir.trace list) exits =
       let s = Counters.phase counters p in
       if s.Counters.insns <> 0 then
         Buffer.add_string buf
-          (Printf.sprintf "%s: %s\n" (Phase.name p) (snap_str s)))
+          (Printf.sprintf "%s: %s\n" (Phase.name p)
+             (Run_digest.snap_str s)))
     Phase.all;
-  Buffer.add_string buf ("total: " ^ snap_str (Counters.total counters) ^ "\n");
+  Buffer.add_string buf
+    ("total: " ^ Run_digest.snap_str (Counters.total counters) ^ "\n");
   List.iter
     (fun (t : Ir.trace) ->
       Buffer.add_string buf

@@ -17,16 +17,14 @@
       the JIT's checked int ops to [Rarith]'s promotion;
     - digest differentials over RANDOM generated programs: the
       host-side dispatch knob (threaded steps or the reference loop)
-      must leave the simulated machine counters and program output
-      byte-identical in both VMs. *)
+      must leave the whole run digest byte-identical in both VMs
+      (the differential harness's dispatch check). *)
 
 module V = Mtj_rt.Value
 module Ctx = Mtj_rt.Ctx
 module Rarith = Mtj_rt.Rarith
 module Rbigint = Mtj_rt.Rbigint
 module Config = Mtj_core.Config
-module Counters = Mtj_machine.Counters
-module Engine = Mtj_machine.Engine
 
 let ctx () = Ctx.create ~config:Config.no_jit ()
 
@@ -323,41 +321,12 @@ let gen_expr =
 
 let arb_expr = QCheck.make ~print:py_str gen_expr
 
-let snap_str (s : Counters.snapshot) =
-  Printf.sprintf "i=%d c=%.17g b=%d bm=%d l=%d s=%d cm=%d" s.Counters.insns
-    s.Counters.cycles s.Counters.branches s.Counters.branch_misses
-    s.Counters.loads s.Counters.stores s.Counters.cache_misses
-
-let status_of = function
-  | Mtj_rjit.Driver.Completed _ -> "ok"
-  | Mtj_rjit.Driver.Budget_exceeded -> "budget"
-  | Mtj_rjit.Driver.Runtime_error e -> "failed: " ^ e
-
-let digest_py ~config src =
-  let vm = Mtj_pylite.Vm.create ~config () in
-  let outcome = Mtj_pylite.Vm.run_source vm src in
-  Printf.sprintf "%s|%s|%s" (status_of outcome)
-    (Mtj_pylite.Vm.output vm)
-    (snap_str (Counters.total (Engine.counters (Mtj_pylite.Vm.engine vm))))
-
-let digest_rk ~config src =
-  let vm = Mtj_rklite.Kvm.create ~config () in
-  let outcome = Mtj_rklite.Kvm.run_source vm src in
-  Printf.sprintf "%s|%s|%s" (status_of outcome)
-    (Mtj_rklite.Kvm.output vm)
-    (snap_str (Counters.total (Engine.counters (Mtj_rklite.Kvm.engine vm))))
-
-(* the host-side configurations that must be indistinguishable in the
-   simulation: threaded dispatch and the reference loop *)
-let host_knob_configs base =
-  [
-    { base with Config.threaded_interp = true };
-    { base with Config.threaded_interp = false };
-  ]
-
-let all_equal = function
-  | [] | [ _ ] -> true
-  | d :: rest -> List.for_all (String.equal d) rest
+(* the host-side dispatch knob (threaded steps or the reference loop)
+   must leave everything the simulation shows alone: the differential
+   harness's dispatch check *)
+let dispatch_identical lang c src =
+  Test_program_diff.(
+    verdict (fun () -> ignore (dispatch { name = "expression"; lang; src } c)))
 
 let base_config = Config.with_budget 500_000 Config.no_jit
 
@@ -365,19 +334,15 @@ let prop_py_digest =
   QCheck.Test.make
     ~name:"pylite: random expr digest invariant under host knobs" ~count:40
     arb_expr (fun e ->
-      let src = Printf.sprintf "print(%s)\n" (py_str e) in
-      all_equal
-        (List.map (fun c -> digest_py ~config:c src)
-           (host_knob_configs base_config)))
+      dispatch_identical Mtj_benchmarks.Registry.Py ("nojit", base_config)
+        (Printf.sprintf "print(%s)\n" (py_str e)))
 
 let prop_rk_digest =
   QCheck.Test.make
     ~name:"rklite: random expr digest invariant under host knobs" ~count:40
     arb_expr (fun e ->
-      let src = Printf.sprintf "(display %s)" (rk_str e) in
-      all_equal
-        (List.map (fun c -> digest_rk ~config:c src)
-           (host_knob_configs base_config)))
+      dispatch_identical Mtj_benchmarks.Registry.Rk ("nojit", base_config)
+        (Printf.sprintf "(display %s)" (rk_str e)))
 
 (* a JITted loop over a random expression: the trace executor and both
    interpreter tiers must tell the same story *)
@@ -390,9 +355,9 @@ let prop_py_loop_digest =
           "acc = 0\ni = 0\nwhile i < 300:\n    acc = acc + %s\n    i = i + 1\nprint(acc)\n"
           (py_str e)
       in
-      let base = Config.with_budget 2_000_000 Config.default in
-      all_equal
-        (List.map (fun c -> digest_py ~config:c src) (host_knob_configs base)))
+      dispatch_identical Mtj_benchmarks.Registry.Py
+        ("optimizing", Config.with_budget 2_000_000 Config.default)
+        src)
 
 let suite =
   [
