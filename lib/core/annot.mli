@@ -13,7 +13,10 @@
     push/pop value is built once by the engine, each AOT function's
     enter/exit value once at registration ({!Mtj_rt.Aot}), and each
     compiled trace's enter/exit value once by the backend
-    ([Mtj_rjit.Ir.trace]).  {!Dispatch_tick} is a constant. *)
+    ([Mtj_rjit.Ir.trace]).  The most frequent, {!Dispatch_tick}, is
+    counted by the engine itself ({!Mtj_machine.Engine.tick}), which
+    wakes its tick listeners only at the instruction marks they ask
+    for. *)
 
 type t =
   | Phase_push of Phase.t
@@ -26,7 +29,10 @@ type t =
           the interpreter dispatch loop, or (in JIT-compiled code) one
           bytecode-level merge point crossed.  Inserted at the interpreter
           layer; this is the work measure that makes warmup curves and
-          break-even points observable (Sec. IV, Fig. 5). *)
+          break-even points observable (Sec. IV, Fig. 5).  The engine
+          counts it ({!Mtj_machine.Engine.ticks}) and delivers it as a
+          value only to the listeners attached for {!Ticks}, which read
+          every one. *)
   | Aot_enter of int  (** Entering AOT-compiled runtime function [id]. *)
   | Aot_exit of int   (** Leaving AOT-compiled runtime function [id]. *)
   | Trace_enter of int  (** Execution enters compiled trace [id]. *)

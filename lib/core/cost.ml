@@ -5,7 +5,7 @@ let zero = { alu = 0; fpu = 0; load = 0; store = 0; other = 0 }
 let make ?(alu = 0) ?(fpu = 0) ?(load = 0) ?(store = 0) ?(other = 0) () =
   { alu; fpu; load; store; other }
 
-let total c = c.alu + c.fpu + c.load + c.store + c.other
+let[@inline] total c = c.alu + c.fpu + c.load + c.store + c.other
 
 let ( + ) a b =
   {

@@ -3,6 +3,9 @@ open Mtj_core
 exception Budget_exhausted
 
 type listener = insns:int -> Annot.t -> unit
+type mark_listener = insns:int -> ticks:int -> int
+
+type marked = { mutable mark : int; on_mark : mark_listener }
 
 type t = {
   cfg : Config.t;
@@ -17,6 +20,13 @@ type t = {
   mutable depth : int;
   listeners : listener array array;  (* by Annot.kind_index; each newest
                                         first *)
+  mutable ticks : int;
+  mutable tick_mark : int;  (* [tick] wakes its listeners once [insns]
+                               reaches this: 0 with an every-tick
+                               listener, else the lowest mark a
+                               [marked] listener asked for, [max_int]
+                               with none *)
+  mutable marked : marked array;  (* newest first *)
   mutable interp_width : float;
   inv_width : float array;  (* one cell, as [cycles]: 1 / width(phase),
                                kept in sync on phase changes so the
@@ -60,6 +70,9 @@ let create ?(config = Config.default) () =
     phase_stack = Array.make 16 Phase.Interpreter;
     depth = 0;
     listeners = Array.make (List.length Annot.kinds) [||];
+    ticks = 0;
+    tick_mark = max_int;
+    marked = [||];
     interp_width = 2.0;
     inv_width = Array.make 1 (1.0 /. 2.0);
     insns = 0;
@@ -162,7 +175,39 @@ let[@inline] deliver t slot a =
     (Array.unsafe_get ls i) ~insns:t.insns a
   done
 
-let[@inline] annot t a = deliver t (Annot.kind_index (Annot.kind a)) a
+let ticks_slot = Annot.kind_index Annot.Ticks
+
+(* Each mark listener whose mark [insns] has reached names its next
+   one, and the lowest mark left becomes [tick_mark]: 0 while an
+   every-tick listener is attached. *)
+let wake_marks t =
+  let insns = t.insns in
+  let lo =
+    ref
+      (if Array.length (Array.unsafe_get t.listeners ticks_slot) > 0 then 0
+       else max_int)
+  in
+  let ms = t.marked in
+  for i = 0 to Array.length ms - 1 do
+    let m = Array.unsafe_get ms i in
+    if insns >= m.mark then m.mark <- m.on_mark ~insns ~ticks:t.ticks;
+    if m.mark < !lo then lo := m.mark
+  done;
+  t.tick_mark <- !lo
+
+(* the cold half of [tick] *)
+let wake t =
+  deliver t ticks_slot Annot.Dispatch_tick;
+  if Array.length t.marked > 0 then wake_marks t
+
+let[@inline] tick t =
+  t.ticks <- t.ticks + 1;
+  if t.insns >= t.tick_mark then wake t
+
+let[@inline] annot t a =
+  match a with
+  | Annot.Dispatch_tick -> tick t
+  | a -> deliver t (Annot.kind_index (Annot.kind a)) a
 
 let phases_slot = Annot.kind_index Annot.Phases
 let pushes = Array.init Phase.count (fun i -> Annot.Phase_push (Phase.of_index i))
@@ -213,7 +258,14 @@ let add_listener ?(kinds = Annot.kinds) t l =
         let i = Annot.kind_index k in
         t.listeners.(i) <- Array.append [| l |] t.listeners.(i)
       end)
-    Annot.kinds
+    Annot.kinds;
+  if List.mem Annot.Ticks kinds then t.tick_mark <- 0
+
+let add_mark_listener t ~mark l =
+  t.marked <- Array.append [| { mark; on_mark = l } |] t.marked;
+  t.tick_mark <- min t.tick_mark mark
+
+let ticks t = t.ticks
 
 let total_insns t = t.insns
 let total_cycles t = t.cycles.(0)

@@ -26,11 +26,17 @@ type listener = insns:int -> Mtj_core.Annot.t -> unit
 (** Called for every annotation of the kinds it attached for, with the
     current total instruction count. *)
 
+type mark_listener = insns:int -> ticks:int -> int
+(** Called at the first tick at which the instruction count is at or
+    past the listener's mark, with that count and the tick count (this
+    tick included); returns the listener's next mark. *)
+
 val create : ?config:Mtj_core.Config.t -> unit -> t
-(** A fresh engine: no instructions, cycles or counts, the interpreter
-    phase, no listeners, and predictor and d-cache tables in their
-    initial state.  The tables are those of the last engine {!release}d
-    on this domain, reset, when there is one; otherwise new ones. *)
+(** A fresh engine: no instructions, cycles, ticks or counts, the
+    interpreter phase, no listeners, and predictor and d-cache tables in
+    their initial state.  The tables are those of the last engine
+    {!release}d on this domain, reset, when there is one; otherwise new
+    ones. *)
 
 val release : t -> unit
 (** Hand [t]'s predictor and d-cache tables to the next {!create} on
@@ -71,7 +77,17 @@ val in_phase : t -> Mtj_core.Phase.t -> (unit -> 'a) -> 'a
 
 val annot : t -> Mtj_core.Annot.t -> unit
 (** Emit a cross-layer annotation (zero machine cost): deliver it to the
-    listeners attached for its {!Mtj_core.Annot.kind}. *)
+    listeners attached for its {!Mtj_core.Annot.kind}.
+    [annot t Dispatch_tick] is {!tick}. *)
+
+val tick : t -> unit
+(** One [Dispatch_tick]: add one to the engine's tick count.  Once the
+    instruction count has reached the lowest mark any tick listener
+    asked for, also deliver the annotation to the listeners attached
+    for [Ticks] and call each {!mark_listener} whose mark it has
+    reached.  A listener attached for [Ticks] through {!add_listener}
+    reads every tick, so it sets that mark to 0; with none, a tick is
+    one increment and one compare until the next mark. *)
 
 val add_listener : ?kinds:Mtj_core.Annot.kind list -> t -> listener -> unit
 (** Attach [l] for the annotation [kinds] it reads (default: every
@@ -84,13 +100,24 @@ val add_listener : ?kinds:Mtj_core.Annot.kind list -> t -> listener -> unit
     array per kind, rebuilt on attach, so an annotation with no listener
     costs one array-length test and delivery is a tight scan with no
     per-annotation allocation.  Listeners must not attach further
-    listeners from inside a delivery. *)
+    listeners from inside a delivery.  A listener attached for [Ticks]
+    reads every tick, so it sets {!tick}'s mark to 0 for good. *)
+
+val add_mark_listener : t -> mark:int -> mark_listener -> unit
+(** Call [l] at the first tick at or past instruction count [mark], and
+    from then on at the first tick at or past each mark it returns.  A
+    returned mark at or below the current count calls it again at the
+    next tick.  Rare, like {!add_listener}, and under the same rule: not
+    from inside a delivery. *)
 
 (* --- observation --- *)
 
 val total_insns : t -> int
 val total_cycles : t -> float
 val counters : t -> Counters.t
+
+val ticks : t -> int
+(** The ticks counted since {!create}, listened to or not. *)
 
 val config : t -> Mtj_core.Config.t
 val predictor : t -> Predictor.t

@@ -24,14 +24,17 @@ type sample = {
 (* Events are stored structure-of-arrays so recording is three unboxed
    stores and a counter bump: an int tag, an int argument, and the two
    timestamps.  Tags: 0 phase_begin, 1 phase_end, 2 trace_enter,
-   3 trace_exit, 4 guard_fail, 5 trace_compile, 6 trace_abort, 7 marker. *)
+   3 trace_exit, 4 guard_fail, 5 trace_compile, 6 trace_abort, 7 marker.
+   The four arrays start at [initial_slots] (or [capacity], if smaller)
+   and double when full, up to [capacity], so a short run pays for the
+   events it records rather than for the bound. *)
 type t = {
   eng : Engine.t;
   capacity : int;
-  tags : int array;
-  args : int array;
-  ev_insns : int array;
-  ev_cycles : float array;
+  mutable tags : int array;
+  mutable args : int array;
+  mutable ev_insns : int array;
+  mutable ev_cycles : float array;
   mutable n : int;
   mutable dropped : int;
   (* counter sampling *)
@@ -62,8 +65,24 @@ let take_sample t insns =
     }
     :: t.rev_samples
 
+let initial_slots = 1024
+
+let grow t =
+  let n = t.n in
+  let len = min t.capacity (2 * n) in
+  let extend a zero =
+    let b = Array.make len zero in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.tags <- extend t.tags 0;
+  t.args <- extend t.args 0;
+  t.ev_insns <- extend t.ev_insns 0;
+  t.ev_cycles <- extend t.ev_cycles 0.0
+
 let record t tag arg insns =
-  if t.n < t.capacity then begin
+  if t.n = Array.length t.tags && t.n < t.capacity then grow t;
+  if t.n < Array.length t.tags then begin
     let i = t.n in
     t.tags.(i) <- tag;
     t.args.(i) <- arg;
@@ -97,14 +116,15 @@ let attach ?(capacity = 1 lsl 18) ?counter_window eng =
     | None -> (Engine.config eng).Config.sample_window
   in
   let capacity = max 16 capacity in
+  let slots = min capacity initial_slots in
   let t =
     {
       eng;
       capacity;
-      tags = Array.make capacity 0;
-      args = Array.make capacity 0;
-      ev_insns = Array.make capacity 0;
-      ev_cycles = Array.make capacity 0.0;
+      tags = Array.make slots 0;
+      args = Array.make slots 0;
+      ev_insns = Array.make slots 0;
+      ev_cycles = Array.make slots 0.0;
       n = 0;
       dropped = 0;
       window;

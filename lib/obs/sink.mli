@@ -3,18 +3,18 @@
     Attaches to a machine engine as an ordinary annotation listener and
     records the cross-layer event stream — phase pushes/pops (framework,
     GC, blackhole), compiled-trace enters/exits, guard failures, trace
-    compiles/aborts, application markers — into a preallocated flat
-    buffer, timestamped with the simulated instruction and cycle counts
-    at the moment each event fired.  Alongside the event stream it takes
-    periodic counter samples (engine counter snapshots + dispatch-tick
-    totals) from which the exporters derive IPC / miss-rate / work-rate
-    counter tracks.
+    compiles/aborts, application markers — into a flat buffer that
+    doubles as it fills, timestamped with the simulated instruction and
+    cycle counts at the moment each event fired.  Alongside the event
+    stream it takes periodic counter samples (engine counter snapshots
+    + dispatch-tick totals) from which the exporters derive IPC /
+    miss-rate / work-rate counter tracks.
 
     Disabled by default: a run only pays for the sink when one is
     attached.  When attached, the per-event cost is a handful of array
-    stores into preallocated arrays — no allocation on the hot path
-    (counter samples, taken every [counter_window] instructions, are the
-    only allocating operation). *)
+    stores — no allocation on the hot path but the buffer's doublings
+    (from 1,024 events) and the counter samples, taken every
+    [counter_window] instructions. *)
 
 type t
 
@@ -41,8 +41,10 @@ type sample = {
 
 val attach :
   ?capacity:int -> ?counter_window:int -> Mtj_machine.Engine.t -> t
-(** Register on the engine.  [capacity] bounds the event buffer (default
-    [1 lsl 18] events); once full, further events are counted in
+(** Register on the engine, for every annotation kind.  [capacity]
+    bounds the event buffer (default [1 lsl 18] events), which starts at
+    1,024 events, or [capacity] if smaller, and doubles up to it; once
+    [capacity] events are stored, further events are counted in
     {!dropped} but not stored, so the recorded prefix stays well-formed.
     [counter_window] is the counter-sampling interval in instructions
     (default: the engine configuration's [sample_window]). *)

@@ -3,21 +3,26 @@ module Engine = Mtj_machine.Engine
 
 type t = {
   window : int;
-  mutable ticks : int;
+  base : int;  (* the engine's tick count at attach *)
   mutable next_mark : int;
   mutable rev_samples : (int * int) list;
   engine : Engine.t;
   mutable finalized : bool;
 }
 
-(* [insns] is the engine's exact total after the last charged bundle,
-   so sample marks land on precise boundaries *)
-let tick t ~insns =
-  t.ticks <- t.ticks + 1;
+let ticks t = Engine.ticks t.engine - t.base
+
+(* called at the first tick at or past [next_mark]; [insns] is the
+   engine's exact total after the last charged bundle, so sample marks
+   land on precise boundaries, and one tick records every mark it
+   crossed *)
+let on_mark t ~insns ~ticks =
+  let k = ticks - t.base in
   while insns >= t.next_mark do
-    t.rev_samples <- (t.next_mark, t.ticks) :: t.rev_samples;
+    t.rev_samples <- (t.next_mark, k) :: t.rev_samples;
     t.next_mark <- t.next_mark + t.window
-  done
+  done;
+  t.next_mark
 
 let attach ?window engine =
   let window =
@@ -28,7 +33,7 @@ let attach ?window engine =
   let t =
     {
       window;
-      ticks = 0;
+      base = Engine.ticks engine;
       (* the first window boundary past the attach point: a sampler
          attached after the engine has run records no marks it never
          saw *)
@@ -38,18 +43,16 @@ let attach ?window engine =
       finalized = false;
     }
   in
-  Engine.add_listener ~kinds:[ Annot.Ticks ] engine (fun ~insns _ ->
-      tick t ~insns);
+  Engine.add_mark_listener engine ~mark:t.next_mark (on_mark t);
   t
 
 let finalize t =
   if not t.finalized then begin
     let insns = Engine.total_insns t.engine in
-    t.rev_samples <- (insns, t.ticks) :: t.rev_samples;
+    t.rev_samples <- (insns, ticks t) :: t.rev_samples;
     t.finalized <- true
   end
 
-let ticks t = t.ticks
 let samples t = Array.of_list (List.rev t.rev_samples)
 
 let interpolate s insns =

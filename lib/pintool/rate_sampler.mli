@@ -11,19 +11,24 @@
 type t
 
 val attach : ?window:int -> Mtj_machine.Engine.t -> t
-(** Register on the engine for the [Ticks] kind only.  [window] is the
-    sampling interval in instructions (default from the engine's
-    configuration); the first sample falls on the first multiple of
-    [window] past the engine's instruction count at attach time. *)
+(** Ask the engine for its window marks
+    ({!Mtj_machine.Engine.add_mark_listener}), so the ticks between
+    marks cost the sampler nothing.  [window] is the sampling interval
+    in instructions (default from the engine's configuration); the first
+    sample falls on the first multiple of [window] past the engine's
+    instruction count at attach time. *)
 
 val finalize : t -> unit
 (** Record the final partial window. *)
 
 val ticks : t -> int
-(** Total dispatch ticks observed ("work" completed). *)
+(** Dispatch ticks since attach ("work" completed): the engine's tick
+    count, less its value at attach. *)
 
 val samples : t -> (int * int) array
-(** [(insns, cumulative_ticks)] at each window boundary, ascending. *)
+(** [(insns, cumulative_ticks)] at each window boundary, ascending: the
+    boundary, and the ticks since attach at the first tick at or past
+    it ({!finalize} adds the closing pair). *)
 
 val interpolate : (int * int) array -> int -> int
 (** [interpolate samples insns]: cumulative ticks at the given

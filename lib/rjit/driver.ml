@@ -5,8 +5,8 @@
     owns the mode transitions of Figure 1/3 of the paper:
 
     - {b interpreter}: the dispatch loop runs [Step(Direct_ops)], emitting
-      one [Dispatch_tick] annotation and one indirect dispatch branch per
-      bytecode — by default through the {!Threaded} tier's step arrays,
+      one dispatch tick and one indirect dispatch branch per bytecode —
+      by default through the {!Threaded} tier's step arrays,
       which stage each code object's handlers once, or through the
       reference loop, which stages and runs one bytecode at a time (same
       handlers, same simulated charges, dearer host dispatch);
@@ -777,7 +777,7 @@ module Make (L : Threaded.LANG) = struct
              | oc -> oc
            end
            else begin
-             Engine.annot eng Annot.Dispatch_tick;
+             Engine.tick eng;
              Engine.emit eng t.profile.Profile.dispatch;
              if t.profile.Profile.dispatch_indirect then
                Engine.branch_indirect eng

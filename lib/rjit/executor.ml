@@ -488,7 +488,7 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     match op.Ir.opcode with
     | Ir.Debug_merge_point d ->
         last_resume := Some d.dmp_resume;
-        Engine.annot eng Annot.Dispatch_tick;
+        Engine.tick eng;
         incr ip
     | Ir.Label -> incr ip
     | Ir.Guard g -> (
@@ -711,7 +711,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
           st.st_dmp <- i;
-          Engine.annot eng Annot.Dispatch_tick;
+          Engine.tick eng;
           k st
     | Ir.Label ->
         let cost = costs.(i) in

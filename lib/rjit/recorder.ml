@@ -144,7 +144,7 @@ let guard t gkind args =
 let begin_bytecode t ~resume ~code ~pc =
   (* the tracing interpreter is still executing the program: the
      dispatch-loop work annotation fires here too (Sec. IV) *)
-  Engine.annot (Ctx.engine t.rtc) Mtj_core.Annot.Dispatch_tick;
+  Engine.tick (Ctx.engine t.rtc);
   t.cur_resume <- resume;
   t.effect_in_bytecode <- false;
   push_op t

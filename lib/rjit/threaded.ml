@@ -16,10 +16,11 @@
 
     The contract is strict: a threaded step must emit {e exactly} the
     charge sequence of one reference dispatch-loop iteration — the
-    [Dispatch_tick] annotation, the dispatch cost bundle, the indirect
-    dispatch branch, then the handler's own operations, in that order —
-    so simulated counters stay byte-identical between the two loops.
-    Steps meet it by construction, and so do their chains: {!thread}
+    dispatch tick ({!Mtj_machine.Engine.tick}), the dispatch cost
+    bundle, the indirect dispatch branch, then the handler's own
+    operations, in that order — so simulated counters stay
+    byte-identical between the two loops.  Steps meet it by
+    construction, and so do their chains: {!thread}
     stages every pc with the step at pc + 1 as its continuation, so a
     straight-line run is one chain of tail calls emitting the reference
     sequence bytecode after bytecode with no dispatch between them.  A
@@ -79,22 +80,24 @@ type dispatch = {
     translate time so the hot path re-checks nothing per bytecode *)
 
 (* The reference loop's per-iteration prologue in Driver.Make.run_frame,
-   byte for byte (annotation, dispatch bundle, then the predictor's
-   indirect branch), specialized at translate time: the dispatch record
-   is torn apart once per code translation, so each emitted step pays a
-   single closure call with no field loads and no [d_indirect] test.
-   Translators pass this to their staged handlers as the [charge]. *)
+   byte for byte (tick, dispatch bundle, then the predictor's indirect
+   branch), specialized at translate time: the dispatch record is torn
+   apart once per code translation, so each emitted step pays a single
+   closure call with no field loads and no [d_indirect] test.  The tick
+   and the bundle inline, so between tick marks the prologue's only call
+   is the indirect branch.  Translators pass this to their staged
+   handlers as the [charge]. *)
 let charger d =
   let eng = d.d_eng and cost = d.d_cost in
   if d.d_indirect then
     let site = d.d_site in
     fun ~target ->
-      Engine.annot eng Annot.Dispatch_tick;
+      Engine.tick eng;
       Engine.emit eng cost;
       Engine.branch_indirect eng ~site ~target
   else
     fun ~target:_ ->
-      Engine.annot eng Annot.Dispatch_tick;
+      Engine.tick eng;
       Engine.emit eng cost
 
 (** What a hosted language provides to drive the threaded tier, on top

@@ -550,7 +550,8 @@ let scenario_listener_order () =
    Dcache.  Nor does the annotation path, listeners included: each
    phase's, AOT function's and trace's annotation value is built once,
    the phase stack is an array, and [Runner]'s three listeners keep
-   array state. *)
+   array state.  A tick allocates nothing whether nothing, a
+   [Rate_sampler]'s marks or an every-tick listener reads it. *)
 let scenario_charge_alloc_free () =
   let eng = Engine.create () in
   let dc = Engine.dcache eng in
@@ -590,6 +591,21 @@ let scenario_charge_alloc_free () =
     Engine.pop_phase eng
   in
   per_call ~cause "phase bracket, no listener" (fun _ -> bracket eng);
+  (* the tick: a count and a compare, until a mark wakes a listener *)
+  let cause = "a tick or a tick listener allocates" in
+  per_call ~cause "Engine.tick, no tick listener" (fun _ -> Engine.tick eng);
+  let eng = Engine.create () in
+  let alone = Mtj_pintool.Rate_sampler.attach eng in
+  per_call ~cause "Engine.tick, a Rate_sampler alone" (fun _ ->
+      Engine.tick eng);
+  let every = ref 0 in
+  Engine.add_listener ~kinds:[ Annot.Ticks ] eng (fun ~insns:_ _ -> incr every);
+  per_call ~cause "Engine.tick, an every-tick listener beside it" (fun _ ->
+      Engine.tick eng);
+  Alcotest.(check int) "the every-tick listener saw each tick" (calls + 1000)
+    !every;
+  Alcotest.(check int) "the sampler counted every tick" (2 * (calls + 1000))
+    (Mtj_pintool.Rate_sampler.ticks alone);
   let ctx = Mtj_rt.Ctx.create () in
   let eng = Mtj_rt.Ctx.engine ctx in
   let tracker = Mtj_pintool.Phase_tracker.attach eng in
@@ -605,6 +621,8 @@ let scenario_charge_alloc_free () =
       Engine.pop_phase eng);
   Alcotest.(check int) "every tick counted" (calls + 1000)
     (Mtj_pintool.Rate_sampler.ticks sampler);
+  Alcotest.(check int) "every tick counted by the engine" (calls + 1000)
+    (Engine.ticks eng);
   Alcotest.(check int) "every AOT call attributed" (calls + 1000)
     (Mtj_pintool.Aot_attrib.calls_of attrib (Mtj_rt.Aot.id fn));
   Mtj_pintool.Phase_tracker.finalize tracker;

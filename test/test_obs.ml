@@ -608,6 +608,58 @@ let test_validator_rejects_corruption () =
   expect_err "seeding counters with profile_seed off"
     (Validate.metrics (sdoc ~profile_seed:false ()))
 
+(* --- the event ring grows on demand --- *)
+
+(* [n] markers one instruction apart on a fresh engine, into a sink of
+   the given capacity *)
+let marker_stream ?capacity n =
+  let eng = Engine.create () in
+  let sink = Sink.attach ?capacity eng in
+  for i = 1 to n do
+    Engine.emit eng (Mtj_core.Cost.make ~alu:1 ());
+    Engine.annot eng (Mtj_core.Annot.App_marker i)
+  done;
+  Sink.finalize sink;
+  sink
+
+let check_markers_in_order sink =
+  Array.iteri
+    (fun i (e : Sink.event) ->
+      match e.Sink.kind with
+      | Sink.Marker m when m = i + 1 && e.Sink.at_insns = i + 1 -> ()
+      | _ ->
+          Alcotest.failf "event %d is not marker %d at insn %d" i (i + 1)
+            (i + 1))
+    (Sink.events sink)
+
+let test_ring_grows () =
+  (* past the ring's first 1,024 slots every event is kept, in order;
+     a ring bounded at 3,000 keeps the first 3,000 and counts the rest *)
+  let sink = marker_stream 5000 in
+  Alcotest.(check int) "every event recorded" 5000 (Sink.num_events sink);
+  Alcotest.(check int) "none dropped" 0 (Sink.dropped sink);
+  check_markers_in_order sink;
+  let sink = marker_stream ~capacity:3000 5000 in
+  Alcotest.(check int) "bounded: stored" 3000 (Sink.num_events sink);
+  Alcotest.(check int) "bounded: dropped" 2000 (Sink.dropped sink);
+  check_markers_in_order sink
+
+let test_short_run_allocates_little () =
+  (* a default sink over a ten-event run pays for a small ring, not for
+     its 1 lsl 18 bound *)
+  let eng = Engine.create () in
+  let before = Gc.allocated_bytes () in
+  let sink = Sink.attach eng in
+  for i = 1 to 10 do
+    Engine.emit eng (Mtj_core.Cost.make ~alu:1 ());
+    Engine.annot eng (Mtj_core.Annot.App_marker i)
+  done;
+  Sink.finalize sink;
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "ten events" 10 (Sink.num_events sink);
+  if bytes >= 65536.0 then
+    Alcotest.failf "attach, 10 events and finalize allocated %.0f bytes" bytes
+
 let suite =
   [
     Alcotest.test_case "trace round-trip + validate" `Quick
@@ -618,6 +670,10 @@ let suite =
       test_trace_has_jit_activity;
     Alcotest.test_case "ring overflow stays well-formed" `Quick
       test_overflow_still_wellformed;
+    Alcotest.test_case "ring grows past its first slots" `Quick
+      test_ring_grows;
+    Alcotest.test_case "a short observed run allocates little" `Quick
+      test_short_run_allocates_little;
     Alcotest.test_case "metrics round-trip + validate" `Quick
       test_metrics_roundtrip;
     Alcotest.test_case "runner metrics round-trip" `Quick

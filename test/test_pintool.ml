@@ -199,6 +199,222 @@ let test_app_marker_reaches_listener () =
   ignore (Mtj_pylite.Vm.run_source vm "annotate(7)\nannotate(13)\n");
   Alcotest.(check (list int)) "markers" [ 13; 7 ] !seen
 
+(* --- mark-driven sampling against the every-tick algorithm --- *)
+
+(* The reference: the sampling rule applied at every tick.  A listener
+   attached for [Ticks] counts each one and, once the instruction count
+   has reached its next window mark, records (mark, ticks) for every
+   mark it passed.  [Rate_sampler] asks the engine for its marks
+   instead; the two must record the same samples. *)
+module Ref_sampler = struct
+  type t = {
+    window : int;
+    mutable ticks : int;
+    mutable next_mark : int;
+    mutable rev_samples : (int * int) list;
+    engine : Engine.t;
+    mutable finalized : bool;
+  }
+
+  let attach ~window engine =
+    let t =
+      {
+        window;
+        ticks = 0;
+        next_mark = ((Engine.total_insns engine / window) + 1) * window;
+        rev_samples = [];
+        engine;
+        finalized = false;
+      }
+    in
+    Engine.add_listener ~kinds:[ Annot.Ticks ] engine (fun ~insns _ ->
+        t.ticks <- t.ticks + 1;
+        while insns >= t.next_mark do
+          t.rev_samples <- (t.next_mark, t.ticks) :: t.rev_samples;
+          t.next_mark <- t.next_mark + t.window
+        done);
+    t
+
+  let finalize t =
+    if not t.finalized then begin
+      t.rev_samples <-
+        (Engine.total_insns t.engine, t.ticks) :: t.rev_samples;
+      t.finalized <- true
+    end
+
+  let samples t = Array.of_list (List.rev t.rev_samples)
+end
+
+module Rs = Mtj_pintool.Rate_sampler
+
+type tick_ev =
+  | T_emit of int  (* a bundle of this many instructions *)
+  | T_tick  (* [Engine.tick] *)
+  | T_annot  (* [Engine.annot _ Dispatch_tick] *)
+
+let tick_ev_str = function
+  | T_emit n -> Printf.sprintf "emit %d" n
+  | T_tick -> "tick"
+  | T_annot -> "annot"
+
+let apply_tick_ev e = function
+  | T_emit n -> Engine.emit e (Cost.make ~alu:n ())
+  | T_tick -> Engine.tick e
+  | T_annot -> Engine.annot e Annot.Dispatch_tick
+
+(* a window, a stream of emits (0 to 3 windows' worth) and ticks of
+   either spelling, and the stream index at which the samplers attach *)
+let gen_tick_stream rng =
+  let window = 1 + Random.State.int rng 300 in
+  let n = 1 + Random.State.int rng 200 in
+  let evs =
+    Array.init n (fun _ ->
+        match Random.State.int rng 10 with
+        | k when k < 3 -> T_emit (Random.State.int rng ((3 * window) + 1))
+        | k when k < 7 -> T_tick
+        | _ -> T_annot)
+  in
+  (window, evs, Random.State.int rng (n + 1))
+
+(* run [evs] on a fresh engine, calling [attach] before event [at];
+   returns what [read] reports after the last event *)
+let drive_ticks evs ~at ~attach ~read =
+  let e = Engine.create () in
+  let s = ref None in
+  Array.iteri
+    (fun i ev ->
+      if i = at then s := Some (attach e);
+      apply_tick_ev e ev)
+    evs;
+  let s = match !s with Some s -> s | None -> attach e in
+  read e s
+
+let samples_str s =
+  String.concat " "
+    (Array.to_list (Array.map (fun (i, k) -> Printf.sprintf "%d:%d" i k) s))
+
+(* samples and ticks before and after [finalize], and the engine's count *)
+let rs_reading e s =
+  let mid = (Rs.samples s, Rs.ticks s) in
+  Rs.finalize s;
+  ((mid, (Rs.samples s, Rs.ticks s)), Engine.ticks e)
+
+let ref_reading (s : Ref_sampler.t) =
+  let mid = (Ref_sampler.samples s, s.Ref_sampler.ticks) in
+  Ref_sampler.finalize s;
+  (mid, (Ref_sampler.samples s, s.Ref_sampler.ticks))
+
+let reading_str ((s, k), (fs, fk)) =
+  Printf.sprintf "before finalize: ticks %d [%s]\nafter: ticks %d [%s]" k
+    (samples_str s) fk (samples_str fs)
+
+let prop_marks_match_every_tick =
+  QCheck.Test.make ~count:500 ~long_factor:30
+    ~name:"mark-driven sampling records the every-tick samples"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x7A11 |] in
+      let window, evs, at = gen_tick_stream rng in
+      let got, engine_ticks =
+        drive_ticks evs ~at ~attach:(fun e -> Rs.attach ~window e)
+          ~read:rs_reading
+      in
+      let want =
+        drive_ticks evs ~at
+          ~attach:(fun e -> Ref_sampler.attach ~window e)
+          ~read:(fun _ s -> ref_reading s)
+      in
+      let all_ticks =
+        Array.fold_left
+          (fun n ev -> match ev with T_emit _ -> n | _ -> n + 1)
+          0 evs
+      in
+      if reading_str got <> reading_str want || engine_ticks <> all_ticks
+      then
+        QCheck.Test.fail_reportf
+          "window %d, attach before event %d, engine ticks %d of %d\n\
+           stream: %s\n--- reference:\n%s\n--- Rate_sampler:\n%s"
+          window at engine_ticks all_ticks
+          (String.concat "; " (Array.to_list (Array.map tick_ev_str evs)))
+          (reading_str want) (reading_str got)
+      else true)
+
+let fixed_stream =
+  let rng = Random.State.make [| 5; 0x7A11 |] in
+  Array.init 400 (fun _ ->
+      match Random.State.int rng 3 with
+      | 0 -> T_emit (Random.State.int rng 700)
+      | 1 -> T_tick
+      | _ -> T_annot)
+
+let check_samples name want got =
+  Alcotest.(check (list (pair int int))) name (Array.to_list want)
+    (Array.to_list got)
+
+(* the reference's samples and ticks after [finalize], over
+   [fixed_stream] with the sampler attached before event [at] *)
+let reference ~window ~at =
+  drive_ticks fixed_stream ~at
+    ~attach:(fun e -> Ref_sampler.attach ~window e)
+    ~read:(fun _ s -> snd (ref_reading s))
+
+let test_two_samplers () =
+  (* two windows on one engine: each records what a reference with
+     that window alone records *)
+  let e = Engine.create () in
+  let a = Rs.attach ~window:97 e in
+  Array.iteri (fun i ev -> if i < 50 then apply_tick_ev e ev) fixed_stream;
+  let b = Rs.attach ~window:256 e in
+  Array.iteri (fun i ev -> if i >= 50 then apply_tick_ev e ev) fixed_stream;
+  Rs.finalize a;
+  Rs.finalize b;
+  let ra, ka = reference ~window:97 ~at:0
+  and rb, kb = reference ~window:256 ~at:50 in
+  Alcotest.(check bool) "both record samples" true
+    (Array.length ra > 3 && Array.length rb > 3);
+  check_samples "window 97" ra (Rs.samples a);
+  check_samples "window 256, attached late" rb (Rs.samples b);
+  Alcotest.(check int) "window 97 ticks" ka (Rs.ticks a);
+  Alcotest.(check int) "window 256 ticks since its attach" kb (Rs.ticks b)
+
+let test_sampler_beside_sink () =
+  (* a sink reads every tick, which sets the engine's mark to 0: the
+     sampler still records only its own marks *)
+  let e = Engine.create () in
+  let sink = Mtj_obs.Sink.attach ~counter_window:50 e in
+  let s = Rs.attach ~window:120 e in
+  Array.iter (apply_tick_ev e) fixed_stream;
+  Rs.finalize s;
+  Mtj_obs.Sink.finalize sink;
+  let want, k = reference ~window:120 ~at:0 in
+  check_samples "samples beside a sink" want (Rs.samples s);
+  Alcotest.(check int) "sampler ticks" k (Rs.ticks s);
+  Alcotest.(check int) "sink ticks" k (Mtj_obs.Sink.ticks sink)
+
+let test_tick_is_annot () =
+  (* [Engine.annot _ Dispatch_tick] and [Engine.tick] count the same and
+     wake the same listeners *)
+  let run spell =
+    let e = Engine.create () in
+    let s = Rs.attach ~window:64 e in
+    let seen = ref 0 in
+    Engine.add_listener ~kinds:[ Annot.Ticks ] e (fun ~insns:_ _ -> incr seen);
+    Array.iter
+      (function
+        | T_emit n -> Engine.emit e (Cost.make ~alu:n ())
+        | T_tick | T_annot -> spell e)
+      fixed_stream;
+    Rs.finalize s;
+    (Engine.ticks e, !seen, Rs.samples s)
+  in
+  let n1, seen1, s1 = run Engine.tick in
+  let n2, seen2, s2 = run (fun e -> Engine.annot e Annot.Dispatch_tick) in
+  Alcotest.(check bool) "ticks were emitted" true (n1 > 100);
+  Alcotest.(check int) "engine tick counts" n1 n2;
+  Alcotest.(check int) "every-tick listener, tick" n1 seen1;
+  Alcotest.(check int) "every-tick listener, annot" n2 seen2;
+  check_samples "samples" s1 s2
+
 let suite =
   [
     Alcotest.test_case "tracker matches counters (synthetic)" `Quick
@@ -218,4 +434,9 @@ let suite =
     Alcotest.test_case "aot attribution on pidigits" `Quick
       test_aot_attribution_pidigits;
     Alcotest.test_case "app-level markers" `Quick test_app_marker_reaches_listener;
+    Alcotest.test_case "two samplers on one engine" `Quick test_two_samplers;
+    Alcotest.test_case "sampler beside a sink" `Quick test_sampler_beside_sink;
+    Alcotest.test_case "tick and annot count the same" `Quick
+      test_tick_is_annot;
+    QCheck_alcotest.to_alcotest prop_marks_match_every_tick;
   ]
