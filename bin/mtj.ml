@@ -225,8 +225,7 @@ let trace_cmd =
           Mtj_obs.Metrics.run_json ~bench:name ~config:header
             ~status:(R.status_name (R.status_of outcome))
             ~engine:eng ~jitlog:jl
-            ~gc:(Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc rtc))
-            ?ticks:(Option.map Mtj_obs.Sink.ticks sink) ()
+            ~gc:(Mtj_rt.Gc_sim.stats (Mtj_rt.Ctx.gc rtc)) ()
         in
         Mtj_obs.Metrics.write ~file ~runs:[ run_record ] ();
         Printf.eprintf "[metrics written to %s]\n%!" file

@@ -40,9 +40,12 @@ let () =
   let config = Mtj_core.Config.with_budget 150_000_000 Mtj_core.Config.default in
   let vm = Mtj_rklite.Kvm.create ~config () in
   let engine = Mtj_rklite.Kvm.engine vm in
-  (* application-level markers, intercepted at the instruction stream *)
+  (* application-level markers, intercepted at the instruction stream;
+     a listener names the annotation kinds it reads, and the engine
+     delivers it only those *)
   let markers = ref [] in
-  Mtj_machine.Engine.add_listener engine (fun ~insns a ->
+  Mtj_machine.Engine.add_listener ~kinds:[ Mtj_core.Annot.Markers ] engine
+    (fun ~insns a ->
       match a with
       | Mtj_core.Annot.App_marker n -> markers := (n, insns) :: !markers
       | _ -> ());

@@ -1,7 +1,6 @@
 type t =
   | Phase_push of Phase.t
   | Phase_pop of Phase.t
-  | Dispatch_tick
   | Aot_enter of int
   | Aot_exit of int
   | Trace_enter of int
@@ -11,30 +10,27 @@ type t =
   | Guard_fail of int
   | App_marker of int
 
-type kind = Phases | Ticks | Aot_calls | Traces | Markers
+type kind = Phases | Aot_calls | Traces | Markers
 
 let[@inline] kind = function
   | Phase_push _ | Phase_pop _ -> Phases
-  | Dispatch_tick -> Ticks
   | Aot_enter _ | Aot_exit _ -> Aot_calls
   | Trace_enter _ | Trace_exit _ | Trace_compile _ | Trace_abort _
   | Guard_fail _ ->
       Traces
   | App_marker _ -> Markers
 
-let kinds = [ Phases; Ticks; Aot_calls; Traces; Markers ]
+let kinds = [ Phases; Aot_calls; Traces; Markers ]
 
 let[@inline] kind_index = function
   | Phases -> 0
-  | Ticks -> 1
-  | Aot_calls -> 2
-  | Traces -> 3
-  | Markers -> 4
+  | Aot_calls -> 1
+  | Traces -> 2
+  | Markers -> 3
 
 let to_string = function
   | Phase_push p -> "phase_push:" ^ Phase.name p
   | Phase_pop p -> "phase_pop:" ^ Phase.name p
-  | Dispatch_tick -> "dispatch_tick"
   | Aot_enter id -> Printf.sprintf "aot_enter:%d" id
   | Aot_exit id -> Printf.sprintf "aot_exit:%d" id
   | Trace_enter id -> Printf.sprintf "trace_enter:%d" id

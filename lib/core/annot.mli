@@ -13,10 +13,10 @@
     push/pop value is built once by the engine, each AOT function's
     enter/exit value once at registration ({!Mtj_rt.Aot}), and each
     compiled trace's enter/exit value once by the backend
-    ([Mtj_rjit.Ir.trace]).  The most frequent, {!Dispatch_tick}, is
-    counted by the engine itself ({!Mtj_machine.Engine.tick}), which
-    wakes its tick listeners only at the instruction marks they ask
-    for. *)
+    ([Mtj_rjit.Ir.trace]).  The paper's most frequent annotation, the
+    dispatch tick, is not a value here: the engine counts it
+    ({!Mtj_machine.Engine.tick}) and wakes its mark listeners only at
+    the instruction marks they ask for. *)
 
 type t =
   | Phase_push of Phase.t
@@ -24,15 +24,6 @@ type t =
           GC can interrupt JIT code, an AOT call is made from JIT code. *)
   | Phase_pop of Phase.t
       (** Leave the phase pushed by the matching {!Phase_push}. *)
-  | Dispatch_tick
-      (** One unit of application-level work completed: one iteration of
-          the interpreter dispatch loop, or (in JIT-compiled code) one
-          bytecode-level merge point crossed.  Inserted at the interpreter
-          layer; this is the work measure that makes warmup curves and
-          break-even points observable (Sec. IV, Fig. 5).  The engine
-          counts it ({!Mtj_machine.Engine.ticks}) and delivers it as a
-          value only to the listeners attached for {!Ticks}, which read
-          every one. *)
   | Aot_enter of int  (** Entering AOT-compiled runtime function [id]. *)
   | Aot_exit of int   (** Leaving AOT-compiled runtime function [id]. *)
   | Trace_enter of int  (** Execution enters compiled trace [id]. *)
@@ -54,7 +45,6 @@ type t =
     annotation only to the listeners of its kind. *)
 type kind =
   | Phases     (** {!Phase_push} and {!Phase_pop} *)
-  | Ticks      (** {!Dispatch_tick} *)
   | Aot_calls  (** {!Aot_enter} and {!Aot_exit} *)
   | Traces
       (** {!Trace_enter}, {!Trace_exit}, {!Trace_compile},

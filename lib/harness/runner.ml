@@ -182,7 +182,6 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
     Mtj_pintool.Rate_sampler.finalize sampler;
     let eng = Ctx.engine rtc in
     let counters = Engine.counters eng in
-    let ticks = Mtj_pintool.Rate_sampler.ticks sampler in
     let gc = Gc_sim.stats (Ctx.gc rtc) in
     let r =
       {
@@ -202,14 +201,14 @@ let run_uncached ?budget (bench_name : string) (vc : vm_config) : result =
             Phase.all;
         timeline = Mtj_pintool.Phase_tracker.timeline tracker;
         timeline_bucket = Mtj_pintool.Phase_tracker.bucket_insns tracker;
-        ticks;
+        ticks = Engine.ticks eng;
         samples = Mtj_pintool.Rate_sampler.samples sampler;
         aot_top;
         jit = Option.map jit_stats_of jitlog;
         gc;
         metrics =
           Mtj_obs.Metrics.run_json ~bench:bench_name ~config:(config_name vc)
-            ~status:(status_name status) ~engine:eng ?jitlog ~gc ~ticks ();
+            ~status:(status_name status) ~engine:eng ?jitlog ~gc ();
       }
     in
     (* [r] holds only values read out of the run: this is the engine's

@@ -21,11 +21,9 @@ type t = {
   listeners : listener array array;  (* by Annot.kind_index; each newest
                                         first *)
   mutable ticks : int;
-  mutable tick_mark : int;  (* [tick] wakes its listeners once [insns]
-                               reaches this: 0 with an every-tick
-                               listener, else the lowest mark a
-                               [marked] listener asked for, [max_int]
-                               with none *)
+  mutable tick_mark : int;  (* [tick] wakes its mark listeners once [insns]
+                               reaches this: the lowest mark a [marked]
+                               listener asked for, [max_int] with none *)
   mutable marked : marked array;  (* newest first *)
   mutable interp_width : float;
   inv_width : float array;  (* one cell, as [cycles]: 1 / width(phase),
@@ -175,18 +173,14 @@ let[@inline] deliver t slot a =
     (Array.unsafe_get ls i) ~insns:t.insns a
   done
 
-let ticks_slot = Annot.kind_index Annot.Ticks
+let[@inline] annot t a = deliver t (Annot.kind_index (Annot.kind a)) a
 
-(* Each mark listener whose mark [insns] has reached names its next
-   one, and the lowest mark left becomes [tick_mark]: 0 while an
-   every-tick listener is attached. *)
+(* The cold half of [tick]: each mark listener whose mark [insns] has
+   reached names its next one, and the lowest mark left becomes
+   [tick_mark]. *)
 let wake_marks t =
   let insns = t.insns in
-  let lo =
-    ref
-      (if Array.length (Array.unsafe_get t.listeners ticks_slot) > 0 then 0
-       else max_int)
-  in
+  let lo = ref max_int in
   let ms = t.marked in
   for i = 0 to Array.length ms - 1 do
     let m = Array.unsafe_get ms i in
@@ -195,19 +189,9 @@ let wake_marks t =
   done;
   t.tick_mark <- !lo
 
-(* the cold half of [tick] *)
-let wake t =
-  deliver t ticks_slot Annot.Dispatch_tick;
-  if Array.length t.marked > 0 then wake_marks t
-
 let[@inline] tick t =
   t.ticks <- t.ticks + 1;
-  if t.insns >= t.tick_mark then wake t
-
-let[@inline] annot t a =
-  match a with
-  | Annot.Dispatch_tick -> tick t
-  | a -> deliver t (Annot.kind_index (Annot.kind a)) a
+  if t.insns >= t.tick_mark then wake_marks t
 
 let phases_slot = Annot.kind_index Annot.Phases
 let pushes = Array.init Phase.count (fun i -> Annot.Phase_push (Phase.of_index i))
@@ -258,8 +242,7 @@ let add_listener ?(kinds = Annot.kinds) t l =
         let i = Annot.kind_index k in
         t.listeners.(i) <- Array.append [| l |] t.listeners.(i)
       end)
-    Annot.kinds;
-  if List.mem Annot.Ticks kinds then t.tick_mark <- 0
+    Annot.kinds
 
 let add_mark_listener t ~mark l =
   t.marked <- Array.append [| { mark; on_mark = l } |] t.marked;

@@ -29,7 +29,8 @@ type listener = insns:int -> Mtj_core.Annot.t -> unit
 type mark_listener = insns:int -> ticks:int -> int
 (** Called at the first tick at which the instruction count is at or
     past the listener's mark, with that count and the tick count (this
-    tick included); returns the listener's next mark. *)
+    tick included); returns the listener's next mark.  A mark listener
+    that returns 0 hears every tick. *)
 
 val create : ?config:Mtj_core.Config.t -> unit -> t
 (** A fresh engine: no instructions, cycles, ticks or counts, the
@@ -77,17 +78,19 @@ val in_phase : t -> Mtj_core.Phase.t -> (unit -> 'a) -> 'a
 
 val annot : t -> Mtj_core.Annot.t -> unit
 (** Emit a cross-layer annotation (zero machine cost): deliver it to the
-    listeners attached for its {!Mtj_core.Annot.kind}.
-    [annot t Dispatch_tick] is {!tick}. *)
+    listeners attached for its {!Mtj_core.Annot.kind}. *)
 
 val tick : t -> unit
-(** One [Dispatch_tick]: add one to the engine's tick count.  Once the
-    instruction count has reached the lowest mark any tick listener
-    asked for, also deliver the annotation to the listeners attached
-    for [Ticks] and call each {!mark_listener} whose mark it has
-    reached.  A listener attached for [Ticks] through {!add_listener}
-    reads every tick, so it sets that mark to 0; with none, a tick is
-    one increment and one compare until the next mark. *)
+(** One dispatch tick: one unit of application-level work completed,
+    i.e. one iteration of the interpreter dispatch loop, or (in
+    JIT-compiled code) one bytecode-level merge point crossed.  It is
+    the paper's work measure, inserted at the interpreter layer, that
+    makes warmup curves and break-even points observable (Sec. IV,
+    Fig. 5).  A tick is a count, not an annotation: it adds one to
+    {!ticks} and, once the instruction count has reached the lowest
+    mark any {!mark_listener} asked for, calls each one whose mark it
+    has reached.  Between marks a tick is one increment and one
+    compare; {!add_mark_listener} is the only way to hear one. *)
 
 val add_listener : ?kinds:Mtj_core.Annot.kind list -> t -> listener -> unit
 (** Attach [l] for the annotation [kinds] it reads (default: every
@@ -100,15 +103,16 @@ val add_listener : ?kinds:Mtj_core.Annot.kind list -> t -> listener -> unit
     array per kind, rebuilt on attach, so an annotation with no listener
     costs one array-length test and delivery is a tight scan with no
     per-annotation allocation.  Listeners must not attach further
-    listeners from inside a delivery.  A listener attached for [Ticks]
-    reads every tick, so it sets {!tick}'s mark to 0 for good. *)
+    listeners from inside a delivery.  No kind holds the dispatch
+    tick: see {!add_mark_listener}. *)
 
 val add_mark_listener : t -> mark:int -> mark_listener -> unit
 (** Call [l] at the first tick at or past instruction count [mark], and
     from then on at the first tick at or past each mark it returns.  A
     returned mark at or below the current count calls it again at the
-    next tick.  Rare, like {!add_listener}, and under the same rule: not
-    from inside a delivery. *)
+    next tick, so a listener registered at mark 0 that always returns 0
+    hears every tick.  Rare, like {!add_listener}, and under the same
+    rule: not from inside a delivery. *)
 
 (* --- observation --- *)
 

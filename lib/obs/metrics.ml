@@ -159,7 +159,7 @@ let jitlog_json (jl : Mtj_rjit.Jitlog.t) =
       ("traces", Json.Arr (List.map trace_row_json traces));
     ]
 
-let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks () =
+let run_json ~bench ~config ~status ~engine ?jitlog ?gc () =
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj
     [
@@ -168,7 +168,7 @@ let run_json ~bench ~config ~status ~engine ?jitlog ?gc ?ticks () =
       ("status", Json.Str status);
       ("insns", Json.Int (Engine.total_insns engine));
       ("cycles", Json.Float (Engine.total_cycles engine));
-      ("ticks", opt (fun n -> Json.Int n) ticks);
+      ("ticks", Json.Int (Engine.ticks engine));
       ("phases", phases_json (Engine.counters engine));
       ("gc", opt gc_json gc);
       ("jit", opt jitlog_json jitlog);

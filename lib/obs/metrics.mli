@@ -36,13 +36,11 @@ val run_json :
   engine:Mtj_machine.Engine.t ->
   ?jitlog:Mtj_rjit.Jitlog.t ->
   ?gc:Mtj_rt.Gc_sim.stats ->
-  ?ticks:int ->
   unit ->
   Json.t
-(** The full record for one benchmark run.  [ticks] is the
-    application-level dispatch-tick total when a {!Sink} counted one
-    ([null] otherwise).  Every field is simulated state: the record
-    holds no host-side counter. *)
+(** The full record for one benchmark run.  Its [ticks] is the
+    engine's dispatch-tick count ({!Mtj_machine.Engine.ticks}).  Every
+    field is simulated state: the record holds no host-side counter. *)
 
 val document : ?serve:Json.t -> runs:Json.t list -> unit -> Json.t
 (** Wrap run records into the versioned top-level document.  [serve],

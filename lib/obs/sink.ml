@@ -40,7 +40,7 @@ type t = {
   (* counter sampling *)
   window : int;
   mutable next_mark : int;
-  mutable ticks : int;
+  base_ticks : int;  (* the engine's tick count at attach *)
   mutable rev_samples : sample list;
   (* run boundaries *)
   start_phase : Phase.t;
@@ -51,16 +51,19 @@ type t = {
   mutable finalized : bool;
 }
 
+let ticks t = Engine.ticks t.eng - t.base_ticks
+
 (* Samples are taken from inside listener dispatch, i.e. mid-stream of
    the engine's charging.  Every charge lands in the counter arrays
-   before the next annotation can be delivered, so ring-buffer samples
-   observe exact counts with no synchronization here. *)
+   before the next annotation or tick can reach a listener, so
+   ring-buffer samples observe exact counts with no synchronization
+   here. *)
 let take_sample t insns =
   t.rev_samples <-
     {
       s_insns = insns;
       s_cycles = Engine.total_cycles t.eng;
-      s_ticks = t.ticks;
+      s_ticks = ticks t;
       s_counters = Counters.total (Engine.counters t.eng);
     }
     :: t.rev_samples
@@ -92,6 +95,17 @@ let record t tag arg insns =
   end
   else t.dropped <- t.dropped + 1
 
+(* The sampling rule: one sample at each event at or past [next_mark],
+   which then moves up by a window.  Annotations meet it in [on_annot],
+   ticks in [on_tick], a mark listener at [next_mark]: that only rises,
+   so the engine's mark for the sink is never above it, and every tick
+   at which the rule samples reaches [on_tick]. *)
+let sample_at t insns =
+  if insns >= t.next_mark then begin
+    take_sample t insns;
+    t.next_mark <- t.next_mark + t.window
+  end
+
 let on_annot t ~insns (a : Annot.t) =
   (match a with
   | Annot.Phase_push p -> record t 0 (Phase.index p) insns
@@ -102,12 +116,12 @@ let on_annot t ~insns (a : Annot.t) =
   | Annot.Trace_compile id -> record t 5 id insns
   | Annot.Trace_abort code -> record t 6 code insns
   | Annot.App_marker n -> record t 7 n insns
-  | Annot.Dispatch_tick -> t.ticks <- t.ticks + 1
   | Annot.Aot_enter _ | Annot.Aot_exit _ -> ());
-  if insns >= t.next_mark then begin
-    take_sample t insns;
-    t.next_mark <- t.next_mark + t.window
-  end
+  sample_at t insns
+
+let on_tick t ~insns ~ticks:_ =
+  sample_at t insns;
+  t.next_mark
 
 let attach ?(capacity = 1 lsl 18) ?counter_window eng =
   let window =
@@ -129,7 +143,7 @@ let attach ?(capacity = 1 lsl 18) ?counter_window eng =
       dropped = 0;
       window;
       next_mark = Engine.total_insns eng + window;
-      ticks = 0;
+      base_ticks = Engine.ticks eng;
       rev_samples = [];
       start_phase = Engine.current_phase eng;
       start_insns = Engine.total_insns eng;
@@ -143,6 +157,7 @@ let attach ?(capacity = 1 lsl 18) ?counter_window eng =
      samples, so the exporters need the totals at attach time *)
   take_sample t t.start_insns;
   Engine.add_listener eng (fun ~insns a -> on_annot t ~insns a);
+  Engine.add_mark_listener eng ~mark:t.next_mark (on_tick t);
   t
 
 let finalize t =
@@ -179,7 +194,6 @@ let iter_events t f =
 let samples t = List.rev t.rev_samples
 let num_events t = t.n
 let dropped t = t.dropped
-let ticks t = t.ticks
 let start_phase t = t.start_phase
 let start_insns t = t.start_insns
 let start_cycles t = t.start_cycles

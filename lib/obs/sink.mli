@@ -8,7 +8,9 @@
     cycle counts at the moment each event fired.  Alongside the event
     stream it takes periodic counter samples (engine counter snapshots
     + dispatch-tick totals) from which the exporters derive IPC /
-    miss-rate / work-rate counter tracks.
+    miss-rate / work-rate counter tracks.  It counts no tick itself: it
+    reads the engine's count ({!Mtj_machine.Engine.ticks}), and hears
+    a tick only at its next sample mark, as a mark listener.
 
     Disabled by default: a run only pays for the sink when one is
     attached.  When attached, the per-event cost is a handful of array
@@ -35,19 +37,22 @@ type event = { kind : kind; at_insns : int; at_cycles : float }
 type sample = {
   s_insns : int;
   s_cycles : float;
-  s_ticks : int;  (** cumulative dispatch ticks *)
+  s_ticks : int;  (** dispatch ticks since attach *)
   s_counters : Mtj_machine.Counters.snapshot;  (** engine totals *)
 }
 
 val attach :
   ?capacity:int -> ?counter_window:int -> Mtj_machine.Engine.t -> t
-(** Register on the engine, for every annotation kind.  [capacity]
-    bounds the event buffer (default [1 lsl 18] events), which starts at
-    1,024 events, or [capacity] if smaller, and doubles up to it; once
-    [capacity] events are stored, further events are counted in
-    {!dropped} but not stored, so the recorded prefix stays well-formed.
+(** Register on the engine, for every annotation kind, and as a mark
+    listener at each sample mark.  [capacity] bounds the event buffer
+    (default [1 lsl 18] events), which starts at 1,024 events, or
+    [capacity] if smaller, and doubles up to it; once [capacity] events
+    are stored, further events are counted in {!dropped} but not
+    stored, so the recorded prefix stays well-formed.
     [counter_window] is the counter-sampling interval in instructions
-    (default: the engine configuration's [sample_window]). *)
+    (default: the engine configuration's [sample_window]): the first
+    annotation or tick at or past the next mark takes a sample, and the
+    mark moves up by one window. *)
 
 val finalize : t -> unit
 (** Record the final timestamps and a closing counter sample.  Call once
@@ -65,7 +70,10 @@ val samples : t -> sample list
 
 val num_events : t -> int
 val dropped : t -> int
+
 val ticks : t -> int
+(** Dispatch ticks since attach: the engine's count, less its value at
+    attach. *)
 
 val start_phase : t -> Mtj_core.Phase.t
 (** The engine's current phase when the sink attached (the root span). *)

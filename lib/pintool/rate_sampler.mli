@@ -1,12 +1,13 @@
 (** Bytecode-execution-rate sampler (interpreter-level characterization,
     Sec. V-D / Figure 5).
 
-    Counts [Dispatch_tick] annotations — one per dispatch-loop iteration
-    in the interpreter, one per bytecode-level merge point in JIT-compiled
-    code — and records the cumulative count at fixed instruction-count
-    boundaries.  Comparing two VMs' curves at equal instruction counts
-    gives the warmup break-even points, precisely and without perturbing
-    the measured VM (the paper's key argument for the methodology). *)
+    Reads the engine's dispatch-tick count ({!Mtj_machine.Engine.ticks})
+    — one tick per dispatch-loop iteration in the interpreter, one per
+    bytecode-level merge point in JIT-compiled code — and records it at
+    fixed instruction-count boundaries.  Comparing two VMs' curves at
+    equal instruction counts gives the warmup break-even points,
+    precisely and without perturbing the measured VM (the paper's key
+    argument for the methodology). *)
 
 type t
 

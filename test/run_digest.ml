@@ -97,8 +97,7 @@ let run ?(sink = true) lang (config : Config.t) src =
                     Metrics.run_json ~bench:"program"
                       ~config:
                         (Config.tier_policy_name config.Config.tier_policy)
-                      ~status ~engine:eng ~jitlog
-                      ?ticks:(Option.map Sink.ticks sink) ();
+                      ~status ~engine:eng ~jitlog ();
                   ]
                 ())
          else None);

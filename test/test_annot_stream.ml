@@ -61,7 +61,6 @@ let collect src config =
           | top :: _ ->
               violate "pop %s but top is %s" (Phase.name p) (Phase.name top)
           | [] -> violate "pop %s on empty phase stack" (Phase.name p))
-      | A.Dispatch_tick -> st.ticks <- st.ticks + 1
       | A.Aot_enter _ ->
           st.aot_depth <- st.aot_depth + 1;
           st.max_aot_depth <- max st.max_aot_depth st.aot_depth
@@ -92,6 +91,7 @@ let collect src config =
   | Mtj_rjit.Driver.Completed _ -> ()
   | Mtj_rjit.Driver.Budget_exceeded -> Alcotest.fail "budget"
   | Mtj_rjit.Driver.Runtime_error e -> Alcotest.failf "error: %s" e);
+  st.ticks <- Mtj_machine.Engine.ticks (V.engine vm);
   if !phase_stack <> [] then
     violate "%d phases still open at exit" (List.length !phase_stack);
   if !trace_stack <> [] then

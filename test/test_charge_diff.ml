@@ -35,7 +35,7 @@ type ev =
   | Mem of int * bool                       (* addr, write *)
   | Push of Phase.t
   | Pop
-  | Tick                                    (* Dispatch_tick annotation *)
+  | Tick                                    (* [Engine.tick] *)
   | Marker of int                           (* App_marker annotation *)
   | Read                                    (* mid-stream counter read *)
 
@@ -320,7 +320,7 @@ let run_engine ~budget ~interp_width (events : ev array) : outcome =
            | Mem (addr, write) -> Engine.mem_access eng ~addr ~write
            | Push p -> Engine.push_phase eng p
            | Pop -> Engine.pop_phase eng
-           | Tick -> Engine.annot eng Annot.Dispatch_tick
+           | Tick -> Engine.tick eng
            | Marker n -> Engine.annot eng (Annot.App_marker n)
            | Read -> reads := eng_read_digest eng :: !reads
          with Engine.Budget_exhausted ->
@@ -487,10 +487,10 @@ let scenario_listener_order () =
   let eng = Engine.create () in
   let log = ref [] in
   for k = 1 to 7 do
-    let kinds = if k land 1 = 1 then Some [ Annot.Ticks ] else None in
+    let kinds = if k land 1 = 1 then Some [ Annot.Traces ] else None in
     Engine.add_listener ?kinds eng (fun ~insns:_ _ -> log := k :: !log)
   done;
-  Engine.annot eng Annot.Dispatch_tick;
+  Engine.annot eng (Annot.Trace_enter 1);
   Alcotest.(check (list int))
     "newest-first delivery, all 7 listeners" [ 7; 6; 5; 4; 3; 2; 1 ]
     (List.rev !log);
@@ -499,8 +499,9 @@ let scenario_listener_order () =
   Alcotest.(check (list int))
     "a marker reaches only the listeners of every kind" [ 6; 4; 2 ]
     (List.rev !log);
-  (* a mixed stream of every constructor: each listener sees exactly
-     the annotations of the kinds it named, in order *)
+  (* a mixed stream of every constructor, a tick before each: each
+     listener sees exactly the annotations of the kinds it named, in
+     order, and no tick *)
   let eng = Engine.create () in
   let recorder kinds =
     let seen = ref [] in
@@ -509,28 +510,28 @@ let scenario_listener_order () =
     fun () -> List.rev !seen
   in
   let every = recorder None in
-  let ticks = recorder (Some [ Annot.Ticks; Annot.Ticks ]) in
-  let phases = recorder (Some [ Annot.Phases ]) in
+  let phases = recorder (Some [ Annot.Phases; Annot.Phases ]) in
   let calls_and_markers = recorder (Some [ Annot.Aot_calls; Annot.Markers ]) in
   let traces = recorder (Some [ Annot.Traces ]) in
   let nothing = recorder (Some []) in
   let stream =
     Annot.
       [
-        Phase_push Phase.Jit; Dispatch_tick; Trace_enter 3; Aot_enter 5;
+        Phase_push Phase.Jit; Trace_enter 3; Aot_enter 5;
         Phase_push Phase.Gc_minor; Phase_pop Phase.Gc_minor; Aot_exit 5;
-        Dispatch_tick; App_marker 11; Guard_fail 8; Trace_exit 3;
-        Trace_compile 4; Trace_abort 70; Phase_pop Phase.Jit; Dispatch_tick;
+        App_marker 11; Guard_fail 8; Trace_exit 3; Trace_compile 4;
+        Trace_abort 70; Phase_pop Phase.Jit;
       ]
   in
-  List.iter (Engine.annot eng) stream;
+  List.iter
+    (fun a ->
+      Engine.tick eng;
+      Engine.annot eng a)
+    stream;
   let check name want got = Alcotest.(check (list string)) name want (got ()) in
   check "no kinds named: the whole stream" (List.map Annot.to_string stream)
     every;
-  check "ticks, once each though named twice"
-    [ "dispatch_tick"; "dispatch_tick"; "dispatch_tick" ]
-    ticks;
-  check "phases: the pushes and pops, in order"
+  check "phases: the pushes and pops, in order, once each though named twice"
     [ "phase_push:jit"; "phase_push:gc_minor"; "phase_pop:gc_minor";
       "phase_pop:jit" ]
     phases;
@@ -551,7 +552,8 @@ let scenario_listener_order () =
    phase's, AOT function's and trace's annotation value is built once,
    the phase stack is an array, and [Runner]'s three listeners keep
    array state.  A tick allocates nothing whether nothing, a
-   [Rate_sampler]'s marks or an every-tick listener reads it. *)
+   [Rate_sampler]'s marks, an every-tick mark listener or a [Sink]
+   reads it. *)
 let scenario_charge_alloc_free () =
   let eng = Engine.create () in
   let dc = Engine.dcache eng in
@@ -599,21 +601,27 @@ let scenario_charge_alloc_free () =
   per_call ~cause "Engine.tick, a Rate_sampler alone" (fun _ ->
       Engine.tick eng);
   let every = ref 0 in
-  Engine.add_listener ~kinds:[ Annot.Ticks ] eng (fun ~insns:_ _ -> incr every);
+  Engine.add_mark_listener eng ~mark:0 (fun ~insns:_ ~ticks:_ ->
+      incr every;
+      0);
   per_call ~cause "Engine.tick, an every-tick listener beside it" (fun _ ->
       Engine.tick eng);
-  Alcotest.(check int) "the every-tick listener saw each tick" (calls + 1000)
+  let sink = Sink.attach eng in
+  per_call ~cause "Engine.tick, a Sink beside them" (fun _ -> Engine.tick eng);
+  Alcotest.(check int) "the every-tick listener saw each tick"
+    (2 * (calls + 1000))
     !every;
-  Alcotest.(check int) "the sampler counted every tick" (2 * (calls + 1000))
+  Alcotest.(check int) "the sampler counted every tick" (3 * (calls + 1000))
     (Mtj_pintool.Rate_sampler.ticks alone);
+  Alcotest.(check int) "the sink counted the ticks since it attached"
+    (calls + 1000) (Sink.ticks sink);
   let ctx = Mtj_rt.Ctx.create () in
   let eng = Mtj_rt.Ctx.engine ctx in
   let tracker = Mtj_pintool.Phase_tracker.attach eng in
   let sampler = Mtj_pintool.Rate_sampler.attach eng in
   let attrib = Mtj_pintool.Aot_attrib.attach eng in
   let fn = Option.get (Mtj_rt.Aot.find 0) in
-  per_call ~cause "Dispatch_tick, Runner's listeners" (fun _ ->
-      Engine.annot eng Annot.Dispatch_tick);
+  per_call ~cause "Engine.tick, Runner's listeners" (fun _ -> Engine.tick eng);
   per_call ~cause "phase bracket, Runner's listeners" (fun _ -> bracket eng);
   per_call ~cause "AOT call in a phase bracket, Runner's listeners" (fun _ ->
       Engine.push_phase eng Phase.Jit;

@@ -86,8 +86,8 @@ let test_config_two_tier () =
       "multi" ]
 
 let test_annot_to_string () =
-  Alcotest.(check string) "tick" "dispatch_tick"
-    (Annot.to_string Annot.Dispatch_tick);
+  Alcotest.(check string) "marker" "app_marker:7"
+    (Annot.to_string (Annot.App_marker 7));
   Alcotest.(check string) "push" "phase_push:jit"
     (Annot.to_string (Annot.Phase_push Phase.Jit))
 

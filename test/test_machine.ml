@@ -180,17 +180,24 @@ let test_engine_phase_exception_safety () =
   Alcotest.(check bool) "popped on exn" true
     (Engine.current_phase e = Phase.Interpreter)
 
+(* a listener of every kind hears every annotation and no tick: a tick
+   is a count, heard only through a mark listener *)
 let test_engine_listener () =
   let e = Engine.create () in
   let seen = ref [] in
   Engine.add_listener e (fun ~insns:_ a -> seen := a :: !seen);
-  Engine.annot e Annot.Dispatch_tick;
+  for _ = 1 to 1000 do
+    Engine.tick e
+  done;
   Engine.annot e (Annot.App_marker 7);
-  Alcotest.(check int) "two events" 2 (List.length !seen)
+  Alcotest.(check (list string)) "the marker alone" [ "app_marker:7" ]
+    (List.map Annot.to_string !seen);
+  Alcotest.(check int) "ticks counted" 1000 (Engine.ticks e)
 
 let test_engine_annotations_free () =
   let e = Engine.create () in
-  Engine.annot e Annot.Dispatch_tick;
+  Engine.annot e (Annot.App_marker 7);
+  Engine.tick e;
   Alcotest.(check int) "no cost" 0 (Engine.total_insns e)
 
 (* a released engine's tables go to the next engine created on the

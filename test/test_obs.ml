@@ -141,8 +141,7 @@ let test_metrics_roundtrip () =
   let o = Lazy.force observed in
   let run =
     Metrics.run_json ~bench:"binarytrees" ~config:"pypy" ~status:o.o_status
-      ~engine:o.o_eng ~jitlog:o.o_jitlog ~gc:o.o_gc
-      ~ticks:(Sink.ticks o.o_sink) ()
+      ~engine:o.o_eng ~jitlog:o.o_jitlog ~gc:o.o_gc ()
   in
   let doc = Metrics.document ~runs:[ run ] () in
   let reparsed = parse_ok "metrics json" (Json.to_string ~indent:2 doc) in
@@ -660,6 +659,33 @@ let test_short_run_allocates_little () =
   if bytes >= 65536.0 then
     Alcotest.failf "attach, 10 events and finalize allocated %.0f bytes" bytes
 
+(* --- the sink reads the engine's tick count --- *)
+
+let test_late_sink_ticks () =
+  (* attached after 1,000 ticks, a sink counts only the ticks since, in
+     its total and in each sample, and samples at the first tick at or
+     past each mark *)
+  let eng = Engine.create () in
+  let step () =
+    Engine.emit eng (Mtj_core.Cost.make ~alu:10 ());
+    Engine.tick eng
+  in
+  for _ = 1 to 1000 do
+    step ()
+  done;
+  let sink = Sink.attach ~counter_window:100 eng in
+  for _ = 1 to 57 do
+    step ()
+  done;
+  Sink.finalize sink;
+  Alcotest.(check int) "engine ticks" 1057 (Engine.ticks eng);
+  Alcotest.(check int) "sink ticks" 57 (Sink.ticks sink);
+  Alcotest.(check (list (pair int int)))
+    "samples: (insns, ticks since attach)"
+    [ (10000, 0); (10100, 10); (10200, 20); (10300, 30); (10400, 40);
+      (10500, 50); (10570, 57) ]
+    (List.map (fun s -> (s.Sink.s_insns, s.Sink.s_ticks)) (Sink.samples sink))
+
 let suite =
   [
     Alcotest.test_case "trace round-trip + validate" `Quick
@@ -674,6 +700,8 @@ let suite =
       test_ring_grows;
     Alcotest.test_case "a short observed run allocates little" `Quick
       test_short_run_allocates_little;
+    Alcotest.test_case "a sink attached late counts its own ticks" `Quick
+      test_late_sink_ticks;
     Alcotest.test_case "metrics round-trip + validate" `Quick
       test_metrics_roundtrip;
     Alcotest.test_case "runner metrics round-trip" `Quick

@@ -98,7 +98,7 @@ let test_rate_sampler_counts_ticks () =
   let rs = Mtj_pintool.Rate_sampler.attach ~window:100 e in
   for _ = 1 to 57 do
     Engine.emit e (Cost.make ~alu:10 ());
-    Engine.annot e Annot.Dispatch_tick
+    Engine.tick e
   done;
   Mtj_pintool.Rate_sampler.finalize rs;
   Alcotest.(check int) "ticks" 57 (Mtj_pintool.Rate_sampler.ticks rs);
@@ -119,7 +119,7 @@ let test_rate_sampler_late_attach () =
   let rs = Mtj_pintool.Rate_sampler.attach ~window:100 e in
   for _ = 1 to 57 do
     Engine.emit e (Cost.make ~alu:10 ());
-    Engine.annot e Annot.Dispatch_tick
+    Engine.tick e
   done;
   Mtj_pintool.Rate_sampler.finalize rs;
   Alcotest.(check (list (pair int int)))
@@ -160,11 +160,11 @@ let test_break_even () =
   (* fast starts slower (warmup) then races ahead *)
   for i = 1 to 100 do
     Engine.emit e1 (Cost.make ~alu:(if i < 20 then 20 else 2) ());
-    Engine.annot e1 Annot.Dispatch_tick
+    Engine.tick e1
   done;
   for _ = 1 to 100 do
     Engine.emit e2 (Cost.make ~alu:5 ());
-    Engine.annot e2 Annot.Dispatch_tick
+    Engine.tick e2
   done;
   Mtj_pintool.Rate_sampler.finalize fast;
   Mtj_pintool.Rate_sampler.finalize slow;
@@ -201,11 +201,12 @@ let test_app_marker_reaches_listener () =
 
 (* --- mark-driven sampling against the every-tick algorithm --- *)
 
-(* The reference: the sampling rule applied at every tick.  A listener
-   attached for [Ticks] counts each one and, once the instruction count
-   has reached its next window mark, records (mark, ticks) for every
-   mark it passed.  [Rate_sampler] asks the engine for its marks
-   instead; the two must record the same samples. *)
+(* The reference: the sampling rule applied at every tick.  A mark
+   listener at mark 0 that always returns 0 hears every tick; it counts
+   each one and, once the instruction count has reached its next window
+   mark, records (mark, ticks) for every mark it passed.  [Rate_sampler]
+   asks the engine for its window marks instead; the two must record the
+   same samples. *)
 module Ref_sampler = struct
   type t = {
     window : int;
@@ -227,12 +228,13 @@ module Ref_sampler = struct
         finalized = false;
       }
     in
-    Engine.add_listener ~kinds:[ Annot.Ticks ] engine (fun ~insns _ ->
+    Engine.add_mark_listener engine ~mark:0 (fun ~insns ~ticks:_ ->
         t.ticks <- t.ticks + 1;
         while insns >= t.next_mark do
           t.rev_samples <- (t.next_mark, t.ticks) :: t.rev_samples;
           t.next_mark <- t.next_mark + t.window
-        done);
+        done;
+        0);
     t
 
   let finalize t =
@@ -250,29 +252,25 @@ module Rs = Mtj_pintool.Rate_sampler
 type tick_ev =
   | T_emit of int  (* a bundle of this many instructions *)
   | T_tick  (* [Engine.tick] *)
-  | T_annot  (* [Engine.annot _ Dispatch_tick] *)
 
 let tick_ev_str = function
   | T_emit n -> Printf.sprintf "emit %d" n
   | T_tick -> "tick"
-  | T_annot -> "annot"
 
 let apply_tick_ev e = function
   | T_emit n -> Engine.emit e (Cost.make ~alu:n ())
   | T_tick -> Engine.tick e
-  | T_annot -> Engine.annot e Annot.Dispatch_tick
 
-(* a window, a stream of emits (0 to 3 windows' worth) and ticks of
-   either spelling, and the stream index at which the samplers attach *)
+(* a window, a stream of emits (0 to 3 windows' worth) and ticks, and
+   the stream index at which the samplers attach *)
 let gen_tick_stream rng =
   let window = 1 + Random.State.int rng 300 in
   let n = 1 + Random.State.int rng 200 in
   let evs =
     Array.init n (fun _ ->
-        match Random.State.int rng 10 with
-        | k when k < 3 -> T_emit (Random.State.int rng ((3 * window) + 1))
-        | k when k < 7 -> T_tick
-        | _ -> T_annot)
+        if Random.State.int rng 10 < 3 then
+          T_emit (Random.State.int rng ((3 * window) + 1))
+        else T_tick)
   in
   (window, evs, Random.State.int rng (n + 1))
 
@@ -326,7 +324,7 @@ let prop_marks_match_every_tick =
       in
       let all_ticks =
         Array.fold_left
-          (fun n ev -> match ev with T_emit _ -> n | _ -> n + 1)
+          (fun n ev -> match ev with T_emit _ -> n | T_tick -> n + 1)
           0 evs
       in
       if reading_str got <> reading_str want || engine_ticks <> all_ticks
@@ -342,10 +340,8 @@ let prop_marks_match_every_tick =
 let fixed_stream =
   let rng = Random.State.make [| 5; 0x7A11 |] in
   Array.init 400 (fun _ ->
-      match Random.State.int rng 3 with
-      | 0 -> T_emit (Random.State.int rng 700)
-      | 1 -> T_tick
-      | _ -> T_annot)
+      if Random.State.int rng 3 = 0 then T_emit (Random.State.int rng 700)
+      else T_tick)
 
 let check_samples name want got =
   Alcotest.(check (list (pair int int))) name (Array.to_list want)
@@ -378,8 +374,8 @@ let test_two_samplers () =
   Alcotest.(check int) "window 256 ticks since its attach" kb (Rs.ticks b)
 
 let test_sampler_beside_sink () =
-  (* a sink reads every tick, which sets the engine's mark to 0: the
-     sampler still records only its own marks *)
+  (* a sink asks for its own sample marks: beside them the sampler
+     still records at its marks alone, and both count every tick *)
   let e = Engine.create () in
   let sink = Mtj_obs.Sink.attach ~counter_window:50 e in
   let s = Rs.attach ~window:120 e in
@@ -390,30 +386,6 @@ let test_sampler_beside_sink () =
   check_samples "samples beside a sink" want (Rs.samples s);
   Alcotest.(check int) "sampler ticks" k (Rs.ticks s);
   Alcotest.(check int) "sink ticks" k (Mtj_obs.Sink.ticks sink)
-
-let test_tick_is_annot () =
-  (* [Engine.annot _ Dispatch_tick] and [Engine.tick] count the same and
-     wake the same listeners *)
-  let run spell =
-    let e = Engine.create () in
-    let s = Rs.attach ~window:64 e in
-    let seen = ref 0 in
-    Engine.add_listener ~kinds:[ Annot.Ticks ] e (fun ~insns:_ _ -> incr seen);
-    Array.iter
-      (function
-        | T_emit n -> Engine.emit e (Cost.make ~alu:n ())
-        | T_tick | T_annot -> spell e)
-      fixed_stream;
-    Rs.finalize s;
-    (Engine.ticks e, !seen, Rs.samples s)
-  in
-  let n1, seen1, s1 = run Engine.tick in
-  let n2, seen2, s2 = run (fun e -> Engine.annot e Annot.Dispatch_tick) in
-  Alcotest.(check bool) "ticks were emitted" true (n1 > 100);
-  Alcotest.(check int) "engine tick counts" n1 n2;
-  Alcotest.(check int) "every-tick listener, tick" n1 seen1;
-  Alcotest.(check int) "every-tick listener, annot" n2 seen2;
-  check_samples "samples" s1 s2
 
 let suite =
   [
@@ -436,7 +408,5 @@ let suite =
     Alcotest.test_case "app-level markers" `Quick test_app_marker_reaches_listener;
     Alcotest.test_case "two samplers on one engine" `Quick test_two_samplers;
     Alcotest.test_case "sampler beside a sink" `Quick test_sampler_beside_sink;
-    Alcotest.test_case "tick and annot count the same" `Quick
-      test_tick_is_annot;
     QCheck_alcotest.to_alcotest prop_marks_match_every_tick;
   ]
