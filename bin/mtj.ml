@@ -400,7 +400,16 @@ let exec_cmd =
     in
     let (module V : Mtj_harness.Hosted.VM) = Mtj_harness.Hosted.vm lang in
     let vm = V.create ~config () in
-    let outcome = V.run_source vm src in
+    let outcome =
+      (* a frontend error, like a runtime error, fails the command *)
+      try V.run_source vm src with
+      | Mtj_pylite.Lexer.Syntax_error msg
+      | Mtj_pylite.Compiler.Compile_error msg
+      | Mtj_rklite.Reader.Syntax_error msg
+      | Mtj_rklite.Kcompiler.Compile_error msg ->
+          Printf.eprintf "error: %s: %s\n" file msg;
+          exit 1
+    in
     print_string (V.output vm);
     let label =
       match outcome with

@@ -175,12 +175,14 @@ let stack_effect ?(taken = false) = function
   | MAKE_CLASS { methods; _ } -> 1 - List.length methods
   | NOP -> 0
 
-let jump_targets = function
+(* the pc a taken jump goes to, or -1 for an instruction that never
+   jumps *)
+let jump_target = function
   | JUMP t | POP_JUMP_IF_FALSE t | POP_JUMP_IF_TRUE t
   | JUMP_IF_FALSE_OR_POP t | JUMP_IF_TRUE_OR_POP t ->
-      [ t ]
-  | FOR_RANGE { exit; _ } | FOR_ITER { exit; _ } -> [ exit ]
-  | _ -> []
+      t
+  | FOR_RANGE { exit; _ } | FOR_ITER { exit; _ } -> exit
+  | _ -> -1
 
 let falls_through = function
   | JUMP _ | RETURN_VALUE | RETURN_NONE -> false

@@ -436,36 +436,18 @@ and finalize ctx ~nargs : Bytecode.code =
       | JUMP t when t <= pc -> headers.(t) <- true
       | _ -> ())
     instrs;
-  (* stack depth via worklist dataflow *)
-  let depth = Array.make n (-1) in
-  let maxdepth = ref 0 in
-  let work = Queue.create () in
-  Queue.add (0, 0) work;
-  while not (Queue.is_empty work) do
-    let pc, d = Queue.pop work in
-    if pc < n && (depth.(pc) < 0 || depth.(pc) < d) then begin
-      depth.(pc) <- max depth.(pc) d;
-      maxdepth := max !maxdepth d;
-      let i = instrs.(pc) in
-      let continue_d =
-        d + Bytecode.stack_effect i
-      in
-      maxdepth := max !maxdepth (max continue_d (d + 1));
-      List.iter
-        (fun t ->
-          let taken_d = d + Bytecode.stack_effect ~taken:true i in
-          Queue.add (t, max 0 taken_d) work)
-        (Bytecode.jump_targets i);
-      if Bytecode.falls_through i then Queue.add (pc + 1, max 0 continue_d) work
-    end
-  done;
+  let deepest =
+    Mtj_rjit.Stack_depth.deepest instrs ~effect:(fun i -> stack_effect i)
+      ~taken_effect:(fun i -> stack_effect ~taken:true i)
+      ~target:jump_target ~falls_through
+  in
   let code =
     {
       Bytecode.id = Code_table.fresh_id ();
       name = ctx.fname;
       nargs;
       nlocals = max 1 ctx.nlocals;
-      stacksize = !maxdepth + 8;
+      stacksize = deepest + 8;
       instrs;
       headers;
       varnames =

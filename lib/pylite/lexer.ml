@@ -19,12 +19,6 @@ let keywords =
     "break"; "continue"; "pass"; "and"; "or"; "not"; "True"; "False";
     "None"; "is"; "global"; "del"; "lambda" ]
 
-(* the keyword test, derived once from [keywords] *)
-let keyword_table =
-  let t = Hashtbl.create 32 in
-  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
-  t
-
 let pp_token fmt = function
   | NAME s -> Format.fprintf fmt "NAME(%s)" s
   | INT i -> Format.fprintf fmt "INT(%d)" i
@@ -37,9 +31,11 @@ let pp_token fmt = function
   | DEDENT -> Format.fprintf fmt "DEDENT"
   | EOF -> Format.fprintf fmt "EOF"
 
-let is_name_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_name_char c = is_name_start c || (c >= '0' && c <= '9')
-let is_digit c = c >= '0' && c <= '9'
+let[@inline] is_name_start c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+
+let[@inline] is_digit c = c >= '0' && c <= '9'
+let[@inline] is_name_char c = is_name_start c || is_digit c
 
 (* operator and punctuation spellings, longest first *)
 let operators =
@@ -48,135 +44,160 @@ let operators =
     "]"; "{"; "}"; ","; ":"; "."; ";"; "+"; "-"; "*"; "/"; "%"; "<"; ">";
     "="; "&"; "|"; "^"; "~" ]
 
-(* [operators] grouped by first byte, derived once; each group keeps the
-   list's longest-first order, so its first match is the longest *)
+(* do [src]'s bytes from [i + k] match [word]'s from [k] up to [len]? *)
+let rec same_bytes src i word k len =
+  k = len || (src.[i + k] = word.[k] && same_bytes src i word (k + 1) len)
+
+(* does [word], whose length is [len], occur in [src] at [i]?  compares
+   in place, allocating nothing *)
+let occurs_at src i len word =
+  String.length word = len
+  && i + len <= String.length src
+  && same_bytes src i word 0 len
+
+(* [keywords] grouped by first byte, each with its token, derived once,
+   so a name is compared only against the keywords it starts like, and
+   a keyword's token is shared, not built *)
+let keywords_by_byte =
+  let groups = Array.make 256 [] in
+  List.iter
+    (fun k ->
+      let b = Char.code k.[0] in
+      groups.(b) <- groups.(b) @ [ (k, KW k) ])
+    keywords;
+  groups
+
+(* the keyword token spelled by [src]'s [len] bytes at [i], or [EOF]
+   when those bytes spell a name *)
+let rec find_keyword src i len = function
+  | [] -> EOF
+  | (k, tok) :: group ->
+      if occurs_at src i len k then tok else find_keyword src i len group
+
+let keyword_at src i len =
+  find_keyword src i len keywords_by_byte.(Char.code src.[i])
+
+(* [operators] grouped by first byte, each with its token, derived once;
+   each group keeps the list's longest-first order, so its first match
+   is the longest *)
 let operators_by_byte =
   let groups = Array.make 256 [] in
   List.iter
     (fun op ->
       let b = Char.code op.[0] in
-      groups.(b) <- groups.(b) @ [ op ])
+      groups.(b) <- groups.(b) @ [ (op, OP op) ])
     operators;
   groups
 
-(* does [op], whose first byte is [src.[i]], occur in [src] at [i]?
-   compares in place, allocating nothing *)
-let op_at src i op =
-  let len = String.length op in
-  i + len <= String.length src
-  &&
-  let rec rest k = k = len || (src.[i + k] = op.[k] && rest (k + 1)) in
-  rest 1
+(* the longest operator token at [src]'s byte [i], or [EOF] when no
+   operator starts there *)
+let rec find_operator src i = function
+  | [] -> EOF
+  | (op, tok) :: group ->
+      if occurs_at src i (String.length op) op then tok
+      else find_operator src i group
 
-(* the first, so longest, spelling in [group] that occurs in [src] at [i] *)
-let rec match_op src i = function
-  | [] -> None
-  | op :: group -> if op_at src i op then Some op else match_op src i group
+let operator_at src i =
+  find_operator src i operators_by_byte.(Char.code src.[i])
+
+(* the float literal [src] holds from [start] to [stop] *)
+let float_literal src start stop =
+  let lx = String.sub src start (stop - start) in
+  match float_of_string_opt lx with
+  | Some f -> FLOAT f
+  | None -> raise (Syntax_error ("invalid number literal: " ^ lx))
+
+(* the int literal [src] holds from [start] to [stop] *)
+let int_literal src start stop =
+  let lx = String.sub src start (stop - start) in
+  match int_of_string_opt lx with
+  | Some v -> INT v
+  | None -> raise (Syntax_error ("invalid number literal: " ^ lx))
+
+(* where the exponent that starts at [src]'s byte [i] (its 'e') ends *)
+let exponent_end src n i =
+  let i = ref (i + 1) in
+  if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+  while !i < n && is_digit src.[!i] do incr i done;
+  !i
+
+let error fmt = Printf.ksprintf (fun s -> raise (Syntax_error s)) fmt
 
 let tokenize (src : string) : token list =
   let n = String.length src in
+  (* no closure captures the scan state, so it stays in registers *)
   let tokens = ref [] in
-  let emit t = tokens := t :: !tokens in
   let indents = ref [ 0 ] in
   let paren_depth = ref 0 in
   let i = ref 0 in
   let line_start = ref true in
-  let error fmt = Printf.ksprintf (fun s -> raise (Syntax_error s)) fmt in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let handle_indent width =
-    let cur = List.hd !indents in
-    if width > cur then begin
-      indents := width :: !indents;
-      emit INDENT
-    end
-    else begin
-      while List.hd !indents > width do
-        indents := List.tl !indents;
-        emit DEDENT
-      done;
-      if List.hd !indents <> width then error "inconsistent indentation"
-    end
-  in
   while !i < n do
     if !line_start && !paren_depth = 0 then begin
       (* measure indentation; skip blank/comment lines *)
-      let start = !i in
       let width = ref 0 in
       while !i < n && (src.[!i] = ' ' || src.[!i] = '\t') do
         width := !width + (if src.[!i] = '\t' then 8 else 1);
         incr i
       done;
       if !i >= n then ()
-      else if src.[!i] = '\n' then begin
-        incr i;
-        ignore start
-      end
+      else if src.[!i] = '\n' then incr i
       else if src.[!i] = '#' then begin
         while !i < n && src.[!i] <> '\n' do incr i done
       end
       else begin
-        handle_indent !width;
+        let width = !width in
+        if width > List.hd !indents then begin
+          indents := width :: !indents;
+          tokens := INDENT :: !tokens
+        end
+        else begin
+          while List.hd !indents > width do
+            indents := List.tl !indents;
+            tokens := DEDENT :: !tokens
+          done;
+          if List.hd !indents <> width then error "inconsistent indentation"
+        end;
         line_start := false
       end
     end
     else begin
       let c = src.[!i] in
       if c = ' ' || c = '\t' || c = '\r' then incr i
-      else if c = '\\' && peek 1 = Some '\n' then i := !i + 2
+      else if c = '\\' && !i + 1 < n && src.[!i + 1] = '\n' then i := !i + 2
       else if c = '#' then begin
         while !i < n && src.[!i] <> '\n' do incr i done
       end
       else if c = '\n' then begin
         incr i;
         if !paren_depth = 0 then begin
-          emit NEWLINE;
+          tokens := NEWLINE :: !tokens;
           line_start := true
         end
       end
       else if is_digit c then begin
         let start = !i in
         while !i < n && is_digit src.[!i] do incr i done;
-        if
-          !i < n && src.[!i] = '.'
-          && (match peek 1 with Some d -> is_digit d | None -> false)
-        then begin
+        if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
           incr i;
           while !i < n && is_digit src.[!i] do incr i done;
-          if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-            incr i;
-            if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-            while !i < n && is_digit src.[!i] do incr i done
-          end;
-          let lx = String.sub src start (!i - start) in
-          (match float_of_string_opt lx with
-          | Some f -> emit (FLOAT f)
-          | None ->
-              raise (Syntax_error ("invalid number literal: " ^ lx)))
+          if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then
+            i := exponent_end src n !i;
+          tokens := float_literal src start !i :: !tokens
         end
         else if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-          incr i;
-          if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-          while !i < n && is_digit src.[!i] do incr i done;
-          let lx = String.sub src start (!i - start) in
-          (match float_of_string_opt lx with
-          | Some f -> emit (FLOAT f)
-          | None ->
-              (* "42else": digits then a name — not an exponent after all *)
-              raise (Syntax_error ("invalid number literal: " ^ lx)))
+          (* "42else" reads digits then an exponent that is not one *)
+          i := exponent_end src n !i;
+          tokens := float_literal src start !i :: !tokens
         end
-        else
-          let lx = String.sub src start (!i - start) in
-          (match int_of_string_opt lx with
-          | Some v -> emit (INT v)
-          | None ->
-              raise (Syntax_error ("invalid number literal: " ^ lx)))
+        else tokens := int_literal src start !i :: !tokens
       end
       else if is_name_start c then begin
         let start = !i in
         while !i < n && is_name_char src.[!i] do incr i done;
-        let word = String.sub src start (!i - start) in
-        if Hashtbl.mem keyword_table word then emit (KW word)
-        else emit (NAME word)
+        let len = !i - start in
+        match keyword_at src start len with
+        | KW _ as kw -> tokens := kw :: !tokens
+        | _ -> tokens := NAME (String.sub src start len) :: !tokens
       end
       else if c = '\'' || c = '"' then begin
         let quote = c in
@@ -207,28 +228,27 @@ let tokenize (src : string) : token list =
           end
         done;
         if not !closed then error "unterminated string literal";
-        emit (STRING (Buffer.contents buf))
+        tokens := STRING (Buffer.contents buf) :: !tokens
       end
-      else begin
-        match match_op src !i operators_by_byte.(Char.code c) with
-        | Some op ->
+      else
+        match operator_at src !i with
+        | OP op as tok ->
             (match op with
             | "(" | "[" | "{" -> incr paren_depth
             | ")" | "]" | "}" -> decr paren_depth
             | _ -> ());
             i := !i + String.length op;
-            emit (OP op)
-        | None -> error "unexpected character %C" c
-      end
+            tokens := tok :: !tokens
+        | _ -> error "unexpected character %C" c
     end
   done;
   (* close the final line and any open indentation *)
   (match !tokens with
   | NEWLINE :: _ | [] -> ()
-  | _ -> emit NEWLINE);
+  | _ -> tokens := NEWLINE :: !tokens);
   while List.hd !indents > 0 do
     indents := List.tl !indents;
-    emit DEDENT
+    tokens := DEDENT :: !tokens
   done;
-  emit EOF;
+  tokens := EOF :: !tokens;
   List.rev !tokens

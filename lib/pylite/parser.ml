@@ -1,62 +1,99 @@
-(** Recursive-descent parser for pylite. *)
+(** Recursive-descent parser for pylite.
+
+    It reads the token list from its head, so it builds no array of
+    tokens: an array past 256 elements would start in the major heap,
+    and OCaml 5 runs a minor collection before it fills one with a
+    young value (DESIGN §4).  Binary operators are parsed by precedence
+    climbing over [binops], one table lookup per operand rather than one
+    function per precedence level. *)
 
 open Ast
 
 exception Syntax_error = Lexer.Syntax_error
 
-type state = { toks : Lexer.token array; mutable pos : int }
+(* the tokens not yet read *)
+type state = { mutable toks : Lexer.token list }
 
 let error fmt = Printf.ksprintf (fun s -> raise (Syntax_error s)) fmt
-let peek st = st.toks.(st.pos)
-let peek2 st =
-  if st.pos + 1 < Array.length st.toks then st.toks.(st.pos + 1) else Lexer.EOF
-
-let advance st = st.pos <- st.pos + 1
+let describe t = Format.asprintf "%a" Lexer.pp_token t
+let peek st = match st.toks with t :: _ -> t | [] -> Lexer.EOF
+let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> Lexer.EOF
+let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
 let next st =
   let t = peek st in
   advance st;
   t
 
+let is_op st op =
+  match peek st with Lexer.OP o -> String.equal o op | _ -> false
+
+let is_newline st = match peek st with Lexer.NEWLINE -> true | _ -> false
+
 let expect_op st op =
   match next st with
-  | Lexer.OP o when o = op -> ()
-  | t -> error "expected '%s', got %s" op (Format.asprintf "%a" Lexer.pp_token t)
+  | Lexer.OP o when String.equal o op -> ()
+  | t -> error "expected '%s', got %s" op (describe t)
 
 let expect_kw st kw =
   match next st with
-  | Lexer.KW k when k = kw -> ()
-  | t -> error "expected '%s', got %s" kw (Format.asprintf "%a" Lexer.pp_token t)
+  | Lexer.KW k when String.equal k kw -> ()
+  | t -> error "expected '%s', got %s" kw (describe t)
 
 let expect_newline st =
   match next st with
   | Lexer.NEWLINE -> ()
-  | t -> error "expected newline, got %s" (Format.asprintf "%a" Lexer.pp_token t)
+  | t -> error "expected newline, got %s" (describe t)
 
 let expect_name st =
   match next st with
   | Lexer.NAME n -> n
-  | t -> error "expected name, got %s" (Format.asprintf "%a" Lexer.pp_token t)
+  | t -> error "expected name, got %s" (describe t)
 
 let accept_op st op =
-  match peek st with
-  | Lexer.OP o when o = op ->
-      advance st;
-      true
-  | _ -> false
+  if is_op st op then begin
+    advance st;
+    true
+  end
+  else false
 
 let accept_kw st kw =
   match peek st with
-  | Lexer.KW k when k = kw ->
+  | Lexer.KW k when String.equal k kw ->
       advance st;
       true
   | _ -> false
 
 (* --- expressions --- *)
 
-let rec parse_expr st : expr = parse_ternary st
+(* the left-associative binary operators, loosest first: a level's index
+   is its precedence *)
+let binops =
+  [ [ ("|", Bitor) ]; [ ("^", Bitxor) ]; [ ("&", Bitand) ];
+    [ ("<<", Lshift); (">>", Rshift) ]; [ ("+", Add); ("-", Sub) ];
+    [ ("*", Mult); ("//", Floordiv); ("/", Div); ("%", Mod) ] ]
 
-and parse_ternary st =
+(* [binops] grouped by first byte, each with its precedence, derived
+   once; every spelling is one of [Lexer.operators] *)
+let binops_by_byte =
+  let groups = Array.make 256 [] in
+  List.iteri
+    (fun prec level ->
+      List.iter
+        (fun (op, b) ->
+          assert (List.mem op Lexer.operators);
+          let c = Char.code op.[0] in
+          groups.(c) <- (op, prec, b) :: groups.(c))
+        level)
+    binops;
+  groups
+
+let rec find_binop o = function
+  | [] -> None
+  | (op, prec, b) :: group ->
+      if String.equal op o then Some (prec, b) else find_binop o group
+
+let rec parse_expr st : expr =
   let e = parse_or st in
   if accept_kw st "if" then begin
     let cond = parse_or st in
@@ -66,17 +103,17 @@ and parse_ternary st =
   end
   else e
 
-and parse_or st =
-  let rec go acc =
-    if accept_kw st "or" then go (Bool_op (`Or, acc, parse_and st)) else acc
-  in
-  go (parse_and st)
+and parse_or st = or_rest st (parse_and st)
 
-and parse_and st =
-  let rec go acc =
-    if accept_kw st "and" then go (Bool_op (`And, acc, parse_not st)) else acc
-  in
-  go (parse_not st)
+and or_rest st acc =
+  if accept_kw st "or" then or_rest st (Bool_op (`Or, acc, parse_and st))
+  else acc
+
+and parse_and st = and_rest st (parse_not st)
+
+and and_rest st acc =
+  if accept_kw st "and" then and_rest st (Bool_op (`And, acc, parse_not st))
+  else acc
 
 and parse_not st =
   if accept_kw st "not" then Un (Not, parse_not st) else parse_comparison st
@@ -94,148 +131,143 @@ and cmp_op st : Mtj_rjit.Ops_intf.cmp option =
       advance st;
       if accept_kw st "not" then Some Mtj_rjit.Ops_intf.Is_not
       else Some Mtj_rjit.Ops_intf.Is
-  | Lexer.KW "not" when peek2 st = Lexer.KW "in" ->
+  | Lexer.KW "not" when (match peek2 st with Lexer.KW "in" -> true | _ -> false)
+    ->
       advance st;
       advance st;
       Some Mtj_rjit.Ops_intf.Not_in
   | _ -> None
 
 and parse_comparison st =
-  let first = parse_bitor st in
+  let first = parse_binary st 0 in
   match cmp_op st with
   | None -> first
   | Some op ->
-      let second = parse_bitor st in
-      let rec chain acc prev =
-        match cmp_op st with
-        | None -> acc
-        | Some op2 ->
-            let nxt = parse_bitor st in
-            chain (Bool_op (`And, acc, Cmp (op2, prev, nxt))) nxt
-      in
-      chain (Cmp (op, first, second)) second
+      let second = parse_binary st 0 in
+      cmp_chain st (Cmp (op, first, second)) second
 
-and parse_bitor st =
-  let rec go acc =
-    if accept_op st "|" then go (Bin (Bitor, acc, parse_bitxor st)) else acc
-  in
-  go (parse_bitxor st)
+(* [a < b < c] is [a < b and b < c] *)
+and cmp_chain st acc prev =
+  match cmp_op st with
+  | None -> acc
+  | Some op ->
+      let nxt = parse_binary st 0 in
+      cmp_chain st (Bool_op (`And, acc, Cmp (op, prev, nxt))) nxt
 
-and parse_bitxor st =
-  let rec go acc =
-    if accept_op st "^" then go (Bin (Bitxor, acc, parse_bitand st)) else acc
-  in
-  go (parse_bitand st)
+(* an operand followed by the binary operators of precedence [min] and
+   tighter *)
+and parse_binary st min = climb st (parse_factor st) min
 
-and parse_bitand st =
-  let rec go acc =
-    if accept_op st "&" then go (Bin (Bitand, acc, parse_shift st)) else acc
-  in
-  go (parse_shift st)
-
-and parse_shift st =
-  let rec go acc =
-    if accept_op st "<<" then go (Bin (Lshift, acc, parse_arith st))
-    else if accept_op st ">>" then go (Bin (Rshift, acc, parse_arith st))
-    else acc
-  in
-  go (parse_arith st)
-
-and parse_arith st =
-  let rec go acc =
-    if accept_op st "+" then go (Bin (Add, acc, parse_term st))
-    else if accept_op st "-" then go (Bin (Sub, acc, parse_term st))
-    else acc
-  in
-  go (parse_term st)
-
-and parse_term st =
-  let rec go acc =
-    if accept_op st "*" then go (Bin (Mult, acc, parse_factor st))
-    else if accept_op st "//" then go (Bin (Floordiv, acc, parse_factor st))
-    else if accept_op st "/" then go (Bin (Div, acc, parse_factor st))
-    else if accept_op st "%" then go (Bin (Mod, acc, parse_factor st))
-    else acc
-  in
-  go (parse_factor st)
+and climb st lhs min =
+  match peek st with
+  | Lexer.OP o -> (
+      match find_binop o binops_by_byte.(Char.code o.[0]) with
+      | Some (prec, op) when prec >= min ->
+          advance st;
+          let rhs = parse_binary st (prec + 1) in
+          climb st (Bin (op, lhs, rhs)) min
+      | _ -> lhs)
+  | _ -> lhs
 
 and parse_factor st =
-  if accept_op st "-" then Un (Neg, parse_factor st)
-  else if accept_op st "+" then parse_factor st
-  else parse_power st
+  match peek st with
+  | Lexer.OP "-" ->
+      advance st;
+      Un (Neg, parse_factor st)
+  | Lexer.OP "+" ->
+      advance st;
+      parse_factor st
+  | _ -> parse_power st
 
 and parse_power st =
-  let base = parse_postfix st in
+  let base = parse_postfix st (parse_atom st) in
   if accept_op st "**" then Bin (Pow, base, parse_factor st) else base
 
-and parse_postfix st =
-  let rec go e =
-    match peek st with
-    | Lexer.OP "(" ->
-        advance st;
-        let args = parse_call_args st in
-        go (Call (e, args))
-    | Lexer.OP "[" ->
-        advance st;
-        let e' = parse_subscript st e in
-        go e'
-    | Lexer.OP "." ->
-        advance st;
-        let name = expect_name st in
-        go (Attr (e, name))
-    | _ -> e
-  in
-  go (parse_atom st)
+and parse_postfix st e =
+  match peek st with
+  | Lexer.OP "(" ->
+      advance st;
+      parse_postfix st (Call (e, parse_call_args st))
+  | Lexer.OP "[" ->
+      advance st;
+      parse_postfix st (parse_subscript st e)
+  | Lexer.OP "." ->
+      advance st;
+      parse_postfix st (Attr (e, expect_name st))
+  | _ -> e
 
-and parse_call_args st =
-  if accept_op st ")" then []
+and parse_call_args st = if accept_op st ")" then [] else call_args st []
+
+and call_args st acc =
+  let e = parse_expr st in
+  if accept_op st "," then
+    if accept_op st ")" then List.rev (e :: acc) else call_args st (e :: acc)
   else begin
-    let rec go acc =
-      let e = parse_expr st in
-      if accept_op st "," then
-        if accept_op st ")" then List.rev (e :: acc) else go (e :: acc)
-      else begin
-        expect_op st ")";
-        List.rev (e :: acc)
-      end
-    in
-    go []
+    expect_op st ")";
+    List.rev (e :: acc)
   end
+
+(* an optional upper slice bound, then the closing ']' *)
+and slice_hi st =
+  let hi = if is_op st "]" then None else Some (parse_expr st) in
+  expect_op st "]";
+  hi
 
 and parse_subscript st e =
   (* after '[': expr | [expr] ':' [expr] *)
-  if accept_op st ":" then begin
-    let hi = if peek st = Lexer.OP "]" then None else Some (parse_expr st) in
-    expect_op st "]";
-    Slice (e, None, hi)
-  end
+  if accept_op st ":" then Slice (e, None, slice_hi st)
   else begin
     let lo = parse_expr st in
-    if accept_op st ":" then begin
-      let hi = if peek st = Lexer.OP "]" then None else Some (parse_expr st) in
-      expect_op st "]";
-      Slice (e, Some lo, hi)
-    end
+    if accept_op st ":" then Slice (e, Some lo, slice_hi st)
     else begin
       expect_op st "]";
       Subscr (e, lo)
     end
   end
 
+(* adjacent string literals concatenate *)
+and string_lit st acc =
+  match peek st with
+  | Lexer.STRING s ->
+      advance st;
+      string_lit st (acc ^ s)
+  | _ -> Str_lit acc
+
+(* the items after a tuple's first ',' *)
+and tuple_rest st acc =
+  if is_op st ")" then List.rev acc
+  else begin
+    let e = parse_expr st in
+    if accept_op st "," then tuple_rest st (e :: acc) else List.rev (e :: acc)
+  end
+
+and list_items st acc =
+  let e = parse_expr st in
+  if accept_op st "," then
+    if is_op st "]" then List.rev (e :: acc) else list_items st (e :: acc)
+  else List.rev (e :: acc)
+
+and dict_pairs st acc =
+  if accept_op st "," then
+    if is_op st "}" then List.rev acc
+    else begin
+      let k = parse_expr st in
+      expect_op st ":";
+      let v = parse_expr st in
+      dict_pairs st ((k, v) :: acc)
+    end
+  else List.rev acc
+
+and set_items st acc =
+  if accept_op st "," then
+    if is_op st "}" then List.rev acc else set_items st (parse_expr st :: acc)
+  else List.rev acc
+
 and parse_atom st =
   match next st with
   | Lexer.INT i -> Int_lit i
   | Lexer.FLOAT f -> Float_lit f
-  | Lexer.STRING s ->
-      (* adjacent string literals concatenate *)
-      let rec go acc =
-        match peek st with
-        | Lexer.STRING s2 ->
-            advance st;
-            go (acc ^ s2)
-        | _ -> Str_lit acc
-      in
-      go s
+  | Lexer.STRING s -> string_lit st s
   | Lexer.KW "True" -> Bool_lit true
   | Lexer.KW "False" -> Bool_lit false
   | Lexer.KW "None" -> None_lit
@@ -245,14 +277,7 @@ and parse_atom st =
       else begin
         let e = parse_expr st in
         if accept_op st "," then begin
-          let rec go acc =
-            if peek st = Lexer.OP ")" then List.rev acc
-            else begin
-              let e = parse_expr st in
-              if accept_op st "," then go (e :: acc) else List.rev (e :: acc)
-            end
-          in
-          let rest = go [] in
+          let rest = tuple_rest st [] in
           expect_op st ")";
           Tuple_lit (e :: rest)
         end
@@ -264,14 +289,7 @@ and parse_atom st =
   | Lexer.OP "[" ->
       if accept_op st "]" then List_lit []
       else begin
-        let rec go acc =
-          let e = parse_expr st in
-          if accept_op st "," then
-            if peek st = Lexer.OP "]" then List.rev (e :: acc)
-            else go (e :: acc)
-          else List.rev (e :: acc)
-        in
-        let items = go [] in
+        let items = list_items st [] in
         expect_op st "]";
         List_lit items
       end
@@ -280,52 +298,30 @@ and parse_atom st =
       else begin
         let first = parse_expr st in
         if accept_op st ":" then begin
-          (* dict *)
           let v = parse_expr st in
-          let rec go acc =
-            if accept_op st "," then
-              if peek st = Lexer.OP "}" then List.rev acc
-              else begin
-                let k = parse_expr st in
-                expect_op st ":";
-                let v = parse_expr st in
-                go ((k, v) :: acc)
-              end
-            else List.rev acc
-          in
-          let pairs = go [ (first, v) ] in
+          let pairs = dict_pairs st [ (first, v) ] in
           expect_op st "}";
           Dict_lit pairs
         end
         else begin
-          (* set *)
-          let rec go acc =
-            if accept_op st "," then
-              if peek st = Lexer.OP "}" then List.rev acc
-              else go (parse_expr st :: acc)
-            else List.rev acc
-          in
-          let items = go [ first ] in
+          let items = set_items st [ first ] in
           expect_op st "}";
           Set_lit items
         end
       end
-  | t -> error "unexpected token %s" (Format.asprintf "%a" Lexer.pp_token t)
+  | t -> error "unexpected token %s" (describe t)
 
 (* an expression list at statement level: [e, e, ...] makes a tuple *)
+let rec exprlist_rest st acc =
+  if accept_op st "," then
+    match peek st with
+    | Lexer.NEWLINE | Lexer.OP "=" -> List.rev acc
+    | _ -> exprlist_rest st (parse_expr st :: acc)
+  else List.rev acc
+
 let parse_exprlist st =
   let e = parse_expr st in
-  if peek st = Lexer.OP "," then begin
-    let rec go acc =
-      if accept_op st "," then
-        match peek st with
-        | Lexer.NEWLINE | Lexer.OP "=" -> List.rev acc
-        | _ -> go (parse_expr st :: acc)
-      else List.rev acc
-    in
-    Tuple_lit (go [ e ])
-  end
-  else e
+  if is_op st "," then Tuple_lit (exprlist_rest st [ e ]) else e
 
 (* --- statements --- *)
 
@@ -359,6 +355,11 @@ let aug_of_op = function
   | "^=" -> Bitxor
   | op -> error "unknown augmented assignment %s" op
 
+(* names separated by ',', at least one *)
+let rec names st acc =
+  let n = expect_name st in
+  if accept_op st "," then names st (n :: acc) else List.rev (n :: acc)
+
 let rec parse_stmt st : stmt list =
   match peek st with
   | Lexer.NEWLINE ->
@@ -374,16 +375,7 @@ let rec parse_stmt st : stmt list =
   | Lexer.KW "for" ->
       advance st;
       let first = expect_name st in
-      let vars =
-        if accept_op st "," then begin
-          let rec go acc =
-            let n = expect_name st in
-            if accept_op st "," then go (n :: acc) else List.rev (n :: acc)
-          in
-          first :: go []
-        end
-        else [ first ]
-      in
+      let vars = if accept_op st "," then first :: names st [] else [ first ] in
       expect_kw st "in";
       let iter = parse_exprlist st in
       expect_op st ":";
@@ -396,11 +388,7 @@ let rec parse_stmt st : stmt list =
       let params =
         if accept_op st ")" then []
         else begin
-          let rec go acc =
-            let p = expect_name st in
-            if accept_op st "," then go (p :: acc) else List.rev (p :: acc)
-          in
-          let ps = go [] in
+          let ps = names st [] in
           expect_op st ")";
           ps
         end
@@ -432,34 +420,34 @@ and parse_if st =
   let cond = parse_expr st in
   expect_op st ":";
   let body = parse_suite st in
-  let rec arms () =
-    if accept_kw st "elif" then begin
-      let c = parse_expr st in
-      expect_op st ":";
-      let b = parse_suite st in
-      let rest, els = arms () in
-      ((c, b) :: rest, els)
-    end
-    else if accept_kw st "else" then begin
-      expect_op st ":";
-      let b = parse_suite st in
-      ([], b)
-    end
-    else ([], [])
-  in
-  let rest, els = arms () in
+  let rest, els = if_arms st in
   If ((cond, body) :: rest, els)
 
+and if_arms st =
+  if accept_kw st "elif" then begin
+    let c = parse_expr st in
+    expect_op st ":";
+    let b = parse_suite st in
+    let rest, els = if_arms st in
+    ((c, b) :: rest, els)
+  end
+  else if accept_kw st "else" then begin
+    expect_op st ":";
+    let b = parse_suite st in
+    ([], b)
+  end
+  else ([], [])
+
 and parse_simple_line st =
-  let stmts = ref [] in
-  let rec go () =
-    stmts := parse_simple st :: !stmts;
-    if accept_op st ";" then
-      match peek st with Lexer.NEWLINE -> () | _ -> go ()
-  in
-  go ();
+  let stmts = simple_stmts st [] in
   expect_newline st;
-  List.rev !stmts
+  stmts
+
+(* the ';'-separated statements of one line *)
+and simple_stmts st acc =
+  let acc = parse_simple st :: acc in
+  if accept_op st ";" && not (is_newline st) then simple_stmts st acc
+  else List.rev acc
 
 and parse_simple st : stmt =
   match peek st with
@@ -479,11 +467,7 @@ and parse_simple st : stmt =
       Pass
   | Lexer.KW "global" ->
       advance st;
-      let rec go acc =
-        let n = expect_name st in
-        if accept_op st "," then go (n :: acc) else List.rev (n :: acc)
-      in
-      Global (go [])
+      Global (names st [])
   | Lexer.KW "del" ->
       advance st;
       let e = parse_expr st in
@@ -507,40 +491,32 @@ and parse_simple st : stmt =
 
 and parse_suite st : stmt list =
   if accept_op st ";" then error "unexpected ';'"
-  else if peek st = Lexer.NEWLINE then begin
+  else if is_newline st then begin
     advance st;
     (match next st with
     | Lexer.INDENT -> ()
-    | t -> error "expected indented block, got %s" (Format.asprintf "%a" Lexer.pp_token t));
-    let stmts = ref [] in
-    let rec go () =
-      match peek st with
-      | Lexer.DEDENT ->
-          advance st;
-          ()
-      | Lexer.EOF -> ()
-      | _ ->
-          stmts := !stmts @ parse_stmt st;
-          go ()
-    in
-    go ();
-    !stmts
+    | t -> error "expected indented block, got %s" (describe t));
+    suite_stmts st []
   end
   else parse_simple_line st
 
+(* a block's statements, up to and including its DEDENT *)
+and suite_stmts st acc =
+  match peek st with
+  | Lexer.DEDENT ->
+      advance st;
+      List.rev acc
+  | Lexer.EOF -> List.rev acc
+  | _ -> suite_stmts st (List.rev_append (parse_stmt st) acc)
+
 let parse (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
-  let stmts = ref [] in
-  let rec go () =
+  let st = { toks = Lexer.tokenize src } in
+  let rec go acc =
     match peek st with
-    | Lexer.EOF -> ()
+    | Lexer.EOF -> List.rev acc
     | Lexer.NEWLINE | Lexer.DEDENT ->
         advance st;
-        go ()
-    | _ ->
-        stmts := !stmts @ parse_stmt st;
-        go ()
+        go acc
+    | _ -> go (List.rev_append (parse_stmt st) acc)
   in
-  go ();
-  !stmts
+  go []

@@ -111,11 +111,12 @@ let stack_effect ?(taken = false) = function
   | K_RETURN -> -1
   | K_PRIM (_, n) -> 1 - n
 
-let jump_targets = function
-  | K_JUMP t | K_JUMP_IF_FALSE t | K_JFALSE_OR_POP t | K_JTRUE_OR_POP t ->
-      [ t ]
-  | K_TAILJUMP _ -> [ 0 ]
-  | _ -> []
+(* the pc a taken jump goes to, or -1 for an instruction that never
+   jumps *)
+let jump_target = function
+  | K_JUMP t | K_JUMP_IF_FALSE t | K_JFALSE_OR_POP t | K_JTRUE_OR_POP t -> t
+  | K_TAILJUMP _ -> 0
+  | _ -> -1
 
 let falls_through = function
   | K_JUMP _ | K_TAILJUMP _ | K_TAILCALL _ | K_RETURN -> false

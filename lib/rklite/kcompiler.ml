@@ -61,125 +61,145 @@ let tailjump ~self ~nargs ~shadowed ~tail name args =
    let's name and parameter count. *)
 
 module SSet = Set.Make (String)
+module SMap = Map.Make (String)
 
-let rec free_vars ?self (e : sexp) (bound : SSet.t) : SSet.t =
+(* A closure-shaped form compiles to a closure: a [lambda], or a named
+   [let], which desugars to one.  Its free set does not depend on the
+   [self] it is reached with, and its free set over [bound] is its free
+   set over no names, less [bound].  So one program's analysis computes
+   each closure's free set once, and each closure's captured set (the
+   free sets of the closures at any depth within it, itself included)
+   once, keyed by the form itself, and no closure is walked again by
+   the scopes that enclose it.  The walks add to the set they are
+   given, so an atom costs one [SSet.add]. *)
+type memo = {
+  mutable free : (sexp * SSet.t) list;
+  mutable captured : (sexp * SSet.t) list;
+}
+
+let memo () = { free = []; captured = [] }
+
+let closure_shaped = function
+  | Slist (Atom "lambda" :: Slist _ :: _)
+  | Slist (Atom "let" :: Atom _ :: Slist _ :: _) ->
+      true
+  | _ -> false
+
+(* [bound] and the names [bindings] bind *)
+let bind_all bindings bound =
+  List.fold_left
+    (fun acc b -> match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
+    bound bindings
+
+(* [acc] and the names free in [e] over [bound] *)
+let rec free_vars memo ?self (e : sexp) (bound : SSet.t) acc : SSet.t =
   match e with
-  | Atom ("#t" | "#f") | Num _ | Fnum _ | Strlit _ -> SSet.empty
-  | Atom a -> if SSet.mem a bound then SSet.empty else SSet.singleton a
-  | Slist (Atom "quote" :: _) -> SSet.empty
-  | Slist (Atom "lambda" :: Slist params :: body) ->
-      let bound' =
-        List.fold_left
-          (fun acc p ->
-            match p with Atom a -> SSet.add a acc | _ -> acc)
-          bound params
-      in
-      free_list body bound'
-  | Slist (Atom "let" :: Atom name :: Slist bindings :: body) ->
-      let inits =
-        List.fold_left
-          (fun acc b ->
-            match b with
-            | Slist [ Atom _; e ] -> SSet.union acc (free_vars e bound)
-            | _ -> acc)
-          SSet.empty bindings
-      in
-      let bound' =
-        List.fold_left
-          (fun acc b ->
-            match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
-          bound bindings
-      in
-      SSet.union inits
-        (free_body ~self:(name, List.length bindings) body bound')
+  | Atom ("#t" | "#f") | Num _ | Fnum _ | Strlit _ -> acc
+  | Atom a -> if SSet.mem a bound then acc else SSet.add a acc
+  | Slist (Atom "quote" :: _) -> acc
+  | Slist _ when closure_shaped e ->
+      let free = closure_free memo e in
+      SSet.union acc
+        (if SSet.is_empty bound then free else SSet.diff free bound)
   | Slist (Atom ("let" | "let*") :: Slist bindings :: body) ->
-      let inits =
-        List.fold_left
-          (fun acc b ->
-            match b with
-            | Slist [ Atom _; e ] -> SSet.union acc (free_vars e bound)
-            | _ -> acc)
-          SSet.empty bindings
-      in
-      let bound' =
-        List.fold_left
-          (fun acc b ->
-            match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
-          bound bindings
-      in
-      SSet.union inits (free_body ?self body bound')
+      free_body memo ?self body (bind_all bindings bound)
+        (free_inits memo bindings bound acc)
   | Slist (Atom "letrec" :: Slist bindings :: body) ->
-      let bound' =
-        List.fold_left
-          (fun acc b ->
-            match b with Slist [ Atom v; _ ] -> SSet.add v acc | _ -> acc)
-          bound bindings
-      in
-      let inits =
-        List.fold_left
-          (fun acc b ->
-            match b with
-            | Slist [ Atom _; e ] -> SSet.union acc (free_vars e bound')
-            | _ -> acc)
-          SSet.empty bindings
-      in
-      SSet.union inits (free_body ?self body bound')
+      let bound' = bind_all bindings bound in
+      free_body memo ?self body bound' (free_inits memo bindings bound' acc)
   (* the forms that pass tail position on, as [compile_form] does *)
   | Slist [ (Atom "if" as kw); c; t ] ->
-      SSet.union (free_list [ kw; c ] bound) (free_vars ?self t bound)
+      free_vars memo ?self t bound (free_list memo [ kw; c ] bound acc)
   | Slist [ (Atom "if" as kw); c; t; f ] ->
-      SSet.union (free_list [ kw; c ] bound)
-        (SSet.union (free_vars ?self t bound) (free_vars ?self f bound))
+      free_vars memo ?self f bound
+        (free_vars memo ?self t bound (free_list memo [ kw; c ] bound acc))
   | Slist ((Atom "cond" as kw) :: clauses) ->
       List.fold_left
         (fun acc clause ->
-          SSet.union acc
-            (match clause with
-            | Slist (c :: body) ->
-                SSet.union (free_vars c bound) (free_body ?self body bound)
-            | _ -> free_vars clause bound))
-        (free_vars kw bound) clauses
+          match clause with
+          | Slist (c :: body) ->
+              free_body memo ?self body bound (free_vars memo c bound acc)
+          | _ -> free_vars memo clause bound acc)
+        (free_vars memo kw bound acc)
+        clauses
   | Slist ((Atom ("when" | "unless") as kw) :: c :: body) ->
-      SSet.union (free_list [ kw; c ] bound) (free_body ?self body bound)
+      free_body memo ?self body bound (free_list memo [ kw; c ] bound acc)
   | Slist ((Atom ("begin" | "and" | "or") as kw) :: body) ->
-      SSet.union (free_vars kw bound) (free_body ?self body bound)
+      free_body memo ?self body bound (free_vars memo kw bound acc)
   | Slist (Atom name :: args)
     when (match self with
          | Some (self, nargs) ->
              tailjump ~self:(Some self) ~nargs
                ~shadowed:(SSet.mem name bound) ~tail:true name args
          | None -> false) ->
-      free_list args bound
-  | Slist items -> free_list items bound
+      free_list memo args bound acc
+  | Slist items -> free_list memo items bound acc
 
-and free_list items bound =
-  List.fold_left (fun acc e -> SSet.union acc (free_vars e bound)) SSet.empty
-    items
+(* [acc] and the names free in [bindings]' inits over [bound] *)
+and free_inits memo bindings bound acc =
+  List.fold_left
+    (fun acc b ->
+      match b with Slist [ Atom _; e ] -> free_vars memo e bound acc | _ -> acc)
+    acc bindings
+
+(* a closure-shaped form's free set over no bound names *)
+and closure_free memo e =
+  match List.assq_opt e memo.free with
+  | Some free -> free
+  | None ->
+      let free =
+        match e with
+        | Slist (Atom "lambda" :: Slist params :: body) ->
+            let params =
+              List.fold_left
+                (fun acc p -> match p with Atom a -> SSet.add a acc | _ -> acc)
+                SSet.empty params
+            in
+            free_list memo body params SSet.empty
+        | Slist (Atom "let" :: Atom name :: Slist bindings :: body) ->
+            free_body memo
+              ~self:(name, List.length bindings)
+              body
+              (bind_all bindings SSet.empty)
+              (free_inits memo bindings SSet.empty SSet.empty)
+        | _ -> invalid_arg "Kcompiler.closure_free"
+      in
+      memo.free <- (e, free) :: memo.free;
+      free
+
+and free_list memo items bound acc =
+  List.fold_left (fun acc e -> free_vars memo e bound acc) acc items
 
 (* a body: the last expression is in tail position *)
-and free_body ?self items bound =
+and free_body memo ?self items bound acc =
   match items with
-  | [] -> SSet.empty
-  | [ last ] -> free_vars ?self last bound
-  | e :: rest -> SSet.union (free_vars e bound) (free_body ?self rest bound)
+  | [] -> acc
+  | [ last ] -> free_vars memo ?self last bound acc
+  | e :: rest -> free_body memo ?self rest bound (free_vars memo e bound acc)
+
+(* [acc] and the names captured by any closure nested in [e], at any
+   depth, quoted forms included *)
+let rec captured memo e acc =
+  match e with
+  | Slist items when closure_shaped e ->
+      let names =
+        match List.assq_opt e memo.captured with
+        | Some names -> names
+        | None ->
+            let names = captured_list memo items (closure_free memo e) in
+            memo.captured <- (e, names) :: memo.captured;
+            names
+      in
+      SSet.union acc names
+  | Slist items -> captured_list memo items acc
+  | _ -> acc
+
+and captured_list memo items acc =
+  List.fold_left (fun acc e -> captured memo e acc) acc items
 
 (* names captured by any lambda nested in [body] *)
-let captured_names (body : sexp list) : SSet.t =
-  let acc = ref SSet.empty in
-  let rec walk e =
-    (match e with
-    | Slist (Atom "lambda" :: Slist _ :: _) ->
-        acc := SSet.union !acc (free_vars e SSet.empty)
-    | Slist (Atom "let" :: Atom _ :: Slist _ :: _) ->
-        (* named let desugars to a lambda *)
-        acc := SSet.union !acc (free_vars e SSet.empty)
-    | _ -> ());
-    match e with
-    | Slist items -> List.iter walk items
-    | _ -> ()
-  in
-  List.iter walk body;
-  !acc
+let captured_names memo (body : sexp list) : SSet.t =
+  captured_list memo body SSet.empty
 
 (* --- compilation scopes --- *)
 
@@ -205,7 +225,8 @@ type scope = {
   nargs : int;
   self_name : string option;
   defined : SSet.t;                    (* the program's toplevel defines *)
-  tbl : (string, int) Hashtbl.t;       (* visible name -> local slot *)
+  memo : memo;                         (* the program's analysis *)
+  mutable tbl : int SMap.t;            (* visible name -> local slot *)
   celled : SSet.t;                     (* names living in cells *)
   mutable captures : (string * int) list;  (* captured name -> index *)
   mutable nlocals : int;
@@ -215,9 +236,9 @@ type scope = {
 let is_celled sc name = SSet.mem name sc.celled
 
 (* reset the names visible in [sc] to a saved table *)
-let restore sc saved =
-  Hashtbl.reset sc.tbl;
-  Hashtbl.iter (Hashtbl.replace sc.tbl) saved
+let restore sc saved = sc.tbl <- saved
+
+let bind sc name slot = sc.tbl <- SMap.add name slot sc.tbl
 
 let fresh_slot sc =
   let s = sc.nlocals in
@@ -231,7 +252,7 @@ type access =
   | A_global
 
 let rec resolve sc name : access =
-  match Hashtbl.find_opt sc.tbl name with
+  match SMap.find_opt name sc.tbl with
   | Some slot -> if is_celled sc name then A_cell slot else A_local slot
   | None -> (
       match sc.parent with
@@ -250,7 +271,7 @@ let rec resolve sc name : access =
                   A_cell (sc.nargs + idx))))
 
 and parent_has sc name =
-  Hashtbl.mem sc.tbl name
+  SMap.mem name sc.tbl
   || match sc.parent with Some p -> parent_has p name | None -> false
 
 (* the slot in [sc] that holds the cell for [name] (for closure capture) *)
@@ -394,7 +415,7 @@ and compile_form sc ~tail head args =
          binds each name as soon as its init is compiled, so later inits
          see it, while plain [let] binds its names only once every init
          has compiled *)
-      let saved = Hashtbl.copy sc.tbl in
+      let saved = sc.tbl in
       let sequential = kw = "let*" in
       let bound =
         List.map
@@ -402,7 +423,7 @@ and compile_form sc ~tail head args =
             | Slist [ Atom v; e ] ->
                 compile_expr sc ~tail:false e;
                 let slot = fresh_slot sc in
-                if sequential then Hashtbl.replace sc.tbl v slot;
+                if sequential then bind sc v slot;
                 ignore (emit b (K_SET_LOCAL slot));
                 if is_celled sc v then ignore (emit b (K_MAKE_CELL slot));
                 (v, slot)
@@ -410,7 +431,7 @@ and compile_form sc ~tail head args =
           bindings
       in
       if not sequential then
-        List.iter (fun (v, slot) -> Hashtbl.replace sc.tbl v slot) bound;
+        List.iter (fun (v, slot) -> bind sc v slot) bound;
       compile_body sc ~tail body;
       restore sc saved
   | Atom "letrec", [ Slist _ ] -> error "letrec needs a body"
@@ -423,7 +444,7 @@ and compile_form sc ~tail head args =
       error "malformed %s form" kw
   | Atom name, _
     when tailjump ~self:sc.self_name ~nargs:sc.nargs
-           ~shadowed:(Hashtbl.mem sc.tbl name) ~tail name args ->
+           ~shadowed:(SMap.mem name sc.tbl) ~tail name args ->
       (* self tail call -> loop back-edge *)
       List.iter (compile_expr sc ~tail:false) args;
       ignore (emit b (K_TAILJUMP (List.length args)))
@@ -439,14 +460,14 @@ and compile_form sc ~tail head args =
    names), then restore the enclosing scope *)
 and compile_letrec sc bindings k =
   let b = sc.buf in
-  let saved = Hashtbl.copy sc.tbl in
+  let saved = sc.tbl in
   (* pre-bind all names (celled, since the lambdas capture them) *)
   let slots =
     List.map
       (function
         | Slist [ Atom v; _ ] ->
             let slot = fresh_slot sc in
-            Hashtbl.replace sc.tbl v slot;
+            bind sc v slot;
             ignore (emit b (K_CONST Value.nil));
             ignore (emit b (K_SET_LOCAL slot));
             if is_celled sc v then ignore (emit b (K_MAKE_CELL slot));
@@ -496,7 +517,8 @@ and compile_lambda ~parent ~cname ~self params body : unit =
       (function Atom a -> a | _ -> error "bad parameter")
       params
   in
-  let celled = captured_names body in
+  let memo = match parent with Some p -> p.memo | None -> memo () in
+  let celled = captured_names memo body in
   let sc =
     {
       parent;
@@ -504,7 +526,8 @@ and compile_lambda ~parent ~cname ~self params body : unit =
       nargs = List.length param_names;
       self_name = self;
       defined = (match parent with Some p -> p.defined | None -> SSet.empty);
-      tbl = Hashtbl.create 16;
+      memo;
+      tbl = SMap.empty;
       celled;
       captures = [];
       nlocals = 0;
@@ -513,7 +536,7 @@ and compile_lambda ~parent ~cname ~self params body : unit =
   in
   List.iter
     (fun p ->
-      Hashtbl.replace sc.tbl p sc.nlocals;
+      bind sc p sc.nlocals;
       sc.nlocals <- sc.nlocals + 1)
     param_names;
   (* reserve capture slots after the parameters; filled at call time *)
@@ -548,25 +571,11 @@ and compile_lambda ~parent ~cname ~self params body : unit =
       | K_JUMP t when t <= pc -> headers.(t) <- true
       | _ -> ())
     instrs;
-  (* stack-size analysis *)
-  let depth = Array.make n (-1) in
-  let maxd = ref 0 in
-  let work = Queue.create () in
-  Queue.add (0, 0) work;
-  while not (Queue.is_empty work) do
-    let pc, d = Queue.pop work in
-    if pc < n && depth.(pc) < d then begin
-      depth.(pc) <- d;
-      maxd := max !maxd d;
-      let i = instrs.(pc) in
-      let cont = d + stack_effect i in
-      maxd := max !maxd (max cont (d + 1));
-      List.iter
-        (fun t -> Queue.add (t, max 0 (d + stack_effect ~taken:true i)) work)
-        (jump_targets i);
-      if falls_through i then Queue.add (pc + 1, max 0 cont) work
-    end
-  done;
+  let deepest =
+    Mtj_rjit.Stack_depth.deepest instrs ~effect:(fun i -> stack_effect i)
+      ~taken_effect:(fun i -> stack_effect ~taken:true i)
+      ~target:jump_target ~falls_through
+  in
   let code =
     {
       Kbytecode.id = Kcode_table.fresh_id ();
@@ -574,7 +583,7 @@ and compile_lambda ~parent ~cname ~self params body : unit =
       nargs = List.length param_names;
       ncaptured;
       nlocals = sc.nlocals;
-      stacksize = !maxd + 8;
+      stacksize = deepest + 8;
       instrs;
       headers;
     }
@@ -601,6 +610,7 @@ and compile_lambda ~parent ~cname ~self params body : unit =
 (* --- toplevel --- *)
 
 let compile_program (forms : sexp list) : Kbytecode.code =
+  let memo = memo () in
   let sc =
     {
       parent = None;
@@ -618,9 +628,10 @@ let compile_program (forms : sexp list) : Kbytecode.code =
                 SSet.add name acc
             | _ -> acc)
           SSet.empty forms;
-      tbl = Hashtbl.create 16;
+      memo;
+      tbl = SMap.empty;
       (* toplevel let/letrec bindings can be captured by lambdas too *)
-      celled = captured_names forms;
+      celled = captured_names memo forms;
       captures = [];
       nlocals = 0;
       buf = buf_create ();

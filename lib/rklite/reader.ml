@@ -15,6 +15,36 @@ let is_delim c =
   c = '(' || c = ')' || c = '[' || c = ']' || c = ' ' || c = '\t'
   || c = '\n' || c = '\r' || c = ';' || c = '"'
 
+(* A token is a number only when it is a decimal numeral: an optional
+   sign, then digits with an optional fraction or a fraction alone, then
+   an optional exponent.  Everything else is a symbol, however OCaml's
+   own number parsers would read it ([0x10], [1_000], [nan], [inf]). *)
+type numeral = Not_numeral | Integer | Decimal
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* where the run of digits in [w] from [i] ends *)
+let rec digits_end w i =
+  if i < String.length w && is_digit w.[i] then digits_end w (i + 1) else i
+
+let numeral w =
+  let n = String.length w in
+  let i = if n > 0 && (w.[0] = '+' || w.[0] = '-') then 1 else 0 in
+  let int_end = digits_end w i in
+  let frac_end =
+    if int_end < n && w.[int_end] = '.' then digits_end w (int_end + 1)
+    else int_end
+  in
+  let has_digits = int_end > i || frac_end > int_end + 1 in
+  if not has_digits then Not_numeral
+  else if frac_end = n then if frac_end = int_end then Integer else Decimal
+  else if w.[frac_end] = 'e' || w.[frac_end] = 'E' then
+    let j = frac_end + 1 in
+    let j = if j < n && (w.[j] = '+' || w.[j] = '-') then j + 1 else j in
+    let exp_end = digits_end w j in
+    if exp_end > j && exp_end = n then Decimal else Not_numeral
+  else Not_numeral
+
 let read_all (src : string) : sexp list =
   let n = String.length src in
   let i = ref 0 in
@@ -98,12 +128,14 @@ let read_all (src : string) : sexp list =
         while !i < n && not (is_delim src.[!i]) do incr i done;
         let word = String.sub src start (!i - start) in
         if word = "" then error "empty token";
-        (match int_of_string_opt word with
-        | Some v -> Num v
-        | None -> (
-            match float_of_string_opt word with
-            | Some f -> Fnum f
-            | None -> Atom word))
+        (match numeral word with
+        | Not_numeral -> Atom word
+        | Integer -> (
+            (* past the native int range an integer reads as a float *)
+            match int_of_string_opt word with
+            | Some v -> Num v
+            | None -> Fnum (float_of_string word))
+        | Decimal -> Fnum (float_of_string word))
   in
   let forms = ref [] in
   let rec go () =

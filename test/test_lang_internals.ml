@@ -37,6 +37,20 @@ let test_lex_floats () =
   | [ _; _; L.FLOAT f; _; _ ] -> Alcotest.(check (float 0.0)) "2e3" 2000.0 f
   | _ -> Alcotest.fail "exponent float"
 
+let token = Alcotest.testable L.pp_token ( = )
+
+(* a decimal int literal reads up to max_int and no further *)
+let test_lex_int_literals () =
+  List.iter
+    (fun (src, v) ->
+      Alcotest.(check (list token))
+        src [ L.INT v; L.NEWLINE; L.EOF ] (toks src))
+    [ ("0", 0); ("007", 7); ("123456789012345678", 123456789012345678);
+      ("4611686018427387903", max_int) ];
+  Alcotest.check_raises "past max_int"
+    (L.Syntax_error "invalid number literal: 4611686018427387904") (fun () ->
+      ignore (toks "4611686018427387904"))
+
 let test_lex_strings () =
   (match toks "s = \"a\\nb\"\n" with
   | [ _; _; L.STRING s; _; _ ] -> Alcotest.(check string) "escape" "a\nb" s
@@ -54,8 +68,6 @@ let test_lex_multichar_ops () =
   match toks "x //= 2 ** 3\n" with
   | [ _; L.OP "//="; _; L.OP "**"; _; _; _ ] -> ()
   | _ -> Alcotest.fail "multichar operators"
-
-let token = Alcotest.testable L.pp_token ( = )
 
 let test_lex_every_operator () =
   List.iter
@@ -234,6 +246,33 @@ let test_reader_negative_numbers () =
   | [ KR.Slist [ KR.Num (-5); KR.Fnum f ] ] when f = -2.5 -> ()
   | _ -> Alcotest.fail "negatives"
 
+(* a token is a number only when it is a decimal numeral *)
+let test_reader_decimal_numerals () =
+  let read1 w =
+    match KR.read_all w with [ e ] -> e | _ -> Alcotest.failf "%s: not one form" w
+  in
+  List.iter
+    (fun w ->
+      match read1 w with
+      | KR.Atom a when a = w -> ()
+      | _ -> Alcotest.failf "%s should read as a symbol" w)
+    [ "0x10"; "1_000"; "0b1"; "0o7"; "nan"; "inf"; "infinity"; "-inf"; "+";
+      "-"; "."; "1e"; "1e+"; "1.5.2"; "-x"; "..." ];
+  List.iter
+    (fun (w, v) ->
+      match read1 w with
+      | KR.Num n when n = v -> ()
+      | _ -> Alcotest.failf "%s should read as the int %d" w v)
+    [ ("0", 0); ("42", 42); ("+5", 5); ("-5", -5); ("007", 7) ];
+  List.iter
+    (fun (w, v) ->
+      match read1 w with
+      | KR.Fnum f when f = v -> ()
+      | _ -> Alcotest.failf "%s should read as the float %g" w v)
+    [ ("5.", 5.); (".5", 0.5); ("-2.5", -2.5); ("1e3", 1000.);
+      ("2.5E-1", 0.25); ("+.5", 0.5); ("5.e1", 50.);
+      ("99999999999999999999", 1e20) ]
+
 let test_reader_unclosed () =
   Alcotest.(check bool) "raises" true
     (try
@@ -277,6 +316,77 @@ let test_kcompile_closure_captures () =
   done;
   Alcotest.(check bool) "a code object captures" true !found
 
+(* a name OCaml would read as a float binds like any other *)
+let test_kcompile_binds_inf_nan =
+  Test_rklite.check_program "inf and nan bind" ~expect:"6\n3\n"
+    {|
+(define (f x) (let ((inf (* x 2))) inf))
+(define (g inf nan) (+ inf nan))
+(display (f 3))
+(newline)
+(display (g 1 2))
+(newline)
+|}
+
+(* --- the frontends on the host --- *)
+
+(* OCaml 5 runs a minor collection before it fills an array of more
+   than 256 elements, which starts in the major heap, with a young
+   value.  A cold compile builds no such array, so its minor collections
+   are only those its own allocation fills the minor heap for. *)
+let test_cold_compile_forces_no_minor () =
+  let heap = float (Gc.get ()).Gc.minor_heap_size in
+  List.iter
+    (fun (b : Mtj_benchmarks.Registry.bench) ->
+      let (module V : Mtj_harness.Hosted.VM) =
+        Mtj_harness.Hosted.vm b.Mtj_benchmarks.Registry.lang
+      in
+      let vm = V.create () in
+      Gc.minor ();
+      let collections = (Gc.quick_stat ()).Gc.minor_collections
+      and words = Gc.minor_words () in
+      ignore (Sys.opaque_identity (V.compile_bundle b.source));
+      let collections = (Gc.quick_stat ()).Gc.minor_collections - collections
+      and words = Gc.minor_words () -. words in
+      Mtj_machine.Engine.release (V.engine vm);
+      if float collections > words /. heap then
+        Alcotest.failf "%s: %d minor collections for %.0f minor words" b.name
+          collections words)
+    Mtj_benchmarks.Registry.all
+
+(* every prefix of every registry program compiles, or stops with its
+   language's own syntax or compile error: end of input reaches no
+   lexer, parser or reader path unguarded *)
+let prop_prefixes_fail_cleanly =
+  let programs = Array.of_list Mtj_benchmarks.Registry.all in
+  let draw =
+    QCheck.Gen.(
+      int_bound (Array.length programs - 1) >>= fun k ->
+      int_bound (String.length programs.(k).source) >|= fun len -> (k, len))
+  in
+  let print (k, len) = Printf.sprintf "%s, %d bytes" programs.(k).name len in
+  QCheck.Test.make ~count:1000 ~long_factor:30
+    ~name:"every prefix of a registry program fails cleanly"
+    (QCheck.make ~print draw)
+    (* any other exception fails the draw, and QCheck prints it *)
+    (fun (k, len) ->
+      let b = programs.(k) in
+      let src = String.sub b.source 0 len in
+      match b.lang with
+      | Mtj_benchmarks.Registry.Py -> (
+          Mtj_pylite.Code_table.reset ();
+          match Mtj_pylite.Compiler.compile_source src with
+          | _ -> true
+          | exception (L.Syntax_error _ | Mtj_pylite.Compiler.Compile_error _) ->
+              true)
+      | Mtj_benchmarks.Registry.Rk -> (
+          Mtj_rklite.Kcode_table.reset ();
+          match Mtj_rklite.Kcompiler.compile_source src with
+          | _ -> true
+          | exception (KR.Syntax_error _ | Mtj_rklite.Kcompiler.Compile_error _)
+            ->
+              true))
+
 (* --- code registries --- *)
 
 (* each language's registry is its own instance of the shared functor,
@@ -306,6 +416,7 @@ let suite =
     Alcotest.test_case "lex indentation" `Quick test_lex_indentation;
     Alcotest.test_case "lex nested dedents" `Quick test_lex_nested_dedents;
     Alcotest.test_case "lex floats" `Quick test_lex_floats;
+    Alcotest.test_case "lex int literals" `Quick test_lex_int_literals;
     Alcotest.test_case "lex strings" `Quick test_lex_strings;
     Alcotest.test_case "lex comments/blank lines" `Quick test_lex_comments_blank_lines;
     Alcotest.test_case "lex multichar ops" `Quick test_lex_multichar_ops;
@@ -332,7 +443,14 @@ let suite =
     Alcotest.test_case "reader nesting/comments" `Quick test_reader_nesting_and_comments;
     Alcotest.test_case "reader negative numbers" `Quick test_reader_negative_numbers;
     Alcotest.test_case "reader unclosed" `Quick test_reader_unclosed;
+    Alcotest.test_case "reader decimal numerals" `Quick
+      test_reader_decimal_numerals;
     Alcotest.test_case "kcompile tail jump" `Quick test_kcompile_tailjump;
     Alcotest.test_case "kcompile closures" `Quick test_kcompile_closure_captures;
+    Alcotest.test_case "kcompile binds inf and nan" `Quick
+      test_kcompile_binds_inf_nan;
     Alcotest.test_case "separate code registries" `Quick test_separate_registries;
+    Alcotest.test_case "cold compile forces no minor collection" `Quick
+      test_cold_compile_forces_no_minor;
+    QCheck_alcotest.to_alcotest prop_prefixes_fail_cleanly;
   ]
