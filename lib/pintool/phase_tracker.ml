@@ -97,7 +97,7 @@ let fraction t p =
 (* the completed buckets, and after [finalize] the last, partial one *)
 let timeline t =
   let n = if t.finalized then t.cur + 1 else t.cur in
-  Array.init n (fun b ->
+  Heap_array.init ~dummy:[||] n (fun b ->
       let cell p = t.buckets.((b * Phase.count) + Phase.index p) in
       let total = List.fold_left (fun acc p -> acc + cell p) 0 Phase.all in
       if total = 0 then [||]

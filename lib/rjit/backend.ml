@@ -51,7 +51,10 @@ let compile jitlog rtc ~(kind : Ir.trace_kind) ~entry_slots
       Ir.trace_id;
       kind;
       ops;
-      op_costs = Array.map (fun (op : Ir.op) -> cost_of_template (Ir.x86_template op.Ir.opcode)) ops;
+      op_costs =
+        Heap_array.map ~dummy:Cost.zero
+          (fun (op : Ir.op) -> cost_of_template (Ir.x86_template op.Ir.opcode))
+          ops;
       nregs;
       entry_slots;
       loop_base;

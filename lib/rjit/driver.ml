@@ -148,63 +148,82 @@ module Make (L : Threaded.LANG) = struct
     in
     go [] bottom
 
+  (* slot [i] of [a] has the source [prev] holds there *)
+  let same_source (prev : Ir.source array) (a : Recorder.tval array) i =
+    i < Array.length prev
+    &&
+    match (prev.(i), a.(i).Recorder.src) with
+    | Ir.S_reg r, Ir.Reg r' -> r = r'
+    | Ir.S_const v, Ir.Const v' -> v == v'
+    | _ -> false
+
+  let rec first_new_source prev a n i =
+    if i = n || not (same_source prev a i) then i
+    else first_new_source prev a n (i + 1)
+
   (* the sources of the first [n] slots of [a]: [prev] itself when it
-     already holds exactly those sources, else a fresh array *)
+     already holds exactly those sources, else a fresh array that keeps
+     each source of [prev] that did not change *)
   let share_sources (prev : Ir.source array) (a : Recorder.tval array) n =
-    let rec same i =
-      i = n
-      || (match (prev.(i), a.(i).Recorder.src) with
-         | Ir.S_reg r, Ir.Reg r' -> r = r'
-         | Ir.S_const v, Ir.Const v' -> v == v'
-         | _ -> false)
-         && same (i + 1)
-    in
-    if Array.length prev = n && same 0 then prev
-    else Array.init n (fun i -> source_of_tval a.(i))
+    let k = first_new_source prev a n 0 in
+    if k = n && Array.length prev = n then prev
+    else
+      Array.init n (fun i ->
+          if i < k || same_source prev a i then prev.(i)
+          else source_of_tval a.(i))
 
-  (* [f]'s snapshot, reusing [prev] (the same frame's snapshot at the
+  (* the previous snapshot of a frame that had none: it shares nothing *)
+  let no_snap : Ir.frame_snap =
+    {
+      Ir.snap_code = -1;
+      snap_pc = -1;
+      snap_locals = [||];
+      snap_stack = [||];
+      snap_discard = false;
+    }
+
+  (* [f]'s snapshot, reusing [p] (the same frame's snapshot at the
      previous bytecode) or its arrays where nothing changed *)
-  let snap_frame (prev : Ir.frame_snap option) (f : tframe) : Ir.frame_snap =
-    let p_locals, p_stack =
-      match prev with
-      | Some p -> (p.Ir.snap_locals, p.Ir.snap_stack)
-      | None -> ([||], [||])
-    in
+  let snap_frame (p : Ir.frame_snap) (f : tframe) : Ir.frame_snap =
     let snap_locals =
-      share_sources p_locals f.Frame.locals (Array.length f.Frame.locals)
+      share_sources p.Ir.snap_locals f.Frame.locals (Array.length f.Frame.locals)
     in
-    let snap_stack = share_sources p_stack f.Frame.stack f.Frame.sp in
-    match prev with
-    | Some p
-      when p.Ir.snap_locals == snap_locals
-           && p.Ir.snap_stack == snap_stack
-           && p.Ir.snap_code = f.Frame.code_ref
-           && p.Ir.snap_pc = f.Frame.pc
-           && p.Ir.snap_discard = f.Frame.discard_return ->
-        p
-    | _ ->
-        {
-          Ir.snap_code = f.Frame.code_ref;
-          snap_pc = f.Frame.pc;
-          snap_locals;
-          snap_stack;
-          snap_discard = f.Frame.discard_return;
-        }
+    let snap_stack = share_sources p.Ir.snap_stack f.Frame.stack f.Frame.sp in
+    if
+      p.Ir.snap_locals == snap_locals
+      && p.Ir.snap_stack == snap_stack
+      && p.Ir.snap_code = f.Frame.code_ref
+      && p.Ir.snap_pc = f.Frame.pc
+      && p.Ir.snap_discard = f.Frame.discard_return
+    then p
+    else
+      {
+        Ir.snap_code = f.Frame.code_ref;
+        snap_pc = f.Frame.pc;
+        snap_locals;
+        snap_stack;
+        snap_discard = f.Frame.discard_return;
+      }
 
-  (* the resume snapshot at the start of the bytecode [innermost] is
-     about to run, built against [prev], the previous bytecode's frames:
-     a frame that did not change since (every caller frame, while an
-     inlined callee runs) is shared, not copied *)
-  let build_resume ~(prev : Ir.frame_snap list) (innermost : tframe) :
+  let snap_fresh f = snap_frame no_snap f
+
+  (* a frame chain, outermost first, taken against [prev], the same
+     chain's results at the previous bytecode: [from p f] reuses what
+     did not change in [p], and [fresh f] is for a frame [prev] lacks *)
+  let rec against fresh from prev = function
+    | [] -> []
+    | f :: rest -> (
+        match prev with
+        | p :: ps -> from p f :: against fresh from ps rest
+        | [] -> fresh f :: against fresh from [] rest)
+
+  (* the resume snapshot at the start of the bytecode [chain]'s
+     innermost frame is about to run, built against [prev], the previous
+     bytecode's frames: a frame that did not change since (every caller
+     frame, while an inlined callee runs) is shared, not copied *)
+  let build_resume ~(prev : Ir.frame_snap list) (chain : tframe list) :
       Ir.resume =
-    let rec go prev = function
-      | [] -> []
-      | f :: rest -> (
-          match prev with
-          | p :: ps -> snap_frame (Some p) f :: go ps rest
-          | [] -> snap_frame None f :: go [] rest)
-    in
-    { Ir.frames = go prev (chain_outermost_first innermost); r_virtuals = [||] }
+    { Ir.frames = against snap_fresh snap_frame prev chain; r_virtuals = [||] }
 
   type saved_frame = {
     s_code : L.code;
@@ -214,18 +233,48 @@ module Make (L : Threaded.LANG) = struct
     s_discard : bool;
   }
 
-  let save_chain (innermost : tframe) =
-    List.map
-      (fun (f : tframe) ->
-        {
-          s_code = f.Frame.code;
-          s_pc = f.Frame.pc;
-          s_locals = Array.map (fun (tv : Recorder.tval) -> tv.Recorder.v) f.Frame.locals;
-          s_stack =
-            Array.init f.Frame.sp (fun i -> f.Frame.stack.(i).Recorder.v);
-          s_discard = f.Frame.discard_return;
-        })
-      (chain_outermost_first innermost)
+  let rec same_values (prev : Value.t array) (a : Recorder.tval array) n i =
+    i = n || (prev.(i) == a.(i).Recorder.v && same_values prev a n (i + 1))
+
+  (* the values of the first [n] slots of [a]: [prev] itself when it
+     already holds exactly those values *)
+  let share_values (prev : Value.t array) (a : Recorder.tval array) n =
+    if Array.length prev = n && same_values prev a n 0 then prev
+    else Array.init n (fun i -> a.(i).Recorder.v)
+
+  let saved_of (f : tframe) s_locals s_stack =
+    {
+      s_code = f.Frame.code;
+      s_pc = f.Frame.pc;
+      s_locals;
+      s_stack;
+      s_discard = f.Frame.discard_return;
+    }
+
+  (* [f]'s concrete state, reusing [p] (the same frame's state at the
+     previous bytecode) or its arrays where nothing changed *)
+  let save_frame (p : saved_frame) (f : tframe) : saved_frame =
+    let s_locals =
+      share_values p.s_locals f.Frame.locals (Array.length f.Frame.locals)
+    in
+    let s_stack = share_values p.s_stack f.Frame.stack f.Frame.sp in
+    if
+      p.s_locals == s_locals && p.s_stack == s_stack
+      && p.s_code == f.Frame.code
+      && p.s_pc = f.Frame.pc
+      && p.s_discard = f.Frame.discard_return
+    then p
+    else saved_of f s_locals s_stack
+
+  let save_fresh (f : tframe) =
+    saved_of f
+      (share_values [||] f.Frame.locals (Array.length f.Frame.locals))
+      (share_values [||] f.Frame.stack f.Frame.sp)
+
+  (* the concrete state of [chain], built against [prev], the previous
+     bytecode's, as [build_resume] builds sources *)
+  let save_chain ~prev (chain : tframe list) =
+    against save_fresh save_frame prev chain
 
   (* rebuild a direct frame chain from saved state; [parent] is the frame
      below the traced region *)
@@ -275,7 +324,7 @@ module Make (L : Threaded.LANG) = struct
       session_end =
     let tcur = ref start in
     t.tracking <- Some start;
-    let last_saved = ref (save_chain start) in
+    let last_saved = ref (save_chain ~prev:[] (chain_outermost_first start)) in
     let last_frames = ref [] in
     let finish_session result =
       t.tracking <- None;
@@ -285,14 +334,17 @@ module Make (L : Threaded.LANG) = struct
       let f = !tcur in
       if close ~steps f then begin
         finish rec_ f;
-        Closed (Recorder.ops rec_, save_chain f)
+        Closed
+          ( Recorder.ops rec_,
+            save_chain ~prev:!last_saved (chain_outermost_first f) )
       end
       else begin
         (* inner loops that are already compiled are traced straight
            through (unrolled); overly long unrolls hit the trace-length
            abort, as in RPython *)
-        last_saved := save_chain f;
-        let resume = build_resume ~prev:!last_frames f in
+        let chain = chain_outermost_first f in
+        last_saved := save_chain ~prev:!last_saved chain;
+        let resume = build_resume ~prev:!last_frames chain in
         last_frames := resume.Ir.frames;
         Recorder.begin_bytecode rec_ ~resume ~code:f.Frame.code_ref
           ~pc:f.Frame.pc;

@@ -492,6 +492,10 @@ let pp_resume fmt (r : resume) =
       | V_cell s -> srcs "cell(" [| s |])
     r.r_virtuals
 
+(* what an op array holds before its ops are stored
+   ({!Mtj_core.Heap_array}): a constant, so it is never young *)
+let no_op = { opcode = Label; args = [||]; result = -1 }
+
 (* copy recorded ops so a recompile (tier-2, or a test harness) starts
    from pristine guards: fresh guard records with no attached bridge and
    a zero fail count, and private arg arrays. The old trace keeps its
@@ -499,7 +503,7 @@ let pp_resume fmt (r : resume) =
    remains reachable. Resume data is immutable (see [frame_snap]), so
    the copy shares it, and with it the sharing between snapshots. *)
 let copy_ops (ops : op array) : op array =
-  Array.map
+  Mtj_core.Heap_array.map ~dummy:no_op
     (fun (op : op) ->
       let opcode =
         match op.opcode with

@@ -40,9 +40,37 @@ type bounds = { lo : int; hi : int }
    overflow the representation *)
 let max_safe = (1 lsl 62) - 1
 
+(* Per-register flags in a dense byte map, grown on demand.  Registers
+   are small dense ints, so a flag test is a bounds check and a byte
+   load where a table would hash and probe. *)
+type regflags = { mutable bits : Bytes.t }
+
+let f_subst = 1     (* has an entry in [subst] *)
+let f_virtual = 2   (* an allocation escape analysis removes *)
+let f_cand = 4      (* an allocation escape analysis considers *)
+let f_escaped = 8   (* a candidate that escapes *)
+
+let regflags () = { bits = Bytes.make 256 '\000' }
+
+let[@inline] flags m r =
+  if r >= 0 && r < Bytes.length m.bits then
+    Char.code (Bytes.unsafe_get m.bits r)
+  else 0
+
+let[@inline] has m r f = flags m r land f <> 0
+
+let set_flag m r f =
+  if r >= Bytes.length m.bits then begin
+    let b = Bytes.make (max (r + 1) (2 * Bytes.length m.bits)) '\000' in
+    Bytes.blit m.bits 0 b 0 (Bytes.length m.bits);
+    m.bits <- b
+  end;
+  Bytes.unsafe_set m.bits r (Char.unsafe_chr (flags m r lor f))
+
 type env = {
   cfg : Config.t;
   subst : (int, Ir.operand) Hashtbl.t;
+  marks : regflags;  (* [f_subst] on every key of [subst] *)
   int_bounds : (int, bounds) Hashtbl.t;
   shapes : (int, Ir.tyshape) Hashtbl.t;
   truthy : (int, bool * int) Hashtbl.t;           (* reg -> value, epoch *)
@@ -61,6 +89,7 @@ let make_env cfg =
   {
     cfg;
     subst = Hashtbl.create 64;
+    marks = regflags ();
     int_bounds = Hashtbl.create 64;
     shapes = Hashtbl.create 64;
     truthy = Hashtbl.create 64;
@@ -75,11 +104,35 @@ let make_env cfg =
     epoch = 0;
   }
 
+let substitute env r (o : Ir.operand) =
+  Hashtbl.replace env.subst r o;
+  set_flag env.marks r f_subst
+
 let resolve env (o : Ir.operand) =
   match o with
-  | Ir.Reg r -> (
-      match Hashtbl.find_opt env.subst r with Some o' -> o' | None -> o)
-  | Ir.Const _ -> o
+  | Ir.Reg r when has env.marks r f_subst -> Hashtbl.find env.subst r
+  | _ -> o
+
+(* [args] with [resolve] applied to each substituted register, or
+   [args] itself when it names none *)
+let resolve_args marks resolve (args : Ir.operand array) =
+  let n = Array.length args in
+  let rec first i =
+    if i = n then n
+    else
+      match Array.unsafe_get args i with
+      | Ir.Reg r when has marks r f_subst -> i
+      | _ -> first (i + 1)
+  in
+  let i = first 0 in
+  if i = n then args
+  else begin
+    let a = Array.copy args in
+    for j = i to n - 1 do
+      a.(j) <- resolve args.(j)
+    done;
+    a
+  end
 
 let const_of = function Ir.Const v -> Some v | Ir.Reg _ -> None
 
@@ -294,7 +347,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
   let env = make_env cfg in
   List.iter (fun (r, sh) -> Hashtbl.replace env.shapes r sh) seed_shapes;
   List.iter (fun (r, b) -> Hashtbl.replace env.int_bounds r b) seed_bounds;
-  let out = ref [] in
+  let out = ref [] and nout = ref 0 in
   let keep (op : Ir.op) =
     (* every kept op teaches the env its result's type shape and integer
        bounds, so later guards on it can be elided and loop peeling can
@@ -305,12 +358,14 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
       | None -> ());
       learn_bounds env op op.Ir.args
     end;
-    out := op :: !out
+    out := op :: !out;
+    incr nout
   in
+  let resolve = resolve env in
   Array.iter
     (fun (op : Ir.op) ->
-      let args = Array.map (resolve env) op.Ir.args in
-      let op = { op with Ir.args = args } in
+      let args = resolve_args env.marks resolve op.Ir.args in
+      let op = if args == op.Ir.args then op else { op with Ir.args = args } in
       match op.Ir.opcode with
       | Ir.Guard g -> (
           match guard_step env g args with
@@ -334,7 +389,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
             else None
           in
           (match hit with
-          | Some fwd -> Hashtbl.replace env.subst op.Ir.result fwd
+          | Some fwd -> substitute env op.Ir.result fwd
           | None ->
               if env.cfg.Config.opt_forward && ko <> K_none then
                 Hashtbl.replace env.heap_fields (ko, idx)
@@ -355,7 +410,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
             else None
           in
           (match hit with
-          | Some fwd -> Hashtbl.replace env.subst op.Ir.result fwd
+          | Some fwd -> substitute env op.Ir.result fwd
           | None ->
               if env.cfg.Config.opt_forward && kc <> K_none && ki <> K_none
               then
@@ -369,7 +424,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
             else None
           in
           match hit with
-          | Some fwd -> Hashtbl.replace env.subst op.Ir.result fwd
+          | Some fwd -> substitute env op.Ir.result fwd
           | None ->
               (match const_of args.(0) with
               | Some c
@@ -379,7 +434,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
                         | _ -> false)
                      && Mtj_rt.Value.is_str c ->
                   (* lengths of constant strings fold away *)
-                  Hashtbl.replace env.subst op.Ir.result
+                  substitute env op.Ir.result
                     (Ir.Const
                        (Mtj_rt.Value.of_int
                           (String.length (Mtj_rt.Value.to_str_unchecked c))))
@@ -394,7 +449,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
               Hashtbl.find_opt env.heap_cells kc
             else None
           with
-          | Some fwd -> Hashtbl.replace env.subst op.Ir.result fwd
+          | Some fwd -> substitute env op.Ir.result fwd
           | None ->
               if env.cfg.Config.opt_forward && kc <> K_none then
                 Hashtbl.replace env.heap_cells kc (Ir.Reg op.Ir.result);
@@ -423,7 +478,7 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
           clear_heap env;
           keep op
       | Ir.Same_as when env.cfg.Config.opt_fold ->
-          Hashtbl.replace env.subst op.Ir.result args.(0)
+          substitute env op.Ir.result args.(0)
       | opc when shape_of_new opc <> None ->
           (match shape_of_new opc with
           | Some sh -> Hashtbl.replace env.shapes op.Ir.result sh
@@ -441,15 +496,14 @@ let pass_fold_forward ?(seed_shapes = []) ?(seed_bounds = []) cfg
             Array.map (fun a -> Option.get (const_of a)) args
           in
           match Eval_op.eval opc values with
-          | v -> Hashtbl.replace env.subst op.Ir.result (Ir.Const v)
+          | v -> substitute env op.Ir.result (Ir.Const v)
           | exception _ -> keep op)
       | _ -> keep op)
     ops;
-  (Array.of_list (List.rev !out), env)
+  (Heap_array.of_rev_list ~dummy:Ir.no_op !nout !out, env)
 
 (* --- pass 2: escape analysis / virtuals --- *)
 
-module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
 type vstate = {
@@ -458,15 +512,17 @@ type vstate = {
   v_len : int;  (* static element count for arrays/lists; -1 for instances *)
 }
 
-let new_candidates (ops : Ir.op array) =
-  Array.to_seq ops
-  |> Seq.filter_map (fun (op : Ir.op) ->
-         match op.Ir.opcode with
-         | Ir.New_with_vtable _ | Ir.New_array _ | Ir.New_list _
-         | Ir.New_cell ->
-             Some op.Ir.result
-         | _ -> None)
-  |> IntSet.of_seq
+(* the allocations escape analysis considers, flagged [f_cand] *)
+let mark_candidates (ops : Ir.op array) marks =
+  Array.fold_left
+    (fun acc (op : Ir.op) ->
+      match op.Ir.opcode with
+      | Ir.New_with_vtable _ | Ir.New_array _ | Ir.New_list _ | Ir.New_cell
+        ->
+          set_flag marks op.Ir.result f_cand;
+          op.Ir.result :: acc
+      | _ -> acc)
+    [] ops
 
 (* the element index of a constant-index list or tuple access *)
 let const_index (o : Ir.operand) =
@@ -483,8 +539,9 @@ let const_index (o : Ir.operand) =
    a heap op that stays (the rewrite removes a heap op only when its own
    target is a removed allocation).  Aliasing the read unconditionally
    is exact: if the candidate read from escapes, every value ever stored
-   into it escapes too, by the fixpoint below. *)
-let compute_escapes (ops : Ir.op array) candidates =
+   into it escapes too, by the fixpoint below.  Flags [f_escaped] on
+   every candidate that escapes. *)
+let compute_escapes (ops : Ir.op array) marks =
   (* stores into (possibly virtual) targets: target reg -> stored operands *)
   let stores : (int, Ir.operand list ref) Hashtbl.t = Hashtbl.create 16 in
   (* each candidate's fields at the current op: field/element index -> value *)
@@ -498,14 +555,12 @@ let compute_escapes (ops : Ir.op array) candidates =
     | Ir.Const _ -> o
   in
   let candidate = function
-    | Ir.Reg r when IntSet.mem r candidates -> Some r
+    | Ir.Reg r when has marks r f_cand -> Some r
     | _ -> None
   in
-  let escaped = ref IntSet.empty in
   let escape_op (o : Ir.operand) =
     match seen o with
-    | Ir.Reg r when IntSet.mem r candidates ->
-        escaped := IntSet.add r !escaped
+    | Ir.Reg r when has marks r f_cand -> set_flag marks r f_escaped
     | _ -> ()
   in
   let record_store target idx v =
@@ -565,158 +620,258 @@ let compute_escapes (ops : Ir.op array) candidates =
     changed := false;
     Hashtbl.iter
       (fun target values ->
-        if IntSet.mem target !escaped then
+        if has marks target f_escaped then
           List.iter
             (fun v ->
               match v with
-              | Ir.Reg r
-                when IntSet.mem r candidates && not (IntSet.mem r !escaped)
+              | Ir.Reg r when flags marks r land (f_cand lor f_escaped) = f_cand
                 ->
-                  escaped := IntSet.add r !escaped;
+                  set_flag marks r f_escaped;
                   changed := true
               | _ -> ())
             !values)
       stores
-  done;
-  !escaped
+  done
+
+(* "not found" answers of the capture memo below: constants, never
+   equal to a snapshot's own frame or non-empty array *)
+let no_frame : Ir.frame_snap =
+  {
+    Ir.snap_code = -1;
+    snap_pc = -1;
+    snap_locals = [||];
+    snap_stack = [||];
+    snap_discard = false;
+  }
+
+let no_sources : Ir.source array = [| Ir.S_virtual (-1) |]
+let no_resume : Ir.resume = { Ir.frames = []; r_virtuals = [||] }
 
 (* Removes the allocations that do not escape, forwarding reads of
-   their fields through [subst] (fold-forward's table, extended in
-   place) and rewriting resumes to materialize them on deoptimization. *)
-let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) =
+   their fields through [env.subst] (fold-forward's table, extended in
+   place) and rewriting resumes to materialize them on deoptimization.
+   An op, guard or merge point with nothing to rewrite comes out as it
+   went in, and so does the whole array when no op changed. *)
+let pass_virtuals cfg (ops : Ir.op array) env =
+  let subst = env.subst and marks = env.marks in
   (* virtual-read substitutions can chain (a getcell of a value that was
      itself read out of a virtual), so resolution must be transitive *)
   let rec resolve_chain (o : Ir.operand) =
     match o with
-    | Ir.Reg r -> (
-        match Hashtbl.find_opt subst r with
-        | Some (Ir.Reg r') when r' <> r -> resolve_chain (Ir.Reg r')
-        | Some o' -> o'
-        | None -> o)
-    | Ir.Const _ -> o
+    | Ir.Reg r when has marks r f_subst -> (
+        match Hashtbl.find subst r with
+        | Ir.Reg r' as o' when r' <> r -> resolve_chain o'
+        | o' -> o')
+    | _ -> o
   in
   let candidates =
-    if cfg.Config.opt_virtuals then new_candidates ops else IntSet.empty
+    if cfg.Config.opt_virtuals then mark_candidates ops marks else []
   in
-  let virtuals = IntSet.diff candidates (compute_escapes ops candidates) in
-  let vstates : (int, vstate) Hashtbl.t = Hashtbl.create 16 in
+  if candidates <> [] then begin
+    compute_escapes ops marks;
+    List.iter
+      (fun r -> if not (has marks r f_escaped) then set_flag marks r f_virtual)
+      candidates
+  end;
   let is_virtual = function
-    | Ir.Reg r -> IntSet.mem r virtuals
+    | Ir.Reg r -> has marks r f_virtual
     | Ir.Const _ -> false
   in
-  (* A frame needs rewriting only when it names a substituted or virtual
-     register.  That verdict never changes within this pass: registers
-     are SSA and a snapshot names only registers defined before it, so
-     every substitution of its registers is already in [subst].  Frames
-     found clean in the previous capture are not scanned again. *)
-  let dirty_src = function
-    | Ir.S_reg r -> Hashtbl.mem subst r || IntSet.mem r virtuals
-    | Ir.S_const _ | Ir.S_virtual _ -> false
+  let vstates : (int, vstate) Hashtbl.t = Hashtbl.create 16 in
+  (* Capturing a resume.  Virtuals are numbered per resume in the order
+     they are met: frames outermost first, each frame's stack before its
+     locals, a virtual's fields before the slot after it. [vnum] holds
+     this capture's numbers, by register. *)
+  let vnum =
+    if candidates = [] then [||] else Array.make (Bytes.length marks.bits) (-1)
   in
-  let clean_before = ref [] in
-  let is_clean (f : Ir.frame_snap) =
-    List.memq f !clean_before
-    || not
-         (Array.exists dirty_src f.Ir.snap_locals
-         || Array.exists dirty_src f.Ir.snap_stack)
-  in
-  (* capture a resume record, rewriting substituted regs and virtuals.
-     A guard carries its debug_merge_point's resume, so remembering the
-     latest capture serves every guard. *)
-  let last_capture = ref None in
-  let capture_resume (resume : Ir.resume) : Ir.resume =
-    match !last_capture with
-    | Some (r_in, r_out) when r_in == resume -> r_out
-    | _ ->
-        let vdescs = ref [] in
-        let nv = ref 0 in
-        let vindex : (int, int) Hashtbl.t = Hashtbl.create 8 in
-        let rec source_of (o : Ir.operand) : Ir.source =
-          let o = resolve_chain o in
-          match o with
-          | Ir.Const v -> Ir.S_const v
-          | Ir.Reg r when IntSet.mem r virtuals -> Ir.S_virtual (vreg r)
-          | Ir.Reg r -> Ir.S_reg r
-        and vreg r =
-          match Hashtbl.find_opt vindex r with
-          | Some i -> i
-          | None ->
-              let i = !nv in
-              incr nv;
-              Hashtbl.replace vindex r i;
-              (* reserve the slot before recursing (cyclic structures) *)
-              vdescs := (i, ref None) :: !vdescs;
-              let st = Hashtbl.find vstates r in
-              let fields n =
-                Array.init n (fun k ->
-                    match IntMap.find_opt k st.v_fields with
-                    | Some o -> source_of o
-                    | None -> Ir.S_const Mtj_rt.Value.nil)
-              in
-              let desc =
-                match st.v_opcode with
-                | Ir.New_with_vtable cls ->
-                    let nfields =
-                      match IntMap.max_binding_opt st.v_fields with
-                      | Some (k, _) -> k + 1
-                      | None -> 0
-                    in
-                    Ir.V_instance { v_cls = cls; v_fields = fields nfields }
-                | Ir.New_array n -> Ir.V_tuple (fields n)
-                | Ir.New_list n -> Ir.V_list (fields n)
-                | Ir.New_cell -> Ir.V_cell (source_of (IntMap.find 0 st.v_fields))
-                | _ -> assert false
-              in
-              (match List.assoc_opt i !vdescs with
-              | Some slot -> slot := Some desc
-              | None -> ());
-              i
-        in
-        let rewrite_source (s : Ir.source) =
-          match s with
-          | Ir.S_reg r -> source_of (Ir.Reg r)
-          | Ir.S_const _ | Ir.S_virtual _ -> s
-        in
-        let clean = ref [] in
-        let snap_frame (f : Ir.frame_snap) =
-          if is_clean f then begin
-            clean := f :: !clean;
-            f
-          end
-          else
-            (* the stack before the locals: virtuals are numbered in the
-               order they are met *)
-            let snap_stack = Array.map rewrite_source f.Ir.snap_stack in
-            let snap_locals = Array.map rewrite_source f.Ir.snap_locals in
-            { f with Ir.snap_locals; snap_stack }
-        in
-        let frames = List.map snap_frame resume.Ir.frames in
-        clean_before := !clean;
-        let r =
-          if
-            !nv = 0
-            && Array.length resume.Ir.r_virtuals = 0
-            && List.for_all2 ( == ) frames resume.Ir.frames
-          then resume
-          else
-            let arr =
-              Array.init !nv (fun i ->
-                  match List.assoc_opt i !vdescs with
-                  | Some { contents = Some d } -> d
-                  | _ -> Ir.V_tuple [||])
+  let numbered = ref [] and nv = ref 0 and vdescs = ref [] in
+  let met = ref false (* the rewrite in progress named a virtual *) in
+  let rec source_of (o : Ir.operand) : Ir.source =
+    match resolve_chain o with
+    | Ir.Const v -> Ir.S_const v
+    | Ir.Reg r when has marks r f_virtual -> Ir.S_virtual (vreg r)
+    | Ir.Reg r -> Ir.S_reg r
+  and vreg r =
+    met := true;
+    if vnum.(r) >= 0 then vnum.(r)
+    else begin
+      let i = !nv in
+      incr nv;
+      vnum.(r) <- i;
+      numbered := r :: !numbered;
+      (* reserve the slot before recursing (cyclic structures) *)
+      let slot = ref None in
+      vdescs := (i, slot) :: !vdescs;
+      let st = Hashtbl.find vstates r in
+      let fields n =
+        Array.init n (fun k ->
+            match IntMap.find_opt k st.v_fields with
+            | Some o -> source_of o
+            | None -> Ir.S_const Mtj_rt.Value.nil)
+      in
+      let desc =
+        match st.v_opcode with
+        | Ir.New_with_vtable cls ->
+            let nfields =
+              match IntMap.max_binding_opt st.v_fields with
+              | Some (k, _) -> k + 1
+              | None -> 0
             in
-            { Ir.frames; r_virtuals = arr }
-        in
-        last_capture := Some (resume, r);
-        r
+            Ir.V_instance { v_cls = cls; v_fields = fields nfields }
+        | Ir.New_array n -> Ir.V_tuple (fields n)
+        | Ir.New_list n -> Ir.V_list (fields n)
+        | Ir.New_cell -> Ir.V_cell (source_of (IntMap.find 0 st.v_fields))
+        | _ -> assert false
+      in
+      slot := Some desc;
+      i
+    end
   in
-  let out = ref [] in
-  let keep op = out := op :: !out in
+  let rewrite_slot (s : Ir.source) =
+    match s with
+    | Ir.S_reg r ->
+        let f = flags marks r in
+        if f land f_subst <> 0 then source_of (Hashtbl.find subst r)
+        else if f land f_virtual <> 0 then Ir.S_virtual (vreg r)
+        else s
+    | Ir.S_const _ | Ir.S_virtual _ -> s
+  in
+  (* [a] with the slots that name a substituted or virtual register
+     rewritten, or [a] itself when it names none *)
+  let rewrite_array (a : Ir.source array) =
+    let n = Array.length a in
+    let rec first i =
+      if i = n then n
+      else
+        match Array.unsafe_get a i with
+        | Ir.S_reg r when has marks r (f_subst lor f_virtual) -> i
+        | _ -> first (i + 1)
+    in
+    let i = first 0 in
+    if i = n then a
+    else begin
+      let a' = Array.copy a in
+      for j = i to n - 1 do
+        a'.(j) <- rewrite_slot a.(j)
+      done;
+      a'
+    end
+  in
+  (* The memo: the previous capture's frames in and out, and those of
+     its frames and arrays whose rewrite met a virtual.  Consecutive
+     snapshots share every frame and array that did not change (DESIGN
+     §3n), so each distinct one is rewritten once.  A rewrite that met
+     no virtual depends only on [subst], which is settled for every
+     register a snapshot names (registers are SSA, and a snapshot names
+     only registers defined before it), so it stands for every later
+     snapshot holding the same frame or array.  One that met a virtual
+     does not: a virtual's descriptor holds its fields at that capture,
+     and its number is per resume. *)
+  let prev_in = ref [] and prev_out = ref [] in
+  let tainted_frames = ref [] and tainted_arrays = ref [] in
+  let next_frames = ref [] and next_arrays = ref [] in
+  let rec find_frame f ins outs =
+    match (ins, outs) with
+    | i :: ins, o :: outs -> if i == f then o else find_frame f ins outs
+    | _ -> no_frame
+  in
+  let rec find_array a ins outs =
+    match (ins, outs) with
+    | (i : Ir.frame_snap) :: ins, (o : Ir.frame_snap) :: outs ->
+        if i.Ir.snap_locals == a then o.Ir.snap_locals
+        else if i.Ir.snap_stack == a then o.Ir.snap_stack
+        else find_array a ins outs
+    | _ -> no_sources
+  in
+  let snap_array (a : Ir.source array) =
+    let o =
+      if Array.length a = 0 then a else find_array a !prev_in !prev_out
+    in
+    if o != no_sources && not (List.memq a !tainted_arrays) then o
+    else begin
+      let outer = !met in
+      met := false;
+      let a' = rewrite_array a in
+      if !met then next_arrays := a :: !next_arrays;
+      met := outer || !met;
+      a'
+    end
+  in
+  let snap_frame (f : Ir.frame_snap) =
+    let o = find_frame f !prev_in !prev_out in
+    if o != no_frame && not (List.memq f !tainted_frames) then o
+    else begin
+      met := false;
+      (* the stack before the locals: virtuals are numbered in the
+         order they are met *)
+      let snap_stack = snap_array f.Ir.snap_stack in
+      let snap_locals = snap_array f.Ir.snap_locals in
+      if !met then next_frames := f :: !next_frames;
+      if snap_stack == f.Ir.snap_stack && snap_locals == f.Ir.snap_locals
+      then f
+      else { f with Ir.snap_locals; snap_stack }
+    end
+  in
+  let rec snap_frames = function
+    | [] -> []
+    | f :: rest as l ->
+        let f' = snap_frame f in
+        let rest' = snap_frames rest in
+        if f' == f && rest' == rest then l else f' :: rest'
+  in
+  (* A guard carries its debug_merge_point's resume, so remembering the
+     latest capture serves every guard. *)
+  let last_in = ref no_resume and last_out = ref no_resume in
+  let capture_resume (resume : Ir.resume) : Ir.resume =
+    if resume == !last_in then !last_out
+    else begin
+      let frames = snap_frames resume.Ir.frames in
+      let r =
+        if
+          !nv = 0
+          && Array.length resume.Ir.r_virtuals = 0
+          && frames == resume.Ir.frames
+        then resume
+        else
+          let arr =
+            Array.init !nv (fun i ->
+                match List.assoc_opt i !vdescs with
+                | Some { contents = Some d } -> d
+                | _ -> Ir.V_tuple [||])
+          in
+          { Ir.frames; r_virtuals = arr }
+      in
+      List.iter (fun r -> vnum.(r) <- -1) !numbered;
+      numbered := [];
+      nv := 0;
+      vdescs := [];
+      prev_in := resume.Ir.frames;
+      prev_out := frames;
+      tainted_frames := !next_frames;
+      tainted_arrays := !next_arrays;
+      next_frames := [];
+      next_arrays := [];
+      last_in := resume;
+      last_out := r;
+      r
+    end
+  in
+  let resolve_args = resolve_args marks resolve_chain in
+  let out = ref [] and nout = ref 0 and same = ref true in
+  (* [op'] replaces [op] in the output *)
+  let keep (op : Ir.op) (op' : Ir.op) =
+    if op' != op then same := false;
+    out := op' :: !out;
+    incr nout
+  in
+  let drop () = same := false in
   Array.iter
     (fun (op : Ir.op) ->
       match op.Ir.opcode with
       | (Ir.New_with_vtable _ | Ir.New_array _ | Ir.New_list _ | Ir.New_cell)
-        when IntSet.mem op.Ir.result virtuals ->
+        when has marks op.Ir.result f_virtual ->
+          drop ();
           let fields =
             Array.to_list op.Ir.args
             |> List.mapi (fun i a -> (i, resolve_chain a))
@@ -729,6 +884,7 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
               v_len = Array.length op.Ir.args;
             }
       | Ir.Setfield_gc idx when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match op.Ir.args.(0) with
           | Ir.Reg r ->
               let st = Hashtbl.find vstates r in
@@ -736,6 +892,7 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
                 IntMap.add idx (resolve_chain op.Ir.args.(1)) st.v_fields
           | Ir.Const _ -> assert false)
       | Ir.Setcell when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match op.Ir.args.(0) with
           | Ir.Reg r ->
               let st = Hashtbl.find vstates r in
@@ -743,6 +900,7 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
                 IntMap.add 0 (resolve_chain op.Ir.args.(1)) st.v_fields
           | Ir.Const _ -> assert false)
       | Ir.Setlistitem when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match (op.Ir.args.(0), const_index op.Ir.args.(1)) with
           | Ir.Reg r, Some idx ->
               let st = Hashtbl.find vstates r in
@@ -750,6 +908,7 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
                 IntMap.add idx (resolve_chain op.Ir.args.(2)) st.v_fields
           | _ -> assert false)
       | (Ir.Getfield_gc idx) when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match op.Ir.args.(0) with
           | Ir.Reg r ->
               let st = Hashtbl.find vstates r in
@@ -758,16 +917,18 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
                 | Some o -> o
                 | None -> Ir.Const Mtj_rt.Value.nil
               in
-              Hashtbl.replace subst op.Ir.result v
+              substitute env op.Ir.result v
           | Ir.Const _ -> assert false)
       | Ir.Getcell when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match op.Ir.args.(0) with
           | Ir.Reg r ->
               let st = Hashtbl.find vstates r in
-              Hashtbl.replace subst op.Ir.result (IntMap.find 0 st.v_fields)
+              substitute env op.Ir.result (IntMap.find 0 st.v_fields)
           | Ir.Const _ -> assert false)
       | (Ir.Getarrayitem_gc | Ir.Getlistitem)
         when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match (op.Ir.args.(0), const_index op.Ir.args.(1)) with
           | Ir.Reg r, Some idx ->
               let st = Hashtbl.find vstates r in
@@ -776,57 +937,43 @@ let pass_virtuals cfg (ops : Ir.op array) (subst : (int, Ir.operand) Hashtbl.t) 
                 | Some o -> o
                 | None -> Ir.Const Mtj_rt.Value.nil
               in
-              Hashtbl.replace subst op.Ir.result v
+              substitute env op.Ir.result v
           | _ -> assert false)
       | Ir.Arraylen when is_virtual op.Ir.args.(0) -> (
+          drop ();
           match op.Ir.args.(0) with
           | Ir.Reg r ->
               let st = Hashtbl.find vstates r in
-              Hashtbl.replace subst op.Ir.result
+              substitute env op.Ir.result
                 (Ir.Const (Mtj_rt.Value.of_int st.v_len))
           | Ir.Const _ -> assert false)
       | Ir.Guard g ->
-          let args = Array.map resolve_chain op.Ir.args in
-          keep
-            {
-              op with
-              Ir.opcode = Ir.Guard { g with Ir.resume = capture_resume g.Ir.resume };
-              args;
-            }
+          let args = resolve_args op.Ir.args in
+          let resume = capture_resume g.Ir.resume in
+          keep op
+            (if args == op.Ir.args && resume == g.Ir.resume then op
+             else { op with Ir.opcode = Ir.Guard { g with Ir.resume }; args })
       | Ir.Debug_merge_point d ->
-          keep
-            {
-              op with
-              Ir.opcode =
-                Ir.Debug_merge_point
-                  { d with dmp_resume = capture_resume d.dmp_resume };
-            }
+          let dmp_resume = capture_resume d.dmp_resume in
+          keep op
+            (if dmp_resume == d.dmp_resume then op
+             else
+               { op with Ir.opcode = Ir.Debug_merge_point { d with dmp_resume } })
       | _ ->
-          let args = Array.map resolve_chain op.Ir.args in
-          keep { op with Ir.args })
+          let args = resolve_args op.Ir.args in
+          keep op (if args == op.Ir.args then op else { op with Ir.args }))
     ops;
-  Array.of_list (List.rev !out)
+  if !same then ops else Heap_array.of_rev_list ~dummy:Ir.no_op !nout !out
 
 (* --- pass 3: dead code elimination (reverse walk) --- *)
 
 let pass_dce (ops : Ir.op array) =
-  (* used registers, as a dense byte map grown on demand *)
-  let used = ref (Bytes.make 256 '\000') in
-  let use_reg r =
-    let b = !used in
-    if r >= Bytes.length b then begin
-      let b' = Bytes.make (max (r + 1) (2 * Bytes.length b)) '\000' in
-      Bytes.blit b 0 b' 0 (Bytes.length b);
-      used := b'
-    end;
-    Bytes.unsafe_set !used r '\001'
-  in
-  let is_used r = r < Bytes.length !used && Bytes.get !used r <> '\000' in
+  let used = regflags () in
   let use (o : Ir.operand) =
-    match o with Ir.Reg r -> use_reg r | Ir.Const _ -> ()
+    match o with Ir.Reg r -> set_flag used r 1 | Ir.Const _ -> ()
   in
   let use_source (s : Ir.source) =
-    match s with Ir.S_reg r -> use_reg r | _ -> ()
+    match s with Ir.S_reg r -> set_flag used r 1 | _ -> ()
   in
   (* frames of the last resume marked: consecutive snapshots share
      most of their frames, and a frame marked once is marked for good *)
@@ -847,12 +994,12 @@ let pass_dce (ops : Ir.op array) =
         | Ir.V_cell s -> use_source s)
       r.Ir.r_virtuals
   in
-  let kept = ref [] in
+  let kept = ref [] and nkept = ref 0 in
   for i = Array.length ops - 1 downto 0 do
     let op = ops.(i) in
     let needed =
       (not (Eval_op.removable op))
-      || (op.Ir.result >= 0 && is_used op.Ir.result)
+      || (op.Ir.result >= 0 && has used op.Ir.result 1)
     in
     if needed then begin
       Array.iter use op.Ir.args;
@@ -860,10 +1007,12 @@ let pass_dce (ops : Ir.op array) =
       | Ir.Guard g -> use_resume g.Ir.resume
       | Ir.Debug_merge_point d -> use_resume d.dmp_resume
       | _ -> ());
-      kept := op :: !kept
+      kept := op :: !kept;
+      incr nkept
     end
   done;
-  Array.of_list !kept
+  if !nkept = Array.length ops then ops
+  else Heap_array.of_list ~dummy:Ir.no_op !kept
 
 (* --- loop peeling (RPython's preamble + loop structure) ---
 
@@ -963,7 +1112,7 @@ let ends_with_jump (ops : Ir.op array) =
 (* one full pipeline over a straight op sequence *)
 let straight cfg ?seed_shapes ?seed_bounds ops =
   let ops, env = pass_fold_forward ?seed_shapes ?seed_bounds cfg ops in
-  let ops' = pass_virtuals cfg ops env.subst in
+  let ops' = pass_virtuals cfg ops env in
   (pass_dce ops', ops, env)
 
 type dangling = { d_op : int; d_reg : int; d_in_resume : bool }
@@ -1019,7 +1168,9 @@ let optimize (cfg : Config.t) ?(kind = `Bridge) (ops : Ir.op array)
     plain ()
   else begin
     let k = max_reg ops + 1 in
-    let body_raw = Array.map (remap_op k (resume_remapper k)) ops in
+    let body_raw =
+      Heap_array.map ~dummy:Ir.no_op (remap_op k (resume_remapper k)) ops
+    in
     (* optimize the preamble and take the facts its jump carries *)
     let pre_final, pre_ops, pre_env = straight cfg ops in
     let pre_jump_args = pre_ops.(Array.length pre_ops - 1).Ir.args in

@@ -23,7 +23,20 @@
 
     Each pass is toggled by a {!Mtj_core.Config} flag, which is what the
     ablation benchmark (`bench/main.exe ablation`) and the differential
-    test matrix sweep. *)
+    test matrix sweep.
+
+    On the host, each pass allocates only what it changes. Registers
+    carry their flags (substituted, virtual) in a byte map, so an
+    operand or resume slot that names neither costs a byte load. An op,
+    guard or merge point whose operands and resume need no rewrite is
+    returned as it went in, and so is every resume, frame and source
+    array that names no substituted or virtual register. The rest is
+    rewritten once per distinct frame and array, since consecutive
+    snapshots share them (DESIGN.md §3n): a rewrite that met no virtual
+    is reused wherever the same frame or array comes back, and one that
+    met a virtual is redone, because a virtual's descriptor and number
+    belong to one resume. Op arrays are built without forcing a minor
+    collection ({!Mtj_core.Heap_array}). *)
 
 val optimize :
   Mtj_core.Config.t ->
@@ -36,7 +49,10 @@ val optimize :
     the trace was peeled, the register base the back-edge jump refills
     and the operation index it targets (both [0] otherwise).
     [entry_slots] is the number of registers filled from interpreter
-    frame locals on trace entry. *)
+    frame locals on trace entry. [ops] itself is left as it was, but
+    the output may hold its op and guard records; guards are mutable
+    (fail counts, bridges), so optimize a copy ({!Ir.copy_ops}) of ops
+    whose guards must stay apart from the compiled trace's. *)
 
 type dangling = {
   d_op : int;  (** index of the op holding the use *)

@@ -155,7 +155,7 @@ let begin_bytecode t ~resume ~code ~pc =
       result = -1;
     }
 
-let ops t = Array.of_list (List.rev t.ops_rev)
+let ops t = Heap_array.of_rev_list ~dummy:Ir.no_op t.nops t.ops_rev
 let num_ops t = t.nops
 let call_depth t = t.call_depth
 let enter_call t = t.call_depth <- t.call_depth + 1

@@ -610,6 +610,88 @@ let test_demotion_invalidates_code () =
         (pinned > 1000)
   | _ -> Alcotest.fail "expected several tier-1 loop compiles"
 
+(* --- trace building on the host --- *)
+
+(* OCaml 5 runs a minor collection before it fills an array of more
+   than 256 elements, which starts in the major heap, with a young value
+   (DESIGN.md §4).  [f] builds no such array when its minor collections
+   are only those its own allocation fills the minor heap for; each step
+   that forced one is added to [forced]. *)
+let forces_no_minor forced what f =
+  let heap = float (Gc.get ()).Gc.minor_heap_size in
+  Gc.minor ();
+  let collections = (Gc.quick_stat ()).Gc.minor_collections
+  and words = Gc.minor_words () in
+  let x = Sys.opaque_identity (f ()) in
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - collections
+  and words = Gc.minor_words () -. words in
+  if float collections > words /. heap then
+    forced :=
+      Printf.sprintf "%s: %d minor collections for %.0f minor words" what
+        collections words
+      :: !forced;
+  x
+
+(* a loop whose one iteration records several hundred ops: the trace
+   inlines every call, while no code object is long *)
+let long_trace_src =
+  "def g(i, k):\n    return i * k - (i + k)\n\
+   def f(n):\n    s = 0\n    for i in range(n):\n"
+  ^ String.concat ""
+      (List.init 24 (fun k -> Printf.sprintf "        s = s + g(i, %d)\n" k))
+  ^ "    return s\nprint(f(40))\n"
+
+let test_trace_building_forces_no_minor () =
+  (* the baseline tier compiles the recording as it is *)
+  let config = { (eager ()) with C.tier_policy = C.Baseline } in
+  let vm = V.create ~config () in
+  let bundle = V.compile_bundle long_trace_src in
+  let forced = ref [] in
+  let forces_no_minor what f = forces_no_minor forced what f in
+  forces_no_minor "record and compile" (fun () ->
+      match V.run_bundle vm bundle with
+      | Mtj_rjit.Driver.Completed _ -> ()
+      | _ -> Alcotest.fail "did not complete");
+  let tr =
+    match Jitlog.traces (V.jitlog vm) with
+    | tr :: _ -> tr
+    | [] -> Alcotest.fail "no trace"
+  in
+  Alcotest.(check bool) "the recording passes 256 ops" true
+    (Array.length tr.Ir.ops > 256);
+  let ops = forces_no_minor "copy_ops" (fun () -> Ir.copy_ops tr.Ir.ops) in
+  let opt_ops, loop_base, loop_start =
+    forces_no_minor "optimize" (fun () ->
+        Mtj_rjit.Opt.optimize C.default ~kind:`Loop ops
+          ~entry_slots:tr.Ir.entry_slots)
+  in
+  Alcotest.(check bool) "the optimized trace passes 256 ops" true
+    (Array.length opt_ops > 256);
+  let rtc = Mtj_rt.Ctx.create ~config:C.default () in
+  let jitlog = Jitlog.create () in
+  ignore
+    (forces_no_minor "compile" (fun () ->
+         Mtj_rjit.Backend.compile jitlog rtc ~kind:tr.Ir.kind
+           ~entry_slots:tr.Ir.entry_slots ~loop_base ~loop_start opt_ops));
+  (* the phase timeline of a run is built the same way *)
+  let eng = Mtj_rt.Ctx.engine rtc in
+  let tracker = Mtj_pintool.Phase_tracker.attach ~bucket_insns:10 eng in
+  for _ = 1 to 300 do
+    Mtj_machine.Engine.in_phase eng Mtj_core.Phase.Jit (fun () ->
+        Mtj_machine.Engine.emit eng (Mtj_core.Cost.make ~alu:10 ()))
+  done;
+  Mtj_pintool.Phase_tracker.finalize tracker;
+  let timeline =
+    forces_no_minor "timeline" (fun () ->
+        Mtj_pintool.Phase_tracker.timeline tracker)
+  in
+  Alcotest.(check bool) "the timeline passes 256 buckets" true
+    (Array.length timeline > 256);
+  Mtj_machine.Engine.release eng;
+  Mtj_machine.Engine.release (V.engine vm);
+  Alcotest.(check (list string)) "steps that forced a minor collection" []
+    (List.rev !forced)
+
 let suite =
   [
     Alcotest.test_case "hot loop compiles" `Quick test_loop_compiles;
@@ -635,6 +717,8 @@ let suite =
       test_recorder_shares_caller_frames;
     Alcotest.test_case "copy_ops keeps frame sharing" `Quick
       test_copy_ops_keeps_sharing;
+    Alcotest.test_case "building a trace forces no minor collection" `Quick
+      test_trace_building_forces_no_minor;
     Alcotest.test_case "global stores don't storm bridges" `Quick
       test_global_store_does_not_storm;
     Alcotest.test_case "two-tier: retier fires and shrinks" `Quick

@@ -317,9 +317,94 @@ let test_checked_ops () =
   Alcotest.check_raises "mul overflow" Eval_op.Overflow (fun () ->
       ignore (Eval_op.checked_mul max_int 2))
 
+(* --- what the optimizer does not change --- *)
+
+let guard_with ?(gkind = Ir.G_true) resume args =
+  match guard ~gkind args with
+  | { Ir.opcode = Ir.Guard g; _ } as op ->
+      { op with Ir.opcode = Ir.Guard { g with Ir.resume } }
+  | _ -> assert false
+
+let merge_point resume =
+  mk (Ir.Debug_merge_point { dmp_code = 0; dmp_pc = 0; dmp_resume = resume })
+    [||]
+
+let resume_of_op (op : Ir.op) =
+  match op.Ir.opcode with
+  | Ir.Guard g -> g.Ir.resume
+  | Ir.Debug_merge_point d -> d.dmp_resume
+  | _ -> Alcotest.fail "no resume"
+
+let optimize_bridge ops =
+  let out, _, _ = Opt.optimize cfg ~kind:`Bridge ops ~entry_slots:2 in
+  out
+
+let test_unchanged_ops_kept () =
+  (* nothing to fold, forward, remove or rewrite: every op comes out
+     as it went in *)
+  let clean = resume_of [ 0; 1 ] in
+  let ops =
+    [|
+      merge_point clean;
+      guard_with clean [| Ir.Reg 0 |];
+      mk ~result:2 Ir.Int_add [| Ir.Reg 0; Ir.Reg 1 |];
+      guard_with ~gkind:Ir.G_false clean [| Ir.Reg 2 |];
+      mk Ir.Finish [| Ir.Reg 2 |];
+    |]
+  in
+  let out = optimize_bridge ops in
+  Alcotest.(check int) "every op kept" (Array.length ops) (Array.length out);
+  Array.iteri
+    (fun i (op : Ir.op) ->
+      Alcotest.(check bool) (Printf.sprintf "op %d is its input" i) true
+        (op == ops.(i)))
+    out
+
+let test_only_changes_rewritten () =
+  (* r2 = same_as(r0) folds away, so r2 is substituted by r0: what names
+     r2 is rewritten, and nothing else is *)
+  let clean = resume_of [ 0; 1 ] and dirty = resume_of [ 1; 2 ] in
+  let ops =
+    [|
+      merge_point clean;
+      guard_with clean [| Ir.Reg 0 |];
+      mk ~result:2 Ir.Same_as [| Ir.Reg 0 |];
+      mk ~result:3 Ir.Int_add [| Ir.Reg 2; Ir.Reg 1 |];
+      guard_with ~gkind:(Ir.G_class Ir.Ty_int) clean [| Ir.Reg 2 |];
+      merge_point dirty;
+      guard_with ~gkind:Ir.G_false dirty [| Ir.Reg 3 |];
+      mk Ir.Finish [| Ir.Reg 3 |];
+    |]
+  in
+  let out = optimize_bridge ops in
+  let show (op : Ir.op) = Format.asprintf "%a" Ir.pp_op op in
+  Alcotest.(check (list string)) "ops"
+    [ "debug_merge_point()"; "guard_true(r0)"; "r3 = int_add(r0, r1)";
+      "guard_class(r0)"; "debug_merge_point()"; "guard_false(r3)";
+      "finish(r3)" ]
+    (Array.to_list (Array.map show out));
+  let same i j = out.(i) == ops.(j) in
+  Alcotest.(check (list bool)) "ops returned as they went in"
+    [ true; true; false; false; false; false; true ]
+    [ same 0 0; same 1 1; same 2 3; same 3 4; same 4 5; same 5 6; same 6 7 ];
+  (* a resume that names no substituted register is returned as it
+     is, also by a guard whose arguments were rewritten *)
+  Alcotest.(check bool) "clean resume of a rewritten guard" true
+    (resume_of_op out.(3) == clean);
+  let rewritten = resume_of_op out.(4) in
+  Alcotest.(check bool) "dirty resume rewritten" true (rewritten != dirty);
+  Alcotest.(check string) "rewritten resume" " [0@0 L r1 r0 S]"
+    (Format.asprintf "%a" Ir.pp_resume rewritten);
+  Alcotest.(check bool) "a guard shares its merge point's capture" true
+    (resume_of_op out.(5) == rewritten)
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
+    Alcotest.test_case "unchanged ops come out as they went in" `Quick
+      test_unchanged_ops_kept;
+    Alcotest.test_case "only what changed is rewritten" `Quick
+      test_only_changes_rewritten;
     Alcotest.test_case "guard dedup" `Quick test_guard_dedup;
     Alcotest.test_case "intbounds removes overflow guard" `Quick
       test_overflow_guard_intbounds;

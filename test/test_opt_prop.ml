@@ -254,6 +254,48 @@ let gen_step st =
               emit st ~result:c Ir.New_cell [| Ir.Reg inner |])
   | _ -> emit_guard st
 
+(* One cell named by both frames of a two-frame resume, captured by two
+   consecutive guards whose resumes share those frames, with a store
+   into the cell between them.  The second capture must describe the
+   cell as it is then, and number it afresh: a rewrite that met a
+   virtual cannot be reused. *)
+let shared_virtual_step st =
+  let int_reg () = Option.get (pick_kind st RInt) in
+  let live () =
+    Array.init (Random.State.int st.rng 3) (fun _ -> Ir.S_reg (int_reg ()))
+  in
+  let cell = fresh st RCell in
+  emit st ~result:cell Ir.New_cell [| Ir.Reg (int_reg ()) |];
+  let frame pc locals =
+    { Ir.snap_code = 1; snap_pc = pc; snap_locals = locals; snap_stack = [||];
+      snap_discard = false }
+  in
+  let frames =
+    [ frame 0 (Array.append [| Ir.S_reg cell |] (live ()));
+      frame 1 (Array.append (live ()) [| Ir.S_reg cell |]) ]
+  in
+  let guard () =
+    incr guard_ctr;
+    push st
+      {
+        Ir.opcode =
+          Ir.Guard
+            {
+              Ir.guard_id = 900_000 + !guard_ctr;
+              gkind = Ir.G_class Ir.Ty_int;
+              resume = { Ir.frames; r_virtuals = [||] };
+              fail_count = 0;
+              bridge = None;
+              bridgeable = true;
+            };
+        args = [| Ir.Reg (int_reg ()) |];
+        result = -1;
+      }
+  in
+  guard ();
+  emit st Ir.Setcell [| Ir.Reg cell; Ir.Reg (int_reg ()) |];
+  guard ()
+
 (* fold every live register into one result so any dataflow corruption
    changes the final answer *)
 let epilogue st =
@@ -294,7 +336,7 @@ let epilogue st =
 
 let entry_slots = 3
 
-let gen_program seed =
+let gen_program ?(shared_virtuals = false) seed =
   let rng = Random.State.make [| seed; 0x5eed |] in
   let st =
     { rng; ops = []; regs = []; bound = []; next = entry_slots;
@@ -306,7 +348,8 @@ let gen_program seed =
   done;
   let nsteps = 4 + Random.State.int rng 28 in
   for _ = 1 to nsteps do
-    gen_step st
+    if shared_virtuals && Random.State.int rng 4 = 0 then shared_virtual_step st
+    else gen_step st
   done;
   epilogue st;
   let entry =
@@ -474,6 +517,40 @@ let prop_sharing_invisible =
           | Error e -> QCheck.Test.fail_reportf "seed %d config %s: %s" seed name e)
         configs)
 
+(* the same where frames that name a virtual are shared: between the two
+   frames of one resume, and between consecutive snapshots with a store
+   into the virtual in between *)
+let prop_shared_virtuals_invisible =
+  QCheck.Test.make ~name:"optimizer output ignores shared frames naming a virtual"
+    ~count:200
+    (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let ops, _ = gen_program ~shared_virtuals:true seed in
+      List.for_all
+        (fun (name, cfg) ->
+          match sharing_is_invisible cfg ~kind:`Bridge ops ~entry_slots with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_reportf "seed %d config %s: %s" seed name e)
+        configs)
+
+(* meta-check: those programs do keep a virtual in a shared frame *)
+let test_shared_virtuals_generated () =
+  let hits = ref 0 in
+  for seed = 1 to 100 do
+    let ops, _ = gen_program ~shared_virtuals:true seed in
+    let out, _, _ = Opt.optimize base ~kind:`Bridge ops ~entry_slots in
+    if
+      Array.exists
+        (fun (op : Ir.op) ->
+          match op.Ir.opcode with
+          | Ir.Guard { Ir.resume = { Ir.frames = [ _; _ ]; r_virtuals; _ }; _ } ->
+              Array.length r_virtuals > 0
+          | _ -> false)
+        out
+    then incr hits
+  done;
+  Alcotest.(check bool) "two-frame resumes keep a virtual" true (!hits > 20)
+
 (* the same over the raw recordings of two programs' loops: the baseline
    tier compiles recorded ops verbatim, and the recorder shares every
    frame that did not change between bytecodes *)
@@ -542,6 +619,9 @@ let suite =
     Alcotest.test_case "generator covers finish and deopt" `Quick
       test_generator_covers_deopt;
     QCheck_alcotest.to_alcotest prop_sharing_invisible;
+    QCheck_alcotest.to_alcotest prop_shared_virtuals_invisible;
+    Alcotest.test_case "generator shares frames naming a virtual" `Quick
+      test_shared_virtuals_generated;
     Alcotest.test_case "recorded traces: sharing is invisible" `Quick
       test_recorded_sharing_invisible;
   ]
