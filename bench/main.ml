@@ -62,6 +62,31 @@ let bechamel () =
       Mtj_machine.Engine.branch e ~site:7 ~taken:(i land 3 <> 0)
     done
   in
+  (* the charge path alone: one engine for the whole benchmark, so a run
+     times the charging and none of the set-up *)
+  let charges =
+    let module Eng = Mtj_machine.Engine in
+    let e =
+      Eng.create
+        ~config:(Mtj_core.Config.with_budget max_int Mtj_core.Config.default)
+        ()
+    in
+    let dispatch = Mtj_core.Cost.make ~alu:2 ~load:1 () in
+    let c = Mtj_core.Cost.make ~alu:4 ~load:2 ~store:1 () in
+    fun () ->
+      for i = 0 to 999 do
+        Eng.tick e;
+        Eng.emit e dispatch;
+        Eng.branch_indirect e ~site:3 ~target:(i land 31)
+      done;
+      for i = 0 to 999 do
+        Eng.emit e c;
+        Eng.branch e ~site:7 ~taken:(i land 3 <> 0)
+      done;
+      for i = 0 to 999 do
+        Eng.mem_access e ~addr:(i * 8) ~write:(i land 1 = 0)
+      done
+  in
   let tests =
     [
       Test.make ~name:"pylite-interp-run" (Staged.stage (run_pylite false));
@@ -72,6 +97,7 @@ let bechamel () =
       Test.make ~name:"rbigint-mul-divmod" (Staged.stage bigint);
       Test.make ~name:"predictor-1k-branches" (Staged.stage predictor);
       Test.make ~name:"engine-1k-bundles" (Staged.stage engine);
+      Test.make ~name:"engine-1k-charges" (Staged.stage charges);
     ]
   in
   let benchmark test =

@@ -10,63 +10,73 @@ type snapshot = {
   cache_misses : int;
 }
 
-(* One slot per phase in each array, indexed by [Phase.index]. *)
-type t = {
-  insns : int array;
+(* One phase's counters.  [cycles] is one cell, as [Engine.cycles]:
+   float-array stores stay unboxed, unlike a mutable float field in this
+   mixed record, which would allocate per charge. *)
+type slot = {
+  mutable insns : int;
   cycles : float array;
-  branches : int array;
-  branch_misses : int array;
-  loads : int array;
-  stores : int array;
-  cache_misses : int array;
+  mutable branches : int;
+  mutable branch_misses : int;
+  mutable loads : int;
+  mutable stores : int;
+  mutable cache_misses : int;
 }
 
-let create () =
-  let n = Phase.count in
-  {
-    insns = Array.make n 0;
-    cycles = Array.make n 0.0;
-    branches = Array.make n 0;
-    branch_misses = Array.make n 0;
-    loads = Array.make n 0;
-    stores = Array.make n 0;
-    cache_misses = Array.make n 0;
-  }
+(* One slot per phase, indexed by [Phase.index]. *)
+type t = slot array
 
-(* --- charging (Engine passes its cached Phase.index) ---
+let create () : t =
+  Array.init Phase.count (fun _ ->
+      {
+        insns = 0;
+        cycles = Array.make 1 0.0;
+        branches = 0;
+        branch_misses = 0;
+        loads = 0;
+        stores = 0;
+        cache_misses = 0;
+      })
 
-   The array accesses are bounds-checked: [i] comes from the caller.
-   [~cycles] stays unboxed only because these inline into Engine, which
-   needs a build without [-opaque]. *)
+let slot (t : t) i = t.(i)
 
-let[@inline] add_bundle_idx t i ~n ~loads ~stores ~cycles =
-  t.insns.(i) <- t.insns.(i) + n;
-  t.cycles.(i) <- t.cycles.(i) +. cycles;
-  t.loads.(i) <- t.loads.(i) + loads;
-  t.stores.(i) <- t.stores.(i) + stores
+(* --- charging (Engine passes its current phase's slot) ---
 
-let[@inline] add_branch_idx t i ~mispredicted ~cycles =
-  t.insns.(i) <- t.insns.(i) + 1;
-  t.branches.(i) <- t.branches.(i) + 1;
-  if mispredicted then t.branch_misses.(i) <- t.branch_misses.(i) + 1;
-  t.cycles.(i) <- t.cycles.(i) +. cycles
+   No index, no bounds check: the slot was looked up once, at the phase
+   change.  [~cycles] stays unboxed only because these inline into
+   Engine, which needs a build without [-opaque]. *)
 
-let[@inline] add_cache_miss_idx t i ~cycles =
-  t.cache_misses.(i) <- t.cache_misses.(i) + 1;
-  t.cycles.(i) <- t.cycles.(i) +. cycles
+let[@inline] add_cycles s cycles =
+  Array.unsafe_set s.cycles 0 (Array.unsafe_get s.cycles 0 +. cycles)
+
+let[@inline] add_bundle s ~n ~loads ~stores ~cycles =
+  s.insns <- s.insns + n;
+  add_cycles s cycles;
+  s.loads <- s.loads + loads;
+  s.stores <- s.stores + stores
+
+let[@inline] add_branch s ~mispredicted ~cycles =
+  s.insns <- s.insns + 1;
+  s.branches <- s.branches + 1;
+  if mispredicted then s.branch_misses <- s.branch_misses + 1;
+  add_cycles s cycles
+
+let[@inline] add_cache_miss s ~cycles =
+  s.cache_misses <- s.cache_misses + 1;
+  add_cycles s cycles
 
 (* --- queries --- *)
 
 let phase t p : snapshot =
-  let i = Phase.index p in
+  let s = slot t (Phase.index p) in
   {
-    insns = t.insns.(i);
-    cycles = t.cycles.(i);
-    branches = t.branches.(i);
-    branch_misses = t.branch_misses.(i);
-    loads = t.loads.(i);
-    stores = t.stores.(i);
-    cache_misses = t.cache_misses.(i);
+    insns = s.insns;
+    cycles = Array.unsafe_get s.cycles 0;
+    branches = s.branches;
+    branch_misses = s.branch_misses;
+    loads = s.loads;
+    stores = s.stores;
+    cache_misses = s.cache_misses;
   }
 
 let total t =

@@ -22,20 +22,22 @@ val create : unit -> t
 
 (* --- charging (used by Engine) ---
 
-    Each call adds into the slots of phase index [i], which must be a
-    valid [Phase.index] (the Engine passes its cached current-phase
-    index; the slots are bounds-checked).  [add_bundle_idx] takes the
-    bundle pre-decomposed so callers with preinterned costs skip the
-    record walk.  The three are [[@inline]]: in a build without
-    [-opaque] they inline into Engine's charge paths and [~cycles] never
-    boxes; under [-opaque] each call boxes it (2 host words per
-    charge). *)
+    A [slot] is one phase's counters.  The Engine looks up the current
+    phase's slot once per phase change ([slot t i], [i] a valid
+    [Phase.index], bounds-checked) and keeps it, so each charge adds
+    straight into the slot's fields: no index, array load or bounds
+    check per charge.  [add_bundle] takes the bundle pre-decomposed so
+    callers with preinterned costs skip the record walk.  The three adds
+    are [[@inline]]: in a build without [-opaque] they inline into
+    Engine's charge paths and [~cycles] never boxes; under [-opaque]
+    each call boxes it (2 host words per charge). *)
 
-val add_bundle_idx :
-  t -> int -> n:int -> loads:int -> stores:int -> cycles:float -> unit
+type slot
 
-val add_branch_idx : t -> int -> mispredicted:bool -> cycles:float -> unit
-val add_cache_miss_idx : t -> int -> cycles:float -> unit
+val slot : t -> int -> slot
+val add_bundle : slot -> n:int -> loads:int -> stores:int -> cycles:float -> unit
+val add_branch : slot -> mispredicted:bool -> cycles:float -> unit
+val add_cache_miss : slot -> cycles:float -> unit
 
 (* --- queries --- *)
 

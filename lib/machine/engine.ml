@@ -13,8 +13,9 @@ type t = {
   dcache : Dcache.t;
   counters : Counters.t;
   mutable phase : Phase.t;
-  mutable phase_idx : int;  (* Phase.index phase, cached for the
-                               charge paths *)
+  mutable slot : Counters.slot;  (* [phase]'s counters, looked up once
+                                    per phase change for the charge
+                                    paths *)
   mutable phase_stack : Phase.t array;  (* the phases pushed over, in
                                            slots 0 .. depth - 1 *)
   mutable depth : int;
@@ -58,13 +59,14 @@ let create ?(config = Config.default) () =
         tables
     | None -> (Predictor.create (), Dcache.create ())
   in
+  let counters = Counters.create () in
   {
     cfg = config;
     predictor;
     dcache;
-    counters = Counters.create ();
+    counters;
     phase = Phase.Interpreter;
-    phase_idx = Phase.index Phase.Interpreter;
+    slot = Counters.slot counters (Phase.index Phase.Interpreter);
     phase_stack = Array.make 16 Phase.Interpreter;
     depth = 0;
     listeners = Array.make (List.length Annot.kinds) [||];
@@ -100,7 +102,7 @@ let[@inline] width t = function
 
 let refresh_phase t =
   Array.unsafe_set t.inv_width 0 (1.0 /. width t t.phase);
-  t.phase_idx <- Phase.index t.phase
+  t.slot <- Counters.slot t.counters (Phase.index t.phase)
 
 let set_interp_width t w =
   t.interp_width <- w;
@@ -115,18 +117,19 @@ let[@inline] inv_width t = Array.unsafe_get t.inv_width 0
 let[@inline] bump_cycles t cy =
   Array.unsafe_set t.cycles 0 (Array.unsafe_get t.cycles 0 +. cy)
 
-(* The charge paths below allocate nothing.  Each passes its cycle delta
-   to [Counters] as a plain [~cycles] float, which stays unboxed because
-   the [Counters.add_*_idx] calls inline here; that takes a build
-   without [-opaque], which the root dune-workspace selects.  The
-   charge-diff suite pins it. *)
+(* The charge paths below allocate nothing and call nothing but the
+   raise and bound-error stubs.  Each adds into the current phase's
+   [slot] and passes its cycle delta to [Counters] as a plain [~cycles]
+   float, which stays unboxed because the [Counters.add_*] calls inline
+   here; that takes a build without [-opaque], which the root
+   dune-workspace selects.  The charge-diff suite pins it. *)
 
 let[@inline] emit t cost =
   let n = Cost.total cost in
   if n > 0 then begin
     let cy = float_of_int n *. inv_width t in
     bump_cycles t cy;
-    Counters.add_bundle_idx t.counters t.phase_idx ~n ~loads:cost.Cost.load
+    Counters.add_bundle t.slot ~n ~loads:cost.Cost.load
       ~stores:cost.Cost.store ~cycles:cy;
     bump_insns t n
   end
@@ -136,8 +139,7 @@ let[@inline] charge_branch t ~correct =
     inv_width t +. (if correct then 0.0 else t.mispredict_penalty)
   in
   bump_cycles t cy;
-  Counters.add_branch_idx t.counters t.phase_idx ~mispredicted:(not correct)
-    ~cycles:cy;
+  Counters.add_branch t.slot ~mispredicted:(not correct) ~cycles:cy;
   bump_insns t 1
 
 let branch t ~site ~taken =
@@ -156,11 +158,11 @@ let mem_access t ~addr ~write =
   let cost = if write then store_cost else load_cost in
   let cy = inv_width t in
   bump_cycles t cy;
-  Counters.add_bundle_idx t.counters t.phase_idx ~n:1 ~loads:cost.Cost.load
+  Counters.add_bundle t.slot ~n:1 ~loads:cost.Cost.load
     ~stores:cost.Cost.store ~cycles:cy;
   if not hit then begin
     bump_cycles t t.miss_penalty;
-    Counters.add_cache_miss_idx t.counters t.phase_idx ~cycles:t.miss_penalty
+    Counters.add_cache_miss t.slot ~cycles:t.miss_penalty
   end;
   bump_insns t 1
 
@@ -213,7 +215,7 @@ let push_phase t p =
 let pop_phase t =
   let d = t.depth - 1 in
   if d < 0 then invalid_arg "Engine.pop_phase: empty phase stack";
-  let popped = t.phase_idx in
+  let popped = Phase.index t.phase in
   t.phase <- Array.unsafe_get t.phase_stack d;
   t.depth <- d;
   refresh_phase t;

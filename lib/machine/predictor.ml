@@ -37,10 +37,15 @@ let[@inline] conditional t ~site ~taken =
   let counter = Char.code (Bytes.unsafe_get t.table idx) in
   let predicted_taken = counter >= 2 in
   let correct = predicted_taken = taken in
+  (* saturating 2-bit update in plain int compares: Stdlib's [min] and
+     [max] are polymorphic calls, and [Char.chr] range-checks a value
+     that is always 0..3 *)
   let counter' =
-    if taken then min 3 (counter + 1) else max 0 (counter - 1)
+    if taken then (if counter < 3 then counter + 1 else 3)
+    else if counter > 0 then counter - 1
+    else 0
   in
-  Bytes.unsafe_set t.table idx (Char.chr counter');
+  Bytes.unsafe_set t.table idx (Char.unsafe_chr counter');
   t.local_hist.(lidx) <- ((local lsl 1) lor Bool.to_int taken) land 1023;
   t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;
   correct

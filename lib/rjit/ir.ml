@@ -99,6 +99,18 @@ let tyshape_of (v : Mtj_rt.Value.t) : tyshape =
         | V.Strbuilder _ -> Ty_builder
         | V.Range _ -> Ty_range)
 
+(* [a = b] without polymorphic compare, which is a C call: a [G_class]
+   guard runs this on every check.  Two shapes with a payload are equal
+   when their constructors and payloads are; any other pair is equal
+   only as the same constant constructor. *)
+let tyshape_equal (a : tyshape) (b : tyshape) =
+  match (a, b) with
+  | Ty_instance_of x, Ty_instance_of y
+  | Ty_func_code x, Ty_func_code y
+  | Ty_class x, Ty_class y ->
+      Int.equal x y
+  | _ -> a == b
+
 type gkind =
   | G_true                      (* arg truthy *)
   | G_false                     (* arg falsy *)

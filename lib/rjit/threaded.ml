@@ -56,11 +56,14 @@ let commit pc : ('v, 'code) step =
    [commit (pc + 1)] where pc + 1 is past the end or a loop header: a
    chain never runs into a merge point, so the driver still consults the
    JIT portal at every header.  Chains are tail calls, so a long one
-   costs no stack. *)
+   costs no stack.  The array starts filled with the static [advance],
+   never young, since OCaml 5 forces a minor collection to fill an array
+   past 256 slots with a young value (DESIGN.md §4); every slot is
+   overwritten. *)
 let thread ~(headers : bool array) n
     (stage : k:('v, 'code) step -> int -> ('v, 'code) step) :
     ('v, 'code) step array =
-  let steps = Array.make n (commit n) in
+  let steps = Array.make n advance in
   for pc = n - 1 downto 0 do
     let next = pc + 1 in
     let k =

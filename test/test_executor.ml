@@ -198,6 +198,36 @@ let test_guard_kinds () =
   Alcotest.(check bool) "nonnull" true (holds Ir.G_nonnull [ V.of_int 0 ]);
   Alcotest.(check bool) "nonnull fail" false (holds Ir.G_nonnull [ V.nil ])
 
+(* [Ir.tyshape_equal] is the [G_class] guard's compare: it must agree
+   with polymorphic equality on every pair, payloads equal or not *)
+let test_tyshape_equal () =
+  let shapes =
+    Ir.
+      [
+        Ty_int; Ty_float; Ty_str; Ty_bool; Ty_nil; Ty_bigint; Ty_list; Ty_dict;
+        Ty_set; Ty_tuple; Ty_instance_of 1; Ty_instance_of 2; Ty_func_code 1;
+        Ty_func_code 2; Ty_range; Ty_iter; Ty_cell; Ty_builder; Ty_class 1;
+        Ty_class 2; Ty_method;
+      ]
+  in
+  (* a fresh block, so an equal payload is not also the same pointer *)
+  let copy = function
+    | Ir.Ty_instance_of n -> Ir.Ty_instance_of (Sys.opaque_identity n)
+    | Ir.Ty_func_code n -> Ir.Ty_func_code (Sys.opaque_identity n)
+    | Ir.Ty_class n -> Ir.Ty_class (Sys.opaque_identity n)
+    | sh -> sh
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          let b = copy b in
+          Alcotest.(check bool)
+            (Printf.sprintf "shapes %d and %d" i j)
+            (a = b) (Ir.tyshape_equal a b))
+        shapes)
+    shapes
+
 let test_guard_overflow_kinds () =
   Alcotest.(check bool) "add ok" true
     (holds Ir.G_no_ovf_add [ V.of_int 1; V.of_int 2 ]);
@@ -296,6 +326,7 @@ let suite =
     Alcotest.test_case "materialize list virtual" `Quick
       test_materialize_list_virtual;
     Alcotest.test_case "guard kinds" `Quick test_guard_kinds;
+    Alcotest.test_case "class guard shape equality" `Quick test_tyshape_equal;
     Alcotest.test_case "overflow/index guards" `Quick test_guard_overflow_kinds;
     Alcotest.test_case "global version guard" `Quick test_guard_global_version;
     Alcotest.test_case "blackhole charges its phase" `Quick

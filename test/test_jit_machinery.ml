@@ -692,6 +692,42 @@ let test_trace_building_forces_no_minor () =
   Alcotest.(check (list string)) "steps that forced a minor collection" []
     (List.rev !forced)
 
+(* a function whose one code object passes 256 instructions *)
+let long_code_src =
+  "def f(n):\n    s = 0\n    for i in range(n):\n"
+  ^ String.concat ""
+      (List.init 30 (fun k -> Printf.sprintf "        s = s + i * %d - (i + 1)\n" k))
+  ^ "    return s\nprint(f(3))\n"
+
+(* threading a code object fills its step array: a young filler would
+   force a minor collection past 256 instructions *)
+let test_threading_forces_no_minor () =
+  let config = { C.default with C.jit_enabled = false } in
+  let vm = V.create ~config () in
+  let bundle = V.compile_bundle long_code_src in
+  let f =
+    match
+      List.find_opt
+        (fun (c : Mtj_pylite.Bytecode.code) -> c.Mtj_pylite.Bytecode.name = "f")
+        (fst (Mtj_pylite.Code_table.export_bundle ()))
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "no code object f"
+  in
+  Alcotest.(check bool) "f passes 256 instructions" true
+    (Array.length f.Mtj_pylite.Bytecode.instrs > 256);
+  let forced = ref [] in
+  forces_no_minor forced "translate and run f" (fun () ->
+      match V.run_bundle vm bundle with
+      | Mtj_rjit.Driver.Completed _ -> ()
+      | _ -> Alcotest.fail "did not complete");
+  Alcotest.(check bool) "f was threaded" true
+    (Option.is_some (Mtj_pylite.Code_table.lookup_threaded f));
+  Alcotest.(check string) "output" "1125\n" (V.output vm);
+  Mtj_machine.Engine.release (V.engine vm);
+  Alcotest.(check (list string)) "steps that forced a minor collection" []
+    (List.rev !forced)
+
 let suite =
   [
     Alcotest.test_case "hot loop compiles" `Quick test_loop_compiles;
@@ -719,6 +755,8 @@ let suite =
       test_copy_ops_keeps_sharing;
     Alcotest.test_case "building a trace forces no minor collection" `Quick
       test_trace_building_forces_no_minor;
+    Alcotest.test_case "threading a long code object forces no minor collection"
+      `Quick test_threading_forces_no_minor;
     Alcotest.test_case "global stores don't storm bridges" `Quick
       test_global_store_does_not_storm;
     Alcotest.test_case "two-tier: retier fires and shrinks" `Quick

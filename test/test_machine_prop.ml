@@ -85,6 +85,106 @@ let prop_predictor_btb_stable =
       done;
       !ok)
 
+(* An independent predictor, written from the rules predictor.ml
+   documents, with its default sizes: a local-history (PAg) conditional
+   predictor whose per-site histories (1024 entries of 10 bits) index
+   one table of 2^14 two-bit counters, each starting weakly taken, and a
+   2^11-entry BTB indexed by site and the last 7 bits of a 12-bit global
+   path history.  A conditional branch shifts its outcome into the
+   global history, an indirect branch the low 3 bits of its target.  It
+   keeps counters in an int array and saturates them with Stdlib's
+   [min] and [max], so it shares no code with the library's update. *)
+module Ref_predictor = struct
+  type t = {
+    counters : int array;
+    local : int array;
+    btb : int array;
+    mutable global : int;
+  }
+
+  let create () =
+    {
+      counters = Array.make (1 lsl 14) 2;
+      local = Array.make 1024 0;
+      btb = Array.make (1 lsl 11) (-1);
+      global = 0;
+    }
+
+  let hash site = (site * 2654435761) land max_int
+
+  let conditional r ~site ~taken =
+    let h = hash site in
+    let l = h mod 1024 in
+    let i = (h lxor (r.local.(l) * 7919)) mod (1 lsl 14) in
+    let c = r.counters.(i) in
+    r.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+    let bit = if taken then 1 else 0 in
+    r.local.(l) <- ((r.local.(l) * 2) + bit) mod 1024;
+    r.global <- ((r.global * 2) + bit) mod (1 lsl 12);
+    (c >= 2) = taken
+
+  let indirect r ~site ~target =
+    let i = (hash site lxor ((r.global mod 128) * 31)) mod (1 lsl 11) in
+    let correct = r.btb.(i) = target in
+    r.btb.(i) <- target;
+    r.global <- ((r.global * 8) + (target land 7)) mod (1 lsl 12);
+    correct
+end
+
+type branch = Cond of int * bool | Ind of int * int
+
+(* runs of one outcome, up to 24 long, so the counters a site's
+   all-taken and all-not-taken histories select saturate at 3 and 0,
+   mixed with indirect branches over a few sites and targets *)
+let branches_gen =
+  QCheck.Gen.(
+    map List.concat
+      (list_size (int_range 0 120)
+         (frequency
+            [
+              ( 3,
+                map3
+                  (fun site taken n -> List.init n (fun _ -> Cond (site, taken)))
+                  (int_bound 5) bool (int_range 1 24) );
+              (2, map2 (fun site target -> [ Ind (site, target) ]) (int_bound 5)
+                    (int_bound 11));
+            ])))
+
+let print_branch = function
+  | Cond (site, taken) -> Printf.sprintf "C%d%c" site (if taken then 'T' else 'N')
+  | Ind (site, target) -> Printf.sprintf "I%d>%d" site target
+
+(* After the stream, each site in turn: 24 taken, then four rounds of 10
+   taken and 1 not taken, whose not-taken branch meets the counter the
+   24 saturated; then the same with the directions swapped. *)
+let probe_sequence =
+  List.concat_map
+    (fun site ->
+      let run taken n = List.init n (fun _ -> Cond (site, taken)) in
+      let rounds taken =
+        run taken 24
+        @ List.concat (List.init 4 (fun _ -> run taken 10 @ run (not taken) 1))
+      in
+      rounds true @ rounds false @ [ Ind (site, site); Ind (site, site) ])
+    [ 0; 1; 2; 3; 4; 5 ]
+
+let prop_predictor_reference =
+  QCheck.Test.make ~count:200
+    ~name:"predictor: every prediction matches an independent reference"
+    (QCheck.make branches_gen ~print:(fun bs ->
+         String.concat " " (List.map print_branch bs)))
+    (fun bs ->
+      let p = M.Predictor.create () and r = Ref_predictor.create () in
+      List.for_all
+        (function
+          | Cond (site, taken) ->
+              M.Predictor.conditional p ~site ~taken
+              = Ref_predictor.conditional r ~site ~taken
+          | Ind (site, target) ->
+              M.Predictor.indirect p ~site ~target
+              = Ref_predictor.indirect r ~site ~target)
+        (bs @ probe_sequence))
+
 (* --- engine counters --- *)
 
 type work = Emit of int | Branch of bool | Mem of int * bool
@@ -184,6 +284,7 @@ let suite =
       prop_dcache_rehit;
       prop_predictor_biased;
       prop_predictor_btb_stable;
+      prop_predictor_reference;
       prop_counters_conserved;
       prop_counters_monotone;
     ]
