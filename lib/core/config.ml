@@ -3,18 +3,13 @@ type tier_policy = Optimizing | Baseline | Adaptive
 type t = {
   jit_threshold : int;
   bridge_threshold : int;
-  retrace_limit : int;
-  max_trace_ops : int;
-  max_inline_depth : int;
   opt_fold : bool;
   opt_guard_elim : bool;
   opt_forward : bool;
   opt_virtuals : bool;
   opt_peel : bool;
   nursery_words : int;
-  major_growth : float;
   insn_budget : int;
-  sample_window : int;
   jit_enabled : bool;
   threaded_interp : bool;
   tier_policy : tier_policy;
@@ -29,18 +24,13 @@ let default =
   {
     jit_threshold = 131;
     bridge_threshold = 17;
-    retrace_limit = 4;
-    max_trace_ops = 4000;
-    max_inline_depth = 12;
     opt_fold = true;
     opt_guard_elim = true;
     opt_forward = true;
     opt_virtuals = true;
     opt_peel = true;
     nursery_words = 12 * 1024;
-    major_growth = 1.5;
     insn_budget = 20_000_000;
-    sample_window = 100_000;
     jit_enabled = true;
     threaded_interp = true;
     tier_policy = Optimizing;
@@ -50,6 +40,12 @@ let default =
     demote_bridges = 5;
     max_demotions = 2;
   }
+
+let retrace_limit = 4
+let max_trace_ops = 4000
+let max_inline_depth = 12
+let major_growth = 1.5
+let sample_window = 100_000
 
 let no_jit = { default with jit_enabled = false }
 let two_tier = { default with tier_policy = Adaptive }

@@ -24,11 +24,6 @@ type t = {
       (** loop-header executions before tracing starts (PyPy: 1039) *)
   bridge_threshold : int;
       (** guard failures before a bridge is traced (PyPy: 200, scaled) *)
-  retrace_limit : int;
-      (** trace aborts at a loop header before the header is blacklisted *)
-  max_trace_ops : int;  (** abort tracing past this many IR operations *)
-  max_inline_depth : int;
-      (** abort tracing past this application-level call depth *)
   (* --- optimizer pass toggles (for ablation benches) --- *)
   opt_fold : bool;       (** constant folding / algebraic simplification *)
   opt_guard_elim : bool; (** remove guards implied by earlier guards *)
@@ -39,10 +34,8 @@ type t = {
           loop-invariant guards (types, bounds) run only in the preamble *)
   (* --- GC --- *)
   nursery_words : int;       (** nursery capacity in heap words *)
-  major_growth : float;      (** major GC when old gen grows by this factor *)
   (* --- simulation --- *)
   insn_budget : int;     (** stop a run after this many simulated insns *)
-  sample_window : int;   (** warmup-curve sampling window, in insns *)
   jit_enabled : bool;
   threaded_interp : bool;
       (** dispatch interpreter bytecodes through translate-once arrays of
@@ -76,6 +69,27 @@ type t = {
 val default : t
 (** Scaled defaults: threshold 131, bridge threshold 17, 256 Ki-word
     nursery, 20 M-instruction budget; [Optimizing] tier policy. *)
+
+(** {1 Fixed settings}
+
+    Constants of the framework and the simulation that no configuration
+    varies. *)
+
+val retrace_limit : int
+(** Trace aborts at a loop header before the header is blacklisted: 4. *)
+
+val max_trace_ops : int
+(** Tracing aborts past this many IR operations: 4000. *)
+
+val max_inline_depth : int
+(** Tracing aborts past this application-level call depth: 12. *)
+
+val major_growth : float
+(** A major collection runs when the old generation has grown by this
+    factor: 1.5. *)
+
+val sample_window : int
+(** The warmup-curve sampling window, in instructions: 100,000. *)
 
 val no_jit : t
 (** [default] with the meta-tracing JIT disabled (the "PyPy w/o JIT"

@@ -44,15 +44,10 @@ type jit_stats = {
   blacklisted : int;
   retiers : int;
   translations : int;
-  code_cache_hits : int;
-  shared_code_hits : int;  (* cross-context imports; 0 outside serving *)
-  interp_translations : int;
-  threaded_code_hits : int;
   tier1_compiles : int;
   tier2_compiles : int;
   demotions : int;
   first_entry_insns : int;   (* -1 if no trace ever ran *)
-  seeded_sites : int;        (* profile-seeded loop sites; 0 outside serving *)
   tier1_entries : int;       (* per-tier residency *)
   tier2_entries : int;
   tier1_dynamic_ir : int;
@@ -140,15 +135,10 @@ let jit_stats_of jl =
     blacklisted = jl.Jitlog.blacklisted;
     retiers = jl.Jitlog.retiers;
     translations = jl.Jitlog.translations;
-    code_cache_hits = jl.Jitlog.code_cache_hits;
-    shared_code_hits = jl.Jitlog.shared_code_hits;
-    interp_translations = jl.Jitlog.interp_translations;
-    threaded_code_hits = jl.Jitlog.threaded_code_hits;
     tier1_compiles = jl.Jitlog.tier1_compiles;
     tier2_compiles = jl.Jitlog.tier2_compiles;
     demotions = jl.Jitlog.demotions;
     first_entry_insns = jl.Jitlog.first_entry_insns;
-    seeded_sites = jl.Jitlog.seeded_sites;
     tier1_entries = t1_entries;
     tier2_entries = t2_entries;
     tier1_dynamic_ir = t1_dyn;

@@ -30,15 +30,6 @@ type jit_stats = {
   blacklisted : int;
   retiers : int;
   translations : int;      (** traces translated to threaded code *)
-  code_cache_hits : int;   (** trace entries served from the cache *)
-  shared_code_hits : int;
-      (** code objects imported from the cross-context shared cache
-          ({!Mtj_rjit.Sharedcache}) instead of compiled locally; always
-          0 outside serving mode *)
-  interp_translations : int;
-      (** code objects translated once into threaded interpreter steps *)
-  threaded_code_hits : int;
-      (** interpreter code switches served from the threaded cache *)
   tier1_compiles : int;  (** baseline-tier trace compiles *)
   tier2_compiles : int;  (** optimizing-tier trace compiles *)
   demotions : int;
@@ -47,9 +38,6 @@ type jit_stats = {
       (** simulated instructions retired before the first compiled-trace
           entry, or [-1] if no trace ever ran — the
           time-to-first-compiled-execution warmup metric *)
-  seeded_sites : int;
-      (** loop sites seeded from an imported trace profile (serving
-          mode); 0 everywhere else *)
   tier1_entries : int;       (** per-tier residency: trace entries *)
   tier2_entries : int;
   tier1_dynamic_ir : int;    (** per-tier residency: dynamic IR *)

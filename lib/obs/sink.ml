@@ -127,7 +127,7 @@ let attach ?(capacity = 1 lsl 18) ?counter_window eng =
   let window =
     match counter_window with
     | Some w -> max 1 w
-    | None -> (Engine.config eng).Config.sample_window
+    | None -> Config.sample_window
   in
   let capacity = max 16 capacity in
   let slots = min capacity initial_slots in

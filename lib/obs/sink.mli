@@ -50,7 +50,7 @@ val attach :
     are stored, further events are counted in {!dropped} but not
     stored, so the recorded prefix stays well-formed.
     [counter_window] is the counter-sampling interval in instructions
-    (default: the engine configuration's [sample_window]): the first
+    (default {!Mtj_core.Config.sample_window}): the first
     annotation or tick at or past the next mark takes a sample, and the
     mark moves up by one window. *)
 

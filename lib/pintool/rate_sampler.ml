@@ -24,12 +24,7 @@ let on_mark t ~insns ~ticks =
   done;
   t.next_mark
 
-let attach ?window engine =
-  let window =
-    match window with
-    | Some w -> w
-    | None -> (Engine.config engine).Config.sample_window
-  in
+let attach ?(window = Config.sample_window) engine =
   let t =
     {
       window;

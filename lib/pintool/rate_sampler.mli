@@ -15,7 +15,7 @@ val attach : ?window:int -> Mtj_machine.Engine.t -> t
 (** Ask the engine for its window marks
     ({!Mtj_machine.Engine.add_mark_listener}), so the ticks between
     marks cost the sampler nothing.  [window] is the sampling interval
-    in instructions (default from the engine's configuration); the first
+    in instructions (default {!Mtj_core.Config.sample_window}); the first
     sample falls on the first multiple of [window] past the engine's
     instruction count at attach time. *)
 

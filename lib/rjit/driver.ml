@@ -225,14 +225,6 @@ module Make (L : Threaded.LANG) = struct
       Ir.resume =
     { Ir.frames = against snap_fresh snap_frame prev chain; r_virtuals = [||] }
 
-  type saved_frame = {
-    s_code : L.code;
-    s_pc : int;
-    s_locals : Value.t array;
-    s_stack : Value.t array;
-    s_discard : bool;
-  }
-
   let rec same_values (prev : Value.t array) (a : Recorder.tval array) n i =
     i = n || (prev.(i) == a.(i).Recorder.v && same_values prev a n (i + 1))
 
@@ -242,79 +234,74 @@ module Make (L : Threaded.LANG) = struct
     if Array.length prev = n && same_values prev a n 0 then prev
     else Array.init n (fun i -> a.(i).Recorder.v)
 
-  let saved_of (f : tframe) s_locals s_stack =
+  (* the previous state of a frame that had none: it shares nothing *)
+  let no_frame : Executor.deopt_frame =
     {
-      s_code = f.Frame.code;
-      s_pc = f.Frame.pc;
-      s_locals;
-      s_stack;
-      s_discard = f.Frame.discard_return;
+      Executor.df_code = -1;
+      df_pc = -1;
+      df_locals = [||];
+      df_stack = [||];
+      df_discard = false;
     }
 
   (* [f]'s concrete state, reusing [p] (the same frame's state at the
      previous bytecode) or its arrays where nothing changed *)
-  let save_frame (p : saved_frame) (f : tframe) : saved_frame =
-    let s_locals =
-      share_values p.s_locals f.Frame.locals (Array.length f.Frame.locals)
+  let save_frame (p : Executor.deopt_frame) (f : tframe) : Executor.deopt_frame
+      =
+    let df_locals =
+      share_values p.Executor.df_locals f.Frame.locals
+        (Array.length f.Frame.locals)
     in
-    let s_stack = share_values p.s_stack f.Frame.stack f.Frame.sp in
+    let df_stack = share_values p.Executor.df_stack f.Frame.stack f.Frame.sp in
     if
-      p.s_locals == s_locals && p.s_stack == s_stack
-      && p.s_code == f.Frame.code
-      && p.s_pc = f.Frame.pc
-      && p.s_discard = f.Frame.discard_return
+      p.Executor.df_locals == df_locals
+      && p.Executor.df_stack == df_stack
+      && p.Executor.df_code = f.Frame.code_ref
+      && p.Executor.df_pc = f.Frame.pc
+      && p.Executor.df_discard = f.Frame.discard_return
     then p
-    else saved_of f s_locals s_stack
+    else
+      {
+        Executor.df_code = f.Frame.code_ref;
+        df_pc = f.Frame.pc;
+        df_locals;
+        df_stack;
+        df_discard = f.Frame.discard_return;
+      }
 
-  let save_fresh (f : tframe) =
-    saved_of f
-      (share_values [||] f.Frame.locals (Array.length f.Frame.locals))
-      (share_values [||] f.Frame.stack f.Frame.sp)
+  let save_fresh f = save_frame no_frame f
 
   (* the concrete state of [chain], built against [prev], the previous
      bytecode's, as [build_resume] builds sources *)
   let save_chain ~prev (chain : tframe list) =
     against save_fresh save_frame prev chain
 
-  (* rebuild a direct frame chain from saved state; [parent] is the frame
-     below the traced region *)
-  let rebuild_saved (saved : saved_frame list) (parent : dframe option) :
+  (* rebuild a direct frame chain from frames saved by tracing or
+     rebuilt by deopt and tier-up, outermost first; [parent] is the
+     frame below the traced region *)
+  let rebuild (frames : Executor.deopt_frame list) (parent : dframe option) :
       dframe =
     List.fold_left
-      (fun parent s ->
-        let f = make_dframe s.s_code parent in
-        f.Frame.pc <- s.s_pc;
-        f.Frame.discard_return <- s.s_discard;
-        Array.blit s.s_locals 0 f.Frame.locals 0 (Array.length s.s_locals);
-        Array.iteri (fun i v -> f.Frame.stack.(i) <- v) s.s_stack;
-        f.Frame.sp <- Array.length s.s_stack;
+      (fun parent (d : Executor.deopt_frame) ->
+        let f = make_dframe (L.lookup_code d.Executor.df_code) parent in
+        f.Frame.pc <- d.Executor.df_pc;
+        f.Frame.discard_return <- d.Executor.df_discard;
+        Array.blit d.Executor.df_locals 0 f.Frame.locals 0
+          (Array.length d.Executor.df_locals);
+        Array.iteri (fun i v -> f.Frame.stack.(i) <- v) d.Executor.df_stack;
+        f.Frame.sp <- Array.length d.Executor.df_stack;
         Some f)
-      parent saved
+      parent frames
     |> Option.get
-
-  let rebuild_deopt (frames : Executor.deopt_frame list)
-      (parent : dframe option) : dframe =
-    rebuild_saved
-      (List.map
-         (fun (d : Executor.deopt_frame) ->
-           {
-             s_code = L.lookup_code d.Executor.df_code;
-             s_pc = d.Executor.df_pc;
-             s_locals = d.Executor.df_locals;
-             s_stack = d.Executor.df_stack;
-             s_discard = d.Executor.df_discard;
-           })
-         frames)
-      parent
 
   (* --- recording sessions (loops and bridges share this) --- *)
 
   type session_end =
-    | Closed of Ir.op array * saved_frame list
+    | Closed of Ir.op array * Executor.deopt_frame list
     | Closed_return of Ir.op array * Value.t
         (* the traced region returned out of its bottom frame; the value
            flows to the caller of the region (bridges only) *)
-    | Aborted of string * saved_frame list
+    | Aborted of string * Executor.deopt_frame list
 
   (* runs the tracing meta-interpreter until [close] says the trace is
      complete or tracing aborts; returns the recorded ops and the
@@ -351,7 +338,7 @@ module Make (L : Threaded.LANG) = struct
         match T.step_ref rec_ t.globals f with
         | Frame.Continue -> loop (steps + 1)
         | Frame.Call nf ->
-            if Frame.depth nf > t.cfg.Config.max_inline_depth then
+            if Frame.depth nf > Config.max_inline_depth then
               raise (Recorder.Abort "call too deep to inline");
             Recorder.enter_call rec_;
             tcur := nf;
@@ -450,18 +437,18 @@ module Make (L : Threaded.LANG) = struct
           end
         in
         site.state <- `Compiled trace;
-        rebuild_saved saved orig_parent
+        rebuild saved orig_parent
     | Closed_return _ -> assert false (* loops never record [finish] *)
     | Aborted (msg, saved) ->
         Engine.annot eng (Annot.Trace_abort (fst key));
         Jitlog.record_abort t.jitlog msg;
         site.aborts <- site.aborts + 1;
         site.counter <- 0;
-        if site.aborts >= t.cfg.Config.retrace_limit then begin
+        if site.aborts >= Config.retrace_limit then begin
           site.state <- `Blacklisted;
           Jitlog.record_blacklist t.jitlog
         end;
-        rebuild_saved saved orig_parent
+        rebuild saved orig_parent
 
   (* --- tracing a bridge from a deoptimized state --- *)
 
@@ -484,7 +471,7 @@ module Make (L : Threaded.LANG) = struct
     | Ir.Bridge { loop_code; loop_pc; _ } -> (loop_code, loop_pc)
 
   let trace_bridge t (g : Ir.guard) (frames : Executor.deopt_frame list)
-      ~loop_key ~(owner : Ir.trace option) ~(orig_parent : dframe option) :
+      ~loop_key ~(owner : Ir.trace) ~(orig_parent : dframe option) :
       jit_outcome =
     let eng = Ctx.engine t.rtc in
     Engine.in_phase eng Phase.Tracing @@ fun () ->
@@ -585,9 +572,7 @@ module Make (L : Threaded.LANG) = struct
     let compile_bridge ops =
       (* a bridge inherits its owner's tier: baseline loops get cheap
          unoptimized bridges, optimized loops get optimized ones *)
-      let tier =
-        match owner with Some o when o.Ir.tier <= 1 -> 1 | _ -> 2
-      in
+      let tier = if owner.Ir.tier <= 1 then 1 else 2 in
       let bridge_ops =
         if tier <= 1 then ops
         else
@@ -611,13 +596,10 @@ module Make (L : Threaded.LANG) = struct
       (* the guard's owning trace has a new fail path: drop its cached
          threaded code so the next entry re-translates with the bridge
          bound directly into the guard's fail step *)
-      Option.iter Ir.invalidate_code owner;
+      Ir.invalidate_code owner;
       Jitlog.record_bridge t.jitlog;
-      Option.iter
-        (fun (o : Ir.trace) ->
-          o.Ir.bridges <- o.Ir.bridges + 1;
-          maybe_demote o)
-        owner
+      owner.Ir.bridges <- owner.Ir.bridges + 1;
+      maybe_demote owner
     in
     let region_discard =
       match frames with
@@ -627,7 +609,7 @@ module Make (L : Threaded.LANG) = struct
     match record_session t rec_ start ~allow_finish:true ~close ~finish with
     | Closed (ops, saved) ->
         compile_bridge ops;
-        J_frame (rebuild_saved saved orig_parent)
+        J_frame (rebuild saved orig_parent)
     | Closed_return (ops, v) ->
         compile_bridge ops;
         continue_after_region_return ~orig_parent ~discard:region_discard v
@@ -635,27 +617,26 @@ module Make (L : Threaded.LANG) = struct
         Engine.annot eng (Annot.Trace_abort (fst loop_key));
         Jitlog.record_abort t.jitlog msg;
         g.Ir.bridgeable <- false;
-        J_frame (rebuild_saved saved orig_parent)
+        J_frame (rebuild saved orig_parent)
 
   (* --- entering compiled code --- *)
 
   let enter_jit t (trace : Ir.trace) (f : dframe) : jit_outcome =
     let eng = Ctx.engine t.rtc in
     let orig_parent = f.Frame.parent in
-    let ex =
+    match
       Engine.in_phase eng Phase.Jit @@ fun () ->
       Executor.run t.rtc t.jitlog ~trace ~entry:f.Frame.locals
-    in
-    match ex.Executor.finished with
-    | Some v ->
+    with
+    | Executor.Finished v ->
         continue_after_region_return ~orig_parent
           ~discard:f.Frame.discard_return v
-    | None -> (
-        match ex.Executor.failed_guard with
-        | Some g when ex.Executor.request_bridge && g.Ir.bridgeable ->
-            trace_bridge t g ex.Executor.frames ~loop_key:(loop_key_of trace)
-              ~owner:ex.Executor.failed_in ~orig_parent
-        | Some _ | None -> J_frame (rebuild_deopt ex.Executor.frames orig_parent))
+    | Executor.Deopt
+        { frames; guard = Some g; trace = owner; request_bridge = true } ->
+        trace_bridge t g frames ~loop_key:(loop_key_of trace) ~owner
+          ~orig_parent
+    | Executor.Deopt { frames; _ } -> J_frame (rebuild frames orig_parent)
+    | Executor.Tier_up frame -> J_frame (rebuild [ frame ] orig_parent)
 
   (* --- the JIT portal, consulted at every loop header --- *)
 

@@ -14,8 +14,9 @@
     applied): {!Eval_op.stage} for the pure ops, [stage_op] for heap
     reads and writes, allocation and residual calls, [guard_test] for
     guards.  Each way out of JIT code is defined once too: [deopt],
-    [finished] and [tier_up_exit] build the {!exit_state}.  Two
-    execution strategies run those definitions:
+    [finished] and [tier_up_exit] build the {!exit_state}, and both
+    strategies enter a trace through [entering] and a bridge through
+    [bridge_regs].  Two execution strategies run those definitions:
 
     - {!run_ref}, the reference loop, re-matches [op.opcode] and stages
       the op on every iteration;
@@ -49,18 +50,15 @@ type deopt_frame = {
   df_discard : bool;
 }
 
-type exit_state = {
-  frames : deopt_frame list;  (* outermost first; empty on [finished] *)
-  failed_guard : Ir.guard option;
-  failed_in : Ir.trace option;
-      (* the trace the failing guard belongs to (the executor may have
-         switched traces since entry); the driver invalidates its cached
-         threaded code when it attaches a bridge to the guard *)
-  request_bridge : bool;
-  finished : Value.t option;
-      (* a bridge ended with [finish]: the traced region returned this
-         value to its caller *)
-}
+type exit_state =
+  | Finished of Value.t
+  | Deopt of {
+      frames : deopt_frame list;
+      guard : Ir.guard option;
+      trace : Ir.trace;
+      request_bridge : bool;
+    }
+  | Tier_up of deopt_frame
 
 let as_obj = Semantics.as_obj
 let as_int = Eval_op.as_int
@@ -177,7 +175,7 @@ let guard_test (g : Ir.guard) (gs : ('e -> Value.t) array) : 'e -> bool =
       fun e -> Value.py_eq (a e) v
   | Ir.G_class sh ->
       let a = gs.(0) in
-      fun e -> Ir.tyshape_equal (Ir.tyshape_of (a e)) sh
+      fun e -> Ir.has_tyshape sh (a e)
   | Ir.G_nonnull ->
       let a = gs.(0) in
       fun e -> not (Value.is_nil (a e))
@@ -366,17 +364,20 @@ let[@inline] fill (gs : (Value.t array -> Value.t) array) tmp regs =
 
 let entry_cost = Cost.make ~alu:6 ~load:8 ~store:8 ~other:9 ()
 
-(* --- exits, shared by both loops --- *)
+(* --- exits, shared by both loops ---
 
-(* leave JIT code through [guard]'s (or, with [None], the bytecode
+   Each exit annotates its own trace's [Trace_exit], last. *)
+
+(* leave [t] through [guard]'s (or, with [None], the bytecode
    boundary's) resume data: charge the blackhole and rebuild the
-   interpreter frames from [cur]'s register file [regs] *)
-let deopt rtc (jitlog : Jitlog.t) (cur : Ir.trace) (regs : Value.t array)
+   interpreter frames from [t]'s register file [regs] *)
+let deopt rtc (jitlog : Jitlog.t) (t : Ir.trace) (regs : Value.t array)
     (resume : Ir.resume) (guard : Ir.guard option) : exit_state =
+  let eng = Ctx.engine rtc in
   let guard_id = match guard with Some g -> g.Ir.guard_id | None -> -1 in
-  Engine.annot (Ctx.engine rtc) (Annot.Guard_fail guard_id);
+  Engine.annot eng (Annot.Guard_fail guard_id);
   Jitlog.record_deopt jitlog;
-  cur.Ir.deopts <- cur.Ir.deopts + 1;
+  t.Ir.deopts <- t.Ir.deopts + 1;
   let frames = blackhole rtc resume regs ~guard_id in
   let request_bridge =
     match guard with
@@ -385,44 +386,48 @@ let deopt rtc (jitlog : Jitlog.t) (cur : Ir.trace) (regs : Value.t array)
         && g.Ir.bridgeable && g.Ir.bridge = None
     | None -> false
   in
-  {
-    frames;
-    failed_guard = guard;
-    failed_in = Some cur;
-    request_bridge;
-    finished = None;
-  }
+  Engine.annot eng t.Ir.exit_annot;
+  Deopt { frames; guard; trace = t; request_bridge }
 
-let finished v =
-  {
-    frames = [];
-    failed_guard = None;
-    failed_in = None;
-    request_bridge = false;
-    finished = Some v;
-  }
+(* [t] ended with [finish]: the traced region returned [v] *)
+let finished eng (t : Ir.trace) v =
+  Engine.annot eng t.Ir.exit_annot;
+  Finished v
 
 (* adaptive tiers: a baseline loop that has reached its promotion point
    leaves JIT code at its own back-edge — the frame state there is
    exactly the loop-header state [vals] — so the driver's portal can
    take a tier-up decision and re-enter *)
-let tier_up_exit ~loop_code ~loop_pc vals =
-  {
-    frames =
-      [
-        {
-          df_code = loop_code;
-          df_pc = loop_pc;
-          df_locals = vals;
-          df_stack = [||];
-          df_discard = false;
-        };
-      ];
-    failed_guard = None;
-    failed_in = None;
-    request_bridge = false;
-    finished = None;
-  }
+let tier_up_exit eng (t : Ir.trace) ~loop_code ~loop_pc vals =
+  Engine.annot eng t.Ir.exit_annot;
+  Tier_up
+    {
+      df_code = loop_code;
+      df_pc = loop_pc;
+      df_locals = vals;
+      df_stack = [||];
+      df_discard = false;
+    }
+
+(* --- register files and the way in, shared by both loops --- *)
+
+(* The run-time state of trace code: the register file of the trace
+   running.  It belongs to that trace, and leaving the trace ends its
+   use; exits only read from it or copy out of it. *)
+type state = { mutable st_regs : Value.t array }
+
+(* a fresh register file for [t] holding [vals] in its first registers *)
+let regs_for (t : Ir.trace) (vals : Value.t array) =
+  let regs = Array.make t.Ir.nregs Value.nil in
+  Array.blit vals 0 regs 0 (Array.length vals);
+  regs
+
+(* a fresh register file for [g]'s attached [bridge], holding the
+   guard's frames materialized straight into its entry registers *)
+let bridge_regs rtc (g : Ir.guard) (bridge : Ir.trace) regs =
+  let dst = Array.make bridge.Ir.nregs Value.nil in
+  materialize_flat rtc g.Ir.resume regs dst;
+  dst
 
 (* run [body] with [scan] registered as a GC root scanner, removing it
    however [body] ends *)
@@ -436,48 +441,61 @@ let with_roots gc scan body =
       Gc_sim.remove_root_scanner gc id;
       raise e
 
+(* Enter [trace] with [entry] in its first registers and run [body] on
+   the state: a fresh register file, whichever file is live scanned as
+   GC roots until [body] returns; [Trace_enter]; the first-entry latch;
+   the entry count, taken before the charge (the charge can exhaust the
+   budget, and the annotated entry and the latch must still show in
+   [exec_count]); the entry charge. *)
+let entering rtc (jitlog : Jitlog.t) (trace : Ir.trace) entry
+    (body : state -> exit_state) =
+  let eng = Ctx.engine rtc in
+  let st = { st_regs = regs_for trace entry } in
+  with_roots (Ctx.gc rtc) (fun visit -> Array.iter visit st.st_regs)
+  @@ fun () ->
+  Engine.annot eng trace.Ir.enter_annot;
+  Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
+  trace.Ir.exec_count <- trace.Ir.exec_count + 1;
+  Engine.emit eng entry_cost;
+  body st
+
 (* --- the reference loop ---
 
    Interprets the IR directly, staging each op as it runs it: the
    oracle for what the threaded translation below adds on top of the
-   shared op and exit definitions, namely pre-bound fail paths, the
-   code cache and continuation-passing control flow (the differential
-   test in test/test_threaded_diff.ml holds the two to identical exits,
-   register files and machine counters). *)
+   shared op, entry and exit definitions, namely pre-bound fail paths,
+   boundary resumes resolved at translation, the code cache and
+   continuation-passing control flow (the differential test in
+   test/test_threaded_diff.ml holds the two to identical exits, register
+   files and machine counters). *)
 
 let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     ~(entry : Value.t array) : exit_state =
   let eng = Ctx.engine rtc in
-  let gc = Ctx.gc rtc in
-  (* current register file, tracked for GC root scanning *)
-  let cur_regs = ref (Array.make trace.Ir.nregs Value.nil) in
-  Array.blit entry 0 !cur_regs 0 (Array.length entry);
-  with_roots gc (fun visit -> Array.iter visit !cur_regs) @@ fun () ->
-  let cur_trace = ref trace in
-  let last_resume = ref None in
-  Engine.annot eng trace.Ir.enter_annot;
-  Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
-  (* count the entry before charging it: the charge can exhaust the
-     budget, and the annotated entry and the latch must still show in
-     [exec_count] *)
-  trace.Ir.exec_count <- trace.Ir.exec_count + 1;
-  Engine.emit eng entry_cost;
-  let exit_state = ref None in
+  entering rtc jitlog trace entry @@ fun st ->
+  let cur = ref trace in
   let ip = ref 0 in
-  let switch_trace (target : Ir.trace) (values : Value.t array) =
-    Engine.annot eng !cur_trace.Ir.exit_annot;
-    Engine.annot eng target.Ir.enter_annot;
-    let regs = Array.make target.Ir.nregs Value.nil in
-    Array.blit values 0 regs 0 (Array.length values);
-    cur_regs := regs;
-    cur_trace := target;
-    target.Ir.exec_count <- target.Ir.exec_count + 1;
-    ip := 0
+  (* the resume of the last merge point passed in the current segment:
+     since op 0 in the preamble, since [loop_start] in the loop *)
+  let last_resume = ref None in
+  let goto i =
+    if i = !cur.Ir.loop_start then last_resume := None;
+    ip := i
   in
+  let switch_trace (target : Ir.trace) (regs : Value.t array) =
+    Engine.annot eng !cur.Ir.exit_annot;
+    Engine.annot eng target.Ir.enter_annot;
+    st.st_regs <- regs;
+    cur := target;
+    target.Ir.exec_count <- target.Ir.exec_count + 1;
+    last_resume := None;
+    goto 0
+  in
+  let exit_state = ref None in
   let leave e = exit_state := Some e in
   while !exit_state = None do
-    let t = !cur_trace in
-    let regs = !cur_regs in
+    let t = !cur in
+    let regs = st.st_regs in
     let op = t.Ir.ops.(!ip) in
     t.Ir.op_exec.(!ip) <- t.Ir.op_exec.(!ip) + 1;
     (* per-opcode costs are interned in the trace at compile time *)
@@ -485,73 +503,64 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     let readers () = Array.map (reader ~nregs:(Array.length regs)) op.Ir.args in
     let argvals () = fetch (readers ()) regs in
     let set_result v = if op.Ir.result >= 0 then regs.(op.Ir.result) <- v in
+    let next () = goto (!ip + 1) in
+    (* a failure partway through the bytecode deoptimizes at its
+       boundary, or raises [e] where the segment has no merge point *)
+    let boundary e =
+      match !last_resume with
+      | Some r -> leave (deopt rtc jitlog t regs r None)
+      | None -> raise e
+    in
     match op.Ir.opcode with
     | Ir.Debug_merge_point d ->
         last_resume := Some d.dmp_resume;
         Engine.tick eng;
-        incr ip
-    | Ir.Label -> incr ip
+        next ()
+    | Ir.Label -> next ()
     | Ir.Guard g -> (
         match guard_test g (readers ()) regs with
         | true ->
             Engine.branch eng ~site:(400_000 + (g.Ir.guard_id land 4095)) ~taken:true;
-            incr ip
+            next ()
         | false -> (
             Engine.branch eng ~site:(400_000 + (g.Ir.guard_id land 4095)) ~taken:false;
             g.Ir.fail_count <- g.Ir.fail_count + 1;
             match g.Ir.bridge with
-            | Some bridge ->
-                (* patched side-exit: jump straight into the bridge with
-                   the (materialized) frame state flattened into its
-                   entry registers *)
-                let frames = materialize_frames rtc g.Ir.resume regs in
-                let flat =
-                  List.concat_map
-                    (fun f -> Array.to_list f.df_locals @ Array.to_list f.df_stack)
-                    frames
-                in
-                switch_trace bridge (Array.of_list flat)
+            | Some bridge -> switch_trace bridge (bridge_regs rtc g bridge regs)
             | None -> leave (deopt rtc jitlog t regs g.Ir.resume (Some g)))
         | exception (Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero) ->
             leave (deopt rtc jitlog t regs g.Ir.resume (Some g)))
     | Ir.Finish ->
         Engine.branch eng ~site:(430_000 + (t.Ir.trace_id land 1023)) ~taken:true;
-        leave (finished (argvals ()).(0))
+        leave (finished eng t (argvals ()).(0))
     | Ir.Jump -> (
         let vals = argvals () in
         match t.Ir.kind with
         | Ir.Loop { loop_code; loop_pc }
           when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-            leave (tier_up_exit ~loop_code ~loop_pc vals)
+            leave (tier_up_exit eng t ~loop_code ~loop_pc vals)
         | _ ->
             Array.blit vals 0 regs t.Ir.loop_base (Array.length vals);
             Engine.branch eng ~site:(410_000 + (t.Ir.trace_id land 1023))
               ~taken:true;
             t.Ir.exec_count <- t.Ir.exec_count + 1;
-            ip := t.Ir.loop_start)
+            goto t.Ir.loop_start)
     | Ir.Call_assembler target_id -> (
         match Jitlog.find jitlog target_id with
         | Some target ->
             Engine.branch_indirect eng ~site:(420_000 + (t.Ir.trace_id land 1023))
               ~target:target_id;
-            switch_trace target (argvals ())
-        | None -> (
-            match !last_resume with
-            | Some r -> leave (deopt rtc jitlog t regs r None)
-            | None -> Semantics.err "call_assembler to unknown trace"))
+            switch_trace target (regs_for target (argvals ()))
+        | None ->
+            boundary (Ops_intf.Lang_error "call_assembler to unknown trace"))
     | opc -> (
-        (* ordinary operations; language errors deoptimize to the current
-           bytecode boundary *)
         match set_result (stage_op rtc opc (readers ()) regs) with
-        | () -> incr ip
+        | () -> next ()
         | exception
             ((Ops_intf.Lang_error _ | Rarith.Type_error _ | Division_by_zero)
-             as e) -> (
-            match !last_resume with
-            | Some r -> leave (deopt rtc jitlog t regs r None)
-            | None -> raise e))
+             as e) ->
+            boundary e)
   done;
-  Engine.annot eng !cur_trace.Ir.exit_annot;
   Option.get !exit_state
 
 (* --- continuation-threaded trace code ---
@@ -560,28 +569,17 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
    closures, one per op.  Each step is pre-bound at translation time:
    the op's work is its staged definition, operand lookups are direct
    register indices or hoisted constants, the per-op cost bundle and
-   op_exec counter cell are captured, and guards carry their resolved
-   fail path (bridge target or deopt).  A step ends by tail-calling its
-   continuation — the next op's step, the loop head at a back-edge, the
-   target's first step on a trace switch — or returns the
-   [exit_state] it leaves JIT code with, so a run is one chain of tail
-   calls in constant host stack.  The interpretive costs of the
+   op_exec counter cell are captured, guards carry their resolved fail
+   path (bridge target or deopt), and an op that can fail partway
+   through its bytecode carries its boundary resume.  A step ends by
+   tail-calling its continuation — the next op's step, the loop head at
+   a back-edge, the target's first step on a trace switch — or returns
+   the [exit_state] it leaves JIT code with, so a run is one chain of
+   tail calls in constant host stack.  The interpretive costs of the
    reference loop (opcode re-match, operand re-decode and staging,
-   per-iteration closure and array allocation, the instruction pointer
-   and its dispatch loop) are paid once per translation instead of
-   once per executed op. *)
-
-type state = {
-  mutable st_regs : Value.t array;
-  mutable st_cur : Ir.trace;
-  mutable st_dmp : int;
-      (* op index in [st_cur] of the last merge point passed, -1 for
-         none since entering it: an int, so the merge-point step, the
-         most frequent op in trace code, stores without a write barrier *)
-  mutable st_resume : Ir.resume option;
-      (* the last merge point's resume when it lies in a trace since
-         left, resolved from [st_dmp] on the way out *)
-}
+   per-iteration closure and array allocation, the instruction pointer,
+   its dispatch loop and the merge-point store) are paid once per
+   translation instead of once per executed op. *)
 
 type step = state -> exit_state
 type threaded = { th_version : int; th_code : step array }
@@ -598,6 +596,23 @@ let lang_errors = function
    finish or call_assembler and never reach it *)
 let off_end (_ : state) : exit_state =
   invalid_arg "Executor: trace ran off the end"
+
+(* The resume an op at [i] of [t] deoptimizes to when it fails partway
+   through its bytecode: that of the last merge point before it in its
+   segment, [0, i) in the preamble and [loop_start, i) in the loop, or
+   [None].  Every trace the recorder builds has a merge point at op 0
+   and, when peeled, at [loop_start], so this is the last merge point
+   the run passed. *)
+let boundary_resume (t : Ir.trace) i =
+  let from = if i >= t.Ir.loop_start then t.Ir.loop_start else 0 in
+  let rec back j =
+    if j < from then None
+    else
+      match t.Ir.ops.(j).Ir.opcode with
+      | Ir.Debug_merge_point d -> Some d.dmp_resume
+      | _ -> back (j - 1)
+  in
+  back (i - 1)
 
 let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
   let eng = Ctx.engine rtc in
@@ -623,52 +638,36 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
     end
     else fun _ _ -> ()
   in
-  (* the resume of the last merge point passed, as [run_ref]'s
-     [last_resume]; steps of [t] run with [st.st_cur == t] *)
-  let last_resume st =
-    if st.st_dmp < 0 then st.st_resume
-    else
-      match ops.(st.st_dmp).Ir.opcode with
-      | Ir.Debug_merge_point d -> Some d.dmp_resume
-      | _ -> invalid_arg "Executor: merge-point index names another op"
-  in
-  let deopt_boundary st e =
-    match last_resume st with
-    | Some r -> deopt rtc jitlog st.st_cur st.st_regs r None
-    | None -> raise e
+  (* the way out of op [i] failing partway through its bytecode with [e] *)
+  let boundary i : exn -> step =
+    match boundary_resume t i with
+    | Some r -> fun _ st -> deopt rtc jitlog t st.st_regs r None
+    | None -> fun e _ -> raise e
   in
   (* continue in [target]'s first step with [regs] as its register file *)
   let enter st (target : Ir.trace) (regs : Value.t array) =
-    Engine.annot eng st.st_cur.Ir.exit_annot;
+    Engine.annot eng t.Ir.exit_annot;
     Engine.annot eng target.Ir.enter_annot;
     st.st_regs <- regs;
-    if st.st_dmp >= 0 then begin
-      st.st_resume <- last_resume st;
-      st.st_dmp <- -1
-    end;
-    st.st_cur <- target;
     let first = Array.unsafe_get (code_for rtc jitlog target) 0 in
     target.Ir.exec_count <- target.Ir.exec_count + 1;
     first st
   in
   (* a guard's fail path, resolved at translation time: an attached
-     bridge becomes a direct jump that materializes the guard's frames
-     straight into the bridge's entry registers, otherwise the deopt.
-     Sound to pre-bind because bridges only attach between runs (in the
-     driver), and attaching one bumps [code_version] which invalidates
-     this translation. *)
+     bridge becomes a direct jump into the bridge's register file,
+     otherwise the deopt.  Sound to pre-bind because bridges only attach
+     between runs (in the driver), and attaching one bumps
+     [code_version] which invalidates this translation. *)
   let fail_path (g : Ir.guard) : step =
     match g.Ir.bridge with
     | Some bridge ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
-          let regs = Array.make bridge.Ir.nregs Value.nil in
-          materialize_flat rtc g.Ir.resume st.st_regs regs;
-          enter st bridge regs
+          enter st bridge (bridge_regs rtc g bridge st.st_regs)
     | None ->
         fun st ->
           g.Ir.fail_count <- g.Ir.fail_count + 1;
-          deopt rtc jitlog st.st_cur st.st_regs g.Ir.resume (Some g)
+          deopt rtc jitlog t st.st_regs g.Ir.resume (Some g)
   in
   let guard_step i (g : Ir.guard) (args : Ir.operand array) ~(k : step) :
       step =
@@ -687,21 +686,22 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           Engine.branch eng ~site ~taken:false;
           fail st
       | exception e when lang_errors e ->
-          deopt rtc jitlog st.st_cur st.st_regs g.Ir.resume (Some g)
+          deopt rtc jitlog t st.st_regs g.Ir.resume (Some g)
   in
   (* ordinary (non-control) op: bump, charge, do the work, fall through;
-     language errors deoptimize to the last bytecode boundary *)
+     language errors leave through the op's boundary *)
   let ordinary i (op : Ir.op) ~(k : step) : step =
     let cost = costs.(i) in
     let work = stage_op rtc op.Ir.opcode (readers op.Ir.args) in
     let set = store op.Ir.result in
+    let fail = boundary i in
     fun st ->
       exec.(i) <- exec.(i) + 1;
       Engine.emit eng cost;
       let regs = st.st_regs in
       match set regs (work regs) with
       | () -> k st
-      | exception e when lang_errors e -> deopt_boundary st e
+      | exception e when lang_errors e -> fail e st
   in
   let op_step i (op : Ir.op) ~(k : step) : step =
     match op.Ir.opcode with
@@ -710,7 +710,6 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
         fun st ->
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
-          st.st_dmp <- i;
           Engine.tick eng;
           k st
     | Ir.Label ->
@@ -728,7 +727,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           exec.(i) <- exec.(i) + 1;
           Engine.emit eng cost;
           Engine.branch eng ~site ~taken:true;
-          finished (a0 st.st_regs)
+          finished eng t (a0 st.st_regs)
     | Ir.Jump ->
         let cost = costs.(i) in
         let gs = readers op.Ir.args in
@@ -745,7 +744,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           match t.Ir.kind with
           | Ir.Loop { loop_code; loop_pc }
             when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-              tier_up_exit ~loop_code ~loop_pc (Array.copy tmp)
+              tier_up_exit eng t ~loop_code ~loop_pc (Array.copy tmp)
           | _ ->
               Array.blit tmp 0 regs t.Ir.loop_base len;
               Engine.branch eng ~site ~taken:true;
@@ -755,7 +754,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
         let cost = costs.(i) in
         (* the backend registers a trace before translating it, and the
            recorder only emits a call_assembler to a compiled loop, so a
-           target unknown now stays unknown: deoptimize at the boundary *)
+           target unknown now stays unknown: leave at the boundary *)
         match Jitlog.find jitlog target_id with
         | Some target ->
             let gs = readers op.Ir.args in
@@ -766,17 +765,16 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
               Engine.emit eng cost;
               Engine.branch_indirect eng ~site ~target:target_id;
               fill gs tmp st.st_regs;
-              let regs = Array.make target.Ir.nregs Value.nil in
-              Array.blit tmp 0 regs 0 (Array.length tmp);
-              enter st target regs
+              enter st target (regs_for target tmp)
         | None ->
             let unknown =
               Ops_intf.Lang_error "call_assembler to unknown trace"
             in
+            let fail = boundary i in
             fun st ->
               exec.(i) <- exec.(i) + 1;
               Engine.emit eng cost;
-              deopt_boundary st unknown)
+              fail unknown st)
     | _ -> ordinary i op ~k
   in
   for i = n - 1 downto 0 do
@@ -810,19 +808,5 @@ let precompile rtc jitlog t = ignore (install rtc jitlog t : step array)
 
 let run rtc (jitlog : Jitlog.t) ~(trace : Ir.trace) ~(entry : Value.t array) :
     exit_state =
-  let eng = Ctx.engine rtc in
-  let gc = Ctx.gc rtc in
-  let regs = Array.make trace.Ir.nregs Value.nil in
-  Array.blit entry 0 regs 0 (Array.length entry);
   let code = code_for rtc jitlog trace in
-  let st = { st_regs = regs; st_cur = trace; st_dmp = -1; st_resume = None } in
-  (* the live register file is a GC root for the duration *)
-  with_roots gc (fun visit -> Array.iter visit st.st_regs) @@ fun () ->
-  Engine.annot eng trace.Ir.enter_annot;
-  Jitlog.record_first_entry jitlog ~insns:(Engine.total_insns eng);
-  (* counted before the charge, as in [run_ref] *)
-  trace.Ir.exec_count <- trace.Ir.exec_count + 1;
-  Engine.emit eng entry_cost;
-  let ex = (Array.unsafe_get code 0) st in
-  Engine.annot eng st.st_cur.Ir.exit_annot;
-  ex
+  entering rtc jitlog trace entry (Array.unsafe_get code 0)

@@ -15,8 +15,31 @@
     the trace's [code_version].  {!run_ref} is the reference
     interpreting loop with identical semantics and identical
     simulated-machine charging (the differential tests hold the two to
-    byte-identical counters); both leave JIT code through the same exit
-    definitions. *)
+    byte-identical counters); both enter a trace and a bridge, and leave
+    JIT code, through the same definitions.
+
+    {b The state of trace code is its register file.}  Nothing else
+    changes while a trace runs: each op's cost, operands, continuation,
+    fail path and boundary resume are fixed when the trace is
+    translated.  The ownership rule:
+    - a register file belongs to the trace running on it, which alone
+      reads and writes it, and it is the GC root set while that trace
+      runs;
+    - leaving that trace ends its use: a bridge entry or
+      [call_assembler] switch gives the target a register file of its
+      own, and a back-edge refills the same file;
+    - deopt, finish and the tier-up exit only read from it or copy out
+      of it, so no exit hands out the file or an array it lives on.
+
+    {b The bytecode boundary.}  An ordinary op that raises a language
+    error, or a [call_assembler] to a trace that is not registered,
+    fails partway through its bytecode.  It deoptimizes to the resume of
+    the last merge point before it in its segment: for the op at [i],
+    ops 0 to [i - 1] in the preamble and [loop_start] to [i - 1] in the
+    loop.  Where the segment has none, the language error propagates
+    out of the executor.  The rule is
+    static: it carries nothing across a back-edge or into the trace a
+    bridge entry or switch continues in. *)
 
 type deopt_frame = {
   df_code : int;             (** interpreter code_ref *)
@@ -26,19 +49,27 @@ type deopt_frame = {
   df_discard : bool;         (** the frame's return value is discarded *)
 }
 
-type exit_state = {
-  frames : deopt_frame list;  (** outermost first; empty on [finished] *)
-  failed_guard : Ir.guard option;
-  failed_in : Ir.trace option;
-      (** the trace the failing guard belongs to (execution may have
-          switched traces since entry); the driver invalidates its
-          cached threaded code when attaching a bridge to the guard *)
-  request_bridge : bool;
-      (** the failed guard is hot enough to deserve a bridge *)
-  finished : Mtj_rt.Value.t option;
+(** How JIT code was left.  Each exit annotates [Trace_exit] of the
+    trace it left, after its own work. *)
+type exit_state =
+  | Finished of Mtj_rt.Value.t
       (** a trace ended with [finish]: the traced region returned this
           value to its caller *)
-}
+  | Deopt of {
+      frames : deopt_frame list;  (** outermost first *)
+      guard : Ir.guard option;
+          (** the failed guard; [None] at the bytecode boundary *)
+      trace : Ir.trace;
+          (** the trace left, which holds [guard] (execution may have
+              switched traces since entry); the driver invalidates its
+              cached threaded code when attaching a bridge to the guard *)
+      request_bridge : bool;
+          (** [guard] is bridgeable, has no bridge and failed often
+              enough to deserve one *)
+    }
+  | Tier_up of deopt_frame
+      (** a tier-1 loop reached its promotion point at its back-edge:
+          the loop header's frame, for the driver's tier-up decision *)
 
 val materialize_frames :
   Mtj_rt.Ctx.t -> Ir.resume -> Mtj_rt.Value.t array -> deopt_frame list
@@ -77,10 +108,9 @@ val run :
   entry:Mtj_rt.Value.t array ->
   exit_state
 (** Execute a compiled trace from its entry, with [entry] filling the
-    first [trace.entry_slots] registers. Returns how JIT code was left:
-    a finished region, or frames to continue from in the interpreter
-    (with [request_bridge] set when the failing guard crossed the bridge
-    threshold). The register file is a GC root for the duration.  Runs
+    first [trace.entry_slots] registers of a fresh register file. Returns
+    how JIT code was left.  The live register file is a GC root for the
+    duration.  Runs
     the continuation-threaded form out of the context's code cache,
     re-translating when the trace's [code_version] moved: it calls the
     trace's first step, and the chain of tail calls that follows —
@@ -97,7 +127,9 @@ val run_ref :
 (** Reference executor: interprets the trace IR directly, re-matching
     each op and staging its definition on every iteration, with its
     own instruction pointer and dispatch loop.  It runs the same op,
-    guard and exit definitions as {!run} and charges the simulated
-    machine identically; kept as the differential tests' oracle for
-    what {!run} adds on top: pre-bound fail paths, the code cache and
-    continuation-passing control flow. *)
+    guard, entry and exit definitions as {!run} and charges the
+    simulated machine identically; kept as the differential tests'
+    oracle for what {!run} adds on top: pre-bound fail paths, boundary
+    resumes bound at translation (it tracks the last merge point of
+    the segment as it runs), the code cache and continuation-passing
+    control flow. *)

@@ -73,43 +73,50 @@ type tyshape =
   | Ty_class of int        (* a specific class object, by uid *)
   | Ty_method
 
-(* the type shape of a value: what a [G_class] guard on it checks *)
+(* the type shape of a value: what a [G_class] guard on it checks.  It
+   reads the value through [Value]'s predicates and unchecked
+   destructors: [Value.view] would build a block for every boxed value *)
 let tyshape_of (v : Mtj_rt.Value.t) : tyshape =
   let module V = Mtj_rt.Value in
   if V.is_int v then Ty_int
-  else
-    match V.view v with
-    | V.Int _ -> Ty_int
-    | V.Float _ -> Ty_float
-    | V.Str _ -> Ty_str
-    | V.Bool _ -> Ty_bool
-    | V.Nil -> Ty_nil
-    | V.Obj o -> (
-        match o.V.payload with
-        | V.Instance i -> Ty_instance_of i.V.cls.V.uid
-        | V.Class _ -> Ty_class o.V.uid
-        | V.List _ -> Ty_list
-        | V.Dict _ -> Ty_dict
-        | V.Set _ -> Ty_set
-        | V.Tuple _ -> Ty_tuple
-        | V.Func f -> Ty_func_code f.V.code_ref
-        | V.Method _ -> Ty_method
-        | V.Cell _ -> Ty_cell
-        | V.Bigint _ -> Ty_bigint
-        | V.Strbuilder _ -> Ty_builder
-        | V.Range _ -> Ty_range)
+  else if V.is_obj v then
+    let o = V.to_obj_unchecked v in
+    match o.V.payload with
+    | V.Instance i -> Ty_instance_of i.V.cls.V.uid
+    | V.Class _ -> Ty_class o.V.uid
+    | V.List _ -> Ty_list
+    | V.Dict _ -> Ty_dict
+    | V.Set _ -> Ty_set
+    | V.Tuple _ -> Ty_tuple
+    | V.Func f -> Ty_func_code f.V.code_ref
+    | V.Method _ -> Ty_method
+    | V.Cell _ -> Ty_cell
+    | V.Bigint _ -> Ty_bigint
+    | V.Strbuilder _ -> Ty_builder
+    | V.Range _ -> Ty_range
+  else if V.is_float v then Ty_float
+  else if V.is_str v then Ty_str
+  else if V.is_bool v then Ty_bool
+  else Ty_nil
 
-(* [a = b] without polymorphic compare, which is a C call: a [G_class]
-   guard runs this on every check.  Two shapes with a payload are equal
-   when their constructors and payloads are; any other pair is equal
-   only as the same constant constructor. *)
-let tyshape_equal (a : tyshape) (b : tyshape) =
-  match (a, b) with
-  | Ty_instance_of x, Ty_instance_of y
-  | Ty_func_code x, Ty_func_code y
-  | Ty_class x, Ty_class y ->
-      Int.equal x y
-  | _ -> a == b
+(* [tyshape_of v = sh], the test a [G_class] guard runs on every check.
+   A shape with a payload is tested against the value in place; any
+   other is compared with [tyshape_of v], which builds a block only for
+   a value whose own shape has a payload, so a check that holds builds
+   nothing *)
+let has_tyshape (sh : tyshape) (v : Mtj_rt.Value.t) =
+  let module V = Mtj_rt.Value in
+  match sh with
+  | Ty_instance_of id | Ty_func_code id | Ty_class id -> (
+      V.is_obj v
+      &&
+      let o = V.to_obj_unchecked v in
+      match (sh, o.V.payload) with
+      | Ty_instance_of _, V.Instance i -> i.V.cls.V.uid = id
+      | Ty_func_code _, V.Func f -> f.V.code_ref = id
+      | Ty_class _, V.Class _ -> o.V.uid = id
+      | _ -> false)
+  | _ -> tyshape_of v == sh
 
 type gkind =
   | G_true                      (* arg truthy *)

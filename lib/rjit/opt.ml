@@ -259,7 +259,7 @@ let guard_step env (g : Ir.guard) (args : Ir.operand array) =
   let dedup = env.cfg.Config.opt_guard_elim in
   match (g.Ir.gkind, args) with
   | Ir.G_class sh, [| Ir.Const v |] ->
-      if Ir.tyshape_equal (Ir.tyshape_of v) sh then `Drop else `Keep
+      if Ir.has_tyshape sh v then `Drop else `Keep
   | Ir.G_class sh, [| Ir.Reg r |] ->
       if dedup && Hashtbl.find_opt env.shapes r = Some sh then `Drop
       else begin

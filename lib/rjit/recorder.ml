@@ -79,7 +79,7 @@ let opcode_is_effect (opc : Ir.opcode) =
   | _ -> false
 
 let push_op t (op : Ir.op) =
-  if t.nops >= t.cfg.Config.max_trace_ops then raise (Abort "trace too long");
+  if t.nops >= Config.max_trace_ops then raise (Abort "trace too long");
   t.ops_rev <- op :: t.ops_rev;
   t.nops <- t.nops + 1;
   if opcode_is_effect op.Ir.opcode then t.effect_in_bytecode <- true;

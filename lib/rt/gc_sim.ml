@@ -253,7 +253,7 @@ let maybe_collect t =
   if t.nursery_words > t.cfg.Config.nursery_words then collect_minor t;
   if
     float_of_int t.old_words
-    > t.cfg.Config.major_growth *. float_of_int t.old_words_high
+    > Config.major_growth *. float_of_int t.old_words_high
   then collect_major t
 
 let alloc t payload =

@@ -198,35 +198,89 @@ let test_guard_kinds () =
   Alcotest.(check bool) "nonnull" true (holds Ir.G_nonnull [ V.of_int 0 ]);
   Alcotest.(check bool) "nonnull fail" false (holds Ir.G_nonnull [ V.nil ])
 
-(* [Ir.tyshape_equal] is the [G_class] guard's compare: it must agree
-   with polymorphic equality on every pair, payloads equal or not *)
+(* a value of every shape [Ir.tyshape_of] gives, two of each shape
+   with a payload, and the classes they name *)
+let shape_values () =
+  let rtc = rtc () in
+  let gc = Mtj_rt.Ctx.gc rtc in
+  let obj p = Mtj_rt.Gc_sim.obj gc p in
+  let cls name =
+    obj
+      (V.Class
+         { cls_id = 0; cls_name = name; layout = [||]; attrs = []; parent = None })
+  in
+  let c1 = cls "A" and c2 = cls "B" in
+  let inst c = obj (V.Instance { cls = V.to_obj_unchecked c; fields = [||] }) in
+  let func code_ref =
+    obj
+      (V.Func
+         { func_id = code_ref; func_name = "f"; arity = 0; code_ref; captured = [||] })
+  in
+  let f1 = func 1 in
+  [
+    V.of_int 3; V.of_float 1.5; V.of_str "s"; V.true_; V.false_; V.nil;
+    obj (V.Bigint (Mtj_rt.Rbigint.of_int 7));
+    V.of_obj (Mtj_rt.Rlist.create rtc [ V.of_int 1 ]);
+    obj (V.Dict (Mtj_rt.Rdict.create rtc));
+    obj (V.Set (Mtj_rt.Rdict.create rtc));
+    obj (V.Tuple [| V.of_int 1 |]);
+    inst c1; inst c2; f1; func 2; c1; c2;
+    obj (V.Method { receiver = inst c1; func = V.to_obj_unchecked f1 });
+    obj (V.Cell { cell = V.nil });
+    obj (V.Strbuilder (Buffer.create 4));
+    obj (V.Range { start = 0; stop = 3; step = 1 });
+  ]
+
+(* the [G_class] guard's test is [Ir.tyshape_of v = sh] for a value of
+   every shape against every shape, payloads equal and different *)
 let test_tyshape_equal () =
+  let values = shape_values () in
+  let payload_shapes =
+    List.filter_map
+      (fun v ->
+        match Ir.tyshape_of v with
+        | (Ir.Ty_instance_of _ | Ir.Ty_func_code _ | Ir.Ty_class _) as sh ->
+            Some sh
+        | _ -> None)
+      values
+  in
   let shapes =
     Ir.
       [
         Ty_int; Ty_float; Ty_str; Ty_bool; Ty_nil; Ty_bigint; Ty_list; Ty_dict;
-        Ty_set; Ty_tuple; Ty_instance_of 1; Ty_instance_of 2; Ty_func_code 1;
-        Ty_func_code 2; Ty_range; Ty_iter; Ty_cell; Ty_builder; Ty_class 1;
-        Ty_class 2; Ty_method;
+        Ty_set; Ty_tuple; Ty_range; Ty_iter; Ty_cell; Ty_builder; Ty_method;
       ]
-  in
-  (* a fresh block, so an equal payload is not also the same pointer *)
-  let copy = function
-    | Ir.Ty_instance_of n -> Ir.Ty_instance_of (Sys.opaque_identity n)
-    | Ir.Ty_func_code n -> Ir.Ty_func_code (Sys.opaque_identity n)
-    | Ir.Ty_class n -> Ir.Ty_class (Sys.opaque_identity n)
-    | sh -> sh
+    @ payload_shapes
   in
   List.iteri
-    (fun i a ->
+    (fun i v ->
       List.iteri
-        (fun j b ->
-          let b = copy b in
+        (fun j sh ->
           Alcotest.(check bool)
-            (Printf.sprintf "shapes %d and %d" i j)
-            (a = b) (Ir.tyshape_equal a b))
+            (Printf.sprintf "value %d against shape %d" i j)
+            (Ir.tyshape_of v = sh)
+            (holds (Ir.G_class sh) [ v ]))
         shapes)
-    shapes
+    values
+
+(* a class check that holds builds nothing, on any value *)
+let test_class_guard_allocates_nothing () =
+  List.iteri
+    (fun i v ->
+      let test =
+        Executor.guard_test
+          (mk_guard (Ir.G_class (Ir.tyshape_of v)))
+          [| (fun () -> v) |]
+      in
+      let held = ref 0 in
+      let before = int_of_float (Gc.minor_words ()) in
+      for _ = 1 to 10_000 do
+        if test () then incr held
+      done;
+      let words = int_of_float (Gc.minor_words ()) - before in
+      Alcotest.(check int) (Printf.sprintf "value %d holds" i) 10_000 !held;
+      Alcotest.(check int) (Printf.sprintf "value %d minor words" i) 0 words)
+    (shape_values ())
 
 let test_guard_overflow_kinds () =
   Alcotest.(check bool) "add ok" true
@@ -327,6 +381,8 @@ let suite =
       test_materialize_list_virtual;
     Alcotest.test_case "guard kinds" `Quick test_guard_kinds;
     Alcotest.test_case "class guard shape equality" `Quick test_tyshape_equal;
+    Alcotest.test_case "class guard that holds allocates nothing" `Quick
+      test_class_guard_allocates_nothing;
     Alcotest.test_case "overflow/index guards" `Quick test_guard_overflow_kinds;
     Alcotest.test_case "global version guard" `Quick test_guard_global_version;
     Alcotest.test_case "blackhole charges its phase" `Quick

@@ -456,10 +456,9 @@ let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
       ~kind:(Ir.Bridge { from_guard = -1; loop_code = 0; loop_pc = 0 })
       ~entry_slots ~loop_base ~loop_start ops
   in
-  let exit = Executor.run rtc jitlog ~trace ~entry:(Array.copy entry) in
-  match (exit.Executor.finished, exit.Executor.failed_guard) with
-  | Some v, None -> "finish:" ^ V.repr v
-  | None, Some g ->
+  match Executor.run rtc jitlog ~trace ~entry:(Array.copy entry) with
+  | Executor.Finished v -> "finish:" ^ V.repr v
+  | Executor.Deopt { guard = Some g; frames; _ } ->
       (* deopt: fingerprint the failed guard and every materialized
          frame slot (virtual objects print their rebuilt contents) *)
       let buf = Buffer.create 64 in
@@ -471,7 +470,7 @@ let run_config (cfg : Mtj_core.Config.t) ~optimizing ops entry =
           Array.iter
             (fun v -> Buffer.add_string buf (V.repr v ^ ","))
             f.Executor.df_locals)
-        exit.Executor.frames;
+        frames;
       Buffer.contents buf
   | _ -> Alcotest.fail "trace did not finish"
 

@@ -1,10 +1,11 @@
 (** Differential test of the continuation-threaded executor ({!Executor.run})
     against the reference interpreting loop ({!Executor.run_ref}).
 
-    Random straight-line traces (integer/float/string arithmetic, heap
-    traffic, failable guards, division that deoptimizes at the bytecode
-    boundary) and deterministic loop / bridge / call_assembler / tiered
-    scenarios are executed through both strategies in fresh contexts.
+    Random traces, straight-line or looping (integer/float/string
+    arithmetic, heap traffic, failable guards, division that
+    deoptimizes at the bytecode boundary), and deterministic loop /
+    bridge / call_assembler / tiered scenarios are executed through both
+    strategies in fresh contexts.
     Everything observable must be BYTE-IDENTICAL: the exit state
     (finished value, failed guard, materialized frames), per-phase
     simulated machine counters (including float cycles, compared
@@ -28,28 +29,29 @@ type executor =
 
 (* ---------- observation digest ---------- *)
 
+let render_frame buf (f : Executor.deopt_frame) =
+  Buffer.add_string buf
+    (Printf.sprintf "|frame code=%d pc=%d discard=%b locals="
+       f.Executor.df_code f.Executor.df_pc f.Executor.df_discard);
+  Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_locals;
+  Buffer.add_string buf " stack=";
+  Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_stack
+
 let render_exit (ex : Executor.exit_state) =
   let buf = Buffer.create 128 in
-  (match ex.Executor.finished with
-  | Some v -> Buffer.add_string buf ("finish:" ^ V.repr v)
-  | None -> Buffer.add_string buf "deopt");
-  (match ex.Executor.failed_guard with
-  | Some g -> Buffer.add_string buf (Printf.sprintf "|guard=%d" g.Ir.guard_id)
-  | None -> ());
-  (match ex.Executor.failed_in with
-  | Some t -> Buffer.add_string buf (Printf.sprintf "|in=%d" t.Ir.trace_id)
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "|bridge?=%b" ex.Executor.request_bridge);
-  List.iter
-    (fun (f : Executor.deopt_frame) ->
+  (match ex with
+  | Executor.Finished v -> Buffer.add_string buf ("finish:" ^ V.repr v)
+  | Executor.Deopt { frames; guard; trace; request_bridge } ->
+      Buffer.add_string buf "deopt";
+      Option.iter
+        (fun g -> Buffer.add_string buf (Printf.sprintf "|guard=%d" g.Ir.guard_id))
+        guard;
       Buffer.add_string buf
-        (Printf.sprintf "|frame code=%d pc=%d discard=%b locals="
-           f.Executor.df_code f.Executor.df_pc f.Executor.df_discard);
-      Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_locals;
-      Buffer.add_string buf " stack=";
-      Array.iter (fun v -> Buffer.add_string buf (V.repr v ^ ",")) f.Executor.df_stack)
-    ex.Executor.frames;
+        (Printf.sprintf "|in=%d|bridge?=%b" trace.Ir.trace_id request_bridge);
+      List.iter (render_frame buf) frames
+  | Executor.Tier_up f ->
+      Buffer.add_string buf "tier-up";
+      render_frame buf f);
   Buffer.contents buf
 
 (* everything the machine and the JIT runtime expose about a run *)
@@ -415,19 +417,47 @@ let epilogue st =
 
 let entry_slots = 6 (* 3 ints, 2 floats, 1 string *)
 
+(* A third of the programs are loops: a back-edge to op 0 refills the
+   entry registers from the body's results and counts the iteration in
+   one more entry register, and a [G_true] guard on [counter < limit]
+   before the back-edge makes every run leave the loop.  The merge
+   point at the loop head is drawn present or absent, so a boundary
+   failure early in the body meets both sides of the segment rule.  The
+   other programs run straight to a [finish], from a merge point. *)
 let gen_program seed =
   let rng = Random.State.make [| seed; 0x7d1f |] in
-  let st = { rng; ops = []; regs = []; next = entry_slots } in
-  List.iteri
-    (fun i k -> st.regs <- (i, k) :: st.regs)
-    [ RInt; RInt; RInt; RFloat; RFloat; RStr ];
-  (* a merge point first, so boundary deopts always have a resume *)
-  emit_dmp st;
-  let nsteps = 4 + Random.State.int rng 28 in
+  let looped = Random.State.int rng 3 = 0 in
+  let counter = entry_slots in
+  let st =
+    { rng; ops = []; regs = []; next = (if looped then counter + 1 else entry_slots) }
+  in
+  let kinds = [ RInt; RInt; RInt; RFloat; RFloat; RStr ] in
+  List.iteri (fun i k -> st.regs <- (i, k) :: st.regs) kinds;
+  (* the body may read the counter, so its values move per iteration *)
+  if looped then st.regs <- (counter, RInt) :: st.regs;
+  (* a straight-line program starts at a merge point, so its boundary
+     deopts always have a resume *)
+  if (not looped) || Random.State.bool rng then emit_dmp st;
+  let nsteps =
+    if looped then 2 + Random.State.int rng 12 else 4 + Random.State.int rng 28
+  in
   for _ = 1 to nsteps do
     gen_step st
   done;
-  epilogue st;
+  if looped then begin
+    let next = fresh st RInt and more = fresh st RBool in
+    emit st ~result:next Ir.Int_add [| Ir.Reg counter; Ir.Const (V.of_int 1) |];
+    emit st ~result:more Ir.Int_lt
+      [| Ir.Reg next; Ir.Const (V.of_int (1 + Random.State.int rng 24)) |];
+    emit_guard st Ir.G_true [| Ir.Reg more |];
+    (* each entry register keeps its value or takes a body result *)
+    let refill i k =
+      if Random.State.bool rng then Ir.Reg i
+      else Ir.Reg (Option.get (pick_kind st k))
+    in
+    emit st Ir.Jump (Array.of_list (List.mapi refill kinds @ [ Ir.Reg next ]))
+  end
+  else epilogue st;
   let entry =
     [|
       V.of_int (Random.State.int rng 201 - 100);
@@ -438,7 +468,8 @@ let gen_program seed =
       V.of_str (String.sub "hello" 0 (Random.State.int rng 6));
     |]
   in
-  (Array.of_list (List.rev st.ops), entry)
+  ( Array.of_list (List.rev st.ops),
+    if looped then Array.append entry [| V.of_int 0 |] else entry )
 
 (* fresh guards per run: the executors bump fail counts in place *)
 let copy_ops ops =
@@ -456,14 +487,14 @@ let run_random (exec : executor) ops entry =
   let trace =
     Backend.compile jitlog rtc
       ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
-      ~entry_slots ops
+      ~entry_slots:(Array.length entry) ops
   in
   let e = exit_of exec rtc jitlog trace entry in
   observe rtc [ trace ] [ e ]
 
 let prop_threaded_identical =
   QCheck.Test.make ~name:"threaded executor is byte-identical to reference"
-    ~count:300
+    ~count:300 ~long_factor:30
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
     (fun seed ->
       let ops, entry = gen_program seed in
@@ -488,10 +519,23 @@ let pure_opcodes =
       Ptr_ne; Same_as; Unicode_len; Unicode_getitem;
     ]
 
-(* the property only bites if the generator reaches all three outcomes
-   and every pure opcode *)
+(* the trace's entry count in an [observe] digest: 1 plus its back-edges *)
+let entries_of r =
+  let key = "entries=" in
+  let rec find i =
+    if String.sub r i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from r start ' ' in
+  int_of_string (String.sub r start (stop - start))
+
+(* the property only bites if the generator reaches all three outcomes,
+   loops that leave after back-edges, a boundary failure where the
+   segment has no merge point, and every pure opcode *)
 let test_generator_coverage () =
   let finish = ref 0 and guard = ref 0 and boundary = ref 0 in
+  let looped = ref 0 and raised = ref 0 in
   let seen = Hashtbl.create 64 in
   for seed = 1 to 150 do
     let ops, entry = gen_program seed in
@@ -507,13 +551,17 @@ let test_generator_coverage () =
       in
       go 0
     in
-    if String.length r >= 12 && String.sub r 0 12 = "exit0: deopt" then
+    if String.starts_with ~prefix:"exit0: deopt" r then
       if contains "guard=" then incr guard else incr boundary
-    else incr finish
+    else if String.starts_with ~prefix:"exit0: raise:" r then incr raised
+    else incr finish;
+    if entries_of r > 2 then incr looped
   done;
   Alcotest.(check bool) "some finish" true (!finish > 10);
   Alcotest.(check bool) "some guard deopts" true (!guard > 10);
   Alcotest.(check bool) "some boundary deopts" true (!boundary > 3);
+  Alcotest.(check bool) "some loops take two back-edges" true (!looped > 10);
+  Alcotest.(check bool) "some boundary failures raise" true (!raised > 3);
   List.iter
     (fun opc ->
       let name = Ir.opcode_name opc in
@@ -689,10 +737,12 @@ let scenario_ovf_pair (exec : executor) =
   observe rtc [ t_ok; t_ovf ] [ e1; e2 ]
 
 (* the loop's guard fails into a bridge that divides by zero before it
-   passes a merge point of its own: the language error deoptimizes at
-   the last merge point passed, the loop's, whose resume reads the
-   bridge's registers.  The executor must carry that merge point across
-   the bridge entry. *)
+   passes a merge point of its own.  The bridge's segment has no merge
+   point, so the language error propagates out of both executors.  The
+   loop's merge point is no boundary for the bridge: its resume
+   describes the loop's registers, and the bridge runs on a register
+   file of its own (the two agree here only because both keep the
+   frame's single local in register 0). *)
 let scenario_bridge_error (exec : executor) =
   let rtc = Mtj_rt.Ctx.create () in
   let jitlog = Jitlog.create () in
@@ -722,6 +772,82 @@ let scenario_bridge_error (exec : executor) =
   Ir.invalidate_code trace;
   let e = exit_of exec rtc jitlog trace [| V.of_int 0 |] in
   observe rtc [ trace; bridge ] [ e ]
+
+(* the register values a bridge passes to it, one line per entry *)
+let regs_probe = Mtj_rt.Aot.register ~name:"test.bridge_regs" ~src:Mtj_rt.Aot.I
+
+(* A loop whose parity guard fails into one bridge every other
+   iteration, 1,000 times, before its limit guard deoptimizes.  The
+   bridge enters on a register file of its own, holding the guard's
+   frame, computes into it (a product and a cell), reports every
+   register to a residual call and switches back into the loop.  The
+   exits, the register values each entry reports and every counter must
+   match the reference loop's, which allocates each file afresh. *)
+let scenario_repeated_bridge (exec : executor) =
+  let rtc = Mtj_rt.Ctx.create () in
+  let jitlog = Jitlog.create () in
+  let log = Buffer.create 4096 in
+  let report =
+    {
+      Ir.aot = regs_probe;
+      run =
+        (fun _ args ->
+          Array.iter (fun v -> Buffer.add_string log (V.repr v ^ ",")) args;
+          Buffer.add_char log '\n';
+          V.nil);
+      effectful = false;
+    }
+  in
+  let loop =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
+      ~entry_slots:1
+      [|
+        { Ir.opcode =
+            Ir.Debug_merge_point
+              { dmp_code = 1; dmp_pc = 0; dmp_resume = snap_reg 0 };
+          args = [||]; result = -1 };
+        { Ir.opcode = Ir.Int_add;
+          args = [| Ir.Reg 0; Ir.Const (V.of_int 1) |]; result = 1 };
+        { Ir.opcode = Ir.Int_lt;
+          args = [| Ir.Reg 1; Ir.Const (V.of_int 2_000) |]; result = 2 };
+        { Ir.opcode = Ir.Guard (mk_guard ~id:9301 Ir.G_true (snap_reg 1));
+          args = [| Ir.Reg 2 |]; result = -1 };
+        { Ir.opcode = Ir.Int_and;
+          args = [| Ir.Reg 1; Ir.Const (V.of_int 1) |]; result = 3 };
+        { Ir.opcode = Ir.Guard (mk_guard ~id:9302 Ir.G_false (snap_regs [ 1; 3 ]));
+          args = [| Ir.Reg 3 |]; result = -1 };
+        { Ir.opcode = Ir.Jump; args = [| Ir.Reg 1 |]; result = -1 };
+      |]
+  in
+  let bridge =
+    Backend.compile jitlog rtc
+      ~kind:(Ir.Bridge { from_guard = 9302; loop_code = 1; loop_pc = 0 })
+      ~entry_slots:2
+      [|
+        { Ir.opcode =
+            Ir.Debug_merge_point
+              { dmp_code = 1; dmp_pc = 0; dmp_resume = snap_regs [ 0; 1 ] };
+          args = [||]; result = -1 };
+        { Ir.opcode = Ir.Int_mul;
+          args = [| Ir.Reg 0; Ir.Const (V.of_int 3) |]; result = 2 };
+        { Ir.opcode = Ir.New_cell; args = [| Ir.Reg 2 |]; result = 3 };
+        { Ir.opcode = Ir.Getcell; args = [| Ir.Reg 3 |]; result = 4 };
+        { Ir.opcode = Ir.Call_n report;
+          args = [| Ir.Reg 0; Ir.Reg 1; Ir.Reg 2; Ir.Reg 4 |]; result = -1 };
+        { Ir.opcode = Ir.Call_assembler loop.Ir.trace_id;
+          args = [| Ir.Reg 0 |]; result = -1 };
+      |]
+  in
+  Array.iter
+    (fun (op : Ir.op) ->
+      match op.Ir.opcode with
+      | Ir.Guard g when g.Ir.guard_id = 9302 -> g.Ir.bridge <- Some bridge
+      | _ -> ())
+    loop.Ir.ops;
+  Ir.invalidate_code loop;
+  let e = exit_of exec rtc jitlog loop [| V.of_int 0 |] in
+  observe rtc [ loop; bridge ] [ e ] ^ Buffer.contents log
 
 (* ---------- host stack depth (threaded executor only) ---------- *)
 
@@ -821,9 +947,8 @@ let test_tiered () =
     (scenario_tiered Executor.run);
   let back_edge i locals =
     Printf.sprintf
-      "exit%d: deopt|bridge?=false|frame code=1 pc=0 discard=false \
-       locals=%s, stack="
-      i locals
+      "exit%d: tier-up|frame code=1 pc=0 discard=false locals=%s, stack=" i
+      locals
   in
   Alcotest.(check (list string)) "both runs leave at the back-edge"
     [ back_edge 0 "5"; back_edge 1 "101" ]
@@ -832,12 +957,26 @@ let test_tiered () =
 let test_ovf () =
   check_scenario "int op + overflow guard pair" scenario_ovf_pair
 
+let test_repeated_bridge () =
+  let reference = scenario_repeated_bridge Executor.run_ref in
+  Alcotest.(check string) "1,000 bridge entries" reference
+    (scenario_repeated_bridge Executor.run);
+  let lines = String.split_on_char '\n' reference in
+  Alcotest.(check string) "leaves through the limit guard"
+    "exit0: deopt|guard=9301|in=0|bridge?=false|frame code=1 pc=0 \
+     discard=false locals=2000, stack="
+    (List.hd lines);
+  Alcotest.(check int) "one report per bridge entry" 1_000
+    (List.length (List.filter (String.ends_with ~suffix:",") lines));
+  Alcotest.(check bool) "the last entry holds the last odd count" true
+    (List.mem "1999,1,5997,5997," lines)
+
 let test_bridge_error () =
   let reference = scenario_bridge_error Executor.run_ref in
   Alcotest.(check string) "bridge error before its merge point" reference
     (scenario_bridge_error Executor.run);
-  Alcotest.(check bool) "deoptimizes at the loop's merge point" true
-    (String.starts_with ~prefix:"exit0: deopt|in=" reference)
+  Alcotest.(check bool) "raises out of both executors" true
+    (String.starts_with ~prefix:"exit0: raise:" reference)
 
 (* ---------- cache accounting (threaded executor only) ---------- *)
 
@@ -877,6 +1016,7 @@ let suite =
     Alcotest.test_case "int op + overflow guard pair" `Quick test_ovf;
     Alcotest.test_case "bridge error before a merge point" `Quick
       test_bridge_error;
+    Alcotest.test_case "repeated bridge entries" `Quick test_repeated_bridge;
     Alcotest.test_case "code cache accounting" `Quick test_cache_accounting;
     Alcotest.test_case "constant host stack" `Quick test_constant_stack;
   ]
