@@ -233,7 +233,7 @@ let shape_values () =
 
 (* the [G_class] guard's test is [Ir.tyshape_of v = sh] for a value of
    every shape against every shape, payloads equal and different *)
-let test_tyshape_equal () =
+let test_class_guard_shapes () =
   let values = shape_values () in
   let payload_shapes =
     List.filter_map
@@ -380,7 +380,8 @@ let suite =
     Alcotest.test_case "materialize list virtual" `Quick
       test_materialize_list_virtual;
     Alcotest.test_case "guard kinds" `Quick test_guard_kinds;
-    Alcotest.test_case "class guard shape equality" `Quick test_tyshape_equal;
+    Alcotest.test_case "class guard shape equality" `Quick
+      test_class_guard_shapes;
     Alcotest.test_case "class guard that holds allocates nothing" `Quick
       test_class_guard_allocates_nothing;
     Alcotest.test_case "overflow/index guards" `Quick test_guard_overflow_kinds;

@@ -417,20 +417,23 @@ let epilogue st =
 
 let entry_slots = 6 (* 3 ints, 2 floats, 1 string *)
 
-(* A third of the programs are loops: a back-edge to op 0 refills the
-   entry registers from the body's results and counts the iteration in
-   one more entry register, and a [G_true] guard on [counter < limit]
-   before the back-edge makes every run leave the loop.  The merge
-   point at the loop head is drawn present or absent, so a boundary
-   failure early in the body meets both sides of the segment rule.  The
-   other programs run straight to a [finish], from a merge point. *)
+(* A third of the programs are loops: a back-edge to [loop_start]
+   refills the entry registers from the body's results and counts the
+   iteration in one more entry register, and a [G_true] guard on
+   [counter < limit] before the back-edge makes every run leave the
+   loop.  Half of the loops are peeled: a preamble of a few ops runs
+   once before [loop_start], the others jump back to op 0.  The merge
+   points at op 0 and at the loop head are each drawn present or
+   absent, so a boundary failure early in a segment meets both sides of
+   the segment rule.  The other programs run straight to a [finish],
+   from a merge point.  Returns the ops, the entry values and
+   [loop_start]. *)
 let gen_program seed =
   let rng = Random.State.make [| seed; 0x7d1f |] in
   let looped = Random.State.int rng 3 = 0 in
   let counter = entry_slots in
-  let st =
-    { rng; ops = []; regs = []; next = (if looped then counter + 1 else entry_slots) }
-  in
+  let next = if looped then counter + 1 else entry_slots in
+  let st = { rng; ops = []; regs = []; next } in
   let kinds = [ RInt; RInt; RInt; RFloat; RFloat; RStr ] in
   List.iteri (fun i k -> st.regs <- (i, k) :: st.regs) kinds;
   (* the body may read the counter, so its values move per iteration *)
@@ -438,6 +441,17 @@ let gen_program seed =
   (* a straight-line program starts at a merge point, so its boundary
      deopts always have a resume *)
   if (not looped) || Random.State.bool rng then emit_dmp st;
+  let loop_start =
+    if looped && Random.State.bool rng then begin
+      for _ = 1 to 1 + Random.State.int rng 4 do
+        gen_step st
+      done;
+      let head = List.length st.ops in
+      if Random.State.bool rng then emit_dmp st;
+      head
+    end
+    else 0
+  in
   let nsteps =
     if looped then 2 + Random.State.int rng 12 else 4 + Random.State.int rng 28
   in
@@ -469,7 +483,8 @@ let gen_program seed =
     |]
   in
   ( Array.of_list (List.rev st.ops),
-    if looped then Array.append entry [| V.of_int 0 |] else entry )
+    (if looped then Array.append entry [| V.of_int 0 |] else entry),
+    loop_start )
 
 (* fresh guards per run: the executors bump fail counts in place *)
 let copy_ops ops =
@@ -480,14 +495,14 @@ let copy_ops ops =
       | _ -> { op with Ir.args = Array.copy op.Ir.args })
     ops
 
-let run_random (exec : executor) ops entry =
+let run_random (exec : executor) (ops, entry, loop_start) =
   let rtc = Mtj_rt.Ctx.create () in
   let jitlog = Jitlog.create () in
   let ops = copy_ops ops in
   let trace =
     Backend.compile jitlog rtc
       ~kind:(Ir.Loop { loop_code = 1; loop_pc = 0 })
-      ~entry_slots:(Array.length entry) ops
+      ~entry_slots:(Array.length entry) ~loop_start ops
   in
   let e = exit_of exec rtc jitlog trace entry in
   observe rtc [ trace ] [ e ]
@@ -497,9 +512,9 @@ let prop_threaded_identical =
     ~count:300 ~long_factor:30
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000))
     (fun seed ->
-      let ops, entry = gen_program seed in
-      let reference = run_random Executor.run_ref ops entry in
-      let threaded = run_random Executor.run ops entry in
+      let program = gen_program seed in
+      let reference = run_random Executor.run_ref program in
+      let threaded = run_random Executor.run program in
       if String.equal reference threaded then true
       else
         QCheck.Test.fail_reportf "seed %d diverged:\n--- reference:\n%s--- threaded:\n%s"
@@ -531,19 +546,19 @@ let entries_of r =
   int_of_string (String.sub r start (stop - start))
 
 (* the property only bites if the generator reaches all three outcomes,
-   loops that leave after back-edges, a boundary failure where the
-   segment has no merge point, and every pure opcode *)
+   loops, peeled or not, that leave after back-edges, a boundary failure
+   where the segment has no merge point, and every pure opcode *)
 let test_generator_coverage () =
   let finish = ref 0 and guard = ref 0 and boundary = ref 0 in
-  let looped = ref 0 and raised = ref 0 in
+  let looped = ref 0 and peeled = ref 0 and raised = ref 0 in
   let seen = Hashtbl.create 64 in
-  for seed = 1 to 150 do
-    let ops, entry = gen_program seed in
+  for seed = 1 to 300 do
+    let ((ops, _, loop_start) as program) = gen_program seed in
     Array.iter
       (fun (op : Ir.op) ->
         if Eval_op.foldable op.Ir.opcode then Hashtbl.replace seen op.Ir.opcode ())
       ops;
-    let r = run_random Executor.run_ref ops entry in
+    let r = run_random Executor.run_ref program in
     let contains sub =
       let n = String.length sub in
       let rec go i =
@@ -555,13 +570,17 @@ let test_generator_coverage () =
       if contains "guard=" then incr guard else incr boundary
     else if String.starts_with ~prefix:"exit0: raise:" r then incr raised
     else incr finish;
-    if entries_of r > 2 then incr looped
+    if entries_of r > 2 then begin
+      incr looped;
+      if loop_start > 0 then incr peeled
+    end
   done;
-  Alcotest.(check bool) "some finish" true (!finish > 10);
-  Alcotest.(check bool) "some guard deopts" true (!guard > 10);
-  Alcotest.(check bool) "some boundary deopts" true (!boundary > 3);
-  Alcotest.(check bool) "some loops take two back-edges" true (!looped > 10);
-  Alcotest.(check bool) "some boundary failures raise" true (!raised > 3);
+  Alcotest.(check bool) "some finish" true (!finish > 20);
+  Alcotest.(check bool) "some guard deopts" true (!guard > 20);
+  Alcotest.(check bool) "some boundary deopts" true (!boundary > 6);
+  Alcotest.(check bool) "some loops take two back-edges" true (!looped > 20);
+  Alcotest.(check bool) "some of them peeled" true (!peeled > 8);
+  Alcotest.(check bool) "some boundary failures raise" true (!raised > 4);
   List.iter
     (fun opc ->
       let name = Ir.opcode_name opc in
