@@ -15,7 +15,14 @@
       closes (or the trace aborts);
     - {b JIT}: compiled loops execute in {!Executor}; guard failures
       deoptimize through the blackhole back into the interpreter, and hot
-      guards get bridges traced from their deopt state. *)
+      guards get bridges traced from their deopt state.
+
+    A recording that aborts returns to its last merge point, as a
+    deopt does, and every way out of a traced region rebuilds the
+    interpreter frames through one [rebuild], which gives the region's
+    outermost frame the discard flag of the frame that entered it (the
+    region's boundary, below; [test_jit_machinery]'s constructor loops
+    and the linked-list pin in [test/cram/cli.t] hold it). *)
 
 open Mtj_core
 open Mtj_rt
@@ -205,17 +212,14 @@ module Make (L : Threaded.LANG) = struct
         snap_discard = f.Frame.discard_return;
       }
 
-  let snap_fresh f = snap_frame no_snap f
-
-  (* a frame chain, outermost first, taken against [prev], the same
-     chain's results at the previous bytecode: [from p f] reuses what
-     did not change in [p], and [fresh f] is for a frame [prev] lacks *)
-  let rec against fresh from prev = function
+  (* a frame chain's snapshots, outermost first, taken against [prev],
+     the same chain's snapshots at the previous bytecode *)
+  let rec snap_chain prev = function
     | [] -> []
     | f :: rest -> (
         match prev with
-        | p :: ps -> from p f :: against fresh from ps rest
-        | [] -> fresh f :: against fresh from [] rest)
+        | p :: ps -> snap_frame p f :: snap_chain ps rest
+        | [] -> snap_frame no_snap f :: snap_chain [] rest)
 
   (* the resume snapshot at the start of the bytecode [chain]'s
      innermost frame is about to run, built against [prev], the previous
@@ -223,115 +227,149 @@ module Make (L : Threaded.LANG) = struct
      frame, while an inlined callee runs) is shared, not copied *)
   let build_resume ~(prev : Ir.frame_snap list) (chain : tframe list) :
       Ir.resume =
-    { Ir.frames = against snap_fresh snap_frame prev chain; r_virtuals = [||] }
+    { Ir.frames = snap_chain prev chain; r_virtuals = [||] }
 
-  let rec same_values (prev : Value.t array) (a : Recorder.tval array) n i =
-    i = n || (prev.(i) == a.(i).Recorder.v && same_values prev a n (i + 1))
+  (* --- the traced region's boundary ---
 
-  (* the values of the first [n] slots of [a]: [prev] itself when it
-     already holds exactly those values *)
-  let share_values (prev : Value.t array) (a : Recorder.tval array) n =
-    if Array.length prev = n && same_values prev a n 0 then prev
-    else Array.init n (fun i -> a.(i).Recorder.v)
+     A traced region starts at a loop header of [entry], the direct
+     frame that entered it, and every way out of it leaves to [entry]'s
+     parent: a recording's close or abort, a deopt, a tier-up exit and
+     a bridge's finish.  The region's outermost frame returns to that
+     parent in [entry]'s place, so it takes [entry]'s discard flag; an
+     inner (inlined) frame keeps the flag its trace recorded. *)
 
-  (* the previous state of a frame that had none: it shares nothing *)
-  let no_frame : Executor.deopt_frame =
+  (* the state of [f], a frame at a loop header with an empty stack,
+     holding [locals] *)
+  let at_header (f : (_, L.code) Frame.t) locals : Executor.deopt_frame =
     {
-      Executor.df_code = -1;
-      df_pc = -1;
-      df_locals = [||];
+      Executor.df_code = f.Frame.code_ref;
+      df_pc = f.Frame.pc;
+      df_locals = locals;
       df_stack = [||];
-      df_discard = false;
+      df_discard = f.Frame.discard_return;
     }
 
-  (* [f]'s concrete state, reusing [p] (the same frame's state at the
-     previous bytecode) or its arrays where nothing changed *)
-  let save_frame (p : Executor.deopt_frame) (f : tframe) : Executor.deopt_frame
-      =
-    let df_locals =
-      share_values p.Executor.df_locals f.Frame.locals
-        (Array.length f.Frame.locals)
+  (* a frame on [parent] holding [d]'s state, each value through
+     [value], locals first, then the stack; [discard] is its flag *)
+  let frame_of ~default ~value parent discard (d : Executor.deopt_frame) =
+    let code = L.lookup_code d.Executor.df_code in
+    let f =
+      Frame.create ~code ~code_ref:d.Executor.df_code ~nlocals:(L.nlocals code)
+        ~stack_size:(L.stack_size code) ~default ~parent
     in
-    let df_stack = share_values p.Executor.df_stack f.Frame.stack f.Frame.sp in
-    if
-      p.Executor.df_locals == df_locals
-      && p.Executor.df_stack == df_stack
-      && p.Executor.df_code = f.Frame.code_ref
-      && p.Executor.df_pc = f.Frame.pc
-      && p.Executor.df_discard = f.Frame.discard_return
-    then p
-    else
-      {
-        Executor.df_code = f.Frame.code_ref;
-        df_pc = f.Frame.pc;
-        df_locals;
-        df_stack;
-        df_discard = f.Frame.discard_return;
-      }
+    f.Frame.pc <- d.Executor.df_pc;
+    f.Frame.discard_return <- discard;
+    Array.iteri (fun i v -> f.Frame.locals.(i) <- value v) d.Executor.df_locals;
+    Array.iteri (fun i v -> f.Frame.stack.(i) <- value v) d.Executor.df_stack;
+    f.Frame.sp <- Array.length d.Executor.df_stack;
+    f
 
-  let save_fresh f = save_frame no_frame f
+  (* the direct frames of [entry]'s region, rebuilt from [frames],
+     outermost first *)
+  let rebuild ~(entry : dframe) (frames : Executor.deopt_frame list) : dframe
+      =
+    match frames with
+    | [] -> invalid_arg "Driver.rebuild: no frame"
+    | outermost :: inner ->
+        List.fold_left
+          (fun parent (d : Executor.deopt_frame) ->
+            frame_of ~default:Value.nil ~value:Fun.id (Some parent)
+              d.Executor.df_discard d)
+          (frame_of ~default:Value.nil ~value:Fun.id entry.Frame.parent
+             entry.Frame.discard_return outermost)
+          inner
 
-  (* the concrete state of [chain], built against [prev], the previous
-     bytecode's, as [build_resume] builds sources *)
-  let save_chain ~prev (chain : tframe list) =
-    against save_fresh save_frame prev chain
+  (* result of running / bridging JIT code: either an interpreter frame
+     to continue from, or the whole region returned a value to the caller
+     of [entry] (possibly ending the program) *)
+  type jit_outcome = J_frame of dframe | J_done of Value.t
 
-  (* rebuild a direct frame chain from frames saved by tracing or
-     rebuilt by deopt and tier-up, outermost first; [parent] is the
-     frame below the traced region *)
-  let rebuild (frames : Executor.deopt_frame list) (parent : dframe option) :
-      dframe =
-    List.fold_left
-      (fun parent (d : Executor.deopt_frame) ->
-        let f = make_dframe (L.lookup_code d.Executor.df_code) parent in
-        f.Frame.pc <- d.Executor.df_pc;
-        f.Frame.discard_return <- d.Executor.df_discard;
-        Array.blit d.Executor.df_locals 0 f.Frame.locals 0
-          (Array.length d.Executor.df_locals);
-        Array.iteri (fun i v -> f.Frame.stack.(i) <- v) d.Executor.df_stack;
-        f.Frame.sp <- Array.length d.Executor.df_stack;
-        Some f)
-      parent frames
-    |> Option.get
+  (* the region returned [v] to [entry]'s parent *)
+  let region_return ~(entry : dframe) (v : Value.t) : jit_outcome =
+    match entry.Frame.parent with
+    | Some p ->
+        if not entry.Frame.discard_return then Frame.push p v;
+        J_frame p
+    | None -> J_done v
 
   (* --- recording sessions (loops and bridges share this) --- *)
 
   type session_end =
-    | Closed of Ir.op array * Executor.deopt_frame list
+    | Closed of Ir.op array * dframe
     | Closed_return of Ir.op array * Value.t
         (* the traced region returned out of its bottom frame; the value
            flows to the caller of the region (bridges only) *)
-    | Aborted of string * Executor.deopt_frame list
+    | Aborted of string * dframe
 
-  (* runs the tracing meta-interpreter until [close] says the trace is
-     complete or tracing aborts; returns the recorded ops and the
-     concrete state to resume direct execution from *)
-  let record_session t (rec_ : Recorder.t) (start : tframe) ~allow_finish
-      ~(close : steps:int -> tframe -> bool) ~(finish : Recorder.t -> tframe -> unit) :
+  (* what a tracked frame's unset slots hold: nil, as a trace constant *)
+  let tnil : Recorder.tval =
+    { Recorder.v = Value.nil; src = Ir.Const Value.nil }
+
+  (* Runs the tracing meta-interpreter over [entry]'s region from
+     [frames], outermost first (a loop's header frame, or the frames a
+     guard deoptimized to), whose locals and stacks, in that order, are
+     the entry registers.  The trace closes when the region is back at
+     the loop header [loop_key] with no caller and an empty stack: it
+     ends with [jump ()] over the header's locals.  A return out of the
+     region ends a bridge with [finish] ([allow_finish]) and aborts a
+     loop.  An abort restores the state at the start of the bytecode it
+     stopped in: that bytecode's resume, read over the recorder's
+     registers, as the executor's bytecode boundary does. *)
+  let record_session t ~(entry : dframe) ~loop_key ~allow_finish
+      ~(jump : unit -> Ir.opcode) (frames : Executor.deopt_frame list) :
       session_end =
+    let loop_code, loop_pc = loop_key in
+    let rec_ =
+      Recorder.create t.rtc
+        ~entry:
+          (Array.concat
+             (List.concat_map
+                (fun (d : Executor.deopt_frame) ->
+                  [ d.Executor.df_locals; d.Executor.df_stack ])
+                frames))
+    in
+    let next = ref 0 in
+    let tracked v : Recorder.tval =
+      let r = !next in
+      incr next;
+      { Recorder.v; src = Ir.Reg r }
+    in
+    let start : tframe =
+      List.fold_left
+        (fun parent (d : Executor.deopt_frame) ->
+          Some
+            (frame_of ~default:tnil ~value:tracked parent
+               d.Executor.df_discard d))
+        None frames
+      |> Option.get
+    in
     let tcur = ref start in
     t.tracking <- Some start;
-    let last_saved = ref (save_chain ~prev:[] (chain_outermost_first start)) in
     let last_frames = ref [] in
-    let finish_session result =
-      t.tracking <- None;
-      result
-    in
     let rec loop steps =
       let f = !tcur in
-      if close ~steps f then begin
-        finish rec_ f;
+      if
+        steps > 0
+        && Option.is_none f.Frame.parent
+        && f.Frame.code_ref = loop_code
+        && f.Frame.pc = loop_pc && f.Frame.sp = 0
+      then begin
+        Recorder.emit_n rec_ (jump ())
+          (Array.map (fun (tv : Recorder.tval) -> tv.Recorder.src) f.Frame.locals);
         Closed
           ( Recorder.ops rec_,
-            save_chain ~prev:!last_saved (chain_outermost_first f) )
+            rebuild ~entry
+              [
+                at_header f
+                  (Array.map (fun (tv : Recorder.tval) -> tv.Recorder.v)
+                     f.Frame.locals);
+              ] )
       end
       else begin
         (* inner loops that are already compiled are traced straight
            through (unrolled); overly long unrolls hit the trace-length
            abort, as in RPython *)
-        let chain = chain_outermost_first f in
-        last_saved := save_chain ~prev:!last_saved chain;
-        let resume = build_resume ~prev:!last_frames chain in
+        let resume = build_resume ~prev:!last_frames (chain_outermost_first f) in
         last_frames := resume.Ir.frames;
         Recorder.begin_bytecode rec_ ~resume ~code:f.Frame.code_ref
           ~pc:f.Frame.pc;
@@ -340,7 +378,6 @@ module Make (L : Threaded.LANG) = struct
         | Frame.Call nf ->
             if Frame.depth nf > Config.max_inline_depth then
               raise (Recorder.Abort "call too deep to inline");
-            Recorder.enter_call rec_;
             tcur := nf;
             t.tracking <- Some nf;
             loop (steps + 1)
@@ -348,7 +385,6 @@ module Make (L : Threaded.LANG) = struct
             match f.Frame.parent with
             | Some p ->
                 if not f.Frame.discard_return then Frame.push p v;
-                Recorder.exit_call rec_;
                 tcur := p;
                 t.tracking <- Some p;
                 loop (steps + 1)
@@ -362,29 +398,22 @@ module Make (L : Threaded.LANG) = struct
                 else raise (Recorder.Abort "returned out of the traced region"))
       end
     in
+    let abort msg =
+      Aborted
+        ( msg,
+          rebuild ~entry
+            (Executor.materialize_frames t.rtc (Recorder.resume rec_)
+               (Recorder.registers rec_)) )
+    in
+    Fun.protect ~finally:(fun () -> t.tracking <- None) @@ fun () ->
     match loop 0 with
-    | result -> finish_session result
+    | result -> result
     | exception Recorder.Abort msg ->
-        let where =
-          match !tcur with
-          | f -> Printf.sprintf " @%s:%d" (L.name f.Frame.code) f.Frame.pc
-        in
-        finish_session (Aborted (msg ^ where, !last_saved))
-    | exception Ops_intf.Lang_error _ ->
-        finish_session (Aborted ("language error while tracing", !last_saved))
-    | exception Rarith.Type_error _ ->
-        finish_session (Aborted ("type error while tracing", !last_saved))
-    | exception Division_by_zero ->
-        finish_session (Aborted ("division by zero while tracing", !last_saved))
-    | exception e ->
-        t.tracking <- None;
-        raise e
-
-  let tval_of_value i v : Recorder.tval = { Recorder.v; src = Ir.Reg i }
-
-  (* what a tracked frame's unset slots hold: nil, as a trace constant *)
-  let tnil : Recorder.tval =
-    { Recorder.v = Value.nil; src = Ir.Const Value.nil }
+        let f = !tcur in
+        abort (Printf.sprintf "%s @%s:%d" msg (L.name f.Frame.code) f.Frame.pc)
+    | exception Ops_intf.Lang_error _ -> abort "language error while tracing"
+    | exception Rarith.Type_error _ -> abort "type error while tracing"
+    | exception Division_by_zero -> abort "division by zero while tracing"
 
   (* --- tracing a loop --- *)
 
@@ -393,26 +422,12 @@ module Make (L : Threaded.LANG) = struct
     let eng = Ctx.engine t.rtc in
     Engine.in_phase eng Phase.Tracing @@ fun () ->
     let entry_slots = Array.length f.Frame.locals in
-    let rec_ = Recorder.create t.rtc ~entry_slots in
-    let tf : tframe =
-      Frame.create ~code:f.Frame.code ~code_ref:f.Frame.code_ref
-        ~nlocals:entry_slots ~stack_size:(L.stack_size f.Frame.code)
-        ~default:tnil ~parent:None
-    in
-    Array.iteri (fun i v -> tf.Frame.locals.(i) <- tval_of_value i v) f.Frame.locals;
-    tf.Frame.pc <- f.Frame.pc;
-    let close ~steps (fr : tframe) =
-      steps > 0 && fr.Frame.parent = None
-      && fr.Frame.code_ref = fst key
-      && fr.Frame.pc = snd key && fr.Frame.sp = 0
-    in
-    let finish rec_ (fr : tframe) =
-      let args = Array.map (fun (tv : Recorder.tval) -> tv.Recorder.src) fr.Frame.locals in
-      Recorder.emit_n rec_ Ir.Jump args
-    in
-    let orig_parent = f.Frame.parent in
-    match record_session t rec_ tf ~allow_finish:false ~close ~finish with
-    | Closed (ops, saved) ->
+    match
+      record_session t ~entry:f ~loop_key:key ~allow_finish:false
+        ~jump:(fun () -> Ir.Jump)
+        [ at_header f f.Frame.locals ]
+    with
+    | Closed (ops, resumed) ->
         let trace =
           if Tierpolicy.compile_tier t.cfg <= 1 then begin
             (* baseline tier: skip the optimizer, pay a fraction of the
@@ -437,9 +452,9 @@ module Make (L : Threaded.LANG) = struct
           end
         in
         site.state <- `Compiled trace;
-        rebuild saved orig_parent
+        resumed
     | Closed_return _ -> assert false (* loops never record [finish] *)
-    | Aborted (msg, saved) ->
+    | Aborted (msg, resumed) ->
         Engine.annot eng (Annot.Trace_abort (fst key));
         Jitlog.record_abort t.jitlog msg;
         site.aborts <- site.aborts + 1;
@@ -448,22 +463,9 @@ module Make (L : Threaded.LANG) = struct
           site.state <- `Blacklisted;
           Jitlog.record_blacklist t.jitlog
         end;
-        rebuild saved orig_parent
+        resumed
 
   (* --- tracing a bridge from a deoptimized state --- *)
-
-  (* result of running / bridging JIT code: either an interpreter frame
-     to continue from, or the whole region returned a value to the caller
-     of [orig_parent]'s child (possibly ending the program) *)
-  type jit_outcome = J_frame of dframe | J_done of Value.t
-
-  let continue_after_region_return ~(orig_parent : dframe option)
-      ~(discard : bool) (v : Value.t) : jit_outcome =
-    match orig_parent with
-    | Some p ->
-        if not discard then Frame.push p v;
-        J_frame p
-    | None -> J_done v
 
   let loop_key_of (trace : Ir.trace) =
     match trace.Ir.kind with
@@ -471,13 +473,9 @@ module Make (L : Threaded.LANG) = struct
     | Ir.Bridge { loop_code; loop_pc; _ } -> (loop_code, loop_pc)
 
   let trace_bridge t (g : Ir.guard) (frames : Executor.deopt_frame list)
-      ~loop_key ~(owner : Ir.trace) ~(orig_parent : dframe option) :
-      jit_outcome =
+      ~loop_key ~(owner : Ir.trace) ~(entry : dframe) : jit_outcome =
     let eng = Ctx.engine t.rtc in
     Engine.in_phase eng Phase.Tracing @@ fun () ->
-    (* flatten the deopt state: entry registers in frame order, locals
-       then stack for each frame, outermost first *)
-    let next = ref 0 in
     let entry_slots =
       List.fold_left
         (fun acc (d : Executor.deopt_frame) ->
@@ -486,53 +484,11 @@ module Make (L : Threaded.LANG) = struct
           + Array.length d.Executor.df_stack)
         0 frames
     in
-    let rec_ = Recorder.create t.rtc ~entry_slots in
-    let bottom_to_top =
-      List.fold_left
-        (fun parent (d : Executor.deopt_frame) ->
-          let code = L.lookup_code d.Executor.df_code in
-          let f : tframe =
-            Frame.create ~code ~code_ref:d.Executor.df_code
-              ~nlocals:(L.nlocals code) ~stack_size:(L.stack_size code)
-              ~default:tnil ~parent
-          in
-          f.Frame.pc <- d.Executor.df_pc;
-          f.Frame.discard_return <- d.Executor.df_discard;
-          Array.iteri
-            (fun i v ->
-              let r = !next in
-              incr next;
-              f.Frame.locals.(i) <- { Recorder.v; src = Ir.Reg r })
-            d.Executor.df_locals;
-          Array.iteri
-            (fun i v ->
-              let r = !next in
-              incr next;
-              f.Frame.stack.(i) <- { Recorder.v; src = Ir.Reg r })
-            d.Executor.df_stack;
-          f.Frame.sp <- Array.length d.Executor.df_stack;
-          Some f)
-        None frames
-    in
-    let start = Option.get bottom_to_top in
-    let close ~steps (fr : tframe) =
-      steps > 0 && fr.Frame.parent = None
-      && (fr.Frame.code_ref, fr.Frame.pc) = loop_key
-      && fr.Frame.sp = 0
-    in
-    let target_trace_id () =
+    (* the bridge ends by switching into the loop's current trace *)
+    let jump () =
       match (site_of t loop_key).state with
-      | `Compiled tr -> Some tr.Ir.trace_id
-      | `Cold | `Blacklisted -> None
-    in
-    let finish rec_ (fr : tframe) =
-      match target_trace_id () with
-      | Some tid ->
-          let args =
-            Array.map (fun (tv : Recorder.tval) -> tv.Recorder.src) fr.Frame.locals
-          in
-          Recorder.emit_n rec_ (Ir.Call_assembler tid) args
-      | None -> raise (Recorder.Abort "bridge target loop vanished")
+      | `Compiled tr -> Ir.Call_assembler tr.Ir.trace_id
+      | `Cold | `Blacklisted -> raise (Recorder.Abort "bridge target loop vanished")
     in
     (* demotion: an optimized loop that keeps growing bridges gets
        recompiled at the baseline tier from the kept raw recording, with
@@ -601,42 +557,33 @@ module Make (L : Threaded.LANG) = struct
       owner.Ir.bridges <- owner.Ir.bridges + 1;
       maybe_demote owner
     in
-    let region_discard =
-      match frames with
-      | outermost :: _ -> outermost.Executor.df_discard
-      | [] -> false
-    in
-    match record_session t rec_ start ~allow_finish:true ~close ~finish with
-    | Closed (ops, saved) ->
+    match record_session t ~entry ~loop_key ~allow_finish:true ~jump frames with
+    | Closed (ops, resumed) ->
         compile_bridge ops;
-        J_frame (rebuild saved orig_parent)
+        J_frame resumed
     | Closed_return (ops, v) ->
         compile_bridge ops;
-        continue_after_region_return ~orig_parent ~discard:region_discard v
-    | Aborted (msg, saved) ->
+        region_return ~entry v
+    | Aborted (msg, resumed) ->
         Engine.annot eng (Annot.Trace_abort (fst loop_key));
         Jitlog.record_abort t.jitlog msg;
         g.Ir.bridgeable <- false;
-        J_frame (rebuild saved orig_parent)
+        J_frame resumed
 
   (* --- entering compiled code --- *)
 
   let enter_jit t (trace : Ir.trace) (f : dframe) : jit_outcome =
     let eng = Ctx.engine t.rtc in
-    let orig_parent = f.Frame.parent in
     match
       Engine.in_phase eng Phase.Jit @@ fun () ->
       Executor.run t.rtc t.jitlog ~trace ~entry:f.Frame.locals
     with
-    | Executor.Finished v ->
-        continue_after_region_return ~orig_parent
-          ~discard:f.Frame.discard_return v
+    | Executor.Finished v -> region_return ~entry:f v
     | Executor.Deopt
         { frames; guard = Some g; trace = owner; request_bridge = true } ->
-        trace_bridge t g frames ~loop_key:(loop_key_of trace) ~owner
-          ~orig_parent
-    | Executor.Deopt { frames; _ } -> J_frame (rebuild frames orig_parent)
-    | Executor.Tier_up frame -> J_frame (rebuild [ frame ] orig_parent)
+        trace_bridge t g frames ~loop_key:(loop_key_of trace) ~owner ~entry:f
+    | Executor.Deopt { frames; _ } -> J_frame (rebuild ~entry:f frames)
+    | Executor.Tier_up locals -> J_frame (rebuild ~entry:f [ at_header f locals ])
 
   (* --- the JIT portal, consulted at every loop header --- *)
 

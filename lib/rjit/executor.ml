@@ -58,7 +58,7 @@ type exit_state =
       trace : Ir.trace;
       request_bridge : bool;
     }
-  | Tier_up of deopt_frame
+  | Tier_up of Value.t array
 
 let as_obj = Semantics.as_obj
 let as_int = Eval_op.as_int
@@ -396,18 +396,11 @@ let finished eng (t : Ir.trace) v =
 
 (* adaptive tiers: a baseline loop that has reached its promotion point
    leaves JIT code at its own back-edge — the frame state there is
-   exactly the loop-header state [vals] — so the driver's portal can
-   take a tier-up decision and re-enter *)
-let tier_up_exit eng (t : Ir.trace) ~loop_code ~loop_pc vals =
+   exactly the loop-header state, the locals [vals] — so the driver's
+   portal can take a tier-up decision and re-enter *)
+let tier_up_exit eng (t : Ir.trace) vals =
   Engine.annot eng t.Ir.exit_annot;
-  Tier_up
-    {
-      df_code = loop_code;
-      df_pc = loop_pc;
-      df_locals = vals;
-      df_stack = [||];
-      df_discard = false;
-    }
+  Tier_up vals
 
 (* --- register files and the way in, shared by both loops --- *)
 
@@ -536,9 +529,8 @@ let run_ref rtc (jitlog : Jitlog.t) ~(trace : Ir.trace)
     | Ir.Jump -> (
         let vals = argvals () in
         match t.Ir.kind with
-        | Ir.Loop { loop_code; loop_pc }
-          when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-            leave (tier_up_exit eng t ~loop_code ~loop_pc vals)
+        | Ir.Loop _ when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
+            leave (tier_up_exit eng t vals)
         | _ ->
             Array.blit vals 0 regs t.Ir.loop_base (Array.length vals);
             Engine.branch eng ~site:(410_000 + (t.Ir.trace_id land 1023))
@@ -734,7 +726,7 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
         let len = Array.length gs in
         let site = 410_000 + (t.Ir.trace_id land 1023) in
         (* one translation-time scratch array serves every iteration; the
-           tier-up exit hands out a copy, since its frame escapes *)
+           tier-up exit hands out a copy, since its locals escape *)
         let tmp = Array.make len Value.nil in
         fun st -> (
           exec.(i) <- exec.(i) + 1;
@@ -742,9 +734,8 @@ let rec translate rtc (jitlog : Jitlog.t) (t : Ir.trace) : step array =
           let regs = st.st_regs in
           fill gs tmp regs;
           match t.Ir.kind with
-          | Ir.Loop { loop_code; loop_pc }
-            when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
-              tier_up_exit eng t ~loop_code ~loop_pc (Array.copy tmp)
+          | Ir.Loop _ when t.Ir.tier = 1 && t.Ir.exec_count >= t.Ir.promote_at ->
+              tier_up_exit eng t (Array.copy tmp)
           | _ ->
               Array.blit tmp 0 regs t.Ir.loop_base len;
               Engine.branch eng ~site ~taken:true;

@@ -39,14 +39,26 @@
     loop.  Where the segment has none, the language error propagates
     out of the executor.  The rule is
     static: it carries nothing across a back-edge or into the trace a
-    bridge entry or switch continues in. *)
+    bridge entry or switch continues in.
+
+    {b The discard flag.}  A frame whose [df_discard] is set returns a
+    value its caller drops (a pylite constructor's [__init__]).  Resume
+    data carries the flag each frame had when the trace was recorded,
+    and an inlined frame keeps it.  The outermost frame of a traced
+    region returns to the frame below the region instead, so its flag
+    is that of the frame that entered the region, which the driver
+    gives it on every way out.  One loop can be entered from a
+    constructor call and from a direct call of the same function, so
+    the flag a trace recorded for its outermost frame decides nothing;
+    the tier-up exit carries no flag at all. *)
 
 type deopt_frame = {
   df_code : int;             (** interpreter code_ref *)
   df_pc : int;               (** bytecode pc to re-execute from *)
   df_locals : Mtj_rt.Value.t array;
   df_stack : Mtj_rt.Value.t array;
-  df_discard : bool;         (** the frame's return value is discarded *)
+  df_discard : bool;
+      (** the frame's return value is discarded; see the discard rule *)
 }
 
 (** How JIT code was left.  Each exit annotates [Trace_exit] of the
@@ -67,9 +79,10 @@ type exit_state =
           (** [guard] is bridgeable, has no bridge and failed often
               enough to deserve one *)
     }
-  | Tier_up of deopt_frame
+  | Tier_up of Mtj_rt.Value.t array
       (** a tier-1 loop reached its promotion point at its back-edge:
-          the loop header's frame, for the driver's tier-up decision *)
+          the locals at the loop header, where the region was entered,
+          for the driver's tier-up decision *)
 
 val materialize_frames :
   Mtj_rt.Ctx.t -> Ir.resume -> Mtj_rt.Value.t array -> deopt_frame list
@@ -79,7 +92,9 @@ val materialize_frames :
     Frames are materialized outermost first, each frame's stack before
     its locals; the order shows in the simulated heap. A guard's jump
     into an attached bridge writes the same values, in the same order,
-    straight into the bridge's register file. *)
+    straight into the bridge's register file, and a recording that
+    aborts restores its current bytecode's resume through this, over
+    the recorder's registers. *)
 
 val guard_test : Ir.guard -> ('e -> Mtj_rt.Value.t) array -> 'e -> bool
 (** A guard's condition, staged: [guard_test g readers] binds the

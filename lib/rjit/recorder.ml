@@ -6,6 +6,14 @@
     discipline (guards before heap effects within one bytecode, enforced
     below) makes re-executing that bytecode after deoptimization sound.
 
+    The recorder keeps the concrete value of every register: an entry
+    register's value, and the value each op was recorded with.  A
+    tracked value [{ v; src = Reg r }] is only ever made by {!emit} or
+    by the driver filling the entry registers, so [v] is register [r]'s
+    value.  The resume of the current bytecode, read over {!registers},
+    is therefore the state at the start of that bytecode: an abort
+    restores it as deoptimization restores a guard's.
+
     Tracing overhead is charged per recorded operation; the paper
     measures tracing at roughly an order of magnitude the cost of plain
     interpretation, which the constants here reproduce. *)
@@ -44,25 +52,30 @@ type t = {
   mutable ops_rev : Ir.op list;
   mutable nops : int;
   mutable next_reg : int;
+  mutable regs : Value.t array;
+      (* the concrete value of each register below [next_reg] *)
   mutable cur_resume : Ir.resume;
   mutable effect_in_bytecode : bool;
-  mutable call_depth : int;
   known_shapes : (int, Ir.tyshape) Hashtbl.t;
       (* register type shapes proven by a producing op or a prior guard;
          sound because registers are SSA and the back-edge only refreshes
          entry registers, whose guards re-execute each iteration *)
 }
 
-let create rtc ~entry_slots =
+(* [entry] holds the entry registers' values *)
+let create rtc ~(entry : Value.t array) =
+  let n = Array.length entry in
+  let regs = Array.make (n + 64) Value.nil in
+  Array.blit entry 0 regs 0 n;
   {
     rtc;
     cfg = Ctx.config rtc;
     ops_rev = [];
     nops = 0;
-    next_reg = entry_slots;
+    next_reg = n;
+    regs;
     cur_resume = { Ir.frames = []; r_virtuals = [||] };
     effect_in_bytecode = false;
-    call_depth = 0;
     known_shapes = Hashtbl.create 64;
   }
 
@@ -85,14 +98,21 @@ let push_op t (op : Ir.op) =
   if opcode_is_effect op.Ir.opcode then t.effect_in_bytecode <- true;
   Engine.emit (Ctx.engine t.rtc) trace_op_cost
 
-let fresh_reg t =
+(* a fresh register holding [value] *)
+let fresh_reg t value =
   let r = t.next_reg in
+  if r = Array.length t.regs then begin
+    let a = Array.make (2 * r) Value.nil in
+    Array.blit t.regs 0 a 0 r;
+    t.regs <- a
+  end;
+  t.regs.(r) <- value;
   t.next_reg <- r + 1;
   r
 
 (* record an operation with a result *)
 let emit t opcode args value =
-  let r = fresh_reg t in
+  let r = fresh_reg t value in
   push_op t { Ir.opcode; args; result = r };
   (match Ir.result_shape opcode with
   | Some sh -> Hashtbl.replace t.known_shapes r sh
@@ -156,7 +176,6 @@ let begin_bytecode t ~resume ~code ~pc =
     }
 
 let ops t = Heap_array.of_rev_list ~dummy:Ir.no_op t.nops t.ops_rev
+let resume t = t.cur_resume
+let registers t = t.regs
 let num_ops t = t.nops
-let call_depth t = t.call_depth
-let enter_call t = t.call_depth <- t.call_depth + 1
-let exit_call t = t.call_depth <- max 0 (t.call_depth - 1)

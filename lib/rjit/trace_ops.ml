@@ -620,15 +620,18 @@ let unpack cx (tv : t) n =
             [| tv.R.src; Ir.Const (Value.of_int i) |]
             a.(i))
   | _ ->
+      (* one residual call per item, each recorded with the item the
+         tracer continues with *)
       let values = Semantics.unpack (rt cx) tv.R.v n in
       Array.init n (fun i ->
-          residual_r cx
-            (rc "W_Object.descr_unpack" Aot.I
-               (fun c a ->
-                 (Semantics.unpack c a.(0) (Semantics.as_int a.(1))).(Semantics.as_int a.(2)))
-               ~effectful:false)
-            [| tv; lift (Value.of_int n); lift (Value.of_int i) |]
-          |> fun r -> { r with R.v = values.(i) })
+          R.emit cx
+            (Ir.Call_r
+               (rc "W_Object.descr_unpack" Aot.I
+                  (fun c a ->
+                    (Semantics.unpack c a.(0) (Semantics.as_int a.(1))).(Semantics.as_int a.(2)))
+                  ~effectful:false))
+            [| tv.R.src; Ir.Const (Value.of_int n); Ir.Const (Value.of_int i) |]
+            values.(i))
 
 (* --- construction --- *)
 

@@ -610,6 +610,91 @@ let test_demotion_invalidates_code () =
         (pinned > 1000)
   | _ -> Alcotest.fail "expected several tier-1 loop compiles"
 
+(* --- loops in constructors --- *)
+
+(* A constructor's [__init__] frame drops its return value, so a loop
+   in one is traced from a frame with the discard flag set.  Every way
+   out of the region (a recording's close or abort, deopt, bridge
+   finish, tier-up) must give the region's outermost frame the flag of
+   the frame that entered it: the third program enters the same loop
+   from direct [b.__init__(n)] calls, whose frames keep their return
+   value.  A flag lost on the way out leaves [None] on the caller's
+   stack: [Acc(300)] reads as [None], and the list's constructor calls
+   overflow their caller's stack (the host raised "index out of
+   bounds").  A flag kept where it does not belong, as one copied into
+   the trace would be for the direct calls, pops the caller's stack
+   past empty. *)
+let acc_class =
+  "class Acc:\n\
+  \    def __init__(self, n):\n\
+  \        self.total = 0\n\
+  \        for i in range(n):\n\
+  \            self.total = self.total + i\n"
+
+let constructor_programs =
+  [
+    ( "50 Acc(300)",
+      acc_class
+      ^ "t = 0\n\
+         for k in range(50):\n\
+        \    t = t + Acc(300).total\n\
+         print(t)\n",
+      "2242500\n" );
+    ( "3,000-node list",
+      "class Node:\n\
+      \    def __init__(self, v, nxt):\n\
+      \        self.v = v\n\
+      \        for i in range(3):\n\
+      \            self.v = self.v + 1\n\
+      \        self.nxt = nxt\n\
+       head = None\n\
+       for k in range(3000):\n\
+      \    head = Node(k, head)\n\
+       s = 0\n\
+       n = head\n\
+       while n is not None:\n\
+      \    s = s + n.v\n\
+      \    n = n.nxt\n\
+       print(s)\n",
+      "4507500\n" );
+    ( "3 Acc(300), then 20 direct __init__ calls",
+      acc_class
+      ^ "t = 0\n\
+         for k in range(3):\n\
+        \    b = Acc(300)\n\
+        \    t = t + b.total\n\
+         for k in range(20):\n\
+        \    b.__init__(200 + k)\n\
+        \    t = t + b.total\n\
+         print(t)\n",
+      "571690\n" );
+  ]
+
+let test_constructor_loops () =
+  let run config src =
+    let vm = V.create ~config () in
+    let status =
+      match V.run_source vm src with
+      | Mtj_rjit.Driver.Completed _ -> "ok"
+      | Mtj_rjit.Driver.Budget_exceeded -> "budget"
+      | Mtj_rjit.Driver.Runtime_error e -> "error: " ^ e
+      | exception e -> "exception: " ^ Printexc.to_string e
+    in
+    status ^ "\n" ^ V.output vm
+  in
+  List.iter
+    (fun (name, src, output) ->
+      let interp = run { (eager ()) with C.jit_enabled = false } src in
+      Alcotest.(check string) (name ^ ", JIT off") ("ok\n" ^ output) interp;
+      List.iter
+        (fun policy ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s" name (C.tier_policy_name policy))
+            interp
+            (run { (eager ()) with C.tier_policy = policy } src))
+        C.all_tier_policies)
+    constructor_programs
+
 (* --- trace building on the host --- *)
 
 (* OCaml 5 runs a minor collection before it fills an array of more
@@ -765,6 +850,8 @@ let suite =
       test_tiered_matches_interp;
     Alcotest.test_case "adaptive: demotion invalidates optimized code" `Quick
       test_demotion_invalidates_code;
+    Alcotest.test_case "loops in constructors match the JIT-off run" `Quick
+      test_constructor_loops;
     QCheck_alcotest.to_alcotest prop_promotion_monotone;
     QCheck_alcotest.to_alcotest prop_tier2_never_promotes;
     QCheck_alcotest.to_alcotest prop_demotion_backoff;

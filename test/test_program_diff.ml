@@ -433,8 +433,12 @@ let pick r l = List.nth l (rand r (List.length l))
 let sprintf = Printf.sprintf
 
 (* pylite.  [work(n)] runs a random body [n] times over four ints, a
-   float accumulator, a bignum and a list; hot top-level loops update
-   three module globals; both call the helper [sq].  Every loop counts
+   float accumulator, a bignum and a list, and constructs an [Acc],
+   whose [__init__] loops over its argument; hot top-level loops update
+   three module globals; both call the helper [sq].  The program ends by
+   re-initialising an [Acc] through a direct [__init__] call, so one
+   loop is entered both from constructor frames, which drop their
+   return value, and from a frame that keeps it.  Every loop counts
    to a constant.  [//] and [%] divide by nonzero constants, shifts are
    by constants below 8, and [&], [|], [^] see operands reduced below
    4096, inside the native int range they accept. *)
@@ -548,6 +552,12 @@ let py_program ~size r =
     {|def sq(x):
     return x * x
 
+class Acc:
+    def __init__(self, n):
+        self.t = 0
+        for j in range(n):
+            self.t = (self.t + j * j) %% 1009
+
 def work(n):
     acc = 0
     a = 1
@@ -562,6 +572,7 @@ def work(n):
         b = (b + a) %% 89
         x = (%s + %s // %s) %% 61.5
 %s        acc = (acc + a + b + c + d) %% 1000003
+        acc = (acc + Acc(b %% 9).t) %% 1000003
     return acc + x
 
 u = 1
@@ -569,7 +580,9 @@ v = 2
 w = 3
 %sprint(work(%d))
 print(work(%d))
-print(u + v + w)
+o = Acc(2)
+o.__init__(u %% 50 + 20)
+print(u + v + w + o.t)
 |}
     fsum fdiv by body top size
     ((size / 4) + 5)
